@@ -362,6 +362,14 @@ def cmd_train(args) -> int:
         result = run_pipeline(ds, config)
     except PipelineStageError as e:
         return _fail(EXIT_STAGE, str(e))
+    manifest.doc["trees"] = {
+        name: {
+            "nodes_grown": tree.nodes_grown,
+            "candidates_scanned": tree.candidates_scanned,
+            "prune_steps": tree.prune_steps,
+        }
+        for name, tree in {**result.factor_trees, "final": result.final_tree}.items()
+    }
     out = Path(args.out)
     try:
         _write_train_outputs(manifest, out, result, config)

@@ -78,12 +78,47 @@ def _kpp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     d2 = ((pts - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
-        if total <= 0:
-            raise InvalidArgument("k exceeds the number of distinct points")
-        idx = int(rng.choice(n, p=d2 / total))
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            # Every squared gap underflowed: draw among the points that
+            # differ from all chosen centers (there are some, as k <= the
+            # number of distinct points).
+            on_center = (pts[:, None, :] == centers[None, :j, :]).all(axis=2).any(axis=1)
+            free = np.flatnonzero(~on_center)
+            if free.size == 0:
+                raise InvalidArgument("k exceeds the number of distinct points")
+            idx = int(free[rng.integers(free.size)])
         centers[j] = pts[idx]
         d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
     return centers
+
+
+def _nearest(pts: np.ndarray, centers: np.ndarray):
+    """Nearest center per point, ties -> lowest id, and the squared
+    distance to it. A tie at a subnormal or zero distance may only be the
+    squares underflowing, so those rows are compared again on their
+    differences scaled by a power of two, which is exact."""
+    d2 = _sq_dists(pts, centers)
+    rows = np.arange(len(pts))
+    assign = np.argmin(d2, axis=1)
+    best = d2[rows, assign]
+    tied = ((d2 == best[:, None]).sum(axis=1) > 1) & (best < np.finfo(np.float64).tiny)
+    for i in np.flatnonzero(tied):
+        cand = np.flatnonzero(d2[i] == best[i])
+        while cand.size > 1:
+            diff = pts[i] - centers[cand]
+            top = np.abs(diff).max()
+            if top == 0:
+                break
+            diff = np.ldexp(diff, -np.frexp(top)[1])
+            s2 = np.einsum("kd,kd->k", diff, diff)
+            keep = cand[s2 == s2.min()]
+            if keep.size == cand.size:
+                break
+            cand = keep
+        assign[i] = cand[0]
+    return assign, d2[rows, assign]
 
 
 def _assign_with_repair(pts: np.ndarray, centers: np.ndarray):
@@ -92,13 +127,16 @@ def _assign_with_repair(pts: np.ndarray, centers: np.ndarray):
     center, then everything is reassigned."""
     k = centers.shape[0]
     while True:
-        d2 = _sq_dists(pts, centers)
-        assign = np.argmin(d2, axis=1)
+        assign, dist = _nearest(pts, centers)
         present = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(present == 0)
         if empties.size == 0:
             return assign, centers
-        worst = int(np.argmax(d2[np.arange(len(pts)), assign]))
+        worst = int(np.argmax(dist))
+        if dist[worst] == 0:
+            # All squared gaps underflowed; take the first point that is
+            # not on its center (there is one, as k <= distinct points).
+            worst = int(np.flatnonzero((pts != centers[assign]).any(axis=1))[0])
         centers = centers.copy()
         centers[int(empties[0])] = pts[worst]
 

@@ -9,6 +9,10 @@ write/read/write cycle is byte-identical.
 Extra-column kinds are inferred on read: a column is numeric when every
 non-empty cell parses as a float, else categorical. Categorical values must
 therefore not all look like numbers (true for everything this package emits).
+
+Numeric cells are checked as they are parsed: every one must be finite, the
+core and site-area columns must be non-negative and tbsa_pct at most 100. A
+bad cell raises InvalidArgument naming the row id and the column.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import sys
 from pathlib import Path
 
 from .domain import (
@@ -33,6 +38,7 @@ from .errors import InvalidArgument
 _CORE_COLUMNS = ("id", "age_years", "los_days", "total_cost", "tbsa_pct", "theatre_visits")
 _AREA_COLUMNS = tuple(f"site_{i + 1:02d}_area" for i in range(N_SITES))
 _DEPTH_COLUMNS = tuple(f"site_{i + 1:02d}_depth" for i in range(N_SITES))
+_MAX = sys.float_info.max
 
 
 def _fmt(value) -> str:
@@ -49,8 +55,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_float(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+def _parse_float(cell: str, column: str, lo: float = -_MAX, hi: float = _MAX) -> float | None:
+    """An empty cell is missing; anything else must be a number in
+    [lo, hi], which also rejects nan and the infinities."""
+    if cell == "":
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        raise InvalidArgument(f"column {column!r}: {cell!r} is not a number") from None
+    if lo <= value <= hi:
+        return value
+    raise InvalidArgument(f"column {column!r}: {cell!r} is not in [{lo:g}, {hi:g}]")
 
 
 def cohort_csv_text(ds: Dataset) -> str:
@@ -126,34 +142,37 @@ def parse_cohort_csv(text: str) -> Dataset:
             raise InvalidArgument(
                 f"row for id {row[0]!r} has {len(row)} cells, header has {len(header)}"
             )
-        sites = []
-        for i in range(N_SITES):
-            area = _parse_float(row[6 + i])
-            depth_cell = row[6 + N_SITES + i]
-            depth = None if depth_cell == "" else Depth(depth_cell)
-            sites.append(BurnSiteEntry(SITE_CODES[i], area, depth))
-        theatre_cell = row[5]
-        extras: dict[str, float | str | None] = {}
-        for j, name in enumerate(extra_names):
-            cell = row[len(expected) + j]
-            if cell == "":
-                extras[name] = None
-            elif extra_kinds[name] == NUMERIC:
-                extras[name] = float(cell)
-            else:
-                extras[name] = cell
-        records.append(
-            PatientRecord(
-                id=row[0],
-                age_years=_parse_float(row[1]),
-                los_days=_parse_float(row[2]),
-                total_cost=_parse_float(row[3]),
-                tbsa_pct=_parse_float(row[4]),
-                theatre_visits=None if theatre_cell == "" else int(float(theatre_cell)),
-                burn_sites=tuple(sites),
-                extra_features=extras,
+        try:
+            sites = []
+            for i in range(N_SITES):
+                area = _parse_float(row[6 + i], _AREA_COLUMNS[i], 0.0)
+                depth_cell = row[6 + N_SITES + i]
+                depth = None if depth_cell == "" else Depth(depth_cell)
+                sites.append(BurnSiteEntry(SITE_CODES[i], area, depth))
+            theatre = _parse_float(row[5], "theatre_visits", 0.0)
+            extras: dict[str, float | str | None] = {}
+            for j, name in enumerate(extra_names):
+                cell = row[len(expected) + j]
+                if cell == "":
+                    extras[name] = None
+                elif extra_kinds[name] == NUMERIC:
+                    extras[name] = _parse_float(cell, name)
+                else:
+                    extras[name] = cell
+            records.append(
+                PatientRecord(
+                    id=row[0],
+                    age_years=_parse_float(row[1], "age_years", 0.0),
+                    los_days=_parse_float(row[2], "los_days", 0.0),
+                    total_cost=_parse_float(row[3], "total_cost", 0.0),
+                    tbsa_pct=_parse_float(row[4], "tbsa_pct", 0.0, 100.0),
+                    theatre_visits=None if theatre is None else int(theatre),
+                    burn_sites=tuple(sites),
+                    extra_features=extras,
+                )
             )
-        )
+        except InvalidArgument as e:
+            raise InvalidArgument(f"row id {row[0]!r}, {e}") from None
     return Dataset(records=tuple(records), extra_schema=extra_kinds)
 
 

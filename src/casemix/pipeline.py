@@ -187,18 +187,19 @@ def engineer_factor_targets(ds: Dataset, config: PipelineConfig) -> dict[str, np
 
 
 def train_factor_trees(
-    ds: Dataset, factor_labels: dict[str, np.ndarray], config: PipelineConfig
+    table: FeatureTable, factor_labels: dict[str, np.ndarray], config: PipelineConfig
 ):
-    """One cost-sensitive tree per factor. Raw LOS and cost never appear as
-    predictors (they are resource outcomes), nor does the tree's own target
-    factor; TBSA stays available to the LOS and cost trees."""
+    """One cost-sensitive tree per factor over the full feature table of the
+    preprocessed dataset. Raw LOS and cost never appear as predictors (they
+    are resource outcomes), nor does the tree's own target factor; TBSA
+    stays available to the LOS and cost trees."""
     loss = linear_cost_matrix(config.k)
     trees: dict[str, DecisionTree] = {}
     importances: dict[str, list[tuple[str, float]]] = {}
     for factor in FACTOR_FIELDS:
-        exclude = tuple(sorted({"los_days", "total_cost", factor}))
-        table = dataset_to_table(ds, exclude=exclude)
-        tree = build_tree(table, factor_labels[factor], loss, config.factor_tree_params)
+        exclude = {"los_days", "total_cost", factor}
+        predictors = table.select([name for name in table.names if name not in exclude])
+        tree = build_tree(predictors, factor_labels[factor], loss, config.factor_tree_params)
         trees[factor] = tree
         importances[factor] = variable_importance(tree)
     return trees, importances
@@ -268,14 +269,13 @@ def oversample_duplicate(indices, labels, seed: int) -> np.ndarray:
 
 
 def _select_final_features(
-    ds: Dataset, importances: dict[str, list[tuple[str, float]]], config: PipelineConfig
+    names: tuple[str, ...], importances: dict[str, list[tuple[str, float]]], config: PipelineConfig
 ) -> tuple[str, ...]:
     chosen = set(FORCED_FINAL_FEATURES)
     for factor in FACTOR_FIELDS:
         chosen.update(name for name, _ in importances[factor][: config.importance_top_m])
     chosen.difference_update(LEAKAGE_EXCLUDED)
-    full = dataset_to_table(ds)
-    return tuple(name for name in full.names if name in chosen)
+    return tuple(name for name in names if name in chosen)
 
 
 def run_pipeline(ds: Dataset, config: PipelineConfig) -> PipelineResult:
@@ -295,13 +295,14 @@ def run_pipeline(ds: Dataset, config: PipelineConfig) -> PipelineResult:
     if len(pds.records) == 0:
         raise PipelineStageError("preprocess", "no records survived preprocessing")
     factor_labels = stage("clustering", engineer_factor_targets, pds, config)
+    table = dataset_to_table(pds)
     factor_trees, factor_importances = stage(
-        "factor-trees", train_factor_trees, pds, factor_labels, config
+        "factor-trees", train_factor_trees, table, factor_labels, config
     )
     final_labels, mean_ranks = stage(
         "final-targets", engineer_final_targets, factor_labels, config
     )
-    selected = _select_final_features(pds, factor_importances, config)
+    selected = _select_final_features(table.names, factor_importances, config)
     train_idx, test_idx = stage(
         "split", stratified_split, final_labels, config.split_fraction, config.seeds.split
     )
@@ -319,10 +320,9 @@ def run_pipeline(ds: Dataset, config: PipelineConfig) -> PipelineResult:
     if np.intersect1d(train_ms, test_idx).size:
         raise PipelineStageError("split", "train/test leakage detected")
 
-    table = dataset_to_table(pds).select(selected)
     final_tree = stage(
         "final-tree", build_tree,
-        table.take(train_ms), final_labels[train_ms],
+        table.select(selected).take(train_ms), final_labels[train_ms],
         linear_cost_matrix(config.k), config.final_tree_params,
     )
     provenance = {

@@ -6,13 +6,28 @@ matrix, and each leaf is labeled with the rank minimizing expected
 misclassification cost. Pruning is weakest-link cost-complexity with the
 same expected-cost risk functional.
 
+Encoding: ``build_tree`` encodes every column once (``EncodedTable``). A
+numeric column becomes int32 value-rank codes plus its sorted distinct
+values, so a threshold is still the exact midpoint (a+b)/2 of two adjacent
+observed values; a categorical column becomes int32 level codes in
+sorted-string order. The row order of each numeric column is sorted once
+and partitioned stably in place whenever a node splits (SLIQ's presorted
+attribute lists), so each node scans its rows already in value order;
+categorical columns are scanned from one class histogram per node.
+
 Determinism contract: candidate splits are scanned in schema order, numeric
 thresholds ascending, categorical subsets in canonical order; ties keep the
 first candidate. Identical inputs always produce identical trees.
+
+Routing: a training row goes left when its value < threshold (categorical:
+when its level is in the split's subset), the same rule ``predict`` applies
+to new rows.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,6 +43,14 @@ TREE_FORMAT_VERSION = "1"
 #: (levels sorted by mean label rank, prefix subsets) instead of an
 #: exhaustive subset scan.
 MAX_EXHAUSTIVE_LEVELS = 10
+
+#: Columns scanned together at one node: at most _BLOCK, and fewer on large
+#: nodes so that a block spans at most _BLOCK_CELLS row entries. Candidate
+#: splits reach _impurity_terms in chunks of _CHUNK. Together these bound the
+#: per-node working arrays whatever the number of rows and columns.
+_BLOCK = 8
+_BLOCK_CELLS = 32768
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -155,6 +178,10 @@ class DecisionTree:
     n_rows: int = 0
     depth: int = 0
     leaf_count: int = 0
+    # Build counters; not part of the serialized model.
+    nodes_grown: int = 0
+    candidates_scanned: int = 0
+    prune_steps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,109 +236,270 @@ def _impurity_terms(counts_left: np.ndarray, totals: np.ndarray, L: np.ndarray):
         pr = counts_right / n_right[:, None]
     il = np.einsum("mi,ij,mj->m", pl, L, pl)
     ir = np.einsum("mi,ij,mj->m", pr, L, pr)
-    return n_left, n_right, n_left * il + n_right * ir
+    return n_left * il + n_right * ir
 
 
-def _scan_numeric(values, y0, k, loss, min_leaf, parent_term):
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = y0[order]
-    change = np.flatnonzero(sv[:-1] != sv[1:])
-    if change.size == 0:
-        return None
-    one_hot = np.zeros((len(sv), k))
-    one_hot[np.arange(len(sv)), sy] = 1.0
-    cum = one_hot.cumsum(axis=0)
-    counts_left = cum[change]
-    totals = cum[-1]
-    n_left, n_right, child_term = _impurity_terms(counts_left, totals, loss.entries)
-    decreases = parent_term - child_term
-    ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not ok.any():
-        return None
-    decreases = np.where(ok, decreases, -np.inf)
-    best = int(np.argmax(decreases))  # thresholds ascend, so ties pick the lowest
-    if decreases[best] <= 0.0:
-        return None
-    threshold = float((sv[change[best]] + sv[change[best] + 1]) / 2.0)
-    return threshold, None, float(decreases[best])
+class EncodedTable:
+    """A FeatureTable and its labels encoded once for growing one tree.
+
+    Numeric column j: ``num_codes[j]`` are int32 ranks into ``values[j]``,
+    its sorted distinct values. Categorical column j: ``cat_codes[j]`` are
+    int32 indices into ``levels[j]``, its levels in sorted-string order.
+    ``rows`` lists every row id with each node's rows contiguous and
+    ascending; ``order[j]`` holds the same segments sorted by numeric column
+    j. Growing partitions both stably in place when a node splits.
+    """
+
+    def __init__(self, table: FeatureTable, labels, k: int):
+        y = np.asarray(labels, dtype=np.int64)
+        if table.n_rows == 0 or len(table.names) == 0:
+            raise InvalidArgument("training data must be non-empty")
+        if len(y) != table.n_rows:
+            raise InvalidArgument("labels must align with the feature table")
+        if y.min() < 1 or y.max() > k:
+            raise InvalidArgument(f"labels must lie in [1, {k}]")
+        self.k = k
+        self.y0 = y - 1
+        self.num_names, self.values, num_codes = [], [], []
+        self.cat_names, self.levels, cat_codes = [], [], []
+        #: (scan class, first, stop) for each maximal run of features in
+        #: schema order that one scan class handles; first and stop index
+        #: that kind's columns.
+        self.spans: list[tuple[type, int, int]] = []
+        for name, kind, col in zip(table.names, table.kinds, table.columns):
+            if kind == NUMERIC:
+                if np.isnan(col).any():
+                    raise InvalidArgument(f"training column {name!r} contains missing values")
+                values, codes = np.unique(col, return_inverse=True)
+                self.num_names.append(name)
+                self.values.append(values)
+                num_codes.append(codes.astype(np.int32))
+                scan, position = _NumericScan, len(self.num_names)
+            else:
+                if any(v is None for v in col):
+                    raise InvalidArgument(f"training column {name!r} contains missing values")
+                levels, codes = np.unique(col.astype("U"), return_inverse=True)
+                self.cat_names.append(name)
+                self.levels.append(tuple(str(level) for level in levels))
+                cat_codes.append(codes.astype(np.int32))
+                few = len(levels) <= MAX_EXHAUSTIVE_LEVELS
+                scan, position = (_SubsetScan if few else _LevelScan), len(self.cat_names)
+            if self.spans and self.spans[-1][0] is scan:
+                self.spans[-1] = (scan, self.spans[-1][1], position)
+            else:
+                self.spans.append((scan, position - 1, position))
+        n = table.n_rows
+        self.num_codes = np.array(num_codes, dtype=np.int32).reshape(-1, n)
+        self.cat_codes = np.array(cat_codes, dtype=np.int32).reshape(-1, n)
+        self.order = np.empty_like(self.num_codes)
+        for j, codes in enumerate(self.num_codes):
+            self.order[j] = np.argsort(codes, kind="stable")
+        self.rows = np.arange(n, dtype=np.int32)
+        self.goes_left = np.zeros(n, dtype=bool)
+        self.candidates_scanned = 0
+
+    def categorical_split(self, j: int, chosen, rows: np.ndarray, decrease: float) -> Split:
+        """The split sending categorical column j's levels ``chosen`` left."""
+        member = np.zeros(len(self.levels[j]), dtype=bool)
+        member[list(chosen)] = True
+        categories = tuple(sorted(self.levels[j][c] for c in chosen))
+        return Split(self.cat_names[j], CATEGORICAL, None, categories, decrease,
+                     member[self.cat_codes[j, rows]])
 
 
-def _level_counts(values, y0, k):
-    levels, codes = np.unique(values.astype("U"), return_inverse=True)
-    counts = np.zeros((len(levels), k))
-    np.add.at(counts, (codes, y0), 1.0)
-    return [str(l) for l in levels], codes, counts
+def _block_width(n: int) -> int:
+    return min(_BLOCK, max(1, _BLOCK_CELLS // n))
 
 
-def _scan_categorical(values, y0, k, loss, min_leaf, parent_term):
-    levels, codes, counts = _level_counts(values, y0, k)
-    n_levels = len(levels)
-    if n_levels < 2:
-        return None
-    if n_levels <= MAX_EXHAUSTIVE_LEVELS:
-        # All subsets containing the first level (complements are equivalent),
-        # in ascending bitmask order for a total tie-break.
-        masks = [m for m in range(1, 2 ** n_levels - 1) if m & 1]
-        bits = np.array([[(m >> b) & 1 for b in range(n_levels)] for m in masks], dtype=np.float64)
-        candidates = [tuple(levels[b] for b in range(n_levels) if (m >> b) & 1) for m in masks]
-    else:
-        # Order levels by mean label rank (ties by level name) and scan prefixes.
-        mean_rank = counts @ (np.arange(k) + 1.0) / counts.sum(axis=1)
-        order = sorted(range(n_levels), key=lambda i: (mean_rank[i], levels[i]))
-        bits = np.zeros((n_levels - 1, n_levels))
-        for j in range(n_levels - 1):
-            bits[j, order[: j + 1]] = 1.0
-        candidates = [tuple(sorted(levels[i] for i in order[: j + 1])) for j in range(n_levels - 1)]
-    counts_left = bits @ counts
-    totals = counts.sum(axis=0)
-    n_left, n_right, child_term = _impurity_terms(counts_left, totals, loss.entries)
-    decreases = parent_term - child_term
-    ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not ok.any():
-        return None
-    decreases = np.where(ok, decreases, -np.inf)
-    best = int(np.argmax(decreases))
-    if decreases[best] <= 0.0:
-        return None
-    return None, candidates[best], float(decreases[best])
+class _NumericScan:
+    """Cut candidates of numeric columns a..b-1 at one node. The node's
+    rows arrive in value order, so a cut after sorted position p is a
+    candidate when the code changes there and both sides keep min_leaf
+    rows; the left class counts of every cut come from one bincount over
+    the runs of equal codes, accumulated across runs."""
+
+    def __init__(self, enc: EncodedTable, a: int, b: int, start: int, end: int,
+                 counts: np.ndarray, min_leaf: int):
+        n = end - start
+        seg = enc.order[a:b, start:end]
+        codes = np.take_along_axis(enc.num_codes[a:b], seg, axis=1)
+        new_run = np.ones(codes.shape, dtype=bool)
+        np.not_equal(codes[:, 1:], codes[:, :-1], out=new_run[:, 1:])
+        self.feature, cut = np.nonzero(new_run[:, min_leaf:n - min_leaf + 1])
+        self.pos = cut + (min_leaf - 1)  # last sorted position that goes left
+        self.size = len(self.pos)
+        self.enc, self.a, self.codes, self.counts = enc, a, codes, counts
+        if self.size:
+            k = enc.k
+            run = np.cumsum(new_run) - 1  # run id over the flattened block
+            self.cum = np.bincount(
+                run * k + enc.y0[seg].ravel(), minlength=(int(run[-1]) + 1) * k
+            ).reshape(-1, k)
+            np.cumsum(self.cum, axis=0, out=self.cum)
+            self.run = run[self.feature * n + self.pos]
+
+    def counts_left(self, lo: int, hi: int) -> np.ndarray:
+        # Runs accumulate across the block's columns, and each column's runs
+        # hold the node's rows once, so drop the earlier columns' totals.
+        earlier = self.feature[lo:hi, None] * self.counts
+        return (self.cum[self.run[lo:hi]] - earlier).astype(np.float64)
+
+    def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
+        f, p = self.feature[i], self.pos[i]
+        j = self.a + f
+        values = self.enc.values[j]
+        threshold = float((values[self.codes[f, p]] + values[self.codes[f, p + 1]]) / 2.0)
+        left_mask = self.enc.num_codes[j, rows] < np.searchsorted(values, threshold)
+        return Split(self.enc.num_names[j], NUMERIC, threshold, None, decrease, left_mask)
 
 
-def best_split(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams) -> Split | None:
-    """Exhaustive scan over features and candidate splits; returns the split
-    maximizing n*I(parent) - n_L*I(left) - n_R*I(right), or None when no
-    candidate has a strictly positive decrease."""
-    y = np.asarray(labels, dtype=np.int64)
-    n = table.n_rows
-    if len(y) != n:
-        raise InvalidArgument("labels must align with the feature table")
+@functools.lru_cache(maxsize=None)
+def _subset_bits(n_levels: int) -> np.ndarray:
+    """Membership rows of the level subsets with bitmasks 1 .. 2**n_levels - 2,
+    in ascending bitmask order."""
+    masks = range(1, 2 ** n_levels - 1)
+    bits = np.array([[(m >> b) & 1 for b in range(n_levels)] for m in masks], dtype=np.float64)
+    bits = bits.reshape(len(masks), n_levels)  # also when there is no subset
+    bits.setflags(write=False)
+    return bits
+
+
+def _bits_of(mask: int):
+    return [b for b in range(mask.bit_length()) if (mask >> b) & 1]
+
+
+class _SubsetScan:
+    """Subset candidates of categorical columns a..b-1 at one node, each
+    with at most MAX_EXHAUSTIVE_LEVELS levels. A column's candidates are the
+    subsets of the levels present at the node that hold the first present
+    level (complements split the same way) but not all of them, in ascending
+    bitmask order. Spreading a subset of the present levels out to the
+    bits of all the column's levels keeps that order, so every column is
+    scanned over its full level width at once and absent levels are then
+    masked out."""
+
+    def __init__(self, enc: EncodedTable, a: int, b: int, rows: np.ndarray,
+                 y: np.ndarray, min_leaf: int):
+        k, n = enc.k, len(rows)
+        width = max(len(levels) for levels in enc.levels[a:b])
+        column_base = np.arange(b - a)[:, None] * width
+        hist = np.bincount(
+            ((enc.cat_codes[a:b, rows] + column_base) * k + y).ravel(),
+            minlength=(b - a) * width * k,
+        ).reshape(b - a, width, k)
+        present = hist.any(axis=2) @ (1 << np.arange(width))  # bitmask per column
+        masks = np.arange(1, 2 ** width - 1)
+        left = _subset_bits(width) @ hist.astype(np.float64)  # (column, mask, class)
+        n_left = left.sum(axis=2)
+        ok = (
+            ((masks & ~present[:, None]) == 0)  # only present levels
+            & ((masks & (present & -present)[:, None]) != 0)  # the first present level
+            & (masks != present[:, None])  # not all of them
+            & (n_left >= min_leaf) & (n - n_left >= min_leaf)
+        )
+        self.feature, m = np.nonzero(ok)
+        self.masks = masks[m]
+        self.left = left[self.feature, m]
+        self.size = len(self.masks)
+        self.enc, self.a = enc, a
+
+    def counts_left(self, lo: int, hi: int) -> np.ndarray:
+        return self.left[lo:hi]
+
+    def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
+        chosen = _bits_of(int(self.masks[i]))
+        return self.enc.categorical_split(self.a + self.feature[i], chosen, rows, decrease)
+
+
+class _LevelScan:
+    """Candidates of categorical columns a..b-1 with more than
+    MAX_EXHAUSTIVE_LEVELS levels, one column at a time over the levels
+    present at the node. Up to MAX_EXHAUSTIVE_LEVELS present levels every
+    subset is a candidate, as in _SubsetScan; beyond that, the prefixes of
+    the levels ordered by mean label rank (ties by level name)."""
+
+    def __init__(self, enc: EncodedTable, a: int, b: int, rows: np.ndarray,
+                 y: np.ndarray, min_leaf: int):
+        k, n = enc.k, len(rows)
+        self.enc, self.starts, self.parts, lefts = enc, [], [], []
+        self.size = 0
+        for j in range(a, b):
+            hist = np.bincount(
+                enc.cat_codes[j, rows] * k + y, minlength=len(enc.levels[j]) * k
+            ).reshape(-1, k)
+            present = np.flatnonzero(hist.any(axis=1))
+            if len(present) < 2:
+                continue
+            level_counts = hist[present].astype(np.float64)
+            if len(present) <= MAX_EXHAUSTIVE_LEVELS:
+                order = None
+                left = _subset_bits(len(present))[::2] @ level_counts  # odd bitmasks
+            else:
+                mean_rank = level_counts @ (np.arange(k) + 1.0) / level_counts.sum(axis=1)
+                names = [enc.levels[j][c] for c in present]
+                order = sorted(range(len(present)), key=lambda c: (mean_rank[c], names[c]))
+                left = np.cumsum(level_counts[order], axis=0)[:-1]
+            n_left = left.sum(axis=1)
+            keep = np.flatnonzero((n_left >= min_leaf) & (n - n_left >= min_leaf))
+            if keep.size == 0:
+                continue
+            self.starts.append(self.size)
+            self.parts.append((j, present, order, keep))
+            lefts.append(left[keep])
+            self.size += keep.size
+        self.left = np.concatenate(lefts) if lefts else None
+
+    def counts_left(self, lo: int, hi: int) -> np.ndarray:
+        return self.left[lo:hi]
+
+    def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
+        part = bisect.bisect_right(self.starts, i) - 1
+        j, present, order, keep = self.parts[part]
+        c = int(keep[i - self.starts[part]])
+        if order is None:
+            chosen = [present[b] for b in _bits_of(2 * c + 1)]
+        else:
+            chosen = [present[t] for t in order[:c + 1]]
+        return self.enc.categorical_split(j, chosen, rows, decrease)
+
+
+def best_split(enc: EncodedTable, start: int, end: int, loss: CostMatrix,
+               params: TreeParams) -> Split | None:
+    """Exhaustive scan over features and candidate splits of the node whose
+    rows are ``enc.rows[start:end]``; returns the split maximizing
+    n*I(parent) - n_L*I(left) - n_R*I(right), or None when the node is
+    below min_split or no candidate has a strictly positive decrease. The
+    split's left_mask is aligned with ``enc.rows[start:end]``."""
+    n = end - start
     if n < params.min_split:
         return None
-    k = loss.k
-    y0 = y - 1
-    counts = np.bincount(y0, minlength=k).astype(np.float64)
-    parent_term = n * gini_loss_impurity(counts, loss)
-    best: Split | None = None
-    for name, kind, col in zip(table.names, table.kinds, table.columns):
-        if kind == NUMERIC:
-            if np.isnan(col).any():
-                raise InvalidArgument(f"training column {name!r} contains missing values")
-            found = _scan_numeric(col, y0, k, loss, params.min_leaf, parent_term)
-        else:
-            if any(v is None for v in col):
-                raise InvalidArgument(f"training column {name!r} contains missing values")
-            found = _scan_categorical(col, y0, k, loss, params.min_leaf, parent_term)
-        if found is None:
-            continue
-        threshold, categories, decrease = found
-        if best is None or decrease > best.decrease:
-            if kind == NUMERIC:
-                left_mask = col < threshold
+    rows = enc.rows[start:end]
+    y = enc.y0[rows]
+    counts = np.bincount(y, minlength=enc.k)
+    totals = counts.astype(np.float64)
+    parent_term = n * gini_loss_impurity(totals, loss)
+    width = _block_width(n)
+    best_decrease, best = 0.0, None
+    for scan_class, first, stop in enc.spans:
+        for a in range(first, stop, width):
+            b = min(a + width, stop)
+            if scan_class is _NumericScan:
+                scan = _NumericScan(enc, a, b, start, end, counts, params.min_leaf)
             else:
-                cat_set = set(categories)
-                left_mask = np.array([v in cat_set for v in col])
-            best = Split(name, kind, threshold, categories, decrease, left_mask)
-    return best
+                scan = scan_class(enc, a, b, rows, y, params.min_leaf)
+            enc.candidates_scanned += scan.size
+            # Candidates arrive in schema order, thresholds ascending and
+            # subsets in canonical order: keep the first maximum.
+            for lo in range(0, scan.size, _CHUNK):
+                counts_left = scan.counts_left(lo, lo + _CHUNK)
+                decreases = parent_term - _impurity_terms(counts_left, totals, loss.entries)
+                i = int(np.argmax(decreases))
+                if decreases[i] > best_decrease:
+                    best_decrease, best = float(decreases[i]), (scan, lo + i)
+    if best is None:
+        return None
+    scan, i = best
+    return scan.split(i, rows, best_decrease)
 
 
 # ---------------------------------------------------------------------------
@@ -323,74 +511,119 @@ def _make_leaf(counts: np.ndarray, loss: CostMatrix) -> Leaf:
     return Leaf(label=label, n=int(counts.sum()), class_counts=counts.copy(), expected_cost=expected)
 
 
-def _grow(table, rows, y0, k, loss, params, depth):
-    counts = np.bincount(y0[rows], minlength=k).astype(np.float64)
-    impurity = gini_loss_impurity(counts, loss)
-    if depth >= params.max_depth or len(rows) < params.min_split or impurity == 0.0:
-        return _make_leaf(counts, loss)
-    split = best_split(table.take(rows), y0[rows] + 1, loss, params)
-    if split is None:
-        return _make_leaf(counts, loss)
-    left_rows = rows[split.left_mask]
-    right_rows = rows[~split.left_mask]
-    return Internal(
-        feature=split.feature,
-        kind=split.kind,
-        threshold=split.threshold,
-        categories=split.categories,
-        left=_grow(table, left_rows, y0, k, loss, params, depth + 1),
-        right=_grow(table, right_rows, y0, k, loss, params, depth + 1),
-        n=len(rows),
-        class_counts=counts,
-        impurity=impurity,
-        decrease=split.decrease,
-    )
+def _partition(enc: EncodedTable, start: int, end: int, left_mask: np.ndarray) -> int:
+    """Split a node's segment of ``rows`` and of every presorted order
+    stably in place, left rows first; returns where the right child starts."""
+    rows = enc.rows[start:end]
+    n_left = int(np.count_nonzero(left_mask))
+    n_right = len(rows) - n_left
+    enc.goes_left[rows] = left_mask
+    rows[:] = np.concatenate((rows[left_mask], rows[~left_mask]))
+    width = _block_width(len(rows))
+    for a in range(0, len(enc.order), width):
+        seg = enc.order[a:a + width, start:end]
+        fl = enc.goes_left[seg]
+        seg[:] = np.concatenate(
+            (seg[fl].reshape(len(seg), n_left), seg[~fl].reshape(len(seg), n_right)), axis=1
+        )
+    return start + n_left
+
+
+def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[Node, int]:
+    """Recursive partitioning, depth-first and left child first, with an
+    explicit stack; returns the root and the number of nodes grown."""
+    root = None
+    grown = 0
+    stack = [(0, len(enc.rows), 0, None, None)]
+    while stack:
+        start, end, depth, parent, side = stack.pop()
+        counts = np.bincount(enc.y0[enc.rows[start:end]], minlength=enc.k).astype(np.float64)
+        impurity = gini_loss_impurity(counts, loss)
+        split = None
+        if depth < params.max_depth and end - start >= params.min_split and impurity != 0.0:
+            split = best_split(enc, start, end, loss, params)
+        if split is None:
+            node = _make_leaf(counts, loss)
+        else:
+            node = Internal(
+                feature=split.feature,
+                kind=split.kind,
+                threshold=split.threshold,
+                categories=split.categories,
+                left=None,
+                right=None,
+                n=end - start,
+                class_counts=counts,
+                impurity=impurity,
+                decrease=split.decrease,
+            )
+            mid = _partition(enc, start, end, split.left_mask)
+            stack.append((mid, end, depth + 1, node, "right"))
+            stack.append((start, mid, depth + 1, node, "left"))
+        grown += 1
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, side, node)
+    return root, grown
 
 
 def _leaf_risk(counts: np.ndarray, loss: CostMatrix) -> float:
     return float((counts @ loss.entries).min())
 
 
-def _weakest_link(root, loss):
-    """Collect (g, preorder_index, node, parent, side) for every internal
-    node, where g is the expected-cost reduction per extra leaf of the
-    node's subtree. Preorder indices make the min-g tie-break total."""
-    results = []
-    counter = [0]
+def _prune(root: Node, loss: CostMatrix, cp: float) -> tuple[Node, int]:
+    """Weakest-link cost-complexity pruning: repeatedly collapse the internal
+    node with the smallest risk reduction per extra leaf, g, while g falls
+    below cp times the root's single-leaf risk; ties go to the first node in
+    preorder. A collapse changes only the risk, leaf count and g of the
+    node's ancestors, so only they are updated. Returns the pruned root and
+    the number of collapses."""
+    nodes, parent, stack = [], [], [(root, -1)]
+    while stack:
+        node, up = stack.pop()
+        parent.append(up)
+        nodes.append(node)
+        if isinstance(node, Internal):
+            here = len(nodes) - 1
+            stack.append((node.right, here))
+            stack.append((node.left, here))
+    m = len(nodes)
+    size = [1] * m
+    for i in range(m - 1, 0, -1):
+        size[parent[i]] += size[i]
+    own = [_leaf_risk(node.class_counts, loss) for node in nodes]
+    risk, leaves = list(own), [1] * m
+    g = np.full(m, np.inf)
 
-    def walk(nd, par, sd):
-        idx = counter[0]
-        counter[0] += 1
-        if isinstance(nd, Leaf):
-            return _leaf_risk(nd.class_counts, loss), 1
-        rl, cl = walk(nd.left, nd, "left")
-        rr, cr = walk(nd.right, nd, "right")
-        subtree_risk = rl + rr
-        leaves = cl + cr
-        g = max((_leaf_risk(nd.class_counts, loss) - subtree_risk) / (leaves - 1), 0.0)
-        results.append((g, idx, nd, par, sd))
-        return subtree_risk, leaves
+    def update(i):
+        left = i + 1
+        right = left + size[left]
+        risk[i] = risk[left] + risk[right]
+        leaves[i] = leaves[left] + leaves[right]
+        g[i] = max((own[i] - risk[i]) / (leaves[i] - 1), 0.0)
 
-    walk(root, None, None)
-    return results
-
-
-def _prune(tree: DecisionTree, loss: CostMatrix) -> None:
-    """Weakest-link cost-complexity pruning in place: repeatedly collapse the
-    internal node with the smallest risk-reduction-per-extra-leaf while it
-    falls below cp times the root's single-leaf risk."""
-    root_risk = _leaf_risk(tree.root.class_counts, loss)
-    threshold = math.inf if math.isinf(tree.params.cp) else tree.params.cp * root_risk
-    while isinstance(tree.root, Internal):
-        links = _weakest_link(tree.root, loss)
-        g, _, node, parent, side = min(links, key=lambda t: (t[0], t[1]))
-        if not g < threshold:
+    for i in range(m - 1, -1, -1):
+        if isinstance(nodes[i], Internal):
+            update(i)
+    threshold = math.inf if math.isinf(cp) else cp * own[0]
+    steps = 0
+    while True:
+        i = int(np.argmin(g))
+        if not g[i] < threshold:
             break
-        collapsed = _make_leaf(node.class_counts, loss)
-        if parent is None:
-            tree.root = collapsed
-        else:
-            setattr(parent, side, collapsed)
+        collapsed = _make_leaf(nodes[i].class_counts, loss)
+        steps += 1
+        if i == 0:
+            return collapsed, steps
+        up = parent[i]
+        setattr(nodes[up], "left" if up + 1 == i else "right", collapsed)
+        g[i:i + size[i]] = np.inf
+        risk[i], leaves[i] = own[i], 1
+        while up >= 0:
+            update(up)
+            up = parent[up]
+    return root, steps
 
 
 def _summary(node: Node) -> tuple[int, int]:
@@ -402,41 +635,24 @@ def _summary(node: Node) -> tuple[int, int]:
     return 1 + max(dl, dr), ll + lr
 
 
-def _collect_levels(table: FeatureTable) -> dict[str, tuple[str, ...]]:
-    levels = {}
-    for name, kind, col in zip(table.names, table.kinds, table.columns):
-        if kind == CATEGORICAL:
-            levels[name] = tuple(str(v) for v in sorted(np.unique(col.astype("U"))))
-    return levels
-
-
 def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams) -> DecisionTree:
-    """Grow by recursive partitioning, then apply cost-complexity pruning."""
-    y = np.asarray(labels, dtype=np.int64)
-    if table.n_rows == 0 or len(table.names) == 0:
-        raise InvalidArgument("training data must be non-empty")
-    if len(y) != table.n_rows:
-        raise InvalidArgument("labels must align with the feature table")
-    if y.min() < 1 or y.max() > loss.k:
-        raise InvalidArgument(f"labels must lie in [1, {loss.k}]")
-    for name, kind, col in zip(table.names, table.kinds, table.columns):
-        if kind == NUMERIC:
-            if np.isnan(col).any():
-                raise InvalidArgument(f"training column {name!r} contains missing values")
-        elif any(v is None for v in col):
-            raise InvalidArgument(f"training column {name!r} contains missing values")
-    y0 = y - 1
-    root = _grow(table, np.arange(table.n_rows), y0, loss.k, loss, params, depth=0)
+    """Encode the columns once, grow by recursive partitioning, then apply
+    cost-complexity pruning."""
+    enc = EncodedTable(table, labels, loss.k)
+    root, grown = _grow(enc, loss, params)
+    root, steps = _prune(root, loss, params.cp)
     tree = DecisionTree(
         root=root,
         params=params,
         k=loss.k,
         feature_names=table.names,
         feature_kinds=table.kinds,
-        feature_levels=_collect_levels(table),
+        feature_levels=dict(zip(enc.cat_names, enc.levels)),
         n_rows=table.n_rows,
+        nodes_grown=grown,
+        candidates_scanned=enc.candidates_scanned,
+        prune_steps=steps,
     )
-    _prune(tree, loss)
     tree.depth, tree.leaf_count = _summary(tree.root)
     return tree
 
@@ -447,23 +663,6 @@ def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams
 
 def _majority_side(node: Internal) -> Node:
     return node.left if node.left.n >= node.right.n else node.right
-
-
-def predict_record(tree: DecisionTree, record: dict) -> int:
-    """Route one record (feature name -> value; None/nan = missing) to its leaf."""
-    node = tree.root
-    while isinstance(node, Internal):
-        value = record.get(node.feature)
-        missing = value is None or (
-            node.kind == NUMERIC and isinstance(value, float) and math.isnan(value)
-        )
-        if missing:
-            node = _majority_side(node)
-        elif node.kind == NUMERIC:
-            node = node.left if value < node.threshold else node.right
-        else:
-            node = node.left if value in node.categories else node.right
-    return node.label
 
 
 def predict(tree: DecisionTree, table: FeatureTable) -> np.ndarray:
@@ -485,9 +684,11 @@ def predict(tree: DecisionTree, table: FeatureTable) -> np.ndarray:
             missing = np.isnan(vals)
             go_left = ~missing & (vals < node.threshold)
         else:
-            missing = np.array([v is None for v in col])
+            missing = np.array([v is None for v in col], dtype=bool)
             cat_set = set(node.categories)
-            go_left = np.array([(v in cat_set) if v is not None else False for v in col])
+            go_left = np.array(
+                [(v in cat_set) if v is not None else False for v in col], dtype=bool
+            )
         major_left = _majority_side(node) is node.left
         left_sel = go_left | (missing & major_left)
         route(node.left, idx[left_sel])

@@ -166,6 +166,22 @@ class TestTrain:
         ):
             assert (out / name).is_file(), name
 
+    def test_manifest_records_tree_build_counters(self, trained):
+        _, _, _, out = trained
+        trees = json.loads((out / "manifest.json").read_text())["trees"]
+        assert sorted(trees) == ["final", "los_days", "tbsa_pct", "total_cost"]
+        model = json.loads((out / "model.json").read_text())
+        assert "nodes_grown" not in json.dumps(model)
+        for counters in trees.values():
+            assert set(counters) == {"nodes_grown", "candidates_scanned", "prune_steps"}
+            assert counters["nodes_grown"] >= 1
+            # a collapse removes at least two nodes and never the root
+            assert 0 <= 2 * counters["prune_steps"] < counters["nodes_grown"]
+        final = trees["final"]
+        final_nodes = 2 * model["summary"]["leaf_count"] - 1
+        assert final_nodes <= final["nodes_grown"] - 2 * final["prune_steps"]
+        assert (final["prune_steps"] > 0) == (final_nodes < final["nodes_grown"])
+
     def test_rerun_reproduces_every_artifact(self, trained, tmp_path):
         # provenance replay: same cohort + same config -> identical bytes for
         # every artifact (manifests carry wall time and are excluded)
@@ -295,6 +311,30 @@ class TestAll:
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         hist = json.loads((out / "hrg" / "histogram.json").read_text())
         assert set(hist) <= {"1", "2", "3", "U"}
+
+
+class TestBadCohortCells:
+    @pytest.mark.parametrize("command", ["hrg", "train"])
+    @pytest.mark.parametrize(
+        "column,value", [("los_days", "nan"), ("los_days", "-3"), ("tbsa_pct", "250")]
+    )
+    def test_exit_2_naming_row_and_column(self, generated, tmp_path, capsys, command, column, value):
+        root, cfg, cohort = generated
+        lines = cohort.read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        row = lines[5].split(",")
+        row[header.index(column)] = value
+        lines[5] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = [command, "--cohort", str(bad), "--out", str(tmp_path / "o")]
+        if command == "train":
+            args += ["--config", str(cfg)]
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert repr(row[0]) in err and repr(column) in err
+        assert "Traceback" not in err
 
 
 class TestErrorPlumbing:

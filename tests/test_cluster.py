@@ -61,6 +61,21 @@ class TestKMeans:
         with pytest.raises(InvalidArgument):
             kmeans(np.array([1.0, 1.0, 1.0]).reshape(-1, 1), 2)
 
+    @pytest.mark.parametrize("values, k", [
+        ([0.0] * 11 + [1.0710966831671191e-280], 2),
+        ([0.0] * 5 + [5e-324] * 3 + [1e4] * 4, 3),
+        ([0.0, 5e-324, 1e-300, 1e-10, 1.0] * 3, 5),
+    ])
+    def test_distinct_points_with_underflowing_gaps(self, values, k):
+        # Squared gaps between these points underflow to zero; they must
+        # still be told apart into k clusters.
+        arr = np.asarray(values)
+        res = kmeans(arr.reshape(-1, 1), k, seed=9)
+        assert len(np.unique(res.assignments)) == k
+        # k distinct values and k clusters: each value is its own cluster.
+        for v in np.unique(arr):
+            assert len(np.unique(res.assignments[arr == v])) == 1
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(100, 2))

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
@@ -69,3 +72,44 @@ def test_header_only_gives_empty_dataset(small_cohort):
     header = cohort_csv_text(small_cohort).splitlines()[0]
     ds = parse_cohort_csv(header + "\n")
     assert len(ds.records) == 0
+
+
+def with_cell(ds, record_index, column, value) -> str:
+    """The dataset's CSV text with one cell replaced."""
+    rows = list(csv.reader(io.StringIO(cohort_csv_text(ds))))
+    rows[record_index + 1][rows[0].index(column)] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [
+        ("los_days", "nan"),
+        ("los_days", "-1"),
+        ("total_cost", "-0.5"),
+        ("age_years", "inf"),
+        ("tbsa_pct", "250"),
+        ("tbsa_pct", "-1"),
+        ("tbsa_pct", "NaN"),
+        ("theatre_visits", "nan"),
+        ("theatre_visits", "-2"),
+        ("site_03_area", "-0.25"),
+        ("site_03_area", "inf"),
+        ("los_days", "abc"),
+        ("ventilation_days", "nan"),
+    ],
+)
+def test_bad_numeric_cell_names_row_and_column(small_cohort, column, value):
+    text = with_cell(small_cohort, 3, column, value)
+    with pytest.raises(InvalidArgument) as err:
+        parse_cohort_csv(text)
+    assert repr(small_cohort.records[3].id) in str(err.value)
+    assert repr(column) in str(err.value)
+
+
+@pytest.mark.parametrize("column,value", [("tbsa_pct", "100"), ("tbsa_pct", "0"), ("los_days", "0")])
+def test_domain_boundary_cells_accepted(small_cohort, column, value):
+    ds = parse_cohort_csv(with_cell(small_cohort, 3, column, value))
+    assert getattr(ds.records[3], column) == float(value)

@@ -104,7 +104,8 @@ class TestFactorTrees:
 
     def test_deterministic(self, small_run):
         ds, config, result = small_run
-        trees2, _ = train_factor_trees(result.preprocessed, result.factor_labels, config)
+        table = dataset_to_table(result.preprocessed)
+        trees2, _ = train_factor_trees(table, result.factor_labels, config)
         from casemix.tree import serialize_tree
 
         for factor in FACTOR_FIELDS:

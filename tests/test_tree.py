@@ -1,14 +1,19 @@
+import copy
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.domain import CostMatrix, linear_cost_matrix, zero_one_cost_matrix
 from casemix.errors import InvalidArgument, TreeFormatError
+from casemix.pipeline import PipelineConfig, run_pipeline
 from casemix.tree import (
     DecisionTree,
+    EncodedTable,
     FeatureTable,
     Internal,
     Leaf,
@@ -21,12 +26,16 @@ from casemix.tree import (
     gini_loss_impurity,
     leaf_label,
     predict,
-    predict_record,
     serialize_tree,
     variable_importance,
 )
 
 UNRESTRICTED = TreeParams(min_split=2, min_leaf=1, max_depth=64, cp=0.0)
+
+
+def search(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams):
+    """best_split at the root node of a freshly encoded table."""
+    return best_split(EncodedTable(table, labels, loss.k), 0, table.n_rows, loss, params)
 
 
 def numeric_table(**columns) -> FeatureTable:
@@ -143,11 +152,11 @@ class TestLeafLabel:
 class TestBestSplit:
     def test_single_class_no_split(self):
         table = numeric_table(x=[1.0, 2.0, 3.0, 4.0])
-        assert best_split(table, [2, 2, 2, 2], zero_one_cost_matrix(3), UNRESTRICTED) is None
+        assert search(table, [2, 2, 2, 2], zero_one_cost_matrix(3), UNRESTRICTED) is None
 
     def test_hand_enumerated_threshold(self):
         table = numeric_table(x=[1.0, 2.0, 3.0, 4.0])
-        split = best_split(table, [1, 1, 2, 2], zero_one_cost_matrix(2), UNRESTRICTED)
+        split = search(table, [1, 1, 2, 2], zero_one_cost_matrix(2), UNRESTRICTED)
         assert split.feature == "x"
         assert split.threshold == pytest.approx(2.5)
         # decrease equals the full parent impurity term: 4 * 0.5
@@ -158,7 +167,7 @@ class TestBestSplit:
         table = numeric_table(a=[0.0, 0.0, 1.0, 1.0], b=[0.0, 1.0, 0.0, 1.0])
         labels = [1, 3, 1, 3]
         loss = linear_cost_matrix(3)
-        split = best_split(table, labels, loss, UNRESTRICTED)
+        split = search(table, labels, loss, UNRESTRICTED)
         assert split.feature == "b"
         # brute force the two decreases
         parent = 4 * gini_loss_impurity([2, 0, 2], loss)
@@ -170,10 +179,10 @@ class TestBestSplit:
         labels = [1, 1, 1, 1, 1, 2]
         loss = zero_one_cost_matrix(2)
         # unrestricted, the best split isolates the lone 2 at 5.5
-        free = best_split(table, labels, loss, TreeParams(min_split=2, min_leaf=1, max_depth=5, cp=0.0))
+        free = search(table, labels, loss, TreeParams(min_split=2, min_leaf=1, max_depth=5, cp=0.0))
         assert free.threshold == pytest.approx(5.5)
         # min_leaf=3 forbids that; only the 3|3 split at 3.5 remains legal
-        constrained = best_split(
+        constrained = search(
             table, labels, loss, TreeParams(min_split=6, min_leaf=3, max_depth=5, cp=0.0)
         )
         assert constrained.threshold == pytest.approx(3.5)
@@ -181,7 +190,7 @@ class TestBestSplit:
 
     def test_tie_breaks_first_feature(self):
         table = numeric_table(b=[0.0, 0.0, 1.0, 1.0], a=[0.0, 0.0, 1.0, 1.0])
-        split = best_split(table, [1, 1, 2, 2], zero_one_cost_matrix(2), UNRESTRICTED)
+        split = search(table, [1, 1, 2, 2], zero_one_cost_matrix(2), UNRESTRICTED)
         assert split.feature == "b"  # schema order, not alphabetical
 
     def test_categorical_subset_scan(self):
@@ -189,14 +198,14 @@ class TestBestSplit:
             [("color", "categorical", ["red", "red", "blue", "green", "green", "blue"])]
         )
         labels = [1, 1, 2, 2, 2, 2]
-        split = best_split(table, labels, zero_one_cost_matrix(2), UNRESTRICTED)
+        split = search(table, labels, zero_one_cost_matrix(2), UNRESTRICTED)
         assert split.categories == ("red",) or set(split.categories) == {"blue", "green"}
         assert split.decrease == pytest.approx(6 * gini_loss_impurity([2, 4], zero_one_cost_matrix(2)))
 
     def test_below_min_split_returns_none(self):
         table = numeric_table(x=[1.0, 2.0])
         params = TreeParams(min_split=4, min_leaf=1, max_depth=5, cp=0.0)
-        assert best_split(table, [1, 2], zero_one_cost_matrix(2), params) is None
+        assert search(table, [1, 2], zero_one_cost_matrix(2), params) is None
 
 
 class TestBuildTree:
@@ -316,7 +325,7 @@ class TestBuildTree:
         labels = np.where(codes < 8, 1, 3)
         table = FeatureTable.from_items([("cat", "categorical", col)])
         loss = linear_cost_matrix(3)
-        split = best_split(table, labels, loss, UNRESTRICTED)
+        split = search(table, labels, loss, UNRESTRICTED)
         assert split is not None
         assert set(split.categories) == {f"lvl{i:02d}" for i in range(8)} or set(
             split.categories
@@ -388,21 +397,27 @@ def hand_built_tree():
     )
 
 
+def predict_one(tree: DecisionTree, x, c) -> int:
+    """predict on a one-row table; None (or nan) is a missing value."""
+    table = FeatureTable.from_items([("x", "numeric", [x]), ("c", "categorical", [c])])
+    return int(predict(tree, table)[0])
+
+
 class TestPredict:
     def test_routing(self):
         tree = hand_built_tree()
-        assert predict_record(tree, {"x": 1.0, "c": "a"}) == 1
-        assert predict_record(tree, {"x": 4.0, "c": "a"}) == 2
-        assert predict_record(tree, {"x": 9.0, "c": "a"}) == 2
-        assert predict_record(tree, {"x": 9.0, "c": "z"}) == 3
+        assert predict_one(tree, 1.0, "a") == 1
+        assert predict_one(tree, 4.0, "a") == 2
+        assert predict_one(tree, 9.0, "a") == 2
+        assert predict_one(tree, 9.0, "z") == 3
 
     def test_missing_routes_to_larger_child(self):
         tree = hand_built_tree()
         # at root, left (n=8) >= right (n=4); inside left, leaf n=6 >= 2
-        assert predict_record(tree, {"x": None, "c": "a"}) == 1
-        assert predict_record(tree, {"x": float("nan"), "c": "a"}) == 1
+        assert predict_one(tree, None, "a") == 1
+        assert predict_one(tree, float("nan"), "a") == 1
         # right branch: missing categorical goes to larger child (n=3 leaf)
-        assert predict_record(tree, {"x": 9.0, "c": None}) == 3
+        assert predict_one(tree, 9.0, None) == 3
 
     def test_bulk_matches_single(self):
         tree = hand_built_tree()
@@ -413,10 +428,7 @@ class TestPredict:
             ]
         )
         out = predict(tree, table)
-        singles = [
-            predict_record(tree, {"x": None if np.isnan(x) else x, "c": c})
-            for x, c in zip(table.column("x"), table.column("c"))
-        ]
+        singles = [predict_one(tree, x, c) for x, c in zip(table.column("x"), table.column("c"))]
         assert out.tolist() == singles
 
     def test_schema_mismatch_rejected(self):
@@ -541,3 +553,189 @@ class TestParams:
     def test_valid_combinations(self, min_leaf, extra):
         params = TreeParams(min_split=2 * min_leaf + extra, min_leaf=min_leaf)
         assert params.min_split >= 2 * params.min_leaf
+
+
+# ---------------------------------------------------------------------------
+# Growth routing, pinned trees and the pruning reference
+# ---------------------------------------------------------------------------
+
+def preorder(node):
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        yield nd
+        if isinstance(nd, Internal):
+            stack.extend((nd.right, nd.left))
+
+
+def assert_predict_reproduces_node_counts(tree: DecisionTree, table: FeatureTable, labels, k):
+    """Relabel each leaf with its own id, route the training table through
+    predict, and check every node's n and class counts against the rows
+    that reach it; every split must send rows both ways."""
+    probe = copy.deepcopy(tree)
+    leaves = [nd for nd in preorder(probe.root) if isinstance(nd, Leaf)]
+    for i, leaf in enumerate(leaves):
+        leaf.label = i + 1
+    reached = predict(probe, table)
+    y0 = np.asarray(labels) - 1
+
+    def leaf_ids(nd):
+        return [nd.label for nd in preorder(nd) if isinstance(nd, Leaf)]
+
+    for nd in preorder(probe.root):
+        rows = np.isin(reached, leaf_ids(nd))
+        assert nd.n == rows.sum()
+        assert np.array_equal(nd.class_counts, np.bincount(y0[rows], minlength=k))
+        if isinstance(nd, Internal):
+            assert nd.left.n > 0 and nd.right.n > 0
+
+
+@st.composite
+def mixed_training_sets(draw):
+    """Numeric columns with repeated values, categoricals with few (<= 4) and
+    many (> 10) levels, and oversampling-style duplicated rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 80))
+    k = draw(st.integers(2, 5))
+    steps = draw(st.integers(1, 6))
+    x = rng.integers(0, steps + 1, size=n) * 0.25
+    z = np.round(rng.normal(size=n), draw(st.integers(0, 3)))
+    few = np.array(["a", "b", "c", "d"])[rng.integers(0, draw(st.integers(1, 4)), size=n)]
+    n_many = draw(st.integers(11, 16))
+    many = np.array([f"l{i:02d}" for i in range(n_many)])[rng.integers(0, n_many, size=n)]
+    signal = x + (few == "a") + rng.normal(0, draw(st.sampled_from([0.1, 1.0])), size=n)
+    labels = np.clip(np.floor(signal * k / (signal.max() + 1e-9)) + 1, 1, k).astype(int)
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, size=draw(st.integers(0, n)))])
+    table = FeatureTable.from_items(
+        [
+            ("x", "numeric", x[rows].tolist()),
+            ("few", "categorical", few[rows].tolist()),
+            ("z", "numeric", z[rows].tolist()),
+            ("many", "categorical", many[rows].tolist()),
+        ]
+    )
+    min_leaf = draw(st.integers(1, 3))
+    params = TreeParams(
+        min_split=2 * min_leaf + draw(st.integers(0, 4)),
+        min_leaf=min_leaf,
+        max_depth=draw(st.integers(1, 12)),
+        cp=draw(st.sampled_from([0.0, 0.01, 0.1])),
+    )
+    return table, labels[rows], k, params
+
+
+class TestGrowthRouting:
+    @settings(deadline=None, max_examples=60)
+    @given(mixed_training_sets())
+    def test_predict_reproduces_every_node(self, case):
+        table, labels, k, params = case
+        tree = build_tree(table, labels, linear_cost_matrix(k), params)
+        assert_predict_reproduces_node_counts(tree, table, labels, k)
+
+
+#: sha256 of serialize_tree for the pinned small run below; the trees were
+#: produced by the original per-node re-sorting builder, so any change to
+#: split search, tie-breaks or pruning shows here.
+GOLDEN_TREE_SHA256 = {
+    "los_days": "47a09bb0d6025871ee41751cf063e2bd046d03026d7296c942104cbc9f1d6ee9",
+    "total_cost": "dc5759846c9db3e3eca3086ae95d3cabf21e1702ff04bc9c0811bb6e0cd2c526",
+    "tbsa_pct": "b526ebd821d20176a22244f6e7181f1da159998ee5a4ac2a868b8c106ce65766",
+    "final": "2c6bf3a44aee62459bc94ebbfcab3ba809faab72033e539212fe9694744adecd",
+}
+
+
+def test_golden_trees_small_run():
+    ds = inject_missingness(generate_cohort(CohortConfig(n=1500, seed=11)), 0.2, 7)
+    result = run_pipeline(ds, PipelineConfig())
+    trees = {**result.factor_trees, "final": result.final_tree}
+    digests = {
+        name: hashlib.sha256(serialize_tree(tree).encode("utf-8")).hexdigest()
+        for name, tree in trees.items()
+    }
+    assert digests == GOLDEN_TREE_SHA256
+
+
+def reference_prune(tree: DecisionTree, loss: CostMatrix) -> int:
+    """Weakest-link pruning that re-walks the whole tree before every
+    collapse; returns the number of collapses."""
+
+    def leaf_risk(counts):
+        return float((counts @ loss.entries).min())
+
+    def links(root):
+        found = []
+        counter = [0]
+
+        def walk(nd, parent, side):
+            idx = counter[0]
+            counter[0] += 1
+            if isinstance(nd, Leaf):
+                return leaf_risk(nd.class_counts), 1
+            rl, cl = walk(nd.left, nd, "left")
+            rr, cr = walk(nd.right, nd, "right")
+            g = max((leaf_risk(nd.class_counts) - (rl + rr)) / (cl + cr - 1), 0.0)
+            found.append((g, idx, nd, parent, side))
+            return rl + rr, cl + cr
+
+        walk(root, None, None)
+        return found
+
+    threshold = math.inf if math.isinf(tree.params.cp) else tree.params.cp * leaf_risk(
+        tree.root.class_counts
+    )
+    steps = 0
+    while isinstance(tree.root, Internal):
+        g, _, node, parent, side = min(links(tree.root), key=lambda t: (t[0], t[1]))
+        if not g < threshold:
+            break
+        label, expected = leaf_label(node.class_counts, loss)
+        collapsed = Leaf(label, node.n, node.class_counts.copy(), expected)
+        if parent is None:
+            tree.root = collapsed
+        else:
+            setattr(parent, side, collapsed)
+        steps += 1
+    return steps
+
+
+class TestBuildCounters:
+    def test_hand_counted_small_tree(self):
+        # root: 3 cuts scanned on x; both children are pure leaves
+        tree = build_tree(numeric_table(x=[1.0, 2.0, 3.0, 4.0]), [1, 1, 2, 2],
+                          zero_one_cost_matrix(2), UNRESTRICTED)
+        assert (tree.nodes_grown, tree.candidates_scanned, tree.prune_steps) == (3, 3, 0)
+
+    def test_counters_stay_out_of_the_model(self):
+        tree = build_tree(numeric_table(x=[1.0, 2.0, 3.0, 4.0]), [1, 1, 2, 2],
+                          zero_one_cost_matrix(2), UNRESTRICTED)
+        clone = deserialize_tree(serialize_tree(tree))
+        assert (clone.nodes_grown, clone.candidates_scanned, clone.prune_steps) == (0, 0, 0)
+        assert serialize_tree(clone) == serialize_tree(tree)
+
+
+class TestPruningReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_rewalking_pruner(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        k = int(rng.integers(3, 7))
+        x = rng.integers(0, 12, size=n).astype(float)
+        z = rng.normal(size=n)
+        c = rng.choice(["p", "q", "r"], size=n)
+        labels = np.clip(np.round(x / 12 * k + rng.normal(0, 1.0, n)), 1, k).astype(int)
+        table = FeatureTable.from_items(
+            [("x", "numeric", x.tolist()), ("z", "numeric", z.tolist()),
+             ("c", "categorical", c.tolist())]
+        )
+        loss = linear_cost_matrix(k)
+        grow = dict(min_split=4, min_leaf=2, max_depth=20)
+        full = build_tree(table, labels, loss, TreeParams(cp=0.0, **grow))
+        for cp in (0.001, 0.01, 0.03, 0.1, 0.5, math.inf):
+            pruned = build_tree(table, labels, loss, TreeParams(cp=cp, **grow))
+            ref = copy.deepcopy(full)
+            ref.params = pruned.params
+            assert pruned.prune_steps == reference_prune(ref, loss)
+            assert pruned.nodes_grown == full.nodes_grown
+            assert json.loads(serialize_tree(pruned))["root"] == json.loads(
+                serialize_tree(ref)
+            )["root"]
