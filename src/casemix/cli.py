@@ -193,13 +193,18 @@ def cmd_generate(args) -> int:
         manifest.write(out.with_name(out.name + ".manifest.json"))
     except OSError as e:
         return _fail(EXIT_IO, f"cannot write output: {e}")
-    print(f"wrote {len(ds.records)} records to {out}")
+    print(f"wrote {len(ds)} records to {out}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # hrg
 # ---------------------------------------------------------------------------
+
+def _cohort(args) -> Dataset:
+    """The cohort ``casemix all`` has parsed already, else the one at ``args.cohort``."""
+    return args.dataset if args.dataset is not None else _load_cohort(args.cohort)
+
 
 def _load_cohort(path: str) -> Dataset:
     p = Path(path)
@@ -215,8 +220,8 @@ def _hrg_labels_csv(ds: Dataset, labels: list[int | None]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "rank"])
-    for rec, label in zip(ds.records, labels):
-        writer.writerow([rec.id, UNCLASSIFIABLE if label is None else label])
+    for rid, label in zip(ds.ids.tolist(), labels):
+        writer.writerow([rid, UNCLASSIFIABLE if label is None else label])
     return buf.getvalue()
 
 
@@ -224,7 +229,7 @@ def cmd_hrg(args) -> int:
     try:
         threads = _resolve_threads(args)
         manifest = _Manifest("hrg", threads)
-        ds = _load_cohort(args.cohort)
+        ds = _cohort(args)
         manifest.add_input(args.cohort)
         if args.ruleset:
             ruleset_path = Path(args.ruleset)
@@ -285,8 +290,8 @@ def _factor_labels_csv(result) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "id"] + [f"{f}_rank" for f in FACTOR_FIELDS] + ["mean_rank"])
-    for i, rec in enumerate(result.preprocessed.records):
-        row = [i, rec.id]
+    for i, rid in enumerate(result.preprocessed.ids.tolist()):
+        row = [i, rid]
         row += [int(result.factor_labels[f][i]) for f in FACTOR_FIELDS]
         row.append(repr(float(result.mean_ranks[i])))
         writer.writerow(row)
@@ -297,8 +302,8 @@ def _final_labels_csv(result) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "id", "final_rank"])
-    for i, rec in enumerate(result.preprocessed.records):
-        writer.writerow([i, rec.id, int(result.final_labels[i])])
+    for i, rid in enumerate(result.preprocessed.ids.tolist()):
+        writer.writerow([i, rid, int(result.final_labels[i])])
     return buf.getvalue()
 
 
@@ -324,7 +329,7 @@ def _split_csv(result) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "role", "multiplicity"])
-    for i in range(len(result.preprocessed.records)):
+    for i in range(len(result.preprocessed)):
         role = roles[i]
         mult = train_mult[i] if role == "train" else test_mult[i]
         writer.writerow([i, role, mult])
@@ -354,7 +359,7 @@ def cmd_train(args) -> int:
         doc = _load_json_config(args.config)
         manifest.add_config(args.config)
         config = _pipeline_config(doc, args.ephemeral, manifest)
-        ds = _load_cohort(args.cohort)
+        ds = _cohort(args)
         manifest.add_input(args.cohort)
     except _ConfigError as e:
         return _fail(EXIT_CONFIG, str(e))
@@ -378,7 +383,7 @@ def cmd_train(args) -> int:
         return _fail(EXIT_IO, f"cannot write output: {e}")
     print(
         f"trained on {len(result.train_idx)} cases "
-        f"({len(result.preprocessed.records)} after preprocessing) into {out}"
+        f"({len(result.preprocessed)} after preprocessing) into {out}"
     )
     return EXIT_OK
 
@@ -419,7 +424,7 @@ def _read_result_dir(result_dir: Path):
         multiplicity = {int(r["index"]): int(r["multiplicity"]) for r in rows}
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
         raise _ConfigError(f"malformed result dir {result_dir}: {e}")
-    if not (len(ds.records) == len(final_labels) == len(rows)):
+    if not (len(ds) == len(final_labels) == len(rows)):
         raise _ConfigError("result dir artifacts disagree on record count")
     return ds, config, tree, final_labels, factor_ranks, train_idx, test_idx, multiplicity
 
@@ -436,18 +441,18 @@ def _read_hrg_labels(path: Path) -> dict[str, str]:
 
 def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
     ranks = []
-    for rec in ds.records:
-        if rec.id not in hrg_by_id:
-            raise _ConfigError(f"record {rec.id} has no HRG label (cohort mismatch)")
-        raw = hrg_by_id[rec.id]
+    for rid in ds.ids.tolist():
+        if rid not in hrg_by_id:
+            raise _ConfigError(f"record {rid} has no HRG label (cohort mismatch)")
+        raw = hrg_by_id[rid]
         if raw == UNCLASSIFIABLE:
             raise _ConfigError(
-                f"record {rec.id} is HRG-unclassifiable but survived preprocessing"
+                f"record {rid} is HRG-unclassifiable but survived preprocessing"
             )
         try:
             ranks.append(int(raw))
         except ValueError:
-            raise _ConfigError(f"record {rec.id} has a non-integer HRG rank {raw!r}")
+            raise _ConfigError(f"record {rid} has a non-integer HRG rank {raw!r}")
     return np.array(ranks, dtype=np.int64)
 
 
@@ -526,13 +531,7 @@ def cmd_evaluate(args) -> int:
     conf_test = confusion(final_labels[test_idx], predictions[test_idx], loss)
     conf_test_os = confusion(final_labels[test_ms], predictions[test_ms], loss)
 
-    def subset(idx):
-        return Dataset(
-            records=tuple(ds.records[int(i)] for i in idx),
-            extra_schema=dict(ds.extra_schema),
-        )
-
-    train_ds, test_ds = subset(train_idx), subset(test_idx)
+    train_ds, test_ds = ds.take(train_idx), ds.take(test_idx)
     comp_train = compare_groupings(train_ds, final_labels[train_idx], hrg_labels[train_idx])
     comp_test = compare_groupings(
         test_ds, predictions[test_idx], hrg_labels[test_idx], confusion_summary=conf_test
@@ -631,10 +630,16 @@ def cmd_all(args) -> int:
     code = cmd_generate(ns)
     if code != EXIT_OK:
         return code
+    # hrg and train share one parse of the cohort; each still hashes the file.
+    cohort = str(out / "cohort.csv")
+    try:
+        ds = _load_cohort(cohort)
+    except _ConfigError as e:
+        return _fail(EXIT_CONFIG, str(e))
 
     ruleset = doc.get("ruleset")
     ns = argparse.Namespace(
-        cohort=str(out / "cohort.csv"), ruleset=ruleset, out=str(out / "hrg"),
+        cohort=cohort, dataset=ds, ruleset=ruleset, out=str(out / "hrg"),
         threads=threads, ephemeral=args.ephemeral,
     )
     code = cmd_hrg(ns)
@@ -642,7 +647,7 @@ def cmd_all(args) -> int:
         return code
 
     ns = argparse.Namespace(
-        cohort=str(out / "cohort.csv"), config=args.config, out=str(out / "result"),
+        cohort=cohort, dataset=ds, config=args.config, out=str(out / "result"),
         threads=threads, ephemeral=args.ephemeral,
     )
     code = cmd_train(ns)
@@ -698,14 +703,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ruleset", default=None, help="ruleset JSON (default: packaged reference)")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
-    p.set_defaults(fn=cmd_hrg)
+    p.set_defaults(fn=cmd_hrg, dataset=None)
 
     p = sub.add_parser("train", help="run the target-engineering and training pipeline")
     p.add_argument("--cohort", required=True, help="cohort CSV path")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, dataset=None)
 
     p = sub.add_parser("evaluate", help="compare trained groups against HRG labels")
     p.add_argument("--result", required=True, help="train output directory")

@@ -15,19 +15,21 @@ correlation structure and the injected edge cases are load-bearing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import (
     CATEGORICAL,
+    CATEGORICAL_FILL,
+    CORE_NUMERIC_FIELDS,
+    DEPTH_LEVELS,
+    MISSING_DEPTH,
     N_SITES,
     NUMERIC,
-    SITE_CODES,
-    BurnSiteEntry,
     Dataset,
     Depth,
-    PatientRecord,
 )
 from .errors import InvalidArgument
 
@@ -135,6 +137,25 @@ def _rng(seed: int, index: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _cdf(p) -> list[float]:
+    """Cumulative table for ``_choice``, computed as ``Generator.choice`` does."""
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _choice(cdf: list[float], g: np.random.Generator) -> int:
+    """The draw ``g.choice(len(p), p=p)`` makes for ``cdf = _cdf(p)``: same
+    index, same generator state after it."""
+    return bisect_right(cdf, g.random())
+
+
+_MECHANISM_CDF = tuple(_cdf(p) for p in _MECHANISM_P)
+_DEPTH_CDF = tuple(_cdf(p) for p in _DEPTH_P)
+_BURN_DEPTH_CODES = tuple(DEPTH_LEVELS.index(d) for d in (Depth.SUPERFICIAL, Depth.PARTIAL, Depth.FULL))
+_FULL = DEPTH_LEVELS.index(Depth.FULL)
+
+
 def _draw_tbsa(severity: int, g: np.random.Generator) -> float:
     if severity == 0:
         raw = 0.1 + g.gamma(2.0, 0.7)
@@ -146,6 +167,7 @@ def _draw_tbsa(severity: int, g: np.random.Generator) -> float:
 
 
 def _draw_sites(severity: int, tbsa: float, g: np.random.Generator):
+    """Burned sites in site order: (site indices, areas, depth codes)."""
     n_sites = 1 + int(g.poisson(0.35 + 0.09 * tbsa))
     n_sites = min(n_sites, N_SITES)
     chosen = sorted(int(i) for i in g.choice(N_SITES, size=n_sites, replace=False))
@@ -153,36 +175,18 @@ def _draw_sites(severity: int, tbsa: float, g: np.random.Generator):
     areas = [round(float(p) * tbsa, 2) for p in props]
     if sum(areas) == 0.0:
         areas[0] = max(round(tbsa, 2), 0.01)
-    p_sup, p_part, p_full = _DEPTH_P[severity]
-    depths = [
-        (Depth.SUPERFICIAL, Depth.PARTIAL, Depth.FULL)[int(g.choice(3, p=(p_sup, p_part, p_full)))]
-        for _ in chosen
-    ]
-    sites = []
-    it = iter(zip(chosen, areas, depths))
-    nxt = next(it, None)
-    for i in range(N_SITES):
-        if nxt is not None and nxt[0] == i:
-            sites.append(BurnSiteEntry(SITE_CODES[i], nxt[1], nxt[2]))
-            nxt = next(it, None)
-        else:
-            sites.append(BurnSiteEntry(SITE_CODES[i], 0.0, Depth.NONE))
-    return tuple(sites)
+    depths = [_BURN_DEPTH_CODES[_choice(_DEPTH_CDF[severity], g)] for _ in chosen]
+    return chosen, areas, depths
 
 
-def _empty_sites() -> tuple[BurnSiteEntry, ...]:
-    return tuple(BurnSiteEntry(code, 0.0, Depth.NONE) for code in SITE_CODES)
-
-
-def _generate_record(config: CohortConfig, index: int) -> PatientRecord:
+def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]):
+    """One record's cells: (core numerics, burned sites, extra values)."""
     seed = config.seed
-    severity = int(
-        _rng(seed, index, _TAG_SEVERITY).choice(3, p=np.asarray(config.severity_weights))
-    )
+    severity = _choice(severity_cdf, _rng(seed, index, _TAG_SEVERITY))
     g_tbsa = _rng(seed, index, _TAG_TBSA)
     tbsa_raw = _draw_tbsa(severity, g_tbsa)
     sites = _draw_sites(severity, tbsa_raw, _rng(seed, index, _TAG_SITES))
-    tbsa = sum(s.area_pct for s in sites)
+    tbsa = sum(sites[1])
 
     g_los = _rng(seed, index, _TAG_LOS)
     if severity == 0 and g_los.uniform() < 0.35:
@@ -206,7 +210,7 @@ def _generate_record(config: CohortConfig, index: int) -> PatientRecord:
 
     g = _rng(seed, index, _TAG_EXTRAS)
     sex = "F" if g.uniform() < 0.5 else "M"
-    mechanism = _MECHANISMS[int(g.choice(5, p=_MECHANISM_P[severity]))]
+    mechanism = _MECHANISMS[_choice(_MECHANISM_CDF[severity], g)]
     inhalation = "yes" if g.uniform() < _INHALATION_P[severity] else "no"
     if severity == 2 and g.uniform() < 0.45:
         ventilation = round(float(g.gamma(2.0, max(tbsa / 12.0, 0.5))), 1)
@@ -214,20 +218,10 @@ def _generate_record(config: CohortConfig, index: int) -> PatientRecord:
         ventilation = round(float(g.gamma(1.5, 1.0)), 1)
     else:
         ventilation = 0.0
-    full_area = sum(s.area_pct for s in sites if s.depth is Depth.FULL)
+    full_area = sum(a for a, d in zip(sites[1], sites[2]) if d == _FULL)
     graft = "yes" if g.uniform() < 1.0 - math.exp(-full_area / 6.0) else "no"
     year = 2003 + int(g.integers(0, 17))
     age = round(float(g.uniform(0.1, 15.9)), 1)
-
-    extras: dict[str, float | str | None] = {
-        "sex": sex,
-        "burn_mechanism": mechanism,
-        "inhalation_injury": inhalation,
-        "ventilation_days": ventilation,
-        "skin_graft": graft,
-        "admission_year": float(year),
-        "care_setting": "specialist",
-    }
 
     g_special = _rng(seed, index, _TAG_SPECIAL)
     u = g_special.uniform()
@@ -238,92 +232,85 @@ def _generate_record(config: CohortConfig, index: int) -> PatientRecord:
             cost = round(1_000_001.0 + float(g_special.gamma(2.0, 300_000.0)), 2)
     elif u < config.outlier_rate + config.unclassifiable_rate:
         # Episode with no recorded burn: ineligible for burn-tariff grouping.
-        sites = _empty_sites()
+        sites = ([], [], [])
         tbsa = 0.0
         los = round(float(g_special.uniform(0.0, 0.4)), 1)
         cost = round(float(g_special.uniform(50.0, 400.0)), 2)
         theatre = 0
-        extras["ventilation_days"] = 0.0
-        extras["inhalation_injury"] = "no"
-        extras["skin_graft"] = "no"
+        ventilation, inhalation, graft = 0.0, "no", "no"
 
-    return PatientRecord(
-        id=f"P{index:06d}",
-        age_years=age,
-        los_days=los,
-        total_cost=cost,
-        tbsa_pct=tbsa,
-        theatre_visits=theatre,
-        burn_sites=sites,
-        extra_features=extras,
-    )
+    extras = (sex, mechanism, inhalation, ventilation, graft, float(year), "specialist")
+    return (age, los, cost, tbsa, theatre), sites, extras
 
 
 def generate_cohort(config: CohortConfig) -> Dataset:
     """Generate ``config.n`` records deterministically from ``config.seed``."""
     if config.n < 1:
         raise InvalidArgument(f"cohort size must be >= 1, got {config.n}")
-    records = tuple(_generate_record(config, i) for i in range(config.n))
-    return Dataset(records=records, extra_schema=dict(EXTRA_SCHEMA))
+    n = config.n
+    severity_cdf = _cdf(config.severity_weights)
+    numerics = np.empty((len(CORE_NUMERIC_FIELDS), n))
+    site_areas = np.zeros((N_SITES, n))
+    site_depths = np.zeros((N_SITES, n), dtype=np.int8)
+    extra_rows = []
+    for i in range(n):
+        numerics[:, i], (chosen, areas, depths), extras = _generate_record(config, i, severity_cdf)
+        site_areas[chosen, i] = areas
+        site_depths[chosen, i] = depths
+        extra_rows.append(extras)
+    return Dataset(
+        ids=np.array([f"P{i:06d}" for i in range(n)], dtype=object),
+        numerics=numerics,
+        site_areas=site_areas,
+        site_depths=site_depths,
+        extras={
+            name: np.array(values, dtype=np.float64 if kind == NUMERIC else object)
+            for (name, kind), values in zip(EXTRA_SCHEMA.items(), zip(*extra_rows))
+        },
+    )
 
 
-def _eligible_cells(record: PatientRecord) -> list[str]:
-    """Cells that may be blanked: those whose value is the zero/none the
-    imputation step would restore (fields are left empty when the value is
-    zero or not applicable)."""
-    cells = []
-    for name in ("los_days", "total_cost", "tbsa_pct"):
-        if getattr(record, name) == 0.0:
-            cells.append(name)
-    if record.theatre_visits == 0:
-        cells.append("theatre_visits")
-    for i, site in enumerate(record.burn_sites):
-        if site.area_pct == 0.0:
-            cells.append(f"area:{i}")
-        if site.depth is Depth.NONE:
-            cells.append(f"depth:{i}")
-    for name, value in record.extra_features.items():
-        if value == 0.0 or value == "none":
-            cells.append(f"extra:{name}")
-    return cells
-
-
-def _blank_cells(record: PatientRecord, cells: set[str]) -> PatientRecord:
-    kwargs: dict = {}
-    for name in ("los_days", "total_cost", "tbsa_pct"):
-        if name in cells:
-            kwargs[name] = None
-    if "theatre_visits" in cells:
-        kwargs["theatre_visits"] = None
-    sites = list(record.burn_sites)
-    for i, site in enumerate(sites):
-        area = None if f"area:{i}" in cells else site.area_pct
-        depth = None if f"depth:{i}" in cells else site.depth
-        if area is not site.area_pct or depth is not site.depth:
-            sites[i] = BurnSiteEntry(site.site_code, area, depth)
-    extras = dict(record.extra_features)
-    for name in record.extra_features:
-        if f"extra:{name}" in cells:
-            extras[name] = None
-    return replace(record, burn_sites=tuple(sites), extra_features=extras, **kwargs)
+def _eligible_cells(ds: Dataset) -> np.ndarray:
+    """(records, cells) mask of the cells that may be blanked: those whose
+    value is the zero/none the imputation step would restore (fields are left
+    empty when the value is zero or not applicable). Cells run in each
+    record's order: LOS, cost, TBSA, theatre visits, each site's area and
+    depth, then the extras in schema order."""
+    columns = [ds.numerics[CORE_NUMERIC_FIELDS.index(name)] == 0.0
+               for name in ("los_days", "total_cost", "tbsa_pct", "theatre_visits")]
+    for areas, depths in zip(ds.site_areas, ds.site_depths):
+        columns += [areas == 0.0, depths == DEPTH_LEVELS.index(Depth.NONE)]
+    for col in ds.extras.values():
+        columns.append(col == 0.0 if col.dtype == np.float64 else col == CATEGORICAL_FILL)
+    return np.stack(columns, axis=1)
 
 
 def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     """Blank a fraction of eligible cells (those holding zero/none values),
     deterministically per seed. rate=0 is the identity; rate=1 blanks every
-    eligible cell."""
+    eligible cell. Record i draws one uniform per eligible cell, in cell
+    order, from its own stream."""
     if not 0.0 <= rate <= 1.0:
         raise InvalidArgument(f"missingness rate must be in [0, 1], got {rate}")
     if rate == 0.0:
         return ds
-    records = []
-    for i, rec in enumerate(ds.records):
-        eligible = _eligible_cells(rec)
-        if not eligible:
-            records.append(rec)
-            continue
-        g = _rng(seed, i, _TAG_MISSING)
-        draws = g.uniform(size=len(eligible))
-        chosen = {cell for cell, u in zip(eligible, draws) if u < rate}
-        records.append(_blank_cells(rec, chosen) if chosen else rec)
-    return Dataset(records=tuple(records), extra_schema=dict(ds.extra_schema), labels=ds.labels)
+    eligible = _eligible_cells(ds)
+    draws = [
+        _rng(seed, i, _TAG_MISSING).uniform(size=count)
+        for i, count in enumerate(eligible.sum(axis=1).tolist()) if count
+    ]
+    blank = np.zeros_like(eligible)
+    if draws:
+        blank[eligible] = np.concatenate(draws) < rate
+    blank = blank.T  # one row per cell
+
+    numerics = ds.numerics.copy()
+    for row, name in enumerate(("los_days", "total_cost", "tbsa_pct", "theatre_visits")):
+        numerics[CORE_NUMERIC_FIELDS.index(name), blank[row]] = np.nan
+    site_areas = np.where(blank[4:4 + 2 * N_SITES:2], np.nan, ds.site_areas)
+    site_depths = np.where(blank[5:4 + 2 * N_SITES:2], MISSING_DEPTH, ds.site_depths).astype(np.int8)
+    extras = {}
+    for row, (name, col) in enumerate(ds.extras.items(), start=4 + 2 * N_SITES):
+        extras[name] = col.copy()
+        extras[name][blank[row]] = np.nan if col.dtype == np.float64 else None
+    return Dataset(ds.ids, numerics, site_areas, site_depths, extras, ds.labels)

@@ -3,16 +3,17 @@
 One row per patient: id, age_years, los_days, total_cost, tbsa_pct,
 theatre_visits, site_01_area..site_27_area, site_01_depth..site_27_depth,
 then any extra feature columns. Empty cell = missing; UTF-8; "." decimal
-separator. Floats are written with Python's shortest round-trip repr so a
-write/read/write cycle is byte-identical.
+separator. Floats are written with Python's shortest round-trip repr and
+theatre_visits as an integer, so a write/read/write cycle is byte-identical.
 
 Extra-column kinds are inferred on read: a column is numeric when every
 non-empty cell parses as a float, else categorical. Categorical values must
 therefore not all look like numbers (true for everything this package emits).
 
 Numeric cells are checked as they are parsed: every one must be finite, the
-core and site-area columns must be non-negative and tbsa_pct at most 100. A
-bad cell raises InvalidArgument naming the row id and the column.
+core and site-area columns must be non-negative and tbsa_pct at most 100;
+depth cells must name a depth level. A bad cell raises InvalidArgument naming
+the row id and the column. Parsing and writing work a column at a time.
 """
 
 from __future__ import annotations
@@ -21,77 +22,49 @@ import csv
 import hashlib
 import io
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import (
-    CATEGORICAL,
-    N_SITES,
-    NUMERIC,
-    SITE_CODES,
-    BurnSiteEntry,
-    Dataset,
-    Depth,
-    PatientRecord,
-)
+import numpy as np
+
+from .domain import CORE_NUMERIC_FIELDS, DEPTH_LEVELS, MISSING_DEPTH, N_SITES, Dataset
 from .errors import InvalidArgument
 
-_CORE_COLUMNS = ("id", "age_years", "los_days", "total_cost", "tbsa_pct", "theatre_visits")
+_CORE_COLUMNS = ("id", *CORE_NUMERIC_FIELDS)
 _AREA_COLUMNS = tuple(f"site_{i + 1:02d}_area" for i in range(N_SITES))
 _DEPTH_COLUMNS = tuple(f"site_{i + 1:02d}_depth" for i in range(N_SITES))
+_HEADER = _CORE_COLUMNS + _AREA_COLUMNS + _DEPTH_COLUMNS
 _MAX = sys.float_info.max
+_BOUNDS = {"tbsa_pct": (0.0, 100.0)}  # other core numerics and site areas: [0, max]
+_DEPTH_CODE = {"": MISSING_DEPTH, **{d.value: i for i, d in enumerate(DEPTH_LEVELS)}}
+_DEPTH_CELLS = np.array([d.value for d in DEPTH_LEVELS] + [""], dtype=object)  # code -1 -> ""
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Depth):
-        return value.value
-    if isinstance(value, bool):
-        raise InvalidArgument("boolean cell values are not part of the schema")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _parse_float(cell: str, column: str, lo: float = -_MAX, hi: float = _MAX) -> float | None:
-    """An empty cell is missing; anything else must be a number in
-    [lo, hi], which also rejects nan and the infinities."""
-    if cell == "":
-        return None
-    try:
-        value = float(cell)
-    except ValueError:
-        raise InvalidArgument(f"column {column!r}: {cell!r} is not a number") from None
-    if lo <= value <= hi:
-        return value
-    raise InvalidArgument(f"column {column!r}: {cell!r} is not in [{lo:g}, {hi:g}]")
+def _float_cells(col: np.ndarray) -> list[str]:
+    """Cells of a float column; nan (missing) is written as the empty cell.
+    Each distinct bit pattern is formatted once."""
+    bits, idx = np.unique(col.view(np.int64), return_inverse=True)
+    cells = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells[np.isnan(bits.view(np.float64))] = ""
+    return cells[idx].tolist()
 
 
 def cohort_csv_text(ds: Dataset) -> str:
     """Render a dataset as CSV text (used for files and for hashing)."""
+    columns = [ds.ids.tolist()]
+    columns += [_float_cells(col) for col in ds.numerics[:-1]]
+    columns.append(["" if v != v else str(int(v)) for v in ds.numerics[-1].tolist()])
+    columns += [_float_cells(col) for col in ds.site_areas]
+    columns += [_DEPTH_CELLS[codes].tolist() for codes in ds.site_depths]
+    for col in ds.extras.values():
+        if col.dtype == np.float64:
+            columns.append(_float_cells(col))
+        else:
+            columns.append(["" if v is None else v for v in col.tolist()])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = list(_CORE_COLUMNS) + list(_AREA_COLUMNS) + list(_DEPTH_COLUMNS) + list(
-        ds.extra_schema
-    )
-    writer.writerow(header)
-    for rec in ds.records:
-        if len(rec.burn_sites) != N_SITES:
-            raise InvalidArgument(f"record {rec.id}: expected {N_SITES} burn sites")
-        row = [
-            rec.id,
-            _fmt(rec.age_years),
-            _fmt(rec.los_days),
-            _fmt(rec.total_cost),
-            _fmt(rec.tbsa_pct),
-            _fmt(rec.theatre_visits),
-        ]
-        row += [_fmt(s.area_pct) for s in rec.burn_sites]
-        row += [_fmt(s.depth) for s in rec.burn_sites]
-        row += [_fmt(rec.extra_features.get(name)) for name in ds.extra_schema]
-        writer.writerow(row)
+    writer.writerow(_HEADER + tuple(ds.extras))
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
@@ -105,75 +78,105 @@ def read_cohort_csv(path: str | Path) -> Dataset:
     return parse_cohort_csv(text)
 
 
+@dataclass
+class _Column:
+    """One parsed column: its values and the first row whose cell is bad
+    (``len(cells)`` when none is), with the error for that cell."""
+
+    values: np.ndarray
+    bad_row: int
+    error: str = ""
+    all_numbers: bool = True
+
+
+def _numeric_column(cells, lo: float, hi: float) -> _Column:
+    """Parse a numeric column; every non-empty cell must be a number in
+    [lo, hi], which also rejects nan and the infinities. Each distinct cell
+    is parsed and checked once."""
+    values = dict.fromkeys(cells)  # distinct cells, in order of first appearance
+    errors = {}
+    for cell in values:
+        try:
+            value = float(cell) if cell else np.nan
+        except ValueError:
+            errors[cell] = f"{cell!r} is not a number"
+            continue
+        values[cell] = value
+        if cell and not lo <= value <= hi:
+            errors[cell] = f"{cell!r} is not in [{lo:g}, {hi:g}]"
+    if not errors:
+        column = np.fromiter(map(values.__getitem__, cells), np.float64, len(cells))
+        return _Column(column, len(cells))
+    first = next(iter(errors))
+    all_numbers = not any(v is None for v in values.values())
+    return _Column(np.empty(0), cells.index(first), errors[first], all_numbers)
+
+
+def _depth_column(cells) -> _Column:
+    codes = {cell: _DEPTH_CODE.get(cell) for cell in dict.fromkeys(cells)}
+    bad = next((cell for cell, code in codes.items() if code is None), None)
+    if bad is not None:
+        return _Column(np.empty(0), cells.index(bad), f"{bad!r} is not a depth level")
+    return _Column(np.fromiter(map(codes.__getitem__, cells), np.int8, len(cells)), len(cells))
+
+
 def parse_cohort_csv(text: str) -> Dataset:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
         raise InvalidArgument("cohort CSV is empty (header row required)")
-    expected = list(_CORE_COLUMNS) + list(_AREA_COLUMNS) + list(_DEPTH_COLUMNS)
-    if header[: len(expected)] != expected:
+    header = rows[0]
+    if header[: len(_HEADER)] != list(_HEADER):
         raise InvalidArgument(
             "cohort CSV header does not start with the expected core/site columns"
         )
-    extra_names = header[len(expected):]
-    rows = list(reader)
+    extra_names = header[len(_HEADER):]
+    body = rows[1:]
+    # Rows are checked in file order: a row of the wrong length is reported
+    # unless a bad cell comes before it, so only the rows above it are parsed.
+    ragged = next((r for r, row in enumerate(body) if len(row) != len(header)), None)
+    cells = list(zip(*body[:ragged])) or [()] * len(header)
 
-    # Kind inference per extra column: numeric iff all non-empty cells parse
-    # (a column with no observed values defaults to numeric).
-    extra_kinds: dict[str, str] = {}
+    core = {name: _numeric_column(cells[j + 1], *_BOUNDS.get(name, (0.0, _MAX)))
+            for j, name in enumerate(CORE_NUMERIC_FIELDS)}
+    areas = [_numeric_column(cells[len(_CORE_COLUMNS) + i], 0.0, _MAX) for i in range(N_SITES)]
+    depths = [_depth_column(cells[len(_CORE_COLUMNS) + N_SITES + i]) for i in range(N_SITES)]
+    # Within a row, cells are checked site by site (area, then depth), then
+    # theatre_visits, the numeric extras, age, LOS, cost and TBSA.
+    checks = [pair for i in range(N_SITES) for pair in (
+        (_AREA_COLUMNS[i], areas[i]), (_DEPTH_COLUMNS[i], depths[i]))]
+    checks.append(("theatre_visits", core["theatre_visits"]))
+    extras = {}
     for j, name in enumerate(extra_names):
-        col = len(expected) + j
-        kind = NUMERIC
-        for row in rows:
-            cell = row[col]
-            if cell == "":
-                continue
-            try:
-                float(cell)
-            except ValueError:
-                kind = CATEGORICAL
-                break
-        extra_kinds[name] = kind
+        col = cells[len(_HEADER) + j]
+        parsed = _numeric_column(col, -_MAX, _MAX)
+        if parsed.all_numbers:
+            checks.append((name, parsed))
+            extras[name] = parsed.values
+        else:  # some cell is not a number: categorical
+            extras[name] = np.array([c if c else None for c in col], dtype=object)
+    checks += [(name, core[name]) for name in ("age_years", "los_days", "total_cost", "tbsa_pct")]
 
-    records = []
-    for row in rows:
-        if len(row) != len(header):
-            raise InvalidArgument(
-                f"row for id {row[0]!r} has {len(row)} cells, header has {len(header)}"
-            )
-        try:
-            sites = []
-            for i in range(N_SITES):
-                area = _parse_float(row[6 + i], _AREA_COLUMNS[i], 0.0)
-                depth_cell = row[6 + N_SITES + i]
-                depth = None if depth_cell == "" else Depth(depth_cell)
-                sites.append(BurnSiteEntry(SITE_CODES[i], area, depth))
-            theatre = _parse_float(row[5], "theatre_visits", 0.0)
-            extras: dict[str, float | str | None] = {}
-            for j, name in enumerate(extra_names):
-                cell = row[len(expected) + j]
-                if cell == "":
-                    extras[name] = None
-                elif extra_kinds[name] == NUMERIC:
-                    extras[name] = _parse_float(cell, name)
-                else:
-                    extras[name] = cell
-            records.append(
-                PatientRecord(
-                    id=row[0],
-                    age_years=_parse_float(row[1], "age_years", 0.0),
-                    los_days=_parse_float(row[2], "los_days", 0.0),
-                    total_cost=_parse_float(row[3], "total_cost", 0.0),
-                    tbsa_pct=_parse_float(row[4], "tbsa_pct", 0.0, 100.0),
-                    theatre_visits=None if theatre is None else int(theatre),
-                    burn_sites=tuple(sites),
-                    extra_features=extras,
-                )
-            )
-        except InvalidArgument as e:
-            raise InvalidArgument(f"row id {row[0]!r}, {e}") from None
-    return Dataset(records=tuple(records), extra_schema=extra_kinds)
+    column, bad = min(checks, key=lambda check: check[1].bad_row)
+    n = len(body) if ragged is None else ragged
+    if bad.bad_row < n:
+        raise InvalidArgument(
+            f"row id {body[bad.bad_row][0]!r}, column {column!r}: {bad.error}"
+        )
+    if ragged is not None:
+        row = body[ragged]
+        raise InvalidArgument(
+            f"row for id {row[0] if row else ''!r} has {len(row)} cells, header has {len(header)}"
+        )
+
+    numerics = np.stack([core[name].values for name in CORE_NUMERIC_FIELDS])
+    numerics[-1] = np.trunc(numerics[-1])  # theatre_visits counts whole visits
+    return Dataset(
+        ids=np.array(cells[0], dtype=object),
+        numerics=numerics,
+        site_areas=np.stack([c.values for c in areas]),
+        site_depths=np.stack([c.values for c in depths]),
+        extras=extras,
+    )
 
 
 def dataset_sha256(ds: Dataset) -> str:

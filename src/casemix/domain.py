@@ -2,14 +2,28 @@
 
 Ranked class labels are plain integers in ``[1, k]`` throughout the package,
 with rank 1 the least severe/costly group and rank ``k`` the most severe/costly.
-Missing values are represented as ``None`` (never a numeric sentinel), so
-zero-imputation is an explicit, auditable transform.
+
+A ``Dataset`` is a column store; each record is one position in its columns:
+
+- ``ids``: object array of record ids;
+- ``numerics``: float64, one row per field of ``CORE_NUMERIC_FIELDS``;
+- ``site_areas``: float64, one row per site of ``SITE_CODES``;
+- ``site_depths``: int8 codes into ``DEPTH_LEVELS``, one row per site;
+- ``extras``: one array per extra feature, in schema order: float64 for
+  numeric features, object (str) for categorical ones.
+
+Missing cells are nan in float columns, ``MISSING_DEPTH`` (-1) in depth
+codes and None in categorical columns, never a value a column can hold, so
+zero-imputation is an explicit, auditable transform. ``Dataset.from_records``
+builds the columns from ``PatientRecord``s and ``Dataset.records`` gives them
+back as a tuple of records (missing = None), built on first access only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +63,12 @@ class Depth(str, Enum):
     FULL = "full"
 
 
+#: Depth levels in code order: ``Dataset.site_depths`` holds indices into it.
+DEPTH_LEVELS: tuple[Depth, ...] = (Depth.NONE, Depth.SUPERFICIAL, Depth.PARTIAL, Depth.FULL)
+MISSING_DEPTH = -1
+_DEPTH_CODE = {None: MISSING_DEPTH, **{d: i for i, d in enumerate(DEPTH_LEVELS)}}
+
+
 @dataclass(frozen=True)
 class BurnSiteEntry:
     """Burned area and depth at one of the 27 anatomical sites.
@@ -81,36 +101,181 @@ class PatientRecord:
     extra_features: dict[str, float | str | None] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered, immutable collection of records plus the extra-feature schema.
+    """Ordered, immutable column store of burn-care episodes (layout in the
+    module docstring). ``labels`` optionally carries a ranked class per
+    record. The arrays are made read-only on construction."""
 
-    ``extra_schema`` maps feature name to "numeric" or "categorical" in column
-    order. ``labels`` optionally carries a ranked class per record.
-    """
-
-    records: tuple[PatientRecord, ...]
-    extra_schema: dict[str, str] = field(default_factory=dict)
+    ids: np.ndarray
+    numerics: np.ndarray
+    site_areas: np.ndarray
+    site_depths: np.ndarray
+    extras: dict[str, np.ndarray] = field(default_factory=dict)
     labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.labels is not None and len(self.labels) != len(self.records):
-            raise InvalidArgument(
-                f"labels length {len(self.labels)} != record count {len(self.records)}"
-            )
-        for name, kind in self.extra_schema.items():
+        n = len(self.ids)
+        shapes = (
+            (self.ids, (n,), object),
+            (self.numerics, (len(CORE_NUMERIC_FIELDS), n), np.float64),
+            (self.site_areas, (N_SITES, n), np.float64),
+            (self.site_depths, (N_SITES, n), np.int8),
+        )
+        for arr, shape, dtype in shapes:
+            if arr.shape != shape or arr.dtype != dtype:
+                raise InvalidArgument(
+                    f"dataset column of shape {arr.shape} and dtype {arr.dtype}, "
+                    f"expected {shape} and {np.dtype(dtype)}"
+                )
+        for name, col in self.extras.items():
+            if col.shape != (n,) or col.dtype not in (np.float64, object):
+                raise InvalidArgument(f"extra feature {name!r}: bad column {col.shape} {col.dtype}")
+        if self.labels is not None and len(self.labels) != n:
+            raise InvalidArgument(f"labels length {len(self.labels)} != record count {n}")
+        for arr in (self.ids, self.numerics, self.site_areas, self.site_depths,
+                    *self.extras.values()):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_records(
+        cls,
+        records,
+        extra_schema: dict[str, str] | None = None,
+        labels: tuple[int, ...] | None = None,
+    ) -> "Dataset":
+        """Columns of ``records``, whose burn sites are taken in
+        ``SITE_CODES`` order. ``extra_schema`` maps each extra feature to
+        "numeric" or "categorical"; other extra features are not kept."""
+        records = tuple(records)
+        schema = dict(extra_schema or {})
+        for name, kind in schema.items():
             if kind not in (NUMERIC, CATEGORICAL):
                 raise InvalidArgument(f"unknown schema kind {kind!r} for feature {name!r}")
+        for rec in records:
+            if len(rec.burn_sites) != N_SITES:
+                raise InvalidArgument(f"record {rec.id}: expected {N_SITES} burn sites")
+        n = len(records)
+
+        def floats(values) -> np.ndarray:
+            return np.array([np.nan if v is None else float(v) for v in values], dtype=np.float64)
+
+        extras = {}
+        for name, kind in schema.items():
+            values = [r.extra_features.get(name) for r in records]
+            extras[name] = floats(values) if kind == NUMERIC else _object_array(values)
+        sites = [s for r in records for s in r.burn_sites]
+        return cls(
+            ids=_object_array([r.id for r in records]),
+            numerics=np.stack([floats(getattr(r, f) for r in records) for f in CORE_NUMERIC_FIELDS]),
+            site_areas=floats(s.area_pct for s in sites).reshape(n, N_SITES).T.copy(),
+            site_depths=np.array(
+                [_DEPTH_CODE[s.depth] for s in sites], dtype=np.int8
+            ).reshape(n, N_SITES).T.copy(),
+            extras=extras,
+            labels=labels,
+        )
+
+    @property
+    def extra_schema(self) -> dict[str, str]:
+        """Extra feature name -> "numeric" or "categorical", in column order."""
+        return {
+            name: NUMERIC if col.dtype == np.float64 else CATEGORICAL
+            for name, col in self.extras.items()
+        }
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.labels == other.labels
+            and self.extra_schema == other.extra_schema
+            and self.ids.tolist() == other.ids.tolist()
+            and np.array_equal(self.numerics, other.numerics, equal_nan=True)
+            and np.array_equal(self.site_areas, other.site_areas, equal_nan=True)
+            and np.array_equal(self.site_depths, other.site_depths)
+            and all(same_values(col, other.extras[name]) for name, col in self.extras.items())
+        )
+
+    def take(self, indices) -> "Dataset":
+        """The records at ``indices`` (integer positions), in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset(
+            ids=self.ids[idx],
+            numerics=self.numerics[:, idx],
+            site_areas=self.site_areas[:, idx],
+            site_depths=self.site_depths[:, idx],
+            extras={name: col[idx] for name, col in self.extras.items()},
+            labels=None if self.labels is None else tuple(
+                np.asarray(self.labels, dtype=np.int64)[idx].tolist()
+            ),
+        )
 
     def factor_values(self, factor: str) -> np.ndarray:
-        """Column of one core numeric field as float64 (missing -> nan)."""
+        """Read-only column of one core numeric field (missing = nan)."""
         if factor not in CORE_NUMERIC_FIELDS:
             raise InvalidArgument(f"unknown factor {factor!r}")
-        vals = [getattr(r, factor) for r in self.records]
-        return np.array([np.nan if v is None else float(v) for v in vals], dtype=np.float64)
+        return self.numerics[CORE_NUMERIC_FIELDS.index(factor)]
+
+    @cached_property
+    def records(self) -> tuple[PatientRecord, ...]:
+        """The rows as ``PatientRecord``s (missing = None), built on first
+        access. Equal (area, depth) cells share one ``BurnSiteEntry``."""
+        core = [_none_for_nan(col) for col in self.numerics]
+        core[-1] = [None if v is None else int(v) for v in core[-1]]  # theatre_visits
+        site_columns = [
+            _site_entries(i, self.site_areas[i], self.site_depths[i]) for i in range(N_SITES)
+        ]
+        names = tuple(self.extras)
+        extra_columns = [
+            _none_for_nan(col) if col.dtype == np.float64 else col.tolist()
+            for col in self.extras.values()
+        ]
+        extra_rows = zip(*extra_columns) if names else ((),) * len(self)
+        return tuple(
+            PatientRecord(rid, age, los, cost, tbsa, theatre, sites, dict(zip(names, extra)))
+            for rid, age, los, cost, tbsa, theatre, sites, extra in zip(
+                self.ids.tolist(), *core, zip(*site_columns), extra_rows
+            )
+        )
+
+
+def _object_array(values) -> np.ndarray:
+    values = list(values)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _none_for_nan(col: np.ndarray) -> list:
+    out = col.astype(object)
+    out[np.isnan(col)] = None
+    return out.tolist()
+
+
+def _site_entries(site: int, areas: np.ndarray, depths: np.ndarray) -> list[BurnSiteEntry]:
+    """One site's column of entries; cells with the same area bits and depth
+    code share an entry (-0.0 and 0.0 stay apart)."""
+    area_keys, area_idx = np.unique(areas.view(np.int64), return_inverse=True)
+    keys, idx = np.unique(area_idx * 5 + (depths.astype(np.int64) + 1), return_inverse=True)
+    area_values = _none_for_nan(area_keys.view(np.float64))
+    levels = (None, *DEPTH_LEVELS)
+    entries = _object_array(
+        BurnSiteEntry(SITE_CODES[site], area_values[k // 5], levels[k % 5]) for k in keys.tolist()
+    )
+    return entries[idx].tolist()
+
+
+def same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal feature columns: same kind and values, missing cells equal."""
+    if a.dtype != b.dtype:
+        return False
+    if a.dtype == object:
+        return a.tolist() == b.tolist()
+    return np.array_equal(a, b, equal_nan=True)
 
 
 def validate_record(

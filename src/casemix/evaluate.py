@@ -225,7 +225,7 @@ def compare_groupings(
     records across LOS, cost and TBSA."""
     dt = np.asarray(dt_labels)
     hrg = np.asarray(hrg_labels)
-    if not (len(ds.records) == dt.shape[0] == hrg.shape[0]):
+    if not (len(ds) == dt.shape[0] == hrg.shape[0]):
         raise InvalidArgument("labelings must align with the dataset")
     factors: dict[str, FactorComparison] = {}
     rank_means: dict[str, dict[str, list[float]]] = {"dt": {}, "hrg": {}}

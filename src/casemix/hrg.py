@@ -10,12 +10,21 @@ synthetic generator so that all 13 ranks are populated.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .domain import CATEGORICAL, CORE_NUMERIC_FIELDS, NUMERIC, Dataset, Depth, PatientRecord
+import numpy as np
+
+from .domain import (
+    CATEGORICAL,
+    CORE_NUMERIC_FIELDS,
+    DEPTH_LEVELS,
+    NUMERIC,
+    Dataset,
+    Depth,
+    PatientRecord,
+)
 from .errors import InvalidArgument, RulesetError
 
 RULESET_FORMAT_VERSION_KEY = "version"
@@ -131,67 +140,99 @@ def rule_feature_schema(ds: Dataset) -> dict[str, str]:
     inference needs at least one value) and marked as such."""
     schema = {name: NUMERIC for name in CORE_NUMERIC_FIELDS}
     schema.update(DERIVED_FEATURES)
-    if ds.records:
+    if len(ds):
         schema.update(ds.extra_schema)
     else:
         schema.update({name: UNKNOWN_KIND for name in ds.extra_schema})
     return schema
 
 
-def _feature_value(record: PatientRecord, name: str):
+def _feature_column(ds: Dataset, name: str) -> np.ndarray:
+    """One feature over all records: float64 (nan = missing) or object
+    (None = missing)."""
     if name in CORE_NUMERIC_FIELDS:
-        return getattr(record, name)
-    if name == "full_thickness_area":
-        return sum(
-            s.area_pct for s in record.burn_sites if s.depth is Depth.FULL and s.area_pct
-        )
-    if name == "burned_site_count":
-        return sum(1 for s in record.burn_sites if s.area_pct)
-    if name in record.extra_features:
-        return record.extra_features[name]
+        return ds.factor_values(name)
+    if name in DERIVED_FEATURES:
+        burned = (ds.site_areas != 0.0) & ~np.isnan(ds.site_areas)
+        if name == "burned_site_count":
+            return burned.sum(axis=0).astype(np.float64)
+        # full_thickness_area, summed site by site in site order as a running
+        # sum over a record's sites would be: a pairwise sum can differ in
+        # the last bit at a rule threshold.
+        full = burned & (ds.site_depths == DEPTH_LEVELS.index(Depth.FULL))
+        total = np.zeros(len(ds))
+        for areas, selected in zip(ds.site_areas, full):
+            total += np.where(selected, areas, 0.0)
+        return total
+    if name in ds.extras:
+        return ds.extras[name]
     raise RulesetError(f"rule references unknown feature {name!r}")
 
 
-def _condition_holds(cond: Condition, record: PatientRecord) -> bool:
-    value = _feature_value(record, cond.feature)
-    if value is None:
-        return False  # missing never matches
-    op = cond.op
-    if op == "<":
-        return value < cond.value
-    if op == "<=":
-        return value <= cond.value
-    if op == ">":
-        return value > cond.value
-    if op == ">=":
-        return value >= cond.value
-    if op == "==":
-        return value == cond.value
-    if op == "!=":
-        return value != cond.value
-    if op == "in":
-        return value in cond.value
-    raise RulesetError(f"unknown operator {cond.op!r}")
+_COMPARE = {
+    "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+    "==": np.equal, "!=": np.not_equal,
+}
 
 
-def is_unclassifiable(record: PatientRecord) -> bool:
+def _condition_mask(cond: Condition, col: np.ndarray) -> np.ndarray:
+    """Records whose value satisfies ``cond``; a missing value never does."""
+    present = ~np.isnan(col) if col.dtype == np.float64 else np.not_equal(col, None)
+    mask = np.zeros(len(col), dtype=bool)
+    if cond.op == "in":
+        for value in cond.value:
+            mask |= col == value
+        return mask & present
+    if cond.op not in _COMPARE:
+        raise RulesetError(f"unknown operator {cond.op!r}")
+    mask[present] = _COMPARE[cond.op](col[present], cond.value)
+    return mask
+
+
+def _unclassifiable(ds: Dataset) -> np.ndarray:
     """No burn area and no burn depth recorded at any of the 27 sites
     (missing cells count as unrecorded)."""
-    return all(s.area_pct is None or s.area_pct == 0.0 for s in record.burn_sites) and all(
-        s.depth is None or s.depth is Depth.NONE for s in record.burn_sites
-    )
+    no_area = (ds.site_areas == 0.0) | np.isnan(ds.site_areas)
+    no_depth = ds.site_depths <= DEPTH_LEVELS.index(Depth.NONE)  # none or missing
+    return no_area.all(axis=0) & no_depth.all(axis=0)
+
+
+def _ranks(ds: Dataset, rs: Ruleset) -> tuple[np.ndarray, np.ndarray]:
+    """First-match rank of every record (0 where unclassifiable) and the
+    unclassifiable mask. Rules are tried in order on the records no earlier
+    rule matched; a condition is evaluated only while some record is still
+    in play, so a rule nothing reaches is never looked at."""
+    unclassifiable = _unclassifiable(ds)
+    ranks = np.zeros(len(ds), dtype=np.int64)
+    unassigned = ~unclassifiable
+    columns: dict[str, np.ndarray] = {}
+    for rule in rs.rules:
+        if not unassigned.any():
+            break
+        match = unassigned.copy()
+        for cond in rule.conditions:
+            if not match.any():
+                break
+            if cond.feature not in columns:
+                columns[cond.feature] = _feature_column(ds, cond.feature)
+            match &= _condition_mask(cond, columns[cond.feature])
+        ranks[match] = rule.target_rank
+        unassigned &= ~match
+    if unassigned.any():
+        if rs.default_rank is None:
+            raise RulesetError("no rule matched and the ruleset declares no default rank")
+        ranks[unassigned] = rs.default_rank
+    return ranks, unclassifiable
 
 
 def classify(record: PatientRecord, rs: Ruleset) -> int | None:
     """First-match rank in [1, k], or None when the record is unclassifiable."""
-    if is_unclassifiable(record):
-        return None
-    for rule in rs.rules:
-        if all(_condition_holds(c, record) for c in rule.conditions):
-            return rule.target_rank
-    if rs.default_rank is not None:
-        return rs.default_rank
-    raise RulesetError("no rule matched and the ruleset declares no default rank")
+    schema = {
+        name: CATEGORICAL if isinstance(value, str) else NUMERIC
+        for name, value in record.extra_features.items()
+    }
+    ranks, unclassifiable = _ranks(Dataset.from_records([record], schema), rs)
+    return None if unclassifiable[0] else int(ranks[0])
 
 
 def validate_ruleset(rs: Ruleset, schema: dict[str, str]) -> list[str]:
@@ -256,6 +297,11 @@ def classify_dataset(ds: Dataset, rs: Ruleset) -> tuple[list[int | None], dict]:
     violations = validate_ruleset(rs, rule_feature_schema(ds))
     if violations:
         raise InvalidArgument("invalid ruleset: " + "; ".join(violations))
-    labels = [classify(rec, rs) for rec in ds.records]
-    histogram = Counter(UNCLASSIFIABLE if l is None else l for l in labels)
-    return labels, dict(sorted(histogram.items(), key=lambda kv: (isinstance(kv[0], str), kv[0])))
+    ranks, unclassifiable = _ranks(ds, rs)
+    labels = ranks.astype(object)
+    labels[unclassifiable] = None
+    values, counts = np.unique(ranks[~unclassifiable], return_counts=True)
+    histogram: dict = dict(zip(values.tolist(), counts.tolist()))
+    if unclassifiable.any():
+        histogram[UNCLASSIFIABLE] = int(unclassifiable.sum())
+    return labels.tolist(), histogram

@@ -18,8 +18,9 @@ from .cluster import DEFAULT_RESTARTS, cluster_factor, kmeans, rank_clusters
 from .dataio import dataset_sha256
 from .domain import (
     CATEGORICAL,
+    CORE_NUMERIC_FIELDS,
+    DEPTH_LEVELS,
     FACTOR_FIELDS,
-    N_SITES,
     NUMERIC,
     Dataset,
     linear_cost_matrix,
@@ -128,45 +129,20 @@ class PipelineResult:
 def dataset_to_table(ds: Dataset, exclude: tuple[str, ...] = ()) -> FeatureTable:
     """Model feature view of a preprocessed dataset: core numerics, the 27
     site areas and depths, then the extra features in schema order."""
-    items = []
-
-    def numeric(name, values):
-        if name not in exclude:
-            items.append(
-                (name, NUMERIC, [np.nan if v is None else float(v) for v in values])
-            )
-
-    records = ds.records
-    numeric("age_years", [r.age_years for r in records])
-    numeric("los_days", [r.los_days for r in records])
-    numeric("total_cost", [r.total_cost for r in records])
-    numeric("tbsa_pct", [r.tbsa_pct for r in records])
-    numeric("theatre_visits", [r.theatre_visits for r in records])
-    for i in range(N_SITES):
-        name = f"site_{i + 1:02d}_area"
-        if name not in exclude:
-            items.append(
-                (name, NUMERIC,
-                 [np.nan if r.burn_sites[i].area_pct is None else r.burn_sites[i].area_pct
-                  for r in records])
-            )
-    for i in range(N_SITES):
-        name = f"site_{i + 1:02d}_depth"
-        if name not in exclude:
-            items.append(
-                (name, CATEGORICAL,
-                 [None if r.burn_sites[i].depth is None else r.burn_sites[i].depth.value
-                  for r in records])
-            )
-    for name, kind in ds.extra_schema.items():
-        if name in exclude:
-            continue
-        values = [r.extra_features.get(name) for r in records]
-        if kind == NUMERIC:
-            items.append((name, NUMERIC, [np.nan if v is None else float(v) for v in values]))
-        else:
-            items.append((name, CATEGORICAL, values))
-    return FeatureTable.from_items(items)
+    depth_values = np.array([d.value for d in DEPTH_LEVELS] + [None], dtype=object)  # -1: None
+    items = [(name, NUMERIC, col) for name, col in zip(CORE_NUMERIC_FIELDS, ds.numerics)]
+    items += [(f"site_{i + 1:02d}_area", NUMERIC, col) for i, col in enumerate(ds.site_areas)]
+    items += [
+        (f"site_{i + 1:02d}_depth", CATEGORICAL, depth_values[codes])
+        for i, codes in enumerate(ds.site_depths)
+    ]
+    items += [(name, kind, ds.extras[name]) for name, kind in ds.extra_schema.items()]
+    kept = [item for item in items if item[0] not in exclude]
+    return FeatureTable(
+        tuple(name for name, _, _ in kept),
+        tuple(kind for _, kind, _ in kept),
+        tuple(col for _, _, col in kept),
+    )
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -292,7 +268,7 @@ def run_pipeline(ds: Dataset, config: PipelineConfig) -> PipelineResult:
     pds, report = stage(
         "preprocess", preprocess, ds, config.missing_threshold, config.admin_fields
     )
-    if len(pds.records) == 0:
+    if len(pds) == 0:
         raise PipelineStageError("preprocess", "no records survived preprocessing")
     factor_labels = stage("clustering", engineer_factor_targets, pds, config)
     table = dataset_to_table(pds)

@@ -14,11 +14,11 @@ Running the composition a second time is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import CATEGORICAL_FILL, BurnSiteEntry, Dataset, Depth, PatientRecord
+from .domain import CATEGORICAL_FILL, DEPTH_LEVELS, MISSING_DEPTH, Dataset, Depth, same_values
 from .errors import InvalidArgument
 
 LOS_OUTLIER = 360.0
@@ -28,6 +28,7 @@ DEFAULT_MISSING_THRESHOLD = 0.6
 DEFAULT_ADMIN_FIELDS = ("admission_year",)
 
 _ALL_CRITERIA = ("administrative", "missing", "constant", "duplicate")
+NO_BURN = DEPTH_LEVELS.index(Depth.NONE)
 
 
 @dataclass
@@ -60,100 +61,83 @@ class PreprocessReport:
         }
 
 
+def _missing(col: np.ndarray) -> np.ndarray:
+    """Missing cells of an extra-feature column."""
+    return np.isnan(col) if col.dtype == np.float64 else np.equal(col, None)
+
+
 def count_missing_cells(ds: Dataset) -> int:
-    total = 0
-    for rec in ds.records:
-        for name in ("age_years", "los_days", "total_cost", "tbsa_pct", "theatre_visits"):
-            if getattr(rec, name) is None:
-                total += 1
-        for site in rec.burn_sites:
-            total += (site.area_pct is None) + (site.depth is None)
-        total += sum(1 for v in rec.extra_features.values() if v is None)
-    return total
-
-
-def _impute_record(rec: PatientRecord, extra_schema: dict[str, str]) -> PatientRecord:
-    kwargs: dict = {}
-    for name in ("age_years", "los_days", "total_cost", "tbsa_pct"):
-        if getattr(rec, name) is None:
-            kwargs[name] = 0.0
-    if rec.theatre_visits is None:
-        kwargs["theatre_visits"] = 0
-    sites = tuple(
-        BurnSiteEntry(
-            s.site_code,
-            0.0 if s.area_pct is None else s.area_pct,
-            Depth.NONE if s.depth is None else s.depth,
-        )
-        for s in rec.burn_sites
+    return int(
+        np.isnan(ds.numerics).sum()
+        + np.isnan(ds.site_areas).sum()
+        + (ds.site_depths == MISSING_DEPTH).sum()
+        + sum(_missing(col).sum() for col in ds.extras.values())
     )
-    extras = dict(rec.extra_features)
-    for name, value in extras.items():
-        if value is None:
-            extras[name] = 0.0 if extra_schema.get(name) == "numeric" else CATEGORICAL_FILL
-    return replace(rec, burn_sites=sites, extra_features=extras, **kwargs)
 
 
 def impute_zeros(ds: Dataset) -> Dataset:
     """Replace every missing numeric cell with 0 and every missing
     categorical cell with the designated "none" level."""
-    records = tuple(_impute_record(r, ds.extra_schema) for r in ds.records)
-    return Dataset(records=records, extra_schema=dict(ds.extra_schema), labels=ds.labels)
-
-
-def _is_unclassifiable(rec: PatientRecord) -> bool:
-    return all(s.area_pct == 0.0 for s in rec.burn_sites) and all(
-        s.depth is Depth.NONE for s in rec.burn_sites
+    extras = {}
+    for name, col in ds.extras.items():
+        fill = 0.0 if col.dtype == np.float64 else CATEGORICAL_FILL
+        extras[name] = np.where(_missing(col), fill, col).astype(col.dtype)
+    return Dataset(
+        ids=ds.ids,
+        numerics=np.where(np.isnan(ds.numerics), 0.0, ds.numerics),
+        site_areas=np.where(np.isnan(ds.site_areas), 0.0, ds.site_areas),
+        site_depths=np.where(ds.site_depths == MISSING_DEPTH, NO_BURN, ds.site_depths).astype(np.int8),
+        extras=extras,
+        labels=ds.labels,
     )
+
+
+def _keep(ds: Dataset, keep: np.ndarray) -> Dataset:
+    return ds if keep.all() else ds.take(np.flatnonzero(keep))
 
 
 def remove_unclassifiable(ds: Dataset) -> tuple[Dataset, PreprocessReport]:
     """Drop records with no burn area and no burn depth at any of the 27
     sites. Expects zero-imputed data (missing cells do not count as zero)."""
-    keep = [not _is_unclassifiable(r) for r in ds.records]
-    records = tuple(r for r, k in zip(ds.records, keep) if k)
-    labels = tuple(l for l, k in zip(ds.labels, keep) if k) if ds.labels is not None else None
+    unclassifiable = (ds.site_areas == 0.0).all(axis=0) & (ds.site_depths == NO_BURN).all(axis=0)
+    out = _keep(ds, ~unclassifiable)
     report = PreprocessReport(
-        rows_in=len(ds.records),
-        rows_out=len(records),
-        unclassifiable_removed=len(ds.records) - len(records),
+        rows_in=len(ds),
+        rows_out=len(out),
+        unclassifiable_removed=len(ds) - len(out),
     )
-    return Dataset(records, dict(ds.extra_schema), labels), report
+    return out, report
 
 
 def remove_outliers(ds: Dataset) -> tuple[Dataset, PreprocessReport]:
     """Drop records with LOS > 360 or cost > 1,000,000 (strict inequalities;
     boundary values are kept)."""
-    keep = []
-    by_reason = {"los_gt_360": 0, "cost_gt_1m": 0}
-    for rec in ds.records:
-        los_out = rec.los_days is not None and rec.los_days > LOS_OUTLIER
-        cost_out = rec.total_cost is not None and rec.total_cost > COST_OUTLIER
-        if los_out:
-            by_reason["los_gt_360"] += 1
-        if cost_out:
-            by_reason["cost_gt_1m"] += 1
-        keep.append(not (los_out or cost_out))
-    records = tuple(r for r, k in zip(ds.records, keep) if k)
-    labels = tuple(l for l, k in zip(ds.labels, keep) if k) if ds.labels is not None else None
+    los_out = ds.factor_values("los_days") > LOS_OUTLIER
+    cost_out = ds.factor_values("total_cost") > COST_OUTLIER
+    out = _keep(ds, ~(los_out | cost_out))
     report = PreprocessReport(
-        rows_in=len(ds.records),
-        rows_out=len(records),
-        outliers_removed=len(ds.records) - len(records),
-        outliers_by_reason=by_reason,
+        rows_in=len(ds),
+        rows_out=len(out),
+        outliers_removed=len(ds) - len(out),
+        outliers_by_reason={"los_gt_360": int(los_out.sum()), "cost_gt_1m": int(cost_out.sum())},
     )
-    return Dataset(records, dict(ds.extra_schema), labels), report
+    return out, report
 
 
-def _drop_columns(ds: Dataset, names: dict[str, str]) -> Dataset:
-    if not names:
-        return ds
-    schema = {n: k for n, k in ds.extra_schema.items() if n not in names}
-    records = tuple(
-        replace(r, extra_features={n: v for n, v in r.extra_features.items() if n not in names})
-        for r in ds.records
-    )
-    return Dataset(records, schema, ds.labels)
+def _distinct_count(col: np.ndarray) -> int:
+    """Number of distinct values, missing counted as one value."""
+    missing = _missing(col)
+    present = col[~missing]
+    distinct = len(np.unique(present)) if col.dtype == np.float64 else len(set(present.tolist()))
+    return distinct + bool(missing.any())
+
+
+def _same_column(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal cell for cell; a numeric and a categorical column are equal only
+    when every cell of both is missing."""
+    if a.dtype != b.dtype:
+        return bool(_missing(a).all() and _missing(b).all())
+    return same_values(a, b)
 
 
 def drop_irrelevant_variables(
@@ -169,37 +153,37 @@ def drop_irrelevant_variables(
     (the full pipeline assesses missingness before imputation and
     constants/duplicates after row exclusions).
     """
-    n = len(ds.records)
+    n = len(ds)
     dropped: dict[str, str] = {}
     if "administrative" in criteria:
-        for name in ds.extra_schema:
+        for name in ds.extras:
             if name in admin_fields:
                 dropped[name] = "administrative"
     if "missing" in criteria and n > 0:
-        for name in ds.extra_schema:
+        for name, col in ds.extras.items():
             if name in dropped:
                 continue
-            miss = sum(1 for r in ds.records if r.extra_features.get(name) is None)
+            miss = int(_missing(col).sum())
             if miss / n > missing_threshold:
                 dropped[name] = f"missing_fraction {miss / n:.3f} > {missing_threshold}"
     if "constant" in criteria and n > 0:
-        for name in ds.extra_schema:
-            if name in dropped:
-                continue
-            values = {r.extra_features.get(name) for r in ds.records}
-            if len(values) <= 1:
+        for name, col in ds.extras.items():
+            if name not in dropped and _distinct_count(col) <= 1:
                 dropped[name] = "constant"
     if "duplicate" in criteria:
-        seen: dict[tuple, str] = {}
-        for name in ds.extra_schema:
+        seen: list[str] = []
+        for name, col in ds.extras.items():
             if name in dropped:
                 continue
-            column = tuple(r.extra_features.get(name) for r in ds.records)
-            if column in seen:
-                dropped[name] = f"duplicate_of:{seen[column]}"
+            first = next((s for s in seen if _same_column(ds.extras[s], col)), None)
+            if first is None:
+                seen.append(name)
             else:
-                seen[column] = name
-    out = _drop_columns(ds, dropped)
+                dropped[name] = f"duplicate_of:{first}"
+    out = ds
+    if dropped:
+        extras = {name: col for name, col in ds.extras.items() if name not in dropped}
+        out = Dataset(ds.ids, ds.numerics, ds.site_areas, ds.site_depths, extras, ds.labels)
     report = PreprocessReport(rows_in=n, rows_out=n, variables_dropped=dropped)
     return out, report
 
@@ -219,7 +203,7 @@ def preprocess(
     admin_fields: tuple[str, ...] = DEFAULT_ADMIN_FIELDS,
 ) -> tuple[Dataset, PreprocessReport]:
     """Full cleaning pass in the fixed order documented in the module docstring."""
-    rows_in = len(ds.records)
+    rows_in = len(ds)
     ds1, rep_pre = drop_irrelevant_variables(
         ds, missing_threshold, admin_fields, criteria=("administrative", "missing")
     )
@@ -232,7 +216,7 @@ def preprocess(
     )
     report = PreprocessReport(
         rows_in=rows_in,
-        rows_out=len(ds5.records),
+        rows_out=len(ds5),
         outliers_removed=rep_out.outliers_removed,
         outliers_by_reason=rep_out.outliers_by_reason,
         unclassifiable_removed=rep_uncls.unclassifiable_removed,

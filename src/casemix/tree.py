@@ -804,7 +804,7 @@ def classify_with_rules(rules: list[LeafRule], table: FeatureTable) -> np.ndarra
                 mask &= (vals >= cond.lo) & (vals < cond.hi)
             else:
                 allowed = set(cond.categories)
-                mask &= np.array([v in allowed for v in col])
+                mask &= np.array([v in allowed for v in col], dtype=bool)
         out[mask] = rule.label
         matched += mask
     if not np.all(matched == 1):

@@ -35,13 +35,6 @@ class PinnedRun:
     mean_dist_zero_one: float
 
 
-def _subset(ds: Dataset, idx) -> Dataset:
-    return Dataset(
-        records=tuple(ds.records[int(i)] for i in idx),
-        extra_schema=dict(ds.extra_schema),
-    )
-
-
 @pytest.fixture(scope="session")
 def small_cohort() -> Dataset:
     return generate_cohort(CohortConfig(n=300, seed=7))
@@ -63,12 +56,12 @@ def pinned_run() -> PinnedRun:
 
     hrg_labels = np.array(classify_dataset(result.preprocessed, reference_ruleset())[0])
     comp_train = compare_groupings(
-        _subset(result.preprocessed, result.train_idx),
+        result.preprocessed.take(result.train_idx),
         result.final_labels[result.train_idx],
         hrg_labels[result.train_idx],
     )
     comp_test = compare_groupings(
-        _subset(result.preprocessed, test_idx),
+        result.preprocessed.take(test_idx),
         predictions[test_idx],
         hrg_labels[test_idx],
         confusion_summary=conf,

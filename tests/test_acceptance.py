@@ -311,7 +311,7 @@ def _fixture_record(rid, los, cost, zero_sites=False):
 
 
 def test_criterion_9_preprocessing_conformance(pinned_run):
-    ds = Dataset(records=(
+    ds = Dataset.from_records((
         _fixture_record("los_boundary", 360.0, 100.0),
         _fixture_record("los_outlier", 361.0, 100.0),
         _fixture_record("cost_boundary", 1.0, 1_000_000.0),

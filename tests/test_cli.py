@@ -15,6 +15,88 @@ COHORT_CONFIG = {
 }
 
 
+#: A second `casemix all` config: missingness, and a different cohort seed.
+MISSINGNESS_CONFIG = {
+    "cohort": {"n": 600, "seed": 17},
+    "missingness": {"rate": 0.2, "seed": 3},
+    "pipeline": {"k": 6, "seeds": {"clustering": 1, "split": 2, "oversample": 3}},
+}
+
+#: sha256 of every non-manifest artifact of `casemix all --svg`, recorded
+#: while cohorts were still held as record objects. Changes to how data is
+#: held or moved must leave every byte of every artifact as it was.
+PINNED_ARTIFACTS = {
+    "cli": {
+        "cohort.csv": "1fdbaa407561f4102c27e2912ae31563b3ee90ee42582dc4b2b00f231040e1f2",
+        "eval/boxplot_los_days_test.svg": "4064450d134f6edfa1fab94265f53facd261ff21e0c0cd8e6ae735f8b0895dc1",
+        "eval/boxplot_tbsa_pct_test.svg": "3c2b9f074fda744b3a354628d40affeba6739caec5864fa1a93674c11edc16b5",
+        "eval/boxplot_total_cost_test.svg": "874feca68c7f104c25f0f9e88f02534f98a25a86cbd82043a10da8f1e294a4c2",
+        "eval/boxplots_test.csv": "233dfbb32ba7de1716edf25a6aa8873281db0e2dc1ac73da4cbca631c1273523",
+        "eval/boxplots_train.csv": "de37feb370ee77c76b3df361bce2b50829ee2207fa6f29fe2cc62bee9def5bae",
+        "eval/comparison.json": "6d7778cb0f8552409baa77bdc1aa93f00b1aaaff3e99acd87bfcef1379799768",
+        "eval/confusion_test.json": "1afea0d8c679c4f9d6f4c8ffd46cd4f12ceb1ef953217a5f07e142144a87ef17",
+        "eval/confusion_test_oversampled.json": "9528f6d90d494c2d847bbfb0285a4a0abc68141df4c626a5236d1bc4a08046fd",
+        "eval/rank_spread.csv": "9328326182d1fa2cb2dd52ce4d3560e5450b7c50d4de3a9d8c4c3a9366540039",
+        "eval/rank_spread.svg": "b17506491c99ccaec803f22173ca49010e882070b966441aefc4a4dc3feff751",
+        "eval/rules.csv": "d9eaa24a9ffe8b0a73022995cd8785f19a1c42fe166dd56b550ddfd8e64d25cd",
+        "eval/rules.txt": "2591825c74f0ec936cde97bd05321b63266b15529cefbd1c04eae0f47569740f",
+        "eval/variance_los_days_test.svg": "aef4c968c3af29c4d9eeb69208ac94473b0f9043f14de100f5267709d2de03fa",
+        "eval/variance_los_days_train.svg": "979aba604d01cef4d64fdfbf3350fbe457456b4a8b6998524e689fabcafb797e",
+        "eval/variance_tbsa_pct_test.svg": "e7226a39ba28561da02bf80569345ec45ff29db3152b246e68a53030039638dd",
+        "eval/variance_tbsa_pct_train.svg": "967b2bc951dd1c4909c6018f04588af23c8c39e7b5b6291d48e152eee8fd7434",
+        "eval/variance_total_cost_test.svg": "5064672b634f1890a7f3f65f956d570bb13b9d47458870fa577663512db27c0f",
+        "eval/variance_total_cost_train.svg": "5a67ddd497976da585185c67dd7b708f3880c37f72986a2452b0afcb8e9c2b97",
+        "eval/variances_test.csv": "81923f4441d3e0844d6b03ac20767b099a768e193290daecf9fa62d637ed8ed2",
+        "eval/variances_train.csv": "a374a04744f2f50a556e29f99c6cfdadc7b626323facef1420dd3827a71ddedd",
+        "hrg/histogram.json": "f576178ab8782534a84c55f1657356ccafb4dbabc113c094466f192ce20a874d",
+        "hrg/labels.csv": "2f356f9df573bb324ac0fe06838f4b42560e5202bc4e831db6b6c8a70c0d0f33",
+        "result/config.json": "a976230c5c206a981892bf285efc5b9a2428f20730a21745800aa86a37020646",
+        "result/factor_labels.csv": "6b1cc0c81a869250304e623acc70993cfc271013a9a1d88c33c361891987c546",
+        "result/final_labels.csv": "c0a52e8fb3cbab2f29d3712f86221e081646a568d2b2c6b3c74c1527f4d71f67",
+        "result/importances.csv": "9c271779278a6c849143e26b18ff93a1f33c8f4272cf70e72fe42f437bf9f4f1",
+        "result/model.json": "230b840671ad7e717b6fd70af14ddcf9ffb063bf01273cb2f5527c3e004888fd",
+        "result/preprocess_report.json": "2aa5bbd53f98a77526ac66f97862ac05f5eb15a1b375222bf19661141cc15724",
+        "result/preprocessed.csv": "a13e81a8c2045895932d04c93ed0e68ea93dfea01d3060c80a2f876c7cb9a438",
+        "result/provenance.json": "c37e5478c87eeeb3356ce89c97efc16a97fa28a188a25b793f0e5bfd6429061a",
+        "result/split.csv": "fdcbc3f9e90f2bb834d095802d2d65cc172943e12c2eb19cb3545309c18feaf0",
+    },
+    "missingness": {
+        "cohort.csv": "b9be362c390c1b3d2a39854843ba69ace06daa350b7160ac18987823a374143f",
+        "eval/boxplot_los_days_test.svg": "b532bf552d039081ec5a4792e5df873d604f738c91ee1001dd7b13a93c5615c9",
+        "eval/boxplot_tbsa_pct_test.svg": "a9a21d8a9beaced4a4d9ff4e2d68d8d6fd05afc8d9c017e93aaab98c42a79af0",
+        "eval/boxplot_total_cost_test.svg": "990618155c9e035d44190b71e2c454b22803a8441200a4f197b8670543d3b77c",
+        "eval/boxplots_test.csv": "3744b7e84759dbbe044d7c060d40d989d986c9180019032d96a5f31900ab784b",
+        "eval/boxplots_train.csv": "f1225439a12a327049a13d58f2d709648f9a3adb0204e31f5bd5c7eb3ad0c349",
+        "eval/comparison.json": "ec212f77f96a7612fd336dc7676e9aebbe168eb5c99515ad81c545fb6cd477f2",
+        "eval/confusion_test.json": "6a0db00e8ef96cd0afa26407f459bbf11923c284a3bb13cd64f55b66ef86104a",
+        "eval/confusion_test_oversampled.json": "028377ab9c4191342b0e386660f884f2cb80ab7d3ffe001e23792fd6a0567cfa",
+        "eval/rank_spread.csv": "660a6256d28583bfc75cb7c5b1c9978a0f289366b546c30b7cf26eea82167975",
+        "eval/rank_spread.svg": "c3c2f987928ead66abd32a98d0a553a976e5045f865c4f753c491b8528915fe0",
+        "eval/rules.csv": "e6f1618e111e96386d998e822fe19e22ff765a5a8ea206adba61385da90aa7e8",
+        "eval/rules.txt": "b69b860154a992e8fc389cab720f9e675593a73c650eea7f4a854fce84b01f49",
+        "eval/variance_los_days_test.svg": "74873811048c15df1caaa64a6102cc608d7f337c83497966662083f36cca02da",
+        "eval/variance_los_days_train.svg": "f1a277e706f948cb153536d972b869db00cb6f999d1d3bcd9f0d8757bee2eeae",
+        "eval/variance_tbsa_pct_test.svg": "cd661f0086f53ee08d8844ff263d4a52fcb6b315297b6eb77e5dfdc2bb73a701",
+        "eval/variance_tbsa_pct_train.svg": "080935ba33c03847d53aa34da1f2a38a7b0c72809e8ba7052b37d27450699542",
+        "eval/variance_total_cost_test.svg": "1a2029c0195894ae97a370f4338d909c980838660af78d39448010d6418b2bf9",
+        "eval/variance_total_cost_train.svg": "b8ec298ccc05da7475234e27469cef6fe92c06895d42d059d04de468a8413002",
+        "eval/variances_test.csv": "86e71e5216518b308d8a47bffa852621349068945edd23d0a70a206a387312ef",
+        "eval/variances_train.csv": "d1392a1d0092f04863f231fab9106fee3f01d76f19284d38bc29a72aa234e36d",
+        "hrg/histogram.json": "e6f7e7063ef82804bd73a3a501636646286474b7e90be614814bb98d2663a701",
+        "hrg/labels.csv": "ce695d0c53029eaf494cfae8e1bbb7d63c0bcf68c6fffb4ef9f316361f35da51",
+        "result/config.json": "a976230c5c206a981892bf285efc5b9a2428f20730a21745800aa86a37020646",
+        "result/factor_labels.csv": "aa38533484a1ad9605a14ba171b9fefc866df9a982cef2204f29912830dc62c9",
+        "result/final_labels.csv": "e2ae6f532a84ad12c5929d3eb7bff28eb2000cea9f4c831766dce5ab3087fec6",
+        "result/importances.csv": "757b43bc61c5022c5549c21d845fb53eabef6fdae1822bc475de7bbba8fa5459",
+        "result/model.json": "251e135a519f8b0554d0134e05f80d27b8b365046977045d966edb6a3f06596d",
+        "result/preprocess_report.json": "31adc5e1e343770c684176ed6737330ace69600af02821f6f5d1ff4d8dc7aee4",
+        "result/preprocessed.csv": "f0f368e6133af407afb6eb8027c14e17189d8592129546733b5c666558b1f633",
+        "result/provenance.json": "df59b830675667c78b61f0d36cc781eb976065135be43765f0677476b9ee2c9a",
+        "result/split.csv": "a9330cbeb2425ad13702d0a33ab8fd2615c8bd6dc44054f8b9bf002b7a07f9b6",
+    },
+}
+
+
 def write_config(tmp_path: Path, doc=None, name="config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(doc if doc is not None else COHORT_CONFIG), encoding="utf-8")
@@ -284,6 +366,32 @@ class TestAll:
         assert hashes_a == hashes_b
         assert (out_a / "manifest.json").is_file()
         assert (out_a / "eval" / "comparison.json").is_file()
+
+    @pytest.mark.parametrize("name", ["cli", "missingness"])
+    def test_artifacts_match_pinned_hashes(self, tmp_path, name):
+        doc = {"cli": COHORT_CONFIG, "missingness": MISSINGNESS_CONFIG}[name]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out", str(out), "--svg"]) == EXIT_OK
+        assert file_hashes(out) == PINNED_ARTIFACTS[name]
+
+    def test_cohort_parsed_once(self, tmp_path, monkeypatch):
+        import casemix.cli as cli
+
+        parsed = []
+
+        def counting_read(path):
+            parsed.append(Path(path).name)
+            return read_cohort_csv(path)
+
+        monkeypatch.setattr(cli, "read_cohort_csv", counting_read)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert parsed == ["cohort.csv", "preprocessed.csv"]
+        for stage in ("hrg", "result"):  # each stage still hashes the cohort file
+            manifest = json.loads((out / stage / "manifest.json").read_text())
+            assert str(out / "cohort.csv") in manifest["inputs"]
 
     def test_bad_threads_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)

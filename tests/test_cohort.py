@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casemix.cohort import (
+    _DEPTH_P,
+    _MECHANISM_P,
     COST_OUTLIER_THRESHOLD,
     LOS_OUTLIER_THRESHOLD,
     CohortConfig,
+    _cdf,
+    _choice,
     generate_cohort,
     inject_missingness,
 )
@@ -132,3 +137,38 @@ class TestInjectMissingness:
                 assert after.los_days == before.los_days
             if before.tbsa_pct not in (0.0, None):
                 assert after.tbsa_pct == before.tbsa_pct
+
+
+def philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def assert_choice_matches_generator(p, seed: int, draws: int = 50):
+    """``_choice`` draws what ``Generator.choice(len(p), p=p)`` draws and
+    leaves the generator in the same state."""
+    ours, numpy_gen = philox(seed), philox(seed)
+    cdf = _cdf(p)
+    for _ in range(draws):
+        assert _choice(cdf, ours) == int(numpy_gen.choice(len(p), p=np.asarray(p)))
+    raw = ours.bit_generator.random_raw(8), numpy_gen.bit_generator.random_raw(8)
+    assert np.array_equal(*raw)
+
+
+class TestChoice:
+    @pytest.mark.parametrize(
+        "p",
+        [*_MECHANISM_P, *_DEPTH_P, (0.6, 0.3, 0.1), (0.5, 0.0, 0.5), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)],
+    )
+    def test_packaged_tables(self, p):
+        for seed in range(20):
+            assert_choice_matches_generator(p, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1000), min_size=3, max_size=3).filter(lambda w: sum(w) > 0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_severity_weights(self, raw, seed):
+        weights = tuple(w / sum(raw) for w in raw)
+        assert abs(sum(weights) - 1.0) <= 1e-9  # a valid CohortConfig.severity_weights
+        assert_choice_matches_generator(weights, seed)

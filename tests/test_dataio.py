@@ -2,6 +2,7 @@ import csv
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.dataio import (
@@ -11,6 +12,7 @@ from casemix.dataio import (
     read_cohort_csv,
     write_cohort_csv,
 )
+from casemix.domain import N_SITES
 from casemix.errors import InvalidArgument
 
 
@@ -113,3 +115,127 @@ def test_bad_numeric_cell_names_row_and_column(small_cohort, column, value):
 def test_domain_boundary_cells_accepted(small_cohort, column, value):
     ds = parse_cohort_csv(with_cell(small_cohort, 3, column, value))
     assert getattr(ds.records[3], column) == float(value)
+
+
+# ---------------------------------------------------------------------------
+# Round trip and bad cells on random cohort files
+# ---------------------------------------------------------------------------
+
+_AREAS = [f"site_{i + 1:02d}_area" for i in range(N_SITES)]
+_DEPTHS = [f"site_{i + 1:02d}_depth" for i in range(N_SITES)]
+_HEADER = ["id", "age_years", "los_days", "total_cost", "tbsa_pct", "theatre_visits"] + _AREAS + _DEPTHS
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1.7976931348623157e308)
+_CATEGORICAL_CELLS = ("", "a", "none", "x1", "12", "1e5", "-3", "0.5")
+
+
+def _float_cells(hi: float, lo: float = 0.0):
+    """Cells of a float column in canonical form (repr), or empty."""
+    value = st.sampled_from([v for v in _EDGE_FLOATS if lo <= v <= hi]) | st.floats(
+        lo, hi, allow_nan=False, allow_infinity=False
+    )
+    return st.just("") | value.map(repr)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def cohort_files(draw, min_rows=0):
+    """(CSV text, the text the writer gives back for it). The cells are
+    canonical except for theatre_visits, which may hold "3.7" or "1e300";
+    categorical extras hold some cells that look numeric."""
+    n = draw(st.integers(min_rows, 5))
+    n_numeric, n_categorical = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    header = _HEADER + [f"num{j}" for j in range(n_numeric)] + [f"cat{j}" for j in range(n_categorical)]
+    big = 1.7976931348623157e308
+    columns = [[draw(st.text('ab01,"- ', min_size=1, max_size=4)) for _ in range(n)]]
+    canonical = [columns[0]]
+    for hi in (big, big, big, 100.0):  # age, LOS, cost, TBSA
+        columns.append([draw(_float_cells(hi)) for _ in range(n)])
+        canonical.append(columns[-1])
+    theatre = st.just("") | st.integers(0, 10**6).map(str) | st.sampled_from(["3.7", "1e300", "-0.0"])
+    columns.append([draw(theatre) for _ in range(n)])
+    canonical.append([c and str(int(float(c))) for c in columns[-1]])
+    for _ in _AREAS:
+        columns.append([draw(_float_cells(big)) for _ in range(n)])
+        canonical.append(columns[-1])
+    depth = st.sampled_from(["", "none", "superficial", "partial", "full"])
+    for _ in _DEPTHS:
+        columns.append([draw(depth) for _ in range(n)])
+        canonical.append(columns[-1])
+    for _ in range(n_numeric):
+        columns.append([draw(_float_cells(big, -big)) for _ in range(n)])
+        canonical.append(columns[-1])
+    for _ in range(n_categorical):
+        cells = [draw(st.sampled_from(_CATEGORICAL_CELLS)) for _ in range(n)]
+        if n and all(_is_number(c) for c in cells if c):
+            cells[draw(st.integers(0, n - 1))] = "a"  # keep the column categorical
+        columns.append(cells)
+        canonical.append(cells)
+
+    def render(cols) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*cols))
+        return buf.getvalue()
+
+    return render(columns), render(canonical)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cohort_files())
+def test_random_cohort_round_trip(case):
+    text, canonical = case
+    assert cohort_csv_text(parse_cohort_csv(text)) == canonical
+    assert cohort_csv_text(parse_cohort_csv(canonical)) == canonical
+
+
+def _bad_cells(header: list[str]) -> list[tuple[str, str]]:
+    """(column, value) pairs, each of which makes one cell bad."""
+    bad = []
+    for column in header[1:6] + _AREAS:
+        bad += [(column, v) for v in ("nan", "inf", "-1", "abc", "1e400")]
+    bad.append(("tbsa_pct", "250"))
+    bad += [(column, v) for column in _DEPTHS for v in ("deep", "FULL")]
+    bad += [(column, v) for column in header if column.startswith("num") for v in ("nan", "-inf")]
+    return bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(cohort_files(min_rows=1), st.data())
+def test_single_bad_cell_names_row_and_column(case, data):
+    rows = list(csv.reader(io.StringIO(case[0])))
+    header = rows[0]
+    row = data.draw(st.integers(1, len(rows) - 1))
+    column, value = data.draw(st.sampled_from(_bad_cells(header)))
+    rows[row][header.index(column)] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    with pytest.raises(InvalidArgument) as err:
+        parse_cohort_csv(buf.getvalue())
+    assert f"row id {rows[row][0]!r}, column {column!r}:" in str(err.value)
+
+
+def test_ragged_row_reported_after_earlier_bad_cell(small_cohort):
+    rows = list(csv.reader(io.StringIO(cohort_csv_text(small_cohort))))
+    rows[3] = rows[3][:10]  # too short, extras missing
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    with pytest.raises(InvalidArgument, match=f"row for id {rows[3][0]!r} has 10 cells"):
+        parse_cohort_csv(buf.getvalue())
+    rows[2][rows[0].index("los_days")] = "-1"  # a bad cell in an earlier row wins
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    with pytest.raises(InvalidArgument, match=f"row id {rows[2][0]!r}, column 'los_days'"):
+        parse_cohort_csv(buf.getvalue())
+
+
+def test_blank_line_is_a_ragged_row(small_cohort):
+    with pytest.raises(InvalidArgument, match="has 0 cells"):
+        parse_cohort_csv(cohort_csv_text(small_cohort) + "\n")

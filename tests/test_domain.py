@@ -119,17 +119,55 @@ class TestDataset:
     def test_label_length_checked(self):
         rec = make_record()
         with pytest.raises(InvalidArgument):
-            Dataset(records=(rec,), labels=(1, 2))
+            Dataset.from_records((rec,), labels=(1, 2))
 
     def test_bad_schema_kind(self):
         with pytest.raises(InvalidArgument):
-            Dataset(records=(), extra_schema={"x": "boolean"})
+            Dataset.from_records((), {"x": "boolean"})
 
     def test_factor_values_missing_as_nan(self):
-        ds = Dataset(records=(make_record(los_days=None), make_record(los_days=2.0)))
+        ds = Dataset.from_records((make_record(los_days=None), make_record(los_days=2.0)))
         vals = ds.factor_values("los_days")
         assert np.isnan(vals[0]) and vals[1] == 2.0
 
     def test_factor_values_unknown(self):
         with pytest.raises(InvalidArgument):
-            Dataset(records=()).factor_values("height")
+            Dataset.from_records(()).factor_values("height")
+
+    def test_records_round_trip(self):
+        sites = list(make_record().burn_sites)
+        sites[4] = BurnSiteEntry(SITE_CODES[4], None, Depth.FULL)
+        sites[5] = BurnSiteEntry(SITE_CODES[5], -0.0, None)
+        records = (
+            make_record(id="a", extra_features={"sex": "F", "visits": 2.0}),
+            make_record(id="b", los_days=None, theatre_visits=None, burn_sites=tuple(sites),
+                        extra_features={"sex": None, "visits": None}),
+        )
+        ds = Dataset.from_records(records, {"sex": "categorical", "visits": "numeric"})
+        assert ds.records == records
+        assert Dataset.from_records(ds.records, ds.extra_schema) == ds
+        assert repr(ds.records[1].burn_sites[5].area_pct) == "-0.0"
+        assert ds.site_depths[5, 1] == -1 and np.isnan(ds.site_areas[4, 1])
+
+    def test_records_share_equal_site_entries(self):
+        ds = Dataset.from_records([make_record(id=str(i)) for i in range(3)])
+        first, second = ds.records[0].burn_sites, ds.records[1].burn_sites
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_take(self):
+        records = [make_record(id=str(i), los_days=float(i)) for i in range(5)]
+        ds = Dataset.from_records(records, labels=(1, 2, 3, 4, 5))
+        sub = ds.take([4, 0, 4])
+        assert sub.ids.tolist() == ["4", "0", "4"]
+        assert sub.labels == (5, 1, 5)
+        assert sub.records == (records[4], records[0], records[4])
+        assert len(ds.take([])) == 0
+
+    def test_columns_read_only(self):
+        ds = Dataset.from_records([make_record()])
+        with pytest.raises(ValueError):
+            ds.site_areas[0, 0] = 1.0
+
+    def test_wrong_sites_count_rejected(self):
+        with pytest.raises(InvalidArgument):
+            Dataset.from_records([make_record(n_sites=26)])

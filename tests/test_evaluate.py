@@ -151,7 +151,7 @@ def two_group_dataset():
         records.append(
             make_record(id=str(i), los_days=los, total_cost=cost, tbsa_pct=tbsa, tbsa=tbsa)
         )
-    return Dataset(records=tuple(records))
+    return Dataset.from_records(records)
 
 
 class TestCompareGroupings:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.domain import Depth
 from casemix.errors import InvalidArgument, RulesetError
 from casemix.hrg import (
@@ -224,3 +225,57 @@ class TestReferenceRuleset:
     def test_all_ranks_populated_on_pinned_cohort(self, pinned_run):
         labels = pinned_run.hrg_labels
         assert {int(l) for l in labels} == set(range(1, 14))
+
+
+def reference_feature(record, name):
+    """Per-record feature value: a running sum over the sites in site order."""
+    if name in ("age_years", "los_days", "total_cost", "tbsa_pct", "theatre_visits"):
+        return getattr(record, name)
+    if name == "full_thickness_area":
+        return sum(s.area_pct for s in record.burn_sites if s.depth is Depth.FULL and s.area_pct)
+    if name == "burned_site_count":
+        return sum(1 for s in record.burn_sites if s.area_pct)
+    return record.extra_features[name]
+
+
+def reference_classify(record, rs):
+    """First-match classification of one record; a missing value never matches."""
+    compare = {
+        "<": lambda a, b: a < b, "<=": lambda a, b: a <= b, ">": lambda a, b: a > b,
+        ">=": lambda a, b: a >= b, "==": lambda a, b: a == b, "!=": lambda a, b: a != b,
+        "in": lambda a, b: a in b,
+    }
+    sites = record.burn_sites
+    if all(not s.area_pct for s in sites) and all(s.depth in (None, Depth.NONE) for s in sites):
+        return None
+    for rule in rs.rules:
+        if all(
+            (value := reference_feature(record, c.feature)) is not None
+            and compare[c.op](value, c.value)
+            for c in rule.conditions
+        ):
+            return rule.target_rank
+    return rs.default_rank
+
+
+class TestColumnRules:
+    def mixed_ruleset(self):
+        return ruleset_from_dict({
+            "version": "mixed", "k": 6, "default": 1, "rules": [
+                {"if": [{"feature": "full_thickness_area", "op": ">", "value": 2.5}], "then": 6},
+                {"if": [{"feature": "burn_mechanism", "op": "!=", "value": "scald"},
+                        {"feature": "theatre_visits", "op": ">=", "value": 1}], "then": 5},
+                {"if": [{"feature": "burned_site_count", "op": "==", "value": 2}], "then": 4},
+                {"if": [{"feature": "skin_graft", "op": "in", "value": ["yes"]},
+                        {"feature": "ventilation_days", "op": "<", "value": 1}], "then": 3},
+                {"if": [{"feature": "los_days", "op": "<=", "value": 2}], "then": 2},
+            ],
+        })
+
+    @pytest.mark.parametrize("rs_name", ["reference", "mixed"])
+    def test_matches_per_record_reference(self, rs_name):
+        ds = inject_missingness(generate_cohort(CohortConfig(n=600, seed=4)), 0.3, seed=5)
+        rs = reference_ruleset() if rs_name == "reference" else self.mixed_ruleset()
+        labels, _ = classify_dataset(ds, rs)
+        assert labels == [reference_classify(rec, rs) for rec in ds.records]
+        assert [classify(rec, rs) for rec in ds.records[:50]] == labels[:50]

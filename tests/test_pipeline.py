@@ -71,7 +71,7 @@ class TestFactorTargets:
                     total_cost=100.0 + 5000.0 * tier,
                 )
             )
-        ds = Dataset(records=tuple(records))
+        ds = Dataset.from_records(records)
         config = PipelineConfig(k=3, seeds=PipelineSeeds(1, 2, 3))
         targets = engineer_factor_targets(ds, config)
         for factor in FACTOR_FIELDS:
@@ -80,7 +80,7 @@ class TestFactorTargets:
 
     def test_constant_factor_rejected(self):
         records = tuple(make_record(id=str(i), total_cost=500.0) for i in range(40))
-        ds = Dataset(records=records)
+        ds = Dataset.from_records(records)
         with pytest.raises(InvalidArgument):
             engineer_factor_targets(ds, PipelineConfig(k=13, seeds=PipelineSeeds(1, 2, 3)))
 
@@ -243,7 +243,7 @@ class TestRunPipeline:
             make_record(id=str(i), total_cost=500.0, los_days=float(i % 40), tbsa_pct=1.0 + i % 30)
             for i in range(60)
         )
-        ds = Dataset(records=records)
+        ds = Dataset.from_records(records)
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline(ds, PipelineConfig(k=13, seeds=PipelineSeeds(1, 2, 3)))
         assert exc.value.stage == "clustering"

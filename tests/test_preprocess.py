@@ -18,7 +18,7 @@ from tests.test_domain import make_record
 
 
 def dataset_of(*records, schema=None):
-    return Dataset(records=tuple(records), extra_schema=schema or {})
+    return Dataset.from_records(records, schema)
 
 
 class TestImputeZeros:

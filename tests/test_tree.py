@@ -483,6 +483,14 @@ class TestImportanceAndRules:
         )
         assert np.array_equal(classify_with_rules(rules, probe), predict(tree, probe))
 
+    def test_rules_classify_empty_table(self):
+        # A categorical condition over no rows used to build a float mask and
+        # fail on `&=` with a bitwise_and TypeError.
+        rules = extract_rules(hand_built_tree())
+        empty = FeatureTable.from_items([("x", "numeric", []), ("c", "categorical", [])])
+        out = classify_with_rules(rules, empty)
+        assert out.dtype == np.int64 and out.shape == (0,)
+
     def test_rule_rendering(self):
         tree = hand_built_tree()
         text = [r.render() for r in extract_rules(tree)]
