@@ -84,17 +84,6 @@ def _load_json_config(path: str) -> dict:
     return doc
 
 
-def _resolve_threads(args) -> int:
-    raw = args.threads if args.threads is not None else os.environ.get("CASEMIX_THREADS", "1")
-    try:
-        n = int(raw)
-    except (TypeError, ValueError):
-        raise _ConfigError(f"--threads must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise _ConfigError(f"--threads must be a positive integer, got {n}")
-    return n
-
-
 def _require_seed(present: bool, what: str, ephemeral: bool) -> int | None:
     """Seeds must be explicit unless --ephemeral generates and records them."""
     if present:
@@ -107,11 +96,10 @@ def _require_seed(present: bool, what: str, ephemeral: bool) -> int | None:
 
 
 class _Manifest:
-    def __init__(self, command: str, threads: int):
+    def __init__(self, command: str):
         self.doc = {
             "command": command,
             "tool_version": __version__,
-            "threads": threads,
             "inputs": {},
             "outputs": {},
             "seeds": {},
@@ -122,8 +110,9 @@ class _Manifest:
         self.doc["config_path"] = str(path)
         self.doc["config_sha256"] = _sha256_file(Path(path))
 
-    def add_input(self, path: str | Path) -> None:
-        self.doc["inputs"][str(path)] = _sha256_file(Path(path))
+    def add_input(self, path: str | Path) -> str:
+        digest = self.doc["inputs"][str(path)] = _sha256_file(Path(path))
+        return digest
 
     def add_output(self, root: Path, path: Path) -> None:
         self.doc["outputs"][str(path.relative_to(root))] = _sha256_file(path)
@@ -178,8 +167,7 @@ def _cohort_from_config(doc: dict, ephemeral: bool, manifest: _Manifest) -> Data
 
 def cmd_generate(args) -> int:
     try:
-        threads = _resolve_threads(args)
-        manifest = _Manifest("generate", threads)
+        manifest = _Manifest("generate")
         doc = _load_json_config(args.config)
         manifest.add_config(args.config)
         ds = _cohort_from_config(doc, args.ephemeral, manifest)
@@ -227,8 +215,7 @@ def _hrg_labels_csv(ds: Dataset, labels: list[int | None]) -> str:
 
 def cmd_hrg(args) -> int:
     try:
-        threads = _resolve_threads(args)
-        manifest = _Manifest("hrg", threads)
+        manifest = _Manifest("hrg")
         ds = _cohort(args)
         manifest.add_input(args.cohort)
         if args.ruleset:
@@ -273,11 +260,7 @@ def _pipeline_config(doc: dict, ephemeral: bool, manifest: _Manifest) -> Pipelin
     pipe_doc = dict(pipe_doc)
     fresh = _require_seed("seeds" in pipe_doc, "pipeline config", ephemeral)
     if fresh is not None:
-        pipe_doc["seeds"] = {
-            "clustering": fresh,
-            "split": secrets.randbits(63),
-            "oversample": secrets.randbits(63),
-        }
+        pipe_doc["seeds"] = {"split": fresh, "oversample": secrets.randbits(63)}
     try:
         config = PipelineConfig.from_dict(pipe_doc)
     except InvalidArgument as e:
@@ -354,17 +337,16 @@ def _write_train_outputs(manifest: _Manifest, out: Path, result, config: Pipelin
 
 def cmd_train(args) -> int:
     try:
-        threads = _resolve_threads(args)
-        manifest = _Manifest("train", threads)
+        manifest = _Manifest("train")
         doc = _load_json_config(args.config)
         manifest.add_config(args.config)
         config = _pipeline_config(doc, args.ephemeral, manifest)
         ds = _cohort(args)
-        manifest.add_input(args.cohort)
+        cohort_sha256 = manifest.add_input(args.cohort)
     except _ConfigError as e:
         return _fail(EXIT_CONFIG, str(e))
     try:
-        result = run_pipeline(ds, config)
+        result = run_pipeline(ds, config, input_sha256=cohort_sha256)
     except PipelineStageError as e:
         return _fail(EXIT_STAGE, str(e))
     manifest.doc["trees"] = {
@@ -504,8 +486,7 @@ def _rank_spread_csv(factor_ranks: dict, final_labels: np.ndarray) -> str:
 
 def cmd_evaluate(args) -> int:
     try:
-        threads = _resolve_threads(args)
-        manifest = _Manifest("evaluate", threads)
+        manifest = _Manifest("evaluate")
         result_dir = Path(args.result)
         if not result_dir.is_dir():
             raise _ConfigError(f"result dir not found: {args.result}")
@@ -611,7 +592,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_all(args) -> int:
     try:
-        threads = _resolve_threads(args)
         doc = _load_json_config(args.config)
     except _ConfigError as e:
         return _fail(EXIT_CONFIG, str(e))
@@ -620,12 +600,11 @@ def cmd_all(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         return _fail(EXIT_IO, f"cannot create output dir: {e}")
-    manifest = _Manifest("all", threads)
+    manifest = _Manifest("all")
     manifest.add_config(args.config)
 
     ns = argparse.Namespace(
-        config=args.config, out=str(out / "cohort.csv"),
-        threads=threads, ephemeral=args.ephemeral,
+        config=args.config, out=str(out / "cohort.csv"), ephemeral=args.ephemeral,
     )
     code = cmd_generate(ns)
     if code != EXIT_OK:
@@ -640,7 +619,7 @@ def cmd_all(args) -> int:
     ruleset = doc.get("ruleset")
     ns = argparse.Namespace(
         cohort=cohort, dataset=ds, ruleset=ruleset, out=str(out / "hrg"),
-        threads=threads, ephemeral=args.ephemeral,
+        ephemeral=args.ephemeral,
     )
     code = cmd_hrg(ns)
     if code != EXIT_OK:
@@ -648,7 +627,7 @@ def cmd_all(args) -> int:
 
     ns = argparse.Namespace(
         cohort=cohort, dataset=ds, config=args.config, out=str(out / "result"),
-        threads=threads, ephemeral=args.ephemeral,
+        ephemeral=args.ephemeral,
     )
     code = cmd_train(ns)
     if code != EXIT_OK:
@@ -656,7 +635,7 @@ def cmd_all(args) -> int:
 
     ns = argparse.Namespace(
         result=str(out / "result"), hrg=str(out / "hrg" / "labels.csv"),
-        out=str(out / "eval"), svg=args.svg, threads=threads, ephemeral=args.ephemeral,
+        out=str(out / "eval"), svg=args.svg, ephemeral=args.ephemeral,
     )
     code = cmd_evaluate(ns)
     if code != EXIT_OK:
@@ -676,9 +655,6 @@ def cmd_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", default=None,
-                        help="worker hint; affects speed only, never results "
-                             "(CASEMIX_THREADS as fallback)")
     parser.add_argument("--ephemeral", action="store_true",
                         help="allow running without explicit seeds; generated "
                              "seeds are recorded in the manifest")

@@ -1,10 +1,23 @@
-"""Deterministic k-means and severity ranking of clusters.
+"""Exact 1-D k-means and severity ranking of clusters.
 
-Lloyd's algorithm with k-means++ seeding, best of ``restarts`` runs by
-inertia, ties broken toward the lower restart index. Empty clusters are
-repaired by reseeding the empty center at the point farthest from its
-assigned center, so exactly k clusters always come back. All math is
-sequential numpy, so identical inputs and seed give bit-identical results.
+Every clustering here is one-dimensional, where an optimal k-means partition
+is a set of contiguous runs of the sorted values. ``kmeans`` finds one by
+dynamic programming over the sorted distinct values and their counts
+(Wang & Song 2011, *Ckmeans.1d.dp*, R Journal 3(2); Groenlund et al. 2017,
+arXiv:1701.07204). Row r of the table holds, for each prefix of the distinct
+values, the least within-cluster sum of squares over r + 1 clusters. The
+leftmost best start of the last cluster does not decrease as the prefix
+grows, so each row is solved by divide-and-conquer, one recursion level per
+numpy pass. Ties go to the leftmost start and cluster ids follow value
+order, so the result depends on the input alone.
+
+Segment costs come from prefix sums of the values centred on their mean and
+scaled by an exact power of two, so no square overflows. A cost difference
+below the resolution of those sums (a squared gap that underflows, or
+structure far finer than the spread of the whole input) cannot steer the
+table, so each pair of neighbouring clusters is then solved again on its own
+values, which resolves their boundary at their own scale. ``inertia`` is
+computed again from the final partition on the original values.
 """
 
 from __future__ import annotations
@@ -16,186 +29,119 @@ import numpy as np
 from .errors import InvalidArgument
 from .preprocess import log1p_factor
 
-DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITER = 300
-
 
 @dataclass(frozen=True)
 class KMeansResult:
-    assignments: np.ndarray  # (n,) int cluster ids in [0, k)
-    centers: np.ndarray      # (k, d)
+    assignments: np.ndarray  # (n,) int cluster ids in [0, k), in value order
+    centers: np.ndarray      # (k, 1), ascending
     inertia: float
-    iterations: int
-    seed: int
-    inertia_history: tuple[float, ...] = ()
 
     @property
     def k(self) -> int:
         return self.centers.shape[0]
 
-    def to_dict(self) -> dict:
-        """JSON-ready form for pipeline checkpointing."""
-        return {
-            "assignments": [int(a) for a in self.assignments],
-            "centers": self.centers.tolist(),
-            "inertia": self.inertia,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "inertia_history": list(self.inertia_history),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "KMeansResult":
-        return cls(
-            assignments=np.asarray(d["assignments"], dtype=np.int64),
-            centers=np.asarray(d["centers"], dtype=np.float64),
-            inertia=float(d["inertia"]),
-            iterations=int(d["iterations"]),
-            seed=int(d["seed"]),
-            inertia_history=tuple(d["inertia_history"]),
-        )
+def _as_values(points) -> np.ndarray:
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim == 2 and x.shape[1] == 1:
+        x = x[:, 0]
+    if x.ndim != 1:
+        raise InvalidArgument(f"kmeans takes 1-D values, got points of shape {x.shape}")
+    if x.size == 0:
+        raise InvalidArgument("points must be non-empty")
+    if not np.isfinite(x).all():
+        raise InvalidArgument("points must be finite")
+    return x
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InvalidArgument("points must be a non-empty list of equal-length vectors")
-    return pts
+def _optimal_starts(y: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """First index of each cluster in an optimal partition of the sorted
+    distinct values ``y`` with weights ``w`` into k contiguous runs."""
+    m = len(y)
+    p1 = np.concatenate(([0.0], np.cumsum(w * y)))
+    p2 = np.concatenate(([0.0], np.cumsum(w * y * y)))
+    pw = np.concatenate(([0.0], np.cumsum(w)))
+
+    def cost(i, j):  # sum of squares of the run i..j (inclusive)
+        s1 = p1[j + 1] - p1[i]
+        return np.maximum(p2[j + 1] - p2[i] - s1 * s1 / (pw[j + 1] - pw[i]), 0.0)
+
+    best = cost(np.zeros(m, dtype=np.int64), np.arange(m))
+    arg = np.zeros((k, m), dtype=np.int64)
+    for r in range(1, k):
+        # Row r is needed for prefixes ending at r..m-k+r, the last row only
+        # for the whole input. A subproblem solves the prefixes ending at
+        # jlo..jhi, whose last cluster starts within ilo..ihi.
+        row = np.full(m, np.inf)
+        jhi = np.array([m - k + r])
+        jlo = jhi if r == k - 1 else np.array([r])
+        ilo, ihi = np.array([r]), jhi
+        while jlo.size:
+            mid = (jlo + jhi) // 2
+            sizes = np.minimum(ihi, mid) - ilo + 1
+            offsets = np.cumsum(sizes) - sizes
+            i = np.arange(sizes.sum()) - np.repeat(offsets - ilo, sizes)
+            total = best[i - 1] + cost(i, np.repeat(mid, sizes))
+            low = np.minimum.reduceat(total, offsets)
+            at_low = np.where(total == np.repeat(low, sizes), np.arange(total.size), total.size)
+            opt = i[np.minimum.reduceat(at_low, offsets)]
+            row[mid], arg[r, mid] = low, opt
+            left, right = jlo < mid, mid < jhi
+            jlo, jhi, ilo, ihi = (
+                np.concatenate((jlo[left], mid[right] + 1)),
+                np.concatenate((mid[left] - 1, jhi[right])),
+                np.concatenate((ilo[left], opt[right])),
+                np.concatenate((opt[left], ihi[right])),
+            )
+        best = row
+    starts = np.zeros(k, dtype=np.int64)
+    end = m - 1
+    for r in range(k - 1, 0, -1):
+        starts[r] = arg[r, end]
+        end = starts[r] - 1
+    return starts
 
 
-def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+def _refine_pairs(v: np.ndarray, w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Solve each pair of neighbouring clusters again on its own values,
+    centred and scaled afresh, until a sweep leaves a partition already
+    seen. This settles boundaries that differences finer than the whole
+    input's resolution decide, and never empties a cluster."""
+    bounds = np.append(starts, len(v))
+    seen = set()
+    while bounds.tobytes() not in seen:
+        seen.add(bounds.tobytes())
+        for j in range(len(starts) - 1):
+            lo, hi = bounds[j], bounds[j + 2]
+            bounds[j + 1] = lo + _optimal_starts(_scaled(v[lo:hi], w[lo:hi]), w[lo:hi], 2)[1]
+    return bounds[:-1]
 
 
-def _kpp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = pts.shape[0]
-    centers = np.empty((k, pts.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = pts[first]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            # Every squared gap underflowed: draw among the points that
-            # differ from all chosen centers (there are some, as k <= the
-            # number of distinct points).
-            on_center = (pts[:, None, :] == centers[None, :j, :]).all(axis=2).any(axis=1)
-            free = np.flatnonzero(~on_center)
-            if free.size == 0:
-                raise InvalidArgument("k exceeds the number of distinct points")
-            idx = int(free[rng.integers(free.size)])
-        centers[j] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[j]) ** 2).sum(axis=1))
-    return centers
+def _scaled(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``v`` centred on its weighted mean, then scaled by a power of two
+    (exact) so that the largest magnitude lies in [0.5, 1)."""
+    y = v - np.dot(w, v) / w.sum()
+    top = np.abs(y).max()
+    return np.ldexp(y, -int(np.frexp(top)[1])) if top > 0 else y
 
 
-def _nearest(pts: np.ndarray, centers: np.ndarray):
-    """Nearest center per point, ties -> lowest id, and the squared
-    distance to it. A tie at a subnormal or zero distance may only be the
-    squares underflowing, so those rows are compared again on their
-    differences scaled by a power of two, which is exact."""
-    d2 = _sq_dists(pts, centers)
-    rows = np.arange(len(pts))
-    assign = np.argmin(d2, axis=1)
-    best = d2[rows, assign]
-    tied = ((d2 == best[:, None]).sum(axis=1) > 1) & (best < np.finfo(np.float64).tiny)
-    for i in np.flatnonzero(tied):
-        cand = np.flatnonzero(d2[i] == best[i])
-        while cand.size > 1:
-            diff = pts[i] - centers[cand]
-            top = np.abs(diff).max()
-            if top == 0:
-                break
-            diff = np.ldexp(diff, -np.frexp(top)[1])
-            s2 = np.einsum("kd,kd->k", diff, diff)
-            keep = cand[s2 == s2.min()]
-            if keep.size == cand.size:
-                break
-            cand = keep
-        assign[i] = cand[0]
-    return assign, d2[rows, assign]
-
-
-def _assign_with_repair(pts: np.ndarray, centers: np.ndarray):
-    """Nearest-center assignment (ties -> lowest id) with empty-cluster
-    repair: an empty center is moved to the point farthest from its current
-    center, then everything is reassigned."""
-    k = centers.shape[0]
-    while True:
-        assign, dist = _nearest(pts, centers)
-        present = np.bincount(assign, minlength=k)
-        empties = np.flatnonzero(present == 0)
-        if empties.size == 0:
-            return assign, centers
-        worst = int(np.argmax(dist))
-        if dist[worst] == 0:
-            # All squared gaps underflowed; take the first point that is
-            # not on its center (there is one, as k <= distinct points).
-            worst = int(np.flatnonzero((pts != centers[assign]).any(axis=1))[0])
-        centers = centers.copy()
-        centers[int(empties[0])] = pts[worst]
-
-
-def _lloyd(pts: np.ndarray, k: int, max_iter: int, rng: np.random.Generator):
-    centers = _kpp_init(pts, k, rng)
-    assign, centers = _assign_with_repair(pts, centers)
-    history = [_inertia(pts, centers, assign)]
-    iterations = 0
-    while iterations < max_iter:
-        new_centers = np.empty_like(centers)
-        for j in range(k):
-            new_centers[j] = pts[assign == j].mean(axis=0)
-        new_assign, new_centers = _assign_with_repair(pts, new_centers)
-        iterations += 1
-        history.append(_inertia(pts, new_centers, new_assign))
-        stable = np.array_equal(new_assign, assign)
-        assign, centers = new_assign, new_centers
-        if stable:
-            break
-    return assign, centers, history, iterations
-
-
-def _inertia(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
-    diff = pts - centers[assign]
-    return float(np.einsum("nd,nd->", diff, diff))
-
-
-def kmeans(
-    points,
-    k: int,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> KMeansResult:
-    """Best-of-restarts Lloyd's k-means, deterministic given ``seed``."""
-    pts = _as_points(points)
+def kmeans(points, k: int) -> KMeansResult:
+    """Optimal k-means of 1-D values: k non-empty clusters with the least
+    within-cluster sum of squares. Accepts shape (n,) or (n, 1); cluster
+    ids follow value order."""
+    x = _as_values(points)
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
-    n_distinct = len(np.unique(pts, axis=0))
-    if k > n_distinct:
-        raise InvalidArgument(f"k={k} exceeds {n_distinct} distinct points")
-    if restarts < 1:
-        raise InvalidArgument("restarts must be >= 1")
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        assign, centers, history, iterations = _lloyd(pts, k, max_iter, rng)
-        inertia = history[-1]
-        if best is None or inertia < best.inertia:
-            best = KMeansResult(
-                assignments=assign,
-                centers=centers,
-                inertia=inertia,
-                iterations=iterations,
-                seed=seed,
-                inertia_history=tuple(history),
-            )
-    return best
+    v, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    if k > len(v):
+        raise InvalidArgument(f"k={k} exceeds {len(v)} distinct points")
+    w = counts.astype(np.float64)
+    starts = _refine_pairs(v, w, _optimal_starts(_scaled(v, w), w, k))
+    centers = np.add.reduceat(w * v, starts) / np.add.reduceat(w, starts)
+    labels = np.repeat(np.arange(k), np.diff(np.append(starts, len(v))))
+    assignments = labels[inverse.reshape(-1)]
+    diff = x - centers[assignments]
+    return KMeansResult(assignments, centers.reshape(-1, 1), float(np.dot(diff, diff)))
 
 
 def rank_clusters(result: KMeansResult, severity_values) -> dict[int, int]:
@@ -212,10 +158,8 @@ def rank_clusters(result: KMeansResult, severity_values) -> dict[int, int]:
     return {int(cluster): rank + 1 for rank, cluster in enumerate(order)}
 
 
-def cluster_factor(values, k: int, seed: int, restarts: int = DEFAULT_RESTARTS) -> np.ndarray:
-    """Engineer ranked classes for one factor: log1p transform, 1-D k-means,
-    then rank clusters by mean transformed value. Returns per-record ranks."""
-    logs = log1p_factor(values)
-    result = kmeans(logs.reshape(-1, 1), k, restarts=restarts, seed=seed)
-    ranks = rank_clusters(result, logs)
-    return np.array([ranks[int(c)] for c in result.assignments], dtype=np.int64)
+def cluster_factor(values, k: int) -> np.ndarray:
+    """Engineer ranked classes for one factor: log1p transform, then 1-D
+    k-means. Cluster ids follow value order, so rank = id + 1 (rank 1 =
+    lowest). Returns per-record ranks."""
+    return kmeans(log1p_factor(values), k).assignments + 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cluster import DEFAULT_RESTARTS, cluster_factor, kmeans, rank_clusters
+from .cluster import cluster_factor, kmeans, rank_clusters
 from .dataio import dataset_sha256
 from .domain import (
     CATEGORICAL,
@@ -36,20 +36,22 @@ FORCED_FINAL_FEATURES = ("los_days", "tbsa_pct")
 LEAKAGE_EXCLUDED = ("total_cost",)
 
 
+def _check_seed(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidArgument(f"seed {name!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineSeeds:
-    clustering: int
     split: int
     oversample: int
 
     def __post_init__(self):
-        for name in ("clustering", "split", "oversample"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidArgument(f"seed {name!r} must be an integer, got {value!r}")
+        for name in ("split", "oversample"):
+            _check_seed(name, getattr(self, name))
 
     def to_dict(self) -> dict:
-        return {"clustering": self.clustering, "split": self.split, "oversample": self.oversample}
+        return {"split": self.split, "oversample": self.oversample}
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,12 @@ class PipelineConfig:
     split_fraction: float = 0.7
     importance_top_m: int = 10
     oversample: bool = True
-    seeds: PipelineSeeds = PipelineSeeds(0, 1, 2)
+    seeds: PipelineSeeds = PipelineSeeds(1, 2)
     # 13 ordinal classes need deeper trees than the conventional cp=0.01
     # default; the final model gets the lowest cp since its groups are the
     # product under evaluation.
     factor_tree_params: TreeParams = TreeParams(cp=0.001)
     final_tree_params: TreeParams = TreeParams(cp=0.0003)
-    kmeans_restarts: int = DEFAULT_RESTARTS
     missing_threshold: float = DEFAULT_MISSING_THRESHOLD
     admin_fields: tuple[str, ...] = DEFAULT_ADMIN_FIELDS
 
@@ -87,7 +88,6 @@ class PipelineConfig:
             "seeds": self.seeds.to_dict(),
             "factor_tree_params": self.factor_tree_params.to_dict(),
             "final_tree_params": self.final_tree_params.to_dict(),
-            "kmeans_restarts": self.kmeans_restarts,
             "missing_threshold": self.missing_threshold,
             "admin_fields": list(self.admin_fields),
         }
@@ -95,9 +95,16 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         try:
+            # Older configs carry `kmeans_restarts` and a `clustering` seed.
+            # k-means is exact now, with no restarts and no random draws, so
+            # both are ignored; the seed must still be an integer.
             kwargs = dict(d)
+            kwargs.pop("kmeans_restarts", None)
             if "seeds" in kwargs:
-                kwargs["seeds"] = PipelineSeeds(**kwargs["seeds"])
+                seeds = dict(kwargs["seeds"])
+                if "clustering" in seeds:
+                    _check_seed("clustering", seeds.pop("clustering"))
+                kwargs["seeds"] = PipelineSeeds(**seeds)
             for key in ("factor_tree_params", "final_tree_params"):
                 if key in kwargs:
                     kwargs[key] = TreeParams.from_dict(kwargs[key])
@@ -152,14 +159,7 @@ def _derive_seed(base: int, index: int) -> int:
 
 def engineer_factor_targets(ds: Dataset, config: PipelineConfig) -> dict[str, np.ndarray]:
     """Ranked class per record for each of LOS, cost and TBSA independently."""
-    out = {}
-    for i, factor in enumerate(FACTOR_FIELDS):
-        values = ds.factor_values(factor)
-        out[factor] = cluster_factor(
-            values, config.k, seed=_derive_seed(config.seeds.clustering, i),
-            restarts=config.kmeans_restarts,
-        )
-    return out
+    return {factor: cluster_factor(ds.factor_values(factor), config.k) for factor in FACTOR_FIELDS}
 
 
 def train_factor_trees(
@@ -188,12 +188,7 @@ def engineer_final_targets(
     into k ranked classes. Returns (final labels, mean ranks)."""
     stacked = np.stack([factor_labels[f] for f in FACTOR_FIELDS], axis=0).astype(np.float64)
     mean_ranks = stacked.mean(axis=0)
-    result = kmeans(
-        mean_ranks.reshape(-1, 1),
-        config.k,
-        restarts=config.kmeans_restarts,
-        seed=_derive_seed(config.seeds.clustering, len(FACTOR_FIELDS)),
-    )
+    result = kmeans(mean_ranks, config.k)
     ranks = rank_clusters(result, mean_ranks)
     final = np.array([ranks[int(c)] for c in result.assignments], dtype=np.int64)
     return final, mean_ranks
@@ -254,9 +249,13 @@ def _select_final_features(
     return tuple(name for name in names if name in chosen)
 
 
-def run_pipeline(ds: Dataset, config: PipelineConfig) -> PipelineResult:
+def run_pipeline(
+    ds: Dataset, config: PipelineConfig, input_sha256: str | None = None
+) -> PipelineResult:
     """Full run on a raw dataset; any stage failure raises PipelineStageError
-    tagged with the stage name."""
+    tagged with the stage name. ``input_sha256`` is the hash provenance
+    records for the input, by default that of ``ds``'s canonical CSV form;
+    a caller that read ``ds`` from a file it already hashed passes that."""
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -264,7 +263,7 @@ def run_pipeline(ds: Dataset, config: PipelineConfig) -> PipelineResult:
         except CasemixError as e:
             raise PipelineStageError(name, str(e)) from e
 
-    input_hash = dataset_sha256(ds)
+    input_hash = input_sha256 if input_sha256 is not None else dataset_sha256(ds)
     pds, report = stage(
         "preprocess", preprocess, ds, config.missing_threshold, config.admin_fields
     )

@@ -52,6 +52,11 @@ _BLOCK = 8
 _BLOCK_CELLS = 32768
 _CHUNK = 1024
 
+#: Deepest tree allowed, in split levels, as rpart's ``maxdepth``. Tree walks
+#: and the JSON (de)serializers recurse, so the bound keeps them far below
+#: the interpreter's recursion limit.
+MAX_DEPTH = 30
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -67,8 +72,10 @@ class TreeParams:
             raise InvalidArgument(
                 f"min_split ({self.min_split}) must be >= 2 * min_leaf ({self.min_leaf})"
             )
-        if self.max_depth < 1:
-            raise InvalidArgument(f"max_depth must be >= 1, got {self.max_depth}")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise InvalidArgument(
+                f"max_depth must be in [1, {MAX_DEPTH}], got {self.max_depth}"
+            )
         if self.cp < 0:
             raise InvalidArgument(f"cp must be >= 0, got {self.cp}")
 
@@ -859,7 +866,9 @@ def serialize_tree(tree: DecisionTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _node_from_dict(d: dict, k: int, path: str) -> Node:
+def _node_from_dict(d: dict, k: int, path: str, depth: int = 0) -> Node:
+    if depth > MAX_DEPTH:
+        raise TreeFormatError(f"{path}: node deeper than {MAX_DEPTH} split levels")
     try:
         node_type = d["type"]
         counts = np.asarray(d["counts"], dtype=np.float64)
@@ -879,8 +888,8 @@ def _node_from_dict(d: dict, k: int, path: str) -> Node:
                 kind=kind,
                 threshold=float(d["threshold"]) if kind == NUMERIC else None,
                 categories=tuple(d["categories"]) if kind != NUMERIC else None,
-                left=_node_from_dict(d["left"], k, path + ".left"),
-                right=_node_from_dict(d["right"], k, path + ".right"),
+                left=_node_from_dict(d["left"], k, path + ".left", depth + 1),
+                right=_node_from_dict(d["right"], k, path + ".right", depth + 1),
                 n=int(d["n"]),
                 class_counts=counts,
                 impurity=float(d["impurity"]),
@@ -898,6 +907,8 @@ def deserialize_tree(text: str) -> DecisionTree:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise TreeFormatError(f"tree JSON parse error at line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise TreeFormatError(f"tree JSON nests too deeply (trees have at most {MAX_DEPTH} levels)")
     if not isinstance(doc, dict):
         raise TreeFormatError("tree document must be a JSON object")
     version = doc.get("version")
@@ -926,6 +937,6 @@ def deserialize_tree(text: str) -> DecisionTree:
         )
     except KeyError as e:
         raise TreeFormatError(f"tree document missing field {e}")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, InvalidArgument) as e:
         raise TreeFormatError(f"tree document malformed: {e}")
     return tree

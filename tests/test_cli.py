@@ -286,6 +286,40 @@ class TestTrain:
         code = main(["train", "--cohort", str(cohort), "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    def test_ephemeral_draws_only_used_seeds(self, generated, tmp_path):
+        root, _, cohort = generated
+        cfg = write_config(tmp_path, {"pipeline": {"k": 6}}, name="noseeds.json")
+        out = tmp_path / "o"
+        code = main(["train", "--cohort", str(cohort), "--config", str(cfg), "--out", str(out),
+                     "--ephemeral"])
+        assert code == EXIT_OK
+        seeds = json.loads((out / "manifest.json").read_text())["seeds"]["pipeline"]
+        assert sorted(seeds) == ["oversample", "split"]
+
+    @pytest.mark.parametrize("command", ["train", "all"])
+    def test_max_depth_over_cap_exit_2(self, generated, tmp_path, command):
+        root, _, cohort = generated
+        params = {"min_split": 20, "min_leaf": 7, "max_depth": 31, "cp": 0.01}
+        doc = dict(COHORT_CONFIG, pipeline=dict(COHORT_CONFIG["pipeline"], factor_tree_params=params))
+        cfg = write_config(tmp_path, doc, name="deep.json")
+        args = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "train":
+            args += ["--cohort", str(cohort)]
+        assert main([command] + args) == EXIT_CONFIG
+
+    def test_cohort_file_hash_reaches_provenance(self, generated, tmp_path, monkeypatch):
+        import casemix.pipeline as pipeline
+
+        def refuse(ds):
+            raise AssertionError("train rendered the cohort again to hash it")
+
+        monkeypatch.setattr(pipeline, "dataset_sha256", refuse)
+        root, cfg, cohort = generated
+        out = tmp_path / "o"
+        assert main(["train", "--cohort", str(cohort), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        provenance = json.loads((out / "provenance.json").read_text())
+        assert provenance["input_sha256"] == hashlib.sha256(cohort.read_bytes()).hexdigest()
+
 
 class TestEvaluate:
     def test_full_flow_with_svg(self, trained):
@@ -336,6 +370,31 @@ class TestEvaluate:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("edit", ["max_depth", "deep_node"])
+    def test_model_deeper_than_cap_exit_2(self, trained, tmp_path, edit):
+        import shutil
+
+        root, _, cohort, result = trained
+        hrg_dir = tmp_path / "hrg"
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(hrg_dir)]) == EXIT_OK
+        broken = tmp_path / "deep_result"
+        shutil.copytree(result, broken)
+        model = json.loads((broken / "model.json").read_text())
+        if edit == "max_depth":
+            model["params"]["max_depth"] = 31
+        else:
+            leaf = model["root"]
+            while leaf["type"] == "internal":
+                leaf = leaf["left"]
+            node = leaf
+            for _ in range(31):
+                node = dict(model["root"], left=node, right=leaf)
+            model["root"] = node
+        (broken / "model.json").write_text(json.dumps(model))
+        code = main(["evaluate", "--result", str(broken), "--hrg", str(hrg_dir / "labels.csv"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+
     def test_non_integer_hrg_rank_exit_2(self, trained, tmp_path):
         root, _, _, result = trained
         import csv as csvmod
@@ -359,8 +418,8 @@ class TestAll:
         }
         cfg = write_config(tmp_path, doc)
         out_a, out_b = tmp_path / "run_a", tmp_path / "run_b"
-        assert main(["all", "--config", str(cfg), "--out", str(out_a), "--threads", "1"]) == EXIT_OK
-        assert main(["all", "--config", str(cfg), "--out", str(out_b), "--threads", "4"]) == EXIT_OK
+        assert main(["all", "--config", str(cfg), "--out", str(out_a)]) == EXIT_OK
+        assert main(["all", "--config", str(cfg), "--out", str(out_b)]) == EXIT_OK
         hashes_a = file_hashes(out_a)
         hashes_b = file_hashes(out_b)
         assert hashes_a == hashes_b
@@ -392,10 +451,6 @@ class TestAll:
         for stage in ("hrg", "result"):  # each stage still hashes the cohort file
             manifest = json.loads((out / stage / "manifest.json").read_text())
             assert str(out / "cohort.csv") in manifest["inputs"]
-
-    def test_bad_threads_exit_2(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "zero"]) == EXIT_CONFIG
 
     def test_custom_ruleset_via_config(self, tmp_path):
         rules = {
@@ -454,16 +509,6 @@ class TestErrorPlumbing:
         blocker.write_text("a file, not a directory", encoding="utf-8")
         out = blocker / "sub" / "cohort.csv"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "c.csv"
-        monkeypatch.setenv("CASEMIX_THREADS", "3")
-        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
-        assert manifest["threads"] == 3
-        monkeypatch.setenv("CASEMIX_THREADS", "many")
-        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
 
     def test_unclassifiable_rows_labeled_U(self, tmp_path):
         doc = {"cohort": {"n": 150, "seed": 8, "unclassifiable_rate": 0.2}}

@@ -25,7 +25,7 @@ from tests.test_domain import make_record
 @pytest.fixture(scope="module")
 def small_run():
     ds = generate_cohort(CohortConfig(n=700, seed=77))
-    config = PipelineConfig(seeds=PipelineSeeds(5, 6, 7))
+    config = PipelineConfig(seeds=PipelineSeeds(6, 7))
     return ds, config, run_pipeline(ds, config)
 
 
@@ -37,8 +37,16 @@ class TestConfig:
             PipelineConfig(split_fraction=0.0)
 
     def test_dict_round_trip(self):
-        cfg = PipelineConfig(k=7, seeds=PipelineSeeds(1, 2, 3))
+        cfg = PipelineConfig(k=7, seeds=PipelineSeeds(2, 3))
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_legacy_keys_accepted_and_ignored(self):
+        legacy = {"k": 7, "kmeans_restarts": 10,
+                  "seeds": {"clustering": 0, "split": 2, "oversample": 3}}
+        cfg = PipelineConfig.from_dict(legacy)
+        assert cfg == PipelineConfig(k=7, seeds=PipelineSeeds(2, 3))
+        assert "kmeans_restarts" not in cfg.to_dict()
+        assert cfg.to_dict()["seeds"] == {"split": 2, "oversample": 3}
 
     def test_bad_key_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -72,7 +80,7 @@ class TestFactorTargets:
                 )
             )
         ds = Dataset.from_records(records)
-        config = PipelineConfig(k=3, seeds=PipelineSeeds(1, 2, 3))
+        config = PipelineConfig(k=3, seeds=PipelineSeeds(2, 3))
         targets = engineer_factor_targets(ds, config)
         for factor in FACTOR_FIELDS:
             for i in range(60):
@@ -82,7 +90,7 @@ class TestFactorTargets:
         records = tuple(make_record(id=str(i), total_cost=500.0) for i in range(40))
         ds = Dataset.from_records(records)
         with pytest.raises(InvalidArgument):
-            engineer_factor_targets(ds, PipelineConfig(k=13, seeds=PipelineSeeds(1, 2, 3)))
+            engineer_factor_targets(ds, PipelineConfig(k=13, seeds=PipelineSeeds(2, 3)))
 
     def test_monotone_in_raw_values(self, small_run):
         ds, config, result = small_run
@@ -119,7 +127,7 @@ class TestFinalTargets:
             "total_cost": np.array([2, 1]),
             "tbsa_pct": np.array([3, 1]),
         }
-        config = PipelineConfig(k=2, seeds=PipelineSeeds(1, 2, 3))
+        config = PipelineConfig(k=2, seeds=PipelineSeeds(2, 3))
         final, mean_ranks = engineer_final_targets(labels, config)
         assert mean_ranks.tolist() == [2.0, 1.0]
         assert final.tolist() == [2, 1]
@@ -127,7 +135,7 @@ class TestFinalTargets:
     def test_distinct_means_recovered_exactly(self):
         base = np.arange(1, 14)
         labels = {f: np.repeat(base, 5) for f in FACTOR_FIELDS}
-        config = PipelineConfig(k=13, seeds=PipelineSeeds(1, 2, 3))
+        config = PipelineConfig(k=13, seeds=PipelineSeeds(2, 3))
         final, mean_ranks = engineer_final_targets(labels, config)
         assert np.array_equal(final, np.repeat(base, 5))
 
@@ -245,12 +253,12 @@ class TestRunPipeline:
         )
         ds = Dataset.from_records(records)
         with pytest.raises(PipelineStageError) as exc:
-            run_pipeline(ds, PipelineConfig(k=13, seeds=PipelineSeeds(1, 2, 3)))
+            run_pipeline(ds, PipelineConfig(k=13, seeds=PipelineSeeds(2, 3)))
         assert exc.value.stage == "clustering"
 
     def test_oversample_disabled(self):
         ds = generate_cohort(CohortConfig(n=400, seed=15))
-        config = PipelineConfig(seeds=PipelineSeeds(5, 6, 7), oversample=False)
+        config = PipelineConfig(seeds=PipelineSeeds(6, 7), oversample=False)
         result = run_pipeline(ds, config)
         assert np.array_equal(result.train_multiset, result.train_idx)
         assert np.array_equal(result.test_multiset, result.test_idx)

@@ -17,6 +17,7 @@ from casemix.tree import (
     FeatureTable,
     Internal,
     Leaf,
+    MAX_DEPTH,
     TreeParams,
     best_split,
     build_tree,
@@ -30,7 +31,7 @@ from casemix.tree import (
     variable_importance,
 )
 
-UNRESTRICTED = TreeParams(min_split=2, min_leaf=1, max_depth=64, cp=0.0)
+UNRESTRICTED = TreeParams(min_split=2, min_leaf=1, max_depth=30, cp=0.0)
 
 
 def search(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams):
@@ -547,6 +548,36 @@ class TestSerialization:
         with pytest.raises(TreeFormatError, match="root"):
             deserialize_tree(json.dumps(doc))
 
+    def chain_document(self, depth: int) -> str:
+        """A model whose leftmost leaf sits ``depth`` split levels deep."""
+        tree, _ = self.build()
+        doc = json.loads(serialize_tree(tree))
+        leaf = doc["root"]
+        while leaf["type"] == "internal":
+            leaf = leaf["left"]
+        node = leaf
+        for _ in range(depth):
+            node = dict(doc["root"], left=node, right=leaf)
+        doc["root"] = node
+        return json.dumps(doc)
+
+    def test_depth_cap(self):
+        assert deserialize_tree(self.chain_document(MAX_DEPTH)).root.n > 0
+        with pytest.raises(TreeFormatError, match="deeper than 30"):
+            deserialize_tree(self.chain_document(MAX_DEPTH + 1))
+
+    def test_max_depth_param_over_cap_rejected(self):
+        tree, _ = self.build()
+        doc = json.loads(serialize_tree(tree))
+        doc["params"]["max_depth"] = MAX_DEPTH + 1
+        with pytest.raises(TreeFormatError, match="max_depth"):
+            deserialize_tree(json.dumps(doc))
+
+    def test_nesting_past_the_recursion_limit_rejected(self):
+        text = '{"version": "1", "root": ' + '{"left": ' * 5000 + "{}" + "}" * 5001
+        with pytest.raises(TreeFormatError, match="nests too deeply"):
+            deserialize_tree(text)
+
 
 class TestParams:
     def test_min_split_vs_min_leaf(self):
@@ -556,6 +587,11 @@ class TestParams:
     def test_negative_cp(self):
         with pytest.raises(InvalidArgument):
             TreeParams(cp=-0.1)
+
+    def test_max_depth_capped(self):
+        assert TreeParams(max_depth=MAX_DEPTH).max_depth == 30
+        with pytest.raises(InvalidArgument):
+            TreeParams(max_depth=MAX_DEPTH + 1)
 
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=2, max_value=40))
     def test_valid_combinations(self, min_leaf, extra):
