@@ -23,76 +23,76 @@ MISSINGNESS_CONFIG = {
 }
 
 #: sha256 of every non-manifest artifact of `casemix all --svg`, recorded
-#: while cohorts were still held as record objects. Changes to how data is
-#: held or moved must leave every byte of every artifact as it was.
+#: with the exact 1-D k-means labels. Changes to how data is held or moved
+#: must leave every byte of every artifact as it was.
 PINNED_ARTIFACTS = {
     "cli": {
         "cohort.csv": "1fdbaa407561f4102c27e2912ae31563b3ee90ee42582dc4b2b00f231040e1f2",
-        "eval/boxplot_los_days_test.svg": "4064450d134f6edfa1fab94265f53facd261ff21e0c0cd8e6ae735f8b0895dc1",
-        "eval/boxplot_tbsa_pct_test.svg": "3c2b9f074fda744b3a354628d40affeba6739caec5864fa1a93674c11edc16b5",
-        "eval/boxplot_total_cost_test.svg": "874feca68c7f104c25f0f9e88f02534f98a25a86cbd82043a10da8f1e294a4c2",
-        "eval/boxplots_test.csv": "233dfbb32ba7de1716edf25a6aa8873281db0e2dc1ac73da4cbca631c1273523",
-        "eval/boxplots_train.csv": "de37feb370ee77c76b3df361bce2b50829ee2207fa6f29fe2cc62bee9def5bae",
-        "eval/comparison.json": "6d7778cb0f8552409baa77bdc1aa93f00b1aaaff3e99acd87bfcef1379799768",
-        "eval/confusion_test.json": "1afea0d8c679c4f9d6f4c8ffd46cd4f12ceb1ef953217a5f07e142144a87ef17",
-        "eval/confusion_test_oversampled.json": "9528f6d90d494c2d847bbfb0285a4a0abc68141df4c626a5236d1bc4a08046fd",
-        "eval/rank_spread.csv": "9328326182d1fa2cb2dd52ce4d3560e5450b7c50d4de3a9d8c4c3a9366540039",
-        "eval/rank_spread.svg": "b17506491c99ccaec803f22173ca49010e882070b966441aefc4a4dc3feff751",
-        "eval/rules.csv": "d9eaa24a9ffe8b0a73022995cd8785f19a1c42fe166dd56b550ddfd8e64d25cd",
-        "eval/rules.txt": "2591825c74f0ec936cde97bd05321b63266b15529cefbd1c04eae0f47569740f",
-        "eval/variance_los_days_test.svg": "aef4c968c3af29c4d9eeb69208ac94473b0f9043f14de100f5267709d2de03fa",
-        "eval/variance_los_days_train.svg": "979aba604d01cef4d64fdfbf3350fbe457456b4a8b6998524e689fabcafb797e",
-        "eval/variance_tbsa_pct_test.svg": "e7226a39ba28561da02bf80569345ec45ff29db3152b246e68a53030039638dd",
-        "eval/variance_tbsa_pct_train.svg": "967b2bc951dd1c4909c6018f04588af23c8c39e7b5b6291d48e152eee8fd7434",
-        "eval/variance_total_cost_test.svg": "5064672b634f1890a7f3f65f956d570bb13b9d47458870fa577663512db27c0f",
-        "eval/variance_total_cost_train.svg": "5a67ddd497976da585185c67dd7b708f3880c37f72986a2452b0afcb8e9c2b97",
-        "eval/variances_test.csv": "81923f4441d3e0844d6b03ac20767b099a768e193290daecf9fa62d637ed8ed2",
-        "eval/variances_train.csv": "a374a04744f2f50a556e29f99c6cfdadc7b626323facef1420dd3827a71ddedd",
+        "eval/boxplot_los_days_test.svg": "1fd5fe4369db215654b9f87cc27daf6e5dd758aeb2db6ac86a8c34bc99f6c372",
+        "eval/boxplot_tbsa_pct_test.svg": "7e10ce5275018d30184f14594951a99e51e995da0096e7e96370cbddf688ed63",
+        "eval/boxplot_total_cost_test.svg": "013739ff985f2fa6e84e68e97e6dbe9df2e8da919c10b44d674bd15bbc3a9863",
+        "eval/boxplots_test.csv": "d570e2bd8ea8f766a8528c43b03be0fca5c46030483eb46ca03631d0a9d8abbf",
+        "eval/boxplots_train.csv": "3eeaf4c0f35ae8fa9394228b743d2bbe28dd247d0eb8ec4746347a4a86b6b321",
+        "eval/comparison.json": "6e3ab845fd85a46542d15b0e0262f26c95f9ae8985d2f66a84c03700adaf4040",
+        "eval/confusion_test.json": "b79063742043c97d5261833eec7faf7d07cbc17dcc9966abc36a82b7b81406e1",
+        "eval/confusion_test_oversampled.json": "0fa0280d5c3f49c8a114d9392b9bafa4955943576ee453b6951122b108f8dca7",
+        "eval/rank_spread.csv": "0833c63ff8c3243a4ed90cce86d08a98ad63587d7f10fd2077d2051f1b3b00c2",
+        "eval/rank_spread.svg": "b8f54ad9847a3438ce41f00df6fb9fc84f49649d369e229bb1868aaaabd1cf75",
+        "eval/rules.csv": "f690d695a6e4c9391b692ccc59b0ab0f98431029c72e449122c7daa2340c3fe9",
+        "eval/rules.txt": "9e09e29ddc43fd0357903756f17f98c412546f4dffdb02830f9e87590aadba8a",
+        "eval/variance_los_days_test.svg": "44951da4f4e0e8e629fd8e6f1cbe3ef4bb1f54d56c4b5f35d05b71026d7100c4",
+        "eval/variance_los_days_train.svg": "165730aaee7ed5f11f04c2cf32fcd8bc1b3b5fca5bf80f2c9a22ac7a97a3acb6",
+        "eval/variance_tbsa_pct_test.svg": "0e6ce8a747a18f6be56be1df7380050c44f6bafd0486a85ae632009b42f89cdb",
+        "eval/variance_tbsa_pct_train.svg": "988acb4c03ce52075466a38075c1efddd01335b98b18bbf50c6ea11787aabfaf",
+        "eval/variance_total_cost_test.svg": "41056b71470460dc063336703ce710896be34c61e8a60bed789dbb36d60fbf19",
+        "eval/variance_total_cost_train.svg": "8b4981dc2454836383ac66c7941cbbf6e3b7e76bd566e80eebefb671ccdb24c7",
+        "eval/variances_test.csv": "8db0a76b72f6e2707776f26b9f43a22f768718357b8e72a9b4e877a8539a822d",
+        "eval/variances_train.csv": "ad5030c6191fe2ce339384a247da556b8af11ecb6bca6be3043e6b77786dff6d",
         "hrg/histogram.json": "f576178ab8782534a84c55f1657356ccafb4dbabc113c094466f192ce20a874d",
         "hrg/labels.csv": "2f356f9df573bb324ac0fe06838f4b42560e5202bc4e831db6b6c8a70c0d0f33",
-        "result/config.json": "a976230c5c206a981892bf285efc5b9a2428f20730a21745800aa86a37020646",
-        "result/factor_labels.csv": "6b1cc0c81a869250304e623acc70993cfc271013a9a1d88c33c361891987c546",
-        "result/final_labels.csv": "c0a52e8fb3cbab2f29d3712f86221e081646a568d2b2c6b3c74c1527f4d71f67",
-        "result/importances.csv": "9c271779278a6c849143e26b18ff93a1f33c8f4272cf70e72fe42f437bf9f4f1",
-        "result/model.json": "230b840671ad7e717b6fd70af14ddcf9ffb063bf01273cb2f5527c3e004888fd",
+        "result/config.json": "acc33283943c31d822c8b8ad22c15789d33ea65a9790acd24399764601772ff8",
+        "result/factor_labels.csv": "6c355bee3d01ee0b02ea736e5f068f37a528383563abc750e7feffcaed773abd",
+        "result/final_labels.csv": "5eab34cbe7097e7c9c606f81303bcba88d414b2ffd48ee3a3758a6d4b4324950",
+        "result/importances.csv": "9eae8be1c2c001e4f518a0028acf1ef66418570ff522b53c4faf84347fbae8b4",
+        "result/model.json": "65aa4eed7757dbf01ef83ef6dd7dfbbcab1659717850196191e9eee109138bb6",
         "result/preprocess_report.json": "2aa5bbd53f98a77526ac66f97862ac05f5eb15a1b375222bf19661141cc15724",
         "result/preprocessed.csv": "a13e81a8c2045895932d04c93ed0e68ea93dfea01d3060c80a2f876c7cb9a438",
-        "result/provenance.json": "c37e5478c87eeeb3356ce89c97efc16a97fa28a188a25b793f0e5bfd6429061a",
-        "result/split.csv": "fdcbc3f9e90f2bb834d095802d2d65cc172943e12c2eb19cb3545309c18feaf0",
+        "result/provenance.json": "94ea53f36472ef28ab415ea7d8d1ae189c1aabcee7f130500bd35464636577db",
+        "result/split.csv": "ede4340a06fd40ac777d2bef8416a2b80c0996d01193d335644f11bff26ffdb7",
     },
     "missingness": {
         "cohort.csv": "b9be362c390c1b3d2a39854843ba69ace06daa350b7160ac18987823a374143f",
-        "eval/boxplot_los_days_test.svg": "b532bf552d039081ec5a4792e5df873d604f738c91ee1001dd7b13a93c5615c9",
-        "eval/boxplot_tbsa_pct_test.svg": "a9a21d8a9beaced4a4d9ff4e2d68d8d6fd05afc8d9c017e93aaab98c42a79af0",
-        "eval/boxplot_total_cost_test.svg": "990618155c9e035d44190b71e2c454b22803a8441200a4f197b8670543d3b77c",
-        "eval/boxplots_test.csv": "3744b7e84759dbbe044d7c060d40d989d986c9180019032d96a5f31900ab784b",
-        "eval/boxplots_train.csv": "f1225439a12a327049a13d58f2d709648f9a3adb0204e31f5bd5c7eb3ad0c349",
-        "eval/comparison.json": "ec212f77f96a7612fd336dc7676e9aebbe168eb5c99515ad81c545fb6cd477f2",
-        "eval/confusion_test.json": "6a0db00e8ef96cd0afa26407f459bbf11923c284a3bb13cd64f55b66ef86104a",
-        "eval/confusion_test_oversampled.json": "028377ab9c4191342b0e386660f884f2cb80ab7d3ffe001e23792fd6a0567cfa",
-        "eval/rank_spread.csv": "660a6256d28583bfc75cb7c5b1c9978a0f289366b546c30b7cf26eea82167975",
-        "eval/rank_spread.svg": "c3c2f987928ead66abd32a98d0a553a976e5045f865c4f753c491b8528915fe0",
-        "eval/rules.csv": "e6f1618e111e96386d998e822fe19e22ff765a5a8ea206adba61385da90aa7e8",
-        "eval/rules.txt": "b69b860154a992e8fc389cab720f9e675593a73c650eea7f4a854fce84b01f49",
-        "eval/variance_los_days_test.svg": "74873811048c15df1caaa64a6102cc608d7f337c83497966662083f36cca02da",
-        "eval/variance_los_days_train.svg": "f1a277e706f948cb153536d972b869db00cb6f999d1d3bcd9f0d8757bee2eeae",
-        "eval/variance_tbsa_pct_test.svg": "cd661f0086f53ee08d8844ff263d4a52fcb6b315297b6eb77e5dfdc2bb73a701",
-        "eval/variance_tbsa_pct_train.svg": "080935ba33c03847d53aa34da1f2a38a7b0c72809e8ba7052b37d27450699542",
-        "eval/variance_total_cost_test.svg": "1a2029c0195894ae97a370f4338d909c980838660af78d39448010d6418b2bf9",
-        "eval/variance_total_cost_train.svg": "b8ec298ccc05da7475234e27469cef6fe92c06895d42d059d04de468a8413002",
-        "eval/variances_test.csv": "86e71e5216518b308d8a47bffa852621349068945edd23d0a70a206a387312ef",
-        "eval/variances_train.csv": "d1392a1d0092f04863f231fab9106fee3f01d76f19284d38bc29a72aa234e36d",
+        "eval/boxplot_los_days_test.svg": "1f6bcf2528f5375eef1948cd19d0ff2b5e666cf874a76c0622e3c996b5bca9bf",
+        "eval/boxplot_tbsa_pct_test.svg": "ac46320e6df7bed2ca2772a5e6d1ee179ab7ee6e0bde4c34366ed2e3eb0f01ed",
+        "eval/boxplot_total_cost_test.svg": "5fe5101ff2515290f7b47c10c7c61804a21c5e42bbaf29b1fe20c6190a2ff20c",
+        "eval/boxplots_test.csv": "40c59b3ee0484dc2c270ce16f8c99e4df252ce1cf19c97d2e1f097dfcf080507",
+        "eval/boxplots_train.csv": "2659994c9a33aa1d56ce49a4159d883a6977ce6c789d1eab3b8b352200960527",
+        "eval/comparison.json": "164cb4519f0e4a3a4f85081eead969e2970b1a01f58cbca1f7d9bb18fd370a26",
+        "eval/confusion_test.json": "16b579b75b44d0f4832e9091872b813cdfa1a91269422b572c7d4d353abd80d8",
+        "eval/confusion_test_oversampled.json": "b4123e1b4b101665bf54ee3f971234b35c31ecb844f86fd630b7ae3b02b46fbc",
+        "eval/rank_spread.csv": "04a460b47179c24f1e2f6972285659cfbc9f81a5b132d680a838b720746a14b0",
+        "eval/rank_spread.svg": "c0213c387099a2631ca384dd7536034d4dce38587b5afb31dd9fba317a6ef974",
+        "eval/rules.csv": "bca58da5f4edb052c61b0a0c3ccde8af3c87a7466e92e2bd5a384ba345219273",
+        "eval/rules.txt": "d95e92a40d9696edbb1f463c52d3857be83dd217ac05ddce66331bcea1514814",
+        "eval/variance_los_days_test.svg": "a50709fcc3fb49926bca97507ceeccee87b1b5643554b63d86bf53cfda9e5902",
+        "eval/variance_los_days_train.svg": "beca2ea07645a0551afd6c96673511023634de8db048b8ee2aca74ef60ad5c74",
+        "eval/variance_tbsa_pct_test.svg": "f2167c410b08b3cfda3da2d834cf9520fc9ee68892e9fc7eb215e05c2011f1b1",
+        "eval/variance_tbsa_pct_train.svg": "3c0fa29625015f2811857605bfff45417cfdaea18e78dc09f80606e8906d471e",
+        "eval/variance_total_cost_test.svg": "26f21a6a6a0e4d6a94d05e6b0096afb02cf872386e18c5f14c9b848c153619a5",
+        "eval/variance_total_cost_train.svg": "e507ad2ad891def7db7bbe1bdaf45e924a4b51e55dee9f66ca1d12ee9728d4be",
+        "eval/variances_test.csv": "bf4f30177296a09f16704a29d55eb89454a781bb610e14eeff8ddb754e87ad5e",
+        "eval/variances_train.csv": "91be458a38d661bf8f20228302e28b8c3e59522c42f440982bf38c19da102069",
         "hrg/histogram.json": "e6f7e7063ef82804bd73a3a501636646286474b7e90be614814bb98d2663a701",
         "hrg/labels.csv": "ce695d0c53029eaf494cfae8e1bbb7d63c0bcf68c6fffb4ef9f316361f35da51",
-        "result/config.json": "a976230c5c206a981892bf285efc5b9a2428f20730a21745800aa86a37020646",
-        "result/factor_labels.csv": "aa38533484a1ad9605a14ba171b9fefc866df9a982cef2204f29912830dc62c9",
-        "result/final_labels.csv": "e2ae6f532a84ad12c5929d3eb7bff28eb2000cea9f4c831766dce5ab3087fec6",
-        "result/importances.csv": "757b43bc61c5022c5549c21d845fb53eabef6fdae1822bc475de7bbba8fa5459",
-        "result/model.json": "251e135a519f8b0554d0134e05f80d27b8b365046977045d966edb6a3f06596d",
+        "result/config.json": "acc33283943c31d822c8b8ad22c15789d33ea65a9790acd24399764601772ff8",
+        "result/factor_labels.csv": "32f9643d041eadda1241172a36fe29886e1186be42ed5dfad18ef35df6e62c80",
+        "result/final_labels.csv": "551ae1a220d47432d23137bf7ec9dc3f0271a311ecf8119bd0ff2876392efd47",
+        "result/importances.csv": "380c96ef0e7454cdeb3666f7d2cad5d3e8b73e30f77af589c5224f89b98392a1",
+        "result/model.json": "baf96bd81695110b73a5463fd0d7a1024f3dc6291bb75107c062d937fa84f9a2",
         "result/preprocess_report.json": "31adc5e1e343770c684176ed6737330ace69600af02821f6f5d1ff4d8dc7aee4",
         "result/preprocessed.csv": "f0f368e6133af407afb6eb8027c14e17189d8592129546733b5c666558b1f633",
-        "result/provenance.json": "df59b830675667c78b61f0d36cc781eb976065135be43765f0677476b9ee2c9a",
-        "result/split.csv": "a9330cbeb2425ad13702d0a33ab8fd2615c8bd6dc44054f8b9bf002b7a07f9b6",
+        "result/provenance.json": "1e1d85b86908b39d51f8bee5455c145725fe9e970a77f47d2f0cf9704acda1e6",
+        "result/split.csv": "5d3ce9de8c302d63b45ac03fc29e7f85419b4f58eebcedd1f8d279509e5c24d5",
     },
 }
 

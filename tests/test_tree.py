@@ -677,14 +677,14 @@ class TestGrowthRouting:
         assert_predict_reproduces_node_counts(tree, table, labels, k)
 
 
-#: sha256 of serialize_tree for the pinned small run below; the trees were
-#: produced by the original per-node re-sorting builder, so any change to
-#: split search, tie-breaks or pruning shows here.
+#: sha256 of serialize_tree for the pinned small run below, on the exact
+#: 1-D k-means labels; any change to split search, tie-breaks or pruning
+#: shows here.
 GOLDEN_TREE_SHA256 = {
-    "los_days": "47a09bb0d6025871ee41751cf063e2bd046d03026d7296c942104cbc9f1d6ee9",
-    "total_cost": "dc5759846c9db3e3eca3086ae95d3cabf21e1702ff04bc9c0811bb6e0cd2c526",
-    "tbsa_pct": "b526ebd821d20176a22244f6e7181f1da159998ee5a4ac2a868b8c106ce65766",
-    "final": "2c6bf3a44aee62459bc94ebbfcab3ba809faab72033e539212fe9694744adecd",
+    "los_days": "5ccfd5a16619d7571d16a0ff2ca640fc7eb4a3991c7722bda76c0f48c58b40ec",
+    "total_cost": "629d7e05faf4ff04c95fc563214c44760acb561ae368790e6c903ae9c3f674e8",
+    "tbsa_pct": "99054a914f0b8386290f5fea9a9c612708a723a7b131f54d7d8b3c4e478d28ca",
+    "final": "6ea3ab7bf97f4b9f2f62a102041aa9f1a5917c58a4e5a98e31dae38020b7d1ab",
 }
 
 
