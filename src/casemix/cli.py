@@ -155,24 +155,23 @@ def _cohort_from_config(doc: dict, ephemeral: bool, manifest: _Manifest) -> Data
             raise _ConfigError(f"missingness rate must be a number, got {rate!r}")
         m_fresh = _require_seed("seed" in missing, "missingness config", ephemeral)
         m_seed = missing.get("seed", m_fresh)
-        if not isinstance(m_seed, int) or isinstance(m_seed, bool):
-            raise _ConfigError(f"missingness seed must be an integer, got {m_seed!r}")
-        manifest.doc["seeds"]["missingness"] = m_seed
         try:
             ds = inject_missingness(ds, rate, m_seed)
         except InvalidArgument as e:
             raise _ConfigError(str(e))
+        manifest.doc["seeds"]["missingness"] = m_seed
     return ds
 
 
-def cmd_generate(args) -> int:
+def _generate(args) -> tuple[int, Dataset | None]:
+    """``cmd_generate``'s exit code, and the cohort it wrote on success."""
     try:
         manifest = _Manifest("generate")
         doc = _load_json_config(args.config)
         manifest.add_config(args.config)
         ds = _cohort_from_config(doc, args.ephemeral, manifest)
     except _ConfigError as e:
-        return _fail(EXIT_CONFIG, str(e))
+        return _fail(EXIT_CONFIG, str(e)), None
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -180,9 +179,13 @@ def cmd_generate(args) -> int:
         manifest.doc["outputs"][out.name] = _sha256_file(out)
         manifest.write(out.with_name(out.name + ".manifest.json"))
     except OSError as e:
-        return _fail(EXIT_IO, f"cannot write output: {e}")
+        return _fail(EXIT_IO, f"cannot write output: {e}"), None
     print(f"wrote {len(ds)} records to {out}")
-    return EXIT_OK
+    return EXIT_OK, ds
+
+
+def cmd_generate(args) -> int:
+    return _generate(args)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,7 @@ def cmd_hrg(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _pipeline_config(doc: dict, ephemeral: bool, manifest: _Manifest) -> PipelineConfig:
+def _pipeline_config(doc: dict, ephemeral: bool) -> PipelineConfig:
     pipe_doc = doc.get("pipeline", doc)
     if not isinstance(pipe_doc, dict):
         raise _ConfigError("pipeline config must be a JSON object")
@@ -265,7 +268,6 @@ def _pipeline_config(doc: dict, ephemeral: bool, manifest: _Manifest) -> Pipelin
         config = PipelineConfig.from_dict(pipe_doc)
     except InvalidArgument as e:
         raise _ConfigError(str(e))
-    manifest.doc["seeds"]["pipeline"] = config.seeds.to_dict()
     return config
 
 
@@ -338,9 +340,11 @@ def _write_train_outputs(manifest: _Manifest, out: Path, result, config: Pipelin
 def cmd_train(args) -> int:
     try:
         manifest = _Manifest("train")
-        doc = _load_json_config(args.config)
+        config = args.pipeline_config
+        if config is None:  # `casemix all` passes the config it has checked
+            config = _pipeline_config(_load_json_config(args.config), args.ephemeral)
         manifest.add_config(args.config)
-        config = _pipeline_config(doc, args.ephemeral, manifest)
+        manifest.doc["seeds"]["pipeline"] = config.seeds.to_dict()
         ds = _cohort(args)
         cohort_sha256 = manifest.add_input(args.cohort)
     except _ConfigError as e:
@@ -593,6 +597,8 @@ def cmd_evaluate(args) -> int:
 def cmd_all(args) -> int:
     try:
         doc = _load_json_config(args.config)
+        # The pipeline section is checked before anything is generated or written.
+        pipeline_config = _pipeline_config(doc, args.ephemeral)
     except _ConfigError as e:
         return _fail(EXIT_CONFIG, str(e))
     out = Path(args.out)
@@ -603,18 +609,13 @@ def cmd_all(args) -> int:
     manifest = _Manifest("all")
     manifest.add_config(args.config)
 
-    ns = argparse.Namespace(
-        config=args.config, out=str(out / "cohort.csv"), ephemeral=args.ephemeral,
-    )
-    code = cmd_generate(ns)
+    # hrg and train use the generated cohort, which is bit-identical to a
+    # parse of the file written; each stage still hashes the file.
+    cohort = str(out / "cohort.csv")
+    ns = argparse.Namespace(config=args.config, out=cohort, ephemeral=args.ephemeral)
+    code, ds = _generate(ns)
     if code != EXIT_OK:
         return code
-    # hrg and train share one parse of the cohort; each still hashes the file.
-    cohort = str(out / "cohort.csv")
-    try:
-        ds = _load_cohort(cohort)
-    except _ConfigError as e:
-        return _fail(EXIT_CONFIG, str(e))
 
     ruleset = doc.get("ruleset")
     ns = argparse.Namespace(
@@ -626,8 +627,8 @@ def cmd_all(args) -> int:
         return code
 
     ns = argparse.Namespace(
-        cohort=cohort, dataset=ds, config=args.config, out=str(out / "result"),
-        ephemeral=args.ephemeral,
+        cohort=cohort, dataset=ds, config=args.config, pipeline_config=pipeline_config,
+        out=str(out / "result"), ephemeral=args.ephemeral,
     )
     code = cmd_train(ns)
     if code != EXIT_OK:
@@ -686,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
-    p.set_defaults(fn=cmd_train, dataset=None)
+    p.set_defaults(fn=cmd_train, dataset=None, pipeline_config=None)
 
     p = sub.add_parser("evaluate", help="compare trained groups against HRG labels")
     p.add_argument("--result", required=True, help="train output directory")

@@ -5,10 +5,16 @@ log(LOS), log(cost) and log(TBSA) are positively correlated, with a severity
 mixture that leaves minority classes for oversampling to fix, plus injected
 outliers and unclassifiable (no recorded burn) episodes.
 
-Randomness is a counter-based generator (Philox) keyed by
-(seed, record index, field tag), so generation is order-independent: any
-record can be produced in isolation and parallel generation is byte-identical
-to sequential. The marginal distributions are admitted fiction; only the
+Randomness is a counter-based generator (Philox; Salmon et al. 2011) with
+one stream per (seed, record index, field tag), so generation is
+order-independent: any record can be produced in isolation and parallel
+generation is byte-identical to sequential. A stream draws exactly what
+``Generator(Philox(SeedSequence(seed, spawn_key=(index, tag))))`` draws.
+Rather than build those three objects per stream, ``_stream_keys`` derives
+the Philox keys of every record of a tag at once, mirroring
+``SeedSequence.generate_state`` in numpy, and ``_streams`` rewinds one
+reused generator to each key in turn. Seeds must be non-negative integers,
+of any size. The marginal distributions are admitted fiction; only the
 correlation structure and the injected edge cases are load-bearing.
 """
 
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,7 @@ from .domain import (
     NUMERIC,
     Dataset,
     Depth,
+    check_seed,
 )
 from .errors import InvalidArgument
 
@@ -43,6 +51,13 @@ _TAG_THEATRE = 5
 _TAG_EXTRAS = 6
 _TAG_SPECIAL = 7
 _TAG_MISSING = 8
+
+# SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # Natural LOS/cost are truncated at the outlier thresholds, so every record
 # beyond them was injected; this keeps the injection rate observable.
@@ -88,8 +103,7 @@ class CohortConfig:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise InvalidArgument(f"cohort size must be an integer, got {self.n!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidArgument(f"seed must be an integer, got {self.seed!r}")
+        check_seed("cohort seed", self.seed)
         for name in ("los_noise", "cost_noise", "outlier_rate", "unclassifiable_rate"):
             if not isinstance(getattr(self, name), (int, float)):
                 raise InvalidArgument(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -132,9 +146,71 @@ class CohortConfig:
         }
 
 
-def _rng(seed: int, index: int, tag: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index, tag))
-    return np.random.Generator(np.random.Philox(ss))
+def _stream_keys(seed: int, indices: np.ndarray, tag: int) -> np.ndarray:
+    """Philox keys of the streams (seed, index, tag) for each of ``indices``
+    (each below 2**32, so a single 32-bit word), as an (n, 2) uint64 array
+    whose row j equals ``SeedSequence(entropy=seed, spawn_key=(indices[j],
+    tag)).generate_state(2, np.uint64)``.
+
+    The entropy is the seed's little-endian 32-bit words, zero-padded to the
+    pool size, then the index and the tag. Words are Python ints or, from the
+    index on, uint64 arrays over all indices; every product is masked back to
+    32 bits."""
+    words = []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [*words, np.asarray(indices, dtype=np.uint64), tag]
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):  # every pool word mixes into every other
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:  # seed words past the pool, index, tag
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state, hash_const = [], _INIT_B
+    for word in pool:
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(word ^ word >> 16)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _streams(seed: int, n: int, tags) -> Callable[[int, int], np.random.Generator]:
+    """``stream(index, tag)``: a generator that draws what stream (seed,
+    index, tag) draws, for index < n and tag in ``tags``. Every call returns
+    the same generator, rewound to counter 0 under that stream's key with
+    nothing buffered, so each stream must be fully drawn before the next call."""
+    keys = {tag: _stream_keys(seed, np.arange(n), tag) for tag in tags}
+    bit_generator = np.random.Philox(0)
+    generator = np.random.Generator(bit_generator)
+    # A fresh Philox's state: counter 0, buffer_pos 4 (empty), has_uint32 0.
+    state = bit_generator.state
+
+    def stream(index: int, tag: int) -> np.random.Generator:
+        state["state"]["key"] = keys[tag][index]
+        bit_generator.state = state
+        return generator
+
+    return stream
 
 
 def _cdf(p) -> list[float]:
@@ -179,16 +255,14 @@ def _draw_sites(severity: int, tbsa: float, g: np.random.Generator):
     return chosen, areas, depths
 
 
-def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]):
+def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float], stream):
     """One record's cells: (core numerics, burned sites, extra values)."""
-    seed = config.seed
-    severity = _choice(severity_cdf, _rng(seed, index, _TAG_SEVERITY))
-    g_tbsa = _rng(seed, index, _TAG_TBSA)
-    tbsa_raw = _draw_tbsa(severity, g_tbsa)
-    sites = _draw_sites(severity, tbsa_raw, _rng(seed, index, _TAG_SITES))
+    severity = _choice(severity_cdf, stream(index, _TAG_SEVERITY))
+    tbsa_raw = _draw_tbsa(severity, stream(index, _TAG_TBSA))
+    sites = _draw_sites(severity, tbsa_raw, stream(index, _TAG_SITES))
     tbsa = sum(sites[1])
 
-    g_los = _rng(seed, index, _TAG_LOS)
+    g_los = stream(index, _TAG_LOS)
     if severity == 0 and g_los.uniform() < 0.35:
         los = 0.0  # day attendance, no overnight stay
     else:
@@ -196,9 +270,9 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
         los = round(max(math.expm1(g_los.normal(mu, config.los_noise)), 0.0), 1)
         los = min(los, LOS_OUTLIER_THRESHOLD)
 
-    theatre = int(_rng(seed, index, _TAG_THEATRE).poisson(0.15 + 0.22 * tbsa))
+    theatre = int(stream(index, _TAG_THEATRE).poisson(0.15 + 0.22 * tbsa))
 
-    g_cost = _rng(seed, index, _TAG_COST)
+    g_cost = stream(index, _TAG_COST)
     mu_c = (
         5.8
         + 0.45 * math.log1p(tbsa)
@@ -208,7 +282,7 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
     cost = round(math.exp(g_cost.normal(mu_c, config.cost_noise)), 2)
     cost = min(cost, COST_OUTLIER_THRESHOLD)
 
-    g = _rng(seed, index, _TAG_EXTRAS)
+    g = stream(index, _TAG_EXTRAS)
     sex = "F" if g.uniform() < 0.5 else "M"
     mechanism = _MECHANISMS[_choice(_MECHANISM_CDF[severity], g)]
     inhalation = "yes" if g.uniform() < _INHALATION_P[severity] else "no"
@@ -223,7 +297,7 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
     year = 2003 + int(g.integers(0, 17))
     age = round(float(g.uniform(0.1, 15.9)), 1)
 
-    g_special = _rng(seed, index, _TAG_SPECIAL)
+    g_special = stream(index, _TAG_SPECIAL)
     u = g_special.uniform()
     if u < config.outlier_rate:
         if g_special.uniform() < 0.5:
@@ -249,12 +323,13 @@ def generate_cohort(config: CohortConfig) -> Dataset:
         raise InvalidArgument(f"cohort size must be >= 1, got {config.n}")
     n = config.n
     severity_cdf = _cdf(config.severity_weights)
+    stream = _streams(config.seed, n, range(_TAG_SEVERITY, _TAG_SPECIAL + 1))
     numerics = np.empty((len(CORE_NUMERIC_FIELDS), n))
     site_areas = np.zeros((N_SITES, n))
     site_depths = np.zeros((N_SITES, n), dtype=np.int8)
     extra_rows = []
     for i in range(n):
-        numerics[:, i], (chosen, areas, depths), extras = _generate_record(config, i, severity_cdf)
+        numerics[:, i], (chosen, areas, depths), extras = _generate_record(config, i, severity_cdf, stream)
         site_areas[chosen, i] = areas
         site_depths[chosen, i] = depths
         extra_rows.append(extras)
@@ -292,11 +367,13 @@ def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     order, from its own stream."""
     if not 0.0 <= rate <= 1.0:
         raise InvalidArgument(f"missingness rate must be in [0, 1], got {rate}")
+    check_seed("missingness seed", seed)
     if rate == 0.0:
         return ds
     eligible = _eligible_cells(ds)
+    stream = _streams(seed, len(ds), (_TAG_MISSING,))
     draws = [
-        _rng(seed, i, _TAG_MISSING).uniform(size=count)
+        stream(i, _TAG_MISSING).uniform(size=count)
         for i, count in enumerate(eligible.sum(axis=1).tolist()) if count
     ]
     blank = np.zeros_like(eligible)

@@ -54,6 +54,13 @@ CATEGORICAL = "categorical"
 CATEGORICAL_FILL = "none"
 
 
+def check_seed(what: str, value) -> None:
+    """Every seed keys a numpy ``SeedSequence``, which takes non-negative
+    integers only."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidArgument(f"{what} must be a non-negative integer, got {value!r}")
+
+
 class Depth(str, Enum):
     """Recorded burn depth at one site; NONE means no burn at that site."""
 

@@ -23,6 +23,7 @@ from .domain import (
     FACTOR_FIELDS,
     NUMERIC,
     Dataset,
+    check_seed,
     linear_cost_matrix,
 )
 from .errors import CasemixError, InvalidArgument, PipelineStageError
@@ -36,11 +37,6 @@ FORCED_FINAL_FEATURES = ("los_days", "tbsa_pct")
 LEAKAGE_EXCLUDED = ("total_cost",)
 
 
-def _check_seed(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidArgument(f"seed {name!r} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PipelineSeeds:
     split: int
@@ -48,7 +44,7 @@ class PipelineSeeds:
 
     def __post_init__(self):
         for name in ("split", "oversample"):
-            _check_seed(name, getattr(self, name))
+            check_seed(f"seed {name!r}", getattr(self, name))
 
     def to_dict(self) -> dict:
         return {"split": self.split, "oversample": self.oversample}
@@ -97,13 +93,13 @@ class PipelineConfig:
         try:
             # Older configs carry `kmeans_restarts` and a `clustering` seed.
             # k-means is exact now, with no restarts and no random draws, so
-            # both are ignored; the seed must still be an integer.
+            # both are ignored; the seed must still be a valid seed.
             kwargs = dict(d)
             kwargs.pop("kmeans_restarts", None)
             if "seeds" in kwargs:
                 seeds = dict(kwargs["seeds"])
                 if "clustering" in seeds:
-                    _check_seed("clustering", seeds.pop("clustering"))
+                    check_seed("seed 'clustering'", seeds.pop("clustering"))
                 kwargs["seeds"] = PipelineSeeds(**seeds)
             for key in ("factor_tree_params", "final_tree_params"):
                 if key in kwargs:

@@ -447,7 +447,8 @@ class TestAll:
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert parsed == ["cohort.csv", "preprocessed.csv"]
+        # hrg and train use the generated cohort; only evaluate parses a file
+        assert parsed == ["preprocessed.csv"]
         for stage in ("hrg", "result"):  # each stage still hashes the cohort file
             manifest = json.loads((out / stage / "manifest.json").read_text())
             assert str(out / "cohort.csv") in manifest["inputs"]
@@ -474,6 +475,74 @@ class TestAll:
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         hist = json.loads((out / "hrg" / "histogram.json").read_text())
         assert set(hist) <= {"1", "2", "3", "U"}
+
+
+class TestNegativeSeeds:
+    """A negative seed is a config error (exit 2), never a numpy traceback."""
+
+    @pytest.mark.parametrize("doc", [
+        {"cohort": {"n": 10, "seed": -1}},
+        {"cohort": {"n": 10, "seed": 1}, "missingness": {"rate": 0.2, "seed": -2}},
+    ])
+    def test_generate(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("seeds", [{"split": -1, "oversample": 3},
+                                       {"split": 2, "oversample": -3}])
+    def test_train(self, generated, tmp_path, seeds):
+        root, _, cohort = generated
+        cfg = write_config(tmp_path, {"pipeline": {"k": 6, "seeds": seeds}}, name="neg.json")
+        assert main(["train", "--cohort", str(cohort), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section", ["cohort", "missingness", "pipeline"])
+    def test_all(self, tmp_path, section):
+        doc = json.loads(json.dumps(MISSINGNESS_CONFIG))
+        if section == "pipeline":
+            doc["pipeline"]["seeds"]["oversample"] = -3
+        else:
+            doc[section]["seed"] = -5
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not (out / "cohort.csv").exists()
+
+
+class TestAllValidatesPipelineFirst:
+    """`casemix all` rejects a bad pipeline section before it generates,
+    groups or writes anything."""
+
+    @pytest.mark.parametrize("pipeline", [
+        dict(COHORT_CONFIG["pipeline"],
+             final_tree_params={"min_split": 20, "min_leaf": 7, "max_depth": 31, "cp": 0.01}),
+        {"k": 6, "seeds": {"split": 2.5, "oversample": 3}},
+        {"k": 1, "seeds": {"split": 2, "oversample": 3}},
+        {"k": 6},
+    ])
+    def test_bad_pipeline_leaves_no_cohort(self, tmp_path, monkeypatch, pipeline):
+        import casemix.cli as cli
+
+        def refuse(config):
+            raise AssertionError("generated a cohort for a config that cannot train")
+
+        monkeypatch.setattr(cli, "generate_cohort", refuse)
+        cfg = write_config(tmp_path, dict(COHORT_CONFIG, pipeline=pipeline))
+        out = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not (out / "cohort.csv").exists()
+        assert not (out / "hrg").exists()
+
+    def test_ephemeral_pipeline_seeds_drawn_once(self, tmp_path):
+        doc = {"cohort": {"n": 250, "seed": 31}, "pipeline": {"k": 6}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out", str(out), "--ephemeral"]) == EXIT_OK
+        seeds = json.loads((out / "result" / "manifest.json").read_text())["seeds"]["pipeline"]
+        assert json.loads((out / "result" / "config.json").read_text())["seeds"] == seeds
 
 
 class TestBadCohortCells:
