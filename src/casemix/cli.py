@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cohort import CohortConfig, generate_cohort, inject_missingness
+from .cohort import EXTRA_SCHEMA, CohortConfig, generate_cohort, inject_missingness
 from .dataio import cohort_csv_text, read_cohort_csv
 from .domain import FACTOR_FIELDS, Dataset, linear_cost_matrix
 from .errors import CasemixError, InvalidArgument, PipelineStageError
 from .evaluate import boxplot_stats, compare_groupings, confusion, merge_diagnostic
-from .hrg import UNCLASSIFIABLE, classify_dataset, load_ruleset, reference_ruleset
+from .hrg import UNCLASSIFIABLE, Ruleset, classify_dataset, load_ruleset, reference_ruleset
 from .pipeline import PipelineConfig, dataset_to_table, run_pipeline
 from .svgplot import boxplots_svg, rank_spread_svg, variance_bars_svg
 from .tree import (
@@ -216,26 +216,24 @@ def _hrg_labels_csv(ds: Dataset, labels: list[int | None]) -> str:
     return buf.getvalue()
 
 
+def _load_rules(path: str | None) -> Ruleset:
+    """The ruleset at ``path``, or the packaged reference ruleset if none."""
+    if path and not Path(path).is_file():
+        raise _ConfigError(f"ruleset file not found: {path}")
+    return load_ruleset(path) if path else reference_ruleset()
+
+
 def cmd_hrg(args) -> int:
     try:
         manifest = _Manifest("hrg")
         ds = _cohort(args)
         manifest.add_input(args.cohort)
+        # `casemix all` passes the ruleset it has loaded already.
+        ruleset = args.rules if args.rules is not None else _load_rules(args.ruleset)
         if args.ruleset:
-            ruleset_path = Path(args.ruleset)
-            if not ruleset_path.is_file():
-                raise _ConfigError(f"ruleset file not found: {args.ruleset}")
-            ruleset = load_ruleset(ruleset_path)
-            manifest.add_input(ruleset_path)
-        else:
-            ruleset = reference_ruleset()
-        try:
-            labels, histogram = classify_dataset(ds, ruleset)
-        except InvalidArgument as e:
-            raise _ConfigError(str(e))
-    except _ConfigError as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except CasemixError as e:
+            manifest.add_input(args.ruleset)
+        labels, histogram = classify_dataset(ds, ruleset)
+    except (_ConfigError, CasemixError) as e:
         return _fail(EXIT_CONFIG, str(e))
     out = Path(args.out)
     try:
@@ -506,8 +504,7 @@ def cmd_evaluate(args) -> int:
         return _fail(EXIT_CONFIG, str(e))
 
     loss = linear_cost_matrix(config.k)
-    table = dataset_to_table(ds).select(tree.feature_names)
-    predictions = predict(tree, table)
+    predictions = predict(tree, dataset_to_table(ds))
 
     test_ms = np.concatenate(
         [np.full(multiplicity[int(i)], int(i), dtype=np.int64) for i in test_idx]
@@ -597,9 +594,14 @@ def cmd_evaluate(args) -> int:
 def cmd_all(args) -> int:
     try:
         doc = _load_json_config(args.config)
-        # The pipeline section is checked before anything is generated or written.
+        # The pipeline section and the ruleset are checked before anything
+        # is generated or written.
         pipeline_config = _pipeline_config(doc, args.ephemeral)
-    except _ConfigError as e:
+        rules = _load_rules(doc.get("ruleset"))
+        # Grouping an empty cohort with the generator's columns checks the
+        # rules against them.
+        classify_dataset(Dataset.from_records([], EXTRA_SCHEMA), rules)
+    except (_ConfigError, CasemixError) as e:
         return _fail(EXIT_CONFIG, str(e))
     out = Path(args.out)
     try:
@@ -617,10 +619,9 @@ def cmd_all(args) -> int:
     if code != EXIT_OK:
         return code
 
-    ruleset = doc.get("ruleset")
     ns = argparse.Namespace(
-        cohort=cohort, dataset=ds, ruleset=ruleset, out=str(out / "hrg"),
-        ephemeral=args.ephemeral,
+        cohort=cohort, dataset=ds, ruleset=doc.get("ruleset"), rules=rules,
+        out=str(out / "hrg"), ephemeral=args.ephemeral,
     )
     code = cmd_hrg(ns)
     if code != EXIT_OK:
@@ -680,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ruleset", default=None, help="ruleset JSON (default: packaged reference)")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
-    p.set_defaults(fn=cmd_hrg, dataset=None)
+    p.set_defaults(fn=cmd_hrg, dataset=None, rules=None)
 
     p = sub.add_parser("train", help="run the target-engineering and training pipeline")
     p.add_argument("--cohort", required=True, help="cohort CSV path")

@@ -105,9 +105,9 @@ def ruleset_from_dict(d: dict) -> Ruleset:
             rules=rules,
             k=int(d["k"]),
             version=str(d["version"]),
-            default_rank=d.get("default"),
+            default_rank=None if d.get("default") is None else int(d["default"]),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise RulesetError(f"malformed ruleset document: {e}")
 
 
@@ -118,7 +118,7 @@ def ruleset_to_json(rs: Ruleset) -> str:
 def load_ruleset(path: str | Path) -> Ruleset:
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise RulesetError(f"ruleset JSON parse error: {e}")
     return ruleset_from_dict(d)
 

@@ -6,6 +6,12 @@ matrix, and each leaf is labeled with the rank minimizing expected
 misclassification cost. Pruning is weakest-link cost-complexity with the
 same expected-cost risk functional.
 
+Layout: a fitted ``DecisionTree`` is a set of parallel per-node arrays in
+preorder, the layout of rpart's ``frame`` table and scikit-learn's ``Tree``.
+The left child of internal node i is node i + 1 and its right child is
+``right[i]``, so every subtree is a contiguous index range and every walk
+is a loop over indices or an explicit stack; nothing here recurses.
+
 Encoding: ``build_tree`` encodes every column once (``EncodedTable``). A
 numeric column becomes int32 value-rank codes plus its sorted distinct
 values, so a threshold is still the exact midpoint (a+b)/2 of two adjacent
@@ -19,9 +25,10 @@ Determinism contract: candidate splits are scanned in schema order, numeric
 thresholds ascending, categorical subsets in canonical order; ties keep the
 first candidate. Identical inputs always produce identical trees.
 
-Routing: a training row goes left when its value < threshold (categorical:
-when its level is in the split's subset), the same rule ``predict`` applies
-to new rows.
+Routing: a row goes left when its value < threshold (categorical: when its
+level is in the split's left set). ``predict`` routes new rows the same way;
+a missing value goes to the child that saw more training rows, and a level
+the tree never saw goes right.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import bisect
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +60,8 @@ _BLOCK = 8
 _BLOCK_CELLS = 32768
 _CHUNK = 1024
 
-#: Deepest tree allowed, in split levels, as rpart's ``maxdepth``. Tree walks
-#: and the JSON (de)serializers recurse, so the bound keeps them far below
-#: the interpreter's recursion limit.
+#: Deepest tree allowed, in split levels: rpart's ``maxdepth`` contract.
+#: ``TreeParams`` and ``deserialize_tree`` reject anything deeper.
 MAX_DEPTH = 30
 
 
@@ -80,12 +87,7 @@ class TreeParams:
             raise InvalidArgument(f"cp must be >= 0, got {self.cp}")
 
     def to_dict(self) -> dict:
-        return {
-            "min_split": self.min_split,
-            "min_leaf": self.min_leaf,
-            "max_depth": self.max_depth,
-            "cp": self.cp,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
@@ -149,34 +151,49 @@ class FeatureTable:
         return cls(tuple(names), tuple(kinds), tuple(cols))
 
 
-@dataclass
-class Leaf:
-    label: int
+class _Node(NamedTuple):
+    """One node's fields while a tree is grown or read. A leaf keeps the
+    split fields' defaults, an internal node those of label and cost."""
+
     n: int
-    class_counts: np.ndarray
-    expected_cost: float
+    counts: np.ndarray
+    feature: int = -1
+    threshold: float = math.nan
+    left_set: int = 0
+    right: int = -1
+    impurity: float = math.nan
+    decrease: float = math.nan
+    label: int = 0
+    expected_cost: float = math.nan
 
 
-@dataclass
-class Internal:
-    feature: str
-    kind: str
-    threshold: float | None           # numeric: go left if value < threshold
-    categories: tuple[str, ...] | None  # categorical: go left if member
-    left: "Node"
-    right: "Node"
-    n: int
-    class_counts: np.ndarray
-    impurity: float
-    decrease: float
-
-
-Node = Leaf | Internal
+def _node_arrays(nodes: list[_Node]) -> dict[str, np.ndarray]:
+    """Nodes in preorder as the DecisionTree node arrays, one per field.
+    ``left_set`` holds Python ints, wide enough for any number of levels."""
+    columns = zip(_Node._fields, zip(*nodes))
+    return {name: np.array(c, dtype=object if name == "left_set" else None) for name, c in columns}
 
 
 @dataclass
 class DecisionTree:
-    root: Node
+    """A fitted tree as parallel arrays over its nodes in preorder. Node 0
+    is the root; internal node i splits on schema feature ``feature[i]``
+    (-1 marks a leaf) and has its left child at i + 1, its right child at
+    ``right[i]``. A numeric split sends a value left when it is below
+    ``threshold[i]``, a categorical one when the value's bit is set in
+    ``left_set[i]``, a bitmask over that feature's ``feature_levels``.
+    Fields a node does not use hold their ``_Node`` default."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left_set: np.ndarray
+    right: np.ndarray
+    n: np.ndarray
+    counts: np.ndarray
+    impurity: np.ndarray
+    decrease: np.ndarray
+    label: np.ndarray
+    expected_cost: np.ndarray
     params: TreeParams
     k: int
     feature_names: tuple[str, ...]
@@ -225,11 +242,11 @@ def leaf_label(class_counts, loss: CostMatrix) -> tuple[int, float]:
 @dataclass
 class Split:
     feature: str
-    kind: str
-    threshold: float | None
+    threshold: float  # nan for a categorical split
     categories: tuple[str, ...] | None
     decrease: float
     left_mask: np.ndarray
+    left_set: int = 0  # categorical: bitmask of ``categories`` over the levels
 
 
 def _impurity_terms(counts_left: np.ndarray, totals: np.ndarray, L: np.ndarray):
@@ -267,6 +284,7 @@ class EncodedTable:
             raise InvalidArgument(f"labels must lie in [1, {k}]")
         self.k = k
         self.y0 = y - 1
+        self.names = table.names
         self.num_names, self.values, num_codes = [], [], []
         self.cat_names, self.levels, cat_codes = [], [], []
         #: (scan class, first, stop) for each maximal run of features in
@@ -309,9 +327,9 @@ class EncodedTable:
         """The split sending categorical column j's levels ``chosen`` left."""
         member = np.zeros(len(self.levels[j]), dtype=bool)
         member[list(chosen)] = True
-        categories = tuple(sorted(self.levels[j][c] for c in chosen))
-        return Split(self.cat_names[j], CATEGORICAL, None, categories, decrease,
-                     member[self.cat_codes[j, rows]])
+        left_set = sum(1 << int(c) for c in chosen)
+        return Split(self.cat_names[j], math.nan, _level_names(self.levels[j], left_set), decrease,
+                     member[self.cat_codes[j, rows]], left_set)
 
 
 def _block_width(n: int) -> int:
@@ -357,7 +375,7 @@ class _NumericScan:
         values = self.enc.values[j]
         threshold = float((values[self.codes[f, p]] + values[self.codes[f, p + 1]]) / 2.0)
         left_mask = self.enc.num_codes[j, rows] < np.searchsorted(values, threshold)
-        return Split(self.enc.num_names[j], NUMERIC, threshold, None, decrease, left_mask)
+        return Split(self.enc.num_names[j], threshold, None, decrease, left_mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -513,11 +531,6 @@ def best_split(enc: EncodedTable, start: int, end: int, loss: CostMatrix,
 # Growing and pruning
 # ---------------------------------------------------------------------------
 
-def _make_leaf(counts: np.ndarray, loss: CostMatrix) -> Leaf:
-    label, expected = leaf_label(counts, loss)
-    return Leaf(label=label, n=int(counts.sum()), class_counts=counts.copy(), expected_cost=expected)
-
-
 def _partition(enc: EncodedTable, start: int, end: int, left_mask: np.ndarray) -> int:
     """Split a node's segment of ``rows`` and of every presorted order
     stably in place, left rows first; returns where the right child starts."""
@@ -536,131 +549,96 @@ def _partition(enc: EncodedTable, start: int, end: int, left_mask: np.ndarray) -
     return start + n_left
 
 
-def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[Node, int]:
-    """Recursive partitioning, depth-first and left child first, with an
-    explicit stack; returns the root and the number of nodes grown."""
-    root = None
-    grown = 0
-    stack = [(0, len(enc.rows), 0, None, None)]
+def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node]:
+    """Recursive partitioning with an explicit stack, depth-first and left
+    child first, so nodes arrive in preorder."""
+    nodes: list[_Node] = []
+    stack = [(0, len(enc.rows), 0, -1)]  # (start, end, depth, parent of a right child)
     while stack:
-        start, end, depth, parent, side = stack.pop()
+        start, end, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent] = nodes[parent]._replace(right=len(nodes))
         counts = np.bincount(enc.y0[enc.rows[start:end]], minlength=enc.k).astype(np.float64)
         impurity = gini_loss_impurity(counts, loss)
+        node = {"n": end - start, "counts": counts}
         split = None
         if depth < params.max_depth and end - start >= params.min_split and impurity != 0.0:
             split = best_split(enc, start, end, loss, params)
         if split is None:
-            node = _make_leaf(counts, loss)
+            node["label"], node["expected_cost"] = leaf_label(counts, loss)
         else:
-            node = Internal(
-                feature=split.feature,
-                kind=split.kind,
-                threshold=split.threshold,
-                categories=split.categories,
-                left=None,
-                right=None,
-                n=end - start,
-                class_counts=counts,
-                impurity=impurity,
-                decrease=split.decrease,
-            )
+            node.update(feature=enc.names.index(split.feature), threshold=split.threshold,
+                        left_set=split.left_set, impurity=impurity, decrease=split.decrease)
             mid = _partition(enc, start, end, split.left_mask)
-            stack.append((mid, end, depth + 1, node, "right"))
-            stack.append((start, mid, depth + 1, node, "left"))
-        grown += 1
-        if parent is None:
-            root = node
-        else:
-            setattr(parent, side, node)
-    return root, grown
+            stack += [(mid, end, depth + 1, len(nodes)), (start, mid, depth + 1, -1)]
+        nodes.append(_Node(**node))
+    return nodes
 
 
-def _leaf_risk(counts: np.ndarray, loss: CostMatrix) -> float:
-    return float((counts @ loss.entries).min())
-
-
-def _prune(root: Node, loss: CostMatrix, cp: float) -> tuple[Node, int]:
+def _prune(tree: DecisionTree, loss: CostMatrix, cp: float) -> int:
     """Weakest-link cost-complexity pruning: repeatedly collapse the internal
     node with the smallest risk reduction per extra leaf, g, while g falls
     below cp times the root's single-leaf risk; ties go to the first node in
     preorder. A collapse changes only the risk, leaf count and g of the
-    node's ancestors, so only they are updated. Returns the pruned root and
-    the number of collapses."""
-    nodes, parent, stack = [], [], [(root, -1)]
-    while stack:
-        node, up = stack.pop()
-        parent.append(up)
-        nodes.append(node)
-        if isinstance(node, Internal):
-            here = len(nodes) - 1
-            stack.append((node.right, here))
-            stack.append((node.left, here))
-    m = len(nodes)
+    node's ancestors, so only they are updated. The nodes below collapsed
+    ones are dropped from the arrays at the end. Returns the number of
+    collapses."""
+    m = len(tree.n)
+    inner = np.flatnonzero(tree.feature >= 0)
+    right = tree.right
+    parent = np.full(m, -1)
+    parent[inner + 1] = parent[right[inner]] = inner
     size = [1] * m
     for i in range(m - 1, 0, -1):
         size[parent[i]] += size[i]
-    own = [_leaf_risk(node.class_counts, loss) for node in nodes]
+    own = [float((counts @ loss.entries).min()) for counts in tree.counts]
     risk, leaves = list(own), [1] * m
     g = np.full(m, np.inf)
 
     def update(i):
-        left = i + 1
-        right = left + size[left]
-        risk[i] = risk[left] + risk[right]
-        leaves[i] = leaves[left] + leaves[right]
+        risk[i] = risk[i + 1] + risk[right[i]]
+        leaves[i] = leaves[i + 1] + leaves[right[i]]
         g[i] = max((own[i] - risk[i]) / (leaves[i] - 1), 0.0)
 
-    for i in range(m - 1, -1, -1):
-        if isinstance(nodes[i], Internal):
-            update(i)
+    for i in inner[::-1].tolist():
+        update(i)
     threshold = math.inf if math.isinf(cp) else cp * own[0]
+    keep = np.ones(m, dtype=bool)
     steps = 0
-    while True:
-        i = int(np.argmin(g))
-        if not g[i] < threshold:
-            break
-        collapsed = _make_leaf(nodes[i].class_counts, loss)
+    while g[(i := int(np.argmin(g)))] < threshold:
         steps += 1
-        if i == 0:
-            return collapsed, steps
-        up = parent[i]
-        setattr(nodes[up], "left" if up + 1 == i else "right", collapsed)
         g[i:i + size[i]] = np.inf
+        keep[i + 1:i + size[i]] = False
         risk[i], leaves[i] = own[i], 1
+        for name in ("feature", "threshold", "left_set", "impurity", "decrease"):
+            getattr(tree, name)[i] = _Node._field_defaults[name]
+        tree.label[i], tree.expected_cost[i] = leaf_label(tree.counts[i], loss)
+        up = parent[i]
         while up >= 0:
             update(up)
             up = parent[up]
-    return root, steps
-
-
-def _summary(node: Node) -> tuple[int, int]:
-    """(depth in split levels: a lone leaf is depth 0, leaf count)."""
-    if isinstance(node, Leaf):
-        return 0, 1
-    dl, ll = _summary(node.left)
-    dr, lr = _summary(node.right)
-    return 1 + max(dl, dr), ll + lr
+    index = np.cumsum(keep) - 1
+    tree.right = np.where(tree.feature >= 0, index[tree.right], -1)
+    for name in _Node._fields:
+        setattr(tree, name, getattr(tree, name)[keep])
+    return steps
 
 
 def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams) -> DecisionTree:
     """Encode the columns once, grow by recursive partitioning, then apply
     cost-complexity pruning."""
     enc = EncodedTable(table, labels, loss.k)
-    root, grown = _grow(enc, loss, params)
-    root, steps = _prune(root, loss, params.cp)
+    nodes = _grow(enc, loss, params)
     tree = DecisionTree(
-        root=root,
-        params=params,
-        k=loss.k,
-        feature_names=table.names,
-        feature_kinds=table.kinds,
-        feature_levels=dict(zip(enc.cat_names, enc.levels)),
-        n_rows=table.n_rows,
-        nodes_grown=grown,
-        candidates_scanned=enc.candidates_scanned,
-        prune_steps=steps,
+        **_node_arrays(nodes), params=params, k=loss.k, feature_names=table.names,
+        feature_kinds=table.kinds, feature_levels=dict(zip(enc.cat_names, enc.levels)),
+        n_rows=table.n_rows, nodes_grown=len(nodes), candidates_scanned=enc.candidates_scanned,
     )
-    tree.depth, tree.leaf_count = _summary(tree.root)
+    tree.prune_steps = _prune(tree, loss, params.cp)
+    depth = np.zeros(len(tree.n), dtype=np.int64)  # split levels above each node
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
+    tree.depth, tree.leaf_count = int(depth.max()), int(np.count_nonzero(tree.feature < 0))
     return tree
 
 
@@ -668,40 +646,53 @@ def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _majority_side(node: Internal) -> Node:
-    return node.left if node.left.n >= node.right.n else node.right
+def _level_codes(col: np.ndarray, levels) -> np.ndarray:
+    """Each value's index in ``levels``, len(levels) for a level not among
+    them and -1 for a missing value."""
+    col = np.asarray(col, dtype=object)
+    codes = np.where(np.equal(col, None), -1, len(levels))
+    for b, level in enumerate(levels):
+        codes[col == level] = b
+    return codes
+
+
+def _level_names(levels, left_set) -> tuple[str, ...]:
+    return tuple(levels[b] for b in _bits_of(int(left_set)))
 
 
 def predict(tree: DecisionTree, table: FeatureTable) -> np.ndarray:
-    """Vectorized prediction; missing values route to the larger child."""
-    for name, kind in zip(tree.feature_names, tree.feature_kinds):
+    """Vectorized prediction, node by node with an explicit stack: each
+    internal node splits all the rows that reach it at once. A missing value
+    goes to the child that saw more training rows, an unseen level right."""
+    used = set(tree.feature[tree.feature >= 0].tolist())
+    columns = {}  # what splits read: numeric values, or level codes (-1 = missing)
+    for j, (name, kind) in enumerate(zip(tree.feature_names, tree.feature_kinds)):
         if name not in table.names:
             raise InvalidArgument(f"feature {name!r} missing from prediction data")
         if table.kind(name) != kind:
             raise InvalidArgument(f"feature {name!r} kind mismatch")
+        if j in used and kind == NUMERIC:
+            columns[j] = table.column(name).astype(np.float64)
+        elif j in used:
+            columns[j] = _level_codes(table.column(name), tree.feature_levels[name])
     out = np.empty(table.n_rows, dtype=np.int64)
-
-    def route(node: Node, idx: np.ndarray):
-        if isinstance(node, Leaf):
-            out[idx] = node.label
-            return
-        col = table.column(node.feature)[idx]
-        if node.kind == NUMERIC:
-            vals = col.astype(np.float64)
-            missing = np.isnan(vals)
-            go_left = ~missing & (vals < node.threshold)
+    stack = [(0, np.arange(table.n_rows))]
+    while stack:
+        i, rows = stack.pop()
+        j = int(tree.feature[i])
+        if j < 0:
+            out[rows] = tree.label[i]
+            continue
+        value = columns[j][rows]
+        if tree.feature_kinds[j] == NUMERIC:
+            missing, go_left = np.isnan(value), value < tree.threshold[i]
         else:
-            missing = np.array([v is None for v in col], dtype=bool)
-            cat_set = set(node.categories)
-            go_left = np.array(
-                [(v in cat_set) if v is not None else False for v in col], dtype=bool
-            )
-        major_left = _majority_side(node) is node.left
-        left_sel = go_left | (missing & major_left)
-        route(node.left, idx[left_sel])
-        route(node.right, idx[~left_sel])
-
-    route(tree.root, np.arange(table.n_rows))
+            # Codes past the left set's bits (unseen levels, and -1) stay False.
+            member = np.zeros(len(tree.feature_levels[tree.feature_names[j]]) + 1, dtype=bool)
+            member[_bits_of(int(tree.left_set[i]))] = True
+            missing, go_left = value < 0, member[value]
+        go_left |= missing & (tree.n[i + 1] >= tree.n[tree.right[i]])
+        stack += [(int(tree.right[i]), rows[~go_left]), (i + 1, rows[go_left])]
     return out
 
 
@@ -712,17 +703,10 @@ def predict(tree: DecisionTree, table: FeatureTable) -> np.ndarray:
 def variable_importance(tree: DecisionTree) -> list[tuple[str, float]]:
     """Total impurity decrease credited to each feature, descending; unused
     features are omitted."""
-    scores: dict[str, float] = {}
-
-    def walk(node: Node):
-        if isinstance(node, Internal):
-            scores[node.feature] = scores.get(node.feature, 0.0) + node.decrease
-            walk(node.left)
-            walk(node.right)
-
-    walk(tree.root)
-    order = {name: i for i, name in enumerate(tree.feature_names)}
-    return sorted(scores.items(), key=lambda kv: (-kv[1], order[kv[0]]))
+    inner = tree.feature >= 0  # bincount adds the decreases in preorder
+    scores = np.bincount(tree.feature[inner], tree.decrease[inner], len(tree.feature_names))
+    used = sorted(set(tree.feature[inner].tolist()), key=lambda j: (-scores[j], j))
+    return [(tree.feature_names[j], float(scores[j])) for j in used]
 
 
 @dataclass(frozen=True)
@@ -758,40 +742,38 @@ class LeafRule:
 
 
 def extract_rules(tree: DecisionTree) -> list[LeafRule]:
-    """One rule per leaf: the root-to-leaf conditions with redundant bounds
-    on the same feature merged to the tightest. Rules partition the space of
-    complete records over the training feature levels."""
+    """One rule per leaf, in preorder: the root-to-leaf conditions with
+    redundant bounds on the same feature merged to the tightest. Rules
+    partition the space of complete records over the training feature
+    levels."""
     rules: list[LeafRule] = []
-    order = {name: i for i, name in enumerate(tree.feature_names)}
-
-    def walk(node: Node, bounds: dict, cats: dict):
-        if isinstance(node, Leaf):
-            conditions = []
-            for name in sorted(set(bounds) | set(cats), key=order.get):
-                if name in bounds:
-                    lo, hi = bounds[name]
-                    conditions.append(RuleCondition(name, NUMERIC, lo=lo, hi=hi))
-                else:
-                    conditions.append(
-                        RuleCondition(name, CATEGORICAL, categories=tuple(sorted(cats[name])))
-                    )
-            rules.append(
-                LeafRule(tuple(conditions), node.label, node.n, node.expected_cost)
-            )
-            return
-        if node.kind == NUMERIC:
-            lo, hi = bounds.get(node.feature, (-math.inf, math.inf))
-            left_bounds = {**bounds, node.feature: (lo, min(hi, node.threshold))}
-            right_bounds = {**bounds, node.feature: (max(lo, node.threshold), hi)}
-            walk(node.left, left_bounds, cats)
-            walk(node.right, right_bounds, cats)
-        else:
-            allowed = cats.get(node.feature, frozenset(tree.feature_levels[node.feature]))
-            split_set = frozenset(node.categories)
-            walk(node.left, bounds, {**cats, node.feature: allowed & split_set})
-            walk(node.right, bounds, {**cats, node.feature: allowed - split_set})
-
-    walk(tree.root, {}, {})
+    # (node, numeric (lo, hi) bounds and allowed-level bitmasks by schema index)
+    stack: list[tuple[int, dict, dict]] = [(0, {}, {})]
+    while stack:
+        i, bounds, cats = stack.pop()
+        j = int(tree.feature[i])
+        if j >= 0:
+            if tree.feature_kinds[j] == NUMERIC:
+                t = float(tree.threshold[i])
+                lo, hi = bounds.get(j, (-math.inf, math.inf))
+                stack.append((int(tree.right[i]), {**bounds, j: (max(lo, t), hi)}, cats))
+                stack.append((i + 1, {**bounds, j: (lo, min(hi, t))}, cats))
+            else:
+                allowed = cats.get(j, (1 << len(tree.feature_levels[tree.feature_names[j]])) - 1)
+                chosen = int(tree.left_set[i])
+                stack.append((int(tree.right[i]), bounds, {**cats, j: allowed & ~chosen}))
+                stack.append((i + 1, bounds, {**cats, j: allowed & chosen}))
+            continue
+        conditions = []
+        for f in sorted(bounds.keys() | cats.keys()):
+            name = tree.feature_names[f]
+            if f in bounds:
+                conditions.append(RuleCondition(name, NUMERIC, *bounds[f]))
+            else:
+                categories = _level_names(tree.feature_levels[name], cats[f])
+                conditions.append(RuleCondition(name, CATEGORICAL, categories=categories))
+        rules.append(LeafRule(tuple(conditions), int(tree.label[i]), int(tree.n[i]),
+                              float(tree.expected_cost[i])))
     return rules
 
 
@@ -799,19 +781,28 @@ def classify_with_rules(rules: list[LeafRule], table: FeatureTable) -> np.ndarra
     """Apply extracted rules as a standalone classifier to complete records.
     Raises if any record matches zero or multiple rules (the rules of a valid
     tree partition the complete-record space)."""
+    columns = {}  # each feature's values, or its levels and level codes, encoded once
+    for cond in (cond for rule in rules for cond in rule.conditions):
+        if cond.feature not in columns:
+            col = table.column(cond.feature)
+            if cond.kind == NUMERIC:
+                columns[cond.feature] = col.astype(np.float64)
+            else:
+                levels = sorted(set(col.tolist()) - {None})
+                columns[cond.feature] = levels, _level_codes(col, levels)
     n = table.n_rows
     out = np.zeros(n, dtype=np.int64)
     matched = np.zeros(n, dtype=np.int64)
     for rule in rules:
         mask = np.ones(n, dtype=bool)
         for cond in rule.conditions:
-            col = table.column(cond.feature)
             if cond.kind == NUMERIC:
-                vals = col.astype(np.float64)
+                vals = columns[cond.feature]
                 mask &= (vals >= cond.lo) & (vals < cond.hi)
             else:
-                allowed = set(cond.categories)
-                mask &= np.array([v in allowed for v in col], dtype=bool)
+                levels, codes = columns[cond.feature]
+                # The appended entry, code -1, is that of a missing value.
+                mask &= np.append(np.isin(levels, cond.categories), False)[codes]
         out[mask] = rule.label
         matched += mask
     if not np.all(matched == 1):
@@ -824,31 +815,28 @@ def classify_with_rules(rules: list[LeafRule], table: FeatureTable) -> np.ndarra
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _node_to_dict(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        return {
-            "type": "leaf",
-            "label": node.label,
-            "n": node.n,
-            "counts": [int(c) for c in node.class_counts],
-            "expected_cost": node.expected_cost,
+def _root_to_dict(tree: DecisionTree) -> dict:
+    """The nested node dicts of a model document, built bottom-up in
+    reverse preorder so that both children exist before their parent."""
+    done: dict[int, dict] = {}
+    for i in range(len(tree.n) - 1, -1, -1):
+        j = int(tree.feature[i])
+        n, counts = int(tree.n[i]), [int(c) for c in tree.counts[i]]
+        if j < 0:
+            done[i] = {"type": "leaf", "label": int(tree.label[i]), "n": n, "counts": counts,
+                       "expected_cost": float(tree.expected_cost[i])}
+            continue
+        name, kind = tree.feature_names[j], tree.feature_kinds[j]
+        d = done[i] = {
+            "type": "internal", "feature": name, "kind": kind, "n": n, "counts": counts,
+            "impurity": float(tree.impurity[i]), "decrease": float(tree.decrease[i]),
+            "left": done.pop(i + 1), "right": done.pop(int(tree.right[i])),
         }
-    d = {
-        "type": "internal",
-        "feature": node.feature,
-        "kind": node.kind,
-        "n": node.n,
-        "counts": [int(c) for c in node.class_counts],
-        "impurity": node.impurity,
-        "decrease": node.decrease,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-    if node.kind == NUMERIC:
-        d["threshold"] = node.threshold
-    else:
-        d["categories"] = list(node.categories)
-    return d
+        if kind == NUMERIC:
+            d["threshold"] = float(tree.threshold[i])
+        else:
+            d["categories"] = list(_level_names(tree.feature_levels[name], tree.left_set[i]))
+    return done[0]
 
 
 def serialize_tree(tree: DecisionTree) -> str:
@@ -861,45 +849,52 @@ def serialize_tree(tree: DecisionTree) -> str:
         ],
         "levels": {name: list(lv) for name, lv in tree.feature_levels.items()},
         "summary": {"n": tree.n_rows, "depth": tree.depth, "leaf_count": tree.leaf_count},
-        "root": _node_to_dict(tree.root),
+        "root": _root_to_dict(tree),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _node_from_dict(d: dict, k: int, path: str, depth: int = 0) -> Node:
-    if depth > MAX_DEPTH:
-        raise TreeFormatError(f"{path}: node deeper than {MAX_DEPTH} split levels")
-    try:
-        node_type = d["type"]
-        counts = np.asarray(d["counts"], dtype=np.float64)
-        if len(counts) != k:
-            raise TreeFormatError(f"{path}: counts length {len(counts)} != k {k}")
-        if node_type == "leaf":
-            return Leaf(
-                label=int(d["label"]),
-                n=int(d["n"]),
-                class_counts=counts,
-                expected_cost=float(d["expected_cost"]),
-            )
-        if node_type == "internal":
-            kind = d["kind"]
-            return Internal(
-                feature=str(d["feature"]),
-                kind=kind,
-                threshold=float(d["threshold"]) if kind == NUMERIC else None,
-                categories=tuple(d["categories"]) if kind != NUMERIC else None,
-                left=_node_from_dict(d["left"], k, path + ".left", depth + 1),
-                right=_node_from_dict(d["right"], k, path + ".right", depth + 1),
-                n=int(d["n"]),
-                class_counts=counts,
-                impurity=float(d["impurity"]),
-                decrease=float(d["decrease"]),
-            )
-        raise TreeFormatError(f"{path}: unknown node type {node_type!r}")
-    except KeyError as e:
-        raise TreeFormatError(f"{path}: missing field {e}")
-    except (TypeError, ValueError) as e:
-        raise TreeFormatError(f"{path}: {e}")
+def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
+    """A model document's nested node dicts as nodes in preorder, walked
+    with an explicit stack; every node is checked against the document's
+    schema and levels."""
+    nodes: list[_Node] = []
+    stack = [(root, "root", 0, -1)]  # (node dict, path, depth, parent of a right child)
+    while stack:
+        d, path, depth, parent = stack.pop()
+        if depth > MAX_DEPTH:
+            raise TreeFormatError(f"{path}: node deeper than {MAX_DEPTH} split levels")
+        if parent >= 0:
+            nodes[parent] = nodes[parent]._replace(right=len(nodes))
+        try:
+            node_type = d["type"]
+            node = {"n": int(d["n"]), "counts": np.asarray(d["counts"], dtype=np.float64)}
+            if node["counts"].shape != (k,):
+                raise TreeFormatError(f"{path}: counts must list {k} class counts")
+            if node_type == "leaf":
+                node.update(label=int(d["label"]), expected_cost=float(d["expected_cost"]))
+            elif node_type == "internal":
+                name, kind = d["feature"], d["kind"]
+                if name not in names or kind != kinds[names.index(name)]:
+                    raise TreeFormatError(f"{path}: no {kind} feature {name!r} in the schema")
+                node.update(feature=names.index(name), impurity=float(d["impurity"]),
+                            decrease=float(d["decrease"]))
+                if kind == NUMERIC:
+                    node["threshold"] = float(d["threshold"])
+                else:
+                    if not set(d["categories"]) <= set(levels[name]):
+                        raise TreeFormatError(f"{path}: categories outside the levels of {name!r}")
+                    node["left_set"] = sum(1 << levels[name].index(c) for c in set(d["categories"]))
+                stack += [(d["right"], path + ".right", depth + 1, len(nodes)),
+                          (d["left"], path + ".left", depth + 1, -1)]
+            else:
+                raise TreeFormatError(f"{path}: unknown node type {node_type!r}")
+        except KeyError as e:
+            raise TreeFormatError(f"{path}: missing field {e}")
+        except (TypeError, ValueError) as e:
+            raise TreeFormatError(f"{path}: {e}")
+        nodes.append(_Node(**node))
+    return nodes
 
 
 def deserialize_tree(text: str) -> DecisionTree:
@@ -918,25 +913,26 @@ def deserialize_tree(text: str) -> DecisionTree:
         )
     try:
         k = int(doc["k"])
-        schema = doc["schema"]
-        names = tuple(str(c["name"]) for c in schema)
-        kinds = tuple(str(c["kind"]) for c in schema)
-        levels = {name: tuple(lv) for name, lv in doc["levels"].items()}
-        params = TreeParams.from_dict(doc["params"])
-        summary = doc["summary"]
-        tree = DecisionTree(
-            root=_node_from_dict(doc["root"], k, "root"),
-            params=params,
-            k=k,
-            feature_names=names,
-            feature_kinds=kinds,
-            feature_levels=levels,
-            n_rows=int(summary["n"]),
-            depth=int(summary["depth"]),
-            leaf_count=int(summary["leaf_count"]),
-        )
+        names = tuple(str(c["name"]) for c in doc["schema"])
+        kinds = tuple(str(c["kind"]) for c in doc["schema"])
+        levels, root, summary = doc["levels"], doc["root"], doc["summary"]
+        meta = dict(params=TreeParams.from_dict(doc["params"]), n_rows=int(summary["n"]),
+                    depth=int(summary["depth"]), leaf_count=int(summary["leaf_count"]))
     except KeyError as e:
         raise TreeFormatError(f"tree document missing field {e}")
     except (TypeError, ValueError, InvalidArgument) as e:
         raise TreeFormatError(f"tree document malformed: {e}")
-    return tree
+    # Each feature named once, as numeric or categorical; levels as
+    # build_tree records them: distinct strings in sorted order.
+    if len(set(names)) != len(names) or not set(kinds) <= {NUMERIC, CATEGORICAL}:
+        raise TreeFormatError("schema must name each feature once, as numeric or categorical")
+    categorical = {name for name, kind in zip(names, kinds) if kind == CATEGORICAL}
+    if not isinstance(levels, dict) or set(levels) != categorical:
+        raise TreeFormatError("levels must be an object giving each categorical feature's levels")
+    for name, lv in levels.items():
+        if not (isinstance(lv, list) and all(isinstance(v, str) for v in lv)
+                and lv == sorted(set(lv))):
+            raise TreeFormatError(f"levels of {name!r} must be distinct strings in sorted order")
+    nodes = _nodes_from_dict(root, k, names, kinds, levels)
+    return DecisionTree(**_node_arrays(nodes), k=k, feature_names=names, feature_kinds=kinds,
+                        feature_levels={name: tuple(lv) for name, lv in levels.items()}, **meta)

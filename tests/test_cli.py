@@ -206,14 +206,30 @@ class TestHrg:
         hist = json.loads((out / "histogram.json").read_text())
         assert sum(hist.values()) == 250
 
-    def test_invalid_ruleset_exit_2(self, generated, tmp_path):
+    @pytest.mark.parametrize("content", [
+        pytest.param(json.dumps({"version": "x", "k": 13, "rules": [
+            {"if": [{"feature": "ghost", "op": ">", "value": 1}], "then": 1}
+        ]}).encode(), id="unknown_feature"),
+        pytest.param(json.dumps({"version": "x", "k": 2, "rules": [
+            {"if": [], "then": "one"}
+        ]}).encode(), id="non_integer_then"),
+        pytest.param(json.dumps({"version": "x", "k": "two", "rules": [
+            {"if": [], "then": 1}
+        ]}).encode(), id="non_integer_k"),
+        pytest.param(json.dumps({"version": "x", "k": 2, "default": "x", "rules": [
+            {"if": [], "then": 1}
+        ]}).encode(), id="non_numeric_default"),
+        pytest.param(b'{"version": "\xff", "k": 1, "rules": [{"if": [], "then": 1}]}',
+                     id="not_utf8"),
+    ])
+    def test_invalid_ruleset_exit_2(self, generated, tmp_path, capsys, content):
         root, _, cohort = generated
         bad = tmp_path / "rules.json"
-        bad.write_text(json.dumps({"version": "x", "k": 13, "rules": [
-            {"if": [{"feature": "ghost", "op": ">", "value": 1}], "then": 1}
-        ]}), encoding="utf-8")
+        bad.write_bytes(content)
+        capsys.readouterr()
         code = main(["hrg", "--cohort", str(cohort), "--ruleset", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_cohort_exit_2(self, tmp_path):
         assert main(["hrg", "--cohort", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -370,8 +386,11 @@ class TestEvaluate:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("edit", ["max_depth", "deep_node"])
+    @pytest.mark.parametrize("edit", ["max_depth", "deep_node", "unknown_feature",
+                                      "kind_mismatch", "levels_list", "unknown_category"])
     def test_model_deeper_than_cap_exit_2(self, trained, tmp_path, edit):
+        """A model.json deeper than the depth cap, or at odds with its own
+        schema and levels, is an input error."""
         import shutil
 
         root, _, cohort, result = trained
@@ -380,8 +399,18 @@ class TestEvaluate:
         broken = tmp_path / "deep_result"
         shutil.copytree(result, broken)
         model = json.loads((broken / "model.json").read_text())
+        root = model["root"]
+        assert root["kind"] == "numeric"  # the pinned model splits on los_days first
         if edit == "max_depth":
             model["params"]["max_depth"] = 31
+        elif edit == "unknown_feature":
+            root["feature"] = "ghost"
+        elif edit == "kind_mismatch":
+            root.update(kind="categorical", categories=["1"])
+        elif edit == "levels_list":
+            model["levels"] = [[name, levels] for name, levels in model["levels"].items()]
+        elif edit == "unknown_category":
+            root.update(feature="sex", kind="categorical", categories=["no such level"])
         else:
             leaf = model["root"]
             while leaf["type"] == "internal":
@@ -531,6 +560,26 @@ class TestAllValidatesPipelineFirst:
 
         monkeypatch.setattr(cli, "generate_cohort", refuse)
         cfg = write_config(tmp_path, dict(COHORT_CONFIG, pipeline=pipeline))
+        out = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not (out / "cohort.csv").exists()
+        assert not (out / "hrg").exists()
+
+    @pytest.mark.parametrize("ruleset", ["missing", "malformed", "unknown_feature"])
+    def test_bad_ruleset_leaves_no_cohort(self, tmp_path, monkeypatch, ruleset):
+        import casemix.cli as cli
+
+        def refuse(config):
+            raise AssertionError("generated a cohort for a config whose ruleset cannot load")
+
+        monkeypatch.setattr(cli, "generate_cohort", refuse)
+        path = tmp_path / "rules.json"
+        if ruleset == "malformed":
+            path.write_text('{"version": "x", "k": 2, "rules": [{"if": [], "then": "one"}]}')
+        elif ruleset == "unknown_feature":
+            path.write_text(json.dumps({"version": "x", "k": 1, "rules": [
+                {"if": [{"feature": "ghost", "op": ">", "value": 1}], "then": 1}]}))
+        cfg = write_config(tmp_path, dict(COHORT_CONFIG, ruleset=str(path)))
         out = tmp_path / "run"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not (out / "cohort.csv").exists()

@@ -1,12 +1,14 @@
-import copy
+import ast
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import casemix.tree
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.domain import CostMatrix, linear_cost_matrix, zero_one_cost_matrix
 from casemix.errors import InvalidArgument, TreeFormatError
@@ -15,8 +17,6 @@ from casemix.tree import (
     DecisionTree,
     EncodedTable,
     FeatureTable,
-    Internal,
-    Leaf,
     MAX_DEPTH,
     TreeParams,
     best_split,
@@ -62,20 +62,26 @@ def brute_force_gini(counts, loss: CostMatrix):
     return total
 
 
+def model_root(tree: DecisionTree) -> dict:
+    """The tree's root node as nested dicts, read from its serialized form."""
+    return json.loads(serialize_tree(tree))["root"]
+
+
+def preorder(node: dict):
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        yield nd
+        if nd["type"] == "internal":
+            stack.extend((nd["right"], nd["left"]))
+
+
 def tree_risk(tree: DecisionTree, loss: CostMatrix) -> float:
     """Total expected misclassification cost of the tree's leaf labeling."""
-    total = 0.0
-
-    def walk(node):
-        nonlocal total
-        if isinstance(node, Leaf):
-            total += float(node.class_counts @ loss.entries[:, node.label - 1])
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(tree.root)
-    return total
+    return sum(
+        float(np.asarray(nd["counts"]) @ loss.entries[:, nd["label"] - 1])
+        for nd in preorder(model_root(tree)) if nd["type"] == "leaf"
+    )
 
 
 class TestGiniLossImpurity:
@@ -213,8 +219,9 @@ class TestBuildTree:
     def test_single_label_single_leaf(self):
         table = numeric_table(x=[1.0, 2.0, 3.0])
         tree = build_tree(table, [2, 2, 2], zero_one_cost_matrix(3), UNRESTRICTED)
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.label == 2
+        root = model_root(tree)
+        assert root["type"] == "leaf"
+        assert root["label"] == 2
 
     def test_xor_style_depth_two(self):
         # unbalanced XOR: quadrant counts 3/1/3/1 give the greedy scan a
@@ -248,9 +255,10 @@ class TestBuildTree:
         labels = rng.integers(1, 4, size=50)
         params = TreeParams(min_split=2, min_leaf=1, max_depth=30, cp=math.inf)
         tree = build_tree(table, labels, linear_cost_matrix(3), params)
-        assert isinstance(tree.root, Leaf)
+        root = model_root(tree)
+        assert root["type"] == "leaf"
         counts = np.bincount(labels - 1, minlength=3)
-        assert tree.root.label == leaf_label(counts, linear_cost_matrix(3))[0]
+        assert root["label"] == leaf_label(counts, linear_cost_matrix(3))[0]
 
     def test_memorizes_training_data(self):
         rng = np.random.default_rng(9)
@@ -280,15 +288,10 @@ class TestBuildTree:
         table = numeric_table(x=rng.normal(size=80).tolist(), z=rng.normal(size=80).tolist())
         labels = rng.integers(1, 4, size=80)
         tree = build_tree(table, labels, linear_cost_matrix(3), UNRESTRICTED)
-
-        def walk(node):
-            if isinstance(node, Internal):
-                assert node.decrease > 0.0
-                assert node.left.n + node.right.n == node.n
-                walk(node.left)
-                walk(node.right)
-
-        walk(tree.root)
+        for node in preorder(model_root(tree)):
+            if node["type"] == "internal":
+                assert node["decrease"] > 0.0
+                assert node["left"]["n"] + node["right"]["n"] == node["n"]
 
     def test_risk_ordering_full_vs_pruned_vs_root(self):
         rng = np.random.default_rng(19)
@@ -346,13 +349,13 @@ class TestBuildTree:
         pruned = build_tree(table, labels, loss, TreeParams(min_split=4, min_leaf=2, max_depth=20, cp=0.02))
 
         def signatures(node, path=()):
-            yield path, tuple(int(c) for c in node.class_counts)
-            if isinstance(node, Internal):
-                yield from signatures(node.left, path + ("L",))
-                yield from signatures(node.right, path + ("R",))
+            yield path, tuple(node["counts"])
+            if node["type"] == "internal":
+                yield from signatures(node["left"], path + ("L",))
+                yield from signatures(node["right"], path + ("R",))
 
-        full_sigs = dict(signatures(full.root))
-        for path, counts in signatures(pruned.root):
+        full_sigs = dict(signatures(model_root(full)))
+        for path, counts in signatures(model_root(pruned)):
             assert full_sigs.get(path) == counts  # same node, possibly collapsed below
 
     def test_monotone_transform_invariance_on_training_points(self):
@@ -373,29 +376,29 @@ class TestBuildTree:
 
 def hand_built_tree():
     """Numeric split on x at 5, left child split on x at 3; categorical split
-    on c for the right branch. Built directly to pin routing semantics."""
-    loss = linear_cost_matrix(3)
-    leaf = lambda label, n: Leaf(label=label, n=n, class_counts=np.zeros(3), expected_cost=0.0)
-    left = Internal(
-        feature="x", kind="numeric", threshold=3.0, categories=None,
-        left=leaf(1, 6), right=leaf(2, 2), n=8, class_counts=np.zeros(3),
-        impurity=0.5, decrease=1.0,
+    on c for the right branch. Read from a hand-written model document to
+    pin routing semantics."""
+
+    def leaf(label, n):
+        return {"type": "leaf", "label": label, "n": n, "counts": [0, 0, 0], "expected_cost": 0.0}
+
+    def internal(feature, kind, n, impurity, decrease, left, right, **split):
+        return {"type": "internal", "feature": feature, "kind": kind, "n": n, "counts": [0, 0, 0],
+                "impurity": impurity, "decrease": decrease, "left": left, "right": right, **split}
+
+    root = internal(
+        "x", "numeric", 12, 0.6, 2.0, threshold=5.0,
+        left=internal("x", "numeric", 8, 0.5, 1.0, leaf(1, 6), leaf(2, 2), threshold=3.0),
+        right=internal("c", "categorical", 4, 0.5, 1.0, leaf(2, 1), leaf(3, 3),
+                       categories=["a", "b"]),
     )
-    right = Internal(
-        feature="c", kind="categorical", threshold=None, categories=("a", "b"),
-        left=leaf(2, 1), right=leaf(3, 3), n=4, class_counts=np.zeros(3),
-        impurity=0.5, decrease=1.0,
-    )
-    root = Internal(
-        feature="x", kind="numeric", threshold=5.0, categories=None,
-        left=left, right=right, n=12, class_counts=np.zeros(3),
-        impurity=0.6, decrease=2.0,
-    )
-    return DecisionTree(
-        root=root, params=UNRESTRICTED, k=3,
-        feature_names=("x", "c"), feature_kinds=("numeric", "categorical"),
-        feature_levels={"c": ("a", "b", "z")}, n_rows=12, depth=3, leaf_count=4,
-    )
+    return deserialize_tree(json.dumps({
+        "version": "1", "k": 3, "params": UNRESTRICTED.to_dict(),
+        "schema": [{"name": "x", "kind": "numeric"}, {"name": "c", "kind": "categorical"}],
+        "levels": {"c": ["a", "b", "z"]},
+        "summary": {"n": 12, "depth": 2, "leaf_count": 4},
+        "root": root,
+    }))
 
 
 def predict_one(tree: DecisionTree, x, c) -> int:
@@ -411,6 +414,7 @@ class TestPredict:
         assert predict_one(tree, 4.0, "a") == 2
         assert predict_one(tree, 9.0, "a") == 2
         assert predict_one(tree, 9.0, "z") == 3
+        assert predict_one(tree, 9.0, "never seen") == 3  # unseen levels go right
 
     def test_missing_routes_to_larger_child(self):
         tree = hand_built_tree()
@@ -528,6 +532,19 @@ class TestSerialization:
         assert np.array_equal(predict(clone, probe), predict(tree, probe))
         assert serialize_tree(clone) == serialize_tree(tree)
 
+    def test_left_sets_wider_than_a_machine_word(self):
+        # 64 levels, the odd ones left: the split's bitmask sets bit 63, past
+        # any signed 64-bit integer, and spans more bits than a float holds.
+        rng = np.random.default_rng(53)
+        codes = rng.integers(0, 64, size=2000)
+        table = FeatureTable.from_items([("c", "categorical", [f"l{c:02d}" for c in codes])])
+        labels = 2 - codes % 2
+        tree = build_tree(table, labels, linear_cost_matrix(2), UNRESTRICTED)
+        text = serialize_tree(tree)
+        assert serialize_tree(deserialize_tree(text)) == text
+        assert np.array_equal(predict(deserialize_tree(text), table), labels)
+        assert np.array_equal(classify_with_rules(extract_rules(tree), table), labels)
+
     def test_truncated_document(self):
         tree, _ = self.build()
         text = serialize_tree(tree)
@@ -562,7 +579,7 @@ class TestSerialization:
         return json.dumps(doc)
 
     def test_depth_cap(self):
-        assert deserialize_tree(self.chain_document(MAX_DEPTH)).root.n > 0
+        assert model_root(deserialize_tree(self.chain_document(MAX_DEPTH)))["n"] > 0
         with pytest.raises(TreeFormatError, match="deeper than 30"):
             deserialize_tree(self.chain_document(MAX_DEPTH + 1))
 
@@ -603,35 +620,26 @@ class TestParams:
 # Growth routing, pinned trees and the pruning reference
 # ---------------------------------------------------------------------------
 
-def preorder(node):
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        yield nd
-        if isinstance(nd, Internal):
-            stack.extend((nd.right, nd.left))
-
-
 def assert_predict_reproduces_node_counts(tree: DecisionTree, table: FeatureTable, labels, k):
     """Relabel each leaf with its own id, route the training table through
     predict, and check every node's n and class counts against the rows
     that reach it; every split must send rows both ways."""
-    probe = copy.deepcopy(tree)
-    leaves = [nd for nd in preorder(probe.root) if isinstance(nd, Leaf)]
+    doc = json.loads(serialize_tree(tree))
+    leaves = [nd for nd in preorder(doc["root"]) if nd["type"] == "leaf"]
     for i, leaf in enumerate(leaves):
-        leaf.label = i + 1
-    reached = predict(probe, table)
+        leaf["label"] = i + 1
+    reached = predict(deserialize_tree(json.dumps(doc)), table)
     y0 = np.asarray(labels) - 1
 
     def leaf_ids(nd):
-        return [nd.label for nd in preorder(nd) if isinstance(nd, Leaf)]
+        return [leaf["label"] for leaf in preorder(nd) if leaf["type"] == "leaf"]
 
-    for nd in preorder(probe.root):
+    for nd in preorder(doc["root"]):
         rows = np.isin(reached, leaf_ids(nd))
-        assert nd.n == rows.sum()
-        assert np.array_equal(nd.class_counts, np.bincount(y0[rows], minlength=k))
-        if isinstance(nd, Internal):
-            assert nd.left.n > 0 and nd.right.n > 0
+        assert nd["n"] == rows.sum()
+        assert np.array_equal(nd["counts"], np.bincount(y0[rows], minlength=k))
+        if nd["type"] == "internal":
+            assert nd["left"]["n"] > 0 and nd["right"]["n"] > 0
 
 
 @st.composite
@@ -675,6 +683,9 @@ class TestGrowthRouting:
         table, labels, k, params = case
         tree = build_tree(table, labels, linear_cost_matrix(k), params)
         assert_predict_reproduces_node_counts(tree, table, labels, k)
+        text = serialize_tree(tree)
+        assert serialize_tree(deserialize_tree(text)) == text
+        assert np.array_equal(classify_with_rules(extract_rules(tree), table), predict(tree, table))
 
 
 #: sha256 of serialize_tree for the pinned small run below, on the exact
@@ -699,12 +710,13 @@ def test_golden_trees_small_run():
     assert digests == GOLDEN_TREE_SHA256
 
 
-def reference_prune(tree: DecisionTree, loss: CostMatrix) -> int:
-    """Weakest-link pruning that re-walks the whole tree before every
-    collapse; returns the number of collapses."""
+def reference_prune(root: dict, loss: CostMatrix, cp: float) -> tuple[dict, int]:
+    """Weakest-link pruning of a serialized tree's nested ``root`` dict that
+    re-walks the whole tree before every collapse; returns the pruned root
+    and the number of collapses."""
 
-    def leaf_risk(counts):
-        return float((counts @ loss.entries).min())
+    def leaf_risk(nd):
+        return float((np.asarray(nd["counts"], dtype=float) @ loss.entries).min())
 
     def links(root):
         found = []
@@ -713,33 +725,32 @@ def reference_prune(tree: DecisionTree, loss: CostMatrix) -> int:
         def walk(nd, parent, side):
             idx = counter[0]
             counter[0] += 1
-            if isinstance(nd, Leaf):
-                return leaf_risk(nd.class_counts), 1
-            rl, cl = walk(nd.left, nd, "left")
-            rr, cr = walk(nd.right, nd, "right")
-            g = max((leaf_risk(nd.class_counts) - (rl + rr)) / (cl + cr - 1), 0.0)
+            if nd["type"] == "leaf":
+                return leaf_risk(nd), 1
+            rl, cl = walk(nd["left"], nd, "left")
+            rr, cr = walk(nd["right"], nd, "right")
+            g = max((leaf_risk(nd) - (rl + rr)) / (cl + cr - 1), 0.0)
             found.append((g, idx, nd, parent, side))
             return rl + rr, cl + cr
 
         walk(root, None, None)
         return found
 
-    threshold = math.inf if math.isinf(tree.params.cp) else tree.params.cp * leaf_risk(
-        tree.root.class_counts
-    )
+    threshold = math.inf if math.isinf(cp) else cp * leaf_risk(root)
     steps = 0
-    while isinstance(tree.root, Internal):
-        g, _, node, parent, side = min(links(tree.root), key=lambda t: (t[0], t[1]))
+    while root["type"] == "internal":
+        g, _, node, parent, side = min(links(root), key=lambda t: (t[0], t[1]))
         if not g < threshold:
             break
-        label, expected = leaf_label(node.class_counts, loss)
-        collapsed = Leaf(label, node.n, node.class_counts.copy(), expected)
+        label, expected = leaf_label(node["counts"], loss)
+        collapsed = {"type": "leaf", "label": label, "n": node["n"], "counts": node["counts"],
+                     "expected_cost": expected}
         if parent is None:
-            tree.root = collapsed
+            root = collapsed
         else:
-            setattr(parent, side, collapsed)
+            parent[side] = collapsed
         steps += 1
-    return steps
+    return root, steps
 
 
 class TestBuildCounters:
@@ -776,10 +787,30 @@ class TestPruningReference:
         full = build_tree(table, labels, loss, TreeParams(cp=0.0, **grow))
         for cp in (0.001, 0.01, 0.03, 0.1, 0.5, math.inf):
             pruned = build_tree(table, labels, loss, TreeParams(cp=cp, **grow))
-            ref = copy.deepcopy(full)
-            ref.params = pruned.params
-            assert pruned.prune_steps == reference_prune(ref, loss)
+            ref_root, ref_steps = reference_prune(model_root(full), loss, cp)
+            assert pruned.prune_steps == ref_steps
             assert pruned.nodes_grown == full.nodes_grown
-            assert json.loads(serialize_tree(pruned))["root"] == json.loads(
-                serialize_tree(ref)
-            )["root"]
+            assert model_root(pruned) == ref_root
+
+
+def test_no_function_in_the_tree_module_calls_itself():
+    """Tree walks are loops over node indices or explicit stacks. A function
+    that calls itself by name would bring back recursion, and with it the
+    interpreter's recursion limit."""
+    path = Path(casemix.tree.__file__)
+    calls_itself = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func  # f(...), or self.f(...) / cls.f(...) in a method
+            if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name) \
+                    and callee.value.id in ("self", "cls"):
+                name = callee.attr
+            else:
+                name = getattr(callee, "id", None)
+            if name == fn.name:
+                calls_itself.append(f"{fn.name} at line {node.lineno}")
+    assert calls_itself == []
