@@ -37,6 +37,7 @@ from .domain import (
     NUMERIC,
     Dataset,
     Depth,
+    check_int,
     check_seed,
 )
 from .errors import InvalidArgument
@@ -101,8 +102,7 @@ class CohortConfig:
     unclassifiable_rate: float = 0.02
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise InvalidArgument(f"cohort size must be an integer, got {self.n!r}")
+        check_int("cohort size", self.n)
         check_seed("cohort seed", self.seed)
         for name in ("los_noise", "cost_noise", "outlier_rate", "unclassifiable_rate"):
             if not isinstance(getattr(self, name), (int, float)):

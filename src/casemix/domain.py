@@ -54,10 +54,18 @@ CATEGORICAL = "categorical"
 CATEGORICAL_FILL = "none"
 
 
+def check_int(what: str, value) -> int:
+    """``value`` unchanged if it is an int as JSON gives one. A bool or a
+    float, even 13.0, is refused: counts and ranks are never truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def check_seed(what: str, value) -> None:
     """Every seed keys a numpy ``SeedSequence``, which takes non-negative
     integers only."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if check_int(what, value) < 0:
         raise InvalidArgument(f"{what} must be a non-negative integer, got {value!r}")
 
 

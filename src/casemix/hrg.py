@@ -24,6 +24,7 @@ from .domain import (
     Dataset,
     Depth,
     PatientRecord,
+    check_int,
 )
 from .errors import InvalidArgument, RulesetError
 
@@ -97,17 +98,17 @@ def ruleset_from_dict(d: dict) -> Ruleset:
                     )
                     for c in r["if"]
                 ),
-                target_rank=int(r["then"]),
+                target_rank=check_int("rule rank 'then'", r["then"]),
             )
             for r in d["rules"]
         )
         return Ruleset(
             rules=rules,
-            k=int(d["k"]),
+            k=check_int("ruleset k", d["k"]),
             version=str(d["version"]),
-            default_rank=None if d.get("default") is None else int(d["default"]),
+            default_rank=None if d.get("default") is None else check_int("default rank", d["default"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, InvalidArgument) as e:
         raise RulesetError(f"malformed ruleset document: {e}")
 
 

@@ -23,6 +23,7 @@ from .domain import (
     FACTOR_FIELDS,
     NUMERIC,
     Dataset,
+    check_int,
     check_seed,
     linear_cost_matrix,
 )
@@ -70,6 +71,8 @@ class PipelineConfig:
             raise InvalidArgument(
                 f"split_fraction must be in (0, 1), got {self.split_fraction}"
             )
+        check_int("k", self.k)
+        check_int("importance_top_m", self.importance_top_m)
         if self.importance_top_m < 1:
             raise InvalidArgument("importance_top_m must be >= 1")
         if self.k < 2:

@@ -19,11 +19,16 @@ observed values; a categorical column becomes int32 level codes in
 sorted-string order. The row order of each numeric column is sorted once
 and partitioned stably in place whenever a node splits (SLIQ's presorted
 attribute lists), so each node scans its rows already in value order;
-categorical columns are scanned from one class histogram per node.
+categorical columns are scanned from one class histogram per node. The
+columns are grouped by scan class into at most three spans (numeric,
+categorical with few levels, categorical with many), and each node scans
+each span in one pass unless the node is too large for its working arrays.
 
-Determinism contract: candidate splits are scanned in schema order, numeric
-thresholds ascending, categorical subsets in canonical order; ties keep the
-first candidate. Identical inputs always produce identical trees.
+Determinism contract: within a column, numeric thresholds are scanned
+ascending and categorical subsets in canonical order. Of equal decreases,
+the split on the lower schema index wins, and within one column the first
+candidate: the split a single scan over all candidates in schema order
+would keep. Identical inputs always produce identical trees.
 
 Routing: a row goes left when its value < threshold (categorical: when its
 level is in the split's left set). ``predict`` routes new rows the same way;
@@ -33,7 +38,6 @@ the tree never saw goes right.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import math
@@ -42,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import CATEGORICAL, NUMERIC, CostMatrix
+from .domain import CATEGORICAL, NUMERIC, CostMatrix, check_int
 from .errors import InvalidArgument, TreeFormatError
 
 TREE_FORMAT_VERSION = "1"
@@ -52,11 +56,11 @@ TREE_FORMAT_VERSION = "1"
 #: exhaustive subset scan.
 MAX_EXHAUSTIVE_LEVELS = 10
 
-#: Columns scanned together at one node: at most _BLOCK, and fewer on large
-#: nodes so that a block spans at most _BLOCK_CELLS row entries. Candidate
+#: A scan at one node takes as many of its span's columns as fit in
+#: _BLOCK_CELLS row entries, at least one; so a node of fewer rows than
+#: _BLOCK_CELLS / (columns of a kind) scans each kind in one pass. Candidate
 #: splits reach _impurity_terms in chunks of _CHUNK. Together these bound the
 #: per-node working arrays whatever the number of rows and columns.
-_BLOCK = 8
 _BLOCK_CELLS = 32768
 _CHUNK = 1024
 
@@ -73,6 +77,8 @@ class TreeParams:
     cp: float = 0.01
 
     def __post_init__(self):
+        for name in ("min_split", "min_leaf", "max_depth"):
+            check_int(name, getattr(self, name))
         if self.min_leaf < 1:
             raise InvalidArgument(f"min_leaf must be >= 1, got {self.min_leaf}")
         if self.min_split < 2 * self.min_leaf:
@@ -92,9 +98,9 @@ class TreeParams:
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
         return cls(
-            min_split=int(d["min_split"]),
-            min_leaf=int(d["min_leaf"]),
-            max_depth=int(d["max_depth"]),
+            min_split=d["min_split"],
+            min_leaf=d["min_leaf"],
+            max_depth=d["max_depth"],
             cp=float(d["cp"]),
         )
 
@@ -272,6 +278,7 @@ class EncodedTable:
     ``rows`` lists every row id with each node's rows contiguous and
     ascending; ``order[j]`` holds the same segments sorted by numeric column
     j. Growing partitions both stably in place when a node splits.
+    ``spans`` holds one ``_Span`` for each scan class that has columns.
     """
 
     def __init__(self, table: FeatureTable, labels, k: int):
@@ -287,35 +294,32 @@ class EncodedTable:
         self.names = table.names
         self.num_names, self.values, num_codes = [], [], []
         self.cat_names, self.levels, cat_codes = [], [], []
-        #: (scan class, first, stop) for each maximal run of features in
-        #: schema order that one scan class handles; first and stop index
-        #: that kind's columns.
-        self.spans: list[tuple[type, int, int]] = []
-        for name, kind, col in zip(table.names, table.kinds, table.columns):
+        members = {_NumericScan: [], _SubsetScan: [], _LevelScan: []}
+        for schema, (name, kind, col) in enumerate(zip(table.names, table.kinds, table.columns)):
             if kind == NUMERIC:
                 if np.isnan(col).any():
                     raise InvalidArgument(f"training column {name!r} contains missing values")
                 values, codes = np.unique(col, return_inverse=True)
+                members[_NumericScan].append((len(self.num_names), schema))
                 self.num_names.append(name)
                 self.values.append(values)
                 num_codes.append(codes.astype(np.int32))
-                scan, position = _NumericScan, len(self.num_names)
             else:
-                if any(v is None for v in col):
+                if np.equal(col, None).any():
                     raise InvalidArgument(f"training column {name!r} contains missing values")
-                levels, codes = np.unique(col.astype("U"), return_inverse=True)
-                self.cat_names.append(name)
-                self.levels.append(tuple(str(level) for level in levels))
-                cat_codes.append(codes.astype(np.int32))
+                strings = list(map(str, col.tolist()))
+                levels = sorted(set(strings))
+                index = {level: c for c, level in enumerate(levels)}
                 few = len(levels) <= MAX_EXHAUSTIVE_LEVELS
-                scan, position = (_SubsetScan if few else _LevelScan), len(self.cat_names)
-            if self.spans and self.spans[-1][0] is scan:
-                self.spans[-1] = (scan, self.spans[-1][1], position)
-            else:
-                self.spans.append((scan, position - 1, position))
+                members[_SubsetScan if few else _LevelScan].append((len(self.cat_names), schema))
+                self.cat_names.append(name)
+                self.levels.append(tuple(levels))
+                cat_codes.append(np.fromiter(map(index.__getitem__, strings), np.int32, len(strings)))
+        self.spans = [_Span(scan, *np.array(m, dtype=np.intp).T) for scan, m in members.items() if m]
         n = table.n_rows
         self.num_codes = np.array(num_codes, dtype=np.int32).reshape(-1, n)
         self.cat_codes = np.array(cat_codes, dtype=np.int32).reshape(-1, n)
+        self.n_levels = np.array([len(levels) for levels in self.levels], dtype=np.intp)
         self.order = np.empty_like(self.num_codes)
         for j, codes in enumerate(self.num_codes):
             self.order[j] = np.argsort(codes, kind="stable")
@@ -332,33 +336,43 @@ class EncodedTable:
                      member[self.cat_codes[j, rows]], left_set)
 
 
+class _Span(NamedTuple):
+    """The columns that one scan class handles, in schema order: ``columns``
+    index that kind's encoded arrays and ``schema`` holds their schema
+    indices."""
+
+    scan: type
+    columns: np.ndarray
+    schema: np.ndarray
+
+
 def _block_width(n: int) -> int:
-    return min(_BLOCK, max(1, _BLOCK_CELLS // n))
+    return max(1, _BLOCK_CELLS // n)
 
 
 class _NumericScan:
-    """Cut candidates of numeric columns a..b-1 at one node. The node's
-    rows arrive in value order, so a cut after sorted position p is a
+    """Cut candidates of the numeric columns ``cols`` at one node. The
+    node's rows arrive in value order, so a cut after sorted position p is a
     candidate when the code changes there and both sides keep min_leaf
     rows; the left class counts of every cut come from one bincount over
     the runs of equal codes, accumulated across runs."""
 
-    def __init__(self, enc: EncodedTable, a: int, b: int, start: int, end: int,
+    def __init__(self, enc: EncodedTable, cols: np.ndarray, start: int, end: int,
                  counts: np.ndarray, min_leaf: int):
         n = end - start
-        seg = enc.order[a:b, start:end]
-        codes = np.take_along_axis(enc.num_codes[a:b], seg, axis=1)
+        seg = enc.order[cols, start:end]
+        codes = enc.num_codes.take(seg + cols[:, None] * len(enc.rows))
         new_run = np.ones(codes.shape, dtype=bool)
         np.not_equal(codes[:, 1:], codes[:, :-1], out=new_run[:, 1:])
         self.feature, cut = np.nonzero(new_run[:, min_leaf:n - min_leaf + 1])
         self.pos = cut + (min_leaf - 1)  # last sorted position that goes left
         self.size = len(self.pos)
-        self.enc, self.a, self.codes, self.counts = enc, a, codes, counts
+        self.enc, self.cols, self.codes, self.counts = enc, cols, codes, counts
         if self.size:
             k = enc.k
             run = np.cumsum(new_run) - 1  # run id over the flattened block
             self.cum = np.bincount(
-                run * k + enc.y0[seg].ravel(), minlength=(int(run[-1]) + 1) * k
+                run * k + enc.y0.take(seg.ravel()), minlength=(int(run[-1]) + 1) * k
             ).reshape(-1, k)
             np.cumsum(self.cum, axis=0, out=self.cum)
             self.run = run[self.feature * n + self.pos]
@@ -371,7 +385,7 @@ class _NumericScan:
 
     def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
         f, p = self.feature[i], self.pos[i]
-        j = self.a + f
+        j = self.cols[f]
         values = self.enc.values[j]
         threshold = float((values[self.codes[f, p]] + values[self.codes[f, p + 1]]) / 2.0)
         left_mask = self.enc.num_codes[j, rows] < np.searchsorted(values, threshold)
@@ -394,61 +408,63 @@ def _bits_of(mask: int):
 
 
 class _SubsetScan:
-    """Subset candidates of categorical columns a..b-1 at one node, each
-    with at most MAX_EXHAUSTIVE_LEVELS levels. A column's candidates are the
-    subsets of the levels present at the node that hold the first present
-    level (complements split the same way) but not all of them, in ascending
-    bitmask order. Spreading a subset of the present levels out to the
-    bits of all the column's levels keeps that order, so every column is
-    scanned over its full level width at once and absent levels are then
-    masked out."""
+    """Subset candidates of the categorical columns ``cols`` at one node,
+    each with at most MAX_EXHAUSTIVE_LEVELS levels. A column's candidates
+    are the subsets of the levels present at the node that hold the first
+    present level (complements split the same way) but not all of them, in
+    ascending bitmask order. Spreading a subset of the present levels out
+    to the bits of all the column's levels keeps that order, so every
+    column is scanned over the widest column's level width at once and
+    absent levels are then masked out."""
 
-    def __init__(self, enc: EncodedTable, a: int, b: int, rows: np.ndarray,
+    def __init__(self, enc: EncodedTable, cols: np.ndarray, rows: np.ndarray,
                  y: np.ndarray, min_leaf: int):
-        k, n = enc.k, len(rows)
-        width = max(len(levels) for levels in enc.levels[a:b])
-        column_base = np.arange(b - a)[:, None] * width
+        k, n, m = enc.k, len(rows), len(cols)
+        width = int(enc.n_levels[cols].max())
+        column_base = np.arange(m)[:, None] * width
         hist = np.bincount(
-            ((enc.cat_codes[a:b, rows] + column_base) * k + y).ravel(),
-            minlength=(b - a) * width * k,
-        ).reshape(b - a, width, k)
-        present = hist.any(axis=2) @ (1 << np.arange(width))  # bitmask per column
+            ((enc.cat_codes.take(rows + cols[:, None] * len(enc.rows)) + column_base) * k + y).ravel(),
+            minlength=m * width * k,
+        ).reshape(m, width, k)
+        level_n = hist.sum(axis=2)  # (column, level)
+        present = (level_n > 0) @ (1 << np.arange(width))  # bitmask per column
+        bits = _subset_bits(width)
+        left = bits @ hist.astype(np.float64)  # (column, mask, class)
+        n_left = level_n @ bits.T
         masks = np.arange(1, 2 ** width - 1)
-        left = _subset_bits(width) @ hist.astype(np.float64)  # (column, mask, class)
-        n_left = left.sum(axis=2)
         ok = (
             ((masks & ~present[:, None]) == 0)  # only present levels
             & ((masks & (present & -present)[:, None]) != 0)  # the first present level
             & (masks != present[:, None])  # not all of them
             & (n_left >= min_leaf) & (n - n_left >= min_leaf)
         )
-        self.feature, m = np.nonzero(ok)
-        self.masks = masks[m]
-        self.left = left[self.feature, m]
+        self.feature, c = np.nonzero(ok)
+        self.masks = masks[c]
+        self.left = left[self.feature, c]
         self.size = len(self.masks)
-        self.enc, self.a = enc, a
+        self.enc, self.cols = enc, cols
 
     def counts_left(self, lo: int, hi: int) -> np.ndarray:
         return self.left[lo:hi]
 
     def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
         chosen = _bits_of(int(self.masks[i]))
-        return self.enc.categorical_split(self.a + self.feature[i], chosen, rows, decrease)
+        return self.enc.categorical_split(self.cols[self.feature[i]], chosen, rows, decrease)
 
 
 class _LevelScan:
-    """Candidates of categorical columns a..b-1 with more than
+    """Candidates of the categorical columns ``cols`` with more than
     MAX_EXHAUSTIVE_LEVELS levels, one column at a time over the levels
     present at the node. Up to MAX_EXHAUSTIVE_LEVELS present levels every
     subset is a candidate, as in _SubsetScan; beyond that, the prefixes of
     the levels ordered by mean label rank (ties by level name)."""
 
-    def __init__(self, enc: EncodedTable, a: int, b: int, rows: np.ndarray,
+    def __init__(self, enc: EncodedTable, cols: np.ndarray, rows: np.ndarray,
                  y: np.ndarray, min_leaf: int):
         k, n = enc.k, len(rows)
-        self.enc, self.starts, self.parts, lefts = enc, [], [], []
+        self.enc, self.parts, features, lefts = enc, {}, [], []
         self.size = 0
-        for j in range(a, b):
+        for f, j in enumerate(cols.tolist()):
             hist = np.bincount(
                 enc.cat_codes[j, rows] * k + y, minlength=len(enc.levels[j]) * k
             ).reshape(-1, k)
@@ -468,19 +484,19 @@ class _LevelScan:
             keep = np.flatnonzero((n_left >= min_leaf) & (n - n_left >= min_leaf))
             if keep.size == 0:
                 continue
-            self.starts.append(self.size)
-            self.parts.append((j, present, order, keep))
+            self.parts[f] = (j, present, order, keep, self.size)
+            features.append(np.full(keep.size, f))
             lefts.append(left[keep])
             self.size += keep.size
-        self.left = np.concatenate(lefts) if lefts else None
+        if lefts:
+            self.feature, self.left = np.concatenate(features), np.concatenate(lefts)
 
     def counts_left(self, lo: int, hi: int) -> np.ndarray:
         return self.left[lo:hi]
 
     def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
-        part = bisect.bisect_right(self.starts, i) - 1
-        j, present, order, keep = self.parts[part]
-        c = int(keep[i - self.starts[part]])
+        j, present, order, keep, first = self.parts[self.feature[i]]
+        c = int(keep[i - first])
         if order is None:
             chosen = [present[b] for b in _bits_of(2 * c + 1)]
         else:
@@ -493,8 +509,10 @@ def best_split(enc: EncodedTable, start: int, end: int, loss: CostMatrix,
     """Exhaustive scan over features and candidate splits of the node whose
     rows are ``enc.rows[start:end]``; returns the split maximizing
     n*I(parent) - n_L*I(left) - n_R*I(right), or None when the node is
-    below min_split or no candidate has a strictly positive decrease. The
-    split's left_mask is aligned with ``enc.rows[start:end]``."""
+    below min_split or no candidate has a strictly positive decrease. Of
+    equal maxima it returns the one on the lowest schema index, and within
+    one column the first candidate. The split's left_mask is aligned with
+    ``enc.rows[start:end]``."""
     n = end - start
     if n < params.min_split:
         return None
@@ -504,23 +522,29 @@ def best_split(enc: EncodedTable, start: int, end: int, loss: CostMatrix,
     totals = counts.astype(np.float64)
     parent_term = n * gini_loss_impurity(totals, loss)
     width = _block_width(n)
-    best_decrease, best = 0.0, None
-    for scan_class, first, stop in enc.spans:
-        for a in range(first, stop, width):
-            b = min(a + width, stop)
-            if scan_class is _NumericScan:
-                scan = _NumericScan(enc, a, b, start, end, counts, params.min_leaf)
+    best_decrease, best_feature, best = 0.0, -1, None
+    for span in enc.spans:
+        for a in range(0, len(span.columns), width):
+            cols = span.columns[a:a + width]
+            if span.scan is _NumericScan:
+                scan = _NumericScan(enc, cols, start, end, counts, params.min_leaf)
             else:
-                scan = scan_class(enc, a, b, rows, y, params.min_leaf)
+                scan = span.scan(enc, cols, rows, y, params.min_leaf)
             enc.candidates_scanned += scan.size
-            # Candidates arrive in schema order, thresholds ascending and
-            # subsets in canonical order: keep the first maximum.
+            # A span's candidates arrive in schema order, thresholds
+            # ascending and subsets in canonical order, so argmax finds the
+            # lowest schema index of a chunk's maxima; across chunks and
+            # spans, an equal decrease wins only on a lower schema index.
             for lo in range(0, scan.size, _CHUNK):
                 counts_left = scan.counts_left(lo, lo + _CHUNK)
                 decreases = parent_term - _impurity_terms(counts_left, totals, loss.entries)
                 i = int(np.argmax(decreases))
-                if decreases[i] > best_decrease:
-                    best_decrease, best = float(decreases[i]), (scan, lo + i)
+                decrease = float(decreases[i])
+                if not (decrease > 0.0 and decrease >= best_decrease):
+                    continue
+                feature = int(span.schema[a + scan.feature[lo + i]])
+                if decrease > best_decrease or feature < best_feature:
+                    best_decrease, best_feature, best = decrease, feature, (scan, lo + i)
     if best is None:
         return None
     scan, i = best
@@ -542,7 +566,7 @@ def _partition(enc: EncodedTable, start: int, end: int, left_mask: np.ndarray) -
     width = _block_width(len(rows))
     for a in range(0, len(enc.order), width):
         seg = enc.order[a:a + width, start:end]
-        fl = enc.goes_left[seg]
+        fl = enc.goes_left.take(seg)
         seg[:] = np.concatenate(
             (seg[fl].reshape(len(seg), n_left), seg[~fl].reshape(len(seg), n_right)), axis=1
         )
@@ -635,11 +659,16 @@ def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams
         n_rows=table.n_rows, nodes_grown=len(nodes), candidates_scanned=enc.candidates_scanned,
     )
     tree.prune_steps = _prune(tree, loss, params.cp)
+    tree.depth, tree.leaf_count = _depth_and_leaves(tree)
+    return tree
+
+
+def _depth_and_leaves(tree: DecisionTree) -> tuple[int, int]:
+    """The tree's depth in split levels and its number of leaves."""
     depth = np.zeros(len(tree.n), dtype=np.int64)  # split levels above each node
     for i in np.flatnonzero(tree.feature >= 0):
         depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
-    tree.depth, tree.leaf_count = int(depth.max()), int(np.count_nonzero(tree.feature < 0))
-    return tree
+    return int(depth.max()), int(np.count_nonzero(tree.feature < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -934,5 +963,12 @@ def deserialize_tree(text: str) -> DecisionTree:
                 and lv == sorted(set(lv))):
             raise TreeFormatError(f"levels of {name!r} must be distinct strings in sorted order")
     nodes = _nodes_from_dict(root, k, names, kinds, levels)
-    return DecisionTree(**_node_arrays(nodes), k=k, feature_names=names, feature_kinds=kinds,
+    tree = DecisionTree(**_node_arrays(nodes), k=k, feature_names=names, feature_kinds=kinds,
                         feature_levels={name: tuple(lv) for name, lv in levels.items()}, **meta)
+    # The summary is written back as read, so it must describe the nodes.
+    actual = (int(tree.n[0]), *_depth_and_leaves(tree))
+    if (tree.n_rows, tree.depth, tree.leaf_count) != actual:
+        raise TreeFormatError(
+            "summary must match the nodes: n {}, depth {}, leaf_count {}".format(*actual)
+        )
+    return tree

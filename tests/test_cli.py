@@ -219,6 +219,24 @@ class TestHrg:
         pytest.param(json.dumps({"version": "x", "k": 2, "default": "x", "rules": [
             {"if": [], "then": 1}
         ]}).encode(), id="non_numeric_default"),
+        # Each of these would pass validation once truncated to an int.
+        pytest.param(json.dumps({"version": "x", "k": 2, "rules": [
+            {"if": [{"feature": "tbsa_pct", "op": ">=", "value": 15}], "then": 2.7},
+            {"if": [], "then": 1}
+        ]}).encode(), id="float_then"),
+        pytest.param(json.dumps({"version": "x", "k": 2, "rules": [
+            {"if": [{"feature": "tbsa_pct", "op": ">=", "value": 15}], "then": 2},
+            {"if": [], "then": True}
+        ]}).encode(), id="bool_then"),
+        pytest.param(json.dumps({"version": "x", "k": 1.0, "rules": [
+            {"if": [], "then": 1}
+        ]}).encode(), id="float_k"),
+        pytest.param(json.dumps({"version": "x", "k": 1, "default": True, "rules": [
+            {"if": [], "then": 1}
+        ]}).encode(), id="bool_default"),
+        pytest.param(json.dumps({"version": "x", "k": 1, "default": 1.0, "rules": [
+            {"if": [], "then": 1}
+        ]}).encode(), id="float_default"),
         pytest.param(b'{"version": "\xff", "k": 1, "rules": [{"if": [], "then": 1}]}',
                      id="not_utf8"),
     ])
@@ -387,10 +405,11 @@ class TestEvaluate:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("edit", ["max_depth", "deep_node", "unknown_feature",
-                                      "kind_mismatch", "levels_list", "unknown_category"])
+                                      "kind_mismatch", "levels_list", "unknown_category",
+                                      "summary_depth", "summary_leaf_count", "summary_n"])
     def test_model_deeper_than_cap_exit_2(self, trained, tmp_path, edit):
         """A model.json deeper than the depth cap, or at odds with its own
-        schema and levels, is an input error."""
+        schema, levels and summary, is an input error."""
         import shutil
 
         root, _, cohort, result = trained
@@ -411,6 +430,12 @@ class TestEvaluate:
             model["levels"] = [[name, levels] for name, levels in model["levels"].items()]
         elif edit == "unknown_category":
             root.update(feature="sex", kind="categorical", categories=["no such level"])
+        elif edit == "summary_depth":
+            model["summary"]["depth"] = 29
+        elif edit == "summary_leaf_count":
+            model["summary"]["leaf_count"] = 1
+        elif edit == "summary_n":
+            model["summary"]["n"] += 1
         else:
             leaf = model["root"]
             while leaf["type"] == "internal":
@@ -551,6 +576,14 @@ class TestAllValidatesPipelineFirst:
         {"k": 6, "seeds": {"split": 2.5, "oversample": 3}},
         {"k": 1, "seeds": {"split": 2, "oversample": 3}},
         {"k": 6},
+        dict(COHORT_CONFIG["pipeline"], k=13.5),
+        dict(COHORT_CONFIG["pipeline"], k=13.0),
+        dict(COHORT_CONFIG["pipeline"], importance_top_m=2.5),
+        dict(COHORT_CONFIG["pipeline"], importance_top_m=True),
+        dict(COHORT_CONFIG["pipeline"],
+             factor_tree_params={"min_split": 20.9, "min_leaf": 7, "max_depth": 30, "cp": 0.01}),
+        dict(COHORT_CONFIG["pipeline"],
+             final_tree_params={"min_split": 20, "min_leaf": True, "max_depth": 30, "cp": 0.01}),
     ])
     def test_bad_pipeline_leaves_no_cohort(self, tmp_path, monkeypatch, pipeline):
         import casemix.cli as cli

@@ -202,6 +202,16 @@ class TestSerialization:
         with pytest.raises(RulesetError):
             ruleset_from_dict({"version": "x"})
 
+    @pytest.mark.parametrize("edit", [
+        {"k": 2.0}, {"k": True}, {"default": 1.0}, {"default": True},
+        {"rules": [{"if": [], "then": 2.7}]}, {"rules": [{"if": [], "then": True}]},
+    ])
+    def test_non_integer_ranks_rejected(self, edit):
+        """A float or bool rank is refused, not truncated to an int."""
+        doc = dict({"version": "x", "k": 2, "rules": [{"if": [], "then": 1}]}, **edit)
+        with pytest.raises(RulesetError, match="must be an integer"):
+            ruleset_from_dict(doc)
+
     def test_in_value_round_trips_as_tuple(self):
         doc = {
             "version": "x",

@@ -52,6 +52,17 @@ class TestConfig:
         with pytest.raises(InvalidArgument):
             PipelineConfig.from_dict({"nope": 1})
 
+    @pytest.mark.parametrize("doc", [
+        {"k": 13.5}, {"k": 13.0}, {"k": True},
+        {"importance_top_m": 2.5}, {"importance_top_m": 10.0}, {"importance_top_m": True},
+        {"factor_tree_params": {"min_split": 20.9, "min_leaf": 7, "max_depth": 30, "cp": 0.01}},
+        {"final_tree_params": {"min_split": 20, "min_leaf": True, "max_depth": 30, "cp": 0.01}},
+    ])
+    def test_non_integer_integer_fields_rejected(self, doc):
+        """A float or a bool is refused, not truncated to an int."""
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            PipelineConfig.from_dict(doc)
+
 
 class TestDatasetToTable:
     def test_column_order_and_exclusion(self, small_cohort):

@@ -576,6 +576,7 @@ class TestSerialization:
         for _ in range(depth):
             node = dict(doc["root"], left=node, right=leaf)
         doc["root"] = node
+        doc["summary"].update(depth=depth, leaf_count=depth + 1)
         return json.dumps(doc)
 
     def test_depth_cap(self):
@@ -588,6 +589,15 @@ class TestSerialization:
         doc = json.loads(serialize_tree(tree))
         doc["params"]["max_depth"] = MAX_DEPTH + 1
         with pytest.raises(TreeFormatError, match="max_depth"):
+            deserialize_tree(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, delta", [("n", 1), ("depth", 1), ("depth", -1),
+                                              ("leaf_count", 1), ("leaf_count", -1)])
+    def test_summary_at_odds_with_the_nodes_rejected(self, field, delta):
+        tree, _ = self.build()
+        doc = json.loads(serialize_tree(tree))
+        doc["summary"][field] += delta
+        with pytest.raises(TreeFormatError, match="summary must match the nodes"):
             deserialize_tree(json.dumps(doc))
 
     def test_nesting_past_the_recursion_limit_rejected(self):
@@ -609,6 +619,18 @@ class TestParams:
         assert TreeParams(max_depth=MAX_DEPTH).max_depth == 30
         with pytest.raises(InvalidArgument):
             TreeParams(max_depth=MAX_DEPTH + 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("min_split", 20.9), ("min_split", 20.0), ("min_leaf", True), ("min_leaf", 7.0),
+        ("max_depth", 12.5), ("max_depth", False), ("min_split", "20"),
+    ])
+    def test_non_integer_fields_rejected(self, field, value):
+        """from_dict refuses a float or bool rather than truncating it."""
+        doc = dict(TreeParams().to_dict(), **{field: value})
+        with pytest.raises(InvalidArgument, match=f"{field} must be an integer"):
+            TreeParams.from_dict(doc)
+        with pytest.raises(InvalidArgument, match=f"{field} must be an integer"):
+            TreeParams(**doc)
 
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=2, max_value=40))
     def test_valid_combinations(self, min_leaf, extra):
@@ -645,7 +667,9 @@ def assert_predict_reproduces_node_counts(tree: DecisionTree, table: FeatureTabl
 @st.composite
 def mixed_training_sets(draw):
     """Numeric columns with repeated values, categoricals with few (<= 4) and
-    many (> 10) levels, and oversampling-style duplicated rows."""
+    many (> 10) levels, and oversampling-style duplicated rows. A copy of
+    one numeric and one categorical column, and ``x`` again as a categorical
+    of at most 7 levels, make exact ties within a kind and across kinds."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(4, 80))
     k = draw(st.integers(2, 5))
@@ -660,10 +684,13 @@ def mixed_training_sets(draw):
     rows = np.concatenate([np.arange(n), rng.integers(0, n, size=draw(st.integers(0, n)))])
     table = FeatureTable.from_items(
         [
+            ("x_level", "categorical", [str(v) for v in x[rows]]),
             ("x", "numeric", x[rows].tolist()),
             ("few", "categorical", few[rows].tolist()),
             ("z", "numeric", z[rows].tolist()),
             ("many", "categorical", many[rows].tolist()),
+            ("z_copy", "numeric", z[rows].tolist()),
+            ("few_copy", "categorical", few[rows].tolist()),
         ]
     )
     min_leaf = draw(st.integers(1, 3))
@@ -688,6 +715,57 @@ class TestGrowthRouting:
         assert np.array_equal(classify_with_rules(extract_rules(tree), table), predict(tree, table))
 
 
+class TestSplitChoice:
+    """The split search scans each kind of column in its own pass; the
+    split it returns is still the first maximum in schema order."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(mixed_training_sets())
+    def test_first_maximum_over_one_column_searches(self, case):
+        table, labels, k, params = case
+        loss = linear_cost_matrix(k)
+        expected = None
+        for name in table.names:
+            split = search(table.select([name]), labels, loss, params)
+            if split is not None and (expected is None or split.decrease > expected.decrease):
+                expected = split
+        split = search(table, labels, loss, params)
+        if expected is None:
+            assert split is None
+            return
+        assert split.feature == expected.feature
+        assert np.float64(split.decrease).tobytes() == np.float64(expected.decrease).tobytes()
+        assert np.float64(split.threshold).tobytes() == np.float64(expected.threshold).tobytes()
+        assert (split.categories, split.left_set) == (expected.categories, expected.left_set)
+        assert np.array_equal(split.left_mask, expected.left_mask)
+
+    @pytest.mark.parametrize("block_cells, chunk", [(1, 1), (7, 3), (301, 13), (5, 1024)])
+    def test_scan_sizes_do_not_change_the_tree(self, monkeypatch, block_cells, chunk):
+        rng = np.random.default_rng(block_cells)
+        n, k = 160, 5
+        x = rng.integers(0, 9, size=n) * 0.5
+        few = rng.choice(["p", "q", "r", "s"], size=n)
+        many = rng.choice([f"l{i:02d}" for i in range(13)], size=n)
+        labels = np.clip(np.round(x / 4 * k + rng.normal(0, 1.0, n)), 1, k).astype(int)
+        table = FeatureTable.from_items([
+            ("x_level", "categorical", [str(v) for v in x]),
+            ("x", "numeric", x.tolist()), ("few", "categorical", few.tolist()),
+            ("z", "numeric", rng.normal(size=n).round(1).tolist()),
+            ("many", "categorical", many.tolist()),
+            ("x_copy", "numeric", x.tolist()),
+        ])
+        loss, params = linear_cost_matrix(k), TreeParams(min_split=4, min_leaf=2, cp=0.0)
+
+        def grown():
+            tree = build_tree(table, labels, loss, params)
+            return serialize_tree(tree), tree.nodes_grown, tree.candidates_scanned, tree.prune_steps
+
+        default = grown()
+        monkeypatch.setattr(casemix.tree, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(casemix.tree, "_CHUNK", chunk)
+        assert grown() == default
+
+
 #: sha256 of serialize_tree for the pinned small run below, on the exact
 #: 1-D k-means labels; any change to split search, tie-breaks or pruning
 #: shows here.
@@ -696,6 +774,15 @@ GOLDEN_TREE_SHA256 = {
     "total_cost": "629d7e05faf4ff04c95fc563214c44760acb561ae368790e6c903ae9c3f674e8",
     "tbsa_pct": "99054a914f0b8386290f5fea9a9c612708a723a7b131f54d7d8b3c4e478d28ca",
     "final": "6ea3ab7bf97f4b9f2f62a102041aa9f1a5917c58a4e5a98e31dae38020b7d1ab",
+}
+
+
+#: (nodes_grown, candidates_scanned, prune_steps) of each tree of that run.
+GOLDEN_TREE_COUNTERS = {
+    "los_days": (255, 33829, 36),
+    "total_cost": (253, 27741, 44),
+    "tbsa_pct": (213, 42153, 16),
+    "final": (219, 16498, 25),
 }
 
 
@@ -708,6 +795,11 @@ def test_golden_trees_small_run():
         for name, tree in trees.items()
     }
     assert digests == GOLDEN_TREE_SHA256
+    counters = {
+        name: (tree.nodes_grown, tree.candidates_scanned, tree.prune_steps)
+        for name, tree in trees.items()
+    }
+    assert counters == GOLDEN_TREE_COUNTERS
 
 
 def reference_prune(root: dict, loss: CostMatrix, cp: float) -> tuple[dict, int]:
