@@ -10,10 +10,19 @@ Extra-column kinds are inferred on read: a column is numeric when every
 non-empty cell parses as a float, else categorical. Categorical values must
 therefore not all look like numbers (true for everything this package emits).
 
-Numeric cells are checked as they are parsed: every one must be finite, the
-core and site-area columns must be non-negative and tbsa_pct at most 100;
-depth cells must name a depth level. A bad cell raises InvalidArgument naming
-the row id and the column. Parsing and writing work a column at a time.
+Reading streams the file: rows are taken a fixed chunk at a time and each
+column is kept as int32 codes over its distinct cells, in order of first
+appearance, so no more than one chunk of rows is held as cell strings. Once
+the last row is read, each distinct cell is parsed and checked once and a
+column's values are its parsed cells indexed by its codes. Writing works a
+column at a time.
+
+Numeric cells must be finite, the core and site-area columns non-negative
+and tbsa_pct at most 100; depth cells must name a depth level. A bad cell
+raises InvalidArgument naming the row id and the column, a row of the wrong
+length one naming its id, and a row the csv module cannot read (a cell over
+its field size limit) one naming the line. The whole file is decoded before
+any of these is raised.
 """
 
 from __future__ import annotations
@@ -22,7 +31,9 @@ import csv
 import hashlib
 import io
 import sys
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -74,14 +85,30 @@ def write_cohort_csv(ds: Dataset, path: str | Path) -> None:
 
 def read_cohort_csv(path: str | Path) -> Dataset:
     """Parse a cohort CSV back into a Dataset (inverse of write_cohort_csv)."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_cohort_csv(text)
+    with open(path, encoding="utf-8") as fh:  # newlines translated as by read_text
+        return _parse_lines(fh)
+
+
+def parse_cohort_csv(text: str) -> Dataset:
+    return _parse_lines(io.StringIO(text))
+
+
+#: Rows held as cell strings at once; the rest of the file is held as codes.
+_CHUNK_ROWS = 256
+
+
+class _Codes(dict):
+    """A column's distinct cells, in order of first appearance, to their codes."""
+
+    def __missing__(self, cell: str) -> int:
+        self[cell] = code = len(self)
+        return code
 
 
 @dataclass
 class _Column:
     """One parsed column: its values and the first row whose cell is bad
-    (``len(cells)`` when none is), with the error for that cell."""
+    (``len(values)`` when none is), with the error for that cell."""
 
     values: np.ndarray
     bad_row: int
@@ -89,89 +116,106 @@ class _Column:
     all_numbers: bool = True
 
 
-def _numeric_column(cells, lo: float, hi: float) -> _Column:
+def _column(table: np.ndarray, codes: np.ndarray, bad: int | None, error: str = "",
+            all_numbers: bool = True) -> _Column:
+    """The column ``table[codes]``; ``bad`` is the first code whose cell is
+    bad, so its first row is the column's first bad row."""
+    bad_row = len(codes) if bad is None else int(np.argmax(codes == bad))
+    return _Column(table[codes], bad_row, error, all_numbers)
+
+
+def _numeric_column(cells: list[str], codes: np.ndarray, lo: float, hi: float) -> _Column:
     """Parse a numeric column; every non-empty cell must be a number in
     [lo, hi], which also rejects nan and the infinities. Each distinct cell
     is parsed and checked once."""
-    values = dict.fromkeys(cells)  # distinct cells, in order of first appearance
-    errors = {}
-    for cell in values:
+    values, bad, error, all_numbers = [], None, "", True
+    for code, cell in enumerate(cells):
         try:
             value = float(cell) if cell else np.nan
         except ValueError:
-            errors[cell] = f"{cell!r} is not a number"
-            continue
-        values[cell] = value
-        if cell and not lo <= value <= hi:
-            errors[cell] = f"{cell!r} is not in [{lo:g}, {hi:g}]"
-    if not errors:
-        column = np.fromiter(map(values.__getitem__, cells), np.float64, len(cells))
-        return _Column(column, len(cells))
-    first = next(iter(errors))
-    all_numbers = not any(v is None for v in values.values())
-    return _Column(np.empty(0), cells.index(first), errors[first], all_numbers)
+            value, all_numbers = np.nan, False
+            message = f"{cell!r} is not a number"
+        else:
+            message = f"{cell!r} is not in [{lo:g}, {hi:g}]" if cell and not lo <= value <= hi else ""
+        values.append(value)
+        if message and bad is None:
+            bad, error = code, message
+    return _column(np.array(values, dtype=np.float64), codes, bad, error, all_numbers)
 
 
-def _depth_column(cells) -> _Column:
-    codes = {cell: _DEPTH_CODE.get(cell) for cell in dict.fromkeys(cells)}
-    bad = next((cell for cell, code in codes.items() if code is None), None)
-    if bad is not None:
-        return _Column(np.empty(0), cells.index(bad), f"{bad!r} is not a depth level")
-    return _Column(np.fromiter(map(codes.__getitem__, cells), np.int8, len(cells)), len(cells))
+def _depth_column(cells: list[str], codes: np.ndarray) -> _Column:
+    bad = next((code for code, cell in enumerate(cells) if cell not in _DEPTH_CODE), None)
+    table = np.array([_DEPTH_CODE.get(cell, MISSING_DEPTH) for cell in cells], dtype=np.int8)
+    return _column(table, codes, bad, "" if bad is None else f"{cells[bad]!r} is not a depth level")
 
 
-def parse_cohort_csv(text: str) -> Dataset:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise InvalidArgument("cohort CSV is empty (header row required)")
-    header = rows[0]
-    if header[: len(_HEADER)] != list(_HEADER):
-        raise InvalidArgument(
-            "cohort CSV header does not start with the expected core/site columns"
-        )
-    extra_names = header[len(_HEADER):]
-    body = rows[1:]
-    # Rows are checked in file order: a row of the wrong length is reported
-    # unless a bad cell comes before it, so only the rows above it are parsed.
-    ragged = next((r for r, row in enumerate(body) if len(row) != len(header)), None)
-    cells = list(zip(*body[:ragged])) or [()] * len(header)
+def _parse_lines(lines) -> Dataset:
+    # The whole file is read before any other error is raised, so that an
+    # undecodable byte or an unreadable row anywhere is reported first.
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise InvalidArgument("cohort CSV is empty (header row required)")
+        if header[: len(_HEADER)] != list(_HEADER):
+            deque(reader, maxlen=0)
+            raise InvalidArgument(
+                "cohort CSV header does not start with the expected core/site columns"
+            )
+        tables = [_Codes() for _ in header]
+        codes = [[np.empty(0, np.int32)] for _ in header]  # per column, one array per chunk
+        # Rows are checked in file order: a row of the wrong length is
+        # reported unless a bad cell comes before it, so only the rows above
+        # it are coded.
+        ragged = None
+        for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+            cut = next((r for r, row in enumerate(chunk) if len(row) != len(header)), len(chunk))
+            for table, column, cells in zip(tables, codes, zip(*chunk[:cut])):
+                column.append(np.fromiter(map(table.__getitem__, cells), np.int32, cut))
+            if cut < len(chunk):
+                ragged = chunk[cut]
+                deque(reader, maxlen=0)
+    except csv.Error as e:
+        raise InvalidArgument(f"cohort CSV line {reader.line_num}: {e}") from None
+    cells = [list(table) for table in tables]
+    del tables  # frees one int object per distinct cell before the columns are built
+    codes = [np.concatenate(column) for column in codes]
 
-    core = {name: _numeric_column(cells[j + 1], *_BOUNDS.get(name, (0.0, _MAX)))
+    core = {name: _numeric_column(cells[j + 1], codes[j + 1], *_BOUNDS.get(name, (0.0, _MAX)))
             for j, name in enumerate(CORE_NUMERIC_FIELDS)}
-    areas = [_numeric_column(cells[len(_CORE_COLUMNS) + i], 0.0, _MAX) for i in range(N_SITES)]
-    depths = [_depth_column(cells[len(_CORE_COLUMNS) + N_SITES + i]) for i in range(N_SITES)]
+    areas = [_numeric_column(cells[j], codes[j], 0.0, _MAX)
+             for j in range(len(_CORE_COLUMNS), len(_CORE_COLUMNS) + N_SITES)]
+    depths = [_depth_column(cells[j], codes[j])
+              for j in range(len(_CORE_COLUMNS) + N_SITES, len(_HEADER))]
     # Within a row, cells are checked site by site (area, then depth), then
     # theatre_visits, the numeric extras, age, LOS, cost and TBSA.
     checks = [pair for i in range(N_SITES) for pair in (
         (_AREA_COLUMNS[i], areas[i]), (_DEPTH_COLUMNS[i], depths[i]))]
     checks.append(("theatre_visits", core["theatre_visits"]))
     extras = {}
-    for j, name in enumerate(extra_names):
-        col = cells[len(_HEADER) + j]
-        parsed = _numeric_column(col, -_MAX, _MAX)
+    for j, name in enumerate(header[len(_HEADER):], start=len(_HEADER)):
+        parsed = _numeric_column(cells[j], codes[j], -_MAX, _MAX)
         if parsed.all_numbers:
             checks.append((name, parsed))
             extras[name] = parsed.values
         else:  # some cell is not a number: categorical
-            extras[name] = np.array([c if c else None for c in col], dtype=object)
+            extras[name] = np.array([c if c else None for c in cells[j]], dtype=object)[codes[j]]
     checks += [(name, core[name]) for name in ("age_years", "los_days", "total_cost", "tbsa_pct")]
 
+    ids = np.array(cells[0], dtype=object)[codes[0]]
     column, bad = min(checks, key=lambda check: check[1].bad_row)
-    n = len(body) if ragged is None else ragged
-    if bad.bad_row < n:
-        raise InvalidArgument(
-            f"row id {body[bad.bad_row][0]!r}, column {column!r}: {bad.error}"
-        )
+    if bad.bad_row < len(ids):
+        raise InvalidArgument(f"row id {ids[bad.bad_row]!r}, column {column!r}: {bad.error}")
     if ragged is not None:
-        row = body[ragged]
         raise InvalidArgument(
-            f"row for id {row[0] if row else ''!r} has {len(row)} cells, header has {len(header)}"
+            f"row for id {ragged[0] if ragged else ''!r} has {len(ragged)} cells, "
+            f"header has {len(header)}"
         )
 
     numerics = np.stack([core[name].values for name in CORE_NUMERIC_FIELDS])
     numerics[-1] = np.trunc(numerics[-1])  # theatre_visits counts whole visits
     return Dataset(
-        ids=np.array(cells[0], dtype=object),
+        ids=ids,
         numerics=numerics,
         site_areas=np.stack([c.values for c in areas]),
         site_depths=np.stack([c.values for c in depths]),

@@ -650,6 +650,50 @@ class TestBadCohortCells:
         assert repr(row[0]) in err and repr(column) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["hrg", "train", "evaluate"])
+    def test_oversized_cell_exit_2_naming_line(self, trained, tmp_path, capsys, command):
+        """A cell over the csv module's 131,072-character field limit."""
+        import shutil
+
+        root, cfg, cohort, result = trained
+        source, bad = cohort, tmp_path / "bad.csv"
+        args = [command, "--cohort", str(bad)] + (["--config", str(cfg)] if command == "train" else [])
+        if command == "evaluate":
+            result = shutil.copytree(result, tmp_path / "result")
+            source = bad = result / "preprocessed.csv"
+            labels = tmp_path / "labels.csv"
+            labels.write_text("id,rank\n", encoding="utf-8")
+            args = ["evaluate", "--result", str(result), "--hrg", str(labels)]
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines[5] = '"' + "P" * 200_000 + '"' + lines[5][lines[5].index(","):]
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 6" in err and "field larger than field limit" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("chunk_rows", [1, None])
+    def test_invalid_utf8_after_ragged_row_exit_2(self, generated, tmp_path, capsys, monkeypatch,
+                                                   chunk_rows):
+        """The whole file is decoded before any row is reported: a codec
+        error in the last line wins over a ragged row near the top, also
+        when the reader meets the ragged row chunks before the end."""
+        if chunk_rows is not None:
+            monkeypatch.setattr("casemix.dataio._CHUNK_ROWS", chunk_rows)
+        root, _, cohort = generated
+        data = cohort.read_bytes().split(b"\n")
+        data[2] += b",extra_cell"
+        data[-2] += b"\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(data))
+        assert len(data[0]) + len(data[1]) + len(data[2]) < 8192 < bad.stat().st_size
+        capsys.readouterr()
+        assert main(["hrg", "--cohort", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'utf-8' codec can't decode byte 0xff" in err
+        assert "cells, header has" not in err and "Traceback" not in err
+
 
 class TestErrorPlumbing:
     def test_io_failure_exit_3(self, tmp_path):

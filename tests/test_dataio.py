@@ -1,9 +1,12 @@
 import csv
 import io
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casemix import dataio
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.dataio import (
     cohort_csv_text,
@@ -239,3 +242,99 @@ def test_ragged_row_reported_after_earlier_bad_cell(small_cohort):
 def test_blank_line_is_a_ragged_row(small_cohort):
     with pytest.raises(InvalidArgument, match="has 0 cells"):
         parse_cohort_csv(cohort_csv_text(small_cohort) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Reading from files
+# ---------------------------------------------------------------------------
+
+def test_crlf_file_reads_like_lf(tmp_path, small_cohort):
+    """Newlines are translated on read, also inside quoted cells."""
+    text = with_cell(small_cohort, 2, "sex", "two\nlines")
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(text.encode("utf-8"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    ds = read_cohort_csv(lf)
+    assert ds.extras["sex"][2] == "two\nlines"
+    assert read_cohort_csv(crlf) == ds
+    assert cohort_csv_text(read_cohort_csv(crlf)) == text
+
+
+def test_read_peak_memory_bounded_by_file_size(tmp_path):
+    """Reading holds a bounded chunk of rows plus each column's distinct
+    cells, not every cell of the file at once."""
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(generate_cohort(CohortConfig(n=5000, seed=11)), path)
+    tracemalloc.start()
+    try:
+        read_cohort_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# Chunked reading: the chunk size never shows in the result
+# ---------------------------------------------------------------------------
+
+_CHUNK_SIZES = (1, 2, 3, dataio._CHUNK_ROWS)
+
+
+def _parse_outcomes(text: str) -> list:
+    """For each chunk size, the parsed dataset with its canonical text, or
+    the error message."""
+    outcomes = []
+    for size in _CHUNK_SIZES:
+        with mock.patch.object(dataio, "_CHUNK_ROWS", size):
+            try:
+                ds = parse_cohort_csv(text)
+            except InvalidArgument as err:
+                outcomes.append(str(err))
+            else:
+                outcomes.append((ds, cohort_csv_text(ds)))
+    return outcomes
+
+
+def _render(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(cohort_files(), st.data())
+def test_chunk_size_does_not_change_result(case, data):
+    rows = list(csv.reader(io.StringIO(case[0])))
+    header = rows[0]
+    if len(rows) > 1:
+        row = st.integers(1, len(rows) - 1)
+        for _ in range(data.draw(st.integers(0, 2))):
+            column, value = data.draw(st.sampled_from(_bad_cells(header)))
+            rows[data.draw(row)][header.index(column)] = value
+        for _ in range(data.draw(st.integers(0, 2))):  # rows cut short or one cell too long
+            r, width = data.draw(row), data.draw(st.integers(0, len(header) + 1))
+            rows[r] = (rows[r] + ["x"])[:width]
+    outcomes = _parse_outcomes(_render(rows))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+def test_numeric_looking_extra_with_late_word_stays_categorical(small_cohort):
+    """A column's kind is decided over every row, not over the first chunk:
+    "nan" in row 1 is a category, not a bad number."""
+    rows = list(csv.reader(io.StringIO(cohort_csv_text(small_cohort))))
+    column = rows[0].index("ventilation_days")
+    rows[1][column], rows[8][column] = "nan", "abc"
+    outcomes = _parse_outcomes(_render(rows))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    ds = outcomes[0][0]
+    assert ds.extra_schema["ventilation_days"] == "categorical"
+    assert ds.extras["ventilation_days"][0] == "nan" and ds.extras["ventilation_days"][7] == "abc"
+
+
+def test_bad_cell_in_earlier_chunk_beats_later_ragged_row(small_cohort):
+    rows = list(csv.reader(io.StringIO(cohort_csv_text(small_cohort))))
+    rows[2][rows[0].index("los_days")] = "-1"
+    rows[9] = rows[9][:10]
+    outcomes = _parse_outcomes(_render(rows))
+    assert outcomes == [f"row id {rows[2][0]!r}, column 'los_days': '-1' is not in [0, 1.79769e+308]"] * 4
