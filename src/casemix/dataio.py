@@ -22,7 +22,8 @@ and tbsa_pct at most 100; depth cells must name a depth level. A bad cell
 raises InvalidArgument naming the row id and the column, a row of the wrong
 length one naming its id, and a row the csv module cannot read (a cell over
 its field size limit) one naming the line. The whole file is decoded before
-any of these is raised.
+any of these is raised; a byte that is not UTF-8 raises InvalidArgument
+naming its line and its offset in the file.
 """
 
 from __future__ import annotations
@@ -86,7 +87,19 @@ def write_cohort_csv(ds: Dataset, path: str | Path) -> None:
 def read_cohort_csv(path: str | Path) -> Dataset:
     """Parse a cohort CSV back into a Dataset (inverse of write_cohort_csv)."""
     with open(path, encoding="utf-8") as fh:  # newlines translated as by read_text
-        return _parse_lines(fh)
+        try:
+            return _parse_lines(fh)
+        except UnicodeDecodeError:
+            pass
+    # The file is decoded in blocks, and the codec counts its position from
+    # the start of a block: decode the whole file again to place the byte.
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise InvalidArgument(f"cohort CSV line {line}, byte {e.start}: {e}") from None
+    raise InvalidArgument("cohort CSV changed while it was read")
 
 
 def parse_cohort_csv(text: str) -> Dataset:

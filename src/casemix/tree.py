@@ -1,10 +1,25 @@
 """Cost-sensitive CART over mixed numeric/categorical features.
 
 Cost sensitivity enters twice: split quality is the generalized Gini
-impurity sum(L[i][j] * p_i * p_j) under an arbitrary zero-diagonal loss
+impurity I = sum(L[i][j] * p_i * p_j) under an arbitrary zero-diagonal loss
 matrix, and each leaf is labeled with the rank minimizing expected
 misclassification cost. Pruning is weakest-link cost-complexity with the
 same expected-cost risk functional.
+
+Criterion: for a node of n rows with class counts c, n*I = Q/n with
+Q = c^T L c, so a split's decrease n*I(P) - n_L*I(L) - n_R*I(R) is scored as
+Q_P/n - Q_L/n_L - Q_R/n_R, the form of scikit-learn's Gini
+``proxy_impurity_improvement``. With integer counts and an integer loss
+matrix, as both production matrices are, every Q is an exact integer in
+float64 while n^2 * max(L) < 2^53 (n up to about 2.7e7 at k=13), whatever
+the BLAS or einsum summation order; only the three divisions, their sum
+and the final difference round.
+
+Growth stop: a node whose own leaf risk min(c @ L) is below the pruning
+threshold (cp times the root's leaf risk) is not searched. Were it split,
+its weakest-link g <= own / (leaves - 1) would stay below the threshold, so
+pruning would always collapse it (Breiman et al. 1984, ch. 3); the pruned
+tree is the same, with fewer nodes grown.
 
 Layout: a fitted ``DecisionTree`` is a set of parallel per-node arrays in
 preorder, the layout of rpart's ``frame`` table and scikit-learn's ``Tree``.
@@ -28,7 +43,9 @@ Determinism contract: within a column, numeric thresholds are scanned
 ascending and categorical subsets in canonical order. Of equal decreases,
 the split on the lower schema index wins, and within one column the first
 candidate: the split a single scan over all candidates in schema order
-would keep. Identical inputs always produce identical trees.
+would keep. Candidates with the same child class counts score exactly the
+same decrease, since their Q terms are exact. Identical inputs always
+produce identical trees.
 
 Routing: a row goes left when its value < threshold (categorical: when its
 level is in the split's left set). ``predict`` routes new rows the same way;
@@ -41,6 +58,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -89,8 +107,15 @@ class TreeParams:
             raise InvalidArgument(
                 f"max_depth must be in [1, {MAX_DEPTH}], got {self.max_depth}"
             )
-        if self.cp < 0:
-            raise InvalidArgument(f"cp must be >= 0, got {self.cp}")
+        # json.loads reads NaN, and a NaN cp makes every comparison with the
+        # pruning threshold false; a bool or a numeric string is refused,
+        # not coerced.
+        cp = self.cp
+        if not isinstance(cp, numbers.Real) or isinstance(cp, bool) or math.isnan(cp):
+            raise InvalidArgument(f"cp must be a number, got {cp!r}")
+        if cp < 0:
+            raise InvalidArgument(f"cp must be >= 0, got {cp}")
+        object.__setattr__(self, "cp", float(cp))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -101,7 +126,7 @@ class TreeParams:
             min_split=d["min_split"],
             min_leaf=d["min_leaf"],
             max_depth=d["max_depth"],
-            cp=float(d["cp"]),
+            cp=d["cp"],
         )
 
 
@@ -256,17 +281,15 @@ class Split:
 
 
 def _impurity_terms(counts_left: np.ndarray, totals: np.ndarray, L: np.ndarray):
-    """Weighted child impurities n_L*I(L) + n_R*I(R) for a batch of
-    candidate left-count matrices."""
-    counts_right = totals[None, :] - counts_left
-    n_left = counts_left.sum(axis=1)
-    n_right = counts_right.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pl = counts_left / n_left[:, None]
-        pr = counts_right / n_right[:, None]
-    il = np.einsum("mi,ij,mj->m", pl, L, pl)
-    ir = np.einsum("mi,ij,mj->m", pr, L, pr)
-    return n_left * il + n_right * ir
+    """Weighted child impurities n_L*I(L) + n_R*I(R) = Q_L/n_L + Q_R/n_R
+    for a batch of candidate left-count matrices, where Q = c^T L c of a
+    child's class counts c takes one matmul. Every child holds a row, so no
+    n is 0. With integer counts and integer L each Q is an exact integer
+    while n^2 * max(L) < 2^53, in any summation order."""
+    counts_right = totals - counts_left
+    q_left = np.einsum("mi,mi->m", counts_left @ L, counts_left)
+    q_right = np.einsum("mi,mi->m", counts_right @ L, counts_right)
+    return q_left / counts_left.sum(axis=1) + q_right / counts_right.sum(axis=1)
 
 
 class EncodedTable:
@@ -381,7 +404,7 @@ class _NumericScan:
         # Runs accumulate across the block's columns, and each column's runs
         # hold the node's rows once, so drop the earlier columns' totals.
         earlier = self.feature[lo:hi, None] * self.counts
-        return (self.cum[self.run[lo:hi]] - earlier).astype(np.float64)
+        return self.cum[self.run[lo:hi]] - earlier
 
     def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
         f, p = self.feature[i], self.pos[i]
@@ -504,23 +527,22 @@ class _LevelScan:
         return self.enc.categorical_split(j, chosen, rows, decrease)
 
 
-def best_split(enc: EncodedTable, start: int, end: int, loss: CostMatrix,
-               params: TreeParams) -> Split | None:
+def best_split(enc: EncodedTable, start: int, end: int, counts: np.ndarray, parent_q: float,
+               loss: CostMatrix, params: TreeParams) -> Split | None:
     """Exhaustive scan over features and candidate splits of the node whose
-    rows are ``enc.rows[start:end]``; returns the split maximizing
-    n*I(parent) - n_L*I(left) - n_R*I(right), or None when the node is
-    below min_split or no candidate has a strictly positive decrease. Of
-    equal maxima it returns the one on the lowest schema index, and within
-    one column the first candidate. The split's left_mask is aligned with
-    ``enc.rows[start:end]``."""
+    rows are ``enc.rows[start:end]``, with float64 class ``counts`` and
+    ``parent_q`` = counts^T L counts; returns the split maximizing
+    n*I(parent) - n_L*I(left) - n_R*I(right) = Q_P/n - Q_L/n_L - Q_R/n_R,
+    or None when the node is below min_split or no candidate has a strictly
+    positive decrease. Of equal maxima it returns the one on the lowest
+    schema index, and within one column the first candidate. The split's
+    left_mask is aligned with ``enc.rows[start:end]``."""
     n = end - start
     if n < params.min_split:
         return None
     rows = enc.rows[start:end]
     y = enc.y0[rows]
-    counts = np.bincount(y, minlength=enc.k)
-    totals = counts.astype(np.float64)
-    parent_term = n * gini_loss_impurity(totals, loss)
+    parent_term = parent_q / n
     width = _block_width(n)
     best_decrease, best_feature, best = 0.0, -1, None
     for span in enc.spans:
@@ -537,7 +559,7 @@ def best_split(enc: EncodedTable, start: int, end: int, loss: CostMatrix,
             # spans, an equal decrease wins only on a lower schema index.
             for lo in range(0, scan.size, _CHUNK):
                 counts_left = scan.counts_left(lo, lo + _CHUNK)
-                decreases = parent_term - _impurity_terms(counts_left, totals, loss.entries)
+                decreases = parent_term - _impurity_terms(counts_left, counts, loss.entries)
                 i = int(np.argmax(decreases))
                 decrease = float(decreases[i])
                 if not (decrease > 0.0 and decrease >= best_decrease):
@@ -575,8 +597,11 @@ def _partition(enc: EncodedTable, start: int, end: int, left_mask: np.ndarray) -
 
 def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node]:
     """Recursive partitioning with an explicit stack, depth-first and left
-    child first, so nodes arrive in preorder."""
+    child first, so nodes arrive in preorder. A node whose own leaf risk is
+    below the pruning threshold stays a leaf: pruning would collapse it."""
     nodes: list[_Node] = []
+    root_risk = float((np.bincount(enc.y0, minlength=enc.k) @ loss.entries).min())
+    stop = _prune_threshold(params.cp, root_risk)
     stack = [(0, len(enc.rows), 0, -1)]  # (start, end, depth, parent of a right child)
     while stack:
         start, end, depth, parent = stack.pop()
@@ -584,10 +609,12 @@ def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node
             nodes[parent] = nodes[parent]._replace(right=len(nodes))
         counts = np.bincount(enc.y0[enc.rows[start:end]], minlength=enc.k).astype(np.float64)
         impurity = gini_loss_impurity(counts, loss)
+        costs = counts @ loss.entries  # costs[j]: the node's risk as a leaf of rank j + 1
         node = {"n": end - start, "counts": counts}
         split = None
-        if depth < params.max_depth and end - start >= params.min_split and impurity != 0.0:
-            split = best_split(enc, start, end, loss, params)
+        if (depth < params.max_depth and end - start >= params.min_split and impurity != 0.0
+                and costs.min() >= stop):
+            split = best_split(enc, start, end, counts, float(costs @ counts), loss, params)
         if split is None:
             node["label"], node["expected_cost"] = leaf_label(counts, loss)
         else:
@@ -597,6 +624,12 @@ def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node
             stack += [(mid, end, depth + 1, len(nodes)), (start, mid, depth + 1, -1)]
         nodes.append(_Node(**node))
     return nodes
+
+
+def _prune_threshold(cp: float, root_risk: float) -> float:
+    """The g below which weakest-link pruning collapses a node: cp times the
+    root's single-leaf risk, and above every g when cp is infinite."""
+    return math.inf if math.isinf(cp) else cp * root_risk
 
 
 def _prune(tree: DecisionTree, loss: CostMatrix, cp: float) -> int:
@@ -626,7 +659,7 @@ def _prune(tree: DecisionTree, loss: CostMatrix, cp: float) -> int:
 
     for i in inner[::-1].tolist():
         update(i)
-    threshold = math.inf if math.isinf(cp) else cp * own[0]
+    threshold = _prune_threshold(cp, own[0])
     keep = np.ones(m, dtype=bool)
     steps = 0
     while g[(i := int(np.argmin(g)))] < threshold:

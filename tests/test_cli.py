@@ -8,6 +8,7 @@ import pytest
 
 from casemix.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from casemix.dataio import read_cohort_csv
+from tests.test_tree import structure_sha256
 
 COHORT_CONFIG = {
     "cohort": {"n": 250, "seed": 31},
@@ -23,8 +24,9 @@ MISSINGNESS_CONFIG = {
 }
 
 #: sha256 of every non-manifest artifact of `casemix all --svg`, recorded
-#: with the exact 1-D k-means labels. Changes to how data is held or moved
-#: must leave every byte of every artifact as it was.
+#: with the exact 1-D k-means labels and the exact integer split criterion.
+#: Changes to how data is held or moved must leave every byte of every
+#: artifact as it was.
 PINNED_ARTIFACTS = {
     "cli": {
         "cohort.csv": "1fdbaa407561f4102c27e2912ae31563b3ee90ee42582dc4b2b00f231040e1f2",
@@ -53,8 +55,8 @@ PINNED_ARTIFACTS = {
         "result/config.json": "acc33283943c31d822c8b8ad22c15789d33ea65a9790acd24399764601772ff8",
         "result/factor_labels.csv": "6c355bee3d01ee0b02ea736e5f068f37a528383563abc750e7feffcaed773abd",
         "result/final_labels.csv": "5eab34cbe7097e7c9c606f81303bcba88d414b2ffd48ee3a3758a6d4b4324950",
-        "result/importances.csv": "9eae8be1c2c001e4f518a0028acf1ef66418570ff522b53c4faf84347fbae8b4",
-        "result/model.json": "65aa4eed7757dbf01ef83ef6dd7dfbbcab1659717850196191e9eee109138bb6",
+        "result/importances.csv": "aff97fb600378664054f5cdda12d360899867bb1366ec1a7ea0ef11569aa0a79",
+        "result/model.json": "ab47c2075328634206aa4066eed448d51d0aff72e4bb8b89f0ff29148585af29",
         "result/preprocess_report.json": "2aa5bbd53f98a77526ac66f97862ac05f5eb15a1b375222bf19661141cc15724",
         "result/preprocessed.csv": "a13e81a8c2045895932d04c93ed0e68ea93dfea01d3060c80a2f876c7cb9a438",
         "result/provenance.json": "94ea53f36472ef28ab415ea7d8d1ae189c1aabcee7f130500bd35464636577db",
@@ -87,13 +89,21 @@ PINNED_ARTIFACTS = {
         "result/config.json": "acc33283943c31d822c8b8ad22c15789d33ea65a9790acd24399764601772ff8",
         "result/factor_labels.csv": "32f9643d041eadda1241172a36fe29886e1186be42ed5dfad18ef35df6e62c80",
         "result/final_labels.csv": "551ae1a220d47432d23137bf7ec9dc3f0271a311ecf8119bd0ff2876392efd47",
-        "result/importances.csv": "380c96ef0e7454cdeb3666f7d2cad5d3e8b73e30f77af589c5224f89b98392a1",
-        "result/model.json": "baf96bd81695110b73a5463fd0d7a1024f3dc6291bb75107c062d937fa84f9a2",
+        "result/importances.csv": "2c9a2cd1e1e1a0f6c4d222c9e65f37d1eb1718cbfbd6f6dc6a2c45a1dd60ce63",
+        "result/model.json": "a50b58cb65e380cef7bb241adac653e5ab80dc72c18728e5f35a8223ad8b236e",
         "result/preprocess_report.json": "31adc5e1e343770c684176ed6737330ace69600af02821f6f5d1ff4d8dc7aee4",
         "result/preprocessed.csv": "f0f368e6133af407afb6eb8027c14e17189d8592129546733b5c666558b1f633",
         "result/provenance.json": "1e1d85b86908b39d51f8bee5455c145725fe9e970a77f47d2f0cf9704acda1e6",
         "result/split.csv": "5d3ce9de8c302d63b45ac03fc29e7f85419b4f58eebcedd1f8d279509e5c24d5",
     },
+}
+
+#: structure_sha256 of each run's result/model.json, recorded before the
+#: split criterion took its exact integer form, which moved only the low
+#: bits of ``decrease``.
+PINNED_MODEL_STRUCTURE = {
+    "cli": "fc77fe0c420fc5fb759ca9c4f1920a65981c5c3c125dbe21d7c6774e489dbc0f",
+    "missingness": "2ed849c7672887aeabf698859c6ec8770fd0038e14ea730ba5a8a4b82dbcdb72",
 }
 
 
@@ -341,6 +351,21 @@ class TestTrain:
             args += ["--cohort", str(cohort)]
         assert main([command] + args) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["train", "all"])
+    @pytest.mark.parametrize("cp", [float("nan"), True, "0.5"])
+    def test_cp_not_a_number_exit_2(self, generated, tmp_path, command, cp):
+        """json.dumps writes the nan as NaN, which json.loads reads back."""
+        root, _, cohort = generated
+        params = {"min_split": 20, "min_leaf": 7, "max_depth": 30, "cp": cp}
+        doc = dict(COHORT_CONFIG, pipeline=dict(COHORT_CONFIG["pipeline"], final_tree_params=params))
+        cfg = write_config(tmp_path, doc, name="cp.json")
+        out = tmp_path / "o"
+        args = ["--config", str(cfg), "--out", str(out)]
+        if command == "train":
+            args += ["--cohort", str(cohort)]
+        assert main([command] + args) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_cohort_file_hash_reaches_provenance(self, generated, tmp_path, monkeypatch):
         import casemix.pipeline as pipeline
 
@@ -406,10 +431,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("edit", ["max_depth", "deep_node", "unknown_feature",
                                       "kind_mismatch", "levels_list", "unknown_category",
-                                      "summary_depth", "summary_leaf_count", "summary_n"])
+                                      "summary_depth", "summary_leaf_count", "summary_n",
+                                      "cp_nan", "cp_bool", "cp_string"])
     def test_model_deeper_than_cap_exit_2(self, trained, tmp_path, edit):
-        """A model.json deeper than the depth cap, or at odds with its own
-        schema, levels and summary, is an input error."""
+        """A model.json deeper than the depth cap, at odds with its own
+        schema, levels and summary, or with a cp that is not a number, is an
+        input error."""
         import shutil
 
         root, _, cohort, result = trained
@@ -436,6 +463,8 @@ class TestEvaluate:
             model["summary"]["leaf_count"] = 1
         elif edit == "summary_n":
             model["summary"]["n"] += 1
+        elif edit.startswith("cp_"):
+            model["params"]["cp"] = {"cp_nan": float("nan"), "cp_bool": True, "cp_string": "0.5"}[edit]
         else:
             leaf = model["root"]
             while leaf["type"] == "internal":
@@ -486,6 +515,8 @@ class TestAll:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "run"
         assert main(["all", "--config", str(cfg), "--out", str(out), "--svg"]) == EXIT_OK
+        model = (out / "result" / "model.json").read_text(encoding="utf-8")
+        assert structure_sha256(model) == PINNED_MODEL_STRUCTURE[name]
         assert file_hashes(out) == PINNED_ARTIFACTS[name]
 
     def test_cohort_parsed_once(self, tmp_path, monkeypatch):

@@ -338,3 +338,21 @@ def test_bad_cell_in_earlier_chunk_beats_later_ragged_row(small_cohort):
     rows[9] = rows[9][:10]
     outcomes = _parse_outcomes(_render(rows))
     assert outcomes == [f"row id {rows[2][0]!r}, column 'los_days': '-1' is not in [0, 1.79769e+308]"] * 4
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_undecodable_byte_names_line_and_file_offset(tmp_path, small_cohort, newline):
+    """The reader decodes in blocks, so the codec's own position counts from
+    the start of a block; the error names the file's line and byte offset."""
+    lines = cohort_csv_text(small_cohort).encode("utf-8").split(b"\n")[:-1]
+    lines[-1] = lines[-1][:40] + b"\xff" + lines[-1][40:]
+    data = newline.join(lines) + newline
+    offset = data.index(b"\xff")
+    assert offset > 8192
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(InvalidArgument) as err:
+        read_cohort_csv(path)
+    message = str(err.value)
+    assert f"line {len(lines)}, byte {offset}:" in message
+    assert "'utf-8' codec can't decode byte 0xff" in message

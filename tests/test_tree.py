@@ -2,7 +2,9 @@ import ast
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +38,10 @@ UNRESTRICTED = TreeParams(min_split=2, min_leaf=1, max_depth=30, cp=0.0)
 
 def search(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams):
     """best_split at the root node of a freshly encoded table."""
-    return best_split(EncodedTable(table, labels, loss.k), 0, table.n_rows, loss, params)
+    enc = EncodedTable(table, labels, loss.k)
+    counts = np.bincount(enc.y0, minlength=loss.k).astype(np.float64)
+    parent_q = float(counts @ loss.entries @ counts)
+    return best_split(enc, 0, table.n_rows, counts, parent_q, loss, params)
 
 
 def numeric_table(**columns) -> FeatureTable:
@@ -74,6 +79,14 @@ def preorder(node: dict):
         yield nd
         if nd["type"] == "internal":
             stack.extend((nd["right"], nd["left"]))
+
+
+def exact_q_over_n(counts, L) -> Fraction:
+    """Q/n = n*I for integer class counts c and an integer loss matrix L,
+    with Q = c^T L c, in rational arithmetic."""
+    c = [int(v) for v in counts]
+    q = sum(c[i] * int(L[i][j]) * c[j] for i in range(len(c)) for j in range(len(c)))
+    return Fraction(q, sum(c))
 
 
 def tree_risk(tree: DecisionTree, loss: CostMatrix) -> float:
@@ -615,6 +628,20 @@ class TestParams:
         with pytest.raises(InvalidArgument):
             TreeParams(cp=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, True, False, "0.5", None, [0.5]])
+    def test_cp_must_be_a_number(self, value):
+        """json.loads reads NaN, which compares false with every threshold."""
+        doc = dict(TreeParams().to_dict(), cp=value)
+        with pytest.raises(InvalidArgument, match="cp must be a number"):
+            TreeParams.from_dict(doc)
+        with pytest.raises(InvalidArgument, match="cp must be a number"):
+            TreeParams(cp=value)
+
+    def test_cp_kept_as_float(self):
+        assert TreeParams(cp=0).to_dict()["cp"] == 0.0
+        assert isinstance(TreeParams.from_dict(dict(TreeParams().to_dict(), cp=1)).cp, float)
+        assert TreeParams(cp=math.inf).cp == math.inf
+
     def test_max_depth_capped(self):
         assert TreeParams(max_depth=MAX_DEPTH).max_depth == 30
         with pytest.raises(InvalidArgument):
@@ -739,6 +766,49 @@ class TestSplitChoice:
         assert (split.categories, split.left_set) == (expected.categories, expected.left_set)
         assert np.array_equal(split.left_mask, expected.left_mask)
 
+    @settings(deadline=None, max_examples=60)
+    @given(mixed_training_sets(), st.data())
+    def test_decreases_match_exact_arithmetic(self, case, data):
+        """Under a random integer loss matrix, every candidate's decrease is
+        its exact rational value to 1e-12 of the parent's n*I, the size of
+        the terms that cancel, and the chosen split's exact decrease is the
+        exact maximum to the same tolerance."""
+        table, labels, k, params = case
+        draws = data.draw(st.lists(st.integers(0, 50), min_size=k * k, max_size=k * k))
+        entries = np.array(draws, dtype=np.float64).reshape(k, k)
+        np.fill_diagonal(entries, 0.0)
+        loss = CostMatrix(entries)
+        y0 = np.asarray(labels) - 1
+        totals = np.bincount(y0, minlength=k)
+        parent = exact_q_over_n(totals, entries)
+        tolerance = Fraction(1e-12) * parent
+
+        def exact(counts_left):
+            return parent - exact_q_over_n(counts_left, entries) - exact_q_over_n(
+                totals - counts_left, entries)
+
+        scored = []
+        impurity_terms = casemix.tree._impurity_terms
+
+        def recording(counts_left, node_totals, L):
+            terms = impurity_terms(counts_left, node_totals, L)
+            scored.extend(zip(counts_left.astype(np.int64), terms))
+            return terms
+
+        with mock.patch.object(casemix.tree, "_impurity_terms", recording):
+            split = search(table, labels, loss, params)
+        parent_term = float(totals @ entries @ totals) / len(y0)  # as best_split scores
+        exact_all = []
+        for counts_left, terms in scored:
+            exact_all.append(exact(counts_left))
+            assert abs(Fraction(parent_term - terms) - exact_all[-1]) <= tolerance
+        if split is None:
+            assert max(exact_all, default=0) <= tolerance
+            return
+        chosen = exact(np.bincount(y0[split.left_mask], minlength=k))
+        assert abs(Fraction(split.decrease) - chosen) <= tolerance
+        assert max(exact_all) - chosen <= tolerance
+
     @pytest.mark.parametrize("block_cells, chunk", [(1, 1), (7, 3), (301, 13), (5, 1024)])
     def test_scan_sizes_do_not_change_the_tree(self, monkeypatch, block_cells, chunk):
         rng = np.random.default_rng(block_cells)
@@ -767,23 +837,41 @@ class TestSplitChoice:
 
 
 #: sha256 of serialize_tree for the pinned small run below, on the exact
-#: 1-D k-means labels; any change to split search, tie-breaks or pruning
-#: shows here.
+#: 1-D k-means labels and the exact integer split criterion; any change to
+#: split search, tie-breaks or pruning shows here.
 GOLDEN_TREE_SHA256 = {
-    "los_days": "5ccfd5a16619d7571d16a0ff2ca640fc7eb4a3991c7722bda76c0f48c58b40ec",
-    "total_cost": "629d7e05faf4ff04c95fc563214c44760acb561ae368790e6c903ae9c3f674e8",
-    "tbsa_pct": "99054a914f0b8386290f5fea9a9c612708a723a7b131f54d7d8b3c4e478d28ca",
-    "final": "6ea3ab7bf97f4b9f2f62a102041aa9f1a5917c58a4e5a98e31dae38020b7d1ab",
+    "los_days": "76f9f1e8a164c24b7605d6f8f43a265dca091e62fa44fe4140ce4ead4fa50a46",
+    "total_cost": "66964a37197f800da91f9981347c191bc999c6956db6e17cb8adbf0563638653",
+    "tbsa_pct": "5dcc4059d4194d1833d07dc83bb9eeea81389664268c386de9ae7d6449ecbb6a",
+    "final": "df56e6707fa5a3fde8217d63aa821a60c38be29ea5270e4b7d82b94f563024e2",
 }
 
+#: structure_sha256 of the same trees, recorded before the split criterion
+#: took its exact integer form: that change moved only the low bits of
+#: ``decrease``, and no change to how a decrease is computed may move more.
+GOLDEN_TREE_STRUCTURE = {
+    "los_days": "7a93b8ad16ac19d5a36208bd72807833a08b54eec71160e2d8d7b8cbdb1f4e2c",
+    "total_cost": "bd84d357b568c9fcc35159249560071f68a1fdf0af8af53ea5a4cb00530c7ae0",
+    "tbsa_pct": "905e1186a39db7312c72c7a8d792ea47b9c74ebdf75a2bd7a20f6615d4b23294",
+    "final": "a2c9befd652f271e1f59668a9e9b6cf555b5748e70421cca6c1fa637da3a1692",
+}
 
 #: (nodes_grown, candidates_scanned, prune_steps) of each tree of that run.
 GOLDEN_TREE_COUNTERS = {
     "los_days": (255, 33829, 36),
     "total_cost": (253, 27741, 44),
     "tbsa_pct": (213, 42153, 16),
-    "final": (219, 16498, 25),
+    "final": (209, 16294, 25),
 }
+
+
+def structure_sha256(model_text: str) -> str:
+    """sha256 of a model document with every node's ``decrease`` removed:
+    its splits, thresholds, level sets, counts, impurities and labels."""
+    doc = json.loads(model_text)
+    for nd in preorder(doc["root"]):
+        nd.pop("decrease", None)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def test_golden_trees_small_run():
@@ -794,6 +882,8 @@ def test_golden_trees_small_run():
         name: hashlib.sha256(serialize_tree(tree).encode("utf-8")).hexdigest()
         for name, tree in trees.items()
     }
+    structure = {name: structure_sha256(serialize_tree(tree)) for name, tree in trees.items()}
+    assert structure == GOLDEN_TREE_STRUCTURE
     assert digests == GOLDEN_TREE_SHA256
     counters = {
         name: (tree.nodes_grown, tree.candidates_scanned, tree.prune_steps)
@@ -880,8 +970,9 @@ class TestPruningReference:
         for cp in (0.001, 0.01, 0.03, 0.1, 0.5, math.inf):
             pruned = build_tree(table, labels, loss, TreeParams(cp=cp, **grow))
             ref_root, ref_steps = reference_prune(model_root(full), loss, cp)
-            assert pruned.prune_steps == ref_steps
-            assert pruned.nodes_grown == full.nodes_grown
+            # Growth stops below the pruning threshold, so fewer nodes are
+            # grown and collapsed than in the full tree, to the same result.
+            assert pruned.nodes_grown <= full.nodes_grown
             assert model_root(pruned) == ref_root
 
 
