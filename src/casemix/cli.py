@@ -17,6 +17,7 @@ import os
 import secrets
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,14 @@ from .dataio import cohort_csv_text, read_cohort_csv
 from .domain import FACTOR_FIELDS, Dataset, linear_cost_matrix
 from .errors import CasemixError, InvalidArgument, PipelineStageError
 from .evaluate import boxplot_stats, compare_groupings, confusion, merge_diagnostic
-from .hrg import UNCLASSIFIABLE, Ruleset, classify_dataset, load_ruleset, reference_ruleset
+from .hrg import (
+    UNCLASSIFIABLE,
+    Ruleset,
+    check_ruleset,
+    classify_dataset,
+    load_ruleset,
+    reference_ruleset,
+)
 from .pipeline import PipelineConfig, dataset_to_table, run_pipeline
 from .svgplot import boxplots_svg, rank_spread_svg, variance_bars_svg
 from .tree import (
@@ -128,6 +136,19 @@ def _write_output(manifest: _Manifest, root: Path, path: Path, text: str) -> Non
     manifest.add_output(root, path)
 
 
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_rows(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -208,12 +229,10 @@ def _load_cohort(path: str) -> Dataset:
 
 
 def _hrg_labels_csv(ds: Dataset, labels: list[int | None]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "rank"])
-    for rid, label in zip(ds.ids.tolist(), labels):
-        writer.writerow([rid, UNCLASSIFIABLE if label is None else label])
-    return buf.getvalue()
+    return _csv_text(["id", "rank"], (
+        (rid, UNCLASSIFIABLE if label is None else label)
+        for rid, label in zip(ds.ids.tolist(), labels)
+    ))
 
 
 def _load_rules(path: str | None) -> Ruleset:
@@ -270,53 +289,38 @@ def _pipeline_config(doc: dict, ephemeral: bool) -> PipelineConfig:
 
 
 def _factor_labels_csv(result) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "id"] + [f"{f}_rank" for f in FACTOR_FIELDS] + ["mean_rank"])
-    for i, rid in enumerate(result.preprocessed.ids.tolist()):
-        row = [i, rid]
-        row += [int(result.factor_labels[f][i]) for f in FACTOR_FIELDS]
-        row.append(repr(float(result.mean_ranks[i])))
-        writer.writerow(row)
-    return buf.getvalue()
+    return _csv_text(["index", "id", *(f"{f}_rank" for f in FACTOR_FIELDS), "mean_rank"], (
+        [i, rid, *(int(result.factor_labels[f][i]) for f in FACTOR_FIELDS),
+         repr(float(result.mean_ranks[i]))]
+        for i, rid in enumerate(result.preprocessed.ids.tolist())
+    ))
 
 
 def _final_labels_csv(result) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "id", "final_rank"])
-    for i, rid in enumerate(result.preprocessed.ids.tolist()):
-        writer.writerow([i, rid, int(result.final_labels[i])])
-    return buf.getvalue()
+    return _csv_text(["index", "id", "final_rank"], (
+        [i, rid, int(result.final_labels[i])]
+        for i, rid in enumerate(result.preprocessed.ids.tolist())
+    ))
 
 
 def _importances_csv(result) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "feature", "score"])
-    for factor in FACTOR_FIELDS:
-        for name, score in result.factor_importances[factor]:
-            writer.writerow([factor, name, repr(float(score))])
-    for name, score in variable_importance(result.final_tree):
-        writer.writerow(["final", name, repr(float(score))])
-    return buf.getvalue()
+    models = [(f, result.factor_importances[f]) for f in FACTOR_FIELDS]
+    models.append(("final", variable_importance(result.final_tree)))
+    return _csv_text(["model", "feature", "score"], (
+        [model, name, repr(float(score))] for model, scores in models for name, score in scores
+    ))
 
 
 def _split_csv(result) -> str:
-    from collections import Counter
-
-    train_mult = Counter(int(i) for i in result.train_multiset)
-    test_mult = Counter(int(i) for i in result.test_multiset)
+    multiplicity = {
+        "train": Counter(int(i) for i in result.train_multiset),
+        "test": Counter(int(i) for i in result.test_multiset),
+    }
     roles = {int(i): "train" for i in result.train_idx}
     roles.update({int(i): "test" for i in result.test_idx})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "role", "multiplicity"])
-    for i in range(len(result.preprocessed)):
-        role = roles[i]
-        mult = train_mult[i] if role == "train" else test_mult[i]
-        writer.writerow([i, role, mult])
-    return buf.getvalue()
+    return _csv_text(["index", "role", "multiplicity"], (
+        [i, roles[i], multiplicity[roles[i]][i]] for i in range(len(result.preprocessed))
+    ))
 
 
 def _write_train_outputs(manifest: _Manifest, out: Path, result, config: PipelineConfig) -> None:
@@ -376,29 +380,27 @@ def cmd_train(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
+#: The files of a `casemix train` output directory that `evaluate` reads.
+_RESULT_FILES = ("preprocessed.csv", "final_labels.csv", "factor_labels.csv",
+                 "split.csv", "model.json", "config.json")
+
+
 def _read_result_dir(result_dir: Path):
-    for name in ("preprocessed.csv", "final_labels.csv", "factor_labels.csv",
-                 "split.csv", "model.json", "config.json"):
+    for name in _RESULT_FILES:
         if not (result_dir / name).is_file():
             raise _ConfigError(f"result dir is missing {name}")
     try:
         ds = read_cohort_csv(result_dir / "preprocessed.csv")
         config = PipelineConfig.from_dict(json.loads((result_dir / "config.json").read_text()))
         tree = deserialize_tree((result_dir / "model.json").read_text(encoding="utf-8"))
-
-        with open(result_dir / "final_labels.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _csv_rows(result_dir / "final_labels.csv")
         final_labels = np.array([int(r["final_rank"]) for r in rows], dtype=np.int64)
-
-        with open(result_dir / "factor_labels.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _csv_rows(result_dir / "factor_labels.csv")
         factor_ranks = {
             f: np.array([int(r[f"{f}_rank"]) for r in rows], dtype=np.int64)
             for f in FACTOR_FIELDS
         }
-
-        with open(result_dir / "split.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _csv_rows(result_dir / "split.csv")
         train_idx = np.array(
             [int(r["index"]) for r in rows if r["role"] == "train"], dtype=np.int64
         )
@@ -441,49 +443,35 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
 
 
 def _variances_csv(comparisons: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["factor", "grouping", "rank", "n", "variance"])
-    for factor, comp in comparisons.items():
-        for grouping, report in (("dt", comp.dt), ("hrg", comp.hrg)):
-            for rank, gv in sorted(report.per_group.items()):
-                writer.writerow([factor, grouping, rank, gv.n, repr(gv.variance)])
-    return buf.getvalue()
+    return _csv_text(["factor", "grouping", "rank", "n", "variance"], (
+        [factor, grouping, rank, gv.n, repr(gv.variance)]
+        for factor, comp in comparisons.items()
+        for grouping, report in (("dt", comp.dt), ("hrg", comp.hrg))
+        for rank, gv in sorted(report.per_group.items())
+    ))
 
 
 def _boxplots_csv(per_factor: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["factor", "grouping", "rank", "min", "q1", "median", "q3", "max", "n"])
-    for factor, groupings in per_factor.items():
-        for grouping, stats in groupings.items():
-            for rank, s in sorted(stats.items()):
-                writer.writerow(
-                    [factor, grouping, rank, repr(s.min), repr(s.q1), repr(s.median),
-                     repr(s.q3), repr(s.max), s.n]
-                )
-    return buf.getvalue()
+    return _csv_text(["factor", "grouping", "rank", "min", "q1", "median", "q3", "max", "n"], (
+        [factor, grouping, rank, *map(repr, (s.min, s.q1, s.median, s.q3, s.max)), s.n]
+        for factor, groupings in per_factor.items()
+        for grouping, stats in groupings.items()
+        for rank, s in sorted(stats.items())
+    ))
 
 
 def _rules_csv(rules) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rule", "conditions", "class", "support", "expected_cost"])
-    for i, rule in enumerate(rules):
-        cond = " AND ".join(c.render() for c in rule.conditions) if rule.conditions else "always"
-        writer.writerow([i, cond, rule.label, rule.support, repr(rule.expected_cost)])
-    return buf.getvalue()
+    return _csv_text(["rule", "conditions", "class", "support", "expected_cost"], (
+        [i, rule.condition_text, rule.label, rule.support, repr(rule.expected_cost)]
+        for i, rule in enumerate(rules)
+    ))
 
 
 def _rank_spread_csv(factor_ranks: dict, final_labels: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index"] + [f"{f}_rank" for f in FACTOR_FIELDS] + ["final_rank"])
-    for i in range(len(final_labels)):
-        writer.writerow(
-            [i] + [int(factor_ranks[f][i]) for f in FACTOR_FIELDS] + [int(final_labels[i])]
-        )
-    return buf.getvalue()
+    return _csv_text(["index", *(f"{f}_rank" for f in FACTOR_FIELDS), "final_rank"], (
+        [i, *(int(factor_ranks[f][i]) for f in FACTOR_FIELDS), int(final_labels[i])]
+        for i in range(len(final_labels))
+    ))
 
 
 def cmd_evaluate(args) -> int:
@@ -494,8 +482,7 @@ def cmd_evaluate(args) -> int:
             raise _ConfigError(f"result dir not found: {args.result}")
         (ds, config, tree, final_labels, factor_ranks,
          train_idx, test_idx, multiplicity) = _read_result_dir(result_dir)
-        for name in ("preprocessed.csv", "final_labels.csv", "factor_labels.csv",
-                     "split.csv", "model.json", "config.json"):
+        for name in _RESULT_FILES:
             manifest.add_input(result_dir / name)
         hrg_by_id = _read_hrg_labels(Path(args.hrg))
         manifest.add_input(args.hrg)
@@ -515,9 +502,8 @@ def cmd_evaluate(args) -> int:
 
     train_ds, test_ds = ds.take(train_idx), ds.take(test_idx)
     comp_train = compare_groupings(train_ds, final_labels[train_idx], hrg_labels[train_idx])
-    comp_test = compare_groupings(
-        test_ds, predictions[test_idx], hrg_labels[test_idx], confusion_summary=conf_test
-    )
+    comp_test = compare_groupings(test_ds, predictions[test_idx], hrg_labels[test_idx])
+    comp_test.merge_candidates = merge_diagnostic(conf_test)
 
     box = {"train": {}, "test": {}}
     for factor in FACTOR_FIELDS:
@@ -536,7 +522,7 @@ def cmd_evaluate(args) -> int:
     comparison_doc = {
         "train": comp_train.to_dict(),
         "test": comp_test.to_dict(),
-        "merge_candidates": merge_diagnostic(conf_test),
+        "merge_candidates": comp_test.merge_candidates,
     }
 
     out = Path(args.out)
@@ -598,9 +584,7 @@ def cmd_all(args) -> int:
         # is generated or written.
         pipeline_config = _pipeline_config(doc, args.ephemeral)
         rules = _load_rules(doc.get("ruleset"))
-        # Grouping an empty cohort with the generator's columns checks the
-        # rules against them.
-        classify_dataset(Dataset.from_records([], EXTRA_SCHEMA), rules)
+        check_ruleset(rules, EXTRA_SCHEMA)  # against the generator's columns
     except (_ConfigError, CasemixError) as e:
         return _fail(EXIT_CONFIG, str(e))
     out = Path(args.out)

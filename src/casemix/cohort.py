@@ -41,6 +41,7 @@ from .domain import (
     check_seed,
 )
 from .errors import InvalidArgument
+from .preprocess import COST_OUTLIER, LOS_OUTLIER
 
 # Field tags for RNG keying. Values are stable identifiers; do not reorder.
 _TAG_SEVERITY = 0
@@ -59,11 +60,6 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-# Natural LOS/cost are truncated at the outlier thresholds, so every record
-# beyond them was injected; this keeps the injection rate observable.
-LOS_OUTLIER_THRESHOLD = 360.0
-COST_OUTLIER_THRESHOLD = 1_000_000.0
 
 EXTRA_SCHEMA: dict[str, str] = {
     "sex": CATEGORICAL,
@@ -268,7 +264,9 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
     else:
         mu = 0.4 + 1.05 * math.log1p(tbsa)
         los = round(max(math.expm1(g_los.normal(mu, config.los_noise)), 0.0), 1)
-        los = min(los, LOS_OUTLIER_THRESHOLD)
+        # Natural LOS/cost are truncated at the outlier thresholds, so every
+        # record beyond them was injected: the injection rate is observable.
+        los = min(los, LOS_OUTLIER)
 
     theatre = int(stream(index, _TAG_THEATRE).poisson(0.15 + 0.22 * tbsa))
 
@@ -280,7 +278,7 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
         + 0.4 * math.log1p(theatre)
     )
     cost = round(math.exp(g_cost.normal(mu_c, config.cost_noise)), 2)
-    cost = min(cost, COST_OUTLIER_THRESHOLD)
+    cost = min(cost, COST_OUTLIER)
 
     g = stream(index, _TAG_EXTRAS)
     sex = "F" if g.uniform() < 0.5 else "M"
@@ -390,4 +388,4 @@ def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     for row, (name, col) in enumerate(ds.extras.items(), start=4 + 2 * N_SITES):
         extras[name] = col.copy()
         extras[name][blank[row]] = np.nan if col.dtype == np.float64 else None
-    return Dataset(ds.ids, numerics, site_areas, site_depths, extras, ds.labels)
+    return Dataset(ds.ids, numerics, site_areas, site_depths, extras)

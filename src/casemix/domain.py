@@ -1,4 +1,4 @@
-"""Core domain types: patient records, datasets, and misclassification cost matrices.
+"""Core domain types: datasets, patient records, and misclassification cost matrices.
 
 Ranked class labels are plain integers in ``[1, k]`` throughout the package,
 with rank 1 the least severe/costly group and rank ``k`` the most severe/costly.
@@ -14,9 +14,10 @@ A ``Dataset`` is a column store; each record is one position in its columns:
 
 Missing cells are nan in float columns, ``MISSING_DEPTH`` (-1) in depth
 codes and None in categorical columns, never a value a column can hold, so
-zero-imputation is an explicit, auditable transform. ``Dataset.from_records``
-builds the columns from ``PatientRecord``s and ``Dataset.records`` gives them
-back as a tuple of records (missing = None), built on first access only.
+zero-imputation is an explicit, auditable transform. Datasets are built
+column by column (the CSV reader, the generator); ``Dataset.records`` gives
+the rows back as a tuple of ``PatientRecord``s (missing = None), built on
+first access only.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class Depth(str, Enum):
 #: Depth levels in code order: ``Dataset.site_depths`` holds indices into it.
 DEPTH_LEVELS: tuple[Depth, ...] = (Depth.NONE, Depth.SUPERFICIAL, Depth.PARTIAL, Depth.FULL)
 MISSING_DEPTH = -1
-_DEPTH_CODE = {None: MISSING_DEPTH, **{d: i for i, d in enumerate(DEPTH_LEVELS)}}
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,13 @@ class PatientRecord:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Ordered, immutable column store of burn-care episodes (layout in the
-    module docstring). ``labels`` optionally carries a ranked class per
-    record. The arrays are made read-only on construction."""
+    module docstring). The arrays are made read-only on construction."""
 
     ids: np.ndarray
     numerics: np.ndarray
     site_areas: np.ndarray
     site_depths: np.ndarray
     extras: dict[str, np.ndarray] = field(default_factory=dict)
-    labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         n = len(self.ids)
@@ -146,50 +144,9 @@ class Dataset:
         for name, col in self.extras.items():
             if col.shape != (n,) or col.dtype not in (np.float64, object):
                 raise InvalidArgument(f"extra feature {name!r}: bad column {col.shape} {col.dtype}")
-        if self.labels is not None and len(self.labels) != n:
-            raise InvalidArgument(f"labels length {len(self.labels)} != record count {n}")
         for arr in (self.ids, self.numerics, self.site_areas, self.site_depths,
                     *self.extras.values()):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_records(
-        cls,
-        records,
-        extra_schema: dict[str, str] | None = None,
-        labels: tuple[int, ...] | None = None,
-    ) -> "Dataset":
-        """Columns of ``records``, whose burn sites are taken in
-        ``SITE_CODES`` order. ``extra_schema`` maps each extra feature to
-        "numeric" or "categorical"; other extra features are not kept."""
-        records = tuple(records)
-        schema = dict(extra_schema or {})
-        for name, kind in schema.items():
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise InvalidArgument(f"unknown schema kind {kind!r} for feature {name!r}")
-        for rec in records:
-            if len(rec.burn_sites) != N_SITES:
-                raise InvalidArgument(f"record {rec.id}: expected {N_SITES} burn sites")
-        n = len(records)
-
-        def floats(values) -> np.ndarray:
-            return np.array([np.nan if v is None else float(v) for v in values], dtype=np.float64)
-
-        extras = {}
-        for name, kind in schema.items():
-            values = [r.extra_features.get(name) for r in records]
-            extras[name] = floats(values) if kind == NUMERIC else _object_array(values)
-        sites = [s for r in records for s in r.burn_sites]
-        return cls(
-            ids=_object_array([r.id for r in records]),
-            numerics=np.stack([floats(getattr(r, f) for r in records) for f in CORE_NUMERIC_FIELDS]),
-            site_areas=floats(s.area_pct for s in sites).reshape(n, N_SITES).T.copy(),
-            site_depths=np.array(
-                [_DEPTH_CODE[s.depth] for s in sites], dtype=np.int8
-            ).reshape(n, N_SITES).T.copy(),
-            extras=extras,
-            labels=labels,
-        )
 
     @property
     def extra_schema(self) -> dict[str, str]:
@@ -206,8 +163,7 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
-            self.labels == other.labels
-            and self.extra_schema == other.extra_schema
+            self.extra_schema == other.extra_schema
             and self.ids.tolist() == other.ids.tolist()
             and np.array_equal(self.numerics, other.numerics, equal_nan=True)
             and np.array_equal(self.site_areas, other.site_areas, equal_nan=True)
@@ -224,9 +180,6 @@ class Dataset:
             site_areas=self.site_areas[:, idx],
             site_depths=self.site_depths[:, idx],
             extras={name: col[idx] for name, col in self.extras.items()},
-            labels=None if self.labels is None else tuple(
-                np.asarray(self.labels, dtype=np.int64)[idx].tolist()
-            ),
         )
 
     def factor_values(self, factor: str) -> np.ndarray:
@@ -291,61 +244,6 @@ def same_values(a: np.ndarray, b: np.ndarray) -> bool:
     if a.dtype == object:
         return a.tolist() == b.tolist()
     return np.array_equal(a, b, equal_nan=True)
-
-
-def validate_record(
-    record: PatientRecord,
-    extra_schema: dict[str, str],
-    *,
-    check_site_sum: bool = False,
-) -> list[str]:
-    """Check a record against the domain invariants.
-
-    Returns a list of violation descriptions; an empty list means the record
-    is valid. Never raises on bad data. ``check_site_sum`` additionally
-    requires the site areas to sum to tbsa_pct within 1e-6 (a guarantee of
-    the synthetic generator, not of arbitrary external data).
-    """
-    violations: list[str] = []
-    if len(record.burn_sites) != N_SITES:
-        violations.append(f"burn_sites count: expected {N_SITES}, got {len(record.burn_sites)}")
-    codes = [s.site_code for s in record.burn_sites]
-    if len(set(codes)) != len(codes):
-        violations.append("burn_sites: duplicate site codes")
-    if record.tbsa_pct is not None and not (0.0 <= record.tbsa_pct <= 100.0):
-        violations.append(f"tbsa range: {record.tbsa_pct} not in [0, 100]")
-    for name in ("age_years", "los_days", "total_cost"):
-        v = getattr(record, name)
-        if v is not None and v < 0:
-            violations.append(f"{name} negative: {v}")
-    if record.theatre_visits is not None and record.theatre_visits < 0:
-        violations.append(f"theatre_visits negative: {record.theatre_visits}")
-    for site in record.burn_sites:
-        if site.area_pct is not None and site.area_pct < 0:
-            violations.append(f"site {site.site_code} area negative: {site.area_pct}")
-
-    for name, value in record.extra_features.items():
-        if name not in extra_schema:
-            violations.append(f"extra feature not in schema: {name}")
-        elif value is not None:
-            kind = extra_schema[name]
-            if kind == NUMERIC and not isinstance(value, (int, float)):
-                violations.append(f"extra feature {name}: expected numeric, got {value!r}")
-            elif kind == CATEGORICAL and not isinstance(value, str):
-                violations.append(f"extra feature {name}: expected categorical, got {value!r}")
-    for name in extra_schema:
-        if name not in record.extra_features:
-            violations.append(f"extra feature missing: {name}")
-
-    if check_site_sum and record.tbsa_pct is not None:
-        areas = [s.area_pct for s in record.burn_sites]
-        if all(a is not None for a in areas):
-            total = sum(areas)
-            if abs(total - record.tbsa_pct) > 1e-6:
-                violations.append(
-                    f"site areas sum {total} differs from tbsa_pct {record.tbsa_pct}"
-                )
-    return violations
 
 
 @dataclass(frozen=True)

@@ -214,15 +214,10 @@ def merge_diagnostic(summary: ConfusionSummary, threshold: float = 0.2) -> list[
     return out
 
 
-def compare_groupings(
-    ds: Dataset,
-    dt_labels,
-    hrg_labels,
-    confusion_summary: ConfusionSummary | None = None,
-    merge_threshold: float = 0.2,
-) -> GroupingComparison:
+def compare_groupings(ds: Dataset, dt_labels, hrg_labels) -> GroupingComparison:
     """Head-to-head homogeneity comparison of two labelings of the same
-    records across LOS, cost and TBSA."""
+    records across LOS, cost and TBSA. ``merge_candidates`` is left empty
+    for the caller, which holds the confusion matrix, to fill."""
     dt = np.asarray(dt_labels)
     hrg = np.asarray(hrg_labels)
     if not (len(ds) == dt.shape[0] == hrg.shape[0]):
@@ -253,7 +248,4 @@ def compare_groupings(
         dt_wins_all=all(c.dt_lower for c in factors.values()),
         rank_means=rank_means,
         rank_monotone=rank_monotone,
-        merge_candidates=(
-            merge_diagnostic(confusion_summary, merge_threshold) if confusion_summary else []
-        ),
     )

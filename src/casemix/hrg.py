@@ -23,12 +23,9 @@ from .domain import (
     NUMERIC,
     Dataset,
     Depth,
-    PatientRecord,
     check_int,
 )
 from .errors import InvalidArgument, RulesetError
-
-RULESET_FORMAT_VERSION_KEY = "version"
 
 OPERATORS = ("<", "<=", ">", ">=", "==", "!=", "in")
 
@@ -42,7 +39,8 @@ DERIVED_FEATURES: dict[str, str] = {
 UNCLASSIFIABLE = "U"
 
 #: Kind used for extra features of an empty dataset, where numeric vs
-#: categorical cannot be inferred; type checks are skipped for it.
+#: categorical cannot be inferred (CSV kind inference needs at least one
+#: value); type checks are skipped for it.
 UNKNOWN_KIND = "unknown"
 
 
@@ -135,17 +133,10 @@ def reference_ruleset() -> Ruleset:
     return ruleset_from_dict(json.loads(text))
 
 
-def rule_feature_schema(ds: Dataset) -> dict[str, str]:
-    """Feature name -> kind map a ruleset may reference for this dataset.
-    Extra-feature kinds of an empty dataset are unknowable (CSV kind
-    inference needs at least one value) and marked as such."""
-    schema = {name: NUMERIC for name in CORE_NUMERIC_FIELDS}
-    schema.update(DERIVED_FEATURES)
-    if len(ds):
-        schema.update(ds.extra_schema)
-    else:
-        schema.update({name: UNKNOWN_KIND for name in ds.extra_schema})
-    return schema
+def rule_feature_schema(extra_schema: dict[str, str]) -> dict[str, str]:
+    """Feature name -> kind map a ruleset may reference: the core numeric
+    fields, the derived features and the extra features of ``extra_schema``."""
+    return {**dict.fromkeys(CORE_NUMERIC_FIELDS, NUMERIC), **DERIVED_FEATURES, **extra_schema}
 
 
 def _feature_column(ds: Dataset, name: str) -> np.ndarray:
@@ -165,9 +156,7 @@ def _feature_column(ds: Dataset, name: str) -> np.ndarray:
         for areas, selected in zip(ds.site_areas, full):
             total += np.where(selected, areas, 0.0)
         return total
-    if name in ds.extras:
-        return ds.extras[name]
-    raise RulesetError(f"rule references unknown feature {name!r}")
+    return ds.extras[name]  # an extra feature: validate_ruleset checked the name
 
 
 _COMPARE = {
@@ -184,15 +173,13 @@ def _condition_mask(cond: Condition, col: np.ndarray) -> np.ndarray:
         for value in cond.value:
             mask |= col == value
         return mask & present
-    if cond.op not in _COMPARE:
-        raise RulesetError(f"unknown operator {cond.op!r}")
     mask[present] = _COMPARE[cond.op](col[present], cond.value)
     return mask
 
 
-def _unclassifiable(ds: Dataset) -> np.ndarray:
-    """No burn area and no burn depth recorded at any of the 27 sites
-    (missing cells count as unrecorded)."""
+def no_burn_recorded(ds: Dataset) -> np.ndarray:
+    """Records with no burn area and no burn depth at any of the 27 sites
+    (missing cells count as unrecorded): the unclassifiable ones."""
     no_area = (ds.site_areas == 0.0) | np.isnan(ds.site_areas)
     no_depth = ds.site_depths <= DEPTH_LEVELS.index(Depth.NONE)  # none or missing
     return no_area.all(axis=0) & no_depth.all(axis=0)
@@ -202,8 +189,9 @@ def _ranks(ds: Dataset, rs: Ruleset) -> tuple[np.ndarray, np.ndarray]:
     """First-match rank of every record (0 where unclassifiable) and the
     unclassifiable mask. Rules are tried in order on the records no earlier
     rule matched; a condition is evaluated only while some record is still
-    in play, so a rule nothing reaches is never looked at."""
-    unclassifiable = _unclassifiable(ds)
+    in play, so a rule nothing reaches is never looked at. ``rs`` has passed
+    ``validate_ruleset``, so a record no rule matches takes the default."""
+    unclassifiable = no_burn_recorded(ds)
     ranks = np.zeros(len(ds), dtype=np.int64)
     unassigned = ~unclassifiable
     columns: dict[str, np.ndarray] = {}
@@ -220,20 +208,8 @@ def _ranks(ds: Dataset, rs: Ruleset) -> tuple[np.ndarray, np.ndarray]:
         ranks[match] = rule.target_rank
         unassigned &= ~match
     if unassigned.any():
-        if rs.default_rank is None:
-            raise RulesetError("no rule matched and the ruleset declares no default rank")
         ranks[unassigned] = rs.default_rank
     return ranks, unclassifiable
-
-
-def classify(record: PatientRecord, rs: Ruleset) -> int | None:
-    """First-match rank in [1, k], or None when the record is unclassifiable."""
-    schema = {
-        name: CATEGORICAL if isinstance(value, str) else NUMERIC
-        for name, value in record.extra_features.items()
-    }
-    ranks, unclassifiable = _ranks(Dataset.from_records([record], schema), rs)
-    return None if unclassifiable[0] else int(ranks[0])
 
 
 def validate_ruleset(rs: Ruleset, schema: dict[str, str]) -> list[str]:
@@ -292,12 +268,18 @@ def validate_ruleset(rs: Ruleset, schema: dict[str, str]) -> list[str]:
     return violations
 
 
+def check_ruleset(rs: Ruleset, extra_schema: dict[str, str]) -> None:
+    """Raise InvalidArgument naming every violation of ``rs`` against the
+    features of ``rule_feature_schema(extra_schema)``."""
+    violations = validate_ruleset(rs, rule_feature_schema(extra_schema))
+    if violations:
+        raise InvalidArgument("invalid ruleset: " + "; ".join(violations))
+
+
 def classify_dataset(ds: Dataset, rs: Ruleset) -> tuple[list[int | None], dict]:
     """Classify every record; returns labels (None = unclassifiable) and a
     histogram over ranks plus the "U" bucket. Validates the ruleset first."""
-    violations = validate_ruleset(rs, rule_feature_schema(ds))
-    if violations:
-        raise InvalidArgument("invalid ruleset: " + "; ".join(violations))
+    check_ruleset(rs, ds.extra_schema if len(ds) else dict.fromkeys(ds.extras, UNKNOWN_KIND))
     ranks, unclassifiable = _ranks(ds, rs)
     labels = ranks.astype(object)
     labels[unclassifiable] = None

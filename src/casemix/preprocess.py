@@ -20,7 +20,9 @@ import numpy as np
 
 from .domain import CATEGORICAL_FILL, DEPTH_LEVELS, MISSING_DEPTH, Dataset, Depth, same_values
 from .errors import InvalidArgument
+from .hrg import no_burn_recorded
 
+#: Outlier thresholds: a record above either is excluded.
 LOS_OUTLIER = 360.0
 COST_OUTLIER = 1_000_000.0
 
@@ -88,7 +90,6 @@ def impute_zeros(ds: Dataset) -> Dataset:
         site_areas=np.where(np.isnan(ds.site_areas), 0.0, ds.site_areas),
         site_depths=np.where(ds.site_depths == MISSING_DEPTH, NO_BURN, ds.site_depths).astype(np.int8),
         extras=extras,
-        labels=ds.labels,
     )
 
 
@@ -98,9 +99,8 @@ def _keep(ds: Dataset, keep: np.ndarray) -> Dataset:
 
 def remove_unclassifiable(ds: Dataset) -> tuple[Dataset, PreprocessReport]:
     """Drop records with no burn area and no burn depth at any of the 27
-    sites. Expects zero-imputed data (missing cells do not count as zero)."""
-    unclassifiable = (ds.site_areas == 0.0).all(axis=0) & (ds.site_depths == NO_BURN).all(axis=0)
-    out = _keep(ds, ~unclassifiable)
+    sites (``hrg.no_burn_recorded``)."""
+    out = _keep(ds, ~no_burn_recorded(ds))
     report = PreprocessReport(
         rows_in=len(ds),
         rows_out=len(out),
@@ -183,7 +183,7 @@ def drop_irrelevant_variables(
     out = ds
     if dropped:
         extras = {name: col for name, col in ds.extras.items() if name not in dropped}
-        out = Dataset(ds.ids, ds.numerics, ds.site_areas, ds.site_depths, extras, ds.labels)
+        out = Dataset(ds.ids, ds.numerics, ds.site_areas, ds.site_depths, extras)
     report = PreprocessReport(rows_in=n, rows_out=n, variables_dropped=dropped)
     return out, report
 

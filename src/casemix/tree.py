@@ -798,9 +798,13 @@ class LeafRule:
     support: int
     expected_cost: float
 
+    @property
+    def condition_text(self) -> str:
+        return " AND ".join(c.render() for c in self.conditions) if self.conditions else "always"
+
     def render(self) -> str:
-        cond = " AND ".join(c.render() for c in self.conditions) if self.conditions else "always"
-        return f"{cond} -> class {self.label} (n={self.support}, cost={self.expected_cost:.4f})"
+        return (f"{self.condition_text} -> class {self.label} "
+                f"(n={self.support}, cost={self.expected_cost:.4f})")
 
 
 def extract_rules(tree: DecisionTree) -> list[LeafRule]:

@@ -64,7 +64,6 @@ def pinned_run() -> PinnedRun:
         result.preprocessed.take(test_idx),
         predictions[test_idx],
         hrg_labels[test_idx],
-        confusion_summary=conf,
     )
 
     tree_01 = build_tree(

@@ -19,7 +19,6 @@ from casemix.domain import (
     SITE_CODES,
     BurnSiteEntry,
     CostMatrix,
-    Dataset,
     Depth,
     PatientRecord,
     linear_cost_matrix,
@@ -37,6 +36,7 @@ from casemix.tree import (
     variable_importance,
     FeatureTable,
 )
+from tests.records import dataset_of
 
 FACTORS = ("los_days", "total_cost", "tbsa_pct")
 
@@ -311,13 +311,13 @@ def _fixture_record(rid, los, cost, zero_sites=False):
 
 
 def test_criterion_9_preprocessing_conformance(pinned_run):
-    ds = Dataset.from_records((
+    ds = dataset_of(
         _fixture_record("los_boundary", 360.0, 100.0),
         _fixture_record("los_outlier", 361.0, 100.0),
         _fixture_record("cost_boundary", 1.0, 1_000_000.0),
         _fixture_record("cost_outlier", 1.0, 1_000_001.0),
         _fixture_record("no_burn", 1.0, 100.0, zero_sites=True),
-    ))
+    )
     out, rep = preprocess(ds)
     kept = {r.id for r in out.records}
     boundaries_ok = kept == {"los_boundary", "cost_boundary"}

@@ -629,7 +629,7 @@ class TestAllValidatesPipelineFirst:
         assert not (out / "cohort.csv").exists()
         assert not (out / "hrg").exists()
 
-    @pytest.mark.parametrize("ruleset", ["missing", "malformed", "unknown_feature"])
+    @pytest.mark.parametrize("ruleset", ["missing", "malformed", "unknown_feature", "mistyped"])
     def test_bad_ruleset_leaves_no_cohort(self, tmp_path, monkeypatch, ruleset):
         import casemix.cli as cli
 
@@ -643,6 +643,10 @@ class TestAllValidatesPipelineFirst:
         elif ruleset == "unknown_feature":
             path.write_text(json.dumps({"version": "x", "k": 1, "rules": [
                 {"if": [{"feature": "ghost", "op": ">", "value": 1}], "then": 1}]}))
+        elif ruleset == "mistyped":  # valid but for the kind of the generator's `sex` column
+            path.write_text(json.dumps({"version": "x", "k": 1, "rules": [
+                {"if": [{"feature": "sex", "op": ">", "value": 1}], "then": 1},
+                {"if": [], "then": 1}]}))
         cfg = write_config(tmp_path, dict(COHORT_CONFIG, ruleset=str(path)))
         out = tmp_path / "run"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from casemix.cohort import (
     _DEPTH_P,
     _MECHANISM_P,
-    COST_OUTLIER_THRESHOLD,
-    LOS_OUTLIER_THRESHOLD,
+    EXTRA_SCHEMA,
     CohortConfig,
     _cdf,
     _choice,
@@ -19,8 +18,9 @@ from casemix.cohort import (
     inject_missingness,
 )
 from casemix.dataio import cohort_csv_text, parse_cohort_csv
-from casemix.domain import Depth, validate_record
+from casemix.domain import Depth
 from casemix.errors import InvalidArgument
+from casemix.preprocess import COST_OUTLIER, LOS_OUTLIER
 
 # Observed once on the fixed generator constants (n=5000, seed=42) and pinned
 # as a regression; the hard requirement is only >= 0.5.
@@ -89,8 +89,14 @@ class TestGenerate:
         assert a.records == b.records[:30]
 
     def test_all_records_valid(self, small_cohort):
-        for rec in small_cohort.records:
-            assert validate_record(rec, small_cohort.extra_schema, check_site_sum=True) == []
+        """Every cell is present and in its domain, and each record's site
+        areas sum to its tbsa_pct."""
+        ds = small_cohort
+        assert (ds.numerics >= 0).all() and (ds.site_areas >= 0).all() and (ds.site_depths >= 0).all()
+        tbsa = ds.factor_values("tbsa_pct")
+        assert (tbsa <= 100).all()
+        assert np.abs(ds.site_areas.sum(axis=0) - tbsa).max() <= 1e-6
+        assert ds.extra_schema == EXTRA_SCHEMA
 
     def test_log_correlation_pinned(self):
         ds = generate_cohort(CohortConfig(n=5000, seed=42))
@@ -108,7 +114,7 @@ class TestGenerate:
         ds = generate_cohort(CohortConfig(n=n, seed=42, outlier_rate=rate))
         los = ds.factor_values("los_days")
         cost = ds.factor_values("total_cost")
-        observed = int(((los > LOS_OUTLIER_THRESHOLD) | (cost > COST_OUTLIER_THRESHOLD)).sum())
+        observed = int(((los > LOS_OUTLIER) | (cost > COST_OUTLIER)).sum())
         band = 4 * math.sqrt(n * rate * (1 - rate))
         assert abs(observed - n * rate) <= band
 
@@ -154,12 +160,11 @@ class TestGenerate:
                 assert parsed.extras[name].tobytes() == col.tobytes(), name
             else:
                 assert parsed.extras[name].tolist() == col.tolist(), name
-        assert parsed.labels is ds.labels is None
 
     def test_non_outlier_values_truncated(self):
         ds = generate_cohort(CohortConfig(n=2000, seed=9, outlier_rate=0.0))
-        assert ds.factor_values("los_days").max() <= LOS_OUTLIER_THRESHOLD
-        assert ds.factor_values("total_cost").max() <= COST_OUTLIER_THRESHOLD
+        assert ds.factor_values("los_days").max() <= LOS_OUTLIER
+        assert ds.factor_values("total_cost").max() <= COST_OUTLIER
 
 
 class TestInjectMissingness:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casemix.domain import Dataset, linear_cost_matrix
+from casemix.domain import linear_cost_matrix
 from casemix.errors import InvalidArgument
 from casemix.evaluate import (
     boxplot_stats,
@@ -12,7 +12,7 @@ from casemix.evaluate import (
     intra_group_variance,
     merge_diagnostic,
 )
-from tests.test_domain import make_record
+from tests.records import dataset_of, make_record
 
 
 class TestIntraGroupVariance:
@@ -151,7 +151,7 @@ def two_group_dataset():
         records.append(
             make_record(id=str(i), los_days=los, total_cost=cost, tbsa_pct=tbsa, tbsa=tbsa)
         )
-    return Dataset.from_records(records)
+    return dataset_of(*records)
 
 
 class TestCompareGroupings:

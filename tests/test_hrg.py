@@ -9,7 +9,6 @@ from casemix.hrg import (
     Condition,
     Rule,
     Ruleset,
-    classify,
     classify_dataset,
     load_ruleset,
     reference_ruleset,
@@ -20,8 +19,7 @@ from casemix.hrg import (
     validate_ruleset,
 )
 from casemix.preprocess import preprocess
-from tests.test_domain import make_record
-from tests.test_preprocess import dataset_of
+from tests.records import dataset_of, make_record
 
 
 def band_ruleset(k=13):
@@ -32,6 +30,11 @@ def band_ruleset(k=13):
         Rule((), 1),
     )
     return Ruleset(rules=rules, k=k, version="test-1", default_rank=1)
+
+
+def classify(record, rs, schema=None):
+    """Rank of a one-record dataset (None = unclassifiable)."""
+    return classify_dataset(dataset_of(record, schema=schema), rs)[0][0]
 
 
 def zero_site_record():
@@ -57,8 +60,8 @@ class TestClassify:
         )
         swapped = (overlapping[1], overlapping[0], overlapping[2])
         witness = make_record(tbsa=25.0)
-        rs_a = Ruleset(rules=overlapping, k=13, version="a")
-        rs_b = Ruleset(rules=swapped, k=13, version="b")
+        rs_a = Ruleset(rules=overlapping, k=13, version="a", default_rank=1)
+        rs_b = Ruleset(rules=swapped, k=13, version="b", default_rank=1)
         assert classify(witness, rs_a) == 12
         assert classify(witness, rs_b) == 13
 
@@ -68,8 +71,9 @@ class TestClassify:
         assert classify(rec, rs) == 1  # falls through to catch-all
 
     def test_no_match_without_default_raises(self):
+        """A ruleset that could leave a record unmatched is refused up front."""
         rs = Ruleset(rules=(Rule((Condition("tbsa_pct", ">=", 99),), 13),), k=13, version="x")
-        with pytest.raises(RulesetError):
+        with pytest.raises(InvalidArgument, match="non-exhaustive"):
             classify(make_record(tbsa=5.0), rs)
 
     def test_default_rank_used(self):
@@ -101,12 +105,12 @@ class TestClassify:
             version="i",
         )
         rec = make_record(extra_features={"burn_mechanism": "chemical"})
-        assert classify(rec, rs) == 2
+        assert classify(rec, rs, schema={"burn_mechanism": "categorical"}) == 2
 
 
 class TestValidateRuleset:
     def schema(self):
-        return rule_feature_schema(dataset_of(make_record()))
+        return rule_feature_schema({})
 
     def test_valid(self):
         assert validate_ruleset(band_ruleset(), self.schema()) == []
@@ -230,7 +234,7 @@ class TestReferenceRuleset:
     def test_valid_against_generated_schema(self, small_cohort):
         rs = reference_ruleset()
         assert rs.k == 13
-        assert validate_ruleset(rs, rule_feature_schema(small_cohort)) == []
+        assert validate_ruleset(rs, rule_feature_schema(small_cohort.extra_schema)) == []
 
     def test_all_ranks_populated_on_pinned_cohort(self, pinned_run):
         labels = pinned_run.hrg_labels
@@ -288,4 +292,4 @@ class TestColumnRules:
         rs = reference_ruleset() if rs_name == "reference" else self.mixed_ruleset()
         labels, _ = classify_dataset(ds, rs)
         assert labels == [reference_classify(rec, rs) for rec in ds.records]
-        assert [classify(rec, rs) for rec in ds.records[:50]] == labels[:50]
+        assert [classify_dataset(ds.take([i]), rs)[0][0] for i in range(50)] == labels[:50]

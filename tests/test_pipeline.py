@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from casemix.cohort import CohortConfig, generate_cohort
-from casemix.domain import Dataset
 from casemix.errors import InvalidArgument, PipelineStageError
 from casemix.pipeline import (
     FACTOR_FIELDS,
@@ -19,7 +18,7 @@ from casemix.pipeline import (
     train_factor_trees,
 )
 from casemix.preprocess import preprocess
-from tests.test_domain import make_record
+from tests.records import dataset_of, make_record
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +89,7 @@ class TestFactorTargets:
                     total_cost=100.0 + 5000.0 * tier,
                 )
             )
-        ds = Dataset.from_records(records)
+        ds = dataset_of(*records)
         config = PipelineConfig(k=3, seeds=PipelineSeeds(2, 3))
         targets = engineer_factor_targets(ds, config)
         for factor in FACTOR_FIELDS:
@@ -99,7 +98,7 @@ class TestFactorTargets:
 
     def test_constant_factor_rejected(self):
         records = tuple(make_record(id=str(i), total_cost=500.0) for i in range(40))
-        ds = Dataset.from_records(records)
+        ds = dataset_of(*records)
         with pytest.raises(InvalidArgument):
             engineer_factor_targets(ds, PipelineConfig(k=13, seeds=PipelineSeeds(2, 3)))
 
@@ -262,7 +261,7 @@ class TestRunPipeline:
             make_record(id=str(i), total_cost=500.0, los_days=float(i % 40), tbsa_pct=1.0 + i % 30)
             for i in range(60)
         )
-        ds = Dataset.from_records(records)
+        ds = dataset_of(*records)
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline(ds, PipelineConfig(k=13, seeds=PipelineSeeds(2, 3)))
         assert exc.value.stage == "clustering"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
-from casemix.domain import Dataset, Depth
+from casemix.domain import Depth
 from casemix.errors import InvalidArgument
 from casemix.preprocess import (
     count_missing_cells,
@@ -14,11 +14,7 @@ from casemix.preprocess import (
     remove_outliers,
     remove_unclassifiable,
 )
-from tests.test_domain import make_record
-
-
-def dataset_of(*records, schema=None):
-    return Dataset.from_records(records, schema)
+from tests.records import dataset_of, make_record
 
 
 class TestImputeZeros:
