@@ -1,9 +1,13 @@
 """Command-line interface: generate / hrg / train / evaluate / all.
 
-Exit codes: 0 success, 2 config or input error, 3 I/O failure writing
-outputs, 4 pipeline-stage failure. Every run writes a manifest recording
-config and input hashes, output hashes, seeds, and wall time; outputs other
-than the manifest are byte-deterministic given the same config.
+Exit codes: 0 success, 2 bad config or input content, 3 an OS-level I/O
+failure reading or writing a file, 4 pipeline-stage failure; ``main`` is the
+one place that maps an exception to its code. Each ``cmd_*`` reads the files
+its command line names and calls one stage function; ``casemix all`` calls
+the stages directly with the config, ruleset and cohort it holds in memory.
+Every run writes a manifest recording config and input hashes, output
+hashes, seeds, and wall time; outputs other than the manifest are
+byte-deterministic given the same config.
 """
 
 from __future__ import annotations
@@ -52,21 +56,8 @@ EXIT_IO = 3
 EXIT_STAGE = 4
 
 
-class _ConfigError(Exception):
-    pass
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"casemix: error: {message}", file=sys.stderr)
-    return code
-
-
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(path.read_bytes())
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -82,13 +73,13 @@ def _json_dumps(obj) -> str:
 def _load_json_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
-        raise _ConfigError(f"config file not found: {path}")
+        raise InvalidArgument(f"config file not found: {path}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise _ConfigError(f"config {path} is not valid JSON: {e}")
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise InvalidArgument(f"config {path} is not valid UTF-8 JSON: {e}")
     if not isinstance(doc, dict):
-        raise _ConfigError(f"config {path} must be a JSON object")
+        raise InvalidArgument(f"config {path} must be a JSON object")
     return doc
 
 
@@ -97,7 +88,7 @@ def _require_seed(present: bool, what: str, ephemeral: bool) -> int | None:
     if present:
         return None
     if not ephemeral:
-        raise _ConfigError(
+        raise InvalidArgument(
             f"{what} has no seed; set one in the config or pass --ephemeral"
         )
     return secrets.randbits(63)
@@ -153,79 +144,55 @@ def _csv_rows(path: Path) -> list[dict[str, str]]:
 # generate
 # ---------------------------------------------------------------------------
 
-def _cohort_from_config(doc: dict, ephemeral: bool, manifest: _Manifest) -> Dataset:
+def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
+              out: Path) -> Dataset:
+    """Write the cohort ``doc`` (from ``config_path``) describes to ``out``."""
+    manifest.add_config(config_path)
     cohort_doc = doc.get("cohort", doc)
     if not isinstance(cohort_doc, dict):
-        raise _ConfigError("cohort config must be a JSON object")
+        raise InvalidArgument("cohort config must be a JSON object")
     cohort_doc = dict(cohort_doc)
     fresh = _require_seed("seed" in cohort_doc, "cohort config", ephemeral)
     if fresh is not None:
         cohort_doc["seed"] = fresh
-    try:
-        config = CohortConfig.from_dict(cohort_doc)
-    except InvalidArgument as e:
-        raise _ConfigError(str(e))
+    config = CohortConfig.from_dict(cohort_doc)
     manifest.doc["seeds"]["cohort"] = config.seed
     ds = generate_cohort(config)
     missing = doc.get("missingness")
     if missing:
         if not isinstance(missing, dict):
-            raise _ConfigError("missingness config must be a JSON object")
+            raise InvalidArgument("missingness config must be a JSON object")
         rate = missing.get("rate", 0.0)
         if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-            raise _ConfigError(f"missingness rate must be a number, got {rate!r}")
+            raise InvalidArgument(f"missingness rate must be a number, got {rate!r}")
         m_fresh = _require_seed("seed" in missing, "missingness config", ephemeral)
         m_seed = missing.get("seed", m_fresh)
-        try:
-            ds = inject_missingness(ds, rate, m_seed)
-        except InvalidArgument as e:
-            raise _ConfigError(str(e))
+        ds = inject_missingness(ds, rate, m_seed)
         manifest.doc["seeds"]["missingness"] = m_seed
+    _write_output(manifest, out.parent, out, cohort_csv_text(ds))
+    manifest.write(out.with_name(out.name + ".manifest.json"))
+    print(f"wrote {len(ds)} records to {out}")
     return ds
 
 
-def _generate(args) -> tuple[int, Dataset | None]:
-    """``cmd_generate``'s exit code, and the cohort it wrote on success."""
-    try:
-        manifest = _Manifest("generate")
-        doc = _load_json_config(args.config)
-        manifest.add_config(args.config)
-        ds = _cohort_from_config(doc, args.ephemeral, manifest)
-    except _ConfigError as e:
-        return _fail(EXIT_CONFIG, str(e)), None
-    out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out, cohort_csv_text(ds))
-        manifest.doc["outputs"][out.name] = _sha256_file(out)
-        manifest.write(out.with_name(out.name + ".manifest.json"))
-    except OSError as e:
-        return _fail(EXIT_IO, f"cannot write output: {e}"), None
-    print(f"wrote {len(ds)} records to {out}")
-    return EXIT_OK, ds
-
-
-def cmd_generate(args) -> int:
-    return _generate(args)[0]
+def cmd_generate(args) -> None:
+    manifest = _Manifest("generate")
+    doc = _load_json_config(args.config)
+    _generate(manifest, args.config, doc, args.ephemeral, Path(args.out))
 
 
 # ---------------------------------------------------------------------------
 # hrg
 # ---------------------------------------------------------------------------
 
-def _cohort(args) -> Dataset:
-    """The cohort ``casemix all`` has parsed already, else the one at ``args.cohort``."""
-    return args.dataset if args.dataset is not None else _load_cohort(args.cohort)
-
-
 def _load_cohort(path: str) -> Dataset:
     p = Path(path)
     if not p.is_file():
-        raise _ConfigError(f"cohort file not found: {path}")
+        raise InvalidArgument(f"cohort file not found: {path}")
     try:
         return read_cohort_csv(p)
     except (InvalidArgument, ValueError) as e:
-        raise _ConfigError(f"cannot parse cohort {path}: {e}")
+        raise InvalidArgument(f"cannot parse cohort {path}: {e}")
 
 
 def _hrg_labels_csv(ds: Dataset, labels: list[int | None]) -> str:
@@ -238,35 +205,30 @@ def _hrg_labels_csv(ds: Dataset, labels: list[int | None]) -> str:
 def _load_rules(path: str | None) -> Ruleset:
     """The ruleset at ``path``, or the packaged reference ruleset if none."""
     if path and not Path(path).is_file():
-        raise _ConfigError(f"ruleset file not found: {path}")
+        raise InvalidArgument(f"ruleset file not found: {path}")
     return load_ruleset(path) if path else reference_ruleset()
 
 
-def cmd_hrg(args) -> int:
-    try:
-        manifest = _Manifest("hrg")
-        ds = _cohort(args)
-        manifest.add_input(args.cohort)
-        # `casemix all` passes the ruleset it has loaded already.
-        ruleset = args.rules if args.rules is not None else _load_rules(args.ruleset)
-        if args.ruleset:
-            manifest.add_input(args.ruleset)
-        labels, histogram = classify_dataset(ds, ruleset)
-    except (_ConfigError, CasemixError) as e:
-        return _fail(EXIT_CONFIG, str(e))
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_output(manifest, out, out / "labels.csv", _hrg_labels_csv(ds, labels))
-        _write_output(
-            manifest, out, out / "histogram.json",
-            _json_dumps({str(k): v for k, v in histogram.items()}),
-        )
-        manifest.write(out / "manifest.json")
-    except OSError as e:
-        return _fail(EXIT_IO, f"cannot write output: {e}")
+def _hrg(manifest: _Manifest, ds: Dataset, cohort: str, rules: Ruleset,
+         ruleset: str | None, out: Path) -> None:
+    """Group ``ds`` (from the file ``cohort``) by ``rules`` (from ``ruleset``) into ``out``."""
+    manifest.add_input(cohort)
+    if ruleset:
+        manifest.add_input(ruleset)
+    labels, histogram = classify_dataset(ds, rules)
+    _write_output(manifest, out, out / "labels.csv", _hrg_labels_csv(ds, labels))
+    _write_output(
+        manifest, out, out / "histogram.json",
+        _json_dumps({str(k): v for k, v in histogram.items()}),
+    )
+    manifest.write(out / "manifest.json")
     print(f"classified {len(labels)} records into {out}")
-    return EXIT_OK
+
+
+def cmd_hrg(args) -> None:
+    manifest = _Manifest("hrg")
+    ds = _load_cohort(args.cohort)
+    _hrg(manifest, ds, args.cohort, _load_rules(args.ruleset), args.ruleset, Path(args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +238,12 @@ def cmd_hrg(args) -> int:
 def _pipeline_config(doc: dict, ephemeral: bool) -> PipelineConfig:
     pipe_doc = doc.get("pipeline", doc)
     if not isinstance(pipe_doc, dict):
-        raise _ConfigError("pipeline config must be a JSON object")
+        raise InvalidArgument("pipeline config must be a JSON object")
     pipe_doc = dict(pipe_doc)
     fresh = _require_seed("seeds" in pipe_doc, "pipeline config", ephemeral)
     if fresh is not None:
         pipe_doc["seeds"] = {"split": fresh, "oversample": secrets.randbits(63)}
-    try:
-        config = PipelineConfig.from_dict(pipe_doc)
-    except InvalidArgument as e:
-        raise _ConfigError(str(e))
-    return config
+    return PipelineConfig.from_dict(pipe_doc)
 
 
 def _factor_labels_csv(result) -> str:
@@ -324,7 +282,6 @@ def _split_csv(result) -> str:
 
 
 def _write_train_outputs(manifest: _Manifest, out: Path, result, config: PipelineConfig) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     _write_output(manifest, out, out / "config.json", _json_dumps(config.to_dict()))
     _write_output(manifest, out, out / "provenance.json", _json_dumps(result.provenance))
     _write_output(manifest, out, out / "preprocessed.csv", cohort_csv_text(result.preprocessed))
@@ -339,22 +296,13 @@ def _write_train_outputs(manifest: _Manifest, out: Path, result, config: Pipelin
     _write_output(manifest, out, out / "split.csv", _split_csv(result))
 
 
-def cmd_train(args) -> int:
-    try:
-        manifest = _Manifest("train")
-        config = args.pipeline_config
-        if config is None:  # `casemix all` passes the config it has checked
-            config = _pipeline_config(_load_json_config(args.config), args.ephemeral)
-        manifest.add_config(args.config)
-        manifest.doc["seeds"]["pipeline"] = config.seeds.to_dict()
-        ds = _cohort(args)
-        cohort_sha256 = manifest.add_input(args.cohort)
-    except _ConfigError as e:
-        return _fail(EXIT_CONFIG, str(e))
-    try:
-        result = run_pipeline(ds, config, input_sha256=cohort_sha256)
-    except PipelineStageError as e:
-        return _fail(EXIT_STAGE, str(e))
+def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Dataset,
+           cohort: str, out: Path) -> None:
+    """Train ``config`` (from ``config_path``) on ``ds`` (from ``cohort``) into ``out``."""
+    manifest.add_config(config_path)
+    manifest.doc["seeds"]["pipeline"] = config.seeds.to_dict()
+    cohort_sha256 = manifest.add_input(cohort)
+    result = run_pipeline(ds, config, input_sha256=cohort_sha256)
     manifest.doc["trees"] = {
         name: {
             "nodes_grown": tree.nodes_grown,
@@ -363,17 +311,19 @@ def cmd_train(args) -> int:
         }
         for name, tree in {**result.factor_trees, "final": result.final_tree}.items()
     }
-    out = Path(args.out)
-    try:
-        _write_train_outputs(manifest, out, result, config)
-        manifest.write(out / "manifest.json")
-    except OSError as e:
-        return _fail(EXIT_IO, f"cannot write output: {e}")
+    _write_train_outputs(manifest, out, result, config)
+    manifest.write(out / "manifest.json")
     print(
         f"trained on {len(result.train_idx)} cases "
         f"({len(result.preprocessed)} after preprocessing) into {out}"
     )
-    return EXIT_OK
+
+
+def cmd_train(args) -> None:
+    manifest = _Manifest("train")
+    config = _pipeline_config(_load_json_config(args.config), args.ephemeral)
+    ds = _load_cohort(args.cohort)
+    _train(manifest, args.config, config, ds, args.cohort, Path(args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +338,12 @@ _RESULT_FILES = ("preprocessed.csv", "final_labels.csv", "factor_labels.csv",
 def _read_result_dir(result_dir: Path):
     for name in _RESULT_FILES:
         if not (result_dir / name).is_file():
-            raise _ConfigError(f"result dir is missing {name}")
+            raise InvalidArgument(f"result dir is missing {name}")
     try:
         ds = read_cohort_csv(result_dir / "preprocessed.csv")
-        config = PipelineConfig.from_dict(json.loads((result_dir / "config.json").read_text()))
+        config = PipelineConfig.from_dict(
+            json.loads((result_dir / "config.json").read_text(encoding="utf-8"))
+        )
         tree = deserialize_tree((result_dir / "model.json").read_text(encoding="utf-8"))
         rows = _csv_rows(result_dir / "final_labels.csv")
         final_labels = np.array([int(r["final_rank"]) for r in rows], dtype=np.int64)
@@ -408,37 +360,40 @@ def _read_result_dir(result_dir: Path):
             [int(r["index"]) for r in rows if r["role"] == "test"], dtype=np.int64
         )
         multiplicity = {int(r["index"]): int(r["multiplicity"]) for r in rows}
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
-        raise _ConfigError(f"malformed result dir {result_dir}: {e}")
+    except (ValueError, KeyError, TypeError, csv.Error) as e:
+        raise InvalidArgument(f"malformed result dir {result_dir}: {e}")
     if not (len(ds) == len(final_labels) == len(rows)):
-        raise _ConfigError("result dir artifacts disagree on record count")
+        raise InvalidArgument("result dir artifacts disagree on record count")
     return ds, config, tree, final_labels, factor_ranks, train_idx, test_idx, multiplicity
 
 
 def _read_hrg_labels(path: Path) -> dict[str, str]:
     if not path.is_file():
-        raise _ConfigError(f"HRG labels file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "id" not in reader.fieldnames or "rank" not in reader.fieldnames:
-            raise _ConfigError("HRG labels file must have 'id' and 'rank' columns")
-        return {row["id"]: row["rank"] for row in reader}
+        raise InvalidArgument(f"HRG labels file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "id" not in reader.fieldnames or "rank" not in reader.fieldnames:
+                raise InvalidArgument("HRG labels file must have 'id' and 'rank' columns")
+            return {row["id"]: row["rank"] for row in reader}
+    except (ValueError, csv.Error) as e:  # not UTF-8, or a cell over the csv field limit
+        raise InvalidArgument(f"cannot read HRG labels {path}: {e}")
 
 
 def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
     ranks = []
     for rid in ds.ids.tolist():
         if rid not in hrg_by_id:
-            raise _ConfigError(f"record {rid} has no HRG label (cohort mismatch)")
+            raise InvalidArgument(f"record {rid} has no HRG label (cohort mismatch)")
         raw = hrg_by_id[rid]
         if raw == UNCLASSIFIABLE:
-            raise _ConfigError(
+            raise InvalidArgument(
                 f"record {rid} is HRG-unclassifiable but survived preprocessing"
             )
         try:
             ranks.append(int(raw))
         except ValueError:
-            raise _ConfigError(f"record {rid} has a non-integer HRG rank {raw!r}")
+            raise InvalidArgument(f"record {rid} has a non-integer HRG rank {raw!r}")
     return np.array(ranks, dtype=np.int64)
 
 
@@ -474,21 +429,20 @@ def _rank_spread_csv(factor_ranks: dict, final_labels: np.ndarray) -> str:
     ))
 
 
-def cmd_evaluate(args) -> int:
-    try:
-        manifest = _Manifest("evaluate")
-        result_dir = Path(args.result)
-        if not result_dir.is_dir():
-            raise _ConfigError(f"result dir not found: {args.result}")
-        (ds, config, tree, final_labels, factor_ranks,
-         train_idx, test_idx, multiplicity) = _read_result_dir(result_dir)
-        for name in _RESULT_FILES:
-            manifest.add_input(result_dir / name)
-        hrg_by_id = _read_hrg_labels(Path(args.hrg))
-        manifest.add_input(args.hrg)
-        hrg_labels = _join_hrg(ds, hrg_by_id)
-    except (_ConfigError, CasemixError) as e:
-        return _fail(EXIT_CONFIG, str(e))
+def _evaluate(result: str, hrg: str, out: Path, svg: bool) -> None:
+    """Compare the `train` output dir ``result`` with the HRG labels file
+    ``hrg`` into ``out``; `all` too reads both from the files it wrote."""
+    manifest = _Manifest("evaluate")
+    result_dir = Path(result)
+    if not result_dir.is_dir():
+        raise InvalidArgument(f"result dir not found: {result}")
+    (ds, config, tree, final_labels, factor_ranks,
+     train_idx, test_idx, multiplicity) = _read_result_dir(result_dir)
+    for name in _RESULT_FILES:
+        manifest.add_input(result_dir / name)
+    hrg_by_id = _read_hrg_labels(Path(hrg))
+    manifest.add_input(hrg)
+    hrg_labels = _join_hrg(ds, hrg_by_id)
 
     loss = linear_cost_matrix(config.k)
     predictions = predict(tree, dataset_to_table(ds))
@@ -525,115 +479,81 @@ def cmd_evaluate(args) -> int:
         "merge_candidates": comp_test.merge_candidates,
     }
 
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_output(manifest, out, out / "comparison.json", _json_dumps(comparison_doc))
-        _write_output(manifest, out, out / "confusion_test.json", _json_dumps(conf_test.to_dict()))
-        _write_output(
-            manifest, out, out / "confusion_test_oversampled.json",
-            _json_dumps(conf_test_os.to_dict()),
-        )
-        _write_output(manifest, out, out / "variances_train.csv", _variances_csv(comp_train.factors))
-        _write_output(manifest, out, out / "variances_test.csv", _variances_csv(comp_test.factors))
-        _write_output(manifest, out, out / "boxplots_train.csv", _boxplots_csv(box["train"]))
-        _write_output(manifest, out, out / "boxplots_test.csv", _boxplots_csv(box["test"]))
-        _write_output(
-            manifest, out, out / "rules.txt",
-            "".join(rule.render() + "\n" for rule in rules),
-        )
-        _write_output(manifest, out, out / "rules.csv", _rules_csv(rules))
-        _write_output(
-            manifest, out, out / "rank_spread.csv", _rank_spread_csv(factor_ranks, final_labels)
-        )
-        if args.svg:
-            for factor in FACTOR_FIELDS:
-                for side, comp in (("train", comp_train), ("test", comp_test)):
-                    svg = variance_bars_svg(
-                        comp.factors[factor].dt, comp.factors[factor].hrg,
-                        f"Intra-group variance: {factor} ({side})",
-                    )
-                    _write_output(manifest, out, out / f"variance_{factor}_{side}.svg", svg)
-                svg = boxplots_svg(
-                    box["test"][factor]["dt"], box["test"][factor]["hrg"],
-                    f"{factor} by group (test)",
+    _write_output(manifest, out, out / "comparison.json", _json_dumps(comparison_doc))
+    _write_output(manifest, out, out / "confusion_test.json", _json_dumps(conf_test.to_dict()))
+    _write_output(
+        manifest, out, out / "confusion_test_oversampled.json",
+        _json_dumps(conf_test_os.to_dict()),
+    )
+    _write_output(manifest, out, out / "variances_train.csv", _variances_csv(comp_train.factors))
+    _write_output(manifest, out, out / "variances_test.csv", _variances_csv(comp_test.factors))
+    _write_output(manifest, out, out / "boxplots_train.csv", _boxplots_csv(box["train"]))
+    _write_output(manifest, out, out / "boxplots_test.csv", _boxplots_csv(box["test"]))
+    _write_output(
+        manifest, out, out / "rules.txt",
+        "".join(rule.render() + "\n" for rule in rules),
+    )
+    _write_output(manifest, out, out / "rules.csv", _rules_csv(rules))
+    _write_output(
+        manifest, out, out / "rank_spread.csv", _rank_spread_csv(factor_ranks, final_labels)
+    )
+    if svg:
+        for factor in FACTOR_FIELDS:
+            for side, comp in (("train", comp_train), ("test", comp_test)):
+                figure = variance_bars_svg(
+                    comp.factors[factor].dt, comp.factors[factor].hrg,
+                    f"Intra-group variance: {factor} ({side})",
                 )
-                _write_output(manifest, out, out / f"boxplot_{factor}_test.svg", svg)
-            _write_output(
-                manifest, out, out / "rank_spread.svg",
-                rank_spread_svg(factor_ranks, final_labels, config.k),
+                _write_output(manifest, out, out / f"variance_{factor}_{side}.svg", figure)
+            figure = boxplots_svg(
+                box["test"][factor]["dt"], box["test"][factor]["hrg"],
+                f"{factor} by group (test)",
             )
-        manifest.write(out / "manifest.json")
-    except OSError as e:
-        return _fail(EXIT_IO, f"cannot write output: {e}")
+            _write_output(manifest, out, out / f"boxplot_{factor}_test.svg", figure)
+        _write_output(
+            manifest, out, out / "rank_spread.svg",
+            rank_spread_svg(factor_ranks, final_labels, config.k),
+        )
+    manifest.write(out / "manifest.json")
     ratios = {
         f: comparison_doc["test"]["factors"][f]["ratio"] for f in FACTOR_FIELDS
     }
     print(f"evaluation written to {out}; HRG/DT variance ratios (test): {ratios}")
-    return EXIT_OK
+
+
+def cmd_evaluate(args) -> None:
+    _evaluate(args.result, args.hrg, Path(args.out), args.svg)
 
 
 # ---------------------------------------------------------------------------
 # all
 # ---------------------------------------------------------------------------
 
-def cmd_all(args) -> int:
-    try:
-        doc = _load_json_config(args.config)
-        # The pipeline section and the ruleset are checked before anything
-        # is generated or written.
-        pipeline_config = _pipeline_config(doc, args.ephemeral)
-        rules = _load_rules(doc.get("ruleset"))
-        check_ruleset(rules, EXTRA_SCHEMA)  # against the generator's columns
-    except (_ConfigError, CasemixError) as e:
-        return _fail(EXIT_CONFIG, str(e))
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        return _fail(EXIT_IO, f"cannot create output dir: {e}")
+def cmd_all(args) -> None:
     manifest = _Manifest("all")
+    doc = _load_json_config(args.config)
+    # The pipeline section and the ruleset are checked before anything is
+    # generated or written.
+    pipeline_config = _pipeline_config(doc, args.ephemeral)
+    ruleset = doc.get("ruleset")
+    if ruleset is not None and not isinstance(ruleset, str):
+        raise InvalidArgument(f"config ruleset must be a file path, got {ruleset!r}")
+    rules = _load_rules(ruleset)
+    check_ruleset(rules, EXTRA_SCHEMA)  # against the generator's columns
     manifest.add_config(args.config)
+    out = Path(args.out)
 
     # hrg and train use the generated cohort, which is bit-identical to a
     # parse of the file written; each stage still hashes the file.
     cohort = str(out / "cohort.csv")
-    ns = argparse.Namespace(config=args.config, out=cohort, ephemeral=args.ephemeral)
-    code, ds = _generate(ns)
-    if code != EXIT_OK:
-        return code
+    ds = _generate(_Manifest("generate"), args.config, doc, args.ephemeral, Path(cohort))
+    _hrg(_Manifest("hrg"), ds, cohort, rules, ruleset, out / "hrg")
+    _train(_Manifest("train"), args.config, pipeline_config, ds, cohort, out / "result")
+    _evaluate(str(out / "result"), str(out / "hrg" / "labels.csv"), out / "eval", args.svg)
 
-    ns = argparse.Namespace(
-        cohort=cohort, dataset=ds, ruleset=doc.get("ruleset"), rules=rules,
-        out=str(out / "hrg"), ephemeral=args.ephemeral,
-    )
-    code = cmd_hrg(ns)
-    if code != EXIT_OK:
-        return code
-
-    ns = argparse.Namespace(
-        cohort=cohort, dataset=ds, config=args.config, pipeline_config=pipeline_config,
-        out=str(out / "result"), ephemeral=args.ephemeral,
-    )
-    code = cmd_train(ns)
-    if code != EXIT_OK:
-        return code
-
-    ns = argparse.Namespace(
-        result=str(out / "result"), hrg=str(out / "hrg" / "labels.csv"),
-        out=str(out / "eval"), svg=args.svg, ephemeral=args.ephemeral,
-    )
-    code = cmd_evaluate(ns)
-    if code != EXIT_OK:
-        return code
-
-    try:
-        for sub in ("cohort.csv", "hrg/labels.csv", "result/model.json", "eval/comparison.json"):
-            manifest.add_output(out, out / sub)
-        manifest.write(out / "manifest.json")
-    except OSError as e:
-        return _fail(EXIT_IO, f"cannot write manifest: {e}")
-    return EXIT_OK
+    for sub in ("cohort.csv", "hrg/labels.csv", "result/model.json", "eval/comparison.json"):
+        manifest.add_output(out, out / sub)
+    manifest.write(out / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -665,14 +585,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ruleset", default=None, help="ruleset JSON (default: packaged reference)")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
-    p.set_defaults(fn=cmd_hrg, dataset=None, rules=None)
+    p.set_defaults(fn=cmd_hrg)
 
     p = sub.add_parser("train", help="run the target-engineering and training pipeline")
     p.add_argument("--cohort", required=True, help="cohort CSV path")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
-    p.set_defaults(fn=cmd_train, dataset=None, pipeline_config=None)
+    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="compare trained groups against HRG labels")
     p.add_argument("--result", required=True, help="train output directory")
@@ -694,9 +614,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except CasemixError as e:
-        return _fail(EXIT_STAGE if isinstance(e, PipelineStageError) else EXIT_CONFIG, str(e))
+        args.fn(args)
+    except PipelineStageError as e:
+        code, message = EXIT_STAGE, str(e)
+    except CasemixError as e:  # bad config or input content
+        code, message = EXIT_CONFIG, str(e)
+    except OSError as e:  # the OS could not read or write a file
+        code, message = EXIT_IO, f"I/O failure: {e}"
+    else:
+        return EXIT_OK
+    print(f"casemix: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

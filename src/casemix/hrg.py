@@ -50,10 +50,6 @@ class Condition:
     op: str
     value: float | str | tuple
 
-    def to_dict(self) -> dict:
-        value = list(self.value) if isinstance(self.value, tuple) else self.value
-        return {"feature": self.feature, "op": self.op, "value": value}
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -62,9 +58,6 @@ class Rule:
     conditions: tuple[Condition, ...]
     target_rank: int
 
-    def to_dict(self) -> dict:
-        return {"if": [c.to_dict() for c in self.conditions], "then": self.target_rank}
-
 
 @dataclass(frozen=True)
 class Ruleset:
@@ -72,16 +65,6 @@ class Ruleset:
     k: int
     version: str
     default_rank: int | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "version": self.version,
-            "k": self.k,
-            "rules": [r.to_dict() for r in self.rules],
-        }
-        if self.default_rank is not None:
-            d["default"] = self.default_rank
-        return d
 
 
 def ruleset_from_dict(d: dict) -> Ruleset:
@@ -110,20 +93,12 @@ def ruleset_from_dict(d: dict) -> Ruleset:
         raise RulesetError(f"malformed ruleset document: {e}")
 
 
-def ruleset_to_json(rs: Ruleset) -> str:
-    return json.dumps(rs.to_dict(), indent=2) + "\n"
-
-
 def load_ruleset(path: str | Path) -> Ruleset:
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise RulesetError(f"ruleset JSON parse error: {e}")
     return ruleset_from_dict(d)
-
-
-def save_ruleset(rs: Ruleset, path: str | Path) -> None:
-    Path(path).write_text(ruleset_to_json(rs), encoding="utf-8")
 
 
 def reference_ruleset() -> Ruleset:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from casemix.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from casemix.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main
 from casemix.dataio import read_cohort_csv
 from tests.test_tree import structure_sha256
 
@@ -478,6 +478,30 @@ class TestEvaluate:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name,content", [
+        pytest.param("labels.csv", b"id,rank\nP000000,\xff1\n", id="labels_not_utf8"),
+        pytest.param("labels.csv", b'id,rank\n"' + b"P" * 200_000 + b'",1\n', id="labels_oversized_cell"),
+        pytest.param("final_labels.csv", b'index,id,final_rank\n0,"' + b"P" * 200_000 + b'",1\n',
+                     id="result_oversized_cell"),
+    ])
+    def test_unreadable_input_exit_2_naming_file(self, trained, tmp_path, capsys, name, content):
+        import shutil
+
+        root, _, cohort, result = trained
+        labels = tmp_path / "labels.csv"
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        shutil.copy(tmp_path / "hrg" / "labels.csv", labels)
+        result = shutil.copytree(result, tmp_path / "result")
+        bad, named = (labels, labels) if name == "labels.csv" else (result / name, result)
+        bad.write_bytes(content)
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(result), "--hrg", str(labels),
+                     "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert str(named) in err
+        assert "Traceback" not in err
+
     def test_non_integer_hrg_rank_exit_2(self, trained, tmp_path):
         root, _, _, result = trained
         import csv as csvmod
@@ -629,7 +653,8 @@ class TestAllValidatesPipelineFirst:
         assert not (out / "cohort.csv").exists()
         assert not (out / "hrg").exists()
 
-    @pytest.mark.parametrize("ruleset", ["missing", "malformed", "unknown_feature", "mistyped"])
+    @pytest.mark.parametrize("ruleset", ["missing", "malformed", "unknown_feature", "mistyped",
+                                         "not_a_path"])
     def test_bad_ruleset_leaves_no_cohort(self, tmp_path, monkeypatch, ruleset):
         import casemix.cli as cli
 
@@ -647,7 +672,8 @@ class TestAllValidatesPipelineFirst:
             path.write_text(json.dumps({"version": "x", "k": 1, "rules": [
                 {"if": [{"feature": "sex", "op": ">", "value": 1}], "then": 1},
                 {"if": [], "then": 1}]}))
-        cfg = write_config(tmp_path, dict(COHORT_CONFIG, ruleset=str(path)))
+        cfg = write_config(tmp_path, dict(COHORT_CONFIG,
+                                          ruleset=5 if ruleset == "not_a_path" else str(path)))
         out = tmp_path / "run"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not (out / "cohort.csv").exists()
@@ -731,14 +757,43 @@ class TestBadCohortCells:
 
 
 class TestErrorPlumbing:
-    def test_io_failure_exit_3(self, tmp_path):
-        from casemix.cli import EXIT_IO
+    @pytest.mark.parametrize("command,fault,expected", [
+        *((command, "config_not_utf8", EXIT_CONFIG) for command in ("generate", "train", "all")),
+        *((command, "read_denied", EXIT_IO) for command in ("hrg", "train", "evaluate", "all")),
+        *((command, "write_blocked", EXIT_IO)
+          for command in ("generate", "hrg", "train", "evaluate", "all")),
+    ])
+    def test_exit_code_table(self, trained, tmp_path, capsys, monkeypatch, command, fault, expected):
+        """Bad content exits 2; an OS-level failure to read or write a file
+        exits 3. Root ignores file modes, so a denied read is simulated."""
+        import casemix.cli as cli
 
-        cfg = write_config(tmp_path)
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory", encoding="utf-8")
-        out = blocker / "sub" / "cohort.csv"
-        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
+        root, config, cohort, result = trained
+        labels, out = tmp_path / "hrg" / "labels.csv", tmp_path / "o"
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(labels.parent)]) == EXIT_OK
+        if fault == "config_not_utf8":
+            config = tmp_path / "bad.json"
+            config.write_bytes(b'{"cohort": {"n": 10, "seed": 1}, "note": "\xff"}')
+        elif fault == "read_denied":
+            def deny(path):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(cli, "read_cohort_csv", deny)
+        else:
+            blocker = tmp_path / "blocker"
+            blocker.write_text("a file, not a directory", encoding="utf-8")
+            out = blocker / "sub"
+        args = {
+            "generate": ["--config", config, "--out", out / "cohort.csv"],
+            "hrg": ["--cohort", cohort, "--out", out],
+            "train": ["--cohort", cohort, "--config", config, "--out", out],
+            "evaluate": ["--result", result, "--hrg", labels, "--out", out],
+            "all": ["--config", config, "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *map(str, args)]) == expected
+        err = capsys.readouterr().err
+        assert err.startswith("casemix: error: ") and "Traceback" not in err
 
     def test_unclassifiable_rows_labeled_U(self, tmp_path):
         doc = {"cohort": {"n": 150, "seed": 8, "unclassifiable_rate": 0.2}}

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
@@ -14,8 +12,6 @@ from casemix.hrg import (
     reference_ruleset,
     rule_feature_schema,
     ruleset_from_dict,
-    ruleset_to_json,
-    save_ruleset,
     validate_ruleset,
 )
 from casemix.preprocess import preprocess
@@ -183,19 +179,6 @@ class TestClassifyDataset:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rs = band_ruleset()
-        path = tmp_path / "rules.json"
-        save_ruleset(rs, path)
-        assert load_ruleset(path) == rs
-
-    def test_bit_exact_file_round_trip(self, tmp_path):
-        rs = reference_ruleset()
-        path = tmp_path / "ref.json"
-        save_ruleset(rs, path)
-        text = path.read_text(encoding="utf-8")
-        assert ruleset_to_json(load_ruleset(path)) == text
-
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -227,7 +210,6 @@ class TestSerialization:
         }
         rs = ruleset_from_dict(doc)
         assert rs.rules[0].conditions[0].value == ("a", "b")
-        assert json.loads(ruleset_to_json(rs)) == doc
 
 
 class TestReferenceRuleset:
