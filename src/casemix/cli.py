@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .cohort import EXTRA_SCHEMA, CohortConfig, generate_cohort, inject_missingness
 from .dataio import cohort_csv_text, read_cohort_csv
 from .domain import FACTOR_FIELDS, Dataset, linear_cost_matrix
@@ -78,6 +78,8 @@ def _load_json_config(path: str) -> dict:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except ValueError as e:  # not JSON, or not UTF-8
         raise InvalidArgument(f"config {path} is not valid UTF-8 JSON: {e}")
+    except RecursionError:
+        raise InvalidArgument(f"config {path} nests JSON too deeply")
     if not isinstance(doc, dict):
         raise InvalidArgument(f"config {path} must be a JSON object")
     return doc
@@ -157,6 +159,7 @@ def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
         cohort_doc["seed"] = fresh
     config = CohortConfig.from_dict(cohort_doc)
     manifest.doc["seeds"]["cohort"] = config.seed
+    manifest.doc["workers"] = parallel.worker_count(config.n)
     ds = generate_cohort(config)
     missing = doc.get("missingness")
     if missing:
@@ -302,12 +305,14 @@ def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Da
     manifest.add_config(config_path)
     manifest.doc["seeds"]["pipeline"] = config.seeds.to_dict()
     cohort_sha256 = manifest.add_input(cohort)
+    manifest.doc["workers"] = parallel.worker_count(len(FACTOR_FIELDS))
     result = run_pipeline(ds, config, input_sha256=cohort_sha256)
     manifest.doc["trees"] = {
         name: {
             "nodes_grown": tree.nodes_grown,
             "candidates_scanned": tree.candidates_scanned,
             "prune_steps": tree.prune_steps,
+            "build_s": round(tree.build_s, 3),
         }
         for name, tree in {**result.factor_trees, "final": result.final_tree}.items()
     }
@@ -362,6 +367,8 @@ def _read_result_dir(result_dir: Path):
         multiplicity = {int(r["index"]): int(r["multiplicity"]) for r in rows}
     except (ValueError, KeyError, TypeError, csv.Error) as e:
         raise InvalidArgument(f"malformed result dir {result_dir}: {e}")
+    except RecursionError:  # config.json nests JSON too deeply
+        raise InvalidArgument(f"malformed result dir {result_dir}: config.json nests too deeply")
     if not (len(ds) == len(final_labels) == len(rows)):
         raise InvalidArgument("result dir artifacts disagree on record count")
     return ds, config, tree, final_labels, factor_ranks, train_idx, test_idx, multiplicity

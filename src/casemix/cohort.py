@@ -7,26 +7,34 @@ outliers and unclassifiable (no recorded burn) episodes.
 
 Randomness is a counter-based generator (Philox; Salmon et al. 2011) with
 one stream per (seed, record index, field tag), so generation is
-order-independent: any record can be produced in isolation and parallel
-generation is byte-identical to sequential. A stream draws exactly what
+order-independent: any record can be produced in isolation. A stream
+draws exactly what
 ``Generator(Philox(SeedSequence(seed, spawn_key=(index, tag))))`` draws.
 Rather than build those three objects per stream, ``_stream_keys`` derives
-the Philox keys of every record of a tag at once, mirroring
+the Philox keys of every record of a range and tag at once, mirroring
 ``SeedSequence.generate_state`` in numpy, and ``_streams`` rewinds one
 reused generator to each key in turn. Seeds must be non-negative integers,
 of any size. The marginal distributions are admitted fiction; only the
 correlation structure and the injected edge cases are load-bearing.
+
+``generate_cohort`` splits the records into one contiguous range per CPU
+and draws the ranges in forked workers (``parallel.map_ordered``). Each
+worker writes its records in place into one shared anonymous memory buffer
+that holds every output column, categorical extras as codes, so nothing is
+copied back; the cohort is byte-identical for any number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .domain import (
     CATEGORICAL,
     CATEGORICAL_FILL,
@@ -61,17 +69,23 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-EXTRA_SCHEMA: dict[str, str] = {
-    "sex": CATEGORICAL,
-    "burn_mechanism": CATEGORICAL,
-    "inhalation_injury": CATEGORICAL,
-    "ventilation_days": NUMERIC,
-    "skin_graft": CATEGORICAL,
-    "admission_year": NUMERIC,
-    "care_setting": CATEGORICAL,
+_MECHANISMS = ("scald", "flame", "contact", "chemical", "electrical")
+
+#: The levels of each extra column, in schema order; numeric columns have
+#: none. A record draws a categorical value as its code, an index into them.
+_EXTRA_LEVELS: dict[str, tuple[str, ...] | None] = {
+    "sex": ("F", "M"),
+    "burn_mechanism": _MECHANISMS,
+    "inhalation_injury": ("no", "yes"),
+    "ventilation_days": None,
+    "skin_graft": ("no", "yes"),
+    "admission_year": None,
+    "care_setting": ("specialist",),
 }
 
-_MECHANISMS = ("scald", "flame", "contact", "chemical", "electrical")
+EXTRA_SCHEMA: dict[str, str] = {
+    name: NUMERIC if levels is None else CATEGORICAL for name, levels in _EXTRA_LEVELS.items()
+}
 _MECHANISM_P = (
     (0.62, 0.10, 0.18, 0.06, 0.04),  # minor
     (0.45, 0.32, 0.13, 0.06, 0.04),  # moderate
@@ -190,19 +204,20 @@ def _stream_keys(seed: int, indices: np.ndarray, tag: int) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
-def _streams(seed: int, n: int, tags) -> Callable[[int, int], np.random.Generator]:
+def _streams(seed: int, n: int, tags, start: int = 0) -> Callable[[int, int], np.random.Generator]:
     """``stream(index, tag)``: a generator that draws what stream (seed,
-    index, tag) draws, for index < n and tag in ``tags``. Every call returns
-    the same generator, rewound to counter 0 under that stream's key with
-    nothing buffered, so each stream must be fully drawn before the next call."""
-    keys = {tag: _stream_keys(seed, np.arange(n), tag) for tag in tags}
+    index, tag) draws, for start <= index < n and tag in ``tags``. Every
+    call returns the same generator, rewound to counter 0 under that
+    stream's key with nothing buffered, so each stream must be fully drawn
+    before the next call."""
+    keys = {tag: _stream_keys(seed, np.arange(start, n), tag) for tag in tags}
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
     # A fresh Philox's state: counter 0, buffer_pos 4 (empty), has_uint32 0.
     state = bit_generator.state
 
     def stream(index: int, tag: int) -> np.random.Generator:
-        state["state"]["key"] = keys[tag][index]
+        state["state"]["key"] = keys[tag][index - start]
         bit_generator.state = state
         return generator
 
@@ -252,7 +267,8 @@ def _draw_sites(severity: int, tbsa: float, g: np.random.Generator):
 
 
 def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float], stream):
-    """One record's cells: (core numerics, burned sites, extra values)."""
+    """One record's cells: (core numerics, burned sites, extra values with
+    categorical ones as codes into ``_EXTRA_LEVELS``)."""
     severity = _choice(severity_cdf, stream(index, _TAG_SEVERITY))
     tbsa_raw = _draw_tbsa(severity, stream(index, _TAG_TBSA))
     sites = _draw_sites(severity, tbsa_raw, stream(index, _TAG_SITES))
@@ -281,9 +297,9 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
     cost = min(cost, COST_OUTLIER)
 
     g = stream(index, _TAG_EXTRAS)
-    sex = "F" if g.uniform() < 0.5 else "M"
-    mechanism = _MECHANISMS[_choice(_MECHANISM_CDF[severity], g)]
-    inhalation = "yes" if g.uniform() < _INHALATION_P[severity] else "no"
+    sex = 0 if g.uniform() < 0.5 else 1  # F, M
+    mechanism = _choice(_MECHANISM_CDF[severity], g)
+    inhalation = 1 if g.uniform() < _INHALATION_P[severity] else 0  # yes, no
     if severity == 2 and g.uniform() < 0.45:
         ventilation = round(float(g.gamma(2.0, max(tbsa / 12.0, 0.5))), 1)
     elif severity == 1 and g.uniform() < 0.06:
@@ -291,7 +307,7 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
     else:
         ventilation = 0.0
     full_area = sum(a for a, d in zip(sites[1], sites[2]) if d == _FULL)
-    graft = "yes" if g.uniform() < 1.0 - math.exp(-full_area / 6.0) else "no"
+    graft = 1 if g.uniform() < 1.0 - math.exp(-full_area / 6.0) else 0  # yes, no
     year = 2003 + int(g.integers(0, 17))
     age = round(float(g.uniform(0.1, 15.9)), 1)
 
@@ -309,9 +325,9 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
         los = round(float(g_special.uniform(0.0, 0.4)), 1)
         cost = round(float(g_special.uniform(50.0, 400.0)), 2)
         theatre = 0
-        ventilation, inhalation, graft = 0.0, "no", "no"
+        ventilation, inhalation, graft = 0.0, 0, 0
 
-    extras = (sex, mechanism, inhalation, ventilation, graft, float(year), "specialist")
+    extras = (sex, mechanism, inhalation, ventilation, graft, float(year), 0)
     return (age, los, cost, tbsa, theatre), sites, extras
 
 
@@ -320,25 +336,36 @@ def generate_cohort(config: CohortConfig) -> Dataset:
     if config.n < 1:
         raise InvalidArgument(f"cohort size must be >= 1, got {config.n}")
     n = config.n
+    # Every output column lives in one shared anonymous mapping, allocated
+    # before the workers fork, so each writes its records where the parent
+    # reads them. It starts zeroed: a site is unburned until a record sets it.
+    float_rows = len(CORE_NUMERIC_FIELDS) + N_SITES + len(_EXTRA_LEVELS)
+    buffer = mmap.mmap(-1, n * (8 * float_rows + N_SITES))
+    floats = np.frombuffer(buffer, np.float64, float_rows * n).reshape(float_rows, n)
+    site_depths = np.frombuffer(buffer, np.int8, N_SITES * n, floats.nbytes).reshape(N_SITES, n)
+    numerics, site_areas, extras = np.split(floats, [len(CORE_NUMERIC_FIELDS), -len(_EXTRA_LEVELS)])
     severity_cdf = _cdf(config.severity_weights)
-    stream = _streams(config.seed, n, range(_TAG_SEVERITY, _TAG_SPECIAL + 1))
-    numerics = np.empty((len(CORE_NUMERIC_FIELDS), n))
-    site_areas = np.zeros((N_SITES, n))
-    site_depths = np.zeros((N_SITES, n), dtype=np.int8)
-    extra_rows = []
-    for i in range(n):
-        numerics[:, i], (chosen, areas, depths), extras = _generate_record(config, i, severity_cdf, stream)
-        site_areas[chosen, i] = areas
-        site_depths[chosen, i] = depths
-        extra_rows.append(extras)
+
+    def fill(records: range) -> None:
+        stream = _streams(config.seed, records.stop, range(_TAG_SEVERITY, _TAG_SPECIAL + 1),
+                          start=records.start)
+        for i in records:
+            numerics[:, i], (chosen, areas, depths), extras[:, i] = _generate_record(
+                config, i, severity_cdf, stream
+            )
+            site_areas[chosen, i] = areas
+            site_depths[chosen, i] = depths
+
+    parts = parallel.worker_count(n)
+    parallel.map_ordered(fill, [range(n * p // parts, n * (p + 1) // parts) for p in range(parts)])
     return Dataset(
         ids=np.array([f"P{i:06d}" for i in range(n)], dtype=object),
         numerics=numerics,
         site_areas=site_areas,
         site_depths=site_depths,
         extras={
-            name: np.array(values, dtype=np.float64 if kind == NUMERIC else object)
-            for (name, kind), values in zip(EXTRA_SCHEMA.items(), zip(*extra_rows))
+            name: col if levels is None else np.array(levels, dtype=object)[col.astype(np.intp)]
+            for (name, levels), col in zip(_EXTRA_LEVELS.items(), extras)
         },
     )
 

@@ -98,6 +98,8 @@ def load_ruleset(path: str | Path) -> Ruleset:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise RulesetError(f"ruleset JSON parse error: {e}")
+    except RecursionError:
+        raise RulesetError("ruleset JSON nests too deeply")
     return ruleset_from_dict(d)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .cluster import cluster_factor, kmeans, rank_clusters
 from .dataio import dataset_sha256
 from .domain import (
@@ -167,16 +167,21 @@ def train_factor_trees(
     """One cost-sensitive tree per factor over the full feature table of the
     preprocessed dataset. Raw LOS and cost never appear as predictors (they
     are resource outcomes), nor does the tree's own target factor; TBSA
-    stays available to the LOS and cost trees."""
+    stays available to the LOS and cost trees.
+
+    The trees do not depend on each other, so they grow in forked workers
+    (``parallel.map_ordered``), up to one per CPU, and come back pickled; they are
+    the same trees for any number of workers. If trees fail, the error of
+    the first in ``FACTOR_FIELDS`` order is raised."""
     loss = linear_cost_matrix(config.k)
-    trees: dict[str, DecisionTree] = {}
-    importances: dict[str, list[tuple[str, float]]] = {}
-    for factor in FACTOR_FIELDS:
+
+    def grow(factor: str) -> DecisionTree:
         exclude = {"los_days", "total_cost", factor}
         predictors = table.select([name for name in table.names if name not in exclude])
-        tree = build_tree(predictors, factor_labels[factor], loss, config.factor_tree_params)
-        trees[factor] = tree
-        importances[factor] = variable_importance(tree)
+        return build_tree(predictors, factor_labels[factor], loss, config.factor_tree_params)
+
+    trees = dict(zip(FACTOR_FIELDS, parallel.map_ordered(grow, FACTOR_FIELDS)))
+    importances = {factor: variable_importance(tree) for factor, tree in trees.items()}
     return trees, importances
 
 

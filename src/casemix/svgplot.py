@@ -7,7 +7,7 @@ standalone SVG 1.1.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class SvgCanvas:
         self._parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" fill="{fill}">'
-            f"{escape(str(content))}</text>\n"
+            f"{escape(str(content), quote=False)}</text>\n"
         )
 
     def render(self) -> str:

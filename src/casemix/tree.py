@@ -59,6 +59,7 @@ import functools
 import json
 import math
 import numbers
+import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -233,10 +234,11 @@ class DecisionTree:
     n_rows: int = 0
     depth: int = 0
     leaf_count: int = 0
-    # Build counters; not part of the serialized model.
+    # Build counters and wall time; not part of the serialized model.
     nodes_grown: int = 0
     candidates_scanned: int = 0
     prune_steps: int = 0
+    build_s: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +686,7 @@ def _prune(tree: DecisionTree, loss: CostMatrix, cp: float) -> int:
 def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams) -> DecisionTree:
     """Encode the columns once, grow by recursive partitioning, then apply
     cost-complexity pruning."""
+    start = time.perf_counter()
     enc = EncodedTable(table, labels, loss.k)
     nodes = _grow(enc, loss, params)
     tree = DecisionTree(
@@ -693,6 +696,7 @@ def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams
     )
     tree.prune_steps = _prune(tree, loss, params.cp)
     tree.depth, tree.leaf_count = _depth_and_leaves(tree)
+    tree.build_s = time.perf_counter() - start
     return tree
 
 

@@ -299,7 +299,8 @@ class TestTrain:
         model = json.loads((out / "model.json").read_text())
         assert "nodes_grown" not in json.dumps(model)
         for counters in trees.values():
-            assert set(counters) == {"nodes_grown", "candidates_scanned", "prune_steps"}
+            assert set(counters) == {"nodes_grown", "candidates_scanned", "prune_steps", "build_s"}
+            assert counters["build_s"] >= 0
             assert counters["nodes_grown"] >= 1
             # a collapse removes at least two nodes and never the root
             assert 0 <= 2 * counters["prune_steps"] < counters["nodes_grown"]
@@ -792,6 +793,29 @@ class TestErrorPlumbing:
         }[command]
         capsys.readouterr()
         assert main([command, *map(str, args)]) == expected
+        err = capsys.readouterr().err
+        assert err.startswith("casemix: error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["generate", "hrg", "evaluate"])
+    def test_json_nested_too_deep_exit_2(self, trained, tmp_path, capsys, command):
+        """Python's JSON reader raises RecursionError on deep nesting."""
+        import shutil
+
+        root, _, cohort, result = trained
+        deep = "[" * 200_000 + "]" * 200_000
+        labels = tmp_path / "hrg" / "labels.csv"
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(labels.parent)]) == EXIT_OK
+        (tmp_path / "deep.json").write_text(deep, encoding="utf-8")
+        deep_result = tmp_path / "result"
+        shutil.copytree(result, deep_result)
+        (deep_result / "config.json").write_text(deep, encoding="utf-8")
+        args = {
+            "generate": ["--config", tmp_path / "deep.json", "--out", tmp_path / "c.csv"],
+            "hrg": ["--cohort", cohort, "--ruleset", tmp_path / "deep.json", "--out", tmp_path / "o"],
+            "evaluate": ["--result", deep_result, "--hrg", labels, "--out", tmp_path / "o"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *map(str, args)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("casemix: error: ") and "Traceback" not in err
 
