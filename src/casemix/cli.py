@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 bad config or input content, 3 an OS-level I/O
 failure reading or writing a file, 4 pipeline-stage failure; ``main`` is the
 one place that maps an exception to its code. Each ``cmd_*`` reads the files
 its command line names and calls one stage function; ``casemix all`` calls
-the stages directly with the config, ruleset and cohort it holds in memory.
+the stages directly and hands each what the stages before it hold in memory.
 Every run writes a manifest recording config and input hashes, output
 hashes, seeds, and wall time; outputs other than the manifest are
 byte-deterministic given the same config.
@@ -40,7 +40,7 @@ from .hrg import (
     load_ruleset,
     reference_ruleset,
 )
-from .pipeline import PipelineConfig, dataset_to_table, run_pipeline
+from .pipeline import PipelineConfig, PipelineResult, dataset_to_table, run_pipeline
 from .svgplot import boxplots_svg, rank_spread_svg, variance_bars_svg
 from .tree import (
     deserialize_tree,
@@ -213,8 +213,9 @@ def _load_rules(path: str | None) -> Ruleset:
 
 
 def _hrg(manifest: _Manifest, ds: Dataset, cohort: str, rules: Ruleset,
-         ruleset: str | None, out: Path) -> None:
-    """Group ``ds`` (from the file ``cohort``) by ``rules`` (from ``ruleset``) into ``out``."""
+         ruleset: str | None, out: Path) -> dict[str, str]:
+    """Group ``ds`` (from the file ``cohort``) by ``rules`` (from ``ruleset``)
+    into ``out``; returns the written labels as ``_read_hrg_labels`` would."""
     manifest.add_input(cohort)
     if ruleset:
         manifest.add_input(ruleset)
@@ -226,6 +227,8 @@ def _hrg(manifest: _Manifest, ds: Dataset, cohort: str, rules: Ruleset,
     )
     manifest.write(out / "manifest.json")
     print(f"classified {len(labels)} records into {out}")
+    return {rid: UNCLASSIFIABLE if label is None else str(label)
+            for rid, label in zip(ds.ids.tolist(), labels)}
 
 
 def cmd_hrg(args) -> None:
@@ -300,12 +303,13 @@ def _write_train_outputs(manifest: _Manifest, out: Path, result, config: Pipelin
 
 
 def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Dataset,
-           cohort: str, out: Path) -> None:
+           cohort: str, out: Path) -> PipelineResult:
     """Train ``config`` (from ``config_path``) on ``ds`` (from ``cohort``) into ``out``."""
     manifest.add_config(config_path)
     manifest.doc["seeds"]["pipeline"] = config.seeds.to_dict()
     cohort_sha256 = manifest.add_input(cohort)
-    manifest.doc["workers"] = parallel.worker_count(len(FACTOR_FIELDS))
+    forked = parallel.worker_count(len(FACTOR_FIELDS)) > 1  # then one worker per tree
+    manifest.doc["workers"] = len(FACTOR_FIELDS) if forked else 1
     result = run_pipeline(ds, config, input_sha256=cohort_sha256)
     manifest.doc["trees"] = {
         name: {
@@ -322,6 +326,7 @@ def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Da
         f"trained on {len(result.train_idx)} cases "
         f"({len(result.preprocessed)} after preprocessing) into {out}"
     )
+    return result
 
 
 def cmd_train(args) -> None:
@@ -341,6 +346,9 @@ _RESULT_FILES = ("preprocessed.csv", "final_labels.csv", "factor_labels.csv",
 
 
 def _read_result_dir(result_dir: Path):
+    """`_evaluate`'s arguments from ``ds`` on, read from the `train` output ``result_dir``."""
+    if not result_dir.is_dir():
+        raise InvalidArgument(f"result dir not found: {result_dir}")
     for name in _RESULT_FILES:
         if not (result_dir / name).is_file():
             raise InvalidArgument(f"result dir is missing {name}")
@@ -358,20 +366,17 @@ def _read_result_dir(result_dir: Path):
             for f in FACTOR_FIELDS
         }
         rows = _csv_rows(result_dir / "split.csv")
-        train_idx = np.array(
-            [int(r["index"]) for r in rows if r["role"] == "train"], dtype=np.int64
-        )
-        test_idx = np.array(
-            [int(r["index"]) for r in rows if r["role"] == "test"], dtype=np.int64
-        )
-        multiplicity = {int(r["index"]): int(r["multiplicity"]) for r in rows}
+        train_idx = np.array([int(r["index"]) for r in rows if r["role"] == "train"], dtype=np.int64)
+        test_rows = [r for r in rows if r["role"] == "test"]
+        test_idx = np.array([int(r["index"]) for r in test_rows], dtype=np.int64)
+        test_ms = np.repeat(test_idx, [int(r["multiplicity"]) for r in test_rows])
     except (ValueError, KeyError, TypeError, csv.Error) as e:
         raise InvalidArgument(f"malformed result dir {result_dir}: {e}")
     except RecursionError:  # config.json nests JSON too deeply
         raise InvalidArgument(f"malformed result dir {result_dir}: config.json nests too deeply")
     if not (len(ds) == len(final_labels) == len(rows)):
         raise InvalidArgument("result dir artifacts disagree on record count")
-    return ds, config, tree, final_labels, factor_ranks, train_idx, test_idx, multiplicity
+    return ds, config, tree, final_labels, factor_ranks, train_idx, test_idx, test_ms
 
 
 def _read_hrg_labels(path: Path) -> dict[str, str]:
@@ -436,27 +441,20 @@ def _rank_spread_csv(factor_ranks: dict, final_labels: np.ndarray) -> str:
     ))
 
 
-def _evaluate(result: str, hrg: str, out: Path, svg: bool) -> None:
-    """Compare the `train` output dir ``result`` with the HRG labels file
-    ``hrg`` into ``out``; `all` too reads both from the files it wrote."""
-    manifest = _Manifest("evaluate")
-    result_dir = Path(result)
-    if not result_dir.is_dir():
-        raise InvalidArgument(f"result dir not found: {result}")
-    (ds, config, tree, final_labels, factor_ranks,
-     train_idx, test_idx, multiplicity) = _read_result_dir(result_dir)
-    for name in _RESULT_FILES:
-        manifest.add_input(result_dir / name)
-    hrg_by_id = _read_hrg_labels(Path(hrg))
-    manifest.add_input(hrg)
+def _evaluate(manifest: _Manifest, inputs: list, hrg_by_id: dict[str, str], out: Path,
+              svg: bool, ds: Dataset, config: PipelineConfig, tree, final_labels: np.ndarray,
+              factor_ranks: dict, train_idx: np.ndarray, test_idx: np.ndarray,
+              test_ms: np.ndarray) -> None:
+    """Compare a trained model with the HRG labels ``hrg_by_id`` into ``out``:
+    ``ds`` is the preprocessed cohort, ``tree`` the final tree, and ``test_ms``
+    the oversampled test multiset in ascending ``test_idx`` order. `evaluate`
+    reads these from the files ``inputs``, `all` passes what it wrote there."""
+    for path in inputs:
+        manifest.add_input(path)
     hrg_labels = _join_hrg(ds, hrg_by_id)
 
     loss = linear_cost_matrix(config.k)
     predictions = predict(tree, dataset_to_table(ds))
-
-    test_ms = np.concatenate(
-        [np.full(multiplicity[int(i)], int(i), dtype=np.int64) for i in test_idx]
-    ) if test_idx.size else test_idx
 
     conf_test = confusion(final_labels[test_idx], predictions[test_idx], loss)
     conf_test_os = confusion(final_labels[test_ms], predictions[test_ms], loss)
@@ -529,7 +527,12 @@ def _evaluate(result: str, hrg: str, out: Path, svg: bool) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    _evaluate(args.result, args.hrg, Path(args.out), args.svg)
+    manifest = _Manifest("evaluate")
+    result_dir = Path(args.result)
+    trained = _read_result_dir(result_dir)
+    hrg_by_id = _read_hrg_labels(Path(args.hrg))
+    inputs = [*(result_dir / name for name in _RESULT_FILES), args.hrg]
+    _evaluate(manifest, inputs, hrg_by_id, Path(args.out), args.svg, *trained)
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +553,17 @@ def cmd_all(args) -> None:
     manifest.add_config(args.config)
     out = Path(args.out)
 
-    # hrg and train use the generated cohort, which is bit-identical to a
-    # parse of the file written; each stage still hashes the file.
+    # Each stage takes what the one before it holds in memory, which is
+    # bit-identical to a parse of the files it wrote; each still hashes them.
     cohort = str(out / "cohort.csv")
     ds = _generate(_Manifest("generate"), args.config, doc, args.ephemeral, Path(cohort))
-    _hrg(_Manifest("hrg"), ds, cohort, rules, ruleset, out / "hrg")
-    _train(_Manifest("train"), args.config, pipeline_config, ds, cohort, out / "result")
-    _evaluate(str(out / "result"), str(out / "hrg" / "labels.csv"), out / "eval", args.svg)
+    hrg_by_id = _hrg(_Manifest("hrg"), ds, cohort, rules, ruleset, out / "hrg")
+    result = _train(_Manifest("train"), args.config, pipeline_config, ds, cohort, out / "result")
+    inputs = [*(out / "result" / name for name in _RESULT_FILES), str(out / "hrg" / "labels.csv")]
+    _evaluate(_Manifest("evaluate"), inputs, hrg_by_id, out / "eval", args.svg,
+              result.preprocessed, pipeline_config, result.final_tree, result.final_labels,
+              result.factor_labels, result.train_idx, result.test_idx,
+              np.sort(result.test_multiset))  # as split.csv lists it: test_idx ascends
 
     for sub in ("cohort.csv", "hrg/labels.csv", "result/model.json", "eval/comparison.json"):
         manifest.add_output(out, out / sub)

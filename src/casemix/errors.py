@@ -22,4 +22,7 @@ class PipelineStageError(CasemixError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage '{stage}': {message}")
-        self.stage = stage
+        self.stage, self.message = stage, message
+
+    def __reduce__(self):  # pickle rebuilds it from both arguments, not from ``args``
+        return type(self), (self.stage, self.message)

@@ -169,10 +169,10 @@ def train_factor_trees(
     are resource outcomes), nor does the tree's own target factor; TBSA
     stays available to the LOS and cost trees.
 
-    The trees do not depend on each other, so they grow in forked workers
-    (``parallel.map_ordered``), up to one per CPU, and come back pickled; they are
-    the same trees for any number of workers. If trees fail, the error of
-    the first in ``FACTOR_FIELDS`` order is raised."""
+    The trees do not depend on each other, so on more than one CPU each
+    grows in its own forked worker (``parallel.map_ordered``) and comes back
+    pickled; they are the same trees for any number of workers. If trees
+    fail, the error of the first in ``FACTOR_FIELDS`` order is raised."""
     loss = linear_cost_matrix(config.k)
 
     def grow(factor: str) -> DecisionTree:

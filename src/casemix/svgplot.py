@@ -146,9 +146,11 @@ def rank_spread_svg(factor_ranks: dict[str, np.ndarray], final_ranks: np.ndarray
     for factor, ranks in factor_ranks.items():
         color = FACTOR_COLORS.get(factor, "#777")
         jitter = (np.arange(len(ranks)) % 7 - 3) * slot * 0.015
-        for i, (fr, final) in enumerate(zip(ranks, final_ranks)):
-            x = _MARGIN + (final - 1) * slot + offsets[factor] * slot + jitter[i]
-            canvas.circle(x, scale_y(float(fr)), 1.6, color, 0.35)
+        # the scalar arithmetic of one point at a time, over whole arrays
+        xs = _MARGIN + (np.asarray(final_ranks) - 1) * slot + offsets[factor] * slot + jitter
+        ys = scale_y(np.asarray(ranks, dtype=np.float64))
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            canvas.circle(x, y, 1.6, color, 0.35)
     for r in range(1, k + 1):
         canvas.text(_MARGIN + (r - 0.5) * slot, height - _MARGIN + 16, r, anchor="middle")
         canvas.text(_MARGIN - 8, scale_y(float(r)) + 4, r, anchor="end")

@@ -430,6 +430,20 @@ class TestEvaluate:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
 
+    def test_negative_multiplicity_exit_2(self, trained, tmp_path):
+        import shutil
+
+        root, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        broken = shutil.copytree(result, tmp_path / "result")
+        rows = (broken / "split.csv").read_text().splitlines()
+        j = next(j for j, row in enumerate(rows) if ",test," in row)
+        rows[j] = rows[j].rsplit(",", 1)[0] + ",-1"
+        (broken / "split.csv").write_text("\n".join(rows) + "\n")
+        code = main(["evaluate", "--result", str(broken), "--hrg", str(tmp_path / "hrg" / "labels.csv"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+
     @pytest.mark.parametrize("edit", ["max_depth", "deep_node", "unknown_feature",
                                       "kind_mismatch", "levels_list", "unknown_category",
                                       "summary_depth", "summary_leaf_count", "summary_n",
@@ -544,24 +558,40 @@ class TestAll:
         assert structure_sha256(model) == PINNED_MODEL_STRUCTURE[name]
         assert file_hashes(out) == PINNED_ARTIFACTS[name]
 
-    def test_cohort_parsed_once(self, tmp_path, monkeypatch):
+    def test_all_parses_no_csv(self, tmp_path, monkeypatch):
         import casemix.cli as cli
 
         parsed = []
+        for name in ("read_cohort_csv", "_csv_rows", "_read_hrg_labels"):
+            def recording_read(path, read=getattr(cli, name)):
+                parsed.append(Path(path).name)
+                return read(path)
 
-        def counting_read(path):
-            parsed.append(Path(path).name)
-            return read_cohort_csv(path)
-
-        monkeypatch.setattr(cli, "read_cohort_csv", counting_read)
+            monkeypatch.setattr(cli, name, recording_read)
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        # hrg and train use the generated cohort; only evaluate parses a file
-        assert parsed == ["preprocessed.csv"]
+        # each stage takes the outputs of the one before it in memory
+        assert parsed == []
         for stage in ("hrg", "result"):  # each stage still hashes the cohort file
             manifest = json.loads((out / stage / "manifest.json").read_text())
             assert str(out / "cohort.csv") in manifest["inputs"]
+
+    @pytest.mark.parametrize("name", ["cli", "missingness"])
+    def test_eval_matches_evaluate_of_written_files(self, tmp_path, name):
+        """`all` evaluates what it holds in memory; `evaluate` parses the
+        files `all` wrote. Both must write the same bytes."""
+        cfg = write_config(tmp_path, {"cli": COHORT_CONFIG, "missingness": MISSINGNESS_CONFIG}[name])
+        out, ev = tmp_path / "run", tmp_path / "ev"
+        assert main(["all", "--config", str(cfg), "--out", str(out), "--svg"]) == EXIT_OK
+        assert main(["evaluate", "--result", str(out / "result"),
+                     "--hrg", str(out / "hrg" / "labels.csv"), "--out", str(ev), "--svg"]) == EXIT_OK
+        assert file_hashes(out / "eval") == file_hashes(ev)
+        assert len(file_hashes(ev)) == 20
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (out / "eval", ev)]
+        assert manifests[0].keys() == manifests[1].keys()
+        assert manifests[0]["inputs"] == manifests[1]["inputs"]
+        assert len(manifests[0]["inputs"]) == 7
 
     def test_custom_ruleset_via_config(self, tmp_path):
         rules = {
@@ -779,7 +809,8 @@ class TestErrorPlumbing:
             def deny(path):
                 raise PermissionError(13, "Permission denied", str(path))
 
-            monkeypatch.setattr(cli, "read_cohort_csv", deny)
+            # `all` parses no file it wrote, but still reads each to hash it
+            monkeypatch.setattr(cli, "_sha256_file" if command == "all" else "read_cohort_csv", deny)
         else:
             blocker = tmp_path / "blocker"
             blocker.write_text("a file, not a directory", encoding="utf-8")

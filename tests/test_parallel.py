@@ -1,8 +1,10 @@
 """The forked ordered map, and the two pipeline steps that use it: cohort
 generation and the factor trees give the same output for any worker count."""
 
+import inspect
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from casemix import parallel, pipeline
+from casemix import errors, parallel, pipeline
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.errors import InvalidArgument, PipelineStageError
 from casemix.pipeline import (
@@ -63,6 +65,20 @@ class TestMapOrdered:
             parallel.map_ordered(fn, range(4))
         assert_no_children()
 
+    def test_stage_error_comes_back_whole(self, monkeypatch):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+
+        def fn(i):
+            if i == 1:
+                raise PipelineStageError("factor-trees", "boom")
+            return i
+
+        with pytest.raises(PipelineStageError) as info:
+            parallel.map_ordered(fn, [0, 1])
+        assert info.value.stage == "factor-trees"
+        assert str(info.value) == "stage 'factor-trees': boom"
+        assert_no_children()
+
     def test_failure_kills_running_workers(self, monkeypatch):
         monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
 
@@ -75,6 +91,25 @@ class TestMapOrdered:
         with pytest.raises(ValueError, match="^boom$"):
             parallel.map_ordered(fn, range(2))
         assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_failure_stops_later_items_at_once(self, monkeypatch, tmp_path):
+        """Item 2's result would be thrown away once item 1 fails, so its
+        worker is killed before it finishes, while item 0 still runs."""
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        done = tmp_path / "item 2 finished"
+
+        def fn(i):
+            if i == 1:
+                raise ValueError("item 1 failed")
+            time.sleep(1.5 if i == 0 else 0.5)
+            if i == 2:
+                done.touch()
+            return i
+
+        with pytest.raises(ValueError, match="^item 1 failed$"):
+            parallel.map_ordered(fn, range(3))
+        assert not done.exists()
         assert_no_children()
 
     def test_worker_that_dies_is_reported(self, monkeypatch):
@@ -101,6 +136,18 @@ class TestMapOrdered:
         assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("cls", [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, Exception)
+])
+def test_every_error_survives_pickling(cls):
+    """A worker's exception reaches the parent pickled."""
+    error = cls("factor-trees", "boom") if cls is PipelineStageError else cls("boom")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error)
+    assert getattr(copy, "stage", None) == getattr(error, "stage", None)
+
+
 @pytest.fixture(scope="module")
 def factor_inputs():
     ds = inject_missingness(generate_cohort(CohortConfig(n=800, seed=5)), 0.2, 3)
@@ -122,6 +169,20 @@ class TestWorkerCountInvariance:
             assert col.tolist() == reference.extras[name].tolist()
         assert_no_children()
 
+    def test_generate_cohort_one_range_per_cpu(self, workers, monkeypatch):
+        calls = []
+
+        def recording_map(fn, items):
+            calls.append(list(items))
+            return [fn(item) for item in calls[-1]]
+
+        monkeypatch.setattr(parallel, "map_ordered", recording_map)
+        ds = generate_cohort(CohortConfig(n=40, seed=6))
+        [ranges] = calls
+        assert len(ranges) == workers
+        assert [i for r in ranges for i in r] == list(range(40))
+        assert ds == generate_cohort(CohortConfig(n=40, seed=6))
+
     def test_more_workers_than_records(self, workers):
         ds = generate_cohort(CohortConfig(n=2, seed=9))
         assert ds.ids.tolist() == ["P000000", "P000001"]
@@ -139,6 +200,22 @@ class TestWorkerCountInvariance:
             assert trees[factor].build_s > 0
         assert importances == ref_importances
         assert_no_children()
+
+
+def test_each_factor_tree_grows_in_its_own_worker(factor_inputs, monkeypatch):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    build_tree = pipeline.build_tree
+
+    def recording_build_tree(*args):
+        tree = build_tree(*args)
+        tree.grown_in = os.getpid()
+        return tree
+
+    monkeypatch.setattr(pipeline, "build_tree", recording_build_tree)
+    trees, _ = train_factor_trees(*factor_inputs)
+    pids = {tree.grown_in for tree in trees.values()}
+    assert len(pids) == 3 and os.getpid() not in pids
+    assert_no_children()
 
 
 def test_cost_tree_failure_surfaces_as_stage_error(workers, monkeypatch):
