@@ -360,22 +360,29 @@ def _read_result_dir(result_dir: Path):
         tree = deserialize_tree((result_dir / "model.json").read_text(encoding="utf-8"))
         rows = _csv_rows(result_dir / "final_labels.csv")
         final_labels = np.array([int(r["final_rank"]) for r in rows], dtype=np.int64)
-        rows = _csv_rows(result_dir / "factor_labels.csv")
+        factor_rows = _csv_rows(result_dir / "factor_labels.csv")
         factor_ranks = {
-            f: np.array([int(r[f"{f}_rank"]) for r in rows], dtype=np.int64)
+            f: np.array([int(r[f"{f}_rank"]) for r in factor_rows], dtype=np.int64)
             for f in FACTOR_FIELDS
         }
-        rows = _csv_rows(result_dir / "split.csv")
-        train_idx = np.array([int(r["index"]) for r in rows if r["role"] == "train"], dtype=np.int64)
-        test_rows = [r for r in rows if r["role"] == "test"]
+        split_rows = _csv_rows(result_dir / "split.csv")
+        split_idx = np.array([int(r["index"]) for r in split_rows], dtype=np.int64)
+        train_idx = np.array([int(r["index"]) for r in split_rows if r["role"] == "train"], dtype=np.int64)
+        test_rows = [r for r in split_rows if r["role"] == "test"]
         test_idx = np.array([int(r["index"]) for r in test_rows], dtype=np.int64)
         test_ms = np.repeat(test_idx, [int(r["multiplicity"]) for r in test_rows])
     except (ValueError, KeyError, TypeError, csv.Error) as e:
         raise InvalidArgument(f"malformed result dir {result_dir}: {e}")
     except RecursionError:  # config.json nests JSON too deeply
         raise InvalidArgument(f"malformed result dir {result_dir}: config.json nests too deeply")
-    if not (len(ds) == len(final_labels) == len(rows)):
+    if not (len(ds) == len(final_labels) == len(factor_rows)):
         raise InvalidArgument("result dir artifacts disagree on record count")
+    if len(train_idx) + len(test_idx) != len(split_rows) or not np.array_equal(
+        np.sort(split_idx), np.arange(len(ds))
+    ):
+        raise InvalidArgument(
+            "split.csv must list every record index once, with role train or test"
+        )
     return ds, config, tree, final_labels, factor_ranks, train_idx, test_idx, test_ms
 
 

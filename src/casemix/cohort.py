@@ -125,8 +125,9 @@ class CohortConfig:
             raise InvalidArgument("severity_weights must be three non-negative numbers")
         if abs(sum(self.severity_weights) - 1.0) > 1e-9:
             raise InvalidArgument("severity_weights must sum to 1")
-        if self.los_noise <= 0 or self.cost_noise <= 0:
-            raise InvalidArgument("noise scales must be positive")
+        # A NaN noise scale fails both comparisons and is refused too.
+        if not (0 < self.los_noise < math.inf and 0 < self.cost_noise < math.inf):
+            raise InvalidArgument("noise scales must be finite and positive")
         for name in ("outlier_rate", "unclassifiable_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -137,9 +138,9 @@ class CohortConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "CohortConfig":
         kwargs = dict(d)
-        if "severity_weights" in kwargs:
-            kwargs["severity_weights"] = tuple(kwargs["severity_weights"])
         try:
+            if "severity_weights" in kwargs:
+                kwargs["severity_weights"] = tuple(kwargs["severity_weights"])
             return cls(**kwargs)
         except (TypeError, ValueError) as e:
             raise InvalidArgument(f"bad cohort config: {e}")

@@ -71,6 +71,9 @@ class PipelineConfig:
             raise InvalidArgument(
                 f"split_fraction must be in (0, 1), got {self.split_fraction}"
             )
+        t = self.missing_threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t <= 1.0:
+            raise InvalidArgument(f"missing_threshold must be a number in [0, 1], got {t!r}")
         check_int("k", self.k)
         check_int("importance_top_m", self.importance_top_m)
         if self.importance_top_m < 1:

@@ -59,6 +59,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -108,14 +109,18 @@ class TreeParams:
             raise InvalidArgument(
                 f"max_depth must be in [1, {MAX_DEPTH}], got {self.max_depth}"
             )
-        # json.loads reads NaN, and a NaN cp makes every comparison with the
-        # pruning threshold false; a bool or a numeric string is refused,
-        # not coerced.
+        # json.loads reads NaN and Infinity. A NaN cp makes every comparison
+        # with the pruning threshold false, and json.dumps writes an infinite
+        # one as the non-standard token Infinity; any cp above 1 already
+        # prunes to one leaf. A bool or a numeric string is refused, not
+        # coerced.
         cp = self.cp
-        if not isinstance(cp, numbers.Real) or isinstance(cp, bool) or math.isnan(cp):
+        if not isinstance(cp, numbers.Real) or isinstance(cp, bool) or cp != cp:  # NaN
             raise InvalidArgument(f"cp must be a number, got {cp!r}")
         if cp < 0:
             raise InvalidArgument(f"cp must be >= 0, got {cp}")
+        if not cp <= sys.float_info.max:
+            raise InvalidArgument(f"cp must be finite, got {cp}")
         object.__setattr__(self, "cp", float(cp))
 
     def to_dict(self) -> dict:
@@ -603,7 +608,7 @@ def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node
     below the pruning threshold stays a leaf: pruning would collapse it."""
     nodes: list[_Node] = []
     root_risk = float((np.bincount(enc.y0, minlength=enc.k) @ loss.entries).min())
-    stop = _prune_threshold(params.cp, root_risk)
+    stop = params.cp * root_risk
     stack = [(0, len(enc.rows), 0, -1)]  # (start, end, depth, parent of a right child)
     while stack:
         start, end, depth, parent = stack.pop()
@@ -626,12 +631,6 @@ def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node
             stack += [(mid, end, depth + 1, len(nodes)), (start, mid, depth + 1, -1)]
         nodes.append(_Node(**node))
     return nodes
-
-
-def _prune_threshold(cp: float, root_risk: float) -> float:
-    """The g below which weakest-link pruning collapses a node: cp times the
-    root's single-leaf risk, and above every g when cp is infinite."""
-    return math.inf if math.isinf(cp) else cp * root_risk
 
 
 def _prune(tree: DecisionTree, loss: CostMatrix, cp: float) -> int:
@@ -661,7 +660,7 @@ def _prune(tree: DecisionTree, loss: CostMatrix, cp: float) -> int:
 
     for i in inner[::-1].tolist():
         update(i)
-    threshold = _prune_threshold(cp, own[0])
+    threshold = cp * own[0]
     keep = np.ones(m, dtype=bool)
     steps = 0
     while g[(i := int(np.argmin(g)))] < threshold:

@@ -160,11 +160,24 @@ class TestGenerate:
         for doc in (
             {"cohort": {"n": "ten", "seed": 1}},
             {"cohort": {"n": 10, "seed": "one"}},
+            {"cohort": {"n": 10, "seed": 1, "severity_weights": 5}},
             {"cohort": {"n": 10, "seed": 1}, "missingness": {"rate": "lots", "seed": 2}},
             {"cohort": {"n": 10, "seed": 1}, "missingness": {"rate": 0.2, "seed": "two"}},
         ):
             cfg = write_config(tmp_path, doc)
             assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("cohort", [
+        {"los_noise": float("nan")},
+        {"cost_noise": float("nan")},
+        {"los_noise": float("inf")},
+    ])
+    def test_noise_scale_not_finite_exit_2(self, tmp_path, cohort):
+        """json.loads reads NaN and Infinity; neither is a noise scale."""
+        cfg = write_config(tmp_path, {"cohort": {"n": 50, "seed": 1, **cohort}})
+        out = tmp_path / "c.csv"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_wrong_typed_pipeline_config_exit_2(self, tmp_path):
         cohort_cfg = write_config(tmp_path, {"cohort": {"n": 60, "seed": 3}}, name="c.json")
@@ -353,13 +366,29 @@ class TestTrain:
         assert main([command] + args) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["train", "all"])
-    @pytest.mark.parametrize("cp", [float("nan"), True, "0.5"])
+    @pytest.mark.parametrize("cp", [float("nan"), True, "0.5", float("inf")])
     def test_cp_not_a_number_exit_2(self, generated, tmp_path, command, cp):
-        """json.dumps writes the nan as NaN, which json.loads reads back."""
+        """json.dumps writes the nan as NaN and the inf as Infinity, which
+        json.loads reads back. An infinite cp is refused: written back to
+        result/config.json it is not standard JSON, and any cp above 1
+        already prunes to one leaf."""
         root, _, cohort = generated
         params = {"min_split": 20, "min_leaf": 7, "max_depth": 30, "cp": cp}
         doc = dict(COHORT_CONFIG, pipeline=dict(COHORT_CONFIG["pipeline"], final_tree_params=params))
         cfg = write_config(tmp_path, doc, name="cp.json")
+        out = tmp_path / "o"
+        args = ["--config", str(cfg), "--out", str(out)]
+        if command == "train":
+            args += ["--cohort", str(cohort)]
+        assert main([command] + args) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "all"])
+    @pytest.mark.parametrize("threshold", ["x", True, float("nan"), 1.5, -0.1])
+    def test_missing_threshold_not_a_fraction_exit_2(self, generated, tmp_path, command, threshold):
+        root, _, cohort = generated
+        doc = dict(COHORT_CONFIG, pipeline=dict(COHORT_CONFIG["pipeline"], missing_threshold=threshold))
+        cfg = write_config(tmp_path, doc, name="mt.json")
         out = tmp_path / "o"
         args = ["--config", str(cfg), "--out", str(out)]
         if command == "train":
@@ -444,14 +473,40 @@ class TestEvaluate:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("edit", ["factor_labels_row_missing", "index_out_of_range",
+                                      "index_repeated", "row_missing", "unknown_role"])
+    def test_result_rows_disagree_exit_2(self, trained, tmp_path, edit):
+        """factor_labels.csv must have a row per record, and split.csv must
+        give every record index exactly one row, with role train or test."""
+        import shutil
+
+        root, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        broken = shutil.copytree(result, tmp_path / "result")
+        name = "factor_labels.csv" if edit == "factor_labels_row_missing" else "split.csv"
+        rows = (broken / name).read_text().splitlines()
+        index, role, multiplicity = rows[-1].split(",")[:3]
+        if edit == "index_out_of_range":
+            rows[-1] = f"999999,{role},{multiplicity}"
+        elif edit == "index_repeated":
+            rows[-1] = f"0,{role},{multiplicity}"
+        elif edit == "unknown_role":
+            rows[-1] = f"{index},holdout,{multiplicity}"
+        else:
+            rows.pop()
+        (broken / name).write_text("\n".join(rows) + "\n")
+        code = main(["evaluate", "--result", str(broken), "--hrg", str(tmp_path / "hrg" / "labels.csv"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+
     @pytest.mark.parametrize("edit", ["max_depth", "deep_node", "unknown_feature",
                                       "kind_mismatch", "levels_list", "unknown_category",
                                       "summary_depth", "summary_leaf_count", "summary_n",
-                                      "cp_nan", "cp_bool", "cp_string"])
+                                      "cp_nan", "cp_bool", "cp_string", "cp_infinite"])
     def test_model_deeper_than_cap_exit_2(self, trained, tmp_path, edit):
         """A model.json deeper than the depth cap, at odds with its own
-        schema, levels and summary, or with a cp that is not a number, is an
-        input error."""
+        schema, levels and summary, or with a cp that is not a finite number,
+        is an input error."""
         import shutil
 
         root, _, cohort, result = trained
@@ -479,7 +534,8 @@ class TestEvaluate:
         elif edit == "summary_n":
             model["summary"]["n"] += 1
         elif edit.startswith("cp_"):
-            model["params"]["cp"] = {"cp_nan": float("nan"), "cp_bool": True, "cp_string": "0.5"}[edit]
+            model["params"]["cp"] = {"cp_nan": float("nan"), "cp_bool": True, "cp_string": "0.5",
+                                     "cp_infinite": float("inf")}[edit]
         else:
             leaf = model["root"]
             while leaf["type"] == "internal":

@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
-from casemix.domain import Depth
+from casemix.domain import Dataset, Depth
 from casemix.errors import InvalidArgument
 from casemix.preprocess import (
     count_missing_cells,
-    drop_irrelevant_variables,
     impute_zeros,
     log1p_factor,
     preprocess,
-    remove_outliers,
-    remove_unclassifiable,
 )
 from tests.records import dataset_of, make_record
 
@@ -50,33 +47,57 @@ class TestImputeZeros:
         assert impute_zeros(blanked) == impute_zeros(small_cohort)
 
 
+def _no_burn(**overrides):
+    """A record with no burn area and no burn depth at any site."""
+    sites = tuple(s.__class__(s.site_code, 0.0, Depth.NONE) for s in make_record().burn_sites)
+    return make_record(burn_sites=sites, tbsa_pct=0.0, **overrides)
+
+
 class TestRemoveOutliers:
     def test_strict_boundaries(self):
         kept_rec = make_record(id="keep", los_days=360.0, total_cost=1_000_000.0)
         dropped_los = make_record(id="los", los_days=361.0)
         dropped_cost = make_record(id="cost", total_cost=1_000_000.01)
         ds = dataset_of(kept_rec, dropped_los, dropped_cost)
-        out, report = remove_outliers(ds)
-        assert [r.id for r in out.records] == ["keep"]
+        out, report = preprocess(ds)
+        assert out.ids.tolist() == ["keep"]
         assert report.outliers_removed == 2
         assert report.outliers_by_reason == {"los_gt_360": 1, "cost_gt_1m": 1}
         assert report.reconciles()
 
     def test_double_reason_counted_once_in_total(self):
         ds = dataset_of(make_record(los_days=400.0, total_cost=2e6))
-        out, report = remove_outliers(ds)
-        assert len(out.records) == 0
+        out, report = preprocess(ds)
+        assert len(out.ids) == 0
         assert report.outliers_removed == 1
         assert report.outliers_by_reason == {"los_gt_360": 1, "cost_gt_1m": 1}
+
+    def test_unclassifiable_outlier_counted_as_unclassifiable_only(self):
+        ds = dataset_of(_no_burn(id="gone", los_days=400.0), make_record(id="keep"))
+        out, report = preprocess(ds)
+        assert out.ids.tolist() == ["keep"]
+        assert report.unclassifiable_removed == 1
+        assert report.outliers_removed == 0
+        assert report.outliers_by_reason == {"los_gt_360": 0, "cost_gt_1m": 0}
+
+    def test_one_row_selection(self, monkeypatch):
+        calls = []
+        take = Dataset.take
+        monkeypatch.setattr(Dataset, "take", lambda self, idx: calls.append(idx) or take(self, idx))
+        ds = dataset_of(
+            make_record(id="keep"), _no_burn(id="none"), make_record(id="los", los_days=400.0)
+        )
+        out, _ = preprocess(ds)
+        assert out.ids.tolist() == ["keep"]
+        assert len(calls) == 1
+        preprocess(out)
+        assert len(calls) == 1
 
 
 class TestRemoveUnclassifiable:
     def test_all_zero_dropped(self):
-        rec = make_record(tbsa=0.0, tbsa_pct=0.0)
-        sites = tuple(s.__class__(s.site_code, 0.0, Depth.NONE) for s in rec.burn_sites)
-        ds = dataset_of(make_record(burn_sites=sites, tbsa_pct=0.0))
-        out, report = remove_unclassifiable(ds)
-        assert len(out.records) == 0
+        out, report = preprocess(dataset_of(_no_burn()))
+        assert len(out.ids) == 0
         assert report.unclassifiable_removed == 1
 
     def test_single_area_keeps(self):
@@ -84,22 +105,22 @@ class TestRemoveUnclassifiable:
         sites = list(rec.burn_sites)
         sites = [s.__class__(s.site_code, 0.0, Depth.NONE) for s in sites]
         sites[5] = sites[5].__class__(sites[5].site_code, 0.5, Depth.NONE)
-        out, _ = remove_unclassifiable(dataset_of(make_record(burn_sites=tuple(sites))))
-        assert len(out.records) == 1
+        out, _ = preprocess(dataset_of(make_record(burn_sites=tuple(sites))))
+        assert len(out.ids) == 1
 
     def test_depth_alone_keeps(self):
         rec = make_record()
         sites = [s.__class__(s.site_code, 0.0, Depth.NONE) for s in rec.burn_sites]
         sites[2] = sites[2].__class__(sites[2].site_code, 0.0, Depth.PARTIAL)
-        out, _ = remove_unclassifiable(dataset_of(make_record(burn_sites=tuple(sites))))
-        assert len(out.records) == 1
+        out, _ = preprocess(dataset_of(make_record(burn_sites=tuple(sites))))
+        assert len(out.ids) == 1
 
 
 class TestDropIrrelevantVariables:
     def test_constant_dropped(self):
         recs = [make_record(id=str(i), extra_features={"c": "yes", "v": float(i)}) for i in range(5)]
         ds = dataset_of(*recs, schema={"c": "categorical", "v": "numeric"})
-        out, report = drop_irrelevant_variables(ds)
+        out, report = preprocess(ds)
         assert report.variables_dropped == {"c": "constant"}
         assert list(out.extra_schema) == ["v"]
 
@@ -109,9 +130,10 @@ class TestDropIrrelevantVariables:
             for i in range(10)
         ]
         ds = dataset_of(*recs, schema={"m": "numeric", "v": "numeric"})
-        out, report = drop_irrelevant_variables(ds, missing_threshold=0.6)
+        out, report = preprocess(ds, missing_threshold=0.6)
         assert "m" in report.variables_dropped
         assert report.variables_dropped["m"].startswith("missing_fraction")
+        assert report.variables_dropped["m"] == "missing_fraction 0.700 > 0.6"
 
     def test_duplicate_second_dropped(self):
         recs = [
@@ -119,15 +141,42 @@ class TestDropIrrelevantVariables:
             for i in range(4)
         ]
         ds = dataset_of(*recs, schema={"a": "numeric", "b": "numeric"})
-        out, report = drop_irrelevant_variables(ds)
+        out, report = preprocess(ds)
         assert report.variables_dropped == {"b": "duplicate_of:a"}
         assert list(out.extra_schema) == ["a"]
 
     def test_admin_fields_dropped(self):
         recs = [make_record(id=str(i), extra_features={"yr": 2003.0 + i}) for i in range(3)]
         ds = dataset_of(*recs, schema={"yr": "numeric"})
-        _, report = drop_irrelevant_variables(ds, admin_fields=("yr",))
+        _, report = preprocess(ds, admin_fields=("yr",))
         assert report.variables_dropped == {"yr": "administrative"}
+
+    def test_constant_only_on_surviving_rows(self):
+        recs = [make_record(id=str(i), extra_features={"c": "a", "v": float(i)}) for i in range(3)]
+        recs.append(make_record(id="cost", total_cost=2e6, extra_features={"c": "b", "v": 9.0}))
+        ds = dataset_of(*recs, schema={"c": "categorical", "v": "numeric"})
+        out, report = preprocess(ds)
+        assert report.variables_dropped == {"c": "constant"}
+        assert list(out.extra_schema) == ["v"]
+
+    def test_duplicate_only_on_surviving_rows(self):
+        recs = [make_record(id=str(i), extra_features={"a": float(i), "b": float(i)}) for i in range(3)]
+        recs.append(_no_burn(id="none", extra_features={"a": 3.0, "b": 7.0}))
+        ds = dataset_of(*recs, schema={"a": "numeric", "b": "numeric"})
+        out, report = preprocess(ds)
+        assert report.variables_dropped == {"b": "duplicate_of:a"}
+        assert out.ids.tolist() == ["0", "1", "2"]
+
+    def test_no_constant_check_without_rows(self):
+        # With no surviving rows no column is constant, and empty columns
+        # are equal whatever their kind, so each is a duplicate of the first.
+        ds = dataset_of(
+            _no_burn(extra_features={"a": 1.0, "b": "x"}),
+            schema={"a": "numeric", "b": "categorical"},
+        )
+        out, report = preprocess(ds)
+        assert len(out.ids) == 0
+        assert report.variables_dropped == {"b": "duplicate_of:a"}
 
 
 class TestLog1p:

@@ -263,10 +263,11 @@ class TestBuildTree:
         assert tree.depth == 1 and tree.leaf_count == 2
 
     def test_infinite_cp_collapses_to_root_leaf(self):
+        # Any cp above 1 prunes to one leaf: no node's g exceeds the root's risk.
         rng = np.random.default_rng(4)
         table = numeric_table(x=rng.normal(size=50).tolist())
         labels = rng.integers(1, 4, size=50)
-        params = TreeParams(min_split=2, min_leaf=1, max_depth=30, cp=math.inf)
+        params = TreeParams(min_split=2, min_leaf=1, max_depth=30, cp=2.0)
         tree = build_tree(table, labels, linear_cost_matrix(3), params)
         root = model_root(tree)
         assert root["type"] == "leaf"
@@ -326,7 +327,7 @@ class TestBuildTree:
             (2.5 + 1.2 * np.asarray(table.column("x")) + rng.normal(0, 0.8, 150)).round(), 1, 5
         ).astype(int)
         leaf_counts = []
-        for cp in (0.0, 0.001, 0.01, 0.05, 0.2, math.inf):
+        for cp in (0.0, 0.001, 0.01, 0.05, 0.2, 2.0):
             params = TreeParams(min_split=4, min_leaf=2, max_depth=20, cp=cp)
             leaf_counts.append(build_tree(table, labels, loss, params).leaf_count)
         assert leaf_counts == sorted(leaf_counts, reverse=True)
@@ -640,7 +641,11 @@ class TestParams:
     def test_cp_kept_as_float(self):
         assert TreeParams(cp=0).to_dict()["cp"] == 0.0
         assert isinstance(TreeParams.from_dict(dict(TreeParams().to_dict(), cp=1)).cp, float)
-        assert TreeParams(cp=math.inf).cp == math.inf
+        for cp in (math.inf, -math.inf):
+            with pytest.raises(InvalidArgument):
+                TreeParams(cp=cp)
+        with pytest.raises(InvalidArgument, match="cp must be finite"):
+            TreeParams.from_dict(dict(TreeParams().to_dict(), cp=math.inf))
 
     def test_max_depth_capped(self):
         assert TreeParams(max_depth=MAX_DEPTH).max_depth == 30
@@ -918,7 +923,7 @@ def reference_prune(root: dict, loss: CostMatrix, cp: float) -> tuple[dict, int]
         walk(root, None, None)
         return found
 
-    threshold = math.inf if math.isinf(cp) else cp * leaf_risk(root)
+    threshold = cp * leaf_risk(root)
     steps = 0
     while root["type"] == "internal":
         g, _, node, parent, side = min(links(root), key=lambda t: (t[0], t[1]))
@@ -967,7 +972,7 @@ class TestPruningReference:
         loss = linear_cost_matrix(k)
         grow = dict(min_split=4, min_leaf=2, max_depth=20)
         full = build_tree(table, labels, loss, TreeParams(cp=0.0, **grow))
-        for cp in (0.001, 0.01, 0.03, 0.1, 0.5, math.inf):
+        for cp in (0.001, 0.01, 0.03, 0.1, 0.5, 2.0):
             pruned = build_tree(table, labels, loss, TreeParams(cp=cp, **grow))
             ref_root, ref_steps = reference_prune(model_root(full), loss, cp)
             # Growth stops below the pruning threshold, so fewer nodes are
