@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, parallel
 from .cohort import EXTRA_SCHEMA, CohortConfig, generate_cohort, inject_missingness
 from .dataio import cohort_csv_text, read_cohort_csv
-from .domain import FACTOR_FIELDS, Dataset, linear_cost_matrix
+from .domain import FACTOR_FIELDS, Dataset, is_number, linear_cost_matrix
 from .errors import CasemixError, InvalidArgument, PipelineStageError
 from .evaluate import boxplot_stats, compare_groupings, confusion, merge_diagnostic
 from .hrg import (
@@ -166,7 +166,7 @@ def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
         if not isinstance(missing, dict):
             raise InvalidArgument("missingness config must be a JSON object")
         rate = missing.get("rate", 0.0)
-        if not isinstance(rate, (int, float)) or isinstance(rate, bool):
+        if not is_number(rate):
             raise InvalidArgument(f"missingness rate must be a number, got {rate!r}")
         m_fresh = _require_seed("seed" in missing, "missingness config", ephemeral)
         m_seed = missing.get("seed", m_fresh)

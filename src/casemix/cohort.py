@@ -47,6 +47,7 @@ from .domain import (
     Depth,
     check_int,
     check_seed,
+    is_number,
 )
 from .errors import InvalidArgument
 from .preprocess import COST_OUTLIER, LOS_OUTLIER
@@ -115,12 +116,12 @@ class CohortConfig:
         check_int("cohort size", self.n)
         check_seed("cohort seed", self.seed)
         for name in ("los_noise", "cost_noise", "outlier_rate", "unclassifiable_rate"):
-            if not isinstance(getattr(self, name), (int, float)):
+            if not is_number(getattr(self, name)):
                 raise InvalidArgument(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.n < 1:
             raise InvalidArgument(f"cohort size must be >= 1, got {self.n}")
         if len(self.severity_weights) != 3 or not all(
-            isinstance(w, (int, float)) and w >= 0 for w in self.severity_weights
+            is_number(w) and w >= 0 for w in self.severity_weights
         ):
             raise InvalidArgument("severity_weights must be three non-negative numbers")
         if abs(sum(self.severity_weights) - 1.0) > 1e-9:

@@ -63,6 +63,12 @@ def check_int(what: str, value) -> int:
     return value
 
 
+def is_number(value) -> bool:
+    """True for an int or a float as JSON gives one. A bool is not a number
+    here, though Python counts it as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_seed(what: str, value) -> None:
     """Every seed keys a numpy ``SeedSequence``, which takes non-negative
     integers only."""

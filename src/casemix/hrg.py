@@ -10,6 +10,7 @@ synthetic generator so that all 13 ranks are populated.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,7 @@ from .domain import (
     Dataset,
     Depth,
     check_int,
+    is_number,
 )
 from .errors import InvalidArgument, RulesetError
 
@@ -219,9 +221,13 @@ def validate_ruleset(rs: Ruleset, schema: dict[str, str]) -> list[str]:
             else:
                 members = (cond.value,)
             for v in members:
-                if kind == NUMERIC and not isinstance(v, (int, float)):
+                # A value must be finite: NaN matches nothing, a bool would
+                # compare as 0 or 1, and numpy cannot compare float64 cells
+                # with an int beyond float64's range.
+                if kind == NUMERIC and not (is_number(v) and abs(v) <= sys.float_info.max):
                     violations.append(
-                        f"rule {i}: feature {cond.feature!r} is numeric, got {v!r}"
+                        f"rule {i}: feature {cond.feature!r} is numeric and needs a finite "
+                        f"number, got {v!r}"
                     )
                 elif kind == CATEGORICAL and not isinstance(v, str):
                     violations.append(

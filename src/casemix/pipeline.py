@@ -25,6 +25,7 @@ from .domain import (
     Dataset,
     check_int,
     check_seed,
+    is_number,
     linear_cost_matrix,
 )
 from .errors import CasemixError, InvalidArgument, PipelineStageError
@@ -72,8 +73,16 @@ class PipelineConfig:
                 f"split_fraction must be in (0, 1), got {self.split_fraction}"
             )
         t = self.missing_threshold
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t <= 1.0:
+        if not is_number(t) or not 0.0 <= t <= 1.0:
             raise InvalidArgument(f"missing_threshold must be a number in [0, 1], got {t!r}")
+        # As JSON gives them: a string such as "no" would turn oversampling
+        # on, and a lone field name would split into its characters.
+        if not isinstance(self.oversample, bool):
+            raise InvalidArgument(f"oversample must be true or false, got {self.oversample!r}")
+        fields = self.admin_fields
+        if not (isinstance(fields, (list, tuple)) and all(isinstance(f, str) for f in fields)):
+            raise InvalidArgument(f"admin_fields must be a list of strings, got {fields!r}")
+        object.__setattr__(self, "admin_fields", tuple(fields))
         check_int("k", self.k)
         check_int("importance_top_m", self.importance_top_m)
         if self.importance_top_m < 1:
@@ -110,8 +119,6 @@ class PipelineConfig:
             for key in ("factor_tree_params", "final_tree_params"):
                 if key in kwargs:
                     kwargs[key] = TreeParams.from_dict(kwargs[key])
-            if "admin_fields" in kwargs:
-                kwargs["admin_fields"] = tuple(kwargs["admin_fields"])
             return cls(**kwargs)
         except (TypeError, KeyError, ValueError) as e:
             raise InvalidArgument(f"bad pipeline config: {e}")

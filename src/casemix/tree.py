@@ -31,13 +31,14 @@ Encoding: ``build_tree`` encodes every column once (``EncodedTable``). A
 numeric column becomes int32 value-rank codes plus its sorted distinct
 values, so a threshold is still the exact midpoint (a+b)/2 of two adjacent
 observed values; a categorical column becomes int32 level codes in
-sorted-string order. The row order of each numeric column is sorted once
-and partitioned stably in place whenever a node splits (SLIQ's presorted
-attribute lists), so each node scans its rows already in value order;
-categorical columns are scanned from one class histogram per node. The
-columns are grouped by scan class into at most three spans (numeric,
-categorical with few levels, categorical with many), and each node scans
-each span in one pass unless the node is too large for its working arrays.
+sorted-string order. A node is its own ascending array of row ids, and a
+split hands each child the rows its mask selects. A node's numeric scan
+gathers its codes and sorts the keys code * k + label along each column,
+so the rows arrive in value order; categorical columns are scanned from one
+class histogram per node. The columns are grouped by scan class into at
+most three spans (numeric, categorical with few levels, categorical with
+many), and each node scans each span in one pass unless the node is too
+large for its working arrays.
 
 Determinism contract: within a column, numeric thresholds are scanned
 ascending and categorical subsets in canonical order. Of equal decreases,
@@ -305,10 +306,10 @@ class EncodedTable:
     Numeric column j: ``num_codes[j]`` are int32 ranks into ``values[j]``,
     its sorted distinct values. Categorical column j: ``cat_codes[j]`` are
     int32 indices into ``levels[j]``, its levels in sorted-string order.
-    ``rows`` lists every row id with each node's rows contiguous and
-    ascending; ``order[j]`` holds the same segments sorted by numeric column
-    j. Growing partitions both stably in place when a node splits.
-    ``spans`` holds one ``_Span`` for each scan class that has columns.
+    Both code arrays have one row per column and ``n`` entries per row, one
+    per training row. ``spans`` holds one ``_Span`` for each scan class that
+    has columns. No node state lives here: a node is its own array of row
+    ids, which index these codes and ``y0``.
     """
 
     def __init__(self, table: FeatureTable, labels, k: int):
@@ -350,11 +351,7 @@ class EncodedTable:
         self.num_codes = np.array(num_codes, dtype=np.int32).reshape(-1, n)
         self.cat_codes = np.array(cat_codes, dtype=np.int32).reshape(-1, n)
         self.n_levels = np.array([len(levels) for levels in self.levels], dtype=np.intp)
-        self.order = np.empty_like(self.num_codes)
-        for j, codes in enumerate(self.num_codes):
-            self.order[j] = np.argsort(codes, kind="stable")
-        self.rows = np.arange(n, dtype=np.int32)
-        self.goes_left = np.zeros(n, dtype=bool)
+        self.n = n
         self.candidates_scanned = 0
 
     def categorical_split(self, j: int, chosen, rows: np.ndarray, decrease: float) -> Split:
@@ -376,22 +373,21 @@ class _Span(NamedTuple):
     schema: np.ndarray
 
 
-def _block_width(n: int) -> int:
-    return max(1, _BLOCK_CELLS // n)
-
-
 class _NumericScan:
-    """Cut candidates of the numeric columns ``cols`` at one node. The
-    node's rows arrive in value order, so a cut after sorted position p is a
-    candidate when the code changes there and both sides keep min_leaf
-    rows; the left class counts of every cut come from one bincount over
-    the runs of equal codes, accumulated across runs."""
+    """Cut candidates of the numeric columns ``cols`` at one node. Each
+    column's keys code * k + label over the node's rows are sorted, so a cut
+    after sorted position p is a candidate when the code changes there and
+    both sides keep min_leaf rows; the left class counts of every cut come
+    from one bincount over the runs of equal codes, accumulated across runs.
+    A run's counts are summed before any cut, so the order of the labels
+    within a run does not matter."""
 
-    def __init__(self, enc: EncodedTable, cols: np.ndarray, start: int, end: int,
-                 counts: np.ndarray, min_leaf: int):
-        n = end - start
-        seg = enc.order[cols, start:end]
-        codes = enc.num_codes.take(seg + cols[:, None] * len(enc.rows))
+    def __init__(self, enc: EncodedTable, cols: np.ndarray, rows: np.ndarray,
+                 y: np.ndarray, counts: np.ndarray, min_leaf: int):
+        k, n = enc.k, len(rows)
+        keys = enc.num_codes.take(rows + cols[:, None] * enc.n).astype(np.int64) * k + y
+        keys.sort(axis=1)
+        codes = keys // k
         new_run = np.ones(codes.shape, dtype=bool)
         np.not_equal(codes[:, 1:], codes[:, :-1], out=new_run[:, 1:])
         self.feature, cut = np.nonzero(new_run[:, min_leaf:n - min_leaf + 1])
@@ -399,10 +395,9 @@ class _NumericScan:
         self.size = len(self.pos)
         self.enc, self.cols, self.codes, self.counts = enc, cols, codes, counts
         if self.size:
-            k = enc.k
             run = np.cumsum(new_run) - 1  # run id over the flattened block
             self.cum = np.bincount(
-                run * k + enc.y0.take(seg.ravel()), minlength=(int(run[-1]) + 1) * k
+                run * k + keys.ravel() % k, minlength=(int(run[-1]) + 1) * k
             ).reshape(-1, k)
             np.cumsum(self.cum, axis=0, out=self.cum)
             self.run = run[self.feature * n + self.pos]
@@ -448,12 +443,12 @@ class _SubsetScan:
     absent levels are then masked out."""
 
     def __init__(self, enc: EncodedTable, cols: np.ndarray, rows: np.ndarray,
-                 y: np.ndarray, min_leaf: int):
+                 y: np.ndarray, counts: np.ndarray, min_leaf: int):
         k, n, m = enc.k, len(rows), len(cols)
         width = int(enc.n_levels[cols].max())
         column_base = np.arange(m)[:, None] * width
         hist = np.bincount(
-            ((enc.cat_codes.take(rows + cols[:, None] * len(enc.rows)) + column_base) * k + y).ravel(),
+            ((enc.cat_codes.take(rows + cols[:, None] * enc.n) + column_base) * k + y).ravel(),
             minlength=m * width * k,
         ).reshape(m, width, k)
         level_n = hist.sum(axis=2)  # (column, level)
@@ -490,7 +485,7 @@ class _LevelScan:
     the levels ordered by mean label rank (ties by level name)."""
 
     def __init__(self, enc: EncodedTable, cols: np.ndarray, rows: np.ndarray,
-                 y: np.ndarray, min_leaf: int):
+                 y: np.ndarray, counts: np.ndarray, min_leaf: int):
         k, n = enc.k, len(rows)
         self.enc, self.parts, features, lefts = enc, {}, [], []
         self.size = 0
@@ -534,31 +529,26 @@ class _LevelScan:
         return self.enc.categorical_split(j, chosen, rows, decrease)
 
 
-def best_split(enc: EncodedTable, start: int, end: int, counts: np.ndarray, parent_q: float,
+def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q: float,
                loss: CostMatrix, params: TreeParams) -> Split | None:
     """Exhaustive scan over features and candidate splits of the node whose
-    rows are ``enc.rows[start:end]``, with float64 class ``counts`` and
-    ``parent_q`` = counts^T L counts; returns the split maximizing
+    row ids are ``rows``, with float64 class ``counts`` and ``parent_q`` =
+    counts^T L counts; returns the split maximizing
     n*I(parent) - n_L*I(left) - n_R*I(right) = Q_P/n - Q_L/n_L - Q_R/n_R,
     or None when the node is below min_split or no candidate has a strictly
     positive decrease. Of equal maxima it returns the one on the lowest
     schema index, and within one column the first candidate. The split's
-    left_mask is aligned with ``enc.rows[start:end]``."""
-    n = end - start
+    left_mask is aligned with ``rows``."""
+    n = len(rows)
     if n < params.min_split:
         return None
-    rows = enc.rows[start:end]
     y = enc.y0[rows]
     parent_term = parent_q / n
-    width = _block_width(n)
+    width = max(1, _BLOCK_CELLS // n)
     best_decrease, best_feature, best = 0.0, -1, None
     for span in enc.spans:
         for a in range(0, len(span.columns), width):
-            cols = span.columns[a:a + width]
-            if span.scan is _NumericScan:
-                scan = _NumericScan(enc, cols, start, end, counts, params.min_leaf)
-            else:
-                scan = span.scan(enc, cols, rows, y, params.min_leaf)
+            scan = span.scan(enc, span.columns[a:a + width], rows, y, counts, params.min_leaf)
             enc.candidates_scanned += scan.size
             # A span's candidates arrive in schema order, thresholds
             # ascending and subsets in canonical order, so argmax finds the
@@ -584,51 +574,34 @@ def best_split(enc: EncodedTable, start: int, end: int, counts: np.ndarray, pare
 # Growing and pruning
 # ---------------------------------------------------------------------------
 
-def _partition(enc: EncodedTable, start: int, end: int, left_mask: np.ndarray) -> int:
-    """Split a node's segment of ``rows`` and of every presorted order
-    stably in place, left rows first; returns where the right child starts."""
-    rows = enc.rows[start:end]
-    n_left = int(np.count_nonzero(left_mask))
-    n_right = len(rows) - n_left
-    enc.goes_left[rows] = left_mask
-    rows[:] = np.concatenate((rows[left_mask], rows[~left_mask]))
-    width = _block_width(len(rows))
-    for a in range(0, len(enc.order), width):
-        seg = enc.order[a:a + width, start:end]
-        fl = enc.goes_left.take(seg)
-        seg[:] = np.concatenate(
-            (seg[fl].reshape(len(seg), n_left), seg[~fl].reshape(len(seg), n_right)), axis=1
-        )
-    return start + n_left
-
-
 def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node]:
     """Recursive partitioning with an explicit stack, depth-first and left
-    child first, so nodes arrive in preorder. A node whose own leaf risk is
-    below the pruning threshold stays a leaf: pruning would collapse it."""
+    child first, so nodes arrive in preorder. Each node on the stack is its
+    own ascending array of row ids. A node whose own leaf risk is below the
+    pruning threshold stays a leaf: pruning would collapse it."""
     nodes: list[_Node] = []
     root_risk = float((np.bincount(enc.y0, minlength=enc.k) @ loss.entries).min())
     stop = params.cp * root_risk
-    stack = [(0, len(enc.rows), 0, -1)]  # (start, end, depth, parent of a right child)
+    stack = [(np.arange(enc.n), 0, -1)]  # (rows, depth, parent of a right child)
     while stack:
-        start, end, depth, parent = stack.pop()
+        rows, depth, parent = stack.pop()
         if parent >= 0:
             nodes[parent] = nodes[parent]._replace(right=len(nodes))
-        counts = np.bincount(enc.y0[enc.rows[start:end]], minlength=enc.k).astype(np.float64)
+        counts = np.bincount(enc.y0[rows], minlength=enc.k).astype(np.float64)
         impurity = gini_loss_impurity(counts, loss)
         costs = counts @ loss.entries  # costs[j]: the node's risk as a leaf of rank j + 1
-        node = {"n": end - start, "counts": counts}
+        node = {"n": len(rows), "counts": counts}
         split = None
-        if (depth < params.max_depth and end - start >= params.min_split and impurity != 0.0
+        if (depth < params.max_depth and len(rows) >= params.min_split and impurity != 0.0
                 and costs.min() >= stop):
-            split = best_split(enc, start, end, counts, float(costs @ counts), loss, params)
+            split = best_split(enc, rows, counts, float(costs @ counts), loss, params)
         if split is None:
             node["label"], node["expected_cost"] = leaf_label(counts, loss)
         else:
             node.update(feature=enc.names.index(split.feature), threshold=split.threshold,
                         left_set=split.left_set, impurity=impurity, decrease=split.decrease)
-            mid = _partition(enc, start, end, split.left_mask)
-            stack += [(mid, end, depth + 1, len(nodes)), (start, mid, depth + 1, -1)]
+            left = split.left_mask
+            stack += [(rows[~left], depth + 1, len(nodes)), (rows[left], depth + 1, -1)]
         nodes.append(_Node(**node))
     return nodes
 

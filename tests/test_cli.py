@@ -179,6 +179,18 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("cohort", [
+        {"los_noise": True, "outlier_rate": True, "unclassifiable_rate": False},
+        {"cost_noise": True},
+        {"unclassifiable_rate": False},
+        {"severity_weights": [True, False, False]},
+    ])
+    def test_boolean_cohort_numbers_exit_2(self, tmp_path, cohort):
+        cfg = write_config(tmp_path, {"cohort": {"n": 50, "seed": 1, **cohort}})
+        out = tmp_path / "c.csv"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_wrong_typed_pipeline_config_exit_2(self, tmp_path):
         cohort_cfg = write_config(tmp_path, {"cohort": {"n": 60, "seed": 3}}, name="c.json")
         cohort = tmp_path / "c.csv"
@@ -271,6 +283,24 @@ class TestHrg:
         code = main(["hrg", "--cohort", str(cohort), "--ruleset", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["true", "NaN", "Infinity", "1e999", "[3, false]", "[NaN]"])
+    def test_rule_value_not_a_finite_number_exit_2(self, generated, tmp_path, capsys, value):
+        """json.loads reads NaN, Infinity and 1e999 (as inf); a boolean or
+        any of these is no value for a numeric rule, inside ``in`` too."""
+        root, _, cohort = generated
+        op = "in" if value.startswith("[") else ">="
+        bad = tmp_path / "rules.json"
+        bad.write_text('{"version": "x", "k": 2, "rules": ['
+                       '{"if": [], "then": 2}, '
+                       '{"if": [{"feature": "tbsa_pct", "op": "%s", "value": %s}], "then": 1}, '
+                       '{"if": [], "then": 1}]}' % (op, value), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["hrg", "--cohort", str(cohort), "--ruleset", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "rule 1: feature 'tbsa_pct'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_cohort_exit_2(self, tmp_path):
         assert main(["hrg", "--cohort", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -389,6 +419,27 @@ class TestTrain:
         root, _, cohort = generated
         doc = dict(COHORT_CONFIG, pipeline=dict(COHORT_CONFIG["pipeline"], missing_threshold=threshold))
         cfg = write_config(tmp_path, doc, name="mt.json")
+        out = tmp_path / "o"
+        args = ["--config", str(cfg), "--out", str(out)]
+        if command == "train":
+            args += ["--cohort", str(cohort)]
+        assert main([command] + args) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "all"])
+    @pytest.mark.parametrize("field", [
+        {"oversample": "no"},
+        {"oversample": 0},
+        {"admin_fields": "admission_year"},
+        {"admin_fields": [1, None]},
+        {"admin_fields": {"admission_year": True}},
+    ])
+    def test_pipeline_field_types_exit_2(self, generated, tmp_path, command, field):
+        """``oversample`` takes a JSON boolean and ``admin_fields`` a list of
+        strings: a string would be read as a list of its characters."""
+        root, _, cohort = generated
+        doc = dict(COHORT_CONFIG, pipeline=dict(COHORT_CONFIG["pipeline"], **field))
+        cfg = write_config(tmp_path, doc, name="types.json")
         out = tmp_path / "o"
         args = ["--config", str(cfg), "--out", str(out)]
         if command == "train":
@@ -726,6 +777,8 @@ class TestAllValidatesPipelineFirst:
              factor_tree_params={"min_split": 20.9, "min_leaf": 7, "max_depth": 30, "cp": 0.01}),
         dict(COHORT_CONFIG["pipeline"],
              final_tree_params={"min_split": 20, "min_leaf": True, "max_depth": 30, "cp": 0.01}),
+        dict(COHORT_CONFIG["pipeline"], oversample="no"),
+        dict(COHORT_CONFIG["pipeline"], admin_fields="admission_year"),
     ])
     def test_bad_pipeline_leaves_no_cohort(self, tmp_path, monkeypatch, pipeline):
         import casemix.cli as cli
@@ -741,7 +794,7 @@ class TestAllValidatesPipelineFirst:
         assert not (out / "hrg").exists()
 
     @pytest.mark.parametrize("ruleset", ["missing", "malformed", "unknown_feature", "mistyped",
-                                         "not_a_path"])
+                                         "not_a_path", "bool_value", "nan_value"])
     def test_bad_ruleset_leaves_no_cohort(self, tmp_path, monkeypatch, ruleset):
         import casemix.cli as cli
 
@@ -758,6 +811,11 @@ class TestAllValidatesPipelineFirst:
         elif ruleset == "mistyped":  # valid but for the kind of the generator's `sex` column
             path.write_text(json.dumps({"version": "x", "k": 1, "rules": [
                 {"if": [{"feature": "sex", "op": ">", "value": 1}], "then": 1},
+                {"if": [], "then": 1}]}))
+        elif ruleset in ("bool_value", "nan_value"):
+            path.write_text(json.dumps({"version": "x", "k": 1, "rules": [
+                {"if": [{"feature": "tbsa_pct", "op": ">=",
+                         "value": True if ruleset == "bool_value" else float("nan")}], "then": 1},
                 {"if": [], "then": 1}]}))
         cfg = write_config(tmp_path, dict(COHORT_CONFIG,
                                           ruleset=5 if ruleset == "not_a_path" else str(path)))

@@ -69,6 +69,20 @@ class TestConfig:
         with pytest.raises(InvalidArgument):
             CohortConfig.from_dict({"n": 5, "seed": 1, "banana": 2})
 
+    @pytest.mark.parametrize("field", ["los_noise", "cost_noise", "outlier_rate",
+                                       "unclassifiable_rate"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_a_number(self, field, value):
+        """``isinstance(True, int)`` holds, so a JSON boolean would pass as
+        1 or 0 if only the type were checked."""
+        with pytest.raises(InvalidArgument, match=field):
+            CohortConfig.from_dict({"n": 5, "seed": 1, field: value})
+
+    @pytest.mark.parametrize("weights", [[True, False, False], [0.5, 0.5, False]])
+    def test_bool_severity_weights_rejected(self, weights):
+        with pytest.raises(InvalidArgument, match="severity_weights"):
+            CohortConfig.from_dict({"n": 5, "seed": 1, "severity_weights": weights})
+
 
 class TestGenerate:
     def test_deterministic(self):

@@ -143,6 +143,20 @@ class TestValidateRuleset:
         )
         assert any("is numeric" in v for v in validate_ruleset(rs, self.schema()))
 
+    @pytest.mark.parametrize("op, value", [
+        (">=", True), (">=", False), ("<", float("nan")), (">", float("inf")), ("==", -float("inf")),
+        (">=", 10**400), ("in", (3, True)), ("in", (float("nan"),)),
+    ], ids=["true", "false", "nan", "inf", "-inf", "int_beyond_float64", "in_bool", "in_nan"])
+    def test_numeric_value_must_be_finite_number(self, op, value):
+        """A boolean passes an int type check and NaN matches nothing, so
+        both are refused, as are infinities and integers beyond float64."""
+        rs = Ruleset(
+            rules=(Rule((Condition("tbsa_pct", op, value),), 1), Rule((), 1)),
+            k=13, version="x", default_rank=1,
+        )
+        violations = validate_ruleset(rs, self.schema())
+        assert any(v.startswith("rule 0: feature 'tbsa_pct'") for v in violations), violations
+
     def test_ordering_on_categorical_rejected(self):
         schema = dict(self.schema())
         schema["sex"] = "categorical"

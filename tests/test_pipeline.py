@@ -62,6 +62,21 @@ class TestConfig:
         with pytest.raises(InvalidArgument, match="must be an integer"):
             PipelineConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"oversample": "no"}, {"oversample": 1}, {"oversample": None},
+        {"admin_fields": "admission_year"}, {"admin_fields": [1, None]},
+        {"admin_fields": ["admission_year", 3]}, {"admin_fields": None},
+    ])
+    def test_oversample_and_admin_fields_types(self, doc):
+        """``oversample`` is a boolean and ``admin_fields`` a list of
+        strings; a string is not read as a list of its characters."""
+        with pytest.raises(InvalidArgument, match=next(iter(doc))):
+            PipelineConfig.from_dict(doc)
+
+    def test_admin_fields_list_accepted(self):
+        cfg = PipelineConfig.from_dict({"admin_fields": ["admission_year"], "oversample": False})
+        assert cfg.admin_fields == ("admission_year",) and cfg.oversample is False
+
 
 class TestDatasetToTable:
     def test_column_order_and_exclusion(self, small_cohort):

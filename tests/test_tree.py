@@ -41,7 +41,7 @@ def search(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams):
     enc = EncodedTable(table, labels, loss.k)
     counts = np.bincount(enc.y0, minlength=loss.k).astype(np.float64)
     parent_q = float(counts @ loss.entries @ counts)
-    return best_split(enc, 0, table.n_rows, counts, parent_q, loss, params)
+    return best_split(enc, np.arange(table.n_rows), counts, parent_q, loss, params)
 
 
 def numeric_table(**columns) -> FeatureTable:
@@ -745,6 +745,18 @@ class TestGrowthRouting:
         text = serialize_tree(tree)
         assert serialize_tree(deserialize_tree(text)) == text
         assert np.array_equal(classify_with_rules(extract_rules(tree), table), predict(tree, table))
+
+    @settings(deadline=None, max_examples=60)
+    @given(mixed_training_sets(), st.randoms(use_true_random=False))
+    def test_row_order_does_not_matter(self, case, rnd):
+        """A tree depends on the multiset of (row, label) pairs only: each
+        node sorts its own rows' numeric keys and counts its categorical
+        levels, so permuting the rows grows the same tree."""
+        table, labels, k, params = case
+        loss = linear_cost_matrix(k)
+        perm = np.array(rnd.sample(range(table.n_rows), table.n_rows))
+        permuted = build_tree(table.take(perm), np.asarray(labels)[perm], loss, params)
+        assert serialize_tree(permuted) == serialize_tree(build_tree(table, labels, loss, params))
 
 
 class TestSplitChoice:
