@@ -80,12 +80,9 @@ def cohort_csv_text(ds: Dataset) -> str:
     return buf.getvalue()
 
 
-def write_cohort_csv(ds: Dataset, path: str | Path) -> None:
-    Path(path).write_text(cohort_csv_text(ds), encoding="utf-8")
-
-
 def read_cohort_csv(path: str | Path) -> Dataset:
-    """Parse a cohort CSV back into a Dataset (inverse of write_cohort_csv)."""
+    """Parse a cohort CSV file into a Dataset; reading the text
+    ``cohort_csv_text`` wrote gives back an equal Dataset."""
     with open(path, encoding="utf-8") as fh:  # newlines translated as by read_text
         try:
             return _parse_lines(fh)
@@ -100,10 +97,6 @@ def read_cohort_csv(path: str | Path) -> Dataset:
         line = data.count(b"\n", 0, e.start) + 1
         raise InvalidArgument(f"cohort CSV line {line}, byte {e.start}: {e}") from None
     raise InvalidArgument("cohort CSV changed while it was read")
-
-
-def parse_cohort_csv(text: str) -> Dataset:
-    return _parse_lines(io.StringIO(text))
 
 
 #: Rows held as cell strings at once; the rest of the file is held as codes.

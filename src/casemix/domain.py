@@ -275,10 +275,6 @@ class CostMatrix:
     def k(self) -> int:
         return self.entries.shape[0]
 
-    def cost(self, true_rank: int, pred_rank: int) -> float:
-        """Penalty for predicting ``pred_rank`` when the truth is ``true_rank``."""
-        return float(self.entries[true_rank - 1, pred_rank - 1])
-
 
 def linear_cost_matrix(k: int) -> CostMatrix:
     """Default penalty: cost grows linearly with class distance, |i - j|."""
@@ -287,9 +283,3 @@ def linear_cost_matrix(k: int) -> CostMatrix:
     idx = np.arange(k)
     return CostMatrix(np.abs(np.subtract.outer(idx, idx)).astype(np.float64))
 
-
-def zero_one_cost_matrix(k: int) -> CostMatrix:
-    """Plain misclassification loss: 1 off the diagonal, 0 on it."""
-    if k < 2:
-        raise InvalidArgument(f"zero-one cost matrix needs k >= 2, got {k}")
-    return CostMatrix(np.ones((k, k)) - np.eye(k))

@@ -153,12 +153,7 @@ def dataset_to_table(ds: Dataset, exclude: tuple[str, ...] = ()) -> FeatureTable
         for i, codes in enumerate(ds.site_depths)
     ]
     items += [(name, kind, ds.extras[name]) for name, kind in ds.extra_schema.items()]
-    kept = [item for item in items if item[0] not in exclude]
-    return FeatureTable(
-        tuple(name for name, _, _ in kept),
-        tuple(kind for _, kind, _ in kept),
-        tuple(col for _, _, col in kept),
-    )
+    return FeatureTable.from_items(item for item in items if item[0] not in exclude)
 
 
 def _derive_seed(base: int, index: int) -> int:

@@ -27,18 +27,20 @@ The left child of internal node i is node i + 1 and its right child is
 ``right[i]``, so every subtree is a contiguous index range and every walk
 is a loop over indices or an explicit stack; nothing here recurses.
 
-Encoding: ``build_tree`` encodes every column once (``EncodedTable``). A
-numeric column becomes int32 value-rank codes plus its sorted distinct
-values, so a threshold is still the exact midpoint (a+b)/2 of two adjacent
-observed values; a categorical column becomes int32 level codes in
-sorted-string order. A node is its own ascending array of row ids, and a
-split hands each child the rows its mask selects. A node's numeric scan
-gathers its codes and sorts the keys code * k + label along each column,
-so the rows arrive in value order; categorical columns are scanned from one
-class histogram per node. The columns are grouped by scan class into at
-most three spans (numeric, categorical with few levels, categorical with
-many), and each node scans each span in one pass unless the node is too
-large for its working arrays.
+Encoding: a ``FeatureTable`` holds each categorical column as int32 codes
+into its sorted levels, made once by ``FeatureTable.from_items``;
+``predict`` maps a table's levels onto the model's. ``build_tree`` encodes
+every column for one tree (``EncodedTable``). A numeric column becomes int32
+value-rank codes plus its sorted distinct values, so a threshold is still
+the exact midpoint (a+b)/2 of two adjacent observed values; a categorical
+column keeps the levels present in the training rows, in the same order. A
+node is its own ascending array of row ids, and a split hands each child the
+rows its mask selects. A node's numeric scan gathers its codes and sorts the
+keys code * k + label along each column, so the rows arrive in value order;
+categorical columns are scanned from one class histogram per node. The
+columns are grouped by scan class into at most three spans (numeric,
+categorical with few levels, categorical with many), and each node scans
+each span in one pass unless the node is too large for its working arrays.
 
 Determinism contract: within a column, numeric thresholds are scanned
 ascending and categorical subsets in canonical order. Of equal decreases,
@@ -139,12 +141,15 @@ class TreeParams:
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """Column store the tree trains on: float64 arrays for numeric features
-    (nan = missing), object arrays of str/None for categorical."""
+    """Column store the tree trains on. A numeric column is float64 (nan =
+    missing). A categorical column is int32 codes into ``levels[name]``, that
+    feature's distinct strings in sorted order, with -1 for missing.
+    ``from_items`` is the one place where values become level codes."""
 
     names: tuple[str, ...]
     kinds: tuple[str, ...]
     columns: tuple[np.ndarray, ...]
+    levels: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
         if not (len(self.names) == len(self.kinds) == len(self.columns)):
@@ -152,6 +157,15 @@ class FeatureTable:
         lengths = {len(c) for c in self.columns}
         if len(lengths) > 1:
             raise InvalidArgument("all columns must have the same length")
+        categorical = [name for name, kind in zip(self.names, self.kinds) if kind == CATEGORICAL]
+        if sorted(self.levels) != sorted(categorical):
+            raise InvalidArgument("levels must name exactly the categorical columns")
+        for name in categorical:
+            levels, codes = self.levels[name], self.column(name)
+            if not all(isinstance(v, str) for v in levels) or list(levels) != sorted(set(levels)):
+                raise InvalidArgument(f"levels of {name!r} must be sorted distinct strings")
+            if codes.dtype != np.int32 or not np.all((codes >= -1) & (codes < len(levels))):
+                raise InvalidArgument(f"column {name!r} must be int32 codes in [-1, {len(levels)})")
 
     @property
     def n_rows(self) -> int:
@@ -165,28 +179,35 @@ class FeatureTable:
 
     def take(self, indices) -> "FeatureTable":
         idx = np.asarray(indices)
-        return FeatureTable(self.names, self.kinds, tuple(c[idx] for c in self.columns))
+        return FeatureTable(self.names, self.kinds, tuple(c[idx] for c in self.columns),
+                            self.levels)
 
     def select(self, names) -> "FeatureTable":
         keep = [self.names.index(n) for n in names]
+        names = tuple(self.names[i] for i in keep)
         return FeatureTable(
-            tuple(self.names[i] for i in keep),
+            names,
             tuple(self.kinds[i] for i in keep),
             tuple(self.columns[i] for i in keep),
+            {n: levels for n, levels in self.levels.items() if n in names},
         )
 
     @classmethod
     def from_items(cls, items) -> "FeatureTable":
-        """Build from an iterable of (name, kind, values)."""
-        names, kinds, cols = [], [], []
+        """Build from an iterable of (name, kind, values). A categorical
+        value's level is its ``str``; None is missing."""
+        names, kinds, cols, levels = [], [], [], {}
         for name, kind, values in items:
             names.append(name)
             kinds.append(kind)
             if kind == NUMERIC:
                 cols.append(np.asarray(values, dtype=np.float64))
             else:
-                cols.append(np.asarray(list(values), dtype=object))
-        return cls(tuple(names), tuple(kinds), tuple(cols))
+                strings = [None if v is None else str(v) for v in values]
+                levels[name] = tuple(sorted(set(strings) - {None}))
+                index = {None: -1} | {level: c for c, level in enumerate(levels[name])}
+                cols.append(np.fromiter(map(index.__getitem__, strings), np.int32, len(strings)))
+        return cls(tuple(names), tuple(kinds), tuple(cols), levels)
 
 
 class _Node(NamedTuple):
@@ -305,7 +326,8 @@ class EncodedTable:
 
     Numeric column j: ``num_codes[j]`` are int32 ranks into ``values[j]``,
     its sorted distinct values. Categorical column j: ``cat_codes[j]`` are
-    int32 indices into ``levels[j]``, its levels in sorted-string order.
+    int32 indices into ``levels[j]``, the table's levels that these rows
+    hold, still in sorted order.
     Both code arrays have one row per column and ``n`` entries per row, one
     per training row. ``spans`` holds one ``_Span`` for each scan class that
     has columns. No node state lives here: a node is its own array of row
@@ -327,25 +349,20 @@ class EncodedTable:
         self.cat_names, self.levels, cat_codes = [], [], []
         members = {_NumericScan: [], _SubsetScan: [], _LevelScan: []}
         for schema, (name, kind, col) in enumerate(zip(table.names, table.kinds, table.columns)):
+            if (np.isnan(col) if kind == NUMERIC else col < 0).any():
+                raise InvalidArgument(f"training column {name!r} contains missing values")
+            values, codes = np.unique(col, return_inverse=True)
             if kind == NUMERIC:
-                if np.isnan(col).any():
-                    raise InvalidArgument(f"training column {name!r} contains missing values")
-                values, codes = np.unique(col, return_inverse=True)
                 members[_NumericScan].append((len(self.num_names), schema))
                 self.num_names.append(name)
                 self.values.append(values)
                 num_codes.append(codes.astype(np.int32))
-            else:
-                if np.equal(col, None).any():
-                    raise InvalidArgument(f"training column {name!r} contains missing values")
-                strings = list(map(str, col.tolist()))
-                levels = sorted(set(strings))
-                index = {level: c for c, level in enumerate(levels)}
-                few = len(levels) <= MAX_EXHAUSTIVE_LEVELS
+            else:  # values are the codes of the levels present in these rows
+                few = len(values) <= MAX_EXHAUSTIVE_LEVELS
                 members[_SubsetScan if few else _LevelScan].append((len(self.cat_names), schema))
                 self.cat_names.append(name)
-                self.levels.append(tuple(levels))
-                cat_codes.append(np.fromiter(map(index.__getitem__, strings), np.int32, len(strings)))
+                self.levels.append(tuple(table.levels[name][c] for c in values.tolist()))
+                cat_codes.append(codes.astype(np.int32))
         self.spans = [_Span(scan, *np.array(m, dtype=np.intp).T) for scan, m in members.items() if m]
         n = table.n_rows
         self.num_codes = np.array(num_codes, dtype=np.int32).reshape(-1, n)
@@ -684,16 +701,6 @@ def _depth_and_leaves(tree: DecisionTree) -> tuple[int, int]:
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _level_codes(col: np.ndarray, levels) -> np.ndarray:
-    """Each value's index in ``levels``, len(levels) for a level not among
-    them and -1 for a missing value."""
-    col = np.asarray(col, dtype=object)
-    codes = np.where(np.equal(col, None), -1, len(levels))
-    for b, level in enumerate(levels):
-        codes[col == level] = b
-    return codes
-
-
 def _level_names(levels, left_set) -> tuple[str, ...]:
     return tuple(levels[b] for b in _bits_of(int(left_set)))
 
@@ -712,7 +719,11 @@ def predict(tree: DecisionTree, table: FeatureTable) -> np.ndarray:
         if j in used and kind == NUMERIC:
             columns[j] = table.column(name).astype(np.float64)
         elif j in used:
-            columns[j] = _level_codes(table.column(name), tree.feature_levels[name])
+            # The table's codes as the model's: a level the model never saw
+            # becomes len(levels), and the appended entry keeps -1 missing.
+            index = {level: b for b, level in enumerate(tree.feature_levels[name])}
+            lookup = [index.get(level, len(index)) for level in table.levels[name]]
+            columns[j] = np.array(lookup + [-1], dtype=np.intp)[table.column(name)]
     out = np.empty(table.n_rows, dtype=np.int64)
     stack = [(0, np.arange(table.n_rows))]
     while stack:
@@ -823,28 +834,19 @@ def classify_with_rules(rules: list[LeafRule], table: FeatureTable) -> np.ndarra
     """Apply extracted rules as a standalone classifier to complete records.
     Raises if any record matches zero or multiple rules (the rules of a valid
     tree partition the complete-record space)."""
-    columns = {}  # each feature's values, or its levels and level codes, encoded once
-    for cond in (cond for rule in rules for cond in rule.conditions):
-        if cond.feature not in columns:
-            col = table.column(cond.feature)
-            if cond.kind == NUMERIC:
-                columns[cond.feature] = col.astype(np.float64)
-            else:
-                levels = sorted(set(col.tolist()) - {None})
-                columns[cond.feature] = levels, _level_codes(col, levels)
     n = table.n_rows
     out = np.zeros(n, dtype=np.int64)
     matched = np.zeros(n, dtype=np.int64)
     for rule in rules:
         mask = np.ones(n, dtype=bool)
         for cond in rule.conditions:
+            col = table.column(cond.feature)
             if cond.kind == NUMERIC:
-                vals = columns[cond.feature]
-                mask &= (vals >= cond.lo) & (vals < cond.hi)
+                mask &= (col >= cond.lo) & (col < cond.hi)
             else:
-                levels, codes = columns[cond.feature]
                 # The appended entry, code -1, is that of a missing value.
-                mask &= np.append(np.isin(levels, cond.categories), False)[codes]
+                levels = table.levels[cond.feature]
+                mask &= np.append(np.isin(levels, cond.categories), False)[col]
         out[mask] = rule.label
         matched += mask
     if not np.all(matched == 1):

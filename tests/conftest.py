@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from casemix.cohort import CohortConfig, generate_cohort
-from casemix.domain import Dataset, linear_cost_matrix, zero_one_cost_matrix
+from casemix.domain import Dataset, linear_cost_matrix
 from casemix.evaluate import compare_groupings, confusion
 from casemix.hrg import classify_dataset, reference_ruleset
 from casemix.pipeline import PipelineConfig, dataset_to_table, run_pipeline
 from casemix.tree import build_tree, predict
+from tests.helpers import zero_one_cost_matrix
 
 PINNED_N = 5000
 PINNED_SEED = 42

@@ -22,7 +22,6 @@ from casemix.domain import (
     Depth,
     PatientRecord,
     linear_cost_matrix,
-    zero_one_cost_matrix,
 )
 from casemix.cluster import cluster_factor, kmeans
 from casemix.pipeline import dataset_to_table
@@ -36,6 +35,7 @@ from casemix.tree import (
     variable_importance,
     FeatureTable,
 )
+from tests.helpers import zero_one_cost_matrix
 from tests.records import dataset_of
 
 FACTORS = ("los_days", "total_cost", "tbsa_pct")

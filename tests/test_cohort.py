@@ -17,10 +17,11 @@ from casemix.cohort import (
     generate_cohort,
     inject_missingness,
 )
-from casemix.dataio import cohort_csv_text, parse_cohort_csv
+from casemix.dataio import cohort_csv_text
 from casemix.domain import Depth
 from casemix.errors import InvalidArgument
 from casemix.preprocess import COST_OUTLIER, LOS_OUTLIER
+from tests.helpers import parse_cohort_csv
 
 # Observed once on the fixed generator constants (n=5000, seed=42) and pinned
 # as a regression; the hard requirement is only >= 0.5.

@@ -8,15 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from casemix import dataio
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
-from casemix.dataio import (
-    cohort_csv_text,
-    dataset_sha256,
-    parse_cohort_csv,
-    read_cohort_csv,
-    write_cohort_csv,
-)
+from casemix.dataio import cohort_csv_text, dataset_sha256, read_cohort_csv
 from casemix.domain import N_SITES
 from casemix.errors import InvalidArgument
+from tests.helpers import parse_cohort_csv, write_cohort_csv
 
 
 def test_round_trip_bit_exact(tmp_path, small_cohort):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from casemix.dataio import cohort_csv_text, parse_cohort_csv
+from casemix.dataio import cohort_csv_text
 from casemix.domain import (
     SITE_CODES,
     BurnSiteEntry,
@@ -10,9 +10,9 @@ from casemix.domain import (
     Dataset,
     Depth,
     linear_cost_matrix,
-    zero_one_cost_matrix,
 )
 from casemix.errors import InvalidArgument
+from tests.helpers import cost, parse_cohort_csv, zero_one_cost_matrix
 from tests.records import dataset_of, make_record
 
 
@@ -67,8 +67,8 @@ class TestCostMatrix:
         m = linear_cost_matrix(13)
         assert m.k == 13
         assert m.entries[5][5] == 0.0
-        assert m.cost(1, 3) == 2.0
-        assert m.cost(6, 6) == 0.0
+        assert cost(m, 1, 3) == 2.0
+        assert cost(m, 6, 6) == 0.0
 
     def test_k2_is_zero_one(self):
         assert np.array_equal(linear_cost_matrix(2).entries, [[0, 1], [1, 0]])
@@ -91,8 +91,8 @@ class TestCostMatrix:
 
     def test_zero_one(self):
         m = zero_one_cost_matrix(4)
-        assert m.cost(2, 2) == 0.0
-        assert m.cost(1, 4) == 1.0
+        assert cost(m, 2, 2) == 0.0
+        assert cost(m, 1, 4) == 1.0
 
     @given(st.integers(min_value=2, max_value=40))
     def test_linear_symmetric_triangle(self, k):

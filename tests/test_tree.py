@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import casemix.tree
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
-from casemix.domain import CostMatrix, linear_cost_matrix, zero_one_cost_matrix
+from casemix.domain import CostMatrix, linear_cost_matrix
 from casemix.errors import InvalidArgument, TreeFormatError
 from casemix.pipeline import PipelineConfig, run_pipeline
 from casemix.tree import (
@@ -32,6 +32,7 @@ from casemix.tree import (
     serialize_tree,
     variable_importance,
 )
+from tests.helpers import zero_one_cost_matrix
 
 UNRESTRICTED = TreeParams(min_split=2, min_leaf=1, max_depth=30, cp=0.0)
 
@@ -440,20 +441,58 @@ class TestPredict:
 
     def test_bulk_matches_single(self):
         tree = hand_built_tree()
-        table = FeatureTable.from_items(
-            [
-                ("x", "numeric", [1.0, 4.0, 9.0, 9.0, np.nan]),
-                ("c", "categorical", ["a", "b", "b", "z", "a"]),
-            ]
-        )
+        x, c = [1.0, 4.0, 9.0, 9.0, np.nan], ["a", "b", "b", "z", "a"]
+        table = FeatureTable.from_items([("x", "numeric", x), ("c", "categorical", c)])
         out = predict(tree, table)
-        singles = [predict_one(tree, x, c) for x, c in zip(table.column("x"), table.column("c"))]
+        singles = [predict_one(tree, xi, ci) for xi, ci in zip(x, c)]
         assert out.tolist() == singles
 
     def test_schema_mismatch_rejected(self):
         tree = hand_built_tree()
         with pytest.raises(InvalidArgument):
             predict(tree, numeric_table(x=[1.0]))
+
+    def test_non_string_levels_route_as_trained(self):
+        # A categorical value's level is its str. The tree learned the levels
+        # '1', '2' and '3' from ints, while predict compared the ints with
+        # those strings (every row went right) and the rules matched no row.
+        values = [1] * 30 + [2] * 30 + [3] * 30
+        table = FeatureTable.from_items([("c", "categorical", values)])
+        tree = build_tree(table, values, linear_cost_matrix(3),
+                          TreeParams(min_split=10, min_leaf=3, cp=0.0))
+        assert tree.feature_levels == {"c": ("1", "2", "3")}
+        assert predict(tree, table).tolist() == values
+        assert classify_with_rules(extract_rules(tree), table).tolist() == values
+
+
+class TestFeatureTable:
+    def table(self, codes, levels) -> FeatureTable:
+        return FeatureTable(("x", "c"), ("numeric", "categorical"),
+                            (np.zeros(len(codes)), codes), levels)
+
+    def test_from_items_encodes_levels(self):
+        table = FeatureTable.from_items([("x", "numeric", [1, 2, 3]),
+                                         ("c", "categorical", ["b", None, "a"])])
+        assert table.levels == {"c": ("a", "b")}
+        assert table.column("c").tolist() == [1, -1, 0]
+        assert table.take([2, 0]).levels == table.select(["c"]).levels == table.levels
+        assert table.select(["x"]).levels == {}
+
+    @pytest.mark.parametrize("codes, levels", [
+        pytest.param([0, 1, -1], {}, id="missing-key"),
+        pytest.param([0, 1, -1], {"c": ("a", "b"), "x": ("a",)}, id="extra-key"),
+        pytest.param([0, 1, -1], {"c": ("b", "a")}, id="unsorted"),
+        pytest.param([0, 0, -1], {"c": ("a", "a")}, id="duplicate"),
+        pytest.param([0, 2, -1], {"c": ("a", "b")}, id="code-past-levels"),
+        pytest.param([0, 1, -2], {"c": ("a", "b")}, id="code-below-missing"),
+    ])
+    def test_bad_levels_or_codes_rejected(self, codes, levels):
+        with pytest.raises(InvalidArgument):
+            self.table(np.array(codes, dtype=np.int32), levels)
+
+    def test_values_in_place_of_codes_rejected(self):
+        with pytest.raises(InvalidArgument):
+            self.table(np.array(["a", "b", None], dtype=object), {"c": ("a", "b")})
 
 
 class TestImportanceAndRules:
