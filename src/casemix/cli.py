@@ -162,9 +162,9 @@ def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
     manifest.doc["workers"] = parallel.worker_count(config.n)
     ds = generate_cohort(config)
     missing = doc.get("missingness")
-    if missing:
-        if not isinstance(missing, dict):
-            raise InvalidArgument("missingness config must be a JSON object")
+    if not isinstance(missing, (dict, type(None))):
+        raise InvalidArgument(f"missingness config must be a JSON object or null, got {missing!r}")
+    if missing:  # {} and null: no missingness
         rate = missing.get("rate", 0.0)
         if not is_number(rate):
             raise InvalidArgument(f"missingness rate must be a number, got {rate!r}")
@@ -581,7 +581,8 @@ def cmd_all(args) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_ephemeral(parser: argparse.ArgumentParser) -> None:
+    """Only the commands that draw seeds take --ephemeral."""
     parser.add_argument("--ephemeral", action="store_true",
                         help="allow running without explicit seeds; generated "
                              "seeds are recorded in the manifest")
@@ -598,21 +599,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a synthetic cohort CSV")
     p.add_argument("--config", required=True, help="cohort config JSON")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p)
+    _add_ephemeral(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("hrg", help="classify a cohort with an HRG-style ruleset")
     p.add_argument("--cohort", required=True, help="cohort CSV path")
     p.add_argument("--ruleset", default=None, help="ruleset JSON (default: packaged reference)")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
     p.set_defaults(fn=cmd_hrg)
 
     p = sub.add_parser("train", help="run the target-engineering and training pipeline")
     p.add_argument("--cohort", required=True, help="cohort CSV path")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_ephemeral(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="compare trained groups against HRG labels")
@@ -620,14 +620,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hrg", required=True, help="HRG labels CSV (from the hrg command)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--svg", action="store_true", help="also render SVG figures")
-    _add_common(p)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("all", help="generate + hrg + train + evaluate in one output dir")
     p.add_argument("--config", required=True, help="combined config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--svg", action="store_true", help="also render SVG figures")
-    _add_common(p)
+    _add_ephemeral(p)
     p.set_defaults(fn=cmd_all)
     return parser
 

@@ -243,6 +243,7 @@ _MECHANISM_CDF = tuple(_cdf(p) for p in _MECHANISM_P)
 _DEPTH_CDF = tuple(_cdf(p) for p in _DEPTH_P)
 _BURN_DEPTH_CODES = tuple(DEPTH_LEVELS.index(d) for d in (Depth.SUPERFICIAL, Depth.PARTIAL, Depth.FULL))
 _FULL = DEPTH_LEVELS.index(Depth.FULL)
+_NONE = DEPTH_LEVELS.index(Depth.NONE)
 
 
 def _draw_tbsa(severity: int, g: np.random.Generator) -> float:
@@ -340,11 +341,13 @@ def generate_cohort(config: CohortConfig) -> Dataset:
     n = config.n
     # Every output column lives in one shared anonymous mapping, allocated
     # before the workers fork, so each writes its records where the parent
-    # reads them. It starts zeroed: a site is unburned until a record sets it.
+    # reads them. A site is unburned until a record sets it: area zero (the
+    # mapping starts zeroed) and depth NONE.
     float_rows = len(CORE_NUMERIC_FIELDS) + N_SITES + len(_EXTRA_LEVELS)
     buffer = mmap.mmap(-1, n * (8 * float_rows + N_SITES))
     floats = np.frombuffer(buffer, np.float64, float_rows * n).reshape(float_rows, n)
     site_depths = np.frombuffer(buffer, np.int8, N_SITES * n, floats.nbytes).reshape(N_SITES, n)
+    site_depths.fill(_NONE)
     numerics, site_areas, extras = np.split(floats, [len(CORE_NUMERIC_FIELDS), -len(_EXTRA_LEVELS)])
     severity_cdf = _cdf(config.severity_weights)
 
@@ -381,7 +384,7 @@ def _eligible_cells(ds: Dataset) -> np.ndarray:
     columns = [ds.numerics[CORE_NUMERIC_FIELDS.index(name)] == 0.0
                for name in ("los_days", "total_cost", "tbsa_pct", "theatre_visits")]
     for areas, depths in zip(ds.site_areas, ds.site_depths):
-        columns += [areas == 0.0, depths == DEPTH_LEVELS.index(Depth.NONE)]
+        columns += [areas == 0.0, depths == _NONE]
     for col in ds.extras.values():
         columns.append(col == 0.0 if col.dtype == np.float64 else col == CATEGORICAL_FILL)
     return np.stack(columns, axis=1)

@@ -2,9 +2,10 @@
 
 One row per patient: id, age_years, los_days, total_cost, tbsa_pct,
 theatre_visits, site_01_area..site_27_area, site_01_depth..site_27_depth,
-then any extra feature columns. Empty cell = missing; UTF-8; "." decimal
-separator. Floats are written with Python's shortest round-trip repr and
-theatre_visits as an integer, so a write/read/write cycle is byte-identical.
+then any extra feature columns, each named once. Empty cell = missing;
+UTF-8; "." decimal separator. Floats are written with Python's shortest
+round-trip repr and theatre_visits as an integer, so a write/read/write
+cycle is byte-identical.
 
 Extra-column kinds are inferred on read: a column is numeric when every
 non-empty cell parses as a float, else categorical. Categorical values must
@@ -19,9 +20,10 @@ column at a time.
 
 Numeric cells must be finite, the core and site-area columns non-negative
 and tbsa_pct at most 100; depth cells must name a depth level. A bad cell
-raises InvalidArgument naming the row id and the column, a row of the wrong
-length one naming its id, and a row the csv module cannot read (a cell over
-its field size limit) one naming the line. The whole file is decoded before
+raises InvalidArgument naming the row id and the column, a header naming a
+column twice one naming that column, a row of the wrong length one naming
+its id, and a row the csv module cannot read (a cell over its field size
+limit) one naming the line. The whole file is decoded before
 any of these is raised; a byte that is not UTF-8 raises InvalidArgument
 naming its line and its offset in the file.
 """
@@ -32,20 +34,26 @@ import csv
 import hashlib
 import io
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .domain import CORE_NUMERIC_FIELDS, DEPTH_LEVELS, MISSING_DEPTH, N_SITES, Dataset
+from .domain import (
+    CORE_NUMERIC_FIELDS,
+    DEPTH_LEVELS,
+    MISSING_DEPTH,
+    N_SITES,
+    SITE_AREA_FIELDS,
+    SITE_DEPTH_FIELDS,
+    Dataset,
+)
 from .errors import InvalidArgument
 
 _CORE_COLUMNS = ("id", *CORE_NUMERIC_FIELDS)
-_AREA_COLUMNS = tuple(f"site_{i + 1:02d}_area" for i in range(N_SITES))
-_DEPTH_COLUMNS = tuple(f"site_{i + 1:02d}_depth" for i in range(N_SITES))
-_HEADER = _CORE_COLUMNS + _AREA_COLUMNS + _DEPTH_COLUMNS
+_HEADER = _CORE_COLUMNS + SITE_AREA_FIELDS + SITE_DEPTH_FIELDS
 _MAX = sys.float_info.max
 _BOUNDS = {"tbsa_pct": (0.0, 100.0)}  # other core numerics and site areas: [0, max]
 _DEPTH_CODE = {"": MISSING_DEPTH, **{d.value: i for i, d in enumerate(DEPTH_LEVELS)}}
@@ -168,6 +176,11 @@ def _parse_lines(lines) -> Dataset:
             raise InvalidArgument(
                 "cohort CSV header does not start with the expected core/site columns"
             )
+        counts = Counter(header)
+        repeated = next((name for name in header if counts[name] > 1), None)
+        if repeated is not None:
+            deque(reader, maxlen=0)
+            raise InvalidArgument(f"cohort CSV header names column {repeated!r} twice")
         tables = [_Codes() for _ in header]
         codes = [[np.empty(0, np.int32)] for _ in header]  # per column, one array per chunk
         # Rows are checked in file order: a row of the wrong length is
@@ -196,7 +209,7 @@ def _parse_lines(lines) -> Dataset:
     # Within a row, cells are checked site by site (area, then depth), then
     # theatre_visits, the numeric extras, age, LOS, cost and TBSA.
     checks = [pair for i in range(N_SITES) for pair in (
-        (_AREA_COLUMNS[i], areas[i]), (_DEPTH_COLUMNS[i], depths[i]))]
+        (SITE_AREA_FIELDS[i], areas[i]), (SITE_DEPTH_FIELDS[i], depths[i]))]
     checks.append(("theatre_visits", core["theatre_visits"]))
     extras = {}
     for j, name in enumerate(header[len(_HEADER):], start=len(_HEADER)):

@@ -12,6 +12,12 @@ A ``Dataset`` is a column store; each record is one position in its columns:
 - ``extras``: one array per extra feature, in schema order: float64 for
   numeric features, object (str) for categorical ones.
 
+``DEPTH_LEVELS`` is sorted by value (full, none, partial, superficial), the
+order in which a feature table lists any categorical column's levels, so a
+depth code is already the model's level code for that depth. Site columns
+are named ``SITE_AREA_FIELDS`` and ``SITE_DEPTH_FIELDS`` (``site_01_area``,
+``site_01_depth``, ...) in the cohort CSV and in the feature table alike.
+
 Missing cells are nan in float columns, ``MISSING_DEPTH`` (-1) in depth
 codes and None in categorical columns, never a value a column can hold, so
 zero-imputation is an explicit, auditable transform. Datasets are built
@@ -42,6 +48,10 @@ SITE_CODES: tuple[str, ...] = (
 )
 
 N_SITES = len(SITE_CODES)
+
+#: Column names of the site areas and depths, in site order.
+SITE_AREA_FIELDS = tuple(f"site_{i + 1:02d}_area" for i in range(N_SITES))
+SITE_DEPTH_FIELDS = tuple(f"site_{i + 1:02d}_depth" for i in range(N_SITES))
 
 CORE_NUMERIC_FIELDS = ("age_years", "los_days", "total_cost", "tbsa_pct", "theatre_visits")
 
@@ -85,8 +95,9 @@ class Depth(str, Enum):
     FULL = "full"
 
 
-#: Depth levels in code order: ``Dataset.site_depths`` holds indices into it.
-DEPTH_LEVELS: tuple[Depth, ...] = (Depth.NONE, Depth.SUPERFICIAL, Depth.PARTIAL, Depth.FULL)
+#: Depth levels in code order, sorted by value: ``Dataset.site_depths``
+#: holds indices into it, and so do a feature table's depth columns.
+DEPTH_LEVELS: tuple[Depth, ...] = tuple(sorted(Depth, key=lambda d: d.value))
 MISSING_DEPTH = -1
 
 

@@ -194,16 +194,20 @@ def _rank_means(values: np.ndarray, labels: np.ndarray) -> tuple[list[float], bo
     return means, monotone
 
 
-def merge_diagnostic(summary: ConfusionSummary, threshold: float = 0.2) -> list[dict]:
-    """Adjacent class pairs confused above ``threshold`` (fraction of a
-    class's cases predicted as its neighbour); candidates for merging."""
+#: Confusion rate above which ``merge_diagnostic`` flags an adjacent pair.
+MERGE_THRESHOLD = 0.2
+
+
+def merge_diagnostic(summary: ConfusionSummary) -> list[dict]:
+    """Adjacent class pairs confused above ``MERGE_THRESHOLD`` (fraction of
+    a class's cases predicted as its neighbour); candidates for merging."""
     out = []
     m = summary.matrix.astype(np.float64)
     row_totals = m.sum(axis=1)
     for r in range(summary.k - 1):
         rate_up = m[r, r + 1] / row_totals[r] if row_totals[r] else 0.0
         rate_down = m[r + 1, r] / row_totals[r + 1] if row_totals[r + 1] else 0.0
-        if max(rate_up, rate_down) > threshold:
+        if max(rate_up, rate_down) > MERGE_THRESHOLD:
             out.append(
                 {
                     "ranks": [r + 1, r + 2],

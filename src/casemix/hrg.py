@@ -21,6 +21,7 @@ from .domain import (
     CATEGORICAL,
     CORE_NUMERIC_FIELDS,
     DEPTH_LEVELS,
+    MISSING_DEPTH,
     NUMERIC,
     Dataset,
     Depth,
@@ -160,7 +161,7 @@ def no_burn_recorded(ds: Dataset) -> np.ndarray:
     """Records with no burn area and no burn depth at any of the 27 sites
     (missing cells count as unrecorded): the unclassifiable ones."""
     no_area = (ds.site_areas == 0.0) | np.isnan(ds.site_areas)
-    no_depth = ds.site_depths <= DEPTH_LEVELS.index(Depth.NONE)  # none or missing
+    no_depth = np.isin(ds.site_depths, (DEPTH_LEVELS.index(Depth.NONE), MISSING_DEPTH))
     return no_area.all(axis=0) & no_depth.all(axis=0)
 
 

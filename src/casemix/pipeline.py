@@ -22,6 +22,8 @@ from .domain import (
     DEPTH_LEVELS,
     FACTOR_FIELDS,
     NUMERIC,
+    SITE_AREA_FIELDS,
+    SITE_DEPTH_FIELDS,
     Dataset,
     check_int,
     check_seed,
@@ -142,18 +144,22 @@ class PipelineResult:
     provenance: dict = field(default_factory=dict)
 
 
-def dataset_to_table(ds: Dataset, exclude: tuple[str, ...] = ()) -> FeatureTable:
+def dataset_to_table(ds: Dataset) -> FeatureTable:
     """Model feature view of a preprocessed dataset: core numerics, the 27
-    site areas and depths, then the extra features in schema order."""
-    depth_values = np.array([d.value for d in DEPTH_LEVELS] + [None], dtype=object)  # -1: None
-    items = [(name, NUMERIC, col) for name, col in zip(CORE_NUMERIC_FIELDS, ds.numerics)]
-    items += [(f"site_{i + 1:02d}_area", NUMERIC, col) for i, col in enumerate(ds.site_areas)]
-    items += [
-        (f"site_{i + 1:02d}_depth", CATEGORICAL, depth_values[codes])
-        for i, codes in enumerate(ds.site_depths)
-    ]
-    items += [(name, kind, ds.extras[name]) for name, kind in ds.extra_schema.items()]
-    return FeatureTable.from_items(item for item in items if item[0] not in exclude)
+    site areas and depths, then the extra features in schema order. The
+    dataset's depth codes index ``DEPTH_LEVELS``, which is sorted as a
+    table's levels are, so they are the table's codes as they stand; only
+    the categorical extras go through ``FeatureTable.from_items``."""
+    extras = FeatureTable.from_items(
+        (name, kind, ds.extras[name]) for name, kind in ds.extra_schema.items()
+    )
+    numeric = CORE_NUMERIC_FIELDS + SITE_AREA_FIELDS
+    return FeatureTable(
+        numeric + SITE_DEPTH_FIELDS + extras.names,
+        (NUMERIC,) * len(numeric) + (CATEGORICAL,) * len(SITE_DEPTH_FIELDS) + extras.kinds,
+        (*ds.numerics, *ds.site_areas, *ds.site_depths.astype(np.int32), *extras.columns),
+        dict.fromkeys(SITE_DEPTH_FIELDS, tuple(d.value for d in DEPTH_LEVELS)) | extras.levels,
+    )
 
 
 def _derive_seed(base: int, index: int) -> int:

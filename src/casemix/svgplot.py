@@ -13,6 +13,7 @@ import numpy as np
 
 DT_COLOR = "#4878a8"
 HRG_COLOR = "#c44e52"
+TEXT_COLOR = "#222"
 FACTOR_COLORS = {"los_days": "#4878a8", "total_cost": "#c44e52", "tbsa_pct": "#55a868"}
 
 
@@ -44,10 +45,10 @@ class SvgCanvas:
             f'fill="{fill}" fill-opacity="{opacity}"/>\n'
         )
 
-    def text(self, x, y, content, size=11, anchor="start", fill="#222"):
+    def text(self, x, y, content, size=11, anchor="start"):
         self._parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
-            f'font-family="sans-serif" text-anchor="{anchor}" fill="{fill}">'
+            f'font-family="sans-serif" text-anchor="{anchor}" fill="{TEXT_COLOR}">'
             f"{escape(str(content), quote=False)}</text>\n"
         )
 

@@ -28,7 +28,8 @@ The left child of internal node i is node i + 1 and its right child is
 is a loop over indices or an explicit stack; nothing here recurses.
 
 Encoding: a ``FeatureTable`` holds each categorical column as int32 codes
-into its sorted levels, made once by ``FeatureTable.from_items``;
+into its sorted levels, made once by ``FeatureTable.from_items`` (site
+depths arrive as codes already, ``DEPTH_LEVELS`` being sorted);
 ``predict`` maps a table's levels onto the model's. ``build_tree`` encodes
 every column for one tree (``EncodedTable``). A numeric column becomes int32
 value-rank codes plus its sorted distinct values, so a threshold is still
@@ -143,7 +144,7 @@ class TreeParams:
 class FeatureTable:
     """Column store the tree trains on. A numeric column is float64 (nan =
     missing). A categorical column is int32 codes into ``levels[name]``, that
-    feature's distinct strings in sorted order, with -1 for missing.
+    feature's level strings in sorted order, with -1 for missing.
     ``from_items`` is the one place where values become level codes."""
 
     names: tuple[str, ...]

@@ -163,6 +163,7 @@ class TestGenerate:
             {"cohort": {"n": 10, "seed": 1, "severity_weights": 5}},
             {"cohort": {"n": 10, "seed": 1}, "missingness": {"rate": "lots", "seed": 2}},
             {"cohort": {"n": 10, "seed": 1}, "missingness": {"rate": 0.2, "seed": "two"}},
+            *({"cohort": {"n": 10, "seed": 1}, "missingness": m} for m in ([], False, 0, "", [1])),
         ):
             cfg = write_config(tmp_path, doc)
             assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
@@ -211,6 +212,16 @@ class TestGenerate:
         main(["generate", "--config", str(cfg), "--out", str(a)])
         main(["generate", "--config", str(cfg), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("missing", [{}, None])
+    def test_empty_or_null_missingness_is_none(self, tmp_path, missing):
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        cohort = {"n": 50, "seed": 1}
+        main(["generate", "--config", str(write_config(tmp_path, {"cohort": cohort})),
+              "--out", str(plain)])
+        cfg = write_config(tmp_path, {"cohort": cohort, "missingness": missing}, name="m.json")
+        assert main(["generate", "--config", str(cfg), "--out", str(blank)]) == EXIT_OK
+        assert blank.read_bytes() == plain.read_bytes()
 
     def test_missingness_applied(self, tmp_path):
         doc = {"cohort": {"n": 100, "seed": 3}, "missingness": {"rate": 1.0, "seed": 4}}
@@ -724,6 +735,19 @@ class TestAll:
         assert set(hist) <= {"1", "2", "3", "U"}
 
 
+@pytest.mark.parametrize("command", ["hrg", "evaluate"])
+def test_ephemeral_only_where_seeds_are_drawn(trained, tmp_path, command):
+    """hrg and evaluate draw no seed, so they take no --ephemeral."""
+    _, _, cohort, result = trained
+    args = {
+        "hrg": ["hrg", "--cohort", str(cohort)],
+        "evaluate": ["evaluate", "--result", str(result), "--hrg", str(tmp_path / "labels.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(tmp_path / "o"), "--ephemeral"])
+    assert exc.value.code == EXIT_CONFIG
+
+
 class TestNegativeSeeds:
     """A negative seed is a config error (exit 2), never a numpy traceback."""
 
@@ -878,6 +902,44 @@ class TestBadCohortCells:
         err = capsys.readouterr().err
         assert "line 6" in err and "field larger than field limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["hrg", "train", "evaluate"])
+    @pytest.mark.parametrize("column,cell", [("sex", "F"), ("tbsa_pct", "5.0")])
+    def test_repeated_column_exit_2_naming_it(self, trained, tmp_path, capsys, command, column,
+                                              cell):
+        """An extra column named like an extra or a core column."""
+        import shutil
+
+        root, cfg, cohort, result = trained
+        source, bad = cohort, tmp_path / "bad.csv"
+        args = [command, "--cohort", str(bad)] + (["--config", str(cfg)] if command == "train" else [])
+        if command == "evaluate":
+            result = shutil.copytree(result, tmp_path / "result")
+            source = bad = result / "preprocessed.csv"
+            labels = tmp_path / "labels.csv"
+            labels.write_text("id,rank\n", encoding="utf-8")
+            args = ["evaluate", "--result", str(result), "--hrg", str(labels)]
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + "," + column] + [line + "," + cell for line in lines[1:]]
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"header names column {column!r} twice" in err
+        assert "Traceback" not in err
+
+    def test_invalid_utf8_after_repeated_column_exit_2(self, generated, tmp_path, capsys):
+        """The whole file is decoded before the header is reported."""
+        root, _, cohort = generated
+        data = cohort.read_bytes().split(b"\n")
+        data = [data[0] + b",sex"] + [line + b",F" for line in data[1:-1]] + [b""]
+        data[-2] += b"\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(data))
+        capsys.readouterr()
+        assert main(["hrg", "--cohort", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'utf-8' codec can't decode byte 0xff" in err and "twice" not in err
 
     @pytest.mark.parametrize("chunk_rows", [1, None])
     def test_invalid_utf8_after_ragged_row_exit_2(self, generated, tmp_path, capsys, monkeypatch,

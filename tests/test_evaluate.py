@@ -200,7 +200,7 @@ class TestMergeDiagnostic:
         t = np.concatenate([np.full(20, 8), np.full(20, 9), np.full(20, 3)])
         p = np.concatenate([np.full(12, 8), np.full(8, 9), np.full(20, 9), np.full(20, 3)])
         summary = confusion(t, p, loss)
-        flagged = merge_diagnostic(summary, threshold=0.2)
+        flagged = merge_diagnostic(summary)
         assert any(c["ranks"] == [8, 9] for c in flagged)
         assert not any(c["ranks"] == [3, 4] for c in flagged)
 

@@ -3,7 +3,15 @@ import collections
 import numpy as np
 import pytest
 
-from casemix.cohort import CohortConfig, generate_cohort
+from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
+from casemix.domain import (
+    CATEGORICAL,
+    CORE_NUMERIC_FIELDS,
+    DEPTH_LEVELS,
+    MISSING_DEPTH,
+    NUMERIC,
+    Depth,
+)
 from casemix.errors import InvalidArgument, PipelineStageError
 from casemix.pipeline import (
     FACTOR_FIELDS,
@@ -18,6 +26,7 @@ from casemix.pipeline import (
     train_factor_trees,
 )
 from casemix.preprocess import preprocess
+from casemix.tree import FeatureTable
 from tests.records import dataset_of, make_record
 
 
@@ -86,9 +95,43 @@ class TestDatasetToTable:
             "age_years", "los_days", "total_cost", "tbsa_pct", "theatre_visits"
         )
         assert "site_01_area" in table.names and "site_27_depth" in table.names
-        excluded = dataset_to_table(pds, exclude=("total_cost", "los_days"))
+        excluded = table.select([n for n in table.names if n not in ("total_cost", "los_days")])
         assert "total_cost" not in excluded.names
         assert "los_days" not in excluded.names
+
+    def test_depth_levels_sorted_by_value(self):
+        assert [d.value for d in DEPTH_LEVELS] == sorted(d.value for d in Depth)
+
+    @pytest.mark.parametrize("preprocessed", [False, True])
+    def test_matches_the_string_path(self, preprocessed):
+        """The table built from the dataset's own codes is the one
+        ``from_items`` builds from every value as a string."""
+        ds = inject_missingness(generate_cohort(CohortConfig(n=400, seed=1001)), 0.2, 2001)
+        if preprocessed:
+            ds, _ = preprocess(ds)
+        else:
+            assert (ds.site_depths == MISSING_DEPTH).any()
+        depth_values = [d.value for d in DEPTH_LEVELS] + [None]  # code -1: None
+        reference = FeatureTable.from_items(
+            [(name, NUMERIC, col) for name, col in zip(CORE_NUMERIC_FIELDS, ds.numerics)]
+            + [(f"site_{i + 1:02d}_area", NUMERIC, col) for i, col in enumerate(ds.site_areas)]
+            + [(f"site_{i + 1:02d}_depth", CATEGORICAL, [depth_values[c] for c in codes.tolist()])
+               for i, codes in enumerate(ds.site_depths)]
+            + [(name, kind, ds.extras[name]) for name, kind in ds.extra_schema.items()]
+        )
+        table = dataset_to_table(ds)
+        assert table.names == reference.names and table.kinds == reference.kinds
+        for name, kind in zip(table.names, table.kinds):
+            got, want = table.column(name), reference.column(name)
+            if kind == NUMERIC:
+                assert np.array_equal(got, want, equal_nan=True), name
+            else:
+                assert got.dtype == np.int32, name
+                decoded = [
+                    [(*t.levels[name], None)[c] for c in t.column(name).tolist()]
+                    for t in (table, reference)
+                ]
+                assert decoded[0] == decoded[1], name
 
 
 class TestFactorTargets:

@@ -1,8 +1,11 @@
 """Every public function, class and method of the package is named by the
-package or the benchmark somewhere other than its definition. API that only
-tests use lives in the test helpers (``tests/helpers.py``), not in ``src/``."""
+package or the benchmark somewhere other than its definition, and every
+defaulted parameter of a package function is passed by some call there.
+API that only tests use lives in the test helpers (``tests/helpers.py``),
+not in ``src/``; a default nothing overrides is a constant."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +46,56 @@ def test_no_public_name_is_used_only_by_tests():
         for qualified, name in public_definitions(module) if name not in used
     ]
     assert unused == []
+
+
+def functions(module: ast.Module):
+    """(qualified name, name calls use, definition, leading parameters a
+    call does not pass) of each top-level function and each method of a
+    top-level class, private ones included. A class's ``__init__`` is
+    called by the class's name; a method's first parameter is bound."""
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                    called_as = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", called_as, item, 0 if static else 1
+
+
+def arguments_passed(modules) -> dict[str, set]:
+    """Callee name (a called ``Name`` or attribute) -> the positions and
+    keywords some call passes it; ``"*"`` when a call unpacks arguments."""
+    passed = defaultdict(set)
+    for module in modules:
+        for call in ast.walk(module):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            passed[name].update(range(len(call.args)))
+            passed[name].update(k.arg or "*" for k in call.keywords)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                passed[name].add("*")
+    return passed
+
+
+def test_every_default_is_overridden_somewhere():
+    modules = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    passed = arguments_passed(modules.values())
+    unpassed = []
+    for path, module in modules.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualified, called_as, fn, bound in functions(module):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i - bound, a) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            got = passed[called_as]
+            unpassed += [
+                f"{path.name}: {qualified}({a.arg})"
+                for i, a in defaulted if not {"*", i, a.arg} & got
+            ]
+    assert unpassed == []
