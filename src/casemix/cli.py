@@ -22,9 +22,16 @@ import secrets
 import sys
 import time
 from collections import Counter
+from collections.abc import Callable
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Windows has no resource module; manifests then omit peak_rss_mb
+    resource = None
 
 from . import __version__, parallel
 from .cohort import EXTRA_SCHEMA, CohortConfig, generate_cohort, inject_missingness
@@ -55,15 +62,32 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_STAGE = 4
 
+#: ``ru_maxrss`` counts bytes on macOS and KiB elsewhere.
+_MAXRSS_PER_MB = 1 << 20 if sys.platform == "darwin" else 1 << 10
+
 
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Create ``path`` from what ``write`` writes to the text file it is
+    handed: a ``.tmp`` file beside ``path`` that replaces it once written.
+    If anything fails, the ``.tmp`` file is removed and the error re-raised."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    # Opened before the try, so a failed open is not followed by a failed unlink.
+    fh = open(tmp, "w", encoding="utf-8")  # newlines as write_text writes them
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_dumps(obj) -> str:
@@ -120,12 +144,22 @@ class _Manifest:
 
     def write(self, path: Path) -> None:
         self.doc["wall_time_s"] = round(time.monotonic() - self._start, 3)
-        _atomic_write(path, _json_dumps(self.doc))
+        if resource is not None:  # this process or a forked worker it waited for
+            peak = max(resource.getrusage(who).ru_maxrss
+                       for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+            self.doc["peak_rss_mb"] = round(peak / _MAXRSS_PER_MB, 1)
+        _atomic_write(path, lambda fh: fh.write(_json_dumps(self.doc)))
 
 
 def _write_output(manifest: _Manifest, root: Path, path: Path, text: str) -> None:
+    _stream_output(manifest, root, path, lambda fh: fh.write(text))
+
+
+def _stream_output(manifest: _Manifest, root: Path, path: Path,
+                   write: Callable[[TextIO], object]) -> None:
+    """Write ``path`` through ``write`` (as ``_atomic_write``) and record its hash."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, text)
+    _atomic_write(path, write)
     manifest.add_output(root, path)
 
 
@@ -172,7 +206,7 @@ def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
         m_seed = missing.get("seed", m_fresh)
         ds = inject_missingness(ds, rate, m_seed)
         manifest.doc["seeds"]["missingness"] = m_seed
-    _write_output(manifest, out.parent, out, cohort_csv_text(ds))
+    _stream_output(manifest, out.parent, out, lambda fh: cohort_csv_text(ds, fh))
     manifest.write(out.with_name(out.name + ".manifest.json"))
     print(f"wrote {len(ds)} records to {out}")
     return ds
@@ -290,7 +324,8 @@ def _split_csv(result) -> str:
 def _write_train_outputs(manifest: _Manifest, out: Path, result, config: PipelineConfig) -> None:
     _write_output(manifest, out, out / "config.json", _json_dumps(config.to_dict()))
     _write_output(manifest, out, out / "provenance.json", _json_dumps(result.provenance))
-    _write_output(manifest, out, out / "preprocessed.csv", cohort_csv_text(result.preprocessed))
+    _stream_output(manifest, out, out / "preprocessed.csv",
+                   lambda fh: cohort_csv_text(result.preprocessed, fh))
     _write_output(
         manifest, out, out / "preprocess_report.json",
         _json_dumps(result.preprocess_report.to_dict()),

@@ -390,6 +390,10 @@ def _eligible_cells(ds: Dataset) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
+#: Records whose missingness draws are held at once.
+_MISSING_BLOCK = 1024
+
+
 def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     """Blank a fraction of eligible cells (those holding zero/none values),
     deterministically per seed. rate=0 is the identity; rate=1 blanks every
@@ -401,14 +405,16 @@ def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     if rate == 0.0:
         return ds
     eligible = _eligible_cells(ds)
+    counts = eligible.sum(axis=1).tolist()
     stream = _streams(seed, len(ds), (_TAG_MISSING,))
-    draws = [
-        stream(i, _TAG_MISSING).uniform(size=count)
-        for i, count in enumerate(eligible.sum(axis=1).tolist()) if count
-    ]
     blank = np.zeros_like(eligible)
-    if draws:
-        blank[eligible] = np.concatenate(draws) < rate
+    for start in range(0, len(ds), _MISSING_BLOCK):
+        stop = min(start + _MISSING_BLOCK, len(ds))
+        draws = [stream(i, _TAG_MISSING).uniform(size=counts[i])
+                 for i in range(start, stop) if counts[i]]
+        if draws:
+            blank[start:stop][eligible[start:stop]] = np.concatenate(draws) < rate
+    del eligible  # freed before the result is built
     blank = blank.T  # one row per cell
 
     numerics = ds.numerics.copy()

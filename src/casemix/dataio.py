@@ -15,8 +15,10 @@ Reading streams the file: rows are taken a fixed chunk at a time and each
 column is kept as int32 codes over its distinct cells, in order of first
 appearance, so no more than one chunk of rows is held as cell strings. Once
 the last row is read, each distinct cell is parsed and checked once and a
-column's values are its parsed cells indexed by its codes. Writing works a
-column at a time.
+column's values are its parsed cells indexed by its codes. Writing streams
+too: rows are formatted a fixed block at a time, a column slice at a time, and
+written to the output before the next block, so no more than one block of
+rows is held as cell strings and the text is never held whole.
 
 Numeric cells must be finite, the core and site-area columns non-negative
 and tbsa_pct at most 100; depth cells must name a depth level. A bad cell
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -69,23 +70,28 @@ def _float_cells(col: np.ndarray) -> list[str]:
     return cells[idx].tolist()
 
 
-def cohort_csv_text(ds: Dataset) -> str:
-    """Render a dataset as CSV text (used for files and for hashing)."""
-    columns = [ds.ids.tolist()]
-    columns += [_float_cells(col) for col in ds.numerics[:-1]]
-    columns.append(["" if v != v else str(int(v)) for v in ds.numerics[-1].tolist()])
-    columns += [_float_cells(col) for col in ds.site_areas]
-    columns += [_DEPTH_CELLS[codes].tolist() for codes in ds.site_depths]
-    for col in ds.extras.values():
-        if col.dtype == np.float64:
-            columns.append(_float_cells(col))
-        else:
-            columns.append(["" if v is None else v for v in col.tolist()])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+#: Rows formatted as cell strings at once when writing.
+_WRITE_ROWS = 1024
+
+
+def cohort_csv_text(ds: Dataset, out) -> None:
+    """Write a dataset as CSV text to ``out``, anything with ``.write(str)``
+    (a text file, or the hashing sink of ``dataset_sha256``)."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_HEADER + tuple(ds.extras))
-    writer.writerows(zip(*columns))
-    return buf.getvalue()
+    for start in range(0, len(ds), _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        columns = [ds.ids[rows].tolist()]
+        columns += [_float_cells(col[rows]) for col in ds.numerics[:-1]]
+        columns.append(["" if v != v else str(int(v)) for v in ds.numerics[-1, rows].tolist()])
+        columns += [_float_cells(col[rows]) for col in ds.site_areas]
+        columns += [_DEPTH_CELLS[codes[rows]].tolist() for codes in ds.site_depths]
+        for col in ds.extras.values():
+            if col.dtype == np.float64:
+                columns.append(_float_cells(col[rows]))
+            else:
+                columns.append(["" if v is None else v for v in col[rows].tolist()])
+        writer.writerows(zip(*columns))
 
 
 def read_cohort_csv(path: str | Path) -> Dataset:
@@ -242,6 +248,18 @@ def _parse_lines(lines) -> Dataset:
     )
 
 
+class _Sha256Sink:
+    """A ``.write(str)`` target that hashes the UTF-8 bytes of what it is given."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.hash.update(text.encode("utf-8"))
+
+
 def dataset_sha256(ds: Dataset) -> str:
     """Content hash of a dataset's canonical CSV form."""
-    return hashlib.sha256(cohort_csv_text(ds).encode("utf-8")).hexdigest()
+    sink = _Sha256Sink()
+    cohort_csv_text(ds, sink)
+    return sink.hash.hexdigest()

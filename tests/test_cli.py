@@ -134,6 +134,42 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["seeds"]["cohort"] == 31
         assert "wall_time_s" in manifest
+        assert manifest["peak_rss_mb"] > 0
+
+    def test_output_onto_directory_exit_3_leaves_no_tmp(self, tmp_path):
+        out = tmp_path / "taken"
+        (out / "inside").mkdir(parents=True)
+        assert main(["generate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == EXIT_IO
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_writer_failing_after_one_block_leaves_nothing(self, tmp_path, monkeypatch):
+        """The cohort is streamed to its .tmp file; a failure part-way
+        removes the partial file and writes neither the CSV nor a manifest."""
+        import casemix.cli as cli
+        from casemix import dataio
+
+        out = tmp_path / "cohort.csv"
+        tmp = tmp_path / "cohort.csv.tmp"
+
+        class FailAfterOneBlock:
+            def __init__(self, fh):
+                self.fh, self.rows = fh, 0
+
+            def write(self, text):
+                if self.rows == 1 + dataio._WRITE_ROWS:  # header and one block
+                    assert tmp.stat().st_size > 0
+                    raise OSError(28, "No space left on device")
+                self.rows += 1
+                return self.fh.write(text)
+
+        def failing(ds, fh, write=cli.cohort_csv_text):
+            write(ds, FailAfterOneBlock(fh))
+
+        monkeypatch.setattr(cli, "cohort_csv_text", failing)
+        doc = {"cohort": {"n": dataio._WRITE_ROWS + 200, "seed": 31}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_missing_config_exit_2(self, tmp_path):
         out = tmp_path / "cohort.csv"
@@ -694,6 +730,17 @@ class TestAll:
         for stage in ("hrg", "result"):  # each stage still hashes the cohort file
             manifest = json.loads((out / stage / "manifest.json").read_text())
             assert str(out / "cohort.csv") in manifest["inputs"]
+
+    def test_every_manifest_records_peak_rss(self, tmp_path):
+        """Each stage's manifest records the run's peak RSS so far, forked
+        workers included, and the run's own manifest the whole run's."""
+        out = tmp_path / "run"
+        assert main(["all", "--config", str(write_config(tmp_path)), "--out", str(out)]) == EXIT_OK
+        stages = [json.loads((out / name).read_text())["peak_rss_mb"] for name in (
+            "cohort.csv.manifest.json", "hrg/manifest.json", "result/manifest.json",
+            "eval/manifest.json")]
+        run = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        assert 0 < stages[0] and stages == sorted(stages) and stages[-1] <= run
 
     @pytest.mark.parametrize("name", ["cli", "missingness"])
     def test_eval_matches_evaluate_of_written_files(self, tmp_path, name):

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casemix import cohort
 from casemix.cohort import (
     _DEPTH_P,
     _MECHANISM_P,
@@ -17,11 +19,10 @@ from casemix.cohort import (
     generate_cohort,
     inject_missingness,
 )
-from casemix.dataio import cohort_csv_text
 from casemix.domain import Depth
 from casemix.errors import InvalidArgument
 from casemix.preprocess import COST_OUTLIER, LOS_OUTLIER
-from tests.helpers import parse_cohort_csv
+from tests.helpers import csv_text, parse_cohort_csv, random_dataset
 
 # Observed once on the fixed generator constants (n=5000, seed=42) and pinned
 # as a regression; the hard requirement is only >= 0.5.
@@ -149,7 +150,7 @@ class TestGenerate:
         ds = generate_cohort(CohortConfig(n=n, seed=seed))
         if missingness is not None:
             ds = inject_missingness(ds, *missingness)
-        assert hashlib.sha256(cohort_csv_text(ds).encode("utf-8")).hexdigest() == digest
+        assert hashlib.sha256(csv_text(ds).encode("utf-8")).hexdigest() == digest
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -163,7 +164,7 @@ class TestGenerate:
         columns bit for bit, so `casemix all` may use the generated
         dataset in place of parsing the file it wrote."""
         ds = inject_missingness(generate_cohort(CohortConfig(n=n, seed=seed)), rate, m_seed)
-        parsed = parse_cohort_csv(cohort_csv_text(ds))
+        parsed = parse_cohort_csv(csv_text(ds))
         assert parsed.ids.tolist() == ds.ids.tolist()
         for name in ("numerics", "site_areas", "site_depths"):
             ours, theirs = getattr(ds, name), getattr(parsed, name)
@@ -210,6 +211,26 @@ class TestInjectMissingness:
     def test_seed_must_be_non_negative_integer(self, small_cohort, rate, seed):
         with pytest.raises(InvalidArgument):
             inject_missingness(small_cohort, rate, seed=seed)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_result(self, small_cohort, monkeypatch, block):
+        expected = inject_missingness(small_cohort, 0.3, seed=4)
+        monkeypatch.setattr(cohort, "_MISSING_BLOCK", block)
+        assert inject_missingness(small_cohort, 0.3, seed=4) == expected
+
+    def test_peak_memory_near_result_size(self):
+        """Draws are held a block of records at a time, so beyond the
+        arrays it returns, a 20k-record call allocates at most 4 MiB."""
+        ds = random_dataset(20000, 1)
+        tracemalloc.start()
+        try:
+            out = inject_missingness(ds, 0.2, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(arr.nbytes for arr in (out.numerics, out.site_areas, out.site_depths,
+                                            *out.extras.values()))
+        assert peak <= result + 4 * 2**20
 
     def test_only_zero_cells_eligible(self, small_cohort):
         out = inject_missingness(small_cohort, 1.0, seed=1)

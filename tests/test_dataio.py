@@ -1,24 +1,26 @@
 import csv
+import hashlib
 import io
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from casemix import dataio
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
-from casemix.dataio import cohort_csv_text, dataset_sha256, read_cohort_csv
-from casemix.domain import N_SITES
+from casemix.dataio import dataset_sha256, read_cohort_csv
+from casemix.domain import DEPTH_LEVELS, MISSING_DEPTH, N_SITES, Dataset
 from casemix.errors import InvalidArgument
-from tests.helpers import parse_cohort_csv, write_cohort_csv
+from tests.helpers import csv_text, parse_cohort_csv, random_dataset, write_cohort_csv
 
 
 def test_round_trip_bit_exact(tmp_path, small_cohort):
     path = tmp_path / "cohort.csv"
     write_cohort_csv(small_cohort, path)
     ds2 = read_cohort_csv(path)
-    assert cohort_csv_text(ds2) == path.read_text(encoding="utf-8")
+    assert csv_text(ds2) == path.read_text(encoding="utf-8")
     assert ds2.records == small_cohort.records
     assert ds2.extra_schema == small_cohort.extra_schema
 
@@ -31,7 +33,7 @@ def test_round_trip_with_missingness(tmp_path):
     ds2 = read_cohort_csv(path)
     assert ds2.records == ds.records
     # second write is byte-identical (serialization is canonical)
-    assert cohort_csv_text(ds2) == path.read_text(encoding="utf-8")
+    assert csv_text(ds2) == path.read_text(encoding="utf-8")
 
 
 def test_hash_is_content_hash(small_cohort):
@@ -41,7 +43,7 @@ def test_hash_is_content_hash(small_cohort):
 
 
 def read_cohort_sha_roundtrip(ds):
-    return parse_cohort_csv(cohort_csv_text(ds))
+    return parse_cohort_csv(csv_text(ds))
 
 
 def test_empty_text_rejected():
@@ -55,7 +57,7 @@ def test_wrong_header_rejected():
 
 
 def test_ragged_row_rejected(small_cohort):
-    text = cohort_csv_text(small_cohort)
+    text = csv_text(small_cohort)
     lines = text.splitlines()
     lines[1] = lines[1] + ",extra_cell"
     with pytest.raises(InvalidArgument):
@@ -63,20 +65,20 @@ def test_ragged_row_rejected(small_cohort):
 
 
 def test_kind_inference(small_cohort):
-    ds = parse_cohort_csv(cohort_csv_text(small_cohort))
+    ds = parse_cohort_csv(csv_text(small_cohort))
     assert ds.extra_schema["ventilation_days"] == "numeric"
     assert ds.extra_schema["sex"] == "categorical"
 
 
 def test_header_only_gives_empty_dataset(small_cohort):
-    header = cohort_csv_text(small_cohort).splitlines()[0]
+    header = csv_text(small_cohort).splitlines()[0]
     ds = parse_cohort_csv(header + "\n")
     assert len(ds.records) == 0
 
 
 def with_cell(ds, record_index, column, value) -> str:
     """The dataset's CSV text with one cell replaced."""
-    rows = list(csv.reader(io.StringIO(cohort_csv_text(ds))))
+    rows = list(csv.reader(io.StringIO(csv_text(ds))))
     rows[record_index + 1][rows[0].index(column)] = value
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -190,8 +192,8 @@ def cohort_files(draw, min_rows=0):
 @given(cohort_files())
 def test_random_cohort_round_trip(case):
     text, canonical = case
-    assert cohort_csv_text(parse_cohort_csv(text)) == canonical
-    assert cohort_csv_text(parse_cohort_csv(canonical)) == canonical
+    assert csv_text(parse_cohort_csv(text)) == canonical
+    assert csv_text(parse_cohort_csv(canonical)) == canonical
 
 
 def _bad_cells(header: list[str]) -> list[tuple[str, str]]:
@@ -221,7 +223,7 @@ def test_single_bad_cell_names_row_and_column(case, data):
 
 
 def test_ragged_row_reported_after_earlier_bad_cell(small_cohort):
-    rows = list(csv.reader(io.StringIO(cohort_csv_text(small_cohort))))
+    rows = list(csv.reader(io.StringIO(csv_text(small_cohort))))
     rows[3] = rows[3][:10]  # too short, extras missing
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -236,7 +238,7 @@ def test_ragged_row_reported_after_earlier_bad_cell(small_cohort):
 
 def test_blank_line_is_a_ragged_row(small_cohort):
     with pytest.raises(InvalidArgument, match="has 0 cells"):
-        parse_cohort_csv(cohort_csv_text(small_cohort) + "\n")
+        parse_cohort_csv(csv_text(small_cohort) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def test_crlf_file_reads_like_lf(tmp_path, small_cohort):
     ds = read_cohort_csv(lf)
     assert ds.extras["sex"][2] == "two\nlines"
     assert read_cohort_csv(crlf) == ds
-    assert cohort_csv_text(read_cohort_csv(crlf)) == text
+    assert csv_text(read_cohort_csv(crlf)) == text
 
 
 def test_read_peak_memory_bounded_by_file_size(tmp_path):
@@ -267,6 +269,87 @@ def test_read_peak_memory_bounded_by_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 10 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# Streamed writing: the block size never shows in the text
+# ---------------------------------------------------------------------------
+
+_WRITE_SIZES = (0, 1, dataio._WRITE_ROWS - 1, dataio._WRITE_ROWS, dataio._WRITE_ROWS + 1,
+                2 * dataio._WRITE_ROWS + 1)
+
+
+@st.composite
+def pooled_datasets(draw):
+    """Datasets of the sizes around the write block, whose cells come from
+    small per-kind pools that Hypothesis draws: nan among the floats,
+    missing depths, None among the categories. Ids are unique."""
+    n = draw(st.sampled_from(_WRITE_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(values, shape, dtype):
+        cells = np.empty(len(values), dtype=dtype)
+        cells[:] = values
+        return cells[rng.integers(0, len(cells), shape)]
+
+    def pool(values):
+        return draw(st.lists(values, min_size=2, max_size=4))
+
+    floats = st.sampled_from([np.nan, 0.0, -0.0, 5e-324]) | st.floats(0, 1e300, allow_nan=False)
+    numerics = column(pool(floats), (5, n), np.float64)
+    numerics[-1] = column(pool(st.integers(0, 10**6).map(float) | st.just(np.nan)), n, np.float64)
+    extras = {f"num{j}": column(pool(floats | st.floats(-1e300, 0)), n, np.float64)
+              for j in range(draw(st.integers(0, 2)))}
+    extras.update({f"cat{j}": column(pool(st.none() | st.text('ab,"\n ', max_size=3)), n, object)
+                   for j in range(draw(st.integers(0, 2)))})
+    return Dataset(
+        ids=np.array([f"{cell}{i}" for i, cell in enumerate(
+            column(pool(st.text('ab,"\n ', max_size=3)), n, object))], dtype=object),
+        numerics=numerics,
+        site_areas=column(pool(floats), (N_SITES, n), np.float64),
+        site_depths=column(pool(st.integers(MISSING_DEPTH, len(DEPTH_LEVELS) - 1)), (N_SITES, n),
+                           np.int8),
+        extras=extras,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(pooled_datasets(), st.data())
+def test_written_rows_split_anywhere(ds, data):
+    """The rows written for ``ds`` are those written for its first k records
+    followed by those written for the rest, wherever the blocks fall, and
+    the hash is the hash of that text."""
+    k = data.draw(st.integers(0, len(ds)))
+    text, header = csv_text(ds), csv_text(ds.take([]))
+    parts = [csv_text(ds.take(range(0, k))), csv_text(ds.take(range(k, len(ds))))]
+    assert all(part.startswith(header) for part in parts)
+    lines = text.split("\n")
+    expected = (header + "".join(part[len(header):] for part in parts)).split("\n")
+    assert len(lines) == len(expected)
+    for line, expected_line in zip(lines, expected):  # a diff of the first bad row, not of the text
+        assert line == expected_line
+    assert dataset_sha256(ds) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def _write_peak(ds) -> int:
+    tracemalloc.start()
+    try:
+        dataio.cohort_csv_text(ds, _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_peak_memory_does_not_grow_with_rows():
+    """Writing holds one block of rows as cell strings, so ten times the
+    rows peaks at about the same memory; holding every cell would take
+    about ten times as much."""
+    assert _write_peak(random_dataset(20000, 1)) <= 1.5 * _write_peak(random_dataset(2000, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +370,7 @@ def _parse_outcomes(text: str) -> list:
             except InvalidArgument as err:
                 outcomes.append(str(err))
             else:
-                outcomes.append((ds, cohort_csv_text(ds)))
+                outcomes.append((ds, csv_text(ds)))
     return outcomes
 
 
@@ -317,7 +400,7 @@ def test_chunk_size_does_not_change_result(case, data):
 def test_numeric_looking_extra_with_late_word_stays_categorical(small_cohort):
     """A column's kind is decided over every row, not over the first chunk:
     "nan" in row 1 is a category, not a bad number."""
-    rows = list(csv.reader(io.StringIO(cohort_csv_text(small_cohort))))
+    rows = list(csv.reader(io.StringIO(csv_text(small_cohort))))
     column = rows[0].index("ventilation_days")
     rows[1][column], rows[8][column] = "nan", "abc"
     outcomes = _parse_outcomes(_render(rows))
@@ -328,7 +411,7 @@ def test_numeric_looking_extra_with_late_word_stays_categorical(small_cohort):
 
 
 def test_bad_cell_in_earlier_chunk_beats_later_ragged_row(small_cohort):
-    rows = list(csv.reader(io.StringIO(cohort_csv_text(small_cohort))))
+    rows = list(csv.reader(io.StringIO(csv_text(small_cohort))))
     rows[2][rows[0].index("los_days")] = "-1"
     rows[9] = rows[9][:10]
     outcomes = _parse_outcomes(_render(rows))
@@ -339,7 +422,7 @@ def test_bad_cell_in_earlier_chunk_beats_later_ragged_row(small_cohort):
 def test_undecodable_byte_names_line_and_file_offset(tmp_path, small_cohort, newline):
     """The reader decodes in blocks, so the codec's own position counts from
     the start of a block; the error names the file's line and byte offset."""
-    lines = cohort_csv_text(small_cohort).encode("utf-8").split(b"\n")[:-1]
+    lines = csv_text(small_cohort).encode("utf-8").split(b"\n")[:-1]
     lines[-1] = lines[-1][:40] + b"\xff" + lines[-1][40:]
     data = newline.join(lines) + newline
     offset = data.index(b"\xff")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from casemix.dataio import cohort_csv_text
 from casemix.domain import (
     SITE_CODES,
     BurnSiteEntry,
@@ -12,13 +11,13 @@ from casemix.domain import (
     linear_cost_matrix,
 )
 from casemix.errors import InvalidArgument
-from tests.helpers import cost, parse_cohort_csv, zero_one_cost_matrix
+from tests.helpers import cost, csv_text, parse_cohort_csv, zero_one_cost_matrix
 from tests.records import dataset_of, make_record
 
 
 def read_back(*records, schema=None) -> Dataset:
     """The records written as a cohort CSV and parsed again."""
-    return parse_cohort_csv(cohort_csv_text(dataset_of(*records, schema=schema)))
+    return parse_cohort_csv(csv_text(dataset_of(*records, schema=schema)))
 
 
 class TestValidateRecord:
@@ -29,7 +28,7 @@ class TestValidateRecord:
         assert read_back(rec).records == (rec,)
 
     def test_wrong_site_count(self):
-        lines = cohort_csv_text(dataset_of(make_record())).splitlines()
+        lines = csv_text(dataset_of(make_record())).splitlines()
         header = lines[0].replace(",site_27_area", "").replace(",site_27_depth", "")
         with pytest.raises(InvalidArgument, match="expected core/site columns"):
             parse_cohort_csv(header + "\n")
