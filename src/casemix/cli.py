@@ -36,7 +36,7 @@ except ImportError:  # Windows has no resource module; manifests then omit peak_
 from . import __version__, parallel
 from .cohort import EXTRA_SCHEMA, CohortConfig, generate_cohort, inject_missingness
 from .dataio import cohort_csv_text, read_cohort_csv
-from .domain import FACTOR_FIELDS, Dataset, is_number, linear_cost_matrix
+from .domain import FACTOR_FIELDS, Dataset, check_seed, is_number, linear_cost_matrix
 from .errors import CasemixError, InvalidArgument, PipelineStageError
 from .evaluate import boxplot_stats, compare_groupings, confusion, merge_diagnostic
 from .hrg import (
@@ -180,6 +180,27 @@ def _csv_rows(path: Path) -> list[dict[str, str]]:
 # generate
 # ---------------------------------------------------------------------------
 
+def _missingness(doc: dict, ephemeral: bool) -> tuple[float, int] | None:
+    """The (rate, seed) of the config's ``missingness`` section, checked in
+    full before any cohort is drawn; None when the section is absent, {} or
+    null."""
+    missing = doc.get("missingness")
+    if not isinstance(missing, (dict, type(None))):
+        raise InvalidArgument(f"missingness config must be a JSON object or null, got {missing!r}")
+    if not missing:
+        return None
+    for key in missing:
+        if key not in ("rate", "seed"):
+            raise InvalidArgument(f"unknown missingness config key {key!r}")
+    rate = missing.get("rate", 0.0)
+    if not (is_number(rate) and 0.0 <= rate <= 1.0):  # also refuses NaN
+        raise InvalidArgument(f"missingness rate must be a number in [0, 1], got {rate!r}")
+    fresh = _require_seed("seed" in missing, "missingness config", ephemeral)
+    seed = missing.get("seed", fresh)
+    check_seed("missingness seed", seed)
+    return rate, seed
+
+
 def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
               out: Path) -> Dataset:
     """Write the cohort ``doc`` (from ``config_path``) describes to ``out``."""
@@ -192,20 +213,13 @@ def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
     if fresh is not None:
         cohort_doc["seed"] = fresh
     config = CohortConfig.from_dict(cohort_doc)
+    missing = _missingness(doc, ephemeral)
     manifest.doc["seeds"]["cohort"] = config.seed
     manifest.doc["workers"] = parallel.worker_count(config.n)
     ds = generate_cohort(config)
-    missing = doc.get("missingness")
-    if not isinstance(missing, (dict, type(None))):
-        raise InvalidArgument(f"missingness config must be a JSON object or null, got {missing!r}")
-    if missing:  # {} and null: no missingness
-        rate = missing.get("rate", 0.0)
-        if not is_number(rate):
-            raise InvalidArgument(f"missingness rate must be a number, got {rate!r}")
-        m_fresh = _require_seed("seed" in missing, "missingness config", ephemeral)
-        m_seed = missing.get("seed", m_fresh)
-        ds = inject_missingness(ds, rate, m_seed)
-        manifest.doc["seeds"]["missingness"] = m_seed
+    if missing is not None:
+        ds = inject_missingness(ds, *missing)
+        manifest.doc["seeds"]["missingness"] = missing[1]
     _stream_output(manifest, out.parent, out, lambda fh: cohort_csv_text(ds, fh))
     manifest.write(out.with_name(out.name + ".manifest.json"))
     print(f"wrote {len(ds)} records to {out}")

@@ -336,8 +336,6 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
 
 def generate_cohort(config: CohortConfig) -> Dataset:
     """Generate ``config.n`` records deterministically from ``config.seed``."""
-    if config.n < 1:
-        raise InvalidArgument(f"cohort size must be >= 1, got {config.n}")
     n = config.n
     # Every output column lives in one shared anonymous mapping, allocated
     # before the workers fork, so each writes its records where the parent

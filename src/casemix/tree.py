@@ -38,10 +38,12 @@ column keeps the levels present in the training rows, in the same order. A
 node is its own ascending array of row ids, and a split hands each child the
 rows its mask selects. A node's numeric scan gathers its codes and sorts the
 keys code * k + label along each column, so the rows arrive in value order;
-categorical columns are scanned from one class histogram per node. The
-columns are grouped by scan class into at most three spans (numeric,
-categorical with few levels, categorical with many), and each node scans
-each span in one pass unless the node is too large for its working arrays.
+categorical columns are scanned from one class histogram per node, each
+by the levels present at that node: every subset of them when there are at
+most MAX_EXHAUSTIVE_LEVELS, else the prefixes of them ordered by mean label
+rank. The columns are grouped by kind into at most two spans (numeric,
+categorical), and each node scans each span in one pass unless the node is
+too large for its working arrays.
 
 Determinism contract: within a column, numeric thresholds are scanned
 ascending and categorical subsets in canonical order. Of equal decreases,
@@ -75,9 +77,9 @@ from .errors import InvalidArgument, TreeFormatError
 
 TREE_FORMAT_VERSION = "1"
 
-#: Categorical features with more levels than this use the ordered scan
-#: (levels sorted by mean label rank, prefix subsets) instead of an
-#: exhaustive subset scan.
+#: A categorical column with more levels than this present at a node is
+#: scanned there in order (levels sorted by mean label rank, prefix subsets)
+#: instead of over every subset.
 MAX_EXHAUSTIVE_LEVELS = 10
 
 #: A scan at one node takes as many of its span's columns as fit in
@@ -132,12 +134,15 @@ class TreeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
-        return cls(
-            min_split=d["min_split"],
-            min_leaf=d["min_leaf"],
-            max_depth=d["max_depth"],
-            cp=d["cp"],
-        )
+        """Exactly the four fields; an unknown key, such as a misspelt one,
+        is refused rather than dropped."""
+        keys = ("min_split", "min_leaf", "max_depth", "cp")
+        if not isinstance(d, dict):
+            raise InvalidArgument(f"tree params must be a JSON object, got {d!r}")
+        unknown = sorted(d.keys() - set(keys))
+        if unknown:
+            raise InvalidArgument(f"unknown tree params key {unknown[0]!r}")
+        return cls(*(d[key] for key in keys))
 
 
 @dataclass(frozen=True)
@@ -348,7 +353,7 @@ class EncodedTable:
         self.names = table.names
         self.num_names, self.values, num_codes = [], [], []
         self.cat_names, self.levels, cat_codes = [], [], []
-        members = {_NumericScan: [], _SubsetScan: [], _LevelScan: []}
+        members = {_NumericScan: [], _CategoricalScan: []}
         for schema, (name, kind, col) in enumerate(zip(table.names, table.kinds, table.columns)):
             if (np.isnan(col) if kind == NUMERIC else col < 0).any():
                 raise InvalidArgument(f"training column {name!r} contains missing values")
@@ -359,8 +364,7 @@ class EncodedTable:
                 self.values.append(values)
                 num_codes.append(codes.astype(np.int32))
             else:  # values are the codes of the levels present in these rows
-                few = len(values) <= MAX_EXHAUSTIVE_LEVELS
-                members[_SubsetScan if few else _LevelScan].append((len(self.cat_names), schema))
+                members[_CategoricalScan].append((len(self.cat_names), schema))
                 self.cat_names.append(name)
                 self.levels.append(tuple(table.levels[name][c] for c in values.tolist()))
                 cat_codes.append(codes.astype(np.int32))
@@ -371,14 +375,6 @@ class EncodedTable:
         self.n_levels = np.array([len(levels) for levels in self.levels], dtype=np.intp)
         self.n = n
         self.candidates_scanned = 0
-
-    def categorical_split(self, j: int, chosen, rows: np.ndarray, decrease: float) -> Split:
-        """The split sending categorical column j's levels ``chosen`` left."""
-        member = np.zeros(len(self.levels[j]), dtype=bool)
-        member[list(chosen)] = True
-        left_set = sum(1 << int(c) for c in chosen)
-        return Split(self.cat_names[j], math.nan, _level_names(self.levels[j], left_set), decrease,
-                     member[self.cat_codes[j, rows]], left_set)
 
 
 class _Span(NamedTuple):
@@ -436,12 +432,13 @@ class _NumericScan:
 
 
 @functools.lru_cache(maxsize=None)
-def _subset_bits(n_levels: int) -> np.ndarray:
-    """Membership rows of the level subsets with bitmasks 1 .. 2**n_levels - 2,
-    in ascending bitmask order."""
-    masks = range(1, 2 ** n_levels - 1)
-    bits = np.array([[(m >> b) & 1 for b in range(n_levels)] for m in masks], dtype=np.float64)
-    bits = bits.reshape(len(masks), n_levels)  # also when there is no subset
+def _subset_bits(width: int) -> np.ndarray:
+    """Membership rows over ``width`` slots of the odd bitmasks 1, 3, ..,
+    2**width - 3: the subsets that hold slot 0 but not every slot, in
+    ascending bitmask order."""
+    masks = range(1, 2 ** width - 1, 2)
+    bits = np.array([[(m >> b) & 1 for b in range(width)] for m in masks], dtype=np.float64)
+    bits = bits.reshape(len(masks), width)  # also when there is no subset
     bits.setflags(write=False)
     return bits
 
@@ -450,101 +447,73 @@ def _bits_of(mask: int):
     return [b for b in range(mask.bit_length()) if (mask >> b) & 1]
 
 
-class _SubsetScan:
-    """Subset candidates of the categorical columns ``cols`` at one node,
-    each with at most MAX_EXHAUSTIVE_LEVELS levels. A column's candidates
-    are the subsets of the levels present at the node that hold the first
-    present level (complements split the same way) but not all of them, in
-    ascending bitmask order. Spreading a subset of the present levels out
-    to the bits of all the column's levels keeps that order, so every
-    column is scanned over the widest column's level width at once and
-    absent levels are then masked out."""
+class _CategoricalScan:
+    """Candidates of the categorical columns ``cols`` at one node, chosen
+    per column by the p levels present there. Up to MAX_EXHAUSTIVE_LEVELS
+    they are the subsets of those levels that hold the first but not all
+    of them, in ascending bitmask order; beyond that, the prefixes of the
+    levels ordered by mean label rank (ties by level name). One class
+    histogram over the block's levels, laid end to end, serves every
+    column. Compacting a column's present levels into slots 0 .. p-1 keeps
+    the bitmask order, so the subsets of every column are scored at once
+    over the widest column's slots. A candidate's key is its slot bitmask,
+    or for a prefix its length."""
 
     def __init__(self, enc: EncodedTable, cols: np.ndarray, rows: np.ndarray,
                  y: np.ndarray, counts: np.ndarray, min_leaf: int):
         k, n, m = enc.k, len(rows), len(cols)
-        width = int(enc.n_levels[cols].max())
-        column_base = np.arange(m)[:, None] * width
+        n_levels = enc.n_levels[cols]
+        start = np.cumsum(n_levels) - n_levels  # each column's first level on the flat axis
         hist = np.bincount(
-            ((enc.cat_codes.take(rows + cols[:, None] * enc.n) + column_base) * k + y).ravel(),
-            minlength=m * width * k,
-        ).reshape(m, width, k)
-        level_n = hist.sum(axis=2)  # (column, level)
-        present = (level_n > 0) @ (1 << np.arange(width))  # bitmask per column
-        bits = _subset_bits(width)
-        left = bits @ hist.astype(np.float64)  # (column, mask, class)
-        n_left = level_n @ bits.T
-        masks = np.arange(1, 2 ** width - 1)
-        ok = (
-            ((masks & ~present[:, None]) == 0)  # only present levels
-            & ((masks & (present & -present)[:, None]) != 0)  # the first present level
-            & (masks != present[:, None])  # not all of them
-            & (n_left >= min_leaf) & (n - n_left >= min_leaf)
-        )
-        self.feature, c = np.nonzero(ok)
-        self.masks = masks[c]
-        self.left = left[self.feature, c]
-        self.size = len(self.masks)
-        self.enc, self.cols = enc, cols
-
-    def counts_left(self, lo: int, hi: int) -> np.ndarray:
-        return self.left[lo:hi]
-
-    def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
-        chosen = _bits_of(int(self.masks[i]))
-        return self.enc.categorical_split(self.cols[self.feature[i]], chosen, rows, decrease)
-
-
-class _LevelScan:
-    """Candidates of the categorical columns ``cols`` with more than
-    MAX_EXHAUSTIVE_LEVELS levels, one column at a time over the levels
-    present at the node. Up to MAX_EXHAUSTIVE_LEVELS present levels every
-    subset is a candidate, as in _SubsetScan; beyond that, the prefixes of
-    the levels ordered by mean label rank (ties by level name)."""
-
-    def __init__(self, enc: EncodedTable, cols: np.ndarray, rows: np.ndarray,
-                 y: np.ndarray, counts: np.ndarray, min_leaf: int):
-        k, n = enc.k, len(rows)
-        self.enc, self.parts, features, lefts = enc, {}, [], []
-        self.size = 0
-        for f, j in enumerate(cols.tolist()):
-            hist = np.bincount(
-                enc.cat_codes[j, rows] * k + y, minlength=len(enc.levels[j]) * k
-            ).reshape(-1, k)
-            present = np.flatnonzero(hist.any(axis=1))
-            if len(present) < 2:
-                continue
-            level_counts = hist[present].astype(np.float64)
-            if len(present) <= MAX_EXHAUSTIVE_LEVELS:
-                order = None
-                left = _subset_bits(len(present))[::2] @ level_counts  # odd bitmasks
-            else:
-                mean_rank = level_counts @ (np.arange(k) + 1.0) / level_counts.sum(axis=1)
-                names = [enc.levels[j][c] for c in present]
-                order = sorted(range(len(present)), key=lambda c: (mean_rank[c], names[c]))
-                left = np.cumsum(level_counts[order], axis=0)[:-1]
+            ((enc.cat_codes.take(rows + cols[:, None] * enc.n) + start[:, None]) * k + y).ravel(),
+            minlength=int(n_levels.sum()) * k,
+        ).reshape(-1, k)
+        flat = np.flatnonzero(hist.any(axis=1))  # the present levels, column by column
+        column = np.repeat(np.arange(m), n_levels)[flat]
+        present = np.bincount(column, minlength=m)
+        base = np.cumsum(present) - present  # each column's first entry in flat
+        slots = flat - start[column]  # column f's level codes, in slot order: slots[column == f]
+        few = np.flatnonzero(present <= MAX_EXHAUSTIVE_LEVELS)
+        width = int(present[few].max(initial=0))
+        compact = np.zeros((m, width, k))
+        on = present[column] <= MAX_EXHAUSTIVE_LEVELS
+        compact[column[on], (np.arange(len(flat)) - base[column])[on]] = hist[flat[on]]
+        masks = np.arange(1, 2 ** width - 1, 2)
+        left = _subset_bits(width) @ compact[few]  # (column, mask, class)
+        n_left = left.sum(axis=2)
+        f, c = np.nonzero((masks < (1 << present[few, None]) - 1)  # only present slots
+                          & (n_left >= min_leaf) & (n - n_left >= min_leaf))
+        features, keys, lefts = [few[f]], [masks[c]], [left[f, c]]
+        for f in np.flatnonzero(present > MAX_EXHAUSTIVE_LEVELS).tolist():
+            at = column == f
+            level_counts = hist[flat[at]].astype(np.float64)
+            mean_rank = level_counts @ (np.arange(k) + 1.0) / level_counts.sum(axis=1)
+            order = np.argsort(mean_rank, kind="stable")  # slots ascend, as level names do
+            slots[at] = slots[at][order]
+            left = np.cumsum(level_counts[order], axis=0)[:-1]
             n_left = left.sum(axis=1)
             keep = np.flatnonzero((n_left >= min_leaf) & (n - n_left >= min_leaf))
-            if keep.size == 0:
-                continue
-            self.parts[f] = (j, present, order, keep, self.size)
             features.append(np.full(keep.size, f))
+            keys.append(keep + 1)
             lefts.append(left[keep])
-            self.size += keep.size
-        if lefts:
-            self.feature, self.left = np.concatenate(features), np.concatenate(lefts)
+        order = np.argsort(np.concatenate(features), kind="stable")  # back into schema order
+        self.feature = np.concatenate(features)[order]
+        self.keys, self.left = np.concatenate(keys)[order], np.concatenate(lefts)[order]
+        self.size = len(order)
+        self.enc, self.cols, self.slots, self.column = enc, cols, slots, column
 
     def counts_left(self, lo: int, hi: int) -> np.ndarray:
         return self.left[lo:hi]
 
     def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
-        j, present, order, keep, first = self.parts[self.feature[i]]
-        c = int(keep[i - first])
-        if order is None:
-            chosen = [present[b] for b in _bits_of(2 * c + 1)]
-        else:
-            chosen = [present[t] for t in order[:c + 1]]
-        return self.enc.categorical_split(j, chosen, rows, decrease)
+        f, key = self.feature[i], int(self.keys[i])
+        j, slots = self.cols[f], self.slots[self.column == f]
+        chosen = slots[:key] if len(slots) > MAX_EXHAUSTIVE_LEVELS else slots[_bits_of(key)]
+        member = np.zeros(len(self.enc.levels[j]), dtype=bool)
+        member[chosen] = True
+        left_set = sum(1 << int(c) for c in chosen)
+        return Split(self.enc.cat_names[j], math.nan, _level_names(self.enc.levels[j], left_set),
+                     decrease, member[self.enc.cat_codes[j, rows]], left_set)
 
 
 def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q: float,

@@ -204,6 +204,30 @@ class TestGenerate:
             cfg = write_config(tmp_path, doc)
             assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["generate", "all"])
+    @pytest.mark.parametrize("missing", [
+        [0.2], "rate", 1, True,
+        {"rate": 1.5, "seed": 7}, {"rate": -0.1, "seed": 7}, {"rate": float("nan"), "seed": 7},
+        {"rate": float("inf"), "seed": 7}, {"rate": "0.2", "seed": 7}, {"rate": True, "seed": 7},
+        {"rate": 0.2}, {"rate": 0.2, "seed": -1}, {"rate": 0.2, "seed": "7"},
+        {"rate": 0.2, "seed": 7.5}, {"rate": 0.2, "seed": 7, "rat": 0.5}, {"seed": 7, "rte": 0.2},
+    ])
+    def test_bad_missingness_leaves_no_cohort(self, tmp_path, monkeypatch, command, missing):
+        """The whole missingness section (its type, rate, seed and keys) is
+        checked before a cohort is drawn, by `generate` and by `all`."""
+        import casemix.cli as cli
+
+        def refuse(config):
+            raise AssertionError("generated a cohort for a config whose missingness is bad")
+
+        monkeypatch.setattr(cli, "generate_cohort", refuse)
+        cfg = write_config(tmp_path, dict(COHORT_CONFIG, missingness=missing))
+        out = tmp_path / "run"
+        cohort = out / "cohort.csv"
+        target = cohort if command == "generate" else out
+        assert main([command, "--config", str(cfg), "--out", str(target)]) == EXIT_CONFIG
+        assert not cohort.exists()
+
     @pytest.mark.parametrize("cohort", [
         {"los_noise": float("nan")},
         {"cost_noise": float("nan")},
@@ -461,6 +485,22 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "all"])
+    @pytest.mark.parametrize("section", ["factor_tree_params", "final_tree_params"])
+    def test_unknown_tree_params_key_exit_2(self, generated, tmp_path, capsys, command, section):
+        """A misspelt tree parameter is refused by name, not dropped."""
+        root, _, cohort = generated
+        params = {"min_split": 20, "min_leaf": 7, "max_depth": 30, "cp": 0.001, "cpp": 0.5}
+        doc = dict(COHORT_CONFIG, pipeline=dict(COHORT_CONFIG["pipeline"], **{section: params}))
+        cfg = write_config(tmp_path, doc, name="typo.json")
+        out = tmp_path / "o"
+        args = ["--config", str(cfg), "--out", str(out)]
+        if command == "train":
+            args += ["--cohort", str(cohort)]
+        assert main([command] + args) == EXIT_CONFIG
+        assert "unknown tree params key 'cpp'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "all"])
     @pytest.mark.parametrize("threshold", ["x", True, float("nan"), 1.5, -0.1])
     def test_missing_threshold_not_a_fraction_exit_2(self, generated, tmp_path, command, threshold):
         root, _, cohort = generated
@@ -600,11 +640,12 @@ class TestEvaluate:
     @pytest.mark.parametrize("edit", ["max_depth", "deep_node", "unknown_feature",
                                       "kind_mismatch", "levels_list", "unknown_category",
                                       "summary_depth", "summary_leaf_count", "summary_n",
-                                      "cp_nan", "cp_bool", "cp_string", "cp_infinite"])
+                                      "cp_nan", "cp_bool", "cp_string", "cp_infinite",
+                                      "params_unknown_key"])
     def test_model_deeper_than_cap_exit_2(self, trained, tmp_path, edit):
         """A model.json deeper than the depth cap, at odds with its own
-        schema, levels and summary, or with a cp that is not a finite number,
-        is an input error."""
+        schema, levels and summary, with a cp that is not a finite number, or
+        with a params key that is not a tree parameter, is an input error."""
         import shutil
 
         root, _, cohort, result = trained
@@ -631,6 +672,8 @@ class TestEvaluate:
             model["summary"]["leaf_count"] = 1
         elif edit == "summary_n":
             model["summary"]["n"] += 1
+        elif edit == "params_unknown_key":
+            model["params"]["cpp"] = 0.5
         elif edit.startswith("cp_"):
             model["params"]["cp"] = {"cp_nan": float("nan"), "cp_bool": True, "cp_string": "0.5",
                                      "cp_infinite": float("inf")}[edit]

@@ -686,6 +686,17 @@ class TestParams:
         with pytest.raises(InvalidArgument, match="cp must be finite"):
             TreeParams.from_dict(dict(TreeParams().to_dict(), cp=math.inf))
 
+    @pytest.mark.parametrize("extra", [{"cpp": 0.5}, {"min_splits": 20}, {"": 0}])
+    def test_unknown_key_refused_by_name(self, extra):
+        (key,) = extra
+        with pytest.raises(InvalidArgument, match=f"unknown tree params key {key!r}"):
+            TreeParams.from_dict(dict(TreeParams().to_dict(), **extra))
+
+    @pytest.mark.parametrize("doc", [[20, 7, 30, 0.01], "min_split", None])
+    def test_params_must_be_an_object(self, doc):
+        with pytest.raises(InvalidArgument, match="tree params must be a JSON object"):
+            TreeParams.from_dict(doc)
+
     def test_max_depth_capped(self):
         assert TreeParams(max_depth=MAX_DEPTH).max_depth == 30
         with pytest.raises(InvalidArgument):
@@ -890,6 +901,107 @@ class TestSplitChoice:
         monkeypatch.setattr(casemix.tree, "_BLOCK_CELLS", block_cells)
         monkeypatch.setattr(casemix.tree, "_CHUNK", chunk)
         assert grown() == default
+
+
+def reference_categorical_candidates(table: FeatureTable, y0, rows, k: int, min_leaf: int):
+    """Every categorical candidate at the node ``rows`` as (schema index,
+    left_set, left class counts), in canonical order: schema order, then,
+    for a column with p levels present at the node, the subsets of them
+    that hold the first but not all, by ascending bitmask, when p <= 10;
+    else the prefixes of the present levels ordered by exact mean label
+    rank, ties by level name. Only candidates leaving min_leaf rows on each
+    side count. Bitmasks are Python ints, so no shift overflows."""
+    out = []
+    for schema, (name, kind) in enumerate(zip(table.names, table.kinds)):
+        if kind != "categorical":
+            continue
+        codes = table.column(name)[rows]
+        present = sorted(set(codes.tolist()))
+        hist = {c: np.bincount(y0[rows][codes == c], minlength=k) for c in present}
+        p = len(present)
+        if p <= 10:
+            groups = [[present[b] for b in range(p) if mask >> b & 1]
+                      for mask in range(1, 2 ** p - 1, 2)]
+        else:
+            def mean_rank(c):
+                return Fraction(int(hist[c] @ np.arange(1, k + 1)), int(hist[c].sum()))
+            ordered = sorted(present, key=lambda c: (mean_rank(c), table.levels[name][c]))
+            groups = [ordered[:m] for m in range(1, p)]
+        for group in groups:
+            left = sum(hist[c] for c in group)
+            if min_leaf <= left.sum() <= len(rows) - min_leaf:
+                out.append((schema, sum(1 << c for c in group), left))
+    return out
+
+
+def categorical_node(seed: int, node: str):
+    """A table of categorical columns with 4, 70 and 13 levels and copies
+    of the first two, and the rows of one node of it: all of them (every
+    column but ``few`` has more than 10 levels present), those with
+    ``wide`` in 8 levels, those with 8 ``wide`` and 9 ``mid`` levels (at
+    most 10 present everywhere), or those with one ``few`` level. The
+    ``tied`` nodes hold 24 rows whose label 1-3 follows the level of a
+    column of 12 levels and of one of 3; under linear loss, splitting off
+    label 1 or label 3 decrease the same, so candidates tie within each
+    column."""
+    if node.startswith("tied"):
+        level = np.arange(24) % 12
+        columns = [("many", [f"l{c:02d}" for c in level]), ("few", ["abc"[c // 4] for c in level])]
+        if node == "tied_few_first":
+            columns.reverse()
+        table = FeatureTable.from_items([(name, "categorical", v) for name, v in columns])
+        return table, 1 + level // 4, 3, np.arange(24)
+    rng = np.random.default_rng(seed)
+    n, k = 1500, 4
+    few = rng.integers(0, 4, n)
+    wide, mid = rng.integers(0, 70, n), rng.integers(0, 13, n)
+    labels = 1 + (wide * 3 + mid + few + rng.integers(0, 3, n)) % k
+    table = FeatureTable.from_items([
+        ("few", "categorical", [f"f{c}" for c in few]),
+        ("wide", "categorical", [f"w{c:02d}" for c in wide]),
+        ("mid", "categorical", [f"m{c:02d}" for c in mid]),
+        ("few_copy", "categorical", [f"f{c}" for c in few]),
+        ("wide_copy", "categorical", [f"w{c:02d}" for c in wide]),
+    ])
+    keep = {"all": np.ones(n, dtype=bool), "wide_8": wide < 8,
+            "all_at_most_10": (wide < 8) & (mid < 9), "few_1": few == 0}[node]
+    return table, labels, k, np.flatnonzero(keep)
+
+
+class TestCategoricalCandidates:
+    @pytest.mark.parametrize("seed, node", [
+        *((seed, node) for seed in (0, 1, 2)
+          for node in ("all", "wide_8", "all_at_most_10", "few_1")),
+        (0, "tied_many_first"), (0, "tied_few_first"),
+    ])
+    def test_one_node_matches_reference_enumeration(self, seed, node):
+        table, labels, k, rows = categorical_node(seed, node)
+        loss, min_leaf = linear_cost_matrix(k), 3
+        L = loss.entries.astype(np.int64)
+        enc = EncodedTable(table, labels, k)
+        counts = np.bincount(enc.y0[rows], minlength=k).astype(np.float64)
+        parent_q = float(counts @ loss.entries @ counts)
+        params = TreeParams(min_split=2 * min_leaf, min_leaf=min_leaf, cp=0.0)
+        split = best_split(enc, rows, counts, parent_q, loss, params)
+
+        candidates = reference_categorical_candidates(table, enc.y0, rows, k, min_leaf)
+        assert enc.candidates_scanned == len(candidates)
+        totals = counts.astype(np.int64)
+        decreases = []  # as best_split scores them: Q_P/n - (Q_L/n_L + Q_R/n_R)
+        for _, _, left in candidates:
+            right = totals - left
+            q_left, q_right = int(left @ L @ left), int(right @ L @ right)
+            decreases.append(parent_q / len(rows)
+                             - (q_left / int(left.sum()) + q_right / int(right.sum())))
+        best = max(decreases, default=0.0)
+        if best <= 0.0:
+            assert split is None
+            return
+        schema, left_set, _ = candidates[decreases.index(best)]  # the first exact maximum
+        assert (split.feature, split.left_set) == (table.names[schema], left_set)
+        assert np.float64(split.decrease).tobytes() == np.float64(best).tobytes()
+        assert np.array_equal(split.left_mask, np.isin(
+            table.column(split.feature)[rows], [b for b in range(left_set.bit_length()) if left_set >> b & 1]))
 
 
 #: sha256 of serialize_tree for the pinned small run below, on the exact
