@@ -15,13 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import secrets
 import sys
 import time
-from collections import Counter
 from collections.abc import Callable
 from pathlib import Path
 from typing import TextIO
@@ -163,17 +161,33 @@ def _stream_output(manifest: _Manifest, root: Path, path: Path,
     manifest.add_output(root, path)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_csv(manifest: _Manifest, root: Path, path: Path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to the CSV file ``path`` as ``csv.writer``
+    formats them, and record its hash."""
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _stream_output(manifest, root, path, write)
 
 
-def _csv_rows(path: Path) -> list[dict[str, str]]:
+def _csv_columns(path: Path, columns: dict[str, Callable[[str], object]]) -> list[list]:
+    """The named columns of the CSV file at ``path``, in ``columns`` order,
+    each cell passed through its column's converter, read in one pass.
+    Blank lines hold no row."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name in columns:
+            if name not in header:
+                raise ValueError(f"{path.name} has no {name!r} column")
+        picks = [(header.index(name), convert, []) for name, convert in columns.items()]
+        for row in reader:
+            if row:
+                for i, convert, cells in picks:
+                    cells.append(convert(row[i]))
+    return [cells for _, _, cells in picks]
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +260,6 @@ def _load_cohort(path: str) -> Dataset:
         raise InvalidArgument(f"cannot parse cohort {path}: {e}")
 
 
-def _hrg_labels_csv(ds: Dataset, labels: list[int | None]) -> str:
-    return _csv_text(["id", "rank"], (
-        (rid, UNCLASSIFIABLE if label is None else label)
-        for rid, label in zip(ds.ids.tolist(), labels)
-    ))
-
-
 def _load_rules(path: str | None) -> Ruleset:
     """The ruleset at ``path``, or the packaged reference ruleset if none."""
     if path and not Path(path).is_file():
@@ -268,15 +275,16 @@ def _hrg(manifest: _Manifest, ds: Dataset, cohort: str, rules: Ruleset,
     if ruleset:
         manifest.add_input(ruleset)
     labels, histogram = classify_dataset(ds, rules)
-    _write_output(manifest, out, out / "labels.csv", _hrg_labels_csv(ds, labels))
+    ids = ds.ids.tolist()
+    ranks = [UNCLASSIFIABLE if label is None else label for label in labels]
+    _write_csv(manifest, out, out / "labels.csv", ["id", "rank"], zip(ids, ranks))
     _write_output(
         manifest, out, out / "histogram.json",
         _json_dumps({str(k): v for k, v in histogram.items()}),
     )
     manifest.write(out / "manifest.json")
     print(f"classified {len(labels)} records into {out}")
-    return {rid: UNCLASSIFIABLE if label is None else str(label)
-            for rid, label in zip(ds.ids.tolist(), labels)}
+    return {rid: str(rank) for rid, rank in zip(ids, ranks)}
 
 
 def cmd_hrg(args) -> None:
@@ -300,41 +308,6 @@ def _pipeline_config(doc: dict, ephemeral: bool) -> PipelineConfig:
     return PipelineConfig.from_dict(pipe_doc)
 
 
-def _factor_labels_csv(result) -> str:
-    return _csv_text(["index", "id", *(f"{f}_rank" for f in FACTOR_FIELDS), "mean_rank"], (
-        [i, rid, *(int(result.factor_labels[f][i]) for f in FACTOR_FIELDS),
-         repr(float(result.mean_ranks[i]))]
-        for i, rid in enumerate(result.preprocessed.ids.tolist())
-    ))
-
-
-def _final_labels_csv(result) -> str:
-    return _csv_text(["index", "id", "final_rank"], (
-        [i, rid, int(result.final_labels[i])]
-        for i, rid in enumerate(result.preprocessed.ids.tolist())
-    ))
-
-
-def _importances_csv(result) -> str:
-    models = [(f, result.factor_importances[f]) for f in FACTOR_FIELDS]
-    models.append(("final", variable_importance(result.final_tree)))
-    return _csv_text(["model", "feature", "score"], (
-        [model, name, repr(float(score))] for model, scores in models for name, score in scores
-    ))
-
-
-def _split_csv(result) -> str:
-    multiplicity = {
-        "train": Counter(int(i) for i in result.train_multiset),
-        "test": Counter(int(i) for i in result.test_multiset),
-    }
-    roles = {int(i): "train" for i in result.train_idx}
-    roles.update({int(i): "test" for i in result.test_idx})
-    return _csv_text(["index", "role", "multiplicity"], (
-        [i, roles[i], multiplicity[roles[i]][i]] for i in range(len(result.preprocessed))
-    ))
-
-
 def _write_train_outputs(manifest: _Manifest, out: Path, result, config: PipelineConfig) -> None:
     _write_output(manifest, out, out / "config.json", _json_dumps(config.to_dict()))
     _write_output(manifest, out, out / "provenance.json", _json_dumps(result.provenance))
@@ -344,11 +317,25 @@ def _write_train_outputs(manifest: _Manifest, out: Path, result, config: Pipelin
         manifest, out, out / "preprocess_report.json",
         _json_dumps(result.preprocess_report.to_dict()),
     )
-    _write_output(manifest, out, out / "factor_labels.csv", _factor_labels_csv(result))
-    _write_output(manifest, out, out / "final_labels.csv", _final_labels_csv(result))
-    _write_output(manifest, out, out / "importances.csv", _importances_csv(result))
+    n, ids = len(result.preprocessed), result.preprocessed.ids.tolist()
+    _write_csv(manifest, out, out / "factor_labels.csv",
+               ["index", "id", *(f"{f}_rank" for f in FACTOR_FIELDS), "mean_rank"],
+               zip(range(n), ids, *(result.factor_labels[f].tolist() for f in FACTOR_FIELDS),
+                   result.mean_ranks.tolist()))
+    _write_csv(manifest, out, out / "final_labels.csv", ["index", "id", "final_rank"],
+               zip(range(n), ids, result.final_labels.tolist()))
+    models = [*((f, result.factor_importances[f]) for f in FACTOR_FIELDS),
+              ("final", variable_importance(result.final_tree))]
+    _write_csv(manifest, out, out / "importances.csv", ["model", "feature", "score"], (
+        [model, name, repr(float(score))] for model, scores in models for name, score in scores
+    ))
     _write_output(manifest, out, out / "model.json", serialize_tree(result.final_tree))
-    _write_output(manifest, out, out / "split.csv", _split_csv(result))
+    is_test = np.zeros(n, dtype=bool)
+    is_test[result.test_idx] = True
+    multiplicity = np.where(is_test, np.bincount(result.test_multiset, minlength=n),
+                            np.bincount(result.train_multiset, minlength=n))
+    _write_csv(manifest, out, out / "split.csv", ["index", "role", "multiplicity"],
+               zip(range(n), np.where(is_test, "test", "train").tolist(), multiplicity.tolist()))
 
 
 def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Dataset,
@@ -407,26 +394,24 @@ def _read_result_dir(result_dir: Path):
             json.loads((result_dir / "config.json").read_text(encoding="utf-8"))
         )
         tree = deserialize_tree((result_dir / "model.json").read_text(encoding="utf-8"))
-        rows = _csv_rows(result_dir / "final_labels.csv")
-        final_labels = np.array([int(r["final_rank"]) for r in rows], dtype=np.int64)
-        factor_rows = _csv_rows(result_dir / "factor_labels.csv")
-        factor_ranks = {
-            f: np.array([int(r[f"{f}_rank"]) for r in factor_rows], dtype=np.int64)
-            for f in FACTOR_FIELDS
-        }
-        split_rows = _csv_rows(result_dir / "split.csv")
-        split_idx = np.array([int(r["index"]) for r in split_rows], dtype=np.int64)
-        train_idx = np.array([int(r["index"]) for r in split_rows if r["role"] == "train"], dtype=np.int64)
-        test_rows = [r for r in split_rows if r["role"] == "test"]
-        test_idx = np.array([int(r["index"]) for r in test_rows], dtype=np.int64)
-        test_ms = np.repeat(test_idx, [int(r["multiplicity"]) for r in test_rows])
-    except (ValueError, KeyError, TypeError, csv.Error) as e:
+        (final_labels,) = _csv_columns(result_dir / "final_labels.csv", {"final_rank": int})
+        final_labels = np.array(final_labels, dtype=np.int64)
+        factor_columns = _csv_columns(result_dir / "factor_labels.csv",
+                                      {f"{f}_rank": int for f in FACTOR_FIELDS})
+        factor_ranks = {f: np.array(ranks, dtype=np.int64)
+                        for f, ranks in zip(FACTOR_FIELDS, factor_columns)}
+        split_idx, roles, multiplicity = _csv_columns(
+            result_dir / "split.csv", {"index": int, "role": sys.intern, "multiplicity": int})
+        split_idx, roles = np.array(split_idx, dtype=np.int64), np.array(roles, dtype=object)
+        train_idx, test_idx = split_idx[roles == "train"], split_idx[roles == "test"]
+        test_ms = np.repeat(test_idx, np.array(multiplicity, dtype=np.int64)[roles == "test"])
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError, csv.Error) as e:
         raise InvalidArgument(f"malformed result dir {result_dir}: {e}")
     except RecursionError:  # config.json nests JSON too deeply
         raise InvalidArgument(f"malformed result dir {result_dir}: config.json nests too deeply")
-    if not (len(ds) == len(final_labels) == len(factor_rows)):
+    if not (len(ds) == len(final_labels) == len(factor_ranks[FACTOR_FIELDS[0]])):
         raise InvalidArgument("result dir artifacts disagree on record count")
-    if len(train_idx) + len(test_idx) != len(split_rows) or not np.array_equal(
+    if len(train_idx) + len(test_idx) != len(split_idx) or not np.array_equal(
         np.sort(split_idx), np.arange(len(ds))
     ):
         raise InvalidArgument(
@@ -463,38 +448,6 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
         except ValueError:
             raise InvalidArgument(f"record {rid} has a non-integer HRG rank {raw!r}")
     return np.array(ranks, dtype=np.int64)
-
-
-def _variances_csv(comparisons: dict) -> str:
-    return _csv_text(["factor", "grouping", "rank", "n", "variance"], (
-        [factor, grouping, rank, gv.n, repr(gv.variance)]
-        for factor, comp in comparisons.items()
-        for grouping, report in (("dt", comp.dt), ("hrg", comp.hrg))
-        for rank, gv in sorted(report.per_group.items())
-    ))
-
-
-def _boxplots_csv(per_factor: dict) -> str:
-    return _csv_text(["factor", "grouping", "rank", "min", "q1", "median", "q3", "max", "n"], (
-        [factor, grouping, rank, *map(repr, (s.min, s.q1, s.median, s.q3, s.max)), s.n]
-        for factor, groupings in per_factor.items()
-        for grouping, stats in groupings.items()
-        for rank, s in sorted(stats.items())
-    ))
-
-
-def _rules_csv(rules) -> str:
-    return _csv_text(["rule", "conditions", "class", "support", "expected_cost"], (
-        [i, rule.condition_text, rule.label, rule.support, repr(rule.expected_cost)]
-        for i, rule in enumerate(rules)
-    ))
-
-
-def _rank_spread_csv(factor_ranks: dict, final_labels: np.ndarray) -> str:
-    return _csv_text(["index", *(f"{f}_rank" for f in FACTOR_FIELDS), "final_rank"], (
-        [i, *(int(factor_ranks[f][i]) for f in FACTOR_FIELDS), int(final_labels[i])]
-        for i in range(len(final_labels))
-    ))
 
 
 def _evaluate(manifest: _Manifest, inputs: list, hrg_by_id: dict[str, str], out: Path,
@@ -546,35 +499,48 @@ def _evaluate(manifest: _Manifest, inputs: list, hrg_by_id: dict[str, str], out:
         manifest, out, out / "confusion_test_oversampled.json",
         _json_dumps(conf_test_os.to_dict()),
     )
-    _write_output(manifest, out, out / "variances_train.csv", _variances_csv(comp_train.factors))
-    _write_output(manifest, out, out / "variances_test.csv", _variances_csv(comp_test.factors))
-    _write_output(manifest, out, out / "boxplots_train.csv", _boxplots_csv(box["train"]))
-    _write_output(manifest, out, out / "boxplots_test.csv", _boxplots_csv(box["test"]))
+    sides = (("train", comp_train), ("test", comp_test))
+    for side, comp in sides:
+        _write_csv(manifest, out, out / f"variances_{side}.csv",
+                   ["factor", "grouping", "rank", "n", "variance"], (
+            [factor, grouping, rank, gv.n, repr(gv.variance)]
+            for factor, reports in comp.factors.items()
+            for grouping, report in (("dt", reports.dt), ("hrg", reports.hrg))
+            for rank, gv in sorted(report.per_group.items())
+        ))
+    for side, per_factor in box.items():
+        _write_csv(manifest, out, out / f"boxplots_{side}.csv",
+                   ["factor", "grouping", "rank", "min", "q1", "median", "q3", "max", "n"], (
+            [factor, grouping, rank, *map(repr, (s.min, s.q1, s.median, s.q3, s.max)), s.n]
+            for factor, groupings in per_factor.items()
+            for grouping, stats in groupings.items()
+            for rank, s in sorted(stats.items())
+        ))
     _write_output(
         manifest, out, out / "rules.txt",
         "".join(rule.render() + "\n" for rule in rules),
     )
-    _write_output(manifest, out, out / "rules.csv", _rules_csv(rules))
-    _write_output(
-        manifest, out, out / "rank_spread.csv", _rank_spread_csv(factor_ranks, final_labels)
-    )
+    _write_csv(manifest, out, out / "rules.csv",
+               ["rule", "conditions", "class", "support", "expected_cost"], (
+        [i, rule.condition_text, rule.label, rule.support, repr(rule.expected_cost)]
+        for i, rule in enumerate(rules)
+    ))
+    _write_csv(manifest, out, out / "rank_spread.csv",
+               ["index", *(f"{f}_rank" for f in FACTOR_FIELDS), "final_rank"],
+               zip(range(len(final_labels)), *(factor_ranks[f].tolist() for f in FACTOR_FIELDS),
+                   final_labels.tolist()))
     if svg:
         for factor in FACTOR_FIELDS:
-            for side, comp in (("train", comp_train), ("test", comp_test)):
-                figure = variance_bars_svg(
-                    comp.factors[factor].dt, comp.factors[factor].hrg,
-                    f"Intra-group variance: {factor} ({side})",
-                )
-                _write_output(manifest, out, out / f"variance_{factor}_{side}.svg", figure)
-            figure = boxplots_svg(
-                box["test"][factor]["dt"], box["test"][factor]["hrg"],
-                f"{factor} by group (test)",
-            )
-            _write_output(manifest, out, out / f"boxplot_{factor}_test.svg", figure)
-        _write_output(
-            manifest, out, out / "rank_spread.svg",
-            rank_spread_svg(factor_ranks, final_labels, config.k),
-        )
+            for side, comp in sides:
+                reports, title = comp.factors[factor], f"Intra-group variance: {factor} ({side})"
+                _stream_output(manifest, out, out / f"variance_{factor}_{side}.svg",
+                               lambda fh: variance_bars_svg(reports.dt, reports.hrg, title, fh))
+            stats = box["test"][factor]
+            _stream_output(manifest, out, out / f"boxplot_{factor}_test.svg",
+                           lambda fh: boxplots_svg(stats["dt"], stats["hrg"],
+                                                   f"{factor} by group (test)", fh))
+        _stream_output(manifest, out, out / "rank_spread.svg",
+                       lambda fh: rank_spread_svg(factor_ranks, final_labels, config.k, fh))
     manifest.write(out / "manifest.json")
     ratios = {
         f: comparison_doc["test"]["factors"][f]["ratio"] for f in FACTOR_FIELDS

@@ -2,7 +2,8 @@
 
 Only what the reports need: grouped bar charts of per-group variance,
 side-by-side boxplots, and the rank-spread scatter. Output is well-formed
-standalone SVG 1.1.
+standalone SVG 1.1, written element by element to a text sink (an open file
+or an ``io.StringIO``), so no figure's text is held whole.
 """
 
 from __future__ import annotations
@@ -18,45 +19,51 @@ FACTOR_COLORS = {"los_days": "#4878a8", "total_cost": "#c44e52", "tbsa_pct": "#5
 
 
 class SvgCanvas:
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self._parts: list[str] = [
+    """An SVG document written to ``out`` (anything with ``.write(str)``)
+    element by element; ``close`` ends it."""
+
+    def __init__(self, out, width: int, height: int):
+        self.write = out.write
+        self.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
-        ]
+        )
 
     def rect(self, x, y, w, h, fill, opacity=1.0):
-        self._parts.append(
+        self.write(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
             f'fill="{fill}" fill-opacity="{opacity}"/>\n'
         )
 
     def line(self, x1, y1, x2, y2, stroke="#333", width=1.0):
-        self._parts.append(
+        self.write(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="{stroke}" stroke-width="{width}"/>\n'
         )
 
-    def circle(self, cx, cy, r, fill, opacity=1.0):
-        self._parts.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" '
+    def circles(self, xs, ys, r, fill, opacity=1.0):
+        """One circle per (x, y) pair, written with one ``write``."""
+        self.write("".join(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" '
             f'fill="{fill}" fill-opacity="{opacity}"/>\n'
-        )
+            for x, y in zip(xs, ys)
+        ))
 
     def text(self, x, y, content, size=11, anchor="start"):
-        self._parts.append(
+        self.write(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" fill="{TEXT_COLOR}">'
             f"{escape(str(content), quote=False)}</text>\n"
         )
 
-    def render(self) -> str:
-        return "".join(self._parts) + "</svg>\n"
+    def close(self) -> None:
+        self.write("</svg>\n")
 
 
 _MARGIN = 50
+#: Cases of the rank-spread scatter formatted and written at once.
+_SPREAD_BLOCK = 1024
 
 
 def _y_scale(max_value: float, height: int):
@@ -68,12 +75,12 @@ def _y_scale(max_value: float, height: int):
     return scale
 
 
-def variance_bars_svg(dt_report, hrg_report, title: str) -> str:
-    """Grouped bars: per-rank variance for the tree groups vs the HRG groups,
-    with the headline means in the legend."""
+def variance_bars_svg(dt_report, hrg_report, title: str, out) -> None:
+    """Grouped bars to ``out``: per-rank variance for the tree groups vs the
+    HRG groups, with the headline means in the legend."""
     ranks = sorted(set(dt_report.per_group) | set(hrg_report.per_group))
     width, height = max(560, 40 * len(ranks) + 2 * _MARGIN), 320
-    canvas = SvgCanvas(width, height)
+    canvas = SvgCanvas(out, width, height)
 
     def var_of(report, rank):
         gv = report.per_group.get(rank)
@@ -99,14 +106,14 @@ def variance_bars_svg(dt_report, hrg_report, title: str) -> str:
     canvas.text(_MARGIN + 14, _MARGIN - 7, f"DT (mean {dt_report.mean_variance:.2f})")
     canvas.rect(_MARGIN + 180, _MARGIN - 16, 10, 10, HRG_COLOR)
     canvas.text(_MARGIN + 194, _MARGIN - 7, f"HRG (mean {hrg_report.mean_variance:.2f})")
-    return canvas.render()
+    canvas.close()
 
 
-def boxplots_svg(dt_stats, hrg_stats, title: str) -> str:
-    """Side-by-side box-and-whisker per rank for the two groupings."""
+def boxplots_svg(dt_stats, hrg_stats, title: str, out) -> None:
+    """Side-by-side box-and-whisker per rank for the two groupings, to ``out``."""
     ranks = sorted(set(dt_stats) | set(hrg_stats))
     width, height = max(560, 44 * len(ranks) + 2 * _MARGIN), 360
-    canvas = SvgCanvas(width, height)
+    canvas = SvgCanvas(out, width, height)
     top = max((s.max for s in list(dt_stats.values()) + list(hrg_stats.values())), default=1.0)
     scale = _y_scale(top, height)
     slot = (width - 2 * _MARGIN) / max(len(ranks), 1)
@@ -133,25 +140,29 @@ def boxplots_svg(dt_stats, hrg_stats, title: str) -> str:
     canvas.text(_MARGIN + 14, _MARGIN - 7, "DT groups")
     canvas.rect(_MARGIN + 120, _MARGIN - 16, 10, 10, HRG_COLOR)
     canvas.text(_MARGIN + 134, _MARGIN - 7, "HRG groups")
-    return canvas.render()
+    canvas.close()
 
 
-def rank_spread_svg(factor_ranks: dict[str, np.ndarray], final_ranks: np.ndarray, k: int) -> str:
-    """Scatter of each case's per-factor rank against its final rank; the
-    three factors are offset within each final-rank slot."""
+def rank_spread_svg(factor_ranks: dict[str, np.ndarray], final_ranks: np.ndarray, k: int,
+                    out) -> None:
+    """Scatter, to ``out``, of each case's per-factor rank against its final
+    rank; the three factors are offset within each final-rank slot. The
+    circles are formatted and written ``_SPREAD_BLOCK`` cases at a time."""
     width, height = 720, 420
-    canvas = SvgCanvas(width, height)
+    canvas = SvgCanvas(out, width, height)
     scale_y = _y_scale(float(k), height)
     slot = (width - 2 * _MARGIN) / k
     offsets = {f: (i + 1) / (len(factor_ranks) + 1) for i, f in enumerate(factor_ranks)}
+    final_ranks = np.asarray(final_ranks)
     for factor, ranks in factor_ranks.items():
         color = FACTOR_COLORS.get(factor, "#777")
-        jitter = (np.arange(len(ranks)) % 7 - 3) * slot * 0.015
-        # the scalar arithmetic of one point at a time, over whole arrays
-        xs = _MARGIN + (np.asarray(final_ranks) - 1) * slot + offsets[factor] * slot + jitter
-        ys = scale_y(np.asarray(ranks, dtype=np.float64))
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            canvas.circle(x, y, 1.6, color, 0.35)
+        for start in range(0, len(ranks), _SPREAD_BLOCK):
+            cases = np.arange(start, min(start + _SPREAD_BLOCK, len(ranks)))
+            jitter = (cases % 7 - 3) * slot * 0.015
+            # the scalar arithmetic of one point at a time, over a block of points
+            xs = _MARGIN + (final_ranks[cases] - 1) * slot + offsets[factor] * slot + jitter
+            ys = scale_y(np.asarray(ranks[start:start + _SPREAD_BLOCK], dtype=np.float64))
+            canvas.circles(xs.tolist(), ys.tolist(), 1.6, color, 0.35)
     for r in range(1, k + 1):
         canvas.text(_MARGIN + (r - 0.5) * slot, height - _MARGIN + 16, r, anchor="middle")
         canvas.text(_MARGIN - 8, scale_y(float(r)) + 4, r, anchor="end")
@@ -163,7 +174,7 @@ def rank_spread_svg(factor_ranks: dict[str, np.ndarray], final_ranks: np.ndarray
     for factor, color in FACTOR_COLORS.items():
         if factor not in factor_ranks:
             continue
-        canvas.circle(x_legend + 5, _MARGIN - 11, 4, color)
+        canvas.circles([x_legend + 5], [_MARGIN - 11], 4, color)
         canvas.text(x_legend + 14, _MARGIN - 7, factor)
         x_legend += 150
-    return canvas.render()
+    canvas.close()

@@ -1,9 +1,11 @@
 """Test-only API: cohort CSV from and to text and to a path, cohort-shaped
 datasets of any size drawn with numpy, the zero-one cost matrix and single
-cost-matrix entries. The package itself reads cohorts from files, streams
-them to files and trains under the linear matrix only."""
+cost-matrix entries, and a tracemalloc peak with a text sink that drops what
+it is given. The package itself reads cohorts from files, streams them to
+files and trains under the linear matrix only."""
 
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -71,3 +73,20 @@ def zero_one_cost_matrix(k: int) -> CostMatrix:
 def cost(matrix: CostMatrix, true_rank: int, pred_rank: int) -> float:
     """Penalty for predicting ``pred_rank`` when the truth is ``true_rank``."""
     return float(matrix.entries[true_rank - 1, pred_rank - 1])
+
+
+class Discard:
+    """A text sink, like an open file's ``write``, that keeps nothing."""
+
+    def write(self, text: str) -> None:
+        pass
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -695,6 +695,9 @@ class TestEvaluate:
         pytest.param("labels.csv", b'id,rank\n"' + b"P" * 200_000 + b'",1\n', id="labels_oversized_cell"),
         pytest.param("final_labels.csv", b'index,id,final_rank\n0,"' + b"P" * 200_000 + b'",1\n',
                      id="result_oversized_cell"),
+        pytest.param("final_labels.csv", b"index,id\n0,P000000\n", id="result_missing_column"),
+        pytest.param("final_labels.csv", b"index,id,final_rank\n0,P000000," + b"9" * 20 + b"\n",
+                     id="result_rank_overflow"),
     ])
     def test_unreadable_input_exit_2_naming_file(self, trained, tmp_path, capsys, name, content):
         import shutil
@@ -759,10 +762,10 @@ class TestAll:
         import casemix.cli as cli
 
         parsed = []
-        for name in ("read_cohort_csv", "_csv_rows", "_read_hrg_labels"):
-            def recording_read(path, read=getattr(cli, name)):
+        for name in ("read_cohort_csv", "_csv_columns", "_read_hrg_labels"):
+            def recording_read(path, *args, read=getattr(cli, name)):
                 parsed.append(Path(path).name)
-                return read(path)
+                return read(path, *args)
 
             monkeypatch.setattr(cli, name, recording_read)
         cfg = write_config(tmp_path)

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from casemix.cohort import (
 from casemix.domain import Depth
 from casemix.errors import InvalidArgument
 from casemix.preprocess import COST_OUTLIER, LOS_OUTLIER
-from tests.helpers import csv_text, parse_cohort_csv, random_dataset
+from tests.helpers import csv_text, parse_cohort_csv, random_dataset, traced_peak
 
 # Observed once on the fixed generator constants (n=5000, seed=42) and pinned
 # as a regression; the hard requirement is only >= 0.5.
@@ -222,12 +221,8 @@ class TestInjectMissingness:
         """Draws are held a block of records at a time, so beyond the
         arrays it returns, a 20k-record call allocates at most 4 MiB."""
         ds = random_dataset(20000, 1)
-        tracemalloc.start()
-        try:
-            out = inject_missingness(ds, 0.2, seed=7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(inject_missingness, ds, 0.2, 7)
+        out = inject_missingness(ds, 0.2, seed=7)
         result = sum(arr.nbytes for arr in (out.numerics, out.site_areas, out.site_depths,
                                             *out.extras.values()))
         assert peak <= result + 4 * 2**20

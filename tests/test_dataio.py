@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import io
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,14 @@ from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.dataio import dataset_sha256, read_cohort_csv
 from casemix.domain import DEPTH_LEVELS, MISSING_DEPTH, N_SITES, Dataset
 from casemix.errors import InvalidArgument
-from tests.helpers import csv_text, parse_cohort_csv, random_dataset, write_cohort_csv
+from tests.helpers import (
+    Discard,
+    csv_text,
+    parse_cohort_csv,
+    random_dataset,
+    traced_peak,
+    write_cohort_csv,
+)
 
 
 def test_round_trip_bit_exact(tmp_path, small_cohort):
@@ -262,13 +268,7 @@ def test_read_peak_memory_bounded_by_file_size(tmp_path):
     cells, not every cell of the file at once."""
     path = tmp_path / "cohort.csv"
     write_cohort_csv(generate_cohort(CohortConfig(n=5000, seed=11)), path)
-    tracemalloc.start()
-    try:
-        read_cohort_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * path.stat().st_size
+    assert traced_peak(read_cohort_csv, path) < 10 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +331,14 @@ def test_written_rows_split_anywhere(ds, data):
     assert dataset_sha256(ds) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class _Discard:
-    def write(self, text: str) -> None:
-        pass
-
-
-def _write_peak(ds) -> int:
-    tracemalloc.start()
-    try:
-        dataio.cohort_csv_text(ds, _Discard())
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_write_peak_memory_does_not_grow_with_rows():
     """Writing holds one block of rows as cell strings, so ten times the
     rows peaks at about the same memory; holding every cell would take
     about ten times as much."""
-    assert _write_peak(random_dataset(20000, 1)) <= 1.5 * _write_peak(random_dataset(2000, 1))
+    def peak(n):
+        return traced_peak(dataio.cohort_csv_text, random_dataset(n, 1), Discard())
+
+    assert peak(20000) <= 1.5 * peak(2000)
 
 
 # ---------------------------------------------------------------------------
