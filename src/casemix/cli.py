@@ -20,6 +20,7 @@ import os
 import secrets
 import sys
 import time
+from collections import Counter
 from collections.abc import Callable
 from pathlib import Path
 from typing import TextIO
@@ -175,7 +176,8 @@ def _write_csv(manifest: _Manifest, root: Path, path: Path, header, rows) -> Non
 def _csv_columns(path: Path, columns: dict[str, Callable[[str], object]]) -> list[list]:
     """The named columns of the CSV file at ``path``, in ``columns`` order,
     each cell passed through its column's converter, read in one pass.
-    Blank lines hold no row."""
+    Blank lines hold no row; a row too short for a named column raises
+    ValueError naming the file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -185,8 +187,12 @@ def _csv_columns(path: Path, columns: dict[str, Callable[[str], object]]) -> lis
         picks = [(header.index(name), convert, []) for name, convert in columns.items()]
         for row in reader:
             if row:
-                for i, convert, cells in picks:
-                    cells.append(convert(row[i]))
+                try:
+                    for i, convert, cells in picks:
+                        cells.append(convert(row[i]))
+                except IndexError:
+                    raise ValueError(f"{path.name} line {reader.line_num} has no "
+                                     f"{header[i]!r} cell") from None
     return [cells for _, _, cells in picks]
 
 
@@ -421,16 +427,18 @@ def _read_result_dir(result_dir: Path):
 
 
 def _read_hrg_labels(path: Path) -> dict[str, str]:
+    """Each record id's raw HRG rank cell; the file lists every id once."""
     if not path.is_file():
         raise InvalidArgument(f"HRG labels file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "id" not in reader.fieldnames or "rank" not in reader.fieldnames:
-                raise InvalidArgument("HRG labels file must have 'id' and 'rank' columns")
-            return {row["id"]: row["rank"] for row in reader}
-    except (ValueError, csv.Error) as e:  # not UTF-8, or a cell over the csv field limit
+        ids, ranks = _csv_columns(path, {"id": str, "rank": str})
+    except (ValueError, csv.Error) as e:  # not UTF-8, a short row, a cell over the csv field limit
         raise InvalidArgument(f"cannot read HRG labels {path}: {e}")
+    hrg_by_id = dict(zip(ids, ranks))
+    if len(hrg_by_id) < len(ids):
+        repeated = next(rid for rid, count in Counter(ids).items() if count > 1)
+        raise InvalidArgument(f"HRG labels {path} list id {repeated!r} more than once")
+    return hrg_by_id
 
 
 def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:

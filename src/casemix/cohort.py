@@ -118,8 +118,9 @@ class CohortConfig:
         for name in ("los_noise", "cost_noise", "outlier_rate", "unclassifiable_rate"):
             if not is_number(getattr(self, name)):
                 raise InvalidArgument(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.n < 1:
-            raise InvalidArgument(f"cohort size must be >= 1, got {self.n}")
+        # Each record's streams are keyed by its index as one 32-bit word.
+        if not 1 <= self.n <= 2**32:
+            raise InvalidArgument(f"cohort size must be in [1, 2**32], got {self.n}")
         if len(self.severity_weights) != 3 or not all(
             is_number(w) and w >= 0 for w in self.severity_weights
         ):

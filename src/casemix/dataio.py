@@ -21,8 +21,9 @@ written to the output before the next block, so no more than one block of
 rows is held as cell strings and the text is never held whole.
 
 Numeric cells must be finite, the core and site-area columns non-negative
-and tbsa_pct at most 100; depth cells must name a depth level. A bad cell
-raises InvalidArgument naming the row id and the column, a header naming a
+and tbsa_pct at most 100; depth cells must name a depth level; no two rows
+share an id. A bad cell, or an id an earlier row holds, raises
+InvalidArgument naming the row id and the column, a header naming a
 column twice one naming that column, a row of the wrong length one naming
 its id, and a row the csv module cannot read (a cell over its field size
 limit) one naming the line. The whole file is decoded before
@@ -213,7 +214,7 @@ def _parse_lines(lines) -> Dataset:
     depths = [_depth_column(cells[j], codes[j])
               for j in range(len(_CORE_COLUMNS) + N_SITES, len(_HEADER))]
     # Within a row, cells are checked site by site (area, then depth), then
-    # theatre_visits, the numeric extras, age, LOS, cost and TBSA.
+    # theatre_visits, the numeric extras, age, LOS, cost, TBSA and the id.
     checks = [pair for i in range(N_SITES) for pair in (
         (SITE_AREA_FIELDS[i], areas[i]), (SITE_DEPTH_FIELDS[i], depths[i]))]
     checks.append(("theatre_visits", core["theatre_visits"]))
@@ -228,6 +229,11 @@ def _parse_lines(lines) -> Dataset:
     checks += [(name, core[name]) for name in ("age_years", "los_days", "total_cost", "tbsa_pct")]
 
     ids = np.array(cells[0], dtype=object)[codes[0]]
+    # Ids are coded in order of first appearance, so the first row whose
+    # code is not its row number is the first to repeat an earlier row's id.
+    repeats = codes[0] != np.arange(len(ids))
+    checks.append(("id", _Column(ids, int(repeats.argmax()) if repeats.any() else len(ids),
+                                 "repeats an earlier row's id")))
     column, bad = min(checks, key=lambda check: check[1].bad_row)
     if bad.bad_row < len(ids):
         raise InvalidArgument(f"row id {ids[bad.bad_row]!r}, column {column!r}: {bad.error}")

@@ -34,16 +34,16 @@ depths arrive as codes already, ``DEPTH_LEVELS`` being sorted);
 every column for one tree (``EncodedTable``). A numeric column becomes int32
 value-rank codes plus its sorted distinct values, so a threshold is still
 the exact midpoint (a+b)/2 of two adjacent observed values; a categorical
-column keeps the levels present in the training rows, in the same order. A
+column becomes int32 indices into the levels present in the training rows,
+in the same order. Both kinds share one code matrix in schema order. A
 node is its own ascending array of row ids, and a split hands each child the
 rows its mask selects. A node's numeric scan gathers its codes and sorts the
 keys code * k + label along each column, so the rows arrive in value order;
 categorical columns are scanned from one class histogram per node, each
 by the levels present at that node: every subset of them when there are at
 most MAX_EXHAUSTIVE_LEVELS, else the prefixes of them ordered by mean label
-rank. The columns are grouped by kind into at most two spans (numeric,
-categorical), and each node scans each span in one pass unless the node is
-too large for its working arrays.
+rank. Each node scans the numeric columns, then the categorical ones, each
+kind in one pass unless the node is too large for its working arrays.
 
 Determinism contract: within a column, numeric thresholds are scanned
 ascending and categorical subsets in canonical order. Of equal decreases,
@@ -82,7 +82,7 @@ TREE_FORMAT_VERSION = "1"
 #: instead of over every subset.
 MAX_EXHAUSTIVE_LEVELS = 10
 
-#: A scan at one node takes as many of its span's columns as fit in
+#: A scan at one node takes as many columns of one kind as fit in
 #: _BLOCK_CELLS row entries, at least one; so a node of fewer rows than
 #: _BLOCK_CELLS / (columns of a kind) scans each kind in one pass. Candidate
 #: splits reach _impurity_terms in chunks of _CHUNK. Together these bound the
@@ -330,14 +330,14 @@ def _impurity_terms(counts_left: np.ndarray, totals: np.ndarray, L: np.ndarray):
 class EncodedTable:
     """A FeatureTable and its labels encoded once for growing one tree.
 
-    Numeric column j: ``num_codes[j]`` are int32 ranks into ``values[j]``,
-    its sorted distinct values. Categorical column j: ``cat_codes[j]`` are
-    int32 indices into ``levels[j]``, the table's levels that these rows
-    hold, still in sorted order.
-    Both code arrays have one row per column and ``n`` entries per row, one
-    per training row. ``spans`` holds one ``_Span`` for each scan class that
-    has columns. No node state lives here: a node is its own array of row
-    ids, which index these codes and ``y0``.
+    ``codes`` holds one int32 row per column, in schema order, and one entry
+    per training row. Numeric column j's codes are ranks into ``values[j]``,
+    its sorted distinct values; categorical column j's are indices into
+    ``levels[j]``, the table's levels that these rows hold, still in sorted
+    order. Each list holds None at the other kind's columns, and
+    ``numeric`` and ``categorical`` hold each kind's schema indices. No node
+    state lives here: a node is its own array of row ids, which index these
+    codes and ``y0``.
     """
 
     def __init__(self, table: FeatureTable, labels, k: int):
@@ -351,55 +351,37 @@ class EncodedTable:
         self.k = k
         self.y0 = y - 1
         self.names = table.names
-        self.num_names, self.values, num_codes = [], [], []
-        self.cat_names, self.levels, cat_codes = [], [], []
-        members = {_NumericScan: [], _CategoricalScan: []}
-        for schema, (name, kind, col) in enumerate(zip(table.names, table.kinds, table.columns)):
+        self.n = table.n_rows
+        self.codes = np.empty((len(table.names), self.n), dtype=np.int32)
+        self.values, self.levels = [], []
+        for j, (name, kind, col) in enumerate(zip(table.names, table.kinds, table.columns)):
             if (np.isnan(col) if kind == NUMERIC else col < 0).any():
                 raise InvalidArgument(f"training column {name!r} contains missing values")
-            values, codes = np.unique(col, return_inverse=True)
-            if kind == NUMERIC:
-                members[_NumericScan].append((len(self.num_names), schema))
-                self.num_names.append(name)
-                self.values.append(values)
-                num_codes.append(codes.astype(np.int32))
-            else:  # values are the codes of the levels present in these rows
-                members[_CategoricalScan].append((len(self.cat_names), schema))
-                self.cat_names.append(name)
-                self.levels.append(tuple(table.levels[name][c] for c in values.tolist()))
-                cat_codes.append(codes.astype(np.int32))
-        self.spans = [_Span(scan, *np.array(m, dtype=np.intp).T) for scan, m in members.items() if m]
-        n = table.n_rows
-        self.num_codes = np.array(num_codes, dtype=np.int32).reshape(-1, n)
-        self.cat_codes = np.array(cat_codes, dtype=np.int32).reshape(-1, n)
-        self.n_levels = np.array([len(levels) for levels in self.levels], dtype=np.intp)
-        self.n = n
+            values, self.codes[j] = np.unique(col, return_inverse=True)
+            numeric = kind == NUMERIC
+            self.values.append(values if numeric else None)
+            self.levels.append(None if numeric else  # values: codes of the levels present
+                               tuple(table.levels[name][c] for c in values.tolist()))
+        kinds = np.array(table.kinds)
+        self.numeric = np.flatnonzero(kinds == NUMERIC)
+        self.categorical = np.flatnonzero(kinds == CATEGORICAL)
+        self.n_levels = np.array([len(lv or ()) for lv in self.levels], dtype=np.intp)
         self.candidates_scanned = 0
 
 
-class _Span(NamedTuple):
-    """The columns that one scan class handles, in schema order: ``columns``
-    index that kind's encoded arrays and ``schema`` holds their schema
-    indices."""
-
-    scan: type
-    columns: np.ndarray
-    schema: np.ndarray
-
-
 class _NumericScan:
-    """Cut candidates of the numeric columns ``cols`` at one node. Each
-    column's keys code * k + label over the node's rows are sorted, so a cut
-    after sorted position p is a candidate when the code changes there and
-    both sides keep min_leaf rows; the left class counts of every cut come
-    from one bincount over the runs of equal codes, accumulated across runs.
-    A run's counts are summed before any cut, so the order of the labels
-    within a run does not matter."""
+    """Cut candidates at one node of the numeric columns ``cols``, given as
+    schema indices. Each column's keys code * k + label over the node's rows
+    are sorted, so a cut after sorted position p is a candidate when the
+    code changes there and both sides keep min_leaf rows; the left class
+    counts of every cut come from one bincount over the runs of equal codes,
+    accumulated across runs. A run's counts are summed before any cut, so
+    the order of the labels within a run does not matter."""
 
     def __init__(self, enc: EncodedTable, cols: np.ndarray, rows: np.ndarray,
                  y: np.ndarray, counts: np.ndarray, min_leaf: int):
         k, n = enc.k, len(rows)
-        keys = enc.num_codes.take(rows + cols[:, None] * enc.n).astype(np.int64) * k + y
+        keys = enc.codes.take(rows + cols[:, None] * enc.n).astype(np.int64) * k + y
         keys.sort(axis=1)
         codes = keys // k
         new_run = np.ones(codes.shape, dtype=bool)
@@ -427,8 +409,8 @@ class _NumericScan:
         j = self.cols[f]
         values = self.enc.values[j]
         threshold = float((values[self.codes[f, p]] + values[self.codes[f, p + 1]]) / 2.0)
-        left_mask = self.enc.num_codes[j, rows] < np.searchsorted(values, threshold)
-        return Split(self.enc.num_names[j], threshold, None, decrease, left_mask)
+        left_mask = self.enc.codes[j, rows] < np.searchsorted(values, threshold)
+        return Split(self.enc.names[j], threshold, None, decrease, left_mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -465,7 +447,7 @@ class _CategoricalScan:
         n_levels = enc.n_levels[cols]
         start = np.cumsum(n_levels) - n_levels  # each column's first level on the flat axis
         hist = np.bincount(
-            ((enc.cat_codes.take(rows + cols[:, None] * enc.n) + start[:, None]) * k + y).ravel(),
+            ((enc.codes.take(rows + cols[:, None] * enc.n) + start[:, None]) * k + y).ravel(),
             minlength=int(n_levels.sum()) * k,
         ).reshape(-1, k)
         flat = np.flatnonzero(hist.any(axis=1))  # the present levels, column by column
@@ -512,8 +494,8 @@ class _CategoricalScan:
         member = np.zeros(len(self.enc.levels[j]), dtype=bool)
         member[chosen] = True
         left_set = sum(1 << int(c) for c in chosen)
-        return Split(self.enc.cat_names[j], math.nan, _level_names(self.enc.levels[j], left_set),
-                     decrease, member[self.enc.cat_codes[j, rows]], left_set)
+        return Split(self.enc.names[j], math.nan, _level_names(self.enc.levels[j], left_set),
+                     decrease, member[self.enc.codes[j, rows]], left_set)
 
 
 def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q: float,
@@ -533,14 +515,14 @@ def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q
     parent_term = parent_q / n
     width = max(1, _BLOCK_CELLS // n)
     best_decrease, best_feature, best = 0.0, -1, None
-    for span in enc.spans:
-        for a in range(0, len(span.columns), width):
-            scan = span.scan(enc, span.columns[a:a + width], rows, y, counts, params.min_leaf)
+    for scan_class, columns in ((_NumericScan, enc.numeric), (_CategoricalScan, enc.categorical)):
+        for a in range(0, len(columns), width):
+            scan = scan_class(enc, columns[a:a + width], rows, y, counts, params.min_leaf)
             enc.candidates_scanned += scan.size
-            # A span's candidates arrive in schema order, thresholds
+            # A scan's candidates arrive in schema order, thresholds
             # ascending and subsets in canonical order, so argmax finds the
             # lowest schema index of a chunk's maxima; across chunks and
-            # spans, an equal decrease wins only on a lower schema index.
+            # kinds, an equal decrease wins only on a lower schema index.
             for lo in range(0, scan.size, _CHUNK):
                 counts_left = scan.counts_left(lo, lo + _CHUNK)
                 decreases = parent_term - _impurity_terms(counts_left, counts, loss.entries)
@@ -548,7 +530,7 @@ def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q
                 decrease = float(decreases[i])
                 if not (decrease > 0.0 and decrease >= best_decrease):
                     continue
-                feature = int(span.schema[a + scan.feature[lo + i]])
+                feature = int(scan.cols[scan.feature[lo + i]])
                 if decrease > best_decrease or feature < best_feature:
                     best_decrease, best_feature, best = decrease, feature, (scan, lo + i)
     if best is None:
@@ -650,7 +632,8 @@ def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams
     nodes = _grow(enc, loss, params)
     tree = DecisionTree(
         **_node_arrays(nodes), params=params, k=loss.k, feature_names=table.names,
-        feature_kinds=table.kinds, feature_levels=dict(zip(enc.cat_names, enc.levels)),
+        feature_kinds=table.kinds,
+        feature_levels={enc.names[j]: enc.levels[j] for j in enc.categorical},
         n_rows=table.n_rows, nodes_grown=len(nodes), candidates_scanned=enc.candidates_scanned,
     )
     tree.prune_steps = _prune(tree, loss, params.cp)

@@ -184,6 +184,14 @@ class TestGenerate:
         cfg = write_config(tmp_path, {"cohort": {"n": 0, "seed": 1}})
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("n", [2**32 + 1, 10**20])
+    def test_cohort_size_over_2_pow_32_exit_2_writes_nothing(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, {"cohort": {"n": n, "seed": 1}})
+        capsys.readouterr()
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
+        assert "cohort size must be in [1, 2**32]" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_seed_required_without_ephemeral(self, tmp_path):
         cfg = write_config(tmp_path, {"cohort": {"n": 10}})
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
@@ -717,19 +725,27 @@ class TestEvaluate:
         assert str(named) in err
         assert "Traceback" not in err
 
-    def test_non_integer_hrg_rank_exit_2(self, trained, tmp_path):
-        root, _, _, result = trained
-        import csv as csvmod
-
+    @pytest.mark.parametrize("fault", ["non_integer_rank", "short_row", "repeated_id"])
+    def test_bad_hrg_labels_exit_2(self, trained, tmp_path, capsys, fault):
+        _, _, _, result = trained
         with open(result / "final_labels.csv", newline="") as fh:
-            ids = [row["id"] for row in csvmod.DictReader(fh)]
+            ids = [row["id"] for row in csv.DictReader(fh)]
+        rows = [f"{i},{'whoops' if fault == 'non_integer_rank' else 1}" for i in ids]
+        if fault == "short_row":
+            rows[0] = ids[0]  # no rank cell
+        elif fault == "repeated_id":
+            rows.append(f"{ids[0]},2")  # a second, different rank for the first id
         labels = tmp_path / "labels.csv"
-        labels.write_text(
-            "id,rank\n" + "\n".join(f"{i},whoops" for i in ids) + "\n", encoding="utf-8"
-        )
+        labels.write_text("id,rank\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
         code = main(["evaluate", "--result", str(result), "--hrg", str(labels),
                      "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
         assert code == EXIT_CONFIG
+        assert {"non_integer_rank": "has a non-integer HRG rank 'whoops'",
+                "short_row": "labels.csv line 2 has no 'rank' cell",
+                "repeated_id": f"list id {ids[0]!r} more than once"}[fault] in err
+        assert "Traceback" not in err
 
 
 class TestAll:
@@ -953,7 +969,8 @@ class TestAllValidatesPipelineFirst:
 class TestBadCohortCells:
     @pytest.mark.parametrize("command", ["hrg", "train"])
     @pytest.mark.parametrize(
-        "column,value", [("los_days", "nan"), ("los_days", "-3"), ("tbsa_pct", "250")]
+        "column,value",
+        [("los_days", "nan"), ("los_days", "-3"), ("tbsa_pct", "250"), ("id", "P000000")],
     )
     def test_exit_2_naming_row_and_column(self, generated, tmp_path, capsys, command, column, value):
         root, cfg, cohort = generated

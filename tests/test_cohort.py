@@ -45,6 +45,13 @@ class TestConfig:
         with pytest.raises(InvalidArgument):
             CohortConfig(n=0, seed=1)
 
+    def test_n_bounded_by_32_bit_record_index(self):
+        """A record's streams are keyed by its index as one 32-bit word."""
+        assert CohortConfig(n=2**32, seed=1).n == 2**32
+        for n in (2**32 + 1, 10**20):
+            with pytest.raises(InvalidArgument, match=r"cohort size must be in \[1, 2\*\*32\]"):
+                CohortConfig(n=n, seed=1)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidArgument):
             CohortConfig(n=10, seed=1, severity_weights=(0.5, 0.5, 0.5))

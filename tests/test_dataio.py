@@ -159,7 +159,8 @@ def cohort_files(draw, min_rows=0):
     n_numeric, n_categorical = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     header = _HEADER + [f"num{j}" for j in range(n_numeric)] + [f"cat{j}" for j in range(n_categorical)]
     big = 1.7976931348623157e308
-    columns = [[draw(st.text('ab01,"- ', min_size=1, max_size=4)) for _ in range(n)]]
+    columns = [draw(st.lists(st.text('ab01,"- ', min_size=1, max_size=4), min_size=n, max_size=n,
+                             unique=True))]  # ids
     canonical = [columns[0]]
     for hi in (big, big, big, 100.0):  # age, LOS, cost, TBSA
         columns.append([draw(_float_cells(hi)) for _ in range(n)])
@@ -226,6 +227,26 @@ def test_single_bad_cell_names_row_and_column(case, data):
     with pytest.raises(InvalidArgument) as err:
         parse_cohort_csv(buf.getvalue())
     assert f"row id {rows[row][0]!r}, column {column!r}:" in str(err.value)
+
+
+def test_repeated_id_names_row_and_column_in_row_order(small_cohort):
+    rows = list(csv.reader(io.StringIO(csv_text(small_cohort))))
+    header = rows[0]
+    rows[3][0] = rows[1][0]  # the third record takes the first one's id
+    rows[4][0] = rows[2][0]
+    rows[5][header.index("los_days")] = "-1"  # a bad cell in a later row comes after
+
+    def parse():
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return parse_cohort_csv(buf.getvalue())
+
+    with pytest.raises(InvalidArgument) as err:
+        parse()
+    assert str(err.value) == f"row id {rows[1][0]!r}, column 'id': repeats an earlier row's id"
+    rows[3][header.index("tbsa_pct")] = "250"  # the row's own cells are checked first
+    with pytest.raises(InvalidArgument, match=f"row id {rows[1][0]!r}, column 'tbsa_pct'"):
+        parse()
 
 
 def test_ragged_row_reported_after_earlier_bad_cell(small_cohort):

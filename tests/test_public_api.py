@@ -1,6 +1,7 @@
-"""Every public function, class and method of the package is named by the
-package or the benchmark somewhere other than its definition, and every
-defaulted parameter of a package function is passed by some call there.
+"""Every function, class and method of the package, and every private
+module constant, is named by the package or the benchmark somewhere other
+than its definition, and every defaulted parameter of a package function is
+passed by some call there.
 API that only tests use lives in the test helpers (``tests/helpers.py``),
 not in ``src/``; a default nothing overrides is a constant."""
 
@@ -27,10 +28,10 @@ def public_definitions(module: ast.Module):
 
 
 def names_used(module: ast.Module):
-    """Every name and attribute the module reads or writes. A definition's
-    own name is neither."""
+    """Every name the module reads and every attribute it reads or writes.
+    A definition's own name is neither, nor is a constant's assignment."""
     for node in ast.walk(module):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -44,6 +45,37 @@ def test_no_public_name_is_used_only_by_tests():
         f"{path.name}: {qualified}"
         for path, module in modules.items() if path.parent == PACKAGE
         for qualified, name in public_definitions(module) if name not in used
+    ]
+    assert unused == []
+
+
+def private_definitions(module: ast.Module):
+    """(qualified name, name) of each private top-level function, class and
+    module constant and of each private method of a top-level class.
+    Dunders are skipped."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            yield node.name, node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name) and private(target.id):
+                    yield target.id, target.id
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and private(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_no_private_name_is_unused():
+    modules = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    used = {name for module in modules.values() for name in names_used(module)}
+    unused = [
+        f"{path.name}: {qualified}"
+        for path, module in modules.items() if path.parent == PACKAGE
+        for qualified, name in private_definitions(module) if name not in used
     ]
     assert unused == []
 
