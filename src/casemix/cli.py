@@ -176,8 +176,8 @@ def _write_csv(manifest: _Manifest, root: Path, path: Path, header, rows) -> Non
 def _csv_columns(path: Path, columns: dict[str, Callable[[str], object]]) -> list[list]:
     """The named columns of the CSV file at ``path``, in ``columns`` order,
     each cell passed through its column's converter, read in one pass.
-    Blank lines hold no row; a row too short for a named column raises
-    ValueError naming the file and the line."""
+    Blank lines hold no row; a row too short for a named column, or a cell
+    its converter refuses, raises ValueError naming the file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -193,6 +193,9 @@ def _csv_columns(path: Path, columns: dict[str, Callable[[str], object]]) -> lis
                 except IndexError:
                     raise ValueError(f"{path.name} line {reader.line_num} has no "
                                      f"{header[i]!r} cell") from None
+                except ValueError as e:
+                    raise ValueError(f"{path.name} line {reader.line_num}, column "
+                                     f"{header[i]!r}: {e}") from None
     return [cells for _, _, cells in picks]
 
 
@@ -452,9 +455,13 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
                 f"record {rid} is HRG-unclassifiable but survived preprocessing"
             )
         try:
-            ranks.append(int(raw))
+            rank = int(raw)
         except ValueError:
             raise InvalidArgument(f"record {rid} has a non-integer HRG rank {raw!r}")
+        # Every ruleset rank is at least 1; the ruleset's k is not known here.
+        if rank < 1:
+            raise InvalidArgument(f"record {rid} has HRG rank {rank}, below 1")
+        ranks.append(rank)
     return np.array(ranks, dtype=np.int64)
 
 

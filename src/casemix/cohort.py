@@ -13,9 +13,13 @@ draws exactly what
 Rather than build those three objects per stream, ``_stream_keys`` derives
 the Philox keys of every record of a range and tag at once, mirroring
 ``SeedSequence.generate_state`` in numpy, and ``_streams`` rewinds one
-reused generator to each key in turn. Seeds must be non-negative integers,
-of any size. The marginal distributions are admitted fiction; only the
-correlation structure and the injected edge cases are load-bearing.
+reused generator to each key in turn. Draws take the cheapest calls that
+match numpy's bit for bit: ``random()`` for ``uniform()``, ``_uniform`` for
+``uniform(a, b)`` and ``_dirichlet`` for ``dirichlet``, each of which
+leaves the stream where numpy's call would. Seeds must be non-negative
+integers, of any size. The marginal distributions are admitted fiction;
+only the correlation structure and the injected edge cases are
+load-bearing.
 
 ``generate_cohort`` splits the records into one contiguous range per CPU
 and draws the ranges in forked workers (``parallel.map_ordered``). Each
@@ -217,10 +221,14 @@ def _streams(seed: int, n: int, tags, start: int = 0) -> Callable[[int, int], np
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
     # A fresh Philox's state: counter 0, buffer_pos 4 (empty), has_uint32 0.
+    # Its arrays are held as lists of ints, which the state setter reads
+    # about three times faster; only the key row being set is converted.
     state = bit_generator.state
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
 
     def stream(index: int, tag: int) -> np.random.Generator:
-        state["state"]["key"] = keys[tag][index - start]
+        state["state"]["key"] = keys[tag][index - start].tolist()
         bit_generator.state = state
         return generator
 
@@ -238,6 +246,24 @@ def _choice(cdf: list[float], g: np.random.Generator) -> int:
     """The draw ``g.choice(len(p), p=p)`` makes for ``cdf = _cdf(p)``: same
     index, same generator state after it."""
     return bisect_right(cdf, g.random())
+
+
+def _uniform(low: float, high: float, g: np.random.Generator) -> float:
+    """The draw ``g.uniform(low, high)`` makes, as numpy computes it."""
+    return low + (high - low) * g.random()
+
+
+def _dirichlet(k: int, g: np.random.Generator) -> list[float]:
+    """The draw ``g.dirichlet(np.full(k, 1.5))`` makes, as numpy computes it:
+    k gamma draws, each times the reciprocal of their sum. The sum runs left
+    to right, as numpy's does; ``sum()`` is compensated from Python 3.12 and
+    ``np.sum`` is pairwise, so neither matches."""
+    draws = g.standard_gamma(1.5, k).tolist()
+    total = 0.0
+    for x in draws:
+        total += x
+    scale = 1.0 / total
+    return [x * scale for x in draws]
 
 
 _MECHANISM_CDF = tuple(_cdf(p) for p in _MECHANISM_P)
@@ -262,8 +288,7 @@ def _draw_sites(severity: int, tbsa: float, g: np.random.Generator):
     n_sites = 1 + int(g.poisson(0.35 + 0.09 * tbsa))
     n_sites = min(n_sites, N_SITES)
     chosen = sorted(int(i) for i in g.choice(N_SITES, size=n_sites, replace=False))
-    props = g.dirichlet(np.full(n_sites, 1.5))
-    areas = [round(float(p) * tbsa, 2) for p in props]
+    areas = [round(p * tbsa, 2) for p in _dirichlet(n_sites, g)]
     if sum(areas) == 0.0:
         areas[0] = max(round(tbsa, 2), 0.01)
     depths = [_BURN_DEPTH_CODES[_choice(_DEPTH_CDF[severity], g)] for _ in chosen]
@@ -279,7 +304,7 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
     tbsa = sum(sites[1])
 
     g_los = stream(index, _TAG_LOS)
-    if severity == 0 and g_los.uniform() < 0.35:
+    if severity == 0 and g_los.random() < 0.35:
         los = 0.0  # day attendance, no overnight stay
     else:
         mu = 0.4 + 1.05 * math.log1p(tbsa)
@@ -301,24 +326,24 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
     cost = min(cost, COST_OUTLIER)
 
     g = stream(index, _TAG_EXTRAS)
-    sex = 0 if g.uniform() < 0.5 else 1  # F, M
+    sex = 0 if g.random() < 0.5 else 1  # F, M
     mechanism = _choice(_MECHANISM_CDF[severity], g)
-    inhalation = 1 if g.uniform() < _INHALATION_P[severity] else 0  # yes, no
-    if severity == 2 and g.uniform() < 0.45:
+    inhalation = 1 if g.random() < _INHALATION_P[severity] else 0  # yes, no
+    if severity == 2 and g.random() < 0.45:
         ventilation = round(float(g.gamma(2.0, max(tbsa / 12.0, 0.5))), 1)
-    elif severity == 1 and g.uniform() < 0.06:
+    elif severity == 1 and g.random() < 0.06:
         ventilation = round(float(g.gamma(1.5, 1.0)), 1)
     else:
         ventilation = 0.0
     full_area = sum(a for a, d in zip(sites[1], sites[2]) if d == _FULL)
-    graft = 1 if g.uniform() < 1.0 - math.exp(-full_area / 6.0) else 0  # yes, no
+    graft = 1 if g.random() < 1.0 - math.exp(-full_area / 6.0) else 0  # yes, no
     year = 2003 + int(g.integers(0, 17))
-    age = round(float(g.uniform(0.1, 15.9)), 1)
+    age = round(_uniform(0.1, 15.9, g), 1)
 
     g_special = stream(index, _TAG_SPECIAL)
-    u = g_special.uniform()
+    u = g_special.random()
     if u < config.outlier_rate:
-        if g_special.uniform() < 0.5:
+        if g_special.random() < 0.5:
             los = round(361.0 + float(g_special.gamma(2.0, 60.0)), 1)
         else:
             cost = round(1_000_001.0 + float(g_special.gamma(2.0, 300_000.0)), 2)
@@ -326,8 +351,8 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
         # Episode with no recorded burn: ineligible for burn-tariff grouping.
         sites = ([], [], [])
         tbsa = 0.0
-        los = round(float(g_special.uniform(0.0, 0.4)), 1)
-        cost = round(float(g_special.uniform(50.0, 400.0)), 2)
+        los = round(_uniform(0.0, 0.4, g_special), 1)
+        cost = round(_uniform(50.0, 400.0, g_special), 2)
         theatre = 0
         ventilation, inhalation, graft = 0.0, 0, 0
 
@@ -409,7 +434,7 @@ def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     blank = np.zeros_like(eligible)
     for start in range(0, len(ds), _MISSING_BLOCK):
         stop = min(start + _MISSING_BLOCK, len(ds))
-        draws = [stream(i, _TAG_MISSING).uniform(size=counts[i])
+        draws = [stream(i, _TAG_MISSING).random(counts[i])
                  for i in range(start, stop) if counts[i]]
         if draws:
             blank[start:stop][eligible[start:stop]] = np.concatenate(draws) < rate

@@ -15,11 +15,21 @@ float64 while n^2 * max(L) < 2^53 (n up to about 2.7e7 at k=13), whatever
 the BLAS or einsum summation order; only the three divisions, their sum
 and the final difference round.
 
-Growth stop: a node whose own leaf risk min(c @ L) is below the pruning
-threshold (cp times the root's leaf risk) is not searched. Were it split,
-its weakest-link g <= own / (leaves - 1) would stay below the threshold, so
-pruning would always collapse it (Breiman et al. 1984, ch. 3); the pruned
-tree is the same, with fewer nodes grown.
+Growth budget: growth searches only the nodes that pruning could keep,
+passing cp down the tree as a complexity budget, as rpart's partition.c
+does. With alpha = cp times the root's leaf risk and own a node's leaf risk
+min(c @ L), a subtree at its best pruning scores S = own + alpha as a leaf
+and S = min(own + alpha, S_left + S_right) once split (Breiman et al. 1984,
+ch. 3). Each node carries a budget M, the root's infinite, and is searched
+only when min(own + alpha, M) >= 2 * alpha, since any split subtree scores
+at least 2 * alpha; this implies own >= alpha. The comparison allows a
+margin of 1e-9 times the root risk, so that rounding in S can only add
+searches. The left child's budget is min(own + alpha, M) minus
+min(own_right + alpha, 2 * alpha), the least S the right subtree can score;
+once the left subtree is done, the right child's budget is
+min(own + alpha, M) - S_left. ``_prune`` still runs on the grown tree and
+makes every keep or collapse decision, so the pruned tree is the same, with
+fewer nodes grown.
 
 Layout: a fitted ``DecisionTree`` is a set of parallel per-node arrays in
 preorder, the layout of rpart's ``frame`` table and scikit-learn's ``Tree``.
@@ -546,31 +556,59 @@ def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q
 def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node]:
     """Recursive partitioning with an explicit stack, depth-first and left
     child first, so nodes arrive in preorder. Each node on the stack is its
-    own ascending array of row ids. A node whose own leaf risk is below the
-    pruning threshold stays a leaf: pruning would collapse it."""
+    own ascending array of row ids with its class counts, and carries a
+    budget M, the root's infinite. With alpha = cp * root risk and own a
+    node's leaf risk, a subtree at its best pruning scores S = own + alpha
+    as a leaf and min(own + alpha, S_left + S_right) once split; its
+    ancestors keep their splits only while S stays within M. A split subtree
+    scores S >= 2 * alpha, so a node is searched only when
+    cap = min(own + alpha, M) >= 2 * alpha, less a margin of 1e-9 * root
+    risk that errs toward searching. The left child's budget is
+    cap - min(own_right + alpha, 2 * alpha), the least S its sibling can
+    score; the right child's, once the left subtree is done, is
+    cap - S_left. ``_prune`` still decides every collapse."""
     nodes: list[_Node] = []
-    root_risk = float((np.bincount(enc.y0, minlength=enc.k) @ loss.entries).min())
-    stop = params.cp * root_risk
-    stack = [(np.arange(enc.n), 0, -1)]  # (rows, depth, parent of a right child)
+    counts = np.bincount(enc.y0, minlength=enc.k).astype(np.float64)
+    root_risk = float((counts @ loss.entries).min())
+    alpha = params.cp * root_risk
+    margin = 1e-9 * root_risk
+    cap: list[float] = []  # per node: min(own + alpha, M)
+    score: list[float] = []  # per node: own + alpha, then S once its subtree is done
+    up: list[int] = []  # per node: its parent if it is a right child, else -1
+    # (rows, class counts, depth, parent of a right child, budget of a left child)
+    stack = [(np.arange(enc.n), counts, 0, -1, math.inf)]
     while stack:
-        rows, depth, parent = stack.pop()
+        rows, counts, depth, parent, budget = stack.pop()
+        i = len(nodes)
         if parent >= 0:
-            nodes[parent] = nodes[parent]._replace(right=len(nodes))
-        counts = np.bincount(enc.y0[rows], minlength=enc.k).astype(np.float64)
+            nodes[parent] = nodes[parent]._replace(right=i)
+            budget = cap[parent] - score[parent + 1]
         impurity = gini_loss_impurity(counts, loss)
         costs = counts @ loss.entries  # costs[j]: the node's risk as a leaf of rank j + 1
+        score.append(float(costs.min()) + alpha)
+        cap.append(min(score[i], budget))
+        up.append(parent)
         node = {"n": len(rows), "counts": counts}
         split = None
         if (depth < params.max_depth and len(rows) >= params.min_split and impurity != 0.0
-                and costs.min() >= stop):
+                and cap[i] - alpha >= alpha - margin):  # false when alpha overflows to inf
             split = best_split(enc, rows, counts, float(costs @ counts), loss, params)
         if split is None:
             node["label"], node["expected_cost"] = leaf_label(counts, loss)
+            done = i
+            while up[done] >= 0:  # a right subtree is done, and so is its parent's
+                p = up[done]
+                score[p] = min(score[p], score[p + 1] + score[done])
+                done = p
         else:
             node.update(feature=enc.names.index(split.feature), threshold=split.threshold,
                         left_set=split.left_set, impurity=impurity, decrease=split.decrease)
             left = split.left_mask
-            stack += [(rows[~left], depth + 1, len(nodes)), (rows[left], depth + 1, -1)]
+            counts_left = np.bincount(enc.y0[rows[left]], minlength=enc.k).astype(np.float64)
+            counts_right = counts - counts_left
+            right_score = min(float((counts_right @ loss.entries).min()) + alpha, 2.0 * alpha)
+            stack += [(rows[~left], counts_right, depth + 1, i, math.nan),
+                      (rows[left], counts_left, depth + 1, -1, cap[i] - right_score)]
         nodes.append(_Node(**node))
     return nodes
 

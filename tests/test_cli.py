@@ -725,7 +725,8 @@ class TestEvaluate:
         assert str(named) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("fault", ["non_integer_rank", "short_row", "repeated_id"])
+    @pytest.mark.parametrize("fault", ["non_integer_rank", "short_row", "repeated_id",
+                                       "zero_rank", "negative_rank"])
     def test_bad_hrg_labels_exit_2(self, trained, tmp_path, capsys, fault):
         _, _, _, result = trained
         with open(result / "final_labels.csv", newline="") as fh:
@@ -735,6 +736,8 @@ class TestEvaluate:
             rows[0] = ids[0]  # no rank cell
         elif fault == "repeated_id":
             rows.append(f"{ids[0]},2")  # a second, different rank for the first id
+        elif fault in ("zero_rank", "negative_rank"):
+            rows[1] = f"{ids[1]},{0 if fault == 'zero_rank' else -5}"
         labels = tmp_path / "labels.csv"
         labels.write_text("id,rank\n" + "\n".join(rows) + "\n", encoding="utf-8")
         capsys.readouterr()
@@ -744,7 +747,34 @@ class TestEvaluate:
         assert code == EXIT_CONFIG
         assert {"non_integer_rank": "has a non-integer HRG rank 'whoops'",
                 "short_row": "labels.csv line 2 has no 'rank' cell",
-                "repeated_id": f"list id {ids[0]!r} more than once"}[fault] in err
+                "repeated_id": f"list id {ids[0]!r} more than once",
+                "zero_rank": f"record {ids[1]} has HRG rank 0, below 1",
+                "negative_rank": f"record {ids[1]} has HRG rank -5, below 1"}[fault] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,column,value", [
+        ("final_labels.csv", "final_rank", "x"),
+        ("factor_labels.csv", "total_cost_rank", "2.5"),
+        ("split.csv", "multiplicity", "banana"),
+    ])
+    def test_bad_result_cell_names_file_line_and_column(self, trained, tmp_path, capsys,
+                                                        name, column, value):
+        import shutil
+
+        _, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        result = shutil.copytree(result, tmp_path / "result")
+        with open(result / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index(column)] = value
+        with open(result / name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(result), "--hrg", str(tmp_path / "hrg" / "labels.csv"),
+                     "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"{name} line 4, column {column!r}: invalid literal for int()" in err
         assert "Traceback" not in err
 
 

@@ -13,8 +13,10 @@ from casemix.cohort import (
     CohortConfig,
     _cdf,
     _choice,
+    _dirichlet,
     _stream_keys,
     _streams,
+    _uniform,
     generate_cohort,
     inject_missingness,
 )
@@ -318,6 +320,30 @@ class TestStreams:
         "choice": lambda g: g.choice(27, size=6, replace=False).tolist(),
         "integers": lambda g: [g.integers(0, 17), g.integers(0, 17)],
     }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**128),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 8),
+        st.integers(1, 27),
+        st.floats(-1e6, 1e6),
+        st.floats(0.0, 1e6),
+        st.integers(0, 40),
+    )
+    def test_generator_draws_match_numpy_calls(self, seed, index, tag, k, low, width, m):
+        """The calls the generator makes in place of numpy's uniform and
+        dirichlet draw the same values and leave the stream in the same
+        state."""
+        ours = _streams(seed, index + 1, (tag,), start=index)(index, tag)
+        fresh = seed_sequence_generator(seed, index, tag)
+        high = low + width
+        assert ours.random() == fresh.uniform()
+        assert _uniform(low, high, ours) == fresh.uniform(low, high)
+        assert ours.random(m).tolist() == fresh.uniform(size=m).tolist()
+        assert _dirichlet(k, ours) == fresh.dirichlet(np.full(k, 1.5)).tolist()
+        assert ours.bit_generator.state["has_uint32"] == fresh.bit_generator.state["has_uint32"]
+        assert ours.bit_generator.random_raw(6).tolist() == fresh.bit_generator.random_raw(6).tolist()
 
     @pytest.mark.parametrize("kind", sorted(DRAWS))
     def test_rewound_generator_draws_as_fresh_one(self, kind):

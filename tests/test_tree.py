@@ -1029,7 +1029,7 @@ GOLDEN_TREE_COUNTERS = {
     "los_days": (255, 33829, 36),
     "total_cost": (253, 27741, 44),
     "tbsa_pct": (213, 42153, 16),
-    "final": (209, 16294, 25),
+    "final": (207, 16130, 25),
 }
 
 
@@ -1118,6 +1118,42 @@ class TestBuildCounters:
         assert serialize_tree(clone) == serialize_tree(tree)
 
 
+@st.composite
+def pruning_cases(draw):
+    """A small table with tied numeric values and a categorical column,
+    labels of k in 3..8 ranks that depend on both, and growth params."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 250))
+    k = draw(st.integers(3, 8))
+    x = rng.integers(0, draw(st.integers(2, 12)), size=n).astype(float)
+    z = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
+    c = np.array(["p", "q", "r", "s"])[rng.integers(0, 4, size=n)]
+    noise = rng.normal(0, draw(st.sampled_from([0.0, 0.3, 1.0, 3.0])), size=n)
+    labels = np.clip(np.round(x / (x.max() + 1) * k + (c == "p") + noise), 1, k).astype(int)
+    table = FeatureTable.from_items(
+        [("x", "numeric", x.tolist()), ("z", "numeric", z.tolist()),
+         ("c", "categorical", c.tolist())]
+    )
+    min_leaf = draw(st.integers(1, 6))
+    grow = dict(min_split=2 * min_leaf + draw(st.integers(0, 8)), min_leaf=min_leaf,
+                max_depth=draw(st.integers(1, 20)))
+    return table, labels, k, grow
+
+
+def boundary_cps(tree: DecisionTree, loss: CostMatrix) -> list[float]:
+    """The cp values that put the pruning threshold cp * root risk on a
+    node's own leaf risk, or on an internal node's weakest-link g, in an
+    unpruned tree: the ties where keeping or collapsing turns."""
+    own = (tree.counts @ loss.entries).min(axis=1)
+    risk, leaves = own.copy(), np.ones(len(own))
+    for i in np.flatnonzero(tree.feature >= 0)[::-1]:
+        risk[i] = risk[i + 1] + risk[tree.right[i]]
+        leaves[i] = leaves[i + 1] + leaves[tree.right[i]]
+    inner = tree.feature >= 0
+    g = (own[inner] - risk[inner]) / (leaves[inner] - 1)
+    return (np.concatenate([own, g]) / own[0]).tolist() if own[0] > 0 else []
+
+
 class TestPruningReference:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_rewalking_pruner(self, seed):
@@ -1138,10 +1174,28 @@ class TestPruningReference:
         for cp in (0.001, 0.01, 0.03, 0.1, 0.5, 2.0):
             pruned = build_tree(table, labels, loss, TreeParams(cp=cp, **grow))
             ref_root, ref_steps = reference_prune(model_root(full), loss, cp)
-            # Growth stops below the pruning threshold, so fewer nodes are
+            # Growth skips the nodes pruning cannot keep, so fewer nodes are
             # grown and collapsed than in the full tree, to the same result.
             assert pruned.nodes_grown <= full.nodes_grown
             assert model_root(pruned) == ref_root
+
+    @settings(deadline=None, max_examples=60)
+    @given(pruning_cases(), st.data())
+    def test_budgeted_growth_matches_full_growth_pruned(self, case, data):
+        """Growth skips the nodes that pruning cannot keep: the tree equals
+        the full tree (cp = 0) pruned by the re-walking pruner, and no more
+        nodes are grown. Besides fixed values, cp lands on the ties of the
+        full tree."""
+        table, labels, k, grow = case
+        loss = linear_cost_matrix(k)
+        full = build_tree(table, labels, loss, TreeParams(cp=0.0, **grow))
+        ties = boundary_cps(full, loss)
+        drawn = data.draw(st.lists(st.sampled_from(ties), max_size=4)) if ties else []
+        for cp in (0.0, 1e-4, 0.01, 0.5, 2.0, *drawn):
+            budgeted = build_tree(table, labels, loss, TreeParams(cp=cp, **grow))
+            ref_root, _ = reference_prune(model_root(full), loss, cp)
+            assert model_root(budgeted) == ref_root
+            assert budgeted.nodes_grown <= full.nodes_grown
 
 
 def test_no_function_in_the_tree_module_calls_itself():
