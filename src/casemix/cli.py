@@ -36,7 +36,7 @@ from . import __version__, parallel
 from .cohort import EXTRA_SCHEMA, CohortConfig, generate_cohort, inject_missingness
 from .dataio import cohort_csv_text, read_cohort_csv
 from .domain import FACTOR_FIELDS, Dataset, check_seed, is_number, linear_cost_matrix
-from .errors import CasemixError, InvalidArgument, PipelineStageError
+from .errors import CasemixError, InvalidArgument, PipelineStageError, WorkerLostError
 from .evaluate import boxplot_stats, compare_groupings, confusion, merge_diagnostic
 from .hrg import (
     UNCLASSIFIABLE,
@@ -461,6 +461,8 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
         # Every ruleset rank is at least 1; the ruleset's k is not known here.
         if rank < 1:
             raise InvalidArgument(f"record {rid} has HRG rank {rank}, below 1")
+        if rank > np.iinfo(np.int64).max:
+            raise InvalidArgument(f"record {rid} has HRG rank {rank}, beyond int64")
         ranks.append(rank)
     return np.array(ranks, dtype=np.int64)
 
@@ -665,7 +667,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except PipelineStageError as e:
+    except (PipelineStageError, WorkerLostError) as e:
         code, message = EXIT_STAGE, str(e)
     except CasemixError as e:  # bad config or input content
         code, message = EXIT_CONFIG, str(e)

@@ -17,6 +17,10 @@ class TreeFormatError(CasemixError):
     """A serialized decision tree document is malformed or unsupported."""
 
 
+class WorkerLostError(CasemixError):
+    """A forked worker exited, or was killed, before it sent its result."""
+
+
 class PipelineStageError(CasemixError):
     """A pipeline stage failed; carries the stage tag for diagnostics."""
 

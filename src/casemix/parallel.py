@@ -24,6 +24,8 @@ import signal
 from collections.abc import Callable, Iterable
 from typing import TypeVar
 
+from .errors import WorkerLostError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -46,12 +48,14 @@ def map_ordered(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
 
     If items raise, the exception of the first one in item order is raised
     here, after every worker has been killed and reaped; no worker outlives
-    the call.
+    the call. A worker that exits without a result, killed by the OOM killer
+    say, counts as an item that raised ``WorkerLostError``.
     """
     items = list(items)
     if worker_count(len(items)) == 1:
         return [fn(item) for item in items]
     pids: list[int] = []
+    reaped: set[int] = set()
     pipes = []
     try:
         for item in items:
@@ -73,22 +77,36 @@ def map_ordered(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
                     continue  # its worker was stopped
                 try:
                     messages[i] = pickle.load(pipes[i])
-                except EOFError:
-                    error = RuntimeError(f"worker process {pids[i]} exited without a result")
-                    messages[i] = (False, error)
+                except (EOFError, pickle.UnpicklingError):  # its pipe closed early
+                    _, status = os.waitpid(pids[i], 0)
+                    reaped.add(pids[i])
+                    messages[i] = (False, _lost(pids[i], status))
                 if not messages[i][0]:
                     end = i
                     for pid in pids[i + 1:]:
-                        os.kill(pid, signal.SIGKILL)
+                        if pid not in reaped:
+                            os.kill(pid, signal.SIGKILL)
         if end < len(items):
             raise messages[end][1]
         return [messages[i][1] for i in range(end)]
     finally:
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # a no-op on a worker that has exited
-            os.waitpid(pid, 0)
+            if pid not in reaped:  # its pid may already belong to another process
+                os.kill(pid, signal.SIGKILL)  # a no-op on a worker that has exited
+                os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
+
+
+def _lost(pid: int, status: int) -> WorkerLostError:
+    """The error for worker ``pid``, gone without a result; ``status`` is
+    what ``waitpid`` reported for it."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        how = f"was killed by signal {-code} ({signal.strsignal(-code)})"
+    else:
+        how = f"exited with status {code}"
+    return WorkerLostError(f"worker process {pid} {how} without a result")
 
 
 def _work(fn, item, write_fd: int) -> None:

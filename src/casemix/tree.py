@@ -3,8 +3,8 @@
 Cost sensitivity enters twice: split quality is the generalized Gini
 impurity I = sum(L[i][j] * p_i * p_j) under an arbitrary zero-diagonal loss
 matrix, and each leaf is labeled with the rank minimizing expected
-misclassification cost. Pruning is weakest-link cost-complexity with the
-same expected-cost risk functional.
+misclassification cost. Pruning is cost-complexity pruning with the same
+expected-cost risk functional.
 
 Criterion: for a node of n rows with class counts c, n*I = Q/n with
 Q = c^T L c, so a split's decrease n*I(P) - n_L*I(L) - n_R*I(R) is scored as
@@ -27,9 +27,13 @@ margin of 1e-9 times the root risk, so that rounding in S can only add
 searches. The left child's budget is min(own + alpha, M) minus
 min(own_right + alpha, 2 * alpha), the least S the right subtree can score;
 once the left subtree is done, the right child's budget is
-min(own + alpha, M) - S_left. ``_prune`` still runs on the grown tree and
-makes every keep or collapse decision, so the pruned tree is the same, with
-fewer nodes grown.
+min(own + alpha, M) - S_left. Each subtree is pruned as growth completes
+it, bottom-up as in rpart: its children's subtrees already pruned, a node
+collapses to a leaf when g = max((own - risk) / (leaves - 1), 0) < alpha,
+with risk and leaves its pruned subtree's. Weakest-link pruning with the
+same strict test stops at this tree too, the largest minimizer of risk +
+alpha * leaves; under an integer loss matrix every risk is exact, so the
+two agree bit for bit.
 
 Layout: a fitted ``DecisionTree`` is a set of parallel per-node arrays in
 preorder, the layout of rpart's ``frame`` table and scikit-learn's ``Tree``.
@@ -553,128 +557,94 @@ def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q
 # Growing and pruning
 # ---------------------------------------------------------------------------
 
-def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> list[_Node]:
+def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[list[_Node], int, int]:
     """Recursive partitioning with an explicit stack, depth-first and left
     child first, so nodes arrive in preorder. Each node on the stack is its
-    own ascending array of row ids with its class counts, and carries a
-    budget M, the root's infinite. With alpha = cp * root risk and own a
-    node's leaf risk, a subtree at its best pruning scores S = own + alpha
-    as a leaf and min(own + alpha, S_left + S_right) once split; its
-    ancestors keep their splits only while S stays within M. A split subtree
-    scores S >= 2 * alpha, so a node is searched only when
-    cap = min(own + alpha, M) >= 2 * alpha, less a margin of 1e-9 * root
-    risk that errs toward searching. The left child's budget is
-    cap - min(own_right + alpha, 2 * alpha), the least S its sibling can
-    score; the right child's, once the left subtree is done, is
-    cap - S_left. ``_prune`` still decides every collapse."""
+    own ascending array of row ids with its class counts, and carries the
+    budget M of the module docstring: the left child's is cap - min(own_right
+    + alpha, 2 * alpha) with cap = min(own + alpha, M), the right child's
+    cap - S_left. A node p's subtree is done when its right subtree is; p's
+    risk and leaves are then its children's sums, over subtrees already
+    pruned, and p collapses to a leaf when g = max((own[p] - risk[p]) /
+    (leaves[p] - 1), 0) < alpha. In preorder p's subtree is then the tail of
+    each per-node list, so the collapse truncates them there. Returns the
+    nodes, the number grown and the number of collapses."""
     nodes: list[_Node] = []
     counts = np.bincount(enc.y0, minlength=enc.k).astype(np.float64)
     root_risk = float((counts @ loss.entries).min())
     alpha = params.cp * root_risk
     margin = 1e-9 * root_risk
+    own: list[float] = []  # per node: its risk as a leaf
+    risk: list[float] = []  # per node: its pruned subtree's risk, once done
+    leaves: list[int] = []  # per node: its pruned subtree's leaf count, once done
     cap: list[float] = []  # per node: min(own + alpha, M)
     score: list[float] = []  # per node: own + alpha, then S once its subtree is done
     up: list[int] = []  # per node: its parent if it is a right child, else -1
+    grown = collapses = 0
     # (rows, class counts, depth, parent of a right child, budget of a left child)
     stack = [(np.arange(enc.n), counts, 0, -1, math.inf)]
     while stack:
         rows, counts, depth, parent, budget = stack.pop()
         i = len(nodes)
+        grown += 1
         if parent >= 0:
             nodes[parent] = nodes[parent]._replace(right=i)
             budget = cap[parent] - score[parent + 1]
         impurity = gini_loss_impurity(counts, loss)
         costs = counts @ loss.entries  # costs[j]: the node's risk as a leaf of rank j + 1
-        score.append(float(costs.min()) + alpha)
+        own.append(float(costs.min()))
+        risk.append(own[i])
+        leaves.append(1)
+        score.append(own[i] + alpha)
         cap.append(min(score[i], budget))
         up.append(parent)
-        node = {"n": len(rows), "counts": counts}
         split = None
         if (depth < params.max_depth and len(rows) >= params.min_split and impurity != 0.0
                 and cap[i] - alpha >= alpha - margin):  # false when alpha overflows to inf
             split = best_split(enc, rows, counts, float(costs @ counts), loss, params)
-        if split is None:
-            node["label"], node["expected_cost"] = leaf_label(counts, loss)
-            done = i
-            while up[done] >= 0:  # a right subtree is done, and so is its parent's
-                p = up[done]
-                score[p] = min(score[p], score[p + 1] + score[done])
-                done = p
-        else:
-            node.update(feature=enc.names.index(split.feature), threshold=split.threshold,
-                        left_set=split.left_set, impurity=impurity, decrease=split.decrease)
+        if split is not None:
+            nodes.append(_Node(len(rows), counts, feature=enc.names.index(split.feature),
+                               threshold=split.threshold, left_set=split.left_set,
+                               impurity=impurity, decrease=split.decrease))
             left = split.left_mask
             counts_left = np.bincount(enc.y0[rows[left]], minlength=enc.k).astype(np.float64)
             counts_right = counts - counts_left
             right_score = min(float((counts_right @ loss.entries).min()) + alpha, 2.0 * alpha)
             stack += [(rows[~left], counts_right, depth + 1, i, math.nan),
                       (rows[left], counts_left, depth + 1, -1, cap[i] - right_score)]
-        nodes.append(_Node(**node))
-    return nodes
-
-
-def _prune(tree: DecisionTree, loss: CostMatrix, cp: float) -> int:
-    """Weakest-link cost-complexity pruning: repeatedly collapse the internal
-    node with the smallest risk reduction per extra leaf, g, while g falls
-    below cp times the root's single-leaf risk; ties go to the first node in
-    preorder. A collapse changes only the risk, leaf count and g of the
-    node's ancestors, so only they are updated. The nodes below collapsed
-    ones are dropped from the arrays at the end. Returns the number of
-    collapses."""
-    m = len(tree.n)
-    inner = np.flatnonzero(tree.feature >= 0)
-    right = tree.right
-    parent = np.full(m, -1)
-    parent[inner + 1] = parent[right[inner]] = inner
-    size = [1] * m
-    for i in range(m - 1, 0, -1):
-        size[parent[i]] += size[i]
-    own = [float((counts @ loss.entries).min()) for counts in tree.counts]
-    risk, leaves = list(own), [1] * m
-    g = np.full(m, np.inf)
-
-    def update(i):
-        risk[i] = risk[i + 1] + risk[right[i]]
-        leaves[i] = leaves[i + 1] + leaves[right[i]]
-        g[i] = max((own[i] - risk[i]) / (leaves[i] - 1), 0.0)
-
-    for i in inner[::-1].tolist():
-        update(i)
-    threshold = cp * own[0]
-    keep = np.ones(m, dtype=bool)
-    steps = 0
-    while g[(i := int(np.argmin(g)))] < threshold:
-        steps += 1
-        g[i:i + size[i]] = np.inf
-        keep[i + 1:i + size[i]] = False
-        risk[i], leaves[i] = own[i], 1
-        for name in ("feature", "threshold", "left_set", "impurity", "decrease"):
-            getattr(tree, name)[i] = _Node._field_defaults[name]
-        tree.label[i], tree.expected_cost[i] = leaf_label(tree.counts[i], loss)
-        up = parent[i]
-        while up >= 0:
-            update(up)
-            up = parent[up]
-    index = np.cumsum(keep) - 1
-    tree.right = np.where(tree.feature >= 0, index[tree.right], -1)
-    for name in _Node._fields:
-        setattr(tree, name, getattr(tree, name)[keep])
-    return steps
+            continue
+        label, cost = leaf_label(counts, loss)
+        nodes.append(_Node(len(rows), counts, label=label, expected_cost=cost))
+        done = i
+        while up[done] >= 0:  # a right subtree is done, and so is its parent's
+            p = up[done]
+            score[p] = min(score[p], score[p + 1] + score[done])
+            risk[p] = risk[p + 1] + risk[done]
+            leaves[p] = leaves[p + 1] + leaves[done]
+            if max((own[p] - risk[p]) / (leaves[p] - 1), 0.0) < alpha:
+                collapses += 1
+                label, cost = leaf_label(nodes[p].counts, loss)
+                nodes[p] = _Node(nodes[p].n, nodes[p].counts, label=label, expected_cost=cost)
+                for per_node in (nodes, own, risk, leaves, cap, score, up):
+                    del per_node[p + 1:]
+                risk[p], leaves[p] = own[p], 1
+            done = p
+    return nodes, grown, collapses
 
 
 def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams) -> DecisionTree:
-    """Encode the columns once, grow by recursive partitioning, then apply
+    """Encode the columns once, then grow by recursive partitioning with
     cost-complexity pruning."""
     start = time.perf_counter()
     enc = EncodedTable(table, labels, loss.k)
-    nodes = _grow(enc, loss, params)
+    nodes, grown, collapses = _grow(enc, loss, params)
     tree = DecisionTree(
         **_node_arrays(nodes), params=params, k=loss.k, feature_names=table.names,
         feature_kinds=table.kinds,
         feature_levels={enc.names[j]: enc.levels[j] for j in enc.categorical},
-        n_rows=table.n_rows, nodes_grown=len(nodes), candidates_scanned=enc.candidates_scanned,
+        n_rows=table.n_rows, nodes_grown=grown, candidates_scanned=enc.candidates_scanned,
+        prune_steps=collapses,
     )
-    tree.prune_steps = _prune(tree, loss, params.cp)
     tree.depth, tree.leaf_count = _depth_and_leaves(tree)
     tree.build_s = time.perf_counter() - start
     return tree
@@ -892,7 +862,8 @@ def serialize_tree(tree: DecisionTree) -> str:
 def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
     """A model document's nested node dicts as nodes in preorder, walked
     with an explicit stack; every node is checked against the document's
-    schema and levels."""
+    schema and levels. ``n``, ``counts`` and ``label`` must be JSON integers,
+    ``n`` the sum of the counts and a label a rank in [1, k]."""
     nodes: list[_Node] = []
     stack = [(root, "root", 0, -1)]  # (node dict, path, depth, parent of a right child)
     while stack:
@@ -903,11 +874,17 @@ def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
             nodes[parent] = nodes[parent]._replace(right=len(nodes))
         try:
             node_type = d["type"]
-            node = {"n": int(d["n"]), "counts": np.asarray(d["counts"], dtype=np.float64)}
-            if node["counts"].shape != (k,):
+            n, counts = check_int("n", d["n"]), d["counts"]
+            if not (isinstance(counts, list) and len(counts) == k):
                 raise TreeFormatError(f"{path}: counts must list {k} class counts")
+            if n != sum(check_int("a class count", c) for c in counts):
+                raise TreeFormatError(f"{path}: n {n} is not the sum of its counts")
+            node = {"n": n, "counts": np.array(counts, dtype=np.float64)}
             if node_type == "leaf":
-                node.update(label=int(d["label"]), expected_cost=float(d["expected_cost"]))
+                label = check_int("label", d["label"])
+                if not 1 <= label <= k:
+                    raise TreeFormatError(f"{path}: label {label} is not a rank in [1, {k}]")
+                node.update(label=label, expected_cost=float(d["expected_cost"]))
             elif node_type == "internal":
                 name, kind = d["feature"], d["kind"]
                 if name not in names or kind != kinds[names.index(name)]:
@@ -926,7 +903,7 @@ def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
                 raise TreeFormatError(f"{path}: unknown node type {node_type!r}")
         except KeyError as e:
             raise TreeFormatError(f"{path}: missing field {e}")
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, InvalidArgument) as e:
             raise TreeFormatError(f"{path}: {e}")
         nodes.append(_Node(**node))
     return nodes
@@ -947,7 +924,7 @@ def deserialize_tree(text: str) -> DecisionTree:
             f"unsupported tree format version {version!r}, expected {TREE_FORMAT_VERSION!r}"
         )
     try:
-        k = int(doc["k"])
+        k = check_int("k", doc["k"])
         names = tuple(str(c["name"]) for c in doc["schema"])
         kinds = tuple(str(c["kind"]) for c in doc["schema"])
         levels, root, summary = doc["levels"], doc["root"], doc["summary"]

@@ -404,6 +404,36 @@ def trained(generated):
     return root, cfg, cohort, out
 
 
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_worker_that_exits_is_a_failed_stage(generated, tmp_path, monkeypatch, capsys, command):
+    """A forked worker that dies without a result, as under the OOM killer,
+    exits 4 with the worker's exit status, not with a traceback."""
+    import os
+
+    from casemix import cohort, parallel, pipeline
+
+    _, cfg, cohort_csv = generated
+    module, name = (cohort, "_generate_record") if command == "generate" else (pipeline, "build_tree")
+    real, parent = getattr(module, name), os.getpid()
+
+    def dies_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(9)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    monkeypatch.setattr(module, name, dies_in_a_worker)
+    out = tmp_path / "out"
+    args = {"generate": ["generate", "--config", str(cfg), "--out", str(out)],
+            "train": ["train", "--cohort", str(cohort_csv), "--config", str(cfg), "--out", str(out)]}
+    capsys.readouterr()
+    assert main(args[command]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "exited with status 9 without a result" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 class TestTrain:
     def test_result_directory_contents(self, trained):
         _, _, _, out = trained
@@ -698,6 +728,28 @@ class TestEvaluate:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field,value", [("label", -2**70), ("label", 1.5), ("n", 2.9)])
+    def test_model_node_integers_exit_2(self, trained, tmp_path, capsys, field, value):
+        """A leaf label beyond int64 once overflowed in predict (exit 1), and
+        a label of 1.5 or a node n of 2.9 was truncated (exit 0)."""
+        import shutil
+
+        _, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        broken = shutil.copytree(result, tmp_path / "result")
+        model = json.loads((broken / "model.json").read_text())
+        leaf = model["root"]
+        while leaf["type"] == "internal":
+            leaf = leaf["left"]
+        leaf[field] = value
+        (broken / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(broken), "--hrg",
+                     str(tmp_path / "hrg" / "labels.csv"), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"{field} " in err and "Traceback" not in err
+
     @pytest.mark.parametrize("name,content", [
         pytest.param("labels.csv", b"id,rank\nP000000,\xff1\n", id="labels_not_utf8"),
         pytest.param("labels.csv", b'id,rank\n"' + b"P" * 200_000 + b'",1\n', id="labels_oversized_cell"),
@@ -726,7 +778,7 @@ class TestEvaluate:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("fault", ["non_integer_rank", "short_row", "repeated_id",
-                                       "zero_rank", "negative_rank"])
+                                       "zero_rank", "negative_rank", "huge_rank"])
     def test_bad_hrg_labels_exit_2(self, trained, tmp_path, capsys, fault):
         _, _, _, result = trained
         with open(result / "final_labels.csv", newline="") as fh:
@@ -736,8 +788,9 @@ class TestEvaluate:
             rows[0] = ids[0]  # no rank cell
         elif fault == "repeated_id":
             rows.append(f"{ids[0]},2")  # a second, different rank for the first id
-        elif fault in ("zero_rank", "negative_rank"):
-            rows[1] = f"{ids[1]},{0 if fault == 'zero_rank' else -5}"
+        elif fault in ("zero_rank", "negative_rank", "huge_rank"):
+            bad = {"zero_rank": 0, "negative_rank": -5, "huge_rank": "9" * 25}[fault]
+            rows[1] = f"{ids[1]},{bad}"
         labels = tmp_path / "labels.csv"
         labels.write_text("id,rank\n" + "\n".join(rows) + "\n", encoding="utf-8")
         capsys.readouterr()
@@ -749,7 +802,8 @@ class TestEvaluate:
                 "short_row": "labels.csv line 2 has no 'rank' cell",
                 "repeated_id": f"list id {ids[0]!r} more than once",
                 "zero_rank": f"record {ids[1]} has HRG rank 0, below 1",
-                "negative_rank": f"record {ids[1]} has HRG rank -5, below 1"}[fault] in err
+                "negative_rank": f"record {ids[1]} has HRG rank -5, below 1",
+                "huge_rank": f"record {ids[1]} has HRG rank {'9' * 25}, beyond int64"}[fault] in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name,column,value", [

@@ -5,6 +5,8 @@ import inspect
 import multiprocessing
 import os
 import pickle
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -14,7 +16,7 @@ import pytest
 
 from casemix import errors, parallel, pipeline
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
-from casemix.errors import InvalidArgument, PipelineStageError
+from casemix.errors import InvalidArgument, PipelineStageError, WorkerLostError
 from casemix.pipeline import (
     FACTOR_FIELDS,
     PipelineConfig,
@@ -120,8 +122,21 @@ class TestMapOrdered:
                 os._exit(9)
             return i
 
-        with pytest.raises(RuntimeError, match="exited without a result"):
+        with pytest.raises(WorkerLostError, match=r"worker process \d+ exited with status 9 without"):
             parallel.map_ordered(fn, range(2))
+        assert_no_children()
+
+    def test_worker_killed_by_a_signal_is_named(self, monkeypatch):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+
+        def fn(i):
+            if i == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        killed = f"was killed by signal 9 ({signal.strsignal(signal.SIGKILL)}) without a result"
+        with pytest.raises(WorkerLostError, match=re.escape(killed)):
+            parallel.map_ordered(fn, range(3))
         assert_no_children()
 
     def test_single_cpu_runs_in_process(self, monkeypatch):

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -394,11 +396,13 @@ def hand_built_tree():
     on c for the right branch. Read from a hand-written model document to
     pin routing semantics."""
 
-    def leaf(label, n):
-        return {"type": "leaf", "label": label, "n": n, "counts": [0, 0, 0], "expected_cost": 0.0}
+    def leaf(label, n):  # a pure leaf: all n rows of rank ``label``
+        counts = [n if rank == label else 0 for rank in (1, 2, 3)]
+        return {"type": "leaf", "label": label, "n": n, "counts": counts, "expected_cost": 0.0}
 
     def internal(feature, kind, n, impurity, decrease, left, right, **split):
-        return {"type": "internal", "feature": feature, "kind": kind, "n": n, "counts": [0, 0, 0],
+        counts = [a + b for a, b in zip(left["counts"], right["counts"])]
+        return {"type": "internal", "feature": feature, "kind": kind, "n": n, "counts": counts,
                 "impurity": impurity, "decrease": decrease, "left": left, "right": right, **split}
 
     root = internal(
@@ -653,6 +657,33 @@ class TestSerialization:
         with pytest.raises(TreeFormatError, match="summary must match the nodes"):
             deserialize_tree(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", "3", "k must be an integer, got '3'"),
+        ("label", 1.5, "label must be an integer, got 1.5"),
+        ("label", "2", "label must be an integer, got '2'"),
+        ("label", True, "label must be an integer, got True"),
+        ("label", -2**70, f"label {-2**70} is not a rank in [1, 3]"),
+        ("label", 0, "label 0 is not a rank in [1, 3]"),
+        ("label", 4, "label 4 is not a rank in [1, 3]"),
+        ("n", 2.9, "n must be an integer, got 2.9"),
+        ("n", "\u0661", "n must be an integer, got '\u0661'"),  # int() reads it as 1
+        ("n", 3, "n 3 is not the sum of its counts"),
+        ("counts", ["0", "2", "0"], "a class count must be an integer, got '0'"),
+    ])
+    def test_node_integers_read_exactly(self, field, value, message):
+        """Counts, n, labels and k are JSON integers, n is the sum of the
+        counts and a label is a rank: nothing is truncated or coerced."""
+        doc = json.loads(serialize_tree(hand_built_tree()))
+        leaf = doc["root"]["left"]["right"]
+        assert (leaf["label"], leaf["n"], leaf["counts"]) == (2, 2, [0, 2, 0])
+        if field == "k":
+            doc["k"] = value
+        else:
+            leaf[field] = value
+            message = "root.left.right: " + message
+        with pytest.raises(TreeFormatError, match=re.escape(message)):
+            deserialize_tree(json.dumps(doc))
+
     def test_nesting_past_the_recursion_limit_rejected(self):
         text = '{"version": "1", "root": ' + '{"left": ' * 5000 + "{}" + "}" * 5001
         with pytest.raises(TreeFormatError, match="nests too deeply"):
@@ -732,7 +763,11 @@ def assert_predict_reproduces_node_counts(tree: DecisionTree, table: FeatureTabl
     leaves = [nd for nd in preorder(doc["root"]) if nd["type"] == "leaf"]
     for i, leaf in enumerate(leaves):
         leaf["label"] = i + 1
-    reached = predict(deserialize_tree(json.dumps(doc)), table)
+    # An id past k is no rank, which a model document refuses; so the ids go
+    # into a copy of the node arrays, whose leaves are in the same preorder.
+    ids = np.zeros_like(tree.label)
+    ids[tree.feature < 0] = np.arange(1, len(leaves) + 1)
+    reached = predict(dataclasses.replace(tree, label=ids), table)
     y0 = np.asarray(labels) - 1
 
     def leaf_ids(nd):
@@ -1026,10 +1061,10 @@ GOLDEN_TREE_STRUCTURE = {
 
 #: (nodes_grown, candidates_scanned, prune_steps) of each tree of that run.
 GOLDEN_TREE_COUNTERS = {
-    "los_days": (255, 33829, 36),
-    "total_cost": (253, 27741, 44),
-    "tbsa_pct": (213, 42153, 16),
-    "final": (207, 16130, 25),
+    "los_days": (255, 33829, 55),
+    "total_cost": (253, 27741, 65),
+    "tbsa_pct": (213, 42153, 22),
+    "final": (207, 16130, 37),
 }
 
 
