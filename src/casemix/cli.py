@@ -13,8 +13,10 @@ byte-deterministic given the same config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import secrets
@@ -73,20 +75,42 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
+class _HashedFile(io.FileIO):
+    """A file opened for writing that hashes the bytes as they reach it."""
+
+    def __init__(self, path: Path):
+        super().__init__(path, "w")
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        written = super().write(data)  # the buffer above retries the rest
+        self.sha256.update(memoryview(data)[:written])
+        return written
+
+
+def _tmp(path: Path) -> Path:
+    """The file ``_atomic_write`` writes before it replaces ``path``."""
+    return path.with_name(path.name + ".tmp")
+
+
+def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> str:
     """Create ``path`` from what ``write`` writes to the text file it is
-    handed: a ``.tmp`` file beside ``path`` that replaces it once written.
-    If anything fails, the ``.tmp`` file is removed and the error re-raised."""
-    tmp = path.with_name(path.name + ".tmp")
+    handed, and return the sha256 of its bytes: a ``.tmp`` file beside
+    ``path`` replaces it once written. If anything fails, the ``.tmp`` file
+    is removed and the error re-raised."""
+    tmp = _tmp(path)
     # Opened before the try, so a failed open is not followed by a failed unlink.
-    fh = open(tmp, "w", encoding="utf-8")  # newlines as write_text writes them
+    raw = _HashedFile(tmp)
     try:
-        with fh:
+        # newlines as write_text writes them
+        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
+        raw.close()
         tmp.unlink(missing_ok=True)
         raise
+    return raw.sha256.hexdigest()
 
 
 def _json_dumps(obj) -> str:
@@ -134,12 +158,11 @@ class _Manifest:
         self.doc["config_path"] = str(path)
         self.doc["config_sha256"] = _sha256_file(Path(path))
 
-    def add_input(self, path: str | Path) -> str:
-        digest = self.doc["inputs"][str(path)] = _sha256_file(Path(path))
+    def add_input(self, path: str | Path, digest: str | None = None) -> str:
+        """Record the input file ``path`` with its hash, ``digest`` if the
+        caller holds it; returns the hash."""
+        digest = self.doc["inputs"][str(path)] = digest or _sha256_file(Path(path))
         return digest
-
-    def add_output(self, root: Path, path: Path) -> None:
-        self.doc["outputs"][str(path.relative_to(root))] = _sha256_file(path)
 
     def write(self, path: Path) -> None:
         self.doc["wall_time_s"] = round(time.monotonic() - self._start, 3)
@@ -158,8 +181,7 @@ def _stream_output(manifest: _Manifest, root: Path, path: Path,
                    write: Callable[[TextIO], object]) -> None:
     """Write ``path`` through ``write`` (as ``_atomic_write``) and record its hash."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, write)
-    manifest.add_output(root, path)
+    manifest.doc["outputs"][str(path.relative_to(root))] = _atomic_write(path, write)
 
 
 def _write_csv(manifest: _Manifest, root: Path, path: Path, header, rows) -> None:
@@ -224,9 +246,8 @@ def _missingness(doc: dict, ephemeral: bool) -> tuple[float, int] | None:
     return rate, seed
 
 
-def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
-              out: Path) -> Dataset:
-    """Write the cohort ``doc`` (from ``config_path``) describes to ``out``."""
+def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool) -> Dataset:
+    """Draw the cohort ``doc`` (from ``config_path``) describes."""
     manifest.add_config(config_path)
     cohort_doc = doc.get("cohort", doc)
     if not isinstance(cohort_doc, dict):
@@ -243,16 +264,27 @@ def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool,
     if missing is not None:
         ds = inject_missingness(ds, *missing)
         manifest.doc["seeds"]["missingness"] = missing[1]
-    _stream_output(manifest, out.parent, out, lambda fh: cohort_csv_text(ds, fh))
-    manifest.write(out.with_name(out.name + ".manifest.json"))
-    print(f"wrote {len(ds)} records to {out}")
     return ds
+
+
+def _manifest_path(cohort: Path) -> Path:
+    return cohort.with_name(cohort.name + ".manifest.json")
+
+
+def _write_cohort(manifest: _Manifest, ds: Dataset, out: Path) -> str:
+    """Write ``ds`` to ``out``, then the manifest beside it; returns the
+    sha256 of ``out``."""
+    _stream_output(manifest, out.parent, out, lambda fh: cohort_csv_text(ds, fh))
+    manifest.write(_manifest_path(out))
+    return manifest.doc["outputs"][out.name]
 
 
 def cmd_generate(args) -> None:
     manifest = _Manifest("generate")
     doc = _load_json_config(args.config)
-    _generate(manifest, args.config, doc, args.ephemeral, Path(args.out))
+    ds = _generate(manifest, args.config, doc, args.ephemeral)
+    _write_cohort(manifest, ds, Path(args.out))
+    print(f"wrote {len(ds)} records to {Path(args.out)}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +308,11 @@ def _load_rules(path: str | None) -> Ruleset:
     return load_ruleset(path) if path else reference_ruleset()
 
 
-def _hrg(manifest: _Manifest, ds: Dataset, cohort: str, rules: Ruleset,
-         ruleset: str | None, out: Path) -> dict[str, str]:
-    """Group ``ds`` (from the file ``cohort``) by ``rules`` (from ``ruleset``)
-    into ``out``; returns the written labels as ``_read_hrg_labels`` would."""
-    manifest.add_input(cohort)
+def _hrg(manifest: _Manifest, ds: Dataset, rules: Ruleset, ruleset: str | None,
+         out: Path) -> dict[str, str]:
+    """Group ``ds`` by ``rules`` (from ``ruleset``) into ``out``; returns the
+    written labels as ``_read_hrg_labels`` would. The caller records the
+    cohort file as an input."""
     if ruleset:
         manifest.add_input(ruleset)
     labels, histogram = classify_dataset(ds, rules)
@@ -292,14 +324,15 @@ def _hrg(manifest: _Manifest, ds: Dataset, cohort: str, rules: Ruleset,
         _json_dumps({str(k): v for k, v in histogram.items()}),
     )
     manifest.write(out / "manifest.json")
-    print(f"classified {len(labels)} records into {out}")
     return {rid: str(rank) for rid, rank in zip(ids, ranks)}
 
 
 def cmd_hrg(args) -> None:
     manifest = _Manifest("hrg")
     ds = _load_cohort(args.cohort)
-    _hrg(manifest, ds, args.cohort, _load_rules(args.ruleset), args.ruleset, Path(args.out))
+    manifest.add_input(args.cohort)
+    _hrg(manifest, ds, _load_rules(args.ruleset), args.ruleset, Path(args.out))
+    print(f"classified {len(ds)} records into {Path(args.out)}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +381,13 @@ def _write_train_outputs(manifest: _Manifest, out: Path, result, config: Pipelin
 
 
 def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Dataset,
-           cohort: str, out: Path) -> PipelineResult:
-    """Train ``config`` (from ``config_path``) on ``ds`` (from ``cohort``) into ``out``."""
+           cohort_sha256: Callable[[], str], out: Path) -> PipelineResult:
+    """Train ``config`` (from ``config_path``) on ``ds`` into ``out``.
+    ``cohort_sha256()`` gives the hash of the cohort file ``ds`` came from,
+    which the caller records as an input; it is called once the model is
+    built, before anything is written."""
     manifest.add_config(config_path)
     manifest.doc["seeds"]["pipeline"] = config.seeds.to_dict()
-    cohort_sha256 = manifest.add_input(cohort)
     forked = parallel.worker_count(len(FACTOR_FIELDS)) > 1  # then one worker per tree
     manifest.doc["workers"] = len(FACTOR_FIELDS) if forked else 1
     result = run_pipeline(ds, config, input_sha256=cohort_sha256)
@@ -378,7 +413,8 @@ def cmd_train(args) -> None:
     manifest = _Manifest("train")
     config = _pipeline_config(_load_json_config(args.config), args.ephemeral)
     ds = _load_cohort(args.cohort)
-    _train(manifest, args.config, config, ds, args.cohort, Path(args.out))
+    cohort_sha256 = manifest.add_input(args.cohort)
+    _train(manifest, args.config, config, ds, lambda: cohort_sha256, Path(args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +503,15 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
     return np.array(ranks, dtype=np.int64)
 
 
-def _evaluate(manifest: _Manifest, inputs: list, hrg_by_id: dict[str, str], out: Path,
-              svg: bool, ds: Dataset, config: PipelineConfig, tree, final_labels: np.ndarray,
+def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], out: Path, svg: bool,
+              ds: Dataset, config: PipelineConfig, tree, final_labels: np.ndarray,
               factor_ranks: dict, train_idx: np.ndarray, test_idx: np.ndarray,
               test_ms: np.ndarray) -> None:
     """Compare a trained model with the HRG labels ``hrg_by_id`` into ``out``:
     ``ds`` is the preprocessed cohort, ``tree`` the final tree, and ``test_ms``
     the oversampled test multiset in ascending ``test_idx`` order. `evaluate`
-    reads these from the files ``inputs``, `all` passes what it wrote there."""
-    for path in inputs:
-        manifest.add_input(path)
+    reads these from the files it records as inputs, `all` passes what it
+    wrote there."""
     hrg_labels = _join_hrg(ds, hrg_by_id)
 
     loss = linear_cost_matrix(config.k)
@@ -570,8 +605,9 @@ def cmd_evaluate(args) -> None:
     result_dir = Path(args.result)
     trained = _read_result_dir(result_dir)
     hrg_by_id = _read_hrg_labels(Path(args.hrg))
-    inputs = [*(result_dir / name for name in _RESULT_FILES), args.hrg]
-    _evaluate(manifest, inputs, hrg_by_id, Path(args.out), args.svg, *trained)
+    for path in [*(result_dir / name for name in _RESULT_FILES), args.hrg]:
+        manifest.add_input(path)
+    _evaluate(manifest, hrg_by_id, Path(args.out), args.svg, *trained)
 
 
 # ---------------------------------------------------------------------------
@@ -593,19 +629,74 @@ def cmd_all(args) -> None:
     out = Path(args.out)
 
     # Each stage takes what the one before it holds in memory, which is
-    # bit-identical to a parse of the files it wrote; each still hashes them.
-    cohort = str(out / "cohort.csv")
-    ds = _generate(_Manifest("generate"), args.config, doc, args.ephemeral, Path(cohort))
-    hrg_by_id = _hrg(_Manifest("hrg"), ds, cohort, rules, ruleset, out / "hrg")
-    result = _train(_Manifest("train"), args.config, pipeline_config, ds, cohort, out / "result")
-    inputs = [*(out / "result" / name for name in _RESULT_FILES), str(out / "hrg" / "labels.csv")]
-    _evaluate(_Manifest("evaluate"), inputs, hrg_by_id, out / "eval", args.svg,
+    # bit-identical to a parse of the files it wrote, and the hashes of the
+    # bytes it wrote. A forked writer writes the cohort and groups it by HRG
+    # while this process trains; its outputs are joined before the cohort's
+    # hash is recorded and before any error leaves.
+    cohort, hrg_out = out / "cohort.csv", out / "hrg"
+    generate = _Manifest("generate")
+    ds = _generate(generate, args.config, doc, args.ephemeral)
+
+    def write_and_group() -> tuple[str, tuple[str, dict[str, str]] | Exception]:
+        """The cohort's hash, then the HRG labels' hash and the labels, or
+        the error of the HRG stage, which is raised once the cohort's line
+        is printed."""
+        cohort_sha256 = _write_cohort(generate, ds, cohort)
+        hrg = _Manifest("hrg")
+        hrg.add_input(cohort, cohort_sha256)
+        try:
+            hrg_by_id = _hrg(hrg, ds, rules, ruleset, hrg_out)
+        except Exception as e:
+            return cohort_sha256, e
+        return cohort_sha256, (hrg.doc["outputs"]["labels.csv"], hrg_by_id)
+
+    writer = parallel.start(write_and_group)
+    joined = None
+
+    def join_writer() -> tuple[str, str, dict[str, str]]:
+        """The cohort's hash, the HRG labels' hash and the labels; the first
+        call waits for the writer and prints the lines of its stages."""
+        nonlocal joined
+        if joined is None:
+            joined = writer.join()
+            print(f"wrote {len(ds)} records to {cohort}")
+            if not isinstance(joined[1], Exception):
+                print(f"classified {len(ds)} records into {hrg_out}")
+        cohort_sha256, grouped = joined
+        if isinstance(grouped, Exception):
+            raise grouped
+        return cohort_sha256, *grouped
+
+    train = _Manifest("train")
+    try:
+        result = _train(train, args.config, pipeline_config, ds,
+                        lambda: train.add_input(cohort, join_writer()[0]), out / "result")
+    except Exception:
+        join_writer()  # a writer error comes first
+        raise
+    finally:
+        writer.kill()  # after an interrupt; a no-op once the writer is reaped
+        if joined is None:  # the writer was stopped or lost: remove what it was writing
+            for path in (cohort, _manifest_path(cohort),
+                         *(hrg_out / name for name in ("labels.csv", "histogram.json",
+                                                       "manifest.json"))):
+                with contextlib.suppress(OSError):
+                    _tmp(path).unlink()
+    cohort_sha256, labels_sha256, hrg_by_id = join_writer()
+    evaluate = _Manifest("evaluate")
+    for name in _RESULT_FILES:
+        evaluate.add_input(out / "result" / name, train.doc["outputs"][name])
+    evaluate.add_input(hrg_out / "labels.csv", labels_sha256)
+    _evaluate(evaluate, hrg_by_id, out / "eval", args.svg,
               result.preprocessed, pipeline_config, result.final_tree, result.final_labels,
               result.factor_labels, result.train_idx, result.test_idx,
               np.sort(result.test_multiset))  # as split.csv lists it: test_idx ascends
 
-    for sub in ("cohort.csv", "hrg/labels.csv", "result/model.json", "eval/comparison.json"):
-        manifest.add_output(out, out / sub)
+    manifest.doc["outputs"].update({
+        "cohort.csv": cohort_sha256, "hrg/labels.csv": labels_sha256,
+        "result/model.json": train.doc["outputs"]["model.json"],
+        "eval/comparison.json": evaluate.doc["outputs"]["comparison.json"],
+    })
     manifest.write(out / "manifest.json")
 
 

@@ -25,7 +25,11 @@ load-bearing.
 and draws the ranges in forked workers (``parallel.map_ordered``). Each
 worker writes its records in place into one shared anonymous memory buffer
 that holds every output column, categorical extras as codes, so nothing is
-copied back; the cohort is byte-identical for any number of workers.
+copied back. It draws a block of 1,024 records and then stores the block
+with a few bulk assignments, not with numpy stores per record.
+``inject_missingness`` splits the records the same way: each worker marks
+the cells its records blank in a shared mask, and the parent blanks them.
+Both results are byte-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -360,6 +364,17 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
     return (age, los, cost, tbsa, theatre), sites, extras
 
 
+#: Records drawn before their cells are stored (generation), or whose
+#: draws are held at once (missingness).
+_BLOCK = 1024
+
+
+def _ranges(n: int) -> list[range]:
+    """Records 0..n-1 as one contiguous range per CPU, for ``map_ordered``."""
+    parts = parallel.worker_count(n)
+    return [range(n * p // parts, n * (p + 1) // parts) for p in range(parts)]
+
+
 def generate_cohort(config: CohortConfig) -> Dataset:
     """Generate ``config.n`` records deterministically from ``config.seed``."""
     n = config.n
@@ -378,15 +393,26 @@ def generate_cohort(config: CohortConfig) -> Dataset:
     def fill(records: range) -> None:
         stream = _streams(config.seed, records.stop, range(_TAG_SEVERITY, _TAG_SPECIAL + 1),
                           start=records.start)
-        for i in records:
-            numerics[:, i], (chosen, areas, depths), extras[:, i] = _generate_record(
-                config, i, severity_cdf, stream
-            )
-            site_areas[chosen, i] = areas
-            site_depths[chosen, i] = depths
+        for start in range(records.start, records.stop, _BLOCK):
+            block = slice(start, min(start + _BLOCK, records.stop))
+            core, extra, site_rows, site_cols, areas, depths = [], [], [], [], [], []
+            for i in range(block.start, block.stop):
+                values, (chosen, record_areas, record_depths), extra_values = _generate_record(
+                    config, i, severity_cdf, stream
+                )
+                core.append(values)
+                extra.append(extra_values)
+                site_rows += chosen
+                site_cols += [i] * len(chosen)
+                areas += record_areas
+                depths += record_depths
+            numerics[:, block] = np.array(core, dtype=np.float64).T
+            extras[:, block] = np.array(extra, dtype=np.float64).T
+            sites = np.array(site_rows, dtype=np.intp), np.array(site_cols, dtype=np.intp)
+            site_areas[sites] = areas
+            site_depths[sites] = depths
 
-    parts = parallel.worker_count(n)
-    parallel.map_ordered(fill, [range(n * p // parts, n * (p + 1) // parts) for p in range(parts)])
+    parallel.map_ordered(fill, _ranges(n))
     return Dataset(
         ids=np.array([f"P{i:06d}" for i in range(n)], dtype=object),
         numerics=numerics,
@@ -414,10 +440,6 @@ def _eligible_cells(ds: Dataset) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-#: Records whose missingness draws are held at once.
-_MISSING_BLOCK = 1024
-
-
 def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     """Blank a fraction of eligible cells (those holding zero/none values),
     deterministically per seed. rate=0 is the identity; rate=1 blanks every
@@ -430,14 +452,21 @@ def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
         return ds
     eligible = _eligible_cells(ds)
     counts = eligible.sum(axis=1).tolist()
-    stream = _streams(seed, len(ds), (_TAG_MISSING,))
-    blank = np.zeros_like(eligible)
-    for start in range(0, len(ds), _MISSING_BLOCK):
-        stop = min(start + _MISSING_BLOCK, len(ds))
-        draws = [stream(i, _TAG_MISSING).random(counts[i])
-                 for i in range(start, stop) if counts[i]]
-        if draws:
-            blank[start:stop][eligible[start:stop]] = np.concatenate(draws) < rate
+    # Workers mark the cells to blank in one shared anonymous mapping, as
+    # generate_cohort's do; the parent blanks them.
+    blank = np.frombuffer(mmap.mmap(-1, max(eligible.size, 1)), np.bool_, eligible.size)
+    blank = blank.reshape(eligible.shape)
+
+    def draw(records: range) -> None:
+        stream = _streams(seed, records.stop, (_TAG_MISSING,), start=records.start)
+        for start in range(records.start, records.stop, _BLOCK):
+            stop = min(start + _BLOCK, records.stop)
+            draws = [stream(i, _TAG_MISSING).random(counts[i])
+                     for i in range(start, stop) if counts[i]]
+            if draws:
+                blank[start:stop][eligible[start:stop]] = np.concatenate(draws) < rate
+
+    parallel.map_ordered(draw, _ranges(len(ds)))
     del eligible  # freed before the result is built
     blank = blank.T  # one row per cell
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import re
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -73,16 +74,23 @@ def _float_cells(col: np.ndarray) -> list[str]:
 
 #: Rows formatted as cell strings at once when writing.
 _WRITE_ROWS = 1024
+#: Characters that make ``csv.writer`` quote a cell, or may (``\r``).
+_SPECIAL = re.compile('[,"\r\n]')
 
 
 def cohort_csv_text(ds: Dataset, out) -> None:
     """Write a dataset as CSV text to ``out``, anything with ``.write(str)``
-    (a text file, or the hashing sink of ``dataset_sha256``)."""
+    (a text file, or the hashing sink of ``dataset_sha256``), as
+    ``csv.writer`` writes it. Each block of rows is joined with ``","`` and
+    written at once, unless one of its id or categorical cells holds a
+    character csv may quote; then ``csv.writer`` writes that block.
+    Categorical values are strings."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_HEADER + tuple(ds.extras))
     for start in range(0, len(ds), _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
         columns = [ds.ids[rows].tolist()]
+        quotable = columns[:]  # the columns whose cells csv may quote
         columns += [_float_cells(col[rows]) for col in ds.numerics[:-1]]
         columns.append(["" if v != v else str(int(v)) for v in ds.numerics[-1, rows].tolist()])
         columns += [_float_cells(col[rows]) for col in ds.site_areas]
@@ -92,7 +100,11 @@ def cohort_csv_text(ds: Dataset, out) -> None:
                 columns.append(_float_cells(col[rows]))
             else:
                 columns.append(["" if v is None else v for v in col[rows].tolist()])
-        writer.writerows(zip(*columns))
+                quotable.append(columns[-1])
+        if _SPECIAL.search("".join(cell for cells in quotable for cell in cells)):
+            writer.writerows(zip(*columns))
+        else:
+            out.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def read_cohort_csv(path: str | Path) -> Dataset:

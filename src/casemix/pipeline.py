@@ -9,6 +9,7 @@ seed in the config, so reruns are bit-identical.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,12 +266,13 @@ def _select_final_features(
 
 
 def run_pipeline(
-    ds: Dataset, config: PipelineConfig, input_sha256: str | None = None
+    ds: Dataset, config: PipelineConfig, input_sha256: Callable[[], str] | None = None
 ) -> PipelineResult:
     """Full run on a raw dataset; any stage failure raises PipelineStageError
-    tagged with the stage name. ``input_sha256`` is the hash provenance
+    tagged with the stage name. ``input_sha256()`` gives the hash provenance
     records for the input, by default that of ``ds``'s canonical CSV form;
-    a caller that read ``ds`` from a file it already hashed passes that."""
+    a caller that holds the hash of the file ``ds`` came from passes a
+    function that returns it. It is called once the model is built."""
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -278,7 +280,6 @@ def run_pipeline(
         except CasemixError as e:
             raise PipelineStageError(name, str(e)) from e
 
-    input_hash = input_sha256 if input_sha256 is not None else dataset_sha256(ds)
     pds, report = stage(
         "preprocess", preprocess, ds, config.missing_threshold, config.admin_fields
     )
@@ -317,7 +318,7 @@ def run_pipeline(
     )
     provenance = {
         "tool_version": __version__,
-        "input_sha256": input_hash,
+        "input_sha256": input_sha256() if input_sha256 else dataset_sha256(ds),
         "config": config.to_dict(),
         "rows_in": report.rows_in,
         "rows_out": report.rows_out,

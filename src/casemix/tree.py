@@ -86,7 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import CATEGORICAL, NUMERIC, CostMatrix, check_int
+from .domain import CATEGORICAL, NUMERIC, CostMatrix, check_int, is_number
 from .errors import InvalidArgument, TreeFormatError
 
 TREE_FORMAT_VERSION = "1"
@@ -859,11 +859,33 @@ def serialize_tree(tree: DecisionTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _count(what: str, value) -> int:
+    """A model document's count: a JSON integer in [0, 2**53]."""
+    if not 0 <= check_int(what, value) <= 2**53:
+        raise InvalidArgument(f"{what} {value} is not in [0, 2**53]")
+    return value
+
+
+def _number(what: str, value, finite: bool = False) -> float:
+    """A model document's ``value`` as a float: a JSON number in float
+    range, and finite where ``finite`` is set. No string or bool is read."""
+    try:
+        x = float(value) if is_number(value) else None
+    except OverflowError:  # an int beyond float range
+        x = None
+    if x is None or finite and not math.isfinite(x):
+        kind = "finite JSON number" if finite else "JSON number"
+        raise InvalidArgument(f"{what} must be a {kind}, got {value!r}")
+    return x
+
+
 def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
     """A model document's nested node dicts as nodes in preorder, walked
     with an explicit stack; every node is checked against the document's
     schema and levels. ``n``, ``counts`` and ``label`` must be JSON integers,
-    ``n`` the sum of the counts and a label a rank in [1, k]."""
+    counts and ``n`` in [0, 2**53] (float64 holds them exactly), ``n`` the
+    sum of the counts and a label a rank in [1, k]. A threshold must be a
+    finite JSON number, impurity, decrease and expected cost JSON numbers."""
     nodes: list[_Node] = []
     stack = [(root, "root", 0, -1)]  # (node dict, path, depth, parent of a right child)
     while stack:
@@ -874,25 +896,25 @@ def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
             nodes[parent] = nodes[parent]._replace(right=len(nodes))
         try:
             node_type = d["type"]
-            n, counts = check_int("n", d["n"]), d["counts"]
+            n, counts = _count("n", d["n"]), d["counts"]
             if not (isinstance(counts, list) and len(counts) == k):
                 raise TreeFormatError(f"{path}: counts must list {k} class counts")
-            if n != sum(check_int("a class count", c) for c in counts):
+            if n != sum(_count("a class count", c) for c in counts):
                 raise TreeFormatError(f"{path}: n {n} is not the sum of its counts")
             node = {"n": n, "counts": np.array(counts, dtype=np.float64)}
             if node_type == "leaf":
                 label = check_int("label", d["label"])
                 if not 1 <= label <= k:
                     raise TreeFormatError(f"{path}: label {label} is not a rank in [1, {k}]")
-                node.update(label=label, expected_cost=float(d["expected_cost"]))
+                node.update(label=label, expected_cost=_number("expected_cost", d["expected_cost"]))
             elif node_type == "internal":
                 name, kind = d["feature"], d["kind"]
                 if name not in names or kind != kinds[names.index(name)]:
                     raise TreeFormatError(f"{path}: no {kind} feature {name!r} in the schema")
-                node.update(feature=names.index(name), impurity=float(d["impurity"]),
-                            decrease=float(d["decrease"]))
+                node.update(feature=names.index(name), impurity=_number("impurity", d["impurity"]),
+                            decrease=_number("decrease", d["decrease"]))
                 if kind == NUMERIC:
-                    node["threshold"] = float(d["threshold"])
+                    node["threshold"] = _number("threshold", d["threshold"], finite=True)
                 else:
                     if not set(d["categories"]) <= set(levels[name]):
                         raise TreeFormatError(f"{path}: categories outside the levels of {name!r}")

@@ -1,14 +1,18 @@
 """Test-only API: cohort CSV from and to text and to a path, cohort-shaped
 datasets of any size drawn with numpy, the zero-one cost matrix and single
-cost-matrix entries, and a tracemalloc peak with a text sink that drops what
-it is given. The package itself reads cohorts from files, streams them to
-files and trains under the linear matrix only."""
+cost-matrix entries, a tracemalloc peak with a text sink that drops what
+it is given, and a check that no child process is left. The package itself
+reads cohorts from files, streams them to files and trains under the linear
+matrix only."""
 
 import io
+import multiprocessing
+import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from casemix import dataio
 from casemix.domain import (
@@ -90,3 +94,10 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -8,6 +8,8 @@ import pytest
 
 from casemix.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main
 from casemix.dataio import read_cohort_csv
+from casemix.errors import InvalidArgument
+from tests.helpers import assert_no_children
 from tests.test_tree import structure_sha256
 
 COHORT_CONFIG = {
@@ -153,13 +155,13 @@ class TestGenerate:
 
         class FailAfterOneBlock:
             def __init__(self, fh):
-                self.fh, self.rows = fh, 0
+                self.fh, self.writes = fh, 0
 
             def write(self, text):
-                if self.rows == 1 + dataio._WRITE_ROWS:  # header and one block
+                if self.writes == 2:  # the header and one block of rows were written
                     assert tmp.stat().st_size > 0
                     raise OSError(28, "No space left on device")
-                self.rows += 1
+                self.writes += 1
                 return self.fh.write(text)
 
         def failing(ds, fh, write=cli.cohort_csv_text):
@@ -750,6 +752,26 @@ class TestEvaluate:
         assert code == EXIT_CONFIG
         assert f"{field} " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "5", True])
+    def test_model_threshold_not_a_number_exit_2(self, trained, tmp_path, capsys, value):
+        """A threshold of "nan" once sent every row right, and "5" or true
+        was read as a number (exit 0)."""
+        import shutil
+
+        _, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        broken = shutil.copytree(result, tmp_path / "result")
+        model = json.loads((broken / "model.json").read_text())
+        assert model["root"]["kind"] == "numeric"
+        model["root"]["threshold"] = value
+        (broken / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(broken), "--hrg",
+                     str(tmp_path / "hrg" / "labels.csv"), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "root: threshold must be a finite JSON number" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("name,content", [
         pytest.param("labels.csv", b"id,rank\nP000000,\xff1\n", id="labels_not_utf8"),
         pytest.param("labels.csv", b'id,rank\n"' + b"P" * 200_000 + b'",1\n', id="labels_oversized_cell"),
@@ -926,6 +948,115 @@ class TestAll:
         assert main(["all", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         hist = json.loads((out / "hrg" / "histogram.json").read_text())
         assert set(hist) <= {"1", "2", "3", "U"}
+
+
+class TestAllWriter:
+    """`all` writes the cohort, its manifest and the HRG stage in a forked
+    writer while it trains. Whatever the outcome, it leaves no child process
+    and no .tmp file, and prints as each stage ran in turn."""
+
+    def run(self, tmp_path, capsys, out):
+        capsys.readouterr()
+        code = main(["all", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert_no_children()
+        assert not list(tmp_path.rglob("*.tmp"))
+        return code, captured.out.splitlines(), captured.err
+
+    def written(self, out: Path) -> list[str]:
+        return sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+
+    def fail_clustering(self, monkeypatch):
+        from casemix import pipeline
+
+        def failing(*args):
+            raise InvalidArgument("injected clustering failure")
+
+        monkeypatch.setattr(pipeline, "engineer_factor_targets", failing)
+
+    def test_success_prints_each_stage_in_order(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, lines, err = self.run(tmp_path, capsys, out)
+        assert (code, err) == (EXIT_OK, "")
+        assert lines[:2] == [f"wrote 250 records to {out / 'cohort.csv'}",
+                             f"classified 250 records into {out / 'hrg'}"]
+        assert lines[2].startswith("trained on ") and lines[2].endswith(f" into {out / 'result'}")
+        assert lines[3].startswith(f"evaluation written to {out / 'eval'}; ")
+        assert len(lines) == 4
+
+    def test_stage_failure_waits_for_the_writer(self, tmp_path, capsys, monkeypatch):
+        self.fail_clustering(monkeypatch)
+        out = tmp_path / "run"
+        code, lines, err = self.run(tmp_path, capsys, out)
+        assert code == EXIT_STAGE
+        assert err == "casemix: error: stage 'clustering': injected clustering failure\n"
+        assert lines == [f"wrote 250 records to {out / 'cohort.csv'}",
+                         f"classified 250 records into {out / 'hrg'}"]
+        assert self.written(out) == ["cohort.csv", "cohort.csv.manifest.json", "hrg",
+                                     "hrg/histogram.json", "hrg/labels.csv", "hrg/manifest.json"]
+
+    @pytest.mark.parametrize("stage_fails", [False, True])
+    def test_failed_cohort_write_exit_3(self, tmp_path, capsys, monkeypatch, stage_fails):
+        """The writer's error is reported, also when training fails as well."""
+        if stage_fails:
+            self.fail_clustering(monkeypatch)
+        out = tmp_path / "run"
+        (out / "cohort.csv" / "taken").mkdir(parents=True)
+        code, lines, err = self.run(tmp_path, capsys, out)
+        assert code == EXIT_IO
+        cohort = out / "cohort.csv"
+        assert err == (f"casemix: error: I/O failure: [Errno 21] Is a directory: "
+                       f"'{cohort}.tmp' -> '{cohort}'\n")
+        assert lines == []
+        assert self.written(out) == ["cohort.csv", "cohort.csv/taken"]
+
+    def test_failed_hrg_write_reported_after_the_cohort_line(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """The writer's HRG stage fails after the cohort is written: its
+        error wins over training's, after the cohort's line."""
+        self.fail_clustering(monkeypatch)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "hrg").write_text("a file, not a directory", encoding="utf-8")
+        code, lines, err = self.run(tmp_path, capsys, out)
+        assert code == EXIT_IO
+        assert err == f"casemix: error: I/O failure: [Errno 17] File exists: '{out / 'hrg'}'\n"
+        assert lines == [f"wrote 250 records to {out / 'cohort.csv'}"]
+        assert self.written(out) == ["cohort.csv", "cohort.csv.manifest.json", "hrg"]
+
+    def test_interrupt_kills_the_writer(self, tmp_path, monkeypatch):
+        """An interrupt while training stops the writer mid-write and
+        removes its partial file."""
+        import os
+        import time
+
+        import casemix.cli as cli
+        from casemix import parallel, pipeline
+
+        out, parent, write = tmp_path / "run", os.getpid(), cli.cohort_csv_text
+        tmp, seen = out / "cohort.csv.tmp", []
+
+        def slow_write(ds, fh):
+            write(ds, fh)
+            if os.getpid() != parent:
+                time.sleep(60)
+
+        def interrupted(*args):
+            deadline = time.monotonic() + 30
+            while parallel.worker_count(2) > 1 and not tmp.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen.append(tmp.exists())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cohort_csv_text", slow_write)
+        monkeypatch.setattr(pipeline, "engineer_factor_targets", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["all", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert time.monotonic() - start < 30
+        assert seen == [parallel.worker_count(2) > 1]  # a partial file, when forked
+        assert_no_children()
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("command", ["hrg", "evaluate"])
@@ -1179,7 +1310,7 @@ class TestErrorPlumbing:
             def deny(path):
                 raise PermissionError(13, "Permission denied", str(path))
 
-            # `all` parses no file it wrote, but still reads each to hash it
+            # `all` neither parses nor hashes a file it wrote, but reads its config to hash it
             monkeypatch.setattr(cli, "_sha256_file" if command == "all" else "read_cohort_csv", deny)
         else:
             blocker = tmp_path / "blocker"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casemix import cohort
+from casemix import cohort, parallel
 from casemix.cohort import (
     _DEPTH_P,
     _MECHANISM_P,
@@ -185,6 +185,19 @@ class TestGenerate:
             else:
                 assert parsed.extras[name].tolist() == col.tolist(), name
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    def test_ranges_around_one_block(self, n, monkeypatch):
+        """A worker stores its records a block at a time; a range just
+        below, at and just above one block is stored as one record at a
+        time would store it."""
+        assert cohort._BLOCK == 1024
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)  # one range of n records
+        config = CohortConfig(n=n, seed=11, outlier_rate=0.1, unclassifiable_rate=0.1)
+        ds = generate_cohort(config)
+        monkeypatch.setattr(cohort, "_BLOCK", 1)
+        assert ds == generate_cohort(config)
+        assert csv_text(ds) == csv_text(generate_cohort(config))
+
     def test_non_outlier_values_truncated(self):
         ds = generate_cohort(CohortConfig(n=2000, seed=9, outlier_rate=0.0))
         assert ds.factor_values("los_days").max() <= LOS_OUTLIER
@@ -223,7 +236,7 @@ class TestInjectMissingness:
     @pytest.mark.parametrize("block", [1, 7])
     def test_block_size_does_not_change_result(self, small_cohort, monkeypatch, block):
         expected = inject_missingness(small_cohort, 0.3, seed=4)
-        monkeypatch.setattr(cohort, "_MISSING_BLOCK", block)
+        monkeypatch.setattr(cohort, "_BLOCK", block)
         assert inject_missingness(small_cohort, 0.3, seed=4) == expected
 
     def test_peak_memory_near_result_size(self):

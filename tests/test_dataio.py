@@ -352,6 +352,47 @@ def test_written_rows_split_anywhere(ds, data):
     assert dataset_sha256(ds) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _csv_writer_text(ds: Dataset) -> str:
+    """The cohort CSV text for ``ds``, every row written by ``csv.writer``."""
+    def number(v):
+        return "" if v != v else repr(v)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_HEADER + list(ds.extras))
+    for i in range(len(ds)):
+        theatre = ds.numerics[-1, i]
+        writer.writerow([
+            ds.ids[i], *map(number, ds.numerics[:-1, i].tolist()),
+            "" if theatre != theatre else str(int(theatre)),
+            *map(number, ds.site_areas[:, i].tolist()),
+            *("" if code == MISSING_DEPTH else DEPTH_LEVELS[code].value
+              for code in ds.site_depths[:, i].tolist()),
+            *(number(float(col[i])) if col.dtype == np.float64 else col[i] or ""
+              for col in ds.extras.values()),
+        ])
+    return buf.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rows_written_as_csv_writer_writes_them(data):
+    """Blocks of rows are joined with "," unless an id or categorical cell
+    of the block holds a character csv may quote. Either way the text is
+    what csv.writer writes, which on Python 3.11 quotes "\\n" but not "\\r"."""
+    n = data.draw(st.integers(0, 9))
+    cell = st.text(alphabet='ab ,"\r\n', max_size=3)
+    base = random_dataset(n, data.draw(st.integers(0, 2**32 - 1)))
+    ds = Dataset(
+        np.array([data.draw(cell) + str(i) for i in range(n)], dtype=object),
+        base.numerics, base.site_areas, base.site_depths,
+        {"ventilation_days": base.extras["ventilation_days"],
+         "sex": np.array([data.draw(st.none() | cell) for _ in range(n)], dtype=object)},
+    )
+    with mock.patch.object(dataio, "_WRITE_ROWS", data.draw(st.integers(1, 4))):
+        assert csv_text(ds) == _csv_writer_text(ds)
+
+
 def test_write_peak_memory_does_not_grow_with_rows():
     """Writing holds one block of rows as cell strings, so ten times the
     rows peaks at about the same memory; holding every cell would take

@@ -1,8 +1,8 @@
-"""The forked ordered map, and the two pipeline steps that use it: cohort
-generation and the factor trees give the same output for any worker count."""
+"""Forked workers, one started call or an ordered map, and the pipeline
+steps that use them: cohort generation, missingness and the factor trees
+give the same output for any worker count."""
 
 import inspect
-import multiprocessing
 import os
 import pickle
 import re
@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casemix import errors, parallel, pipeline
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
@@ -28,12 +29,7 @@ from casemix.pipeline import (
 )
 from casemix.preprocess import preprocess
 from casemix.tree import serialize_tree
-
-
-def assert_no_children():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from tests.helpers import assert_no_children, csv_text, random_dataset
 
 
 @pytest.fixture(params=[1, 2, 3])
@@ -151,6 +147,68 @@ class TestMapOrdered:
         assert out.stdout.strip() == "False"
 
 
+class TestStart:
+    def test_join_gives_the_result(self, workers):
+        task = parallel.start(lambda: os.getpid())
+        pid = task.join()
+        assert (pid == os.getpid()) == (workers == 1)
+        assert task.join() == pid  # joined again: same outcome
+        assert_no_children()
+
+    def test_runs_while_the_caller_goes_on(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        started, go = tmp_path / "started", tmp_path / "go"
+
+        def fn():
+            started.touch()
+            while not go.exists():
+                time.sleep(0.01)
+            return "done"
+
+        task = parallel.start(fn)
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists() and not task.done
+        go.touch()
+        assert task.join() == "done"
+        assert_no_children()
+
+    def test_single_cpu_calls_at_once(self, monkeypatch):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        calls = []
+        task = parallel.start(lambda: calls.append(os.getpid()) or "result")
+        assert calls == [os.getpid()] and task.done
+        assert task.join() == "result"
+
+    def test_join_raises_the_error_each_time(self, workers):
+        def fn():
+            raise PipelineStageError("hrg", "boom")
+
+        task = parallel.start(fn)
+        for _ in range(2):
+            with pytest.raises(PipelineStageError, match="^stage 'hrg': boom$"):
+                task.join()
+        assert_no_children()
+
+    def test_kill_stops_and_reaps_the_worker(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        done = tmp_path / "finished"
+        task = parallel.start(lambda: (time.sleep(60), done.touch()))
+        start = time.monotonic()
+        task.kill()
+        task.kill()  # a no-op once reaped
+        assert time.monotonic() - start < 30 and not done.exists()
+        assert_no_children()
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        task = parallel.start(lambda: os._exit(7))
+        with pytest.raises(WorkerLostError, match=r"worker process \d+ exited with status 7 without"):
+            task.join()
+        assert_no_children()
+
+
 @pytest.mark.parametrize("cls", [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, Exception)
 ])
@@ -182,6 +240,21 @@ class TestWorkerCountInvariance:
         for name, col in ds.extras.items():
             assert col.dtype == reference.extras[name].dtype
             assert col.tolist() == reference.extras[name].tolist()
+        assert_no_children()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 2500), data_seed=st.integers(0, 2**32 - 1),
+           rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**70))
+    def test_inject_missingness(self, n, data_seed, rate, seed):
+        """Each worker draws a range of records into the shared mask."""
+        ds = random_dataset(n, data_seed)
+        results = []
+        for cpus in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(parallel, "cpu_count", lambda: cpus)
+                results.append(inject_missingness(ds, rate, seed))
+        assert results[0] == results[1] == results[2]
+        assert csv_text(results[0]) == csv_text(results[2])
         assert_no_children()
 
     def test_generate_cohort_one_range_per_cpu(self, workers, monkeypatch):

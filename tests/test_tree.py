@@ -684,6 +684,67 @@ class TestSerialization:
         with pytest.raises(TreeFormatError, match=re.escape(message)):
             deserialize_tree(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("threshold", "nan", "threshold must be a finite JSON number, got 'nan'"),
+        ("threshold", "5", "threshold must be a finite JSON number, got '5'"),
+        ("threshold", True, "threshold must be a finite JSON number, got True"),
+        ("threshold", None, "threshold must be a finite JSON number, got None"),
+        ("threshold", math.nan, "threshold must be a finite JSON number, got nan"),
+        ("threshold", -math.inf, "threshold must be a finite JSON number, got -inf"),
+        pytest.param("threshold", 10**400, "threshold must be a finite JSON number, got 1000",
+                     id="threshold-huge_int"),
+        ("impurity", "0.6", "impurity must be a JSON number, got '0.6'"),
+        ("decrease", False, "decrease must be a JSON number, got False"),
+        pytest.param("decrease", 10**400, "decrease must be a JSON number, got 1000",
+                     id="decrease-huge_int"),
+        ("expected_cost", "0", "expected_cost must be a JSON number, got '0'"),
+    ])
+    def test_node_floats_read_as_json_numbers(self, field, value, message):
+        """A threshold is a finite JSON number; impurity, decrease and a
+        leaf's expected cost are JSON numbers. No string or bool is coerced."""
+        doc = json.loads(serialize_tree(hand_built_tree()))
+        node, path = ((doc["root"]["left"]["right"], "root.left.right") if field == "expected_cost"
+                      else (doc["root"], "root"))
+        node[field] = value
+        with pytest.raises(TreeFormatError, match=re.escape(f"{path}: {message}")):
+            deserialize_tree(json.dumps(doc))
+
+    def test_integer_threshold_is_a_number(self):
+        doc = json.loads(serialize_tree(hand_built_tree()))
+        doc["root"]["threshold"] = 5
+        tree = deserialize_tree(json.dumps(doc))
+        assert [predict_one(tree, x, "a") for x in (4.0, 5.0)] == [2, 2]
+        assert serialize_tree(tree) == serialize_tree(hand_built_tree())
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**70, -1])
+    def test_class_counts_bounded_by_2_pow_53(self, count):
+        """Counts are held as float64, exact up to 2**53 only."""
+        doc = json.loads(serialize_tree(hand_built_tree()))
+        leaf = doc["root"]["left"]["right"]
+        leaf["counts"][1] = count
+        with pytest.raises(TreeFormatError,
+                           match=re.escape(f"root.left.right: a class count {count} is not in "
+                                           "[0, 2**53]")):
+            deserialize_tree(json.dumps(doc))
+
+    def test_node_n_bounded_by_2_pow_53(self):
+        doc = json.loads(serialize_tree(hand_built_tree()))
+        leaf = doc["root"]["left"]["right"]
+        leaf["counts"] = [2**52, 2**52, 1]
+        leaf["n"] = 2**53 + 1
+        with pytest.raises(TreeFormatError,
+                           match=re.escape(f"root.left.right: n {2**53 + 1} is not in [0, 2**53]")):
+            deserialize_tree(json.dumps(doc))
+
+    def test_counts_at_2_pow_53_round_trip(self):
+        doc = json.loads(serialize_tree(hand_built_tree()))
+        doc["root"] = {"type": "leaf", "label": 2, "n": 2**53, "counts": [2**52, 2**52 - 1, 1],
+                       "expected_cost": 0.5}
+        doc["summary"] = {"n": 2**53, "depth": 0, "leaf_count": 1}
+        tree = deserialize_tree(json.dumps(doc))
+        assert tree.n.dtype == np.int64
+        assert json.loads(serialize_tree(tree)) == doc
+
     def test_nesting_past_the_recursion_limit_rejected(self):
         text = '{"version": "1", "root": ' + '{"left": ' * 5000 + "{}" + "}" * 5001
         with pytest.raises(TreeFormatError, match="nests too deeply"):
