@@ -24,6 +24,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
+from dataclasses import asdict
 from pathlib import Path
 from typing import TextIO
 
@@ -65,6 +66,9 @@ EXIT_STAGE = 4
 
 #: ``ru_maxrss`` counts bytes on macOS and KiB elsewhere.
 _MAXRSS_PER_MB = 1 << 20 if sys.platform == "darwin" else 1 << 10
+
+#: The largest HRG rank the int64 label array holds.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _sha256_file(path: Path) -> str:
@@ -387,7 +391,7 @@ def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Da
     which the caller records as an input; it is called once the model is
     built, before anything is written."""
     manifest.add_config(config_path)
-    manifest.doc["seeds"]["pipeline"] = config.seeds.to_dict()
+    manifest.doc["seeds"]["pipeline"] = asdict(config.seeds)
     forked = parallel.worker_count(len(FACTOR_FIELDS)) > 1  # then one worker per tree
     manifest.doc["workers"] = len(FACTOR_FIELDS) if forked else 1
     result = run_pipeline(ds, config, input_sha256=cohort_sha256)
@@ -497,7 +501,7 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
         # Every ruleset rank is at least 1; the ruleset's k is not known here.
         if rank < 1:
             raise InvalidArgument(f"record {rid} has HRG rank {rank}, below 1")
-        if rank > np.iinfo(np.int64).max:
+        if rank > _INT64_MAX:
             raise InvalidArgument(f"record {rid} has HRG rank {rank}, beyond int64")
         ranks.append(rank)
     return np.array(ranks, dtype=np.int64)

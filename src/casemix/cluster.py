@@ -33,7 +33,7 @@ from .preprocess import log1p_factor
 @dataclass(frozen=True)
 class KMeansResult:
     assignments: np.ndarray  # (n,) int cluster ids in [0, k), in value order
-    centers: np.ndarray      # (k, 1), ascending
+    centers: np.ndarray      # (k,), ascending
     inertia: float
 
     @property
@@ -43,8 +43,6 @@ class KMeansResult:
 
 def _as_values(points) -> np.ndarray:
     x = np.asarray(points, dtype=np.float64)
-    if x.ndim == 2 and x.shape[1] == 1:
-        x = x[:, 0]
     if x.ndim != 1:
         raise InvalidArgument(f"kmeans takes 1-D values, got points of shape {x.shape}")
     if x.size == 0:
@@ -127,7 +125,7 @@ def _scaled(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def kmeans(points, k: int) -> KMeansResult:
     """Optimal k-means of 1-D values: k non-empty clusters with the least
-    within-cluster sum of squares. Accepts shape (n,) or (n, 1); cluster
+    within-cluster sum of squares. Takes and returns 1-D arrays; cluster
     ids follow value order."""
     x = _as_values(points)
     if k < 1:
@@ -139,9 +137,9 @@ def kmeans(points, k: int) -> KMeansResult:
     starts = _refine_pairs(v, w, _optimal_starts(_scaled(v, w), w, k))
     centers = np.add.reduceat(w * v, starts) / np.add.reduceat(w, starts)
     labels = np.repeat(np.arange(k), np.diff(np.append(starts, len(v))))
-    assignments = labels[inverse.reshape(-1)]
+    assignments = labels[inverse]
     diff = x - centers[assignments]
-    return KMeansResult(assignments, centers.reshape(-1, 1), float(np.dot(diff, diff)))
+    return KMeansResult(assignments, centers, float(np.dot(diff, diff)))
 
 
 def rank_clusters(result: KMeansResult, severity_values) -> dict[int, int]:

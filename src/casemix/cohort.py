@@ -155,17 +155,6 @@ class CohortConfig:
         except (TypeError, ValueError) as e:
             raise InvalidArgument(f"bad cohort config: {e}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "severity_weights": list(self.severity_weights),
-            "los_noise": self.los_noise,
-            "cost_noise": self.cost_noise,
-            "outlier_rate": self.outlier_rate,
-            "unclassifiable_rate": self.unclassifiable_rate,
-        }
-
 
 def _stream_keys(seed: int, indices: np.ndarray, tag: int) -> np.ndarray:
     """Philox keys of the streams (seed, index, tag) for each of ``indices``

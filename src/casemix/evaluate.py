@@ -10,7 +10,7 @@ mean reported alongside for transparency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,14 +33,7 @@ class VarianceReport:
     small_groups: tuple[int, ...]  # groups of size <= 1, excluded from the means
 
     def to_dict(self) -> dict:
-        return {
-            "per_group": {
-                str(g): {"n": gv.n, "variance": gv.variance} for g, gv in self.per_group.items()
-            },
-            "mean_variance": self.mean_variance,
-            "weighted_mean_variance": self.weighted_mean_variance,
-            "small_groups": list(self.small_groups),
-        }
+        return dict(vars(self), per_group={str(g): asdict(gv) for g, gv in self.per_group.items()})
 
 
 def intra_group_variance(values, groups) -> VarianceReport:
@@ -85,14 +78,8 @@ class ConfusionSummary:
     distance_histogram: dict[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.astype(int).tolist(),
-            "k": self.k,
-            "accuracy": self.accuracy,
-            "total_loss": self.total_loss,
-            "max_distance": self.max_distance,
-            "distance_histogram": {str(d): c for d, c in sorted(self.distance_histogram.items())},
-        }
+        histogram = {str(d): c for d, c in sorted(self.distance_histogram.items())}
+        return dict(vars(self), matrix=self.matrix.astype(int).tolist(), distance_histogram=histogram)
 
 
 def confusion(true_labels, pred_labels, loss: CostMatrix) -> ConfusionSummary:
@@ -159,13 +146,9 @@ class FactorComparison:
     dt_lower: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dt": self.dt.to_dict(),
-            "hrg": self.hrg.to_dict(),
-            "ratio": None if math.isinf(self.ratio) else self.ratio,
-            "ratio_infinite": math.isinf(self.ratio),
-            "dt_lower": self.dt_lower,
-        }
+        return dict(vars(self), dt=self.dt.to_dict(), hrg=self.hrg.to_dict(),
+                    ratio=None if math.isinf(self.ratio) else self.ratio,
+                    ratio_infinite=math.isinf(self.ratio))
 
 
 @dataclass
@@ -178,13 +161,7 @@ class GroupingComparison:
     merge_candidates: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "factors": {f: c.to_dict() for f, c in self.factors.items()},
-            "dt_wins_all": self.dt_wins_all,
-            "rank_means": self.rank_means,
-            "rank_monotone": self.rank_monotone,
-            "merge_candidates": self.merge_candidates,
-        }
+        return dict(vars(self), factors={f: c.to_dict() for f, c in self.factors.items()})
 
 
 def _rank_means(values: np.ndarray, labels: np.ndarray) -> tuple[list[float], bool]:

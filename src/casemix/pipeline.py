@@ -10,7 +10,7 @@ seed in the config, so reruns are bit-identical.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class PipelineSeeds:
     def __post_init__(self):
         for name in ("split", "oversample"):
             check_seed(f"seed {name!r}", getattr(self, name))
-
-    def to_dict(self) -> dict:
-        return {"split": self.split, "oversample": self.oversample}
 
 
 @dataclass(frozen=True)
@@ -94,17 +91,7 @@ class PipelineConfig:
             raise InvalidArgument("k must be >= 2")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "split_fraction": self.split_fraction,
-            "importance_top_m": self.importance_top_m,
-            "oversample": self.oversample,
-            "seeds": self.seeds.to_dict(),
-            "factor_tree_params": self.factor_tree_params.to_dict(),
-            "final_tree_params": self.final_tree_params.to_dict(),
-            "missing_threshold": self.missing_threshold,
-            "admin_fields": list(self.admin_fields),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

@@ -17,7 +17,7 @@ Running it a second time is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,15 +54,7 @@ class PreprocessReport:
         return self.rows_out == self.rows_in - self.outliers_removed - self.unclassifiable_removed
 
     def to_dict(self) -> dict:
-        return {
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "outliers_removed": self.outliers_removed,
-            "outliers_by_reason": dict(self.outliers_by_reason),
-            "unclassifiable_removed": self.unclassifiable_removed,
-            "variables_dropped": dict(self.variables_dropped),
-            "cells_imputed": self.cells_imputed,
-        }
+        return asdict(self)
 
 
 def _missing(col: np.ndarray) -> np.ndarray:

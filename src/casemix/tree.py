@@ -950,8 +950,10 @@ def deserialize_tree(text: str) -> DecisionTree:
         names = tuple(str(c["name"]) for c in doc["schema"])
         kinds = tuple(str(c["kind"]) for c in doc["schema"])
         levels, root, summary = doc["levels"], doc["root"], doc["summary"]
-        meta = dict(params=TreeParams.from_dict(doc["params"]), n_rows=int(summary["n"]),
-                    depth=int(summary["depth"]), leaf_count=int(summary["leaf_count"]))
+        meta = dict(params=TreeParams.from_dict(doc["params"]),
+                    n_rows=_count("summary n", summary["n"]),
+                    depth=check_int("summary depth", summary["depth"]),
+                    leaf_count=check_int("summary leaf_count", summary["leaf_count"]))
     except KeyError as e:
         raise TreeFormatError(f"tree document missing field {e}")
     except (TypeError, ValueError, InvalidArgument) as e:

@@ -1024,6 +1024,31 @@ class TestAllWriter:
         assert lines == [f"wrote 250 records to {out / 'cohort.csv'}"]
         assert self.written(out) == ["cohort.csv", "cohort.csv.manifest.json", "hrg"]
 
+    def test_lost_writer_is_a_failed_stage(self, tmp_path, capsys, monkeypatch):
+        """A writer that dies in the middle of cohort.csv, as under the OOM
+        killer, exits 4 with its exit status; its partial file is removed."""
+        import os
+
+        import casemix.cli as cli
+        from casemix import parallel
+
+        parent, write = os.getpid(), cli.cohort_csv_text
+
+        def dies_mid_write(ds, fh):
+            write(ds, fh)
+            if os.getpid() != parent:
+                os._exit(9)
+
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "cohort_csv_text", dies_mid_write)
+        out = tmp_path / "run"
+        code, lines, err = self.run(tmp_path, capsys, out)
+        assert code == EXIT_STAGE
+        assert "exited with status 9 without a result" in err
+        assert "Traceback" not in err
+        assert lines == []
+        assert not (out / "cohort.csv").exists()
+
     def test_interrupt_kills_the_writer(self, tmp_path, monkeypatch):
         """An interrupt while training stops the writer mid-write and
         removes its partial file."""

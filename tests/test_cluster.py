@@ -42,24 +42,24 @@ def assert_contiguous_intervals(values, assignments):
 
 class TestKMeans:
     def test_separable_two_clusters(self):
-        pts = np.array([0.0, 0.0, 10.0, 10.0]).reshape(-1, 1)
+        pts = np.array([0.0, 0.0, 10.0, 10.0])
         res = kmeans(pts, 2)
         assert res.inertia == 0.0
-        assert sorted(res.centers.ravel().tolist()) == [0.0, 10.0]
+        assert res.centers.tolist() == [0.0, 10.0]
 
     def test_k1_center_is_mean(self):
-        pts = np.array([1.0, 2.0, 4.0, 9.0]).reshape(-1, 1)
+        pts = np.array([1.0, 2.0, 4.0, 9.0])
         res = kmeans(pts, 1)
-        assert res.centers[0, 0] == pytest.approx(4.0)
+        assert res.centers.tolist() == [pytest.approx(4.0)]
         assert res.inertia == pytest.approx(float(((pts - 4.0) ** 2).sum()))
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidArgument):
-            kmeans(np.empty((0, 1)), 1)
+            kmeans(np.empty(0), 1)
 
     def test_k_exceeding_distinct_points_rejected(self):
         with pytest.raises(InvalidArgument):
-            kmeans(np.array([1.0, 1.0, 1.0]).reshape(-1, 1), 2)
+            kmeans(np.array([1.0, 1.0, 1.0]), 2)
 
     @pytest.mark.parametrize("values, k", [
         ([0.0] * 11 + [1.0710966831671191e-280], 2),
@@ -70,7 +70,7 @@ class TestKMeans:
         # Squared gaps between these points underflow to zero; they must
         # still be told apart into k clusters.
         arr = np.asarray(values)
-        res = kmeans(arr.reshape(-1, 1), k)
+        res = kmeans(arr, k)
         assert len(np.unique(res.assignments)) == k
         # k distinct values and k clusters: each value is its own cluster.
         for v in np.unique(arr):
@@ -80,16 +80,16 @@ class TestKMeans:
         rng = np.random.default_rng(3)
         pts = rng.normal(size=100)
         a = kmeans(pts, 4)
-        b = kmeans(pts.reshape(-1, 1), 4)
+        b = kmeans(pts, 4)
         assert np.array_equal(a.assignments, b.assignments)
         assert np.array_equal(a.centers, b.centers)
         assert a.inertia == b.inertia
 
     def test_assignment_is_nearest_center(self):
         rng = np.random.default_rng(5)
-        pts = rng.normal(size=(60, 1))
+        pts = rng.normal(size=60)
         res = kmeans(pts, 3)
-        d2 = ((pts[:, None, :] - res.centers[None, :, :]) ** 2).sum(-1)
+        d2 = (pts[:, None] - res.centers[None, :]) ** 2
         assert np.array_equal(res.assignments, np.argmin(d2, axis=1))
         assert res.inertia == pytest.approx(float(d2.min(axis=1).sum()))
 
@@ -101,7 +101,7 @@ class TestKMeans:
             vals = np.round(rng.uniform(0, 10, size=n), 3)
             while len(np.unique(vals)) < k:
                 vals = np.round(rng.uniform(0, 10, size=n), 3)
-            res = kmeans(vals.reshape(-1, 1), k)
+            res = kmeans(vals, k)
             opt = brute_force_partition_optimum(list(vals), k)
             assert abs(res.inertia - opt) <= 1e-9, f"trial {trial}: {res.inertia} vs {opt}"
             assert_contiguous_intervals(vals, res.assignments)
@@ -109,12 +109,13 @@ class TestKMeans:
     def test_1d_clusters_are_intervals(self):
         rng = np.random.default_rng(12)
         vals = rng.gamma(2.0, 3.0, size=500)
-        res = kmeans(vals.reshape(-1, 1), 13)
+        res = kmeans(vals, 13)
         assert_contiguous_intervals(vals, res.assignments)
 
     def test_multidimensional_points_rejected(self):
-        with pytest.raises(InvalidArgument):
-            kmeans(np.zeros((6, 2)), 2)
+        for shape in [(6, 2), (6, 1)]:
+            with pytest.raises(InvalidArgument, match="1-D values"):
+                kmeans(np.zeros(shape), 2)
 
     @settings(deadline=None, max_examples=300)
     @given(st.data())
@@ -142,7 +143,7 @@ class TestKMeans:
         assert np.array_equal(np.unique(res.assignments), np.arange(k))
         assert np.all(np.diff(res.assignments[np.argsort(arr, kind="stable")]) >= 0)
         # Every point is nearest its own center.
-        dist = np.abs(arr[:, None] - res.centers.ravel()[None, :])
+        dist = np.abs(arr[:, None] - res.centers[None, :])
         assert np.all(dist[np.arange(len(arr)), res.assignments] <= dist.min(axis=1))
 
 
@@ -150,7 +151,7 @@ class TestRankClusters:
     def make_result(self, assignments, k):
         return KMeansResult(
             assignments=np.asarray(assignments),
-            centers=np.zeros((k, 1)),
+            centers=np.zeros(k),
             inertia=0.0,
         )
 
@@ -171,7 +172,7 @@ class TestRankClusters:
     def test_bijection(self):
         rng = np.random.default_rng(2)
         vals = rng.normal(size=300)
-        res = kmeans(vals.reshape(-1, 1), 7)
+        res = kmeans(vals, 7)
         ranks = rank_clusters(res, vals)
         assert sorted(ranks.values()) == list(range(1, 8))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -68,7 +69,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = CohortConfig(n=10, seed=1, outlier_rate=0.05)
-        assert CohortConfig.from_dict(cfg.to_dict()) == cfg
+        assert CohortConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True, "3"])
     def test_seed_must_be_non_negative_integer(self, seed):

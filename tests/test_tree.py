@@ -657,6 +657,17 @@ class TestSerialization:
         with pytest.raises(TreeFormatError, match="summary must match the nodes"):
             deserialize_tree(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", ["12", 12.9, True])
+    @pytest.mark.parametrize("field", ["n", "depth", "leaf_count"])
+    def test_summary_integers_read_exactly(self, field, value):
+        """The summary is written back as read, so its fields are JSON
+        integers: a string, float or bool is refused, not truncated."""
+        doc = json.loads(serialize_tree(hand_built_tree()))
+        doc["summary"][field] = value
+        with pytest.raises(TreeFormatError,
+                           match=re.escape(f"summary {field} must be an integer, got {value!r}")):
+            deserialize_tree(json.dumps(doc))
+
     @pytest.mark.parametrize("field, value, message", [
         ("k", "3", "k must be an integer, got '3'"),
         ("label", 1.5, "label must be an integer, got 1.5"),
