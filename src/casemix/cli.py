@@ -460,13 +460,15 @@ def _read_result_dir(result_dir: Path):
         raise InvalidArgument(f"malformed result dir {result_dir}: config.json nests too deeply")
     if not (len(ds) == len(final_labels) == len(factor_ranks[FACTOR_FIELDS[0]])):
         raise InvalidArgument("result dir artifacts disagree on record count")
+    if config.k != tree.k:
+        raise InvalidArgument(f"result dir config.json has k {config.k}, its model.json {tree.k}")
     if len(train_idx) + len(test_idx) != len(split_idx) or not np.array_equal(
         np.sort(split_idx), np.arange(len(ds))
     ):
         raise InvalidArgument(
             "split.csv must list every record index once, with role train or test"
         )
-    return ds, config, tree, final_labels, factor_ranks, train_idx, test_idx, test_ms
+    return ds, tree, final_labels, factor_ranks, train_idx, test_idx, test_ms
 
 
 def _read_hrg_labels(path: Path) -> dict[str, str]:
@@ -508,17 +510,16 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
 
 
 def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], out: Path, svg: bool,
-              ds: Dataset, config: PipelineConfig, tree, final_labels: np.ndarray,
-              factor_ranks: dict, train_idx: np.ndarray, test_idx: np.ndarray,
-              test_ms: np.ndarray) -> None:
+              ds: Dataset, tree, final_labels: np.ndarray, factor_ranks: dict,
+              train_idx: np.ndarray, test_idx: np.ndarray, test_ms: np.ndarray) -> None:
     """Compare a trained model with the HRG labels ``hrg_by_id`` into ``out``:
-    ``ds`` is the preprocessed cohort, ``tree`` the final tree, and ``test_ms``
-    the oversampled test multiset in ascending ``test_idx`` order. `evaluate`
-    reads these from the files it records as inputs, `all` passes what it
-    wrote there."""
+    ``ds`` is the preprocessed cohort, ``tree`` the final tree, whose k is the
+    pipeline's, and ``test_ms`` the oversampled test multiset in any order.
+    `evaluate` reads these from the files it records as inputs, `all` passes
+    what it wrote there."""
     hrg_labels = _join_hrg(ds, hrg_by_id)
 
-    loss = linear_cost_matrix(config.k)
+    loss = linear_cost_matrix(tree.k)
     predictions = predict(tree, dataset_to_table(ds))
 
     conf_test = confusion(final_labels[test_idx], predictions[test_idx], loss)
@@ -596,7 +597,7 @@ def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], out: Path, svg: bo
                            lambda fh: boxplots_svg(stats["dt"], stats["hrg"],
                                                    f"{factor} by group (test)", fh))
         _stream_output(manifest, out, out / "rank_spread.svg",
-                       lambda fh: rank_spread_svg(factor_ranks, final_labels, config.k, fh))
+                       lambda fh: rank_spread_svg(factor_ranks, final_labels, tree.k, fh))
     manifest.write(out / "manifest.json")
     ratios = {
         f: comparison_doc["test"]["factors"][f]["ratio"] for f in FACTOR_FIELDS
@@ -691,10 +692,9 @@ def cmd_all(args) -> None:
     for name in _RESULT_FILES:
         evaluate.add_input(out / "result" / name, train.doc["outputs"][name])
     evaluate.add_input(hrg_out / "labels.csv", labels_sha256)
-    _evaluate(evaluate, hrg_by_id, out / "eval", args.svg,
-              result.preprocessed, pipeline_config, result.final_tree, result.final_labels,
-              result.factor_labels, result.train_idx, result.test_idx,
-              np.sort(result.test_multiset))  # as split.csv lists it: test_idx ascends
+    _evaluate(evaluate, hrg_by_id, out / "eval", args.svg, result.preprocessed,
+              result.final_tree, result.final_labels, result.factor_labels, result.train_idx,
+              result.test_idx, result.test_multiset)
 
     manifest.doc["outputs"].update({
         "cohort.csv": cohort_sha256, "hrg/labels.csv": labels_sha256,

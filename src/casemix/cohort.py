@@ -301,10 +301,12 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
         los = 0.0  # day attendance, no overnight stay
     else:
         mu = 0.4 + 1.05 * math.log1p(tbsa)
-        los = round(max(math.expm1(g_los.normal(mu, config.los_noise)), 0.0), 1)
         # Natural LOS/cost are truncated at the outlier thresholds, so every
         # record beyond them was injected: the injection rate is observable.
-        los = min(los, LOS_OUTLIER)
+        # The log-scale draw is clamped at the threshold's log, which rounds
+        # back to the threshold, so no noise scale can overflow.
+        log_los = min(g_los.normal(mu, config.los_noise), math.log1p(LOS_OUTLIER))
+        los = round(max(math.expm1(log_los), 0.0), 1)
 
     theatre = int(stream(index, _TAG_THEATRE).poisson(0.15 + 0.22 * tbsa))
 
@@ -315,8 +317,8 @@ def _generate_record(config: CohortConfig, index: int, severity_cdf: list[float]
         + 0.5 * math.log1p(los)
         + 0.4 * math.log1p(theatre)
     )
-    cost = round(math.exp(g_cost.normal(mu_c, config.cost_noise)), 2)
-    cost = min(cost, COST_OUTLIER)
+    log_cost = min(g_cost.normal(mu_c, config.cost_noise), math.log(COST_OUTLIER))
+    cost = round(math.exp(log_cost), 2)
 
     g = stream(index, _TAG_EXTRAS)
     sex = 0 if g.random() < 0.5 else 1  # F, M

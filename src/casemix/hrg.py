@@ -208,7 +208,7 @@ def validate_ruleset(rs: Ruleset, schema: dict[str, str]) -> list[str]:
             if cond.op not in OPERATORS:
                 violations.append(f"rule {i}: unknown operator {cond.op!r}")
                 continue
-            if cond.feature not in schema:
+            if not isinstance(cond.feature, str) or cond.feature not in schema:
                 violations.append(f"rule {i}: unknown feature {cond.feature!r}")
                 continue
             kind = schema[cond.feature]
@@ -246,9 +246,12 @@ def validate_ruleset(rs: Ruleset, schema: dict[str, str]) -> list[str]:
     if rs.default_rank is None:
         # A declared default rank stands in for any number of missing
         # per-rank rules; without one, every rank needs at least one rule.
-        uncovered = sorted(set(range(1, rs.k + 1)) - covered)
-        if uncovered:
-            violations.append(f"ranks with no rule and no default: {uncovered}")
+        # ``covered`` holds at most one rank per rule, so the first
+        # len(covered) + 10 ranks hold the 10 lowest uncovered ones.
+        lowest = [r for r in range(1, min(rs.k, len(covered) + 10) + 1) if r not in covered]
+        if lowest:
+            violations.append(f"{rs.k - len(covered)} ranks with no rule and no default, "
+                              f"the lowest {lowest[:10]}")
     return violations
 
 

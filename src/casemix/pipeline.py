@@ -123,7 +123,6 @@ class PipelineResult:
     factor_importances: dict[str, list[tuple[str, float]]]
     mean_ranks: np.ndarray
     final_labels: np.ndarray
-    selected_features: tuple[str, ...]
     final_tree: DecisionTree
     train_idx: np.ndarray
     test_idx: np.ndarray
@@ -318,7 +317,6 @@ def run_pipeline(
         factor_importances=factor_importances,
         mean_ranks=mean_ranks,
         final_labels=final_labels,
-        selected_features=selected,
         final_tree=final_tree,
         train_idx=train_idx,
         test_idx=test_idx,

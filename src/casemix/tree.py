@@ -28,12 +28,14 @@ searches. The left child's budget is min(own + alpha, M) minus
 min(own_right + alpha, 2 * alpha), the least S the right subtree can score;
 once the left subtree is done, the right child's budget is
 min(own + alpha, M) - S_left. Each subtree is pruned as growth completes
-it, bottom-up as in rpart: its children's subtrees already pruned, a node
-collapses to a leaf when g = max((own - risk) / (leaves - 1), 0) < alpha,
-with risk and leaves its pruned subtree's. Weakest-link pruning with the
-same strict test stops at this tree too, the largest minimizer of risk +
-alpha * leaves; under an integer loss matrix every risk is exact, so the
-two agree bit for bit.
+it, bottom-up as in rpart: growth is a post-order over two stacks, one of
+nodes to grow and one of the (S, risk, leaves) of finished subtrees, and
+once both children's subtrees are pruned a node collapses to a leaf when
+g = max((own - risk) / (leaves - 1), 0) < alpha, with risk and leaves the
+sums of its children's. Weakest-link pruning with the same strict test
+stops at this tree too, the largest minimizer of risk + alpha * leaves;
+under an integer loss matrix every risk is exact, so the two agree bit for
+bit.
 
 Layout: a fitted ``DecisionTree`` is a set of parallel per-node arrays in
 preorder, the layout of rpart's ``frame`` table and scikit-learn's ``Tree``.
@@ -558,77 +560,69 @@ def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q
 # ---------------------------------------------------------------------------
 
 def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[list[_Node], int, int]:
-    """Recursive partitioning with an explicit stack, depth-first and left
-    child first, so nodes arrive in preorder. Each node on the stack is its
-    own ascending array of row ids with its class counts, and carries the
-    budget M of the module docstring: the left child's is cap - min(own_right
-    + alpha, 2 * alpha) with cap = min(own + alpha, M), the right child's
-    cap - S_left. A node p's subtree is done when its right subtree is; p's
-    risk and leaves are then its children's sums, over subtrees already
-    pruned, and p collapses to a leaf when g = max((own[p] - risk[p]) /
-    (leaves[p] - 1), 0) < alpha. In preorder p's subtree is then the tail of
-    each per-node list, so the collapse truncates them there. Returns the
-    nodes, the number grown and the number of collapses."""
+    """Recursive partitioning as a post-order over two stacks. ``stack``
+    holds the nodes to grow, left child first, so nodes arrive in preorder;
+    each is its own ascending array of row ids with its class counts. A left
+    child carries its budget M of the module docstring, a right child its
+    parent's cap = min(own + alpha, M), from which it subtracts S_left when
+    popped. Below its two children a split node p leaves a marker ``(None,
+    p, own_p)``. ``done`` holds the (S, risk, leaves) of each pruned subtree
+    whose parent is not yet done: a popped marker takes its children's two
+    entries off it, and p collapses to a leaf when g < alpha, truncating
+    ``nodes`` after p, since in preorder p's subtree is their tail. Returns
+    the nodes, the number grown and the number of collapses."""
     nodes: list[_Node] = []
     counts = np.bincount(enc.y0, minlength=enc.k).astype(np.float64)
     root_risk = float((counts @ loss.entries).min())
     alpha = params.cp * root_risk
     margin = 1e-9 * root_risk
-    own: list[float] = []  # per node: its risk as a leaf
-    risk: list[float] = []  # per node: its pruned subtree's risk, once done
-    leaves: list[int] = []  # per node: its pruned subtree's leaf count, once done
-    cap: list[float] = []  # per node: min(own + alpha, M)
-    score: list[float] = []  # per node: own + alpha, then S once its subtree is done
-    up: list[int] = []  # per node: its parent if it is a right child, else -1
     grown = collapses = 0
-    # (rows, class counts, depth, parent of a right child, budget of a left child)
-    stack = [(np.arange(enc.n), counts, 0, -1, math.inf)]
+    # (rows, class counts, depth, budget or a right child's parent cap, parent of a right child)
+    stack: list[tuple] = [(np.arange(enc.n), counts, 0, math.inf, -1)]
+    done: list[tuple[float, float, int]] = []
     while stack:
-        rows, counts, depth, parent, budget = stack.pop()
+        entry = stack.pop()
+        if entry[0] is None:  # both subtrees of split node p are done
+            _, p, own = entry
+            right, left = done.pop(), done.pop()
+            score = min(own + alpha, left[0] + right[0])
+            risk, leaves = left[1] + right[1], left[2] + right[2]
+            if max((own - risk) / (leaves - 1), 0.0) < alpha:
+                collapses += 1
+                label, cost = leaf_label(nodes[p].counts, loss)
+                nodes[p] = _Node(nodes[p].n, nodes[p].counts, label=label, expected_cost=cost)
+                del nodes[p + 1:]
+                risk, leaves = own, 1
+            done.append((score, risk, leaves))
+            continue
+        rows, counts, depth, budget, parent = entry
         i = len(nodes)
         grown += 1
         if parent >= 0:
             nodes[parent] = nodes[parent]._replace(right=i)
-            budget = cap[parent] - score[parent + 1]
+            budget -= done[-1][0]
         impurity = gini_loss_impurity(counts, loss)
         costs = counts @ loss.entries  # costs[j]: the node's risk as a leaf of rank j + 1
-        own.append(float(costs.min()))
-        risk.append(own[i])
-        leaves.append(1)
-        score.append(own[i] + alpha)
-        cap.append(min(score[i], budget))
-        up.append(parent)
+        own = float(costs.min())
+        cap = min(own + alpha, budget)
         split = None
-        if (depth < params.max_depth and len(rows) >= params.min_split and impurity != 0.0
-                and cap[i] - alpha >= alpha - margin):  # false when alpha overflows to inf
+        if (depth < params.max_depth and impurity != 0.0
+                and cap - alpha >= alpha - margin):  # false when alpha overflows to inf
             split = best_split(enc, rows, counts, float(costs @ counts), loss, params)
-        if split is not None:
-            nodes.append(_Node(len(rows), counts, feature=enc.names.index(split.feature),
-                               threshold=split.threshold, left_set=split.left_set,
-                               impurity=impurity, decrease=split.decrease))
-            left = split.left_mask
-            counts_left = np.bincount(enc.y0[rows[left]], minlength=enc.k).astype(np.float64)
-            counts_right = counts - counts_left
-            right_score = min(float((counts_right @ loss.entries).min()) + alpha, 2.0 * alpha)
-            stack += [(rows[~left], counts_right, depth + 1, i, math.nan),
-                      (rows[left], counts_left, depth + 1, -1, cap[i] - right_score)]
+        if split is None:
+            label, cost = leaf_label(counts, loss)
+            nodes.append(_Node(len(rows), counts, label=label, expected_cost=cost))
+            done.append((own + alpha, own, 1))
             continue
-        label, cost = leaf_label(counts, loss)
-        nodes.append(_Node(len(rows), counts, label=label, expected_cost=cost))
-        done = i
-        while up[done] >= 0:  # a right subtree is done, and so is its parent's
-            p = up[done]
-            score[p] = min(score[p], score[p + 1] + score[done])
-            risk[p] = risk[p + 1] + risk[done]
-            leaves[p] = leaves[p + 1] + leaves[done]
-            if max((own[p] - risk[p]) / (leaves[p] - 1), 0.0) < alpha:
-                collapses += 1
-                label, cost = leaf_label(nodes[p].counts, loss)
-                nodes[p] = _Node(nodes[p].n, nodes[p].counts, label=label, expected_cost=cost)
-                for per_node in (nodes, own, risk, leaves, cap, score, up):
-                    del per_node[p + 1:]
-                risk[p], leaves[p] = own[p], 1
-            done = p
+        nodes.append(_Node(len(rows), counts, feature=enc.names.index(split.feature),
+                           threshold=split.threshold, left_set=split.left_set,
+                           impurity=impurity, decrease=split.decrease))
+        left = split.left_mask
+        counts_left = np.bincount(enc.y0[rows[left]], minlength=enc.k).astype(np.float64)
+        counts_right = counts - counts_left
+        right_score = min(float((counts_right @ loss.entries).min()) + alpha, 2.0 * alpha)
+        stack += [(None, i, own), (rows[~left], counts_right, depth + 1, cap, i),
+                  (rows[left], counts_left, depth + 1, cap - right_score, -1)]
     return nodes, grown, collapses
 
 

@@ -355,6 +355,19 @@ class TestHrg:
         ]}).encode(), id="float_default"),
         pytest.param(b'{"version": "\xff", "k": 1, "rules": [{"if": [], "then": 1}]}',
                      id="not_utf8"),
+        # A list or object is unhashable, so no schema lookup may take it.
+        pytest.param(json.dumps({"version": "x", "k": 1, "rules": [
+            {"if": [{"feature": ["tbsa_pct"], "op": ">", "value": 1}], "then": 1},
+            {"if": [], "then": 1}
+        ]}).encode(), id="list_feature"),
+        pytest.param(json.dumps({"version": "x", "k": 1, "rules": [
+            {"if": [{"feature": {"name": "tbsa_pct"}, "op": ">", "value": 1}], "then": 1},
+            {"if": [], "then": 1}
+        ]}).encode(), id="object_feature"),
+        # Without a default, coverage of 1..k is checked without listing k ranks.
+        pytest.param(json.dumps({"version": "x", "k": 2**70, "rules": [
+            {"if": [], "then": 1}
+        ]}).encode(), id="huge_k"),
     ])
     def test_invalid_ruleset_exit_2(self, generated, tmp_path, capsys, content):
         root, _, cohort = generated
@@ -650,6 +663,26 @@ class TestEvaluate:
         code = main(["evaluate", "--result", str(broken), "--hrg", str(tmp_path / "hrg" / "labels.csv"),
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("k", [2**70, 10**6, "model + 1"])
+    def test_config_k_not_the_models_exit_2(self, trained, tmp_path, capsys, k):
+        """evaluate takes k from model.json; a config.json that says
+        otherwise is refused rather than sizing a k x k loss matrix."""
+        import shutil
+
+        root, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        broken = shutil.copytree(result, tmp_path / "result")
+        model_k = json.loads((broken / "model.json").read_text())["k"]
+        config = json.loads((broken / "config.json").read_text())
+        config["k"] = model_k + 1 if k == "model + 1" else k
+        (broken / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(broken), "--hrg", str(tmp_path / "hrg" / "labels.csv"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+        assert f"config.json has k {config['k']}, its model.json {model_k}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("edit", ["factor_labels_row_missing", "index_out_of_range",
                                       "index_repeated", "row_missing", "unknown_role"])
@@ -1167,7 +1200,8 @@ class TestAllValidatesPipelineFirst:
         assert not (out / "hrg").exists()
 
     @pytest.mark.parametrize("ruleset", ["missing", "malformed", "unknown_feature", "mistyped",
-                                         "not_a_path", "bool_value", "nan_value"])
+                                         "not_a_path", "bool_value", "nan_value",
+                                         "list_feature", "huge_k"])
     def test_bad_ruleset_leaves_no_cohort(self, tmp_path, monkeypatch, ruleset):
         import casemix.cli as cli
 
@@ -1184,6 +1218,13 @@ class TestAllValidatesPipelineFirst:
         elif ruleset == "mistyped":  # valid but for the kind of the generator's `sex` column
             path.write_text(json.dumps({"version": "x", "k": 1, "rules": [
                 {"if": [{"feature": "sex", "op": ">", "value": 1}], "then": 1},
+                {"if": [], "then": 1}]}))
+        elif ruleset == "list_feature":
+            path.write_text(json.dumps({"version": "x", "k": 1, "rules": [
+                {"if": [{"feature": ["tbsa_pct"], "op": ">", "value": 1}], "then": 1},
+                {"if": [], "then": 1}]}))
+        elif ruleset == "huge_k":
+            path.write_text(json.dumps({"version": "x", "k": 10**9, "rules": [
                 {"if": [], "then": 1}]}))
         elif ruleset in ("bool_value", "nan_value"):
             path.write_text(json.dumps({"version": "x", "k": 1, "rules": [

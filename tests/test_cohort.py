@@ -153,6 +153,16 @@ class TestGenerate:
         )
         assert abs(zeros - 200) <= 4 * math.sqrt(2000 * 0.1 * 0.9)
 
+    @pytest.mark.parametrize("noise", ["los_noise", "cost_noise"])
+    @pytest.mark.parametrize("scale", [1000.0, 1e308])
+    def test_wide_noise_truncated_at_outlier_thresholds(self, noise, scale):
+        """Any finite noise scale above 0 is valid: a log-scale draw past an
+        outlier threshold is truncated to it rather than overflowing."""
+        ds = generate_cohort(CohortConfig.from_dict({"n": 50, "seed": 1, noise: scale}))
+        values = ds.factor_values("los_days" if noise == "los_noise" else "total_cost")
+        bound = LOS_OUTLIER if noise == "los_noise" else COST_OUTLIER
+        assert (values >= 0).all() and (values <= bound).all() and (values == bound).any()
+
     @pytest.mark.parametrize("config,digest", PINNED_COHORT_CSV)
     def test_csv_bytes_pinned(self, config, digest):
         n, seed, missingness = config

@@ -120,6 +120,14 @@ class TestValidateRuleset:
         rs = Ruleset(rules=(Rule((Condition("nope", ">", 1),), 1), Rule((), 1)), k=13, version="x")
         assert any("unknown feature" in v for v in validate_ruleset(rs, self.schema()))
 
+    @pytest.mark.parametrize("feature", [["tbsa_pct"], {"tbsa_pct": 1}], ids=["list", "object"])
+    def test_non_string_feature_is_unknown(self, feature):
+        """A JSON list or object is unhashable, and no feature name either way."""
+        rs = ruleset_from_dict({"k": 1, "version": "x", "rules": [
+            {"if": [{"feature": feature, "op": ">", "value": 1}], "then": 1}, {"if": [], "then": 1},
+        ]})
+        assert validate_ruleset(rs, self.schema()) == [f"rule 0: unknown feature {feature!r}"]
+
     def test_rank_out_of_range(self):
         rs = Ruleset(rules=(Rule((), 14),), k=13, version="x")
         assert any("outside [1, 13]" in v for v in validate_ruleset(rs, self.schema()))
@@ -134,6 +142,15 @@ class TestValidateRuleset:
         assert any("ranks with no rule" in v for v in violations)
         # a declared default excuses the missing per-rank rules
         assert validate_ruleset(band_ruleset(), self.schema()) == []
+
+    @pytest.mark.parametrize("k", [13, 10**9, 2**70])
+    def test_uncovered_ranks_counted_in_time_bounded_by_the_rules(self, k):
+        """Without a default, coverage is checked without listing all k ranks."""
+        rs = Ruleset(rules=(Rule((Condition("tbsa_pct", ">=", 19),), 2), Rule((), 4)),
+                     k=k, version="x")
+        assert validate_ruleset(rs, self.schema()) == [
+            f"{k - 2} ranks with no rule and no default, the lowest [1, 3, 5, 6, 7, 8, 9, 10, 11, 12]"
+        ]
 
     def test_type_mismatch(self):
         rs = Ruleset(

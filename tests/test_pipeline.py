@@ -310,9 +310,9 @@ class TestRunPipeline:
 
     def test_forced_features_present_and_cost_excluded(self, small_run):
         _, _, result = small_run
-        assert "los_days" in result.selected_features
-        assert "tbsa_pct" in result.selected_features
-        assert "total_cost" not in result.selected_features
+        assert "los_days" in result.final_tree.feature_names
+        assert "tbsa_pct" in result.final_tree.feature_names
+        assert "total_cost" not in result.final_tree.feature_names
 
     def test_stage_tagged_error(self):
         records = tuple(
