@@ -36,9 +36,9 @@ except ImportError:  # Windows has no resource module; manifests then omit peak_
     resource = None
 
 from . import __version__, parallel
-from .cohort import EXTRA_SCHEMA, CohortConfig, generate_cohort, inject_missingness
+from .cohort import EXTRA_SCHEMA, CohortConfig, Missingness, generate_cohort, inject_missingness
 from .dataio import cohort_csv_text, read_cohort_csv
-from .domain import FACTOR_FIELDS, Dataset, check_seed, is_number, linear_cost_matrix
+from .domain import FACTOR_FIELDS, Dataset, from_json, linear_cost_matrix
 from .errors import CasemixError, InvalidArgument, PipelineStageError, WorkerLostError
 from .evaluate import boxplot_stats, compare_groupings, confusion, merge_diagnostic
 from .hrg import (
@@ -136,15 +136,18 @@ def _load_json_config(path: str) -> dict:
     return doc
 
 
-def _require_seed(present: bool, what: str, ephemeral: bool) -> int | None:
-    """Seeds must be explicit unless --ephemeral generates and records them."""
-    if present:
-        return None
-    if not ephemeral:
-        raise InvalidArgument(
-            f"{what} has no seed; set one in the config or pass --ephemeral"
-        )
-    return secrets.randbits(63)
+def _read_section(read: Callable[[dict], object], section, what: str, seed: str,
+                  ephemeral: bool, draw: Callable[[], object] = lambda: secrets.randbits(63)):
+    """``section`` (the config's ``what``) as ``read`` reads it. Seeds must
+    be explicit, unless --ephemeral lets ``draw()`` fill a missing ``seed``
+    key; the manifest records it."""
+    if isinstance(section, dict) and seed not in section:
+        if not ephemeral:
+            raise InvalidArgument(
+                f"{what} has no {seed!r} key; set it in the config or pass --ephemeral"
+            )
+        section = {**section, seed: draw()}
+    return read(section)
 
 
 class _Manifest:
@@ -229,45 +232,23 @@ def _csv_columns(path: Path, columns: dict[str, Callable[[str], object]]) -> lis
 # generate
 # ---------------------------------------------------------------------------
 
-def _missingness(doc: dict, ephemeral: bool) -> tuple[float, int] | None:
-    """The (rate, seed) of the config's ``missingness`` section, checked in
-    full before any cohort is drawn; None when the section is absent, {} or
-    null."""
-    missing = doc.get("missingness")
-    if not isinstance(missing, (dict, type(None))):
-        raise InvalidArgument(f"missingness config must be a JSON object or null, got {missing!r}")
-    if not missing:
-        return None
-    for key in missing:
-        if key not in ("rate", "seed"):
-            raise InvalidArgument(f"unknown missingness config key {key!r}")
-    rate = missing.get("rate", 0.0)
-    if not (is_number(rate) and 0.0 <= rate <= 1.0):  # also refuses NaN
-        raise InvalidArgument(f"missingness rate must be a number in [0, 1], got {rate!r}")
-    fresh = _require_seed("seed" in missing, "missingness config", ephemeral)
-    seed = missing.get("seed", fresh)
-    check_seed("missingness seed", seed)
-    return rate, seed
-
-
 def _generate(manifest: _Manifest, config_path: str, doc: dict, ephemeral: bool) -> Dataset:
     """Draw the cohort ``doc`` (from ``config_path``) describes."""
     manifest.add_config(config_path)
-    cohort_doc = doc.get("cohort", doc)
-    if not isinstance(cohort_doc, dict):
-        raise InvalidArgument("cohort config must be a JSON object")
-    cohort_doc = dict(cohort_doc)
-    fresh = _require_seed("seed" in cohort_doc, "cohort config", ephemeral)
-    if fresh is not None:
-        cohort_doc["seed"] = fresh
-    config = CohortConfig.from_dict(cohort_doc)
-    missing = _missingness(doc, ephemeral)
+    config = _read_section(CohortConfig.from_dict, doc.get("cohort", doc), "cohort config",
+                           "seed", ephemeral)
+    # The whole missingness section is checked before any cohort is drawn;
+    # it is absent, {} or null for none.
+    section = doc.get("missingness")
+    missing = None if section in (None, {}) else _read_section(
+        lambda d: from_json(Missingness, d, "missingness config"), section,
+        "missingness config", "seed", ephemeral)
     manifest.doc["seeds"]["cohort"] = config.seed
     manifest.doc["workers"] = parallel.worker_count(config.n)
     ds = generate_cohort(config)
     if missing is not None:
-        ds = inject_missingness(ds, *missing)
-        manifest.doc["seeds"]["missingness"] = missing[1]
+        ds = inject_missingness(ds, missing.rate, missing.seed)
+        manifest.doc["seeds"]["missingness"] = missing.seed
     return ds
 
 
@@ -344,18 +325,13 @@ def cmd_hrg(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _pipeline_config(doc: dict, ephemeral: bool) -> PipelineConfig:
-    pipe_doc = doc.get("pipeline", doc)
-    if not isinstance(pipe_doc, dict):
-        raise InvalidArgument("pipeline config must be a JSON object")
-    pipe_doc = dict(pipe_doc)
-    fresh = _require_seed("seeds" in pipe_doc, "pipeline config", ephemeral)
-    if fresh is not None:
-        pipe_doc["seeds"] = {"split": fresh, "oversample": secrets.randbits(63)}
-    return PipelineConfig.from_dict(pipe_doc)
+    return _read_section(PipelineConfig.from_dict, doc.get("pipeline", doc), "pipeline config",
+                         "seeds", ephemeral,
+                         lambda: {"split": secrets.randbits(63), "oversample": secrets.randbits(63)})
 
 
 def _write_train_outputs(manifest: _Manifest, out: Path, result, config: PipelineConfig) -> None:
-    _write_output(manifest, out, out / "config.json", _json_dumps(config.to_dict()))
+    _write_output(manifest, out, out / "config.json", _json_dumps(asdict(config)))
     _write_output(manifest, out, out / "provenance.json", _json_dumps(result.provenance))
     _stream_output(manifest, out, out / "preprocessed.csv",
                    lambda fh: cohort_csv_text(result.preprocessed, fh))
@@ -462,6 +438,8 @@ def _read_result_dir(result_dir: Path):
         raise InvalidArgument("result dir artifacts disagree on record count")
     if config.k != tree.k:
         raise InvalidArgument(f"result dir config.json has k {config.k}, its model.json {tree.k}")
+    if tree.k > len(ds):  # `train` finds k distinct mean ranks among these rows
+        raise InvalidArgument(f"result dir model.json has k {tree.k}, above its {len(ds)} records")
     if len(train_idx) + len(test_idx) != len(split_idx) or not np.array_equal(
         np.sort(split_idx), np.arange(len(ds))
     ):

@@ -53,9 +53,9 @@ from .domain import (
     NUMERIC,
     Dataset,
     Depth,
-    check_int,
-    check_seed,
-    is_number,
+    check_fields,
+    declared,
+    from_json,
 )
 from .errors import InvalidArgument
 from .preprocess import COST_OUTLIER, LOS_OUTLIER
@@ -112,48 +112,36 @@ _INHALATION_P = (0.01, 0.05, 0.30)
 class CohortConfig:
     """Generator knobs; all randomness flows from ``seed``."""
 
-    n: int
-    seed: int
+    # Each record's streams are keyed by its index as one 32-bit word.
+    n: int = declared(ge=1, le=2**32)
+    seed: int = declared(ge=0)
     severity_weights: tuple[float, float, float] = (0.6, 0.3, 0.1)
-    los_noise: float = 0.5
-    cost_noise: float = 0.45
-    outlier_rate: float = 0.01
-    unclassifiable_rate: float = 0.02
+    los_noise: float = declared(0.5, gt=0)
+    cost_noise: float = declared(0.45, gt=0)
+    outlier_rate: float = declared(0.01, ge=0, le=1)
+    unclassifiable_rate: float = declared(0.02, ge=0, le=1)
 
     def __post_init__(self):
-        check_int("cohort size", self.n)
-        check_seed("cohort seed", self.seed)
-        for name in ("los_noise", "cost_noise", "outlier_rate", "unclassifiable_rate"):
-            if not is_number(getattr(self, name)):
-                raise InvalidArgument(f"{name} must be a number, got {getattr(self, name)!r}")
-        # Each record's streams are keyed by its index as one 32-bit word.
-        if not 1 <= self.n <= 2**32:
-            raise InvalidArgument(f"cohort size must be in [1, 2**32], got {self.n}")
-        if len(self.severity_weights) != 3 or not all(
-            is_number(w) and w >= 0 for w in self.severity_weights
-        ):
-            raise InvalidArgument("severity_weights must be three non-negative numbers")
-        if abs(sum(self.severity_weights) - 1.0) > 1e-9:
-            raise InvalidArgument("severity_weights must sum to 1")
-        # A NaN noise scale fails both comparisons and is refused too.
-        if not (0 < self.los_noise < math.inf and 0 < self.cost_noise < math.inf):
-            raise InvalidArgument("noise scales must be finite and positive")
-        for name in ("outlier_rate", "unclassifiable_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidArgument(f"{name} must be in [0, 1], got {v}")
+        check_fields(self)
+        if min(self.severity_weights) < 0 or abs(sum(self.severity_weights) - 1.0) > 1e-9:
+            raise InvalidArgument("severity_weights must be non-negative and sum to 1")
         if self.outlier_rate + self.unclassifiable_rate > 1.0:
             raise InvalidArgument("outlier_rate + unclassifiable_rate must be <= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "CohortConfig":
-        kwargs = dict(d)
-        try:
-            if "severity_weights" in kwargs:
-                kwargs["severity_weights"] = tuple(kwargs["severity_weights"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as e:
-            raise InvalidArgument(f"bad cohort config: {e}")
+        return from_json(cls, d, "cohort config")
+
+
+@dataclass(frozen=True)
+class Missingness:
+    """A config's ``missingness`` section: ``inject_missingness``'s knobs."""
+
+    seed: int = declared(ge=0)
+    rate: float = declared(0.0, ge=0, le=1)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def _stream_keys(seed: int, indices: np.ndarray, tag: int) -> np.ndarray:
@@ -436,9 +424,7 @@ def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     deterministically per seed. rate=0 is the identity; rate=1 blanks every
     eligible cell. Record i draws one uniform per eligible cell, in cell
     order, from its own stream."""
-    if not 0.0 <= rate <= 1.0:
-        raise InvalidArgument(f"missingness rate must be in [0, 1], got {rate}")
-    check_seed("missingness seed", seed)
+    Missingness(seed, rate)  # checks both
     if rate == 0.0:
         return ds
     eligible = _eligible_cells(ds)

@@ -24,11 +24,19 @@ zero-imputation is an explicit, auditable transform. Datasets are built
 column by column (the CSV reader, the generator); ``Dataset.records`` gives
 the rows back as a tuple of ``PatientRecord``s (missing = None), built on
 first access only.
+
+Each config section (cohort, missingness, pipeline, its seeds and tree
+params) is a frozen dataclass whose fields are ``declared``: annotation and
+bounds. Its ``__post_init__`` calls ``check_fields`` and then checks only
+the rules that span fields; ``from_json`` reads it from a JSON object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -65,25 +73,96 @@ CATEGORICAL = "categorical"
 CATEGORICAL_FILL = "none"
 
 
-def check_int(what: str, value) -> int:
-    """``value`` unchanged if it is an int as JSON gives one. A bool or a
-    float, even 13.0, is refused: counts and ranks are never truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def is_number(value) -> bool:
     """True for an int or a float as JSON gives one. A bool is not a number
     here, though Python counts it as an int."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def check_seed(what: str, value) -> None:
-    """Every seed keys a numpy ``SeedSequence``, which takes non-negative
-    integers only."""
-    if check_int(what, value) < 0:
-        raise InvalidArgument(f"{what} must be a non-negative integer, got {value!r}")
+#: The bounds a config field may declare: the ``operator`` function that
+#: tests each, and its symbol in messages.
+_BOUNDS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+#: How a message names a value of each annotation; a nested config's is
+#: named by its class.
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               tuple[str, ...]: "a list of strings",
+               tuple[float, float, float]: "a list of 3 finite numbers"}
+
+
+def declared(default=MISSING, *, required: bool = False, **bounds):
+    """A config dataclass field. Its annotation is its JSON kind: int,
+    float, bool, a tuple of one of these or of str (a JSON list), or a
+    nested config dataclass (a JSON object). ``bounds`` are any of ``ge``,
+    ``gt``, ``le`` and ``lt``. A JSON document must name the field when it
+    has no default or is ``required``."""
+    return field(default=default, metadata=dict(bounds, required=required))
+
+
+def _as_kind(kind, value):
+    """``value`` as a field annotated ``kind`` holds it (a float field a
+    float, a list a tuple), or None if it is not one as JSON gives it. A
+    bool is not a number, though Python counts it as an int; a string is
+    neither a bool ("no" would turn a switch on) nor a list (a lone name
+    would split into its characters). A float is finite: ``json.loads``
+    reads NaN, which fails every bound, and Infinity, which ``json.dumps``
+    writes back as a token other JSON readers refuse."""
+    if getattr(kind, "__origin__", None) is tuple:
+        item, *rest = kind.__args__
+        if not isinstance(value, (list, tuple)) or (
+                rest != [Ellipsis] and len(value) != len(rest) + 1):
+            return None
+        items = tuple(_as_kind(item, v) for v in value)
+        return None if None in items else items
+    if kind is float:
+        return float(value) if is_number(value) and abs(value) <= sys.float_info.max else None
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        return None
+    return value
+
+
+def check_value(name: str, kind, value, **bounds):
+    """``value`` as ``_as_kind`` gives it, if it fits a field ``name`` of
+    annotation ``kind`` declared with ``bounds``; else InvalidArgument. A
+    bool or a float, even 13.0, is not an integer: counts, ranks and seeds
+    are never truncated."""
+    kept = _as_kind(kind, value)
+    if kept is None or not all(getattr(operator, op)(kept, b) for op, b in bounds.items()):
+        wanted = [_KIND_NAMES.get(kind, f"a {kind.__name__}")]
+        wanted += [f"{_BOUNDS[op]} {bound}" for op, bound in bounds.items()]
+        raise InvalidArgument(f"{name} must be {', '.join(wanted)}, got {value!r}")
+    return kept
+
+
+def check_fields(config) -> None:
+    """Check every field of the config dataclass instance ``config`` against
+    its annotation and declared bounds, and store it as ``check_value`` gives it."""
+    kinds = typing.get_type_hints(type(config))
+    for f in fields(config):
+        bounds = {op: f.metadata[op] for op in _BOUNDS if op in f.metadata}
+        kept = check_value(f.name, kinds[f.name], getattr(config, f.name), **bounds)
+        object.__setattr__(config, f.name, kept)
+
+
+def from_json(cls, doc, what: str):
+    """The config dataclass ``cls`` read from the JSON object ``doc``, which
+    errors call ``what``. Each key must be a field, each required field must
+    be named, and a nested config is read from its own object, which errors
+    call by its key."""
+    if not isinstance(doc, dict):
+        raise InvalidArgument(f"{what} must be a JSON object, got {doc!r}")
+    kinds = typing.get_type_hints(cls)
+    for key in doc:
+        if key not in kinds:
+            raise InvalidArgument(f"unknown {what} key {key!r}")
+    for f in fields(cls):
+        if f.name not in doc and (f.default is MISSING or f.metadata.get("required")):
+            raise InvalidArgument(f"missing {what} key {f.name!r}")
+    kwargs = {key: from_json(kinds[key], value, key) if is_dataclass(kinds[key]) else value
+              for key, value in doc.items()}
+    try:
+        return cls(**kwargs)
+    except InvalidArgument as e:
+        raise InvalidArgument(f"{what}: {e}") from None
 
 
 class Depth(str, Enum):

@@ -25,7 +25,7 @@ from .domain import (
     NUMERIC,
     Dataset,
     Depth,
-    check_int,
+    check_value,
     is_number,
 )
 from .errors import InvalidArgument, RulesetError
@@ -82,15 +82,16 @@ def ruleset_from_dict(d: dict) -> Ruleset:
                     )
                     for c in r["if"]
                 ),
-                target_rank=check_int("rule rank 'then'", r["then"]),
+                target_rank=check_value("rule rank 'then'", int, r["then"]),
             )
             for r in d["rules"]
         )
         return Ruleset(
             rules=rules,
-            k=check_int("ruleset k", d["k"]),
+            k=check_value("ruleset k", int, d["k"]),
             version=str(d["version"]),
-            default_rank=None if d.get("default") is None else check_int("default rank", d["default"]),
+            default_rank=None if d.get("default") is None
+            else check_value("default rank", int, d["default"]),
         )
     except (KeyError, TypeError, ValueError, InvalidArgument) as e:
         raise RulesetError(f"malformed ruleset document: {e}")

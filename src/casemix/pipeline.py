@@ -26,9 +26,10 @@ from .domain import (
     SITE_AREA_FIELDS,
     SITE_DEPTH_FIELDS,
     Dataset,
-    check_int,
-    check_seed,
-    is_number,
+    check_fields,
+    check_value,
+    declared,
+    from_json,
     linear_cost_matrix,
 )
 from .errors import CasemixError, InvalidArgument, PipelineStageError
@@ -44,19 +45,18 @@ LEAKAGE_EXCLUDED = ("total_cost",)
 
 @dataclass(frozen=True)
 class PipelineSeeds:
-    split: int
-    oversample: int
+    split: int = declared(ge=0)
+    oversample: int = declared(ge=0)
 
     def __post_init__(self):
-        for name in ("split", "oversample"):
-            check_seed(f"seed {name!r}", getattr(self, name))
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    k: int = 13
-    split_fraction: float = 0.7
-    importance_top_m: int = 10
+    k: int = declared(13, ge=2)
+    split_fraction: float = declared(0.7, gt=0, lt=1)
+    importance_top_m: int = declared(10, ge=1)
     oversample: bool = True
     seeds: PipelineSeeds = PipelineSeeds(1, 2)
     # 13 ordinal classes need deeper trees than the conventional cp=0.01
@@ -64,54 +64,28 @@ class PipelineConfig:
     # product under evaluation.
     factor_tree_params: TreeParams = TreeParams(cp=0.001)
     final_tree_params: TreeParams = TreeParams(cp=0.0003)
-    missing_threshold: float = DEFAULT_MISSING_THRESHOLD
+    missing_threshold: float = declared(DEFAULT_MISSING_THRESHOLD, ge=0, le=1)
     admin_fields: tuple[str, ...] = DEFAULT_ADMIN_FIELDS
 
     def __post_init__(self):
-        if not 0.0 < self.split_fraction < 1.0:
-            raise InvalidArgument(
-                f"split_fraction must be in (0, 1), got {self.split_fraction}"
-            )
-        t = self.missing_threshold
-        if not is_number(t) or not 0.0 <= t <= 1.0:
-            raise InvalidArgument(f"missing_threshold must be a number in [0, 1], got {t!r}")
-        # As JSON gives them: a string such as "no" would turn oversampling
-        # on, and a lone field name would split into its characters.
-        if not isinstance(self.oversample, bool):
-            raise InvalidArgument(f"oversample must be true or false, got {self.oversample!r}")
-        fields = self.admin_fields
-        if not (isinstance(fields, (list, tuple)) and all(isinstance(f, str) for f in fields)):
-            raise InvalidArgument(f"admin_fields must be a list of strings, got {fields!r}")
-        object.__setattr__(self, "admin_fields", tuple(fields))
-        check_int("k", self.k)
-        check_int("importance_top_m", self.importance_top_m)
-        if self.importance_top_m < 1:
-            raise InvalidArgument("importance_top_m must be >= 1")
-        if self.k < 2:
-            raise InvalidArgument("k must be >= 2")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        check_fields(self)
+        core = {"id", *CORE_NUMERIC_FIELDS, *SITE_AREA_FIELDS, *SITE_DEPTH_FIELDS}
+        named = [name for name in self.admin_fields if name in core]
+        if named:  # preprocessing drops extra columns only
+            raise InvalidArgument(f"admin_fields names the core column {named[0]!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        try:
-            # Older configs carry `kmeans_restarts` and a `clustering` seed.
-            # k-means is exact now, with no restarts and no random draws, so
-            # both are ignored; the seed must still be a valid seed.
-            kwargs = dict(d)
-            kwargs.pop("kmeans_restarts", None)
-            if "seeds" in kwargs:
-                seeds = dict(kwargs["seeds"])
-                if "clustering" in seeds:
-                    check_seed("seed 'clustering'", seeds.pop("clustering"))
-                kwargs["seeds"] = PipelineSeeds(**seeds)
-            for key in ("factor_tree_params", "final_tree_params"):
-                if key in kwargs:
-                    kwargs[key] = TreeParams.from_dict(kwargs[key])
-            return cls(**kwargs)
-        except (TypeError, KeyError, ValueError) as e:
-            raise InvalidArgument(f"bad pipeline config: {e}")
+        # Older configs carry `kmeans_restarts` and a `clustering` seed.
+        # k-means is exact now, with no restarts and no random draws, so both
+        # are ignored; the seed must still be a valid seed.
+        if isinstance(d, dict):
+            d = {key: value for key, value in d.items() if key != "kmeans_restarts"}
+            seeds = d.get("seeds")
+            if isinstance(seeds, dict) and "clustering" in seeds:
+                check_value("clustering", int, seeds["clustering"], ge=0)
+                d["seeds"] = {key: value for key, value in seeds.items() if key != "clustering"}
+        return from_json(cls, d, "pipeline config")
 
 
 @dataclass
@@ -305,7 +279,7 @@ def run_pipeline(
     provenance = {
         "tool_version": __version__,
         "input_sha256": input_sha256() if input_sha256 else dataset_sha256(ds),
-        "config": config.to_dict(),
+        "config": asdict(config),
         "rows_in": report.rows_in,
         "rows_out": report.rows_out,
     }

@@ -80,15 +80,22 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .domain import CATEGORICAL, NUMERIC, CostMatrix, check_int, is_number
+from .domain import (
+    CATEGORICAL,
+    NUMERIC,
+    CostMatrix,
+    check_fields,
+    check_value,
+    declared,
+    from_json,
+    is_number,
+)
 from .errors import InvalidArgument, TreeFormatError
 
 TREE_FORMAT_VERSION = "1"
@@ -113,52 +120,25 @@ MAX_DEPTH = 30
 
 @dataclass(frozen=True)
 class TreeParams:
-    min_split: int = 20
-    min_leaf: int = 7
-    max_depth: int = 30
-    cp: float = 0.01
+    """rpart's ``rpart.control``: a JSON document names all four, so that a
+    section never mixes its own values with these defaults. Any ``cp`` above
+    1 already prunes to one leaf."""
+
+    min_split: int = declared(20, required=True)
+    min_leaf: int = declared(7, required=True, ge=1)
+    max_depth: int = declared(30, required=True, ge=1, le=MAX_DEPTH)
+    cp: float = declared(0.01, required=True, ge=0)
 
     def __post_init__(self):
-        for name in ("min_split", "min_leaf", "max_depth"):
-            check_int(name, getattr(self, name))
-        if self.min_leaf < 1:
-            raise InvalidArgument(f"min_leaf must be >= 1, got {self.min_leaf}")
+        check_fields(self)
         if self.min_split < 2 * self.min_leaf:
             raise InvalidArgument(
                 f"min_split ({self.min_split}) must be >= 2 * min_leaf ({self.min_leaf})"
             )
-        if not 1 <= self.max_depth <= MAX_DEPTH:
-            raise InvalidArgument(
-                f"max_depth must be in [1, {MAX_DEPTH}], got {self.max_depth}"
-            )
-        # json.loads reads NaN and Infinity. A NaN cp makes every comparison
-        # with the pruning threshold false, and json.dumps writes an infinite
-        # one as the non-standard token Infinity; any cp above 1 already
-        # prunes to one leaf. A bool or a numeric string is refused, not
-        # coerced.
-        cp = self.cp
-        if not isinstance(cp, numbers.Real) or isinstance(cp, bool) or cp != cp:  # NaN
-            raise InvalidArgument(f"cp must be a number, got {cp!r}")
-        if cp < 0:
-            raise InvalidArgument(f"cp must be >= 0, got {cp}")
-        if not cp <= sys.float_info.max:
-            raise InvalidArgument(f"cp must be finite, got {cp}")
-        object.__setattr__(self, "cp", float(cp))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
-        """Exactly the four fields; an unknown key, such as a misspelt one,
-        is refused rather than dropped."""
-        keys = ("min_split", "min_leaf", "max_depth", "cp")
-        if not isinstance(d, dict):
-            raise InvalidArgument(f"tree params must be a JSON object, got {d!r}")
-        unknown = sorted(d.keys() - set(keys))
-        if unknown:
-            raise InvalidArgument(f"unknown tree params key {unknown[0]!r}")
-        return cls(*(d[key] for key in keys))
+        return from_json(cls, d, "tree params")
 
 
 @dataclass(frozen=True)
@@ -842,7 +822,7 @@ def serialize_tree(tree: DecisionTree) -> str:
     doc = {
         "version": TREE_FORMAT_VERSION,
         "k": tree.k,
-        "params": tree.params.to_dict(),
+        "params": asdict(tree.params),
         "schema": [
             {"name": n, "kind": kd} for n, kd in zip(tree.feature_names, tree.feature_kinds)
         ],
@@ -855,7 +835,7 @@ def serialize_tree(tree: DecisionTree) -> str:
 
 def _count(what: str, value) -> int:
     """A model document's count: a JSON integer in [0, 2**53]."""
-    if not 0 <= check_int(what, value) <= 2**53:
+    if not 0 <= check_value(what, int, value) <= 2**53:
         raise InvalidArgument(f"{what} {value} is not in [0, 2**53]")
     return value
 
@@ -897,7 +877,7 @@ def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
                 raise TreeFormatError(f"{path}: n {n} is not the sum of its counts")
             node = {"n": n, "counts": np.array(counts, dtype=np.float64)}
             if node_type == "leaf":
-                label = check_int("label", d["label"])
+                label = check_value("label", int, d["label"])
                 if not 1 <= label <= k:
                     raise TreeFormatError(f"{path}: label {label} is not a rank in [1, {k}]")
                 node.update(label=label, expected_cost=_number("expected_cost", d["expected_cost"]))
@@ -940,14 +920,14 @@ def deserialize_tree(text: str) -> DecisionTree:
             f"unsupported tree format version {version!r}, expected {TREE_FORMAT_VERSION!r}"
         )
     try:
-        k = check_int("k", doc["k"])
+        k = check_value("k", int, doc["k"])
         names = tuple(str(c["name"]) for c in doc["schema"])
         kinds = tuple(str(c["kind"]) for c in doc["schema"])
         levels, root, summary = doc["levels"], doc["root"], doc["summary"]
         meta = dict(params=TreeParams.from_dict(doc["params"]),
                     n_rows=_count("summary n", summary["n"]),
-                    depth=check_int("summary depth", summary["depth"]),
-                    leaf_count=check_int("summary leaf_count", summary["leaf_count"]))
+                    depth=check_value("summary depth", int, summary["depth"]),
+                    leaf_count=check_value("summary leaf_count", int, summary["leaf_count"]))
     except KeyError as e:
         raise TreeFormatError(f"tree document missing field {e}")
     except (TypeError, ValueError, InvalidArgument) as e:

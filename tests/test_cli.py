@@ -191,7 +191,7 @@ class TestGenerate:
         cfg = write_config(tmp_path, {"cohort": {"n": n, "seed": 1}})
         capsys.readouterr()
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
-        assert "cohort size must be in [1, 2**32]" in capsys.readouterr().err
+        assert "n must be an integer, >= 1, <= 4294967296" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_seed_required_without_ephemeral(self, tmp_path):
@@ -550,7 +550,7 @@ class TestTrain:
         if command == "train":
             args += ["--cohort", str(cohort)]
         assert main([command] + args) == EXIT_CONFIG
-        assert "unknown tree params key 'cpp'" in capsys.readouterr().err
+        assert f"unknown {section} key 'cpp'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "all"])
@@ -564,6 +564,24 @@ class TestTrain:
         if command == "train":
             args += ["--cohort", str(cohort)]
         assert main([command] + args) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "all"])
+    @pytest.mark.parametrize("column", ["id", "los_days", "theatre_visits", "site_01_area",
+                                        "site_27_depth"])
+    def test_admin_fields_core_column_exit_2(self, generated, tmp_path, capsys, command, column):
+        """Preprocessing drops extra columns only, so a core column named in
+        `admin_fields` is refused by name rather than silently kept."""
+        root, _, cohort = generated
+        pipeline = dict(COHORT_CONFIG["pipeline"], admin_fields=["admission_year", column])
+        cfg = write_config(tmp_path, dict(COHORT_CONFIG, pipeline=pipeline), name="admin.json")
+        out = tmp_path / "o"
+        args = ["--config", str(cfg), "--out", str(out)]
+        if command == "train":
+            args += ["--cohort", str(cohort)]
+        capsys.readouterr()
+        assert main([command] + args) == EXIT_CONFIG
+        assert f"admin_fields names the core column {column!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "all"])
@@ -682,6 +700,31 @@ class TestEvaluate:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
         assert f"config.json has k {config['k']}, its model.json {model_k}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_model_k_above_its_records_exit_2(self, trained, tmp_path, capsys):
+        """`train` finds k distinct mean ranks among the preprocessed rows,
+        so a model with a larger k, and a config.json to match, is refused
+        before evaluate sizes a k x k loss matrix for it."""
+        import shutil
+
+        root, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        broken = shutil.copytree(result, tmp_path / "result")
+        records = len((broken / "final_labels.csv").read_text().splitlines()) - 1
+        model = json.loads((broken / "model.json").read_text())
+        k, n = records + 1, model["summary"]["n"]
+        model.update(k=k, summary={"n": n, "depth": 0, "leaf_count": 1}, root={
+            "type": "leaf", "label": 1, "n": n, "counts": [n] + [0] * (k - 1), "expected_cost": 0.0,
+        })
+        (broken / "model.json").write_text(json.dumps(model))
+        config = json.loads((broken / "config.json").read_text())
+        (broken / "config.json").write_text(json.dumps(dict(config, k=k)))
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(broken), "--hrg", str(tmp_path / "hrg" / "labels.csv"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+        assert f"model.json has k {k}, above its {records} records" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("edit", ["factor_labels_row_missing", "index_out_of_range",

@@ -7,7 +7,9 @@ and leaves no `.tmp` file behind.
 Each document starts valid and names every key its reader knows. One test
 sets each key, wherever it occurs, to each edge value of its JSON type in
 turn; another makes random edits with Hypothesis, derandomized so that a
-run tests the same documents every time."""
+run tests the same documents every time. A third derives the edges of each
+config section from its declared fields, so that a key is fuzzed as soon as
+it is declared."""
 
 import copy
 import dataclasses
@@ -15,15 +17,19 @@ import json
 import math
 import shutil
 import tempfile
+import typing
 from functools import reduce
 from operator import getitem
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from casemix.cli import main
-from casemix.cohort import CohortConfig
+from casemix.cohort import CohortConfig, Missingness
+from casemix.domain import from_json
+from casemix.pipeline import PipelineConfig, PipelineSeeds
 
 #: Values at the edges of what a reader of each JSON type accepts: huge
 #: integers, wide and non-finite floats, containers where a string belongs.
@@ -185,3 +191,93 @@ def test_random_edits(run_dir, documents, name):
         run(args, edited, run_dir)
 
     check()
+
+
+#: Each config section of a `casemix all` document: its reader, and a valid
+#: section, which names every key. Both cohort rates are 0, so that either
+#: one may reach 1 without the other pushing their sum past 1.
+SECTIONS = {
+    "cohort": (CohortConfig.from_dict,
+               CohortConfig(n=50, seed=1, outlier_rate=0, unclassifiable_rate=0)),
+    "missingness": (lambda d: from_json(Missingness, d, "missingness config"),
+                    Missingness(seed=7, rate=0.2)),
+    "pipeline": (PipelineConfig.from_dict, PipelineConfig(k=6, seeds=PipelineSeeds(2, 3))),
+}
+
+
+def configs(cls, path: tuple):
+    """(path, class) of the config class ``cls`` at ``path`` in a document,
+    then of each config nested in it."""
+    yield path, cls
+    for name, kind in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(kind):
+            yield from configs(kind, (*path, name))
+
+
+def bound_edges(kind, field: dataclasses.Field):
+    """(inside, outside) for each bound declared on ``field``, a field of
+    annotation ``kind``: the bound itself, or the nearest value inside it
+    if it is open, and the nearest value outside it (one integer away, or
+    the adjacent float)."""
+    def past(value, sign):
+        return value + sign if kind is int else float(np.nextafter(value, sign * math.inf))
+
+    for op, sign in (("ge", -1), ("gt", -1), ("le", 1), ("lt", 1)):
+        if op in field.metadata:
+            bound = field.metadata[op]
+            yield (bound, past(bound, sign)) if op in ("ge", "le") else (past(bound, -sign), bound)
+
+
+def refusal(section: str, doc, run_dir: Path, capsys) -> str:
+    """The error of the command that reads ``section`` on ``doc``: `generate`
+    for the cohort and missingness, `train` for the pipeline. The command
+    must exit 2 and write nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        config = _written(scratch / "config.json", doc)
+        args = (["train", "--cohort", run_dir / "cohort.csv", "--out", scratch / "result"]
+                if section == "pipeline" else ["generate", "--out", scratch / "cohort.csv"])
+        capsys.readouterr()
+        assert main([str(a) for a in [*args, "--config", config]]) == 2
+        assert list(scratch.iterdir()) == [config]
+        return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", list(SECTIONS))
+def test_declared_edges(run_dir, capsys, section):
+    """Each declared bound of each key of the section and of the configs in
+    it is accepted by the section's reader (a cohort of 2**32 records is
+    read, not drawn). The nearest value outside it, a missing required key
+    and an unknown key each make the command exit 2 naming the key."""
+    valid = json.loads(json.dumps({name: dataclasses.asdict(config)
+                                   for name, (_, config) in SECTIONS.items()}))
+
+    def edited(path, *value):
+        """``valid`` with the key at ``path`` set to ``value``, or without it."""
+        doc = copy.deepcopy(valid)
+        parent = reduce(getitem, path[:-1], doc)
+        if value:
+            parent[path[-1]] = value[0]
+        else:
+            del parent[path[-1]]
+        return doc
+
+    read, instance = SECTIONS[section]
+    cases = []  # (document, what its error must hold)
+    for path, config in configs(type(instance), (section,)):
+        cases.append((edited((*path, "unknown_key"), 1), "'unknown_key'"))
+        kinds = typing.get_type_hints(config)
+        for field in dataclasses.fields(config):
+            key = (*path, field.name)
+            if field.default is dataclasses.MISSING or field.metadata.get("required"):
+                cases.append((edited(key), repr(field.name)))
+            for inside, outside in bound_edges(kinds[field.name], field):
+                try:
+                    read(edited(key, inside)[section])
+                except Exception as e:
+                    e.add_note(f"{'.'.join(key)} = {inside!r}")
+                    raise
+                cases.append((edited(key, outside), f"{field.name} must be"))
+    for doc, named in cases:
+        err = refusal(section, doc, run_dir, capsys)
+        assert named in err, (named, err)

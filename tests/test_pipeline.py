@@ -1,4 +1,5 @@
 import collections
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -46,15 +47,15 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = PipelineConfig(k=7, seeds=PipelineSeeds(2, 3))
-        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+        assert PipelineConfig.from_dict(asdict(cfg)) == cfg
 
     def test_legacy_keys_accepted_and_ignored(self):
         legacy = {"k": 7, "kmeans_restarts": 10,
                   "seeds": {"clustering": 0, "split": 2, "oversample": 3}}
         cfg = PipelineConfig.from_dict(legacy)
         assert cfg == PipelineConfig(k=7, seeds=PipelineSeeds(2, 3))
-        assert "kmeans_restarts" not in cfg.to_dict()
-        assert cfg.to_dict()["seeds"] == {"split": 2, "oversample": 3}
+        assert "kmeans_restarts" not in asdict(cfg)
+        assert asdict(cfg)["seeds"] == {"split": 2, "oversample": 3}
 
     def test_bad_key_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -412,7 +412,7 @@ def hand_built_tree():
                        categories=["a", "b"]),
     )
     return deserialize_tree(json.dumps({
-        "version": "1", "k": 3, "params": UNRESTRICTED.to_dict(),
+        "version": "1", "k": 3, "params": dataclasses.asdict(UNRESTRICTED),
         "schema": [{"name": "x", "kind": "numeric"}, {"name": "c", "kind": "categorical"}],
         "levels": {"c": ["a", "b", "z"]},
         "summary": {"n": 12, "depth": 2, "leaf_count": 4},
@@ -774,26 +774,26 @@ class TestParams:
     @pytest.mark.parametrize("value", [math.nan, True, False, "0.5", None, [0.5]])
     def test_cp_must_be_a_number(self, value):
         """json.loads reads NaN, which compares false with every threshold."""
-        doc = dict(TreeParams().to_dict(), cp=value)
-        with pytest.raises(InvalidArgument, match="cp must be a number"):
+        doc = dict(dataclasses.asdict(TreeParams()), cp=value)
+        with pytest.raises(InvalidArgument, match="cp must be a finite number"):
             TreeParams.from_dict(doc)
-        with pytest.raises(InvalidArgument, match="cp must be a number"):
+        with pytest.raises(InvalidArgument, match="cp must be a finite number"):
             TreeParams(cp=value)
 
     def test_cp_kept_as_float(self):
-        assert TreeParams(cp=0).to_dict()["cp"] == 0.0
-        assert isinstance(TreeParams.from_dict(dict(TreeParams().to_dict(), cp=1)).cp, float)
+        assert dataclasses.asdict(TreeParams(cp=0))["cp"] == 0.0
+        assert isinstance(TreeParams.from_dict(dict(dataclasses.asdict(TreeParams()), cp=1)).cp, float)
         for cp in (math.inf, -math.inf):
             with pytest.raises(InvalidArgument):
                 TreeParams(cp=cp)
-        with pytest.raises(InvalidArgument, match="cp must be finite"):
-            TreeParams.from_dict(dict(TreeParams().to_dict(), cp=math.inf))
+        with pytest.raises(InvalidArgument, match="cp must be a finite number"):
+            TreeParams.from_dict(dict(dataclasses.asdict(TreeParams()), cp=math.inf))
 
     @pytest.mark.parametrize("extra", [{"cpp": 0.5}, {"min_splits": 20}, {"": 0}])
     def test_unknown_key_refused_by_name(self, extra):
         (key,) = extra
         with pytest.raises(InvalidArgument, match=f"unknown tree params key {key!r}"):
-            TreeParams.from_dict(dict(TreeParams().to_dict(), **extra))
+            TreeParams.from_dict(dict(dataclasses.asdict(TreeParams()), **extra))
 
     @pytest.mark.parametrize("doc", [[20, 7, 30, 0.01], "min_split", None])
     def test_params_must_be_an_object(self, doc):
@@ -811,7 +811,7 @@ class TestParams:
     ])
     def test_non_integer_fields_rejected(self, field, value):
         """from_dict refuses a float or bool rather than truncating it."""
-        doc = dict(TreeParams().to_dict(), **{field: value})
+        doc = dict(dataclasses.asdict(TreeParams()), **{field: value})
         with pytest.raises(InvalidArgument, match=f"{field} must be an integer"):
             TreeParams.from_dict(doc)
         with pytest.raises(InvalidArgument, match=f"{field} must be an integer"):
