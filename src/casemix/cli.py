@@ -38,7 +38,7 @@ except ImportError:  # Windows has no resource module; manifests then omit peak_
 from . import __version__, parallel
 from .cohort import EXTRA_SCHEMA, CohortConfig, Missingness, generate_cohort, inject_missingness
 from .dataio import cohort_csv_text, read_cohort_csv
-from .domain import FACTOR_FIELDS, Dataset, from_json, linear_cost_matrix
+from .domain import FACTOR_FIELDS, Dataset, check_value, from_json, linear_cost_matrix, read_json
 from .errors import CasemixError, InvalidArgument, PipelineStageError, WorkerLostError
 from .evaluate import boxplot_stats, compare_groupings, confusion, merge_diagnostic
 from .hrg import (
@@ -47,15 +47,14 @@ from .hrg import (
     check_ruleset,
     classify_dataset,
     load_ruleset,
-    reference_ruleset,
 )
 from .pipeline import PipelineConfig, PipelineResult, dataset_to_table, run_pipeline
 from .svgplot import boxplots_svg, rank_spread_svg, variance_bars_svg
 from .tree import (
-    deserialize_tree,
     extract_rules,
     predict,
     serialize_tree,
+    tree_from_dict,
     variable_importance,
 )
 
@@ -119,21 +118,6 @@ def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> str:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _load_json_config(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise InvalidArgument(f"config file not found: {path}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise InvalidArgument(f"config {path} is not valid UTF-8 JSON: {e}")
-    except RecursionError:
-        raise InvalidArgument(f"config {path} nests JSON too deeply")
-    if not isinstance(doc, dict):
-        raise InvalidArgument(f"config {path} must be a JSON object")
-    return doc
 
 
 def _read_section(read: Callable[[dict], object], section, what: str, seed: str,
@@ -202,6 +186,15 @@ def _write_csv(manifest: _Manifest, root: Path, path: Path, header, rows) -> Non
     _stream_output(manifest, root, path, write)
 
 
+def _int_cell(name: str, lo: int, hi: int) -> Callable[[str], int]:
+    """A ``_csv_columns`` converter: the cell as an integer in [lo, hi]; only a
+    cell outside them pays for ``check_value``, which words the error."""
+    def convert(cell: str) -> int:
+        value = int(cell)
+        return value if lo <= value <= hi else check_value(name, int, value, ge=lo, le=hi)
+    return convert
+
+
 def _csv_columns(path: Path, columns: dict[str, Callable[[str], object]]) -> list[list]:
     """The named columns of the CSV file at ``path``, in ``columns`` order,
     each cell passed through its column's converter, read in one pass.
@@ -222,7 +215,7 @@ def _csv_columns(path: Path, columns: dict[str, Callable[[str], object]]) -> lis
                 except IndexError:
                     raise ValueError(f"{path.name} line {reader.line_num} has no "
                                      f"{header[i]!r} cell") from None
-                except ValueError as e:
+                except (ValueError, InvalidArgument) as e:
                     raise ValueError(f"{path.name} line {reader.line_num}, column "
                                      f"{header[i]!r}: {e}") from None
     return [cells for _, _, cells in picks]
@@ -266,7 +259,7 @@ def _write_cohort(manifest: _Manifest, ds: Dataset, out: Path) -> str:
 
 def cmd_generate(args) -> None:
     manifest = _Manifest("generate")
-    doc = _load_json_config(args.config)
+    doc = read_json(args.config, "config")
     ds = _generate(manifest, args.config, doc, args.ephemeral)
     _write_cohort(manifest, ds, Path(args.out))
     print(f"wrote {len(ds)} records to {Path(args.out)}")
@@ -284,13 +277,6 @@ def _load_cohort(path: str) -> Dataset:
         return read_cohort_csv(p)
     except (InvalidArgument, ValueError) as e:
         raise InvalidArgument(f"cannot parse cohort {path}: {e}")
-
-
-def _load_rules(path: str | None) -> Ruleset:
-    """The ruleset at ``path``, or the packaged reference ruleset if none."""
-    if path and not Path(path).is_file():
-        raise InvalidArgument(f"ruleset file not found: {path}")
-    return load_ruleset(path) if path else reference_ruleset()
 
 
 def _hrg(manifest: _Manifest, ds: Dataset, rules: Ruleset, ruleset: str | None,
@@ -316,7 +302,7 @@ def cmd_hrg(args) -> None:
     manifest = _Manifest("hrg")
     ds = _load_cohort(args.cohort)
     manifest.add_input(args.cohort)
-    _hrg(manifest, ds, _load_rules(args.ruleset), args.ruleset, Path(args.out))
+    _hrg(manifest, ds, load_ruleset(args.ruleset), args.ruleset, Path(args.out))
     print(f"classified {len(ds)} records into {Path(args.out)}")
 
 
@@ -391,7 +377,7 @@ def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Da
 
 def cmd_train(args) -> None:
     manifest = _Manifest("train")
-    config = _pipeline_config(_load_json_config(args.config), args.ephemeral)
+    config = _pipeline_config(read_json(args.config, "config"), args.ephemeral)
     ds = _load_cohort(args.cohort)
     cohort_sha256 = manifest.add_input(args.cohort)
     _train(manifest, args.config, config, ds, lambda: cohort_sha256, Path(args.out))
@@ -415,25 +401,23 @@ def _read_result_dir(result_dir: Path):
             raise InvalidArgument(f"result dir is missing {name}")
     try:
         ds = read_cohort_csv(result_dir / "preprocessed.csv")
-        config = PipelineConfig.from_dict(
-            json.loads((result_dir / "config.json").read_text(encoding="utf-8"))
-        )
-        tree = deserialize_tree((result_dir / "model.json").read_text(encoding="utf-8"))
-        (final_labels,) = _csv_columns(result_dir / "final_labels.csv", {"final_rank": int})
+        config = PipelineConfig.from_dict(read_json(result_dir / "config.json", "result"))
+        tree = tree_from_dict(read_json(result_dir / "model.json", "result"))
+        rank = _int_cell("a rank", 1, tree.k)
+        (final_labels,) = _csv_columns(result_dir / "final_labels.csv", {"final_rank": rank})
         final_labels = np.array(final_labels, dtype=np.int64)
         factor_columns = _csv_columns(result_dir / "factor_labels.csv",
-                                      {f"{f}_rank": int for f in FACTOR_FIELDS})
+                                      {f"{f}_rank": rank for f in FACTOR_FIELDS})
         factor_ranks = {f: np.array(ranks, dtype=np.int64)
                         for f, ranks in zip(FACTOR_FIELDS, factor_columns)}
-        split_idx, roles, multiplicity = _csv_columns(
-            result_dir / "split.csv", {"index": int, "role": sys.intern, "multiplicity": int})
+        split_idx, roles, multiplicity = _csv_columns(result_dir / "split.csv", {
+            "index": _int_cell("an index", 0, len(ds) - 1), "role": sys.intern,
+            "multiplicity": _int_cell("a multiplicity", 1, len(ds))})
         split_idx, roles = np.array(split_idx, dtype=np.int64), np.array(roles, dtype=object)
         train_idx, test_idx = split_idx[roles == "train"], split_idx[roles == "test"]
-        test_ms = np.repeat(test_idx, np.array(multiplicity, dtype=np.int64)[roles == "test"])
+        multiplicity = np.array(multiplicity, dtype=np.int64)[roles == "test"]
     except (ValueError, KeyError, TypeError, IndexError, OverflowError, csv.Error) as e:
         raise InvalidArgument(f"malformed result dir {result_dir}: {e}")
-    except RecursionError:  # config.json nests JSON too deeply
-        raise InvalidArgument(f"malformed result dir {result_dir}: config.json nests too deeply")
     if not (len(ds) == len(final_labels) == len(factor_ranks[FACTOR_FIELDS[0]])):
         raise InvalidArgument("result dir artifacts disagree on record count")
     if config.k != tree.k:
@@ -446,6 +430,11 @@ def _read_result_dir(result_dir: Path):
         raise InvalidArgument(
             "split.csv must list every record index once, with role train or test"
         )
+    # `train` oversamples each class of test rows up to the largest class.
+    if multiplicity.sum() > tree.k * len(test_idx):
+        raise InvalidArgument(f"split.csv test multiplicities sum to {multiplicity.sum()}, "
+                              f"above k {tree.k} times its {len(test_idx)} test rows")
+    test_ms = np.repeat(test_idx, multiplicity)
     return ds, tree, final_labels, factor_ranks, train_idx, test_idx, test_ms
 
 
@@ -599,14 +588,14 @@ def cmd_evaluate(args) -> None:
 
 def cmd_all(args) -> None:
     manifest = _Manifest("all")
-    doc = _load_json_config(args.config)
+    doc = read_json(args.config, "config")
     # The pipeline section and the ruleset are checked before anything is
     # generated or written.
     pipeline_config = _pipeline_config(doc, args.ephemeral)
     ruleset = doc.get("ruleset")
     if ruleset is not None and not isinstance(ruleset, str):
         raise InvalidArgument(f"config ruleset must be a file path, got {ruleset!r}")
-    rules = _load_rules(ruleset)
+    rules = load_ruleset(ruleset)
     check_ruleset(rules, EXTRA_SCHEMA)  # against the generator's columns
     manifest.add_config(args.config)
     out = Path(args.out)

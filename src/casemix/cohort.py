@@ -354,6 +354,16 @@ def _ranges(n: int) -> list[range]:
     return [range(n * p // parts, n * (p + 1) // parts) for p in range(parts)]
 
 
+def _shared_map(n: int, size: int) -> mmap.mmap:
+    """A zeroed anonymous mapping of ``size`` bytes for ``n`` records, which
+    forked workers share. It maps no file, so its failure is no I/O fault."""
+    try:
+        return mmap.mmap(-1, size)
+    except OSError as e:  # ENOMEM in practice
+        raise InvalidArgument(f"a cohort of {n} records needs {size} bytes of memory, "
+                              f"more than can be mapped: {e.strerror}") from None
+
+
 def generate_cohort(config: CohortConfig) -> Dataset:
     """Generate ``config.n`` records deterministically from ``config.seed``."""
     n = config.n
@@ -362,7 +372,7 @@ def generate_cohort(config: CohortConfig) -> Dataset:
     # reads them. A site is unburned until a record sets it: area zero (the
     # mapping starts zeroed) and depth NONE.
     float_rows = len(CORE_NUMERIC_FIELDS) + N_SITES + len(_EXTRA_LEVELS)
-    buffer = mmap.mmap(-1, n * (8 * float_rows + N_SITES))
+    buffer = _shared_map(n, n * (8 * float_rows + N_SITES))
     floats = np.frombuffer(buffer, np.float64, float_rows * n).reshape(float_rows, n)
     site_depths = np.frombuffer(buffer, np.int8, N_SITES * n, floats.nbytes).reshape(N_SITES, n)
     site_depths.fill(_NONE)
@@ -431,7 +441,7 @@ def inject_missingness(ds: Dataset, rate: float, seed: int) -> Dataset:
     counts = eligible.sum(axis=1).tolist()
     # Workers mark the cells to blank in one shared anonymous mapping, as
     # generate_cohort's do; the parent blanks them.
-    blank = np.frombuffer(mmap.mmap(-1, max(eligible.size, 1)), np.bool_, eligible.size)
+    blank = np.frombuffer(_shared_map(len(ds), max(eligible.size, 1)), np.bool_, eligible.size)
     blank = blank.reshape(eligible.shape)
 
     def draw(records: range) -> None:

@@ -33,12 +33,14 @@ the rules that span fields; ``from_json`` reads it from a JSON object.
 
 from __future__ import annotations
 
+import json
 import operator
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -73,20 +75,43 @@ CATEGORICAL = "categorical"
 CATEGORICAL_FILL = "none"
 
 
-def is_number(value) -> bool:
-    """True for an int or a float as JSON gives one. A bool is not a number
-    here, though Python counts it as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 #: The bounds a config field may declare: the ``operator`` function that
 #: tests each, and its symbol in messages.
 _BOUNDS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
 #: How a message names a value of each annotation; a nested config's is
 #: named by its class.
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-               tuple[str, ...]: "a list of strings",
+               str: "a string", tuple[str, ...]: "a list of strings",
                tuple[float, float, float]: "a list of 3 finite numbers"}
+
+
+def parse_json(text: str, what: str) -> dict:
+    """The JSON object ``text``, the one JSON parser of every input, which
+    errors call ``what``. Bad syntax, nesting past Python's recursion limit
+    and a document that is not an object raise InvalidArgument."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InvalidArgument(
+            f"{what}: JSON parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise InvalidArgument(f"{what} nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise InvalidArgument(f"{what} must be a JSON object")
+    return doc
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """``parse_json`` of the file at ``path``, which errors call ``what`` and
+    the path; a missing file, or one that is not UTF-8, raises InvalidArgument."""
+    what, path = f"{what} {path}", Path(path)
+    if not path.is_file():
+        raise InvalidArgument(f"{what} not found")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidArgument(f"{what} is not UTF-8: {e}") from None
+    return parse_json(text, what)
 
 
 def declared(default=MISSING, *, required: bool = False, **bounds):
@@ -103,7 +128,7 @@ def _as_kind(kind, value):
     float, a list a tuple), or None if it is not one as JSON gives it. A
     bool is not a number, though Python counts it as an int; a string is
     neither a bool ("no" would turn a switch on) nor a list (a lone name
-    would split into its characters). A float is finite: ``json.loads``
+    would split into its characters). A float is finite: Python's JSON reader
     reads NaN, which fails every bound, and Infinity, which ``json.dumps``
     writes back as a token other JSON readers refuse."""
     if getattr(kind, "__origin__", None) is tuple:
@@ -114,7 +139,8 @@ def _as_kind(kind, value):
         items = tuple(_as_kind(item, v) for v in value)
         return None if None in items else items
     if kind is float:
-        return float(value) if is_number(value) and abs(value) <= sys.float_info.max else None
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return float(value) if number and abs(value) <= sys.float_info.max else None
     if not isinstance(value, kind) or kind is int and isinstance(value, bool):
         return None
     return value

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; all bad input raises ``InvalidArgument``."""
 
 
 class CasemixError(Exception):
@@ -7,14 +7,6 @@ class CasemixError(Exception):
 
 class InvalidArgument(CasemixError):
     """A precondition on a function argument was violated."""
-
-
-class RulesetError(CasemixError):
-    """A ruleset is malformed or cannot classify a record."""
-
-
-class TreeFormatError(CasemixError):
-    """A serialized decision tree document is malformed or unsupported."""
 
 
 class WorkerLostError(CasemixError):

@@ -9,8 +9,6 @@ synthetic generator so that all 13 ranks are populated.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -26,9 +24,10 @@ from .domain import (
     Dataset,
     Depth,
     check_value,
-    is_number,
+    parse_json,
+    read_json,
 )
-from .errors import InvalidArgument, RulesetError
+from .errors import InvalidArgument
 
 OPERATORS = ("<", "<=", ">", ">=", "==", "!=", "in")
 
@@ -94,24 +93,19 @@ def ruleset_from_dict(d: dict) -> Ruleset:
             else check_value("default rank", int, d["default"]),
         )
     except (KeyError, TypeError, ValueError, InvalidArgument) as e:
-        raise RulesetError(f"malformed ruleset document: {e}")
+        raise InvalidArgument(f"malformed ruleset document: {e}") from None
 
 
-def load_ruleset(path: str | Path) -> Ruleset:
-    try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise RulesetError(f"ruleset JSON parse error: {e}")
-    except RecursionError:
-        raise RulesetError("ruleset JSON nests too deeply")
-    return ruleset_from_dict(d)
+def load_ruleset(path: str | Path | None = None) -> Ruleset:
+    """The ruleset at ``path``, or the packaged reference ruleset if none."""
+    return ruleset_from_dict(read_json(path, "ruleset")) if path else reference_ruleset()
 
 
 def reference_ruleset() -> Ruleset:
     """The packaged 13-class stand-in ruleset (TBSA bands plus depth and
     ventilation modifiers)."""
     text = resources.files("casemix").joinpath("data/reference_ruleset.json").read_text("utf-8")
-    return ruleset_from_dict(json.loads(text))
+    return ruleset_from_dict(parse_json(text, "reference ruleset"))
 
 
 def rule_feature_schema(extra_schema: dict[str, str]) -> dict[str, str]:
@@ -223,18 +217,13 @@ def validate_ruleset(rs: Ruleset, schema: dict[str, str]) -> list[str]:
             else:
                 members = (cond.value,)
             for v in members:
-                # A value must be finite: NaN matches nothing, a bool would
-                # compare as 0 or 1, and numpy cannot compare float64 cells
-                # with an int beyond float64's range.
-                if kind == NUMERIC and not (is_number(v) and abs(v) <= sys.float_info.max):
-                    violations.append(
-                        f"rule {i}: feature {cond.feature!r} is numeric and needs a finite "
-                        f"number, got {v!r}"
-                    )
-                elif kind == CATEGORICAL and not isinstance(v, str):
-                    violations.append(
-                        f"rule {i}: feature {cond.feature!r} is categorical, got {v!r}"
-                    )
+                # A numeric value is finite: NaN matches nothing, a bool compares
+                # as 0 or 1, and numpy cannot compare float64 with a huge int.
+                try:
+                    check_value(f"rule {i}: feature {cond.feature!r}",
+                                float if kind == NUMERIC else str, v)
+                except InvalidArgument as e:
+                    violations.append(str(e))
             if cond.op in ("<", "<=", ">", ">=") and kind == CATEGORICAL:
                 violations.append(
                     f"rule {i}: ordering comparison on categorical feature {cond.feature!r}"

@@ -94,9 +94,9 @@ from .domain import (
     check_value,
     declared,
     from_json,
-    is_number,
+    parse_json,
 )
-from .errors import InvalidArgument, TreeFormatError
+from .errors import InvalidArgument
 
 TREE_FORMAT_VERSION = "1"
 
@@ -833,90 +833,66 @@ def serialize_tree(tree: DecisionTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _count(what: str, value) -> int:
-    """A model document's count: a JSON integer in [0, 2**53]."""
-    if not 0 <= check_value(what, int, value) <= 2**53:
-        raise InvalidArgument(f"{what} {value} is not in [0, 2**53]")
-    return value
-
-
-def _number(what: str, value, finite: bool = False) -> float:
-    """A model document's ``value`` as a float: a JSON number in float
-    range, and finite where ``finite`` is set. No string or bool is read."""
-    try:
-        x = float(value) if is_number(value) else None
-    except OverflowError:  # an int beyond float range
-        x = None
-    if x is None or finite and not math.isfinite(x):
-        kind = "finite JSON number" if finite else "JSON number"
-        raise InvalidArgument(f"{what} must be a {kind}, got {value!r}")
-    return x
-
-
 def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
     """A model document's nested node dicts as nodes in preorder, walked
     with an explicit stack; every node is checked against the document's
-    schema and levels. ``n``, ``counts`` and ``label`` must be JSON integers,
-    counts and ``n`` in [0, 2**53] (float64 holds them exactly), ``n`` the
-    sum of the counts and a label a rank in [1, k]. A threshold must be a
-    finite JSON number, impurity, decrease and expected cost JSON numbers."""
+    schema and levels. ``n``, ``counts`` and ``label`` are integers, counts
+    and ``n`` in [0, 2**53] (float64 holds them exactly), ``n`` the sum of
+    the counts and a label a rank in [1, k]; a threshold, impurity, decrease
+    and expected cost are finite numbers. An error names the node's path."""
     nodes: list[_Node] = []
     stack = [(root, "root", 0, -1)]  # (node dict, path, depth, parent of a right child)
     while stack:
         d, path, depth, parent = stack.pop()
-        if depth > MAX_DEPTH:
-            raise TreeFormatError(f"{path}: node deeper than {MAX_DEPTH} split levels")
         if parent >= 0:
             nodes[parent] = nodes[parent]._replace(right=len(nodes))
         try:
+            if depth > MAX_DEPTH:
+                raise InvalidArgument(f"node deeper than {MAX_DEPTH} split levels")
             node_type = d["type"]
-            n, counts = _count("n", d["n"]), d["counts"]
+            n, counts = check_value("n", int, d["n"], ge=0, le=2**53), d["counts"]
             if not (isinstance(counts, list) and len(counts) == k):
-                raise TreeFormatError(f"{path}: counts must list {k} class counts")
-            if n != sum(_count("a class count", c) for c in counts):
-                raise TreeFormatError(f"{path}: n {n} is not the sum of its counts")
+                raise InvalidArgument(f"counts must list {k} class counts")
+            if n != sum(check_value("a class count", int, c, ge=0, le=2**53) for c in counts):
+                raise InvalidArgument(f"n {n} is not the sum of its counts")
             node = {"n": n, "counts": np.array(counts, dtype=np.float64)}
             if node_type == "leaf":
-                label = check_value("label", int, d["label"])
-                if not 1 <= label <= k:
-                    raise TreeFormatError(f"{path}: label {label} is not a rank in [1, {k}]")
-                node.update(label=label, expected_cost=_number("expected_cost", d["expected_cost"]))
+                node.update(label=check_value("label", int, d["label"], ge=1, le=k),
+                            expected_cost=check_value("expected_cost", float, d["expected_cost"]))
             elif node_type == "internal":
                 name, kind = d["feature"], d["kind"]
                 if name not in names or kind != kinds[names.index(name)]:
-                    raise TreeFormatError(f"{path}: no {kind} feature {name!r} in the schema")
-                node.update(feature=names.index(name), impurity=_number("impurity", d["impurity"]),
-                            decrease=_number("decrease", d["decrease"]))
+                    raise InvalidArgument(f"no {kind} feature {name!r} in the schema")
+                node.update(feature=names.index(name),
+                            impurity=check_value("impurity", float, d["impurity"]),
+                            decrease=check_value("decrease", float, d["decrease"]))
                 if kind == NUMERIC:
-                    node["threshold"] = _number("threshold", d["threshold"], finite=True)
+                    node["threshold"] = check_value("threshold", float, d["threshold"])
                 else:
                     if not set(d["categories"]) <= set(levels[name]):
-                        raise TreeFormatError(f"{path}: categories outside the levels of {name!r}")
+                        raise InvalidArgument(f"categories outside the levels of {name!r}")
                     node["left_set"] = sum(1 << levels[name].index(c) for c in set(d["categories"]))
                 stack += [(d["right"], path + ".right", depth + 1, len(nodes)),
                           (d["left"], path + ".left", depth + 1, -1)]
             else:
-                raise TreeFormatError(f"{path}: unknown node type {node_type!r}")
+                raise InvalidArgument(f"unknown node type {node_type!r}")
         except KeyError as e:
-            raise TreeFormatError(f"{path}: missing field {e}")
+            raise InvalidArgument(f"{path}: missing field {e}") from None
         except (TypeError, ValueError, InvalidArgument) as e:
-            raise TreeFormatError(f"{path}: {e}")
+            raise InvalidArgument(f"{path}: {e}") from None
         nodes.append(_Node(**node))
     return nodes
 
 
 def deserialize_tree(text: str) -> DecisionTree:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise TreeFormatError(f"tree JSON parse error at line {e.lineno} column {e.colno}: {e.msg}")
-    except RecursionError:
-        raise TreeFormatError(f"tree JSON nests too deeply (trees have at most {MAX_DEPTH} levels)")
-    if not isinstance(doc, dict):
-        raise TreeFormatError("tree document must be a JSON object")
+    return tree_from_dict(parse_json(text, "tree document"))
+
+
+def tree_from_dict(doc: dict) -> DecisionTree:
+    """The tree a parsed model document describes, checked in every part."""
     version = doc.get("version")
     if version != TREE_FORMAT_VERSION:
-        raise TreeFormatError(
+        raise InvalidArgument(
             f"unsupported tree format version {version!r}, expected {TREE_FORMAT_VERSION!r}"
         )
     try:
@@ -924,32 +900,33 @@ def deserialize_tree(text: str) -> DecisionTree:
         names = tuple(str(c["name"]) for c in doc["schema"])
         kinds = tuple(str(c["kind"]) for c in doc["schema"])
         levels, root, summary = doc["levels"], doc["root"], doc["summary"]
-        meta = dict(params=TreeParams.from_dict(doc["params"]),
-                    n_rows=_count("summary n", summary["n"]),
-                    depth=check_value("summary depth", int, summary["depth"]),
-                    leaf_count=check_value("summary leaf_count", int, summary["leaf_count"]))
+        params = TreeParams.from_dict(doc["params"])
+        # Bounded below, where the summary must match the nodes.
+        n_rows, depth, leaf_count = (check_value(f"summary {key}", int, summary[key])
+                                     for key in ("n", "depth", "leaf_count"))
     except KeyError as e:
-        raise TreeFormatError(f"tree document missing field {e}")
+        raise InvalidArgument(f"tree document missing field {e}") from None
     except (TypeError, ValueError, InvalidArgument) as e:
-        raise TreeFormatError(f"tree document malformed: {e}")
+        raise InvalidArgument(f"tree document malformed: {e}") from None
     # Each feature named once, as numeric or categorical; levels as
     # build_tree records them: distinct strings in sorted order.
     if len(set(names)) != len(names) or not set(kinds) <= {NUMERIC, CATEGORICAL}:
-        raise TreeFormatError("schema must name each feature once, as numeric or categorical")
+        raise InvalidArgument("schema must name each feature once, as numeric or categorical")
     categorical = {name for name, kind in zip(names, kinds) if kind == CATEGORICAL}
     if not isinstance(levels, dict) or set(levels) != categorical:
-        raise TreeFormatError("levels must be an object giving each categorical feature's levels")
+        raise InvalidArgument("levels must be an object giving each categorical feature's levels")
     for name, lv in levels.items():
         if not (isinstance(lv, list) and all(isinstance(v, str) for v in lv)
                 and lv == sorted(set(lv))):
-            raise TreeFormatError(f"levels of {name!r} must be distinct strings in sorted order")
+            raise InvalidArgument(f"levels of {name!r} must be distinct strings in sorted order")
     nodes = _nodes_from_dict(root, k, names, kinds, levels)
     tree = DecisionTree(**_node_arrays(nodes), k=k, feature_names=names, feature_kinds=kinds,
-                        feature_levels={name: tuple(lv) for name, lv in levels.items()}, **meta)
+                        feature_levels={name: tuple(lv) for name, lv in levels.items()},
+                        params=params, n_rows=n_rows, depth=depth, leaf_count=leaf_count)
     # The summary is written back as read, so it must describe the nodes.
     actual = (int(tree.n[0]), *_depth_and_leaves(tree))
-    if (tree.n_rows, tree.depth, tree.leaf_count) != actual:
-        raise TreeFormatError(
+    if (n_rows, depth, leaf_count) != actual:
+        raise InvalidArgument(
             "summary must match the nodes: n {}, depth {}, leaf_count {}".format(*actual)
         )
     return tree

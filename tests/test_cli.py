@@ -194,6 +194,34 @@ class TestGenerate:
         assert "n must be an integer, >= 1, <= 4294967296" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("failing", [1, 2], ids=["generate", "missingness"])
+    def test_cohort_too_large_for_memory_exit_2(self, tmp_path, capsys, monkeypatch, failing):
+        """Generation and missingness each map one anonymous buffer; a
+        mapping refused for lack of memory touched no file, so it is no I/O
+        failure (it once exited 3)."""
+        import errno
+        import mmap
+
+        from casemix import cohort
+
+        real, sizes = mmap.mmap, []
+
+        def mapping(fileno, size):
+            sizes.append(size)
+            if len(sizes) == failing:
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            return real(fileno, size)
+
+        monkeypatch.setattr(cohort.mmap, "mmap", mapping)
+        cfg = write_config(tmp_path, {"cohort": {"n": 10, "seed": 1},
+                                      "missingness": {"rate": 0.2, "seed": 3}})
+        capsys.readouterr()
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "cohort.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"a cohort of 10 records needs {sizes[-1]} bytes of memory" in err
+        assert "I/O failure" not in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_seed_required_without_ephemeral(self, tmp_path):
         cfg = write_config(tmp_path, {"cohort": {"n": 10}})
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
@@ -846,7 +874,7 @@ class TestEvaluate:
                      str(tmp_path / "hrg" / "labels.csv"), "--out", str(tmp_path / "e")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "root: threshold must be a finite JSON number" in err and "Traceback" not in err
+        assert "root: threshold must be a finite number" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name,content", [
         pytest.param("labels.csv", b"id,rank\nP000000,\xff1\n", id="labels_not_utf8"),
@@ -928,6 +956,68 @@ class TestEvaluate:
         assert code == EXIT_CONFIG
         assert f"{name} line 4, column {column!r}: invalid literal for int()" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,column,value", [
+        ("final_labels.csv", "final_rank", "0"),
+        ("final_labels.csv", "final_rank", "k + 1"),
+        ("final_labels.csv", "final_rank", "-5"),
+        ("factor_labels.csv", "los_days_rank", "0"),
+        ("factor_labels.csv", "total_cost_rank", "-1"),
+        ("factor_labels.csv", "tbsa_pct_rank", "k + 1"),
+        ("split.csv", "multiplicity", "0"),
+        ("split.csv", "multiplicity", "-1"),
+        ("split.csv", "multiplicity", str(10**12)),
+    ])
+    def test_rank_or_multiplicity_out_of_range_exit_2(self, trained, tmp_path, capsys,
+                                                      name, column, value):
+        """A rank outside [1, k] on a train row once exited 0, written into
+        variances_train.csv or drawn off the rank-spread axis. A test row's
+        multiplicity of 0 exited 0, one of -1 failed inside numpy, and one
+        of 10**12 exited 1, unable to allocate the oversampled test set."""
+        import shutil
+
+        _, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        result = shutil.copytree(result, tmp_path / "result")
+        k = json.loads((result / "model.json").read_text())["k"]
+        with open(result / "split.csv", newline="") as fh:
+            roles = [row["role"] for row in csv.DictReader(fh)]
+        line = roles.index("test" if name == "split.csv" else "train") + 2
+        with open(result / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        value = str(k + 1) if value == "k + 1" else value
+        rows[line - 1][rows[0].index(column)] = value
+        with open(result / name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(result), "--hrg", str(tmp_path / "hrg" / "labels.csv"),
+                     "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        bound = "" if name == "split.csv" else f", <= {k}"
+        assert f"{name} line {line}, column {column!r}: " in err
+        assert f"must be an integer, >= 1{bound}" in err and f"got {value}" in err
+        assert "Traceback" not in err and not (tmp_path / "e").exists()
+
+    def test_test_multiset_beyond_oversampling_exit_2(self, trained, tmp_path, capsys):
+        """`train` oversamples each class of test rows up to the largest, so
+        the test multiplicities sum to at most k times the test rows; a
+        split.csv above that is refused before the multiset is built."""
+        import shutil
+
+        _, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        result = shutil.copytree(result, tmp_path / "result")
+        rows = (result / "split.csv").read_text().splitlines()
+        rows[1:] = [row.rsplit(",", 1)[0] + f",{len(rows) - 1}" if ",test," in row else row
+                    for row in rows[1:]]
+        (result / "split.csv").write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(result), "--hrg", str(tmp_path / "hrg" / "labels.csv"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+        assert "split.csv test multiplicities sum to" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 class TestAll:
@@ -1437,28 +1527,38 @@ class TestErrorPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("casemix: error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["generate", "hrg", "evaluate"])
-    def test_json_nested_too_deep_exit_2(self, trained, tmp_path, capsys, command):
-        """Python's JSON reader raises RecursionError on deep nesting."""
+    @pytest.mark.parametrize("fault", ["not_json", "nested", "not_an_object", "not_utf8",
+                                       "missing"])
+    @pytest.mark.parametrize("document", ["config", "ruleset", "result_config", "result_model"])
+    def test_json_input_fault_exit_2(self, trained, tmp_path, capsys, document, fault):
+        """Every JSON input, the config (`generate`), the ruleset (`hrg`) and
+        a result's config.json and model.json (`evaluate`), is read by one
+        reader. Bad JSON, nesting past Python's recursion limit, a document
+        that is not an object, bytes that are not UTF-8 and a missing file
+        each exit 2 naming the document, and nothing is written."""
         import shutil
 
-        root, _, cohort, result = trained
-        deep = "[" * 200_000 + "]" * 200_000
-        labels = tmp_path / "hrg" / "labels.csv"
-        assert main(["hrg", "--cohort", str(cohort), "--out", str(labels.parent)]) == EXIT_OK
-        (tmp_path / "deep.json").write_text(deep, encoding="utf-8")
-        deep_result = tmp_path / "result"
-        shutil.copytree(result, deep_result)
-        (deep_result / "config.json").write_text(deep, encoding="utf-8")
-        args = {
-            "generate": ["--config", tmp_path / "deep.json", "--out", tmp_path / "c.csv"],
-            "hrg": ["--cohort", cohort, "--ruleset", tmp_path / "deep.json", "--out", tmp_path / "o"],
-            "evaluate": ["--result", deep_result, "--hrg", labels, "--out", tmp_path / "o"],
-        }[command]
+        _, _, cohort, result = trained
+        out, labels = tmp_path / "out", tmp_path / "hrg" / "labels.csv"
+        if document.startswith("result_"):
+            assert main(["hrg", "--cohort", str(cohort), "--out", str(labels.parent)]) == EXIT_OK
+            result = shutil.copytree(result, tmp_path / "result")
+        path = {"config": tmp_path / "config.json", "ruleset": tmp_path / "rules.json",
+                "result_config": result / "config.json", "result_model": result / "model.json"}[document]
+        args = {"config": ["generate", "--config", path, "--out", out],
+                "ruleset": ["hrg", "--cohort", cohort, "--ruleset", path, "--out", out]}.get(
+            document, ["evaluate", "--result", result, "--hrg", labels, "--out", out])
+        content = {"not_json": b'{"k": ', "nested": b"[" * 200_000 + b"]" * 200_000,
+                   "not_an_object": b"[1, 2]", "not_utf8": b'{"note": "\xff"}'}.get(fault)
+        if content is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_bytes(content)
         capsys.readouterr()
-        assert main([command, *map(str, args)]) == EXIT_CONFIG
+        assert main([str(a) for a in args]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("casemix: error: ") and "Traceback" not in err
+        assert err.startswith("casemix: error: ") and path.name in err and "Traceback" not in err
+        assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
 
     def test_unclassifiable_rows_labeled_U(self, tmp_path):
         doc = {"cohort": {"n": 150, "seed": 8, "unclassifiable_rate": 0.2}}

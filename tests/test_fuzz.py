@@ -1,17 +1,21 @@
 """Fuzzed documents through the CLI, in process: rulesets for `hrg`, cohort
 and missingness configs for `generate`, and a trained result's
-`config.json` and `model.json` for `evaluate`. Whatever a document holds, a
-command exits 0, 2, 3 or 4 as the README's exit codes say, raises nothing
-and leaves no `.tmp` file behind.
+`config.json` and `model.json` for `evaluate`, then each CSV file that
+`evaluate` reads. Whatever a document holds, a command exits 0, 2, 3 or 4
+as the README's exit codes say, raises nothing and leaves no `.tmp` file
+behind.
 
 Each document starts valid and names every key its reader knows. One test
 sets each key, wherever it occurs, to each edge value of its JSON type in
 turn; another makes random edits with Hypothesis, derandomized so that a
 run tests the same documents every time. A third derives the edges of each
 config section from its declared fields, so that a key is fuzzed as soon as
-it is declared."""
+it is declared. A last one edits one record's row of each CSV file: the
+row duplicated, deleted, cut short or given an open quote, or one of its
+cells replaced by an edge value."""
 
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -137,13 +141,16 @@ def evaluate_args(name: str):
     return args
 
 
-def run(args, doc, run_dir: Path) -> None:
+def run(args, doc, run_dir: Path) -> int:
     """Run the command that ``args`` makes for ``doc`` in a scratch
-    directory: it exits as the README says and leaves no ``.tmp`` file."""
+    directory: it exits as the README says and leaves no ``.tmp`` file.
+    Returns its exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
-        assert main([str(a) for a in args(doc, scratch, run_dir)]) in (0, 2, 3, 4)
+        code = main([str(a) for a in args(doc, scratch, run_dir)])
+        assert code in (0, 2, 3, 4)
         assert not list(scratch.rglob("*.tmp"))
+        return code
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +288,69 @@ def test_declared_edges(run_dir, capsys, section):
     for doc, named in cases:
         err = refusal(section, doc, run_dir, capsys)
         assert named in err, (named, err)
+
+
+#: Each CSV file `evaluate` reads, in a `casemix all` run, with the columns
+#: whose cells are replaced: every column `evaluate` reads from it but for
+#: the cohort's, where three stand for the id, number and category kinds.
+CSV_COLUMNS = {
+    "result/preprocessed.csv": ["id", "tbsa_pct", "site_01_depth"],
+    "result/final_labels.csv": ["final_rank"],
+    "result/factor_labels.csv": ["los_days_rank", "total_cost_rank", "tbsa_pct_rank"],
+    "result/split.csv": ["index", "role", "multiplicity"],
+    "hrg/labels.csv": ["id", "rank"],
+}
+#: Columns where each of OUT_OF_RANGE must exit 2: a rank outside [1, k], an
+#: index outside the records or repeating another row's, a multiplicity below 1.
+RANGED = {"final_rank", "los_days_rank", "total_cost_rank", "tbsa_pct_rank", "rank", "index",
+          "multiplicity"}
+OUT_OF_RANGE = ["0", "-1", str(10**23)]
+CELLS = ["x", *OUT_OF_RANGE, "1e999", "nan", ""]
+
+
+def csv_edits(text: str, line: int, columns: list[str]):
+    """(column, value, text) for each edit of line ``line`` (the header is
+    line 0) of the CSV ``text``: the row duplicated, deleted, cut short or
+    opened with a quote (column None), then each of ``CELLS`` in each of
+    ``columns``."""
+    lines = text.splitlines(keepends=True)
+    head, row, rest = "".join(lines[:line]), lines[line], "".join(lines[line + 1:])
+    for edit, edited in [("duplicate", row + row + rest), ("delete", rest),
+                         ("truncate", row[:len(row) // 2]), ("open_quote", '"' + row + rest)]:
+        yield None, edit, head + edited
+    header, cells = lines[0].rstrip("\n").split(","), row.rstrip("\n").split(",")
+    for column in columns:
+        for value in CELLS:
+            edited = list(cells)
+            edited[header.index(column)] = value
+            yield column, value, head + ",".join(edited) + "\n" + rest
+
+
+def evaluate_csv_args(name: str):
+    def args(text: str, scratch: Path, run_dir: Path) -> list:
+        for part in ("result", "hrg"):
+            shutil.copytree(run_dir / part, scratch / part)
+        (scratch / name).write_text(text, encoding="utf-8")
+        return ["evaluate", "--result", scratch / "result",
+                "--hrg", scratch / "hrg" / "labels.csv", "--out", scratch / "eval"]
+    return args
+
+
+@pytest.mark.parametrize("name", list(CSV_COLUMNS))
+def test_csv_edits(run_dir, name):
+    """The row of one test-set record, which survived preprocessing, takes
+    every edit in each file; a row starts with the record's index or id.
+    An out-of-range rank, index or multiplicity exits 2."""
+    with open(run_dir / "result" / "split.csv", newline="") as fh:
+        record = next(i for i, row in enumerate(csv.DictReader(fh)) if row["role"] == "test")
+    with open(run_dir / "result" / "final_labels.csv", newline="") as fh:
+        keys = (str(record), list(csv.DictReader(fh))[record]["id"])
+    text = (run_dir / name).read_text(encoding="utf-8")
+    line = next(i for i, row in enumerate(text.splitlines()) if row.split(",")[0] in keys)
+    for column, value, edited in csv_edits(text, line, CSV_COLUMNS[name]):
+        try:
+            code = run(evaluate_csv_args(name), edited, run_dir)
+            assert code == 2 or not (column in RANGED and value in OUT_OF_RANGE)
+        except Exception as e:
+            e.add_note(f"{name}: {column} = {value!r}")
+            raise

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import casemix.tree
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.domain import CostMatrix, linear_cost_matrix
-from casemix.errors import InvalidArgument, TreeFormatError
+from casemix.errors import InvalidArgument
 from casemix.pipeline import PipelineConfig, run_pipeline
 from casemix.tree import (
     DecisionTree,
@@ -605,21 +605,21 @@ class TestSerialization:
     def test_truncated_document(self):
         tree, _ = self.build()
         text = serialize_tree(tree)
-        with pytest.raises(TreeFormatError, match="parse error"):
+        with pytest.raises(InvalidArgument, match="parse error"):
             deserialize_tree(text[: len(text) // 2])
 
     def test_version_mismatch(self):
         tree, _ = self.build()
         doc = json.loads(serialize_tree(tree))
         doc["version"] = "99"
-        with pytest.raises(TreeFormatError, match="version"):
+        with pytest.raises(InvalidArgument, match="version"):
             deserialize_tree(json.dumps(doc))
 
     def test_missing_field_reports_path(self):
         tree, _ = self.build()
         doc = json.loads(serialize_tree(tree))
         del doc["root"]["counts"]
-        with pytest.raises(TreeFormatError, match="root"):
+        with pytest.raises(InvalidArgument, match="root"):
             deserialize_tree(json.dumps(doc))
 
     def chain_document(self, depth: int) -> str:
@@ -638,14 +638,14 @@ class TestSerialization:
 
     def test_depth_cap(self):
         assert model_root(deserialize_tree(self.chain_document(MAX_DEPTH)))["n"] > 0
-        with pytest.raises(TreeFormatError, match="deeper than 30"):
+        with pytest.raises(InvalidArgument, match="deeper than 30"):
             deserialize_tree(self.chain_document(MAX_DEPTH + 1))
 
     def test_max_depth_param_over_cap_rejected(self):
         tree, _ = self.build()
         doc = json.loads(serialize_tree(tree))
         doc["params"]["max_depth"] = MAX_DEPTH + 1
-        with pytest.raises(TreeFormatError, match="max_depth"):
+        with pytest.raises(InvalidArgument, match="max_depth"):
             deserialize_tree(json.dumps(doc))
 
     @pytest.mark.parametrize("field, delta", [("n", 1), ("depth", 1), ("depth", -1),
@@ -654,7 +654,7 @@ class TestSerialization:
         tree, _ = self.build()
         doc = json.loads(serialize_tree(tree))
         doc["summary"][field] += delta
-        with pytest.raises(TreeFormatError, match="summary must match the nodes"):
+        with pytest.raises(InvalidArgument, match="summary must match the nodes"):
             deserialize_tree(json.dumps(doc))
 
     @pytest.mark.parametrize("value", ["12", 12.9, True])
@@ -664,22 +664,23 @@ class TestSerialization:
         integers: a string, float or bool is refused, not truncated."""
         doc = json.loads(serialize_tree(hand_built_tree()))
         doc["summary"][field] = value
-        with pytest.raises(TreeFormatError,
+        with pytest.raises(InvalidArgument,
                            match=re.escape(f"summary {field} must be an integer, got {value!r}")):
             deserialize_tree(json.dumps(doc))
 
     @pytest.mark.parametrize("field, value, message", [
         ("k", "3", "k must be an integer, got '3'"),
-        ("label", 1.5, "label must be an integer, got 1.5"),
-        ("label", "2", "label must be an integer, got '2'"),
-        ("label", True, "label must be an integer, got True"),
-        ("label", -2**70, f"label {-2**70} is not a rank in [1, 3]"),
-        ("label", 0, "label 0 is not a rank in [1, 3]"),
-        ("label", 4, "label 4 is not a rank in [1, 3]"),
-        ("n", 2.9, "n must be an integer, got 2.9"),
-        ("n", "\u0661", "n must be an integer, got '\u0661'"),  # int() reads it as 1
+        ("label", 1.5, "label must be an integer, >= 1, <= 3, got 1.5"),
+        ("label", "2", "label must be an integer, >= 1, <= 3, got '2'"),
+        ("label", True, "label must be an integer, >= 1, <= 3, got True"),
+        ("label", -2**70, f"label must be an integer, >= 1, <= 3, got {-2**70}"),
+        ("label", 0, "label must be an integer, >= 1, <= 3, got 0"),
+        ("label", 4, "label must be an integer, >= 1, <= 3, got 4"),
+        ("n", 2.9, "n must be an integer, >= 0, <= 9007199254740992, got 2.9"),
+        ("n", "\u0661", "n must be an integer, >= 0, <= 9007199254740992, got '\u0661'"),
         ("n", 3, "n 3 is not the sum of its counts"),
-        ("counts", ["0", "2", "0"], "a class count must be an integer, got '0'"),
+        ("counts", ["0", "2", "0"],
+         "a class count must be an integer, >= 0, <= 9007199254740992, got '0'"),
     ])
     def test_node_integers_read_exactly(self, field, value, message):
         """Counts, n, labels and k are JSON integers, n is the sum of the
@@ -692,32 +693,35 @@ class TestSerialization:
         else:
             leaf[field] = value
             message = "root.left.right: " + message
-        with pytest.raises(TreeFormatError, match=re.escape(message)):
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
             deserialize_tree(json.dumps(doc))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("threshold", "nan", "threshold must be a finite JSON number, got 'nan'"),
-        ("threshold", "5", "threshold must be a finite JSON number, got '5'"),
-        ("threshold", True, "threshold must be a finite JSON number, got True"),
-        ("threshold", None, "threshold must be a finite JSON number, got None"),
-        ("threshold", math.nan, "threshold must be a finite JSON number, got nan"),
-        ("threshold", -math.inf, "threshold must be a finite JSON number, got -inf"),
-        pytest.param("threshold", 10**400, "threshold must be a finite JSON number, got 1000",
+        ("threshold", "nan", "threshold must be a finite number, got 'nan'"),
+        ("threshold", "5", "threshold must be a finite number, got '5'"),
+        ("threshold", True, "threshold must be a finite number, got True"),
+        ("threshold", None, "threshold must be a finite number, got None"),
+        ("threshold", math.nan, "threshold must be a finite number, got nan"),
+        ("threshold", -math.inf, "threshold must be a finite number, got -inf"),
+        pytest.param("threshold", 10**400, "threshold must be a finite number, got 1000",
                      id="threshold-huge_int"),
-        ("impurity", "0.6", "impurity must be a JSON number, got '0.6'"),
-        ("decrease", False, "decrease must be a JSON number, got False"),
-        pytest.param("decrease", 10**400, "decrease must be a JSON number, got 1000",
+        ("impurity", "0.6", "impurity must be a finite number, got '0.6'"),
+        ("impurity", math.nan, "impurity must be a finite number, got nan"),
+        ("decrease", False, "decrease must be a finite number, got False"),
+        ("decrease", math.inf, "decrease must be a finite number, got inf"),
+        pytest.param("decrease", 10**400, "decrease must be a finite number, got 1000",
                      id="decrease-huge_int"),
-        ("expected_cost", "0", "expected_cost must be a JSON number, got '0'"),
+        ("expected_cost", "0", "expected_cost must be a finite number, got '0'"),
+        ("expected_cost", -math.inf, "expected_cost must be a finite number, got -inf"),
     ])
     def test_node_floats_read_as_json_numbers(self, field, value, message):
-        """A threshold is a finite JSON number; impurity, decrease and a
-        leaf's expected cost are JSON numbers. No string or bool is coerced."""
+        """A threshold, impurity, decrease and a leaf's expected cost are
+        finite JSON numbers. No string or bool is coerced."""
         doc = json.loads(serialize_tree(hand_built_tree()))
         node, path = ((doc["root"]["left"]["right"], "root.left.right") if field == "expected_cost"
                       else (doc["root"], "root"))
         node[field] = value
-        with pytest.raises(TreeFormatError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(InvalidArgument, match=re.escape(f"{path}: {message}")):
             deserialize_tree(json.dumps(doc))
 
     def test_integer_threshold_is_a_number(self):
@@ -733,9 +737,9 @@ class TestSerialization:
         doc = json.loads(serialize_tree(hand_built_tree()))
         leaf = doc["root"]["left"]["right"]
         leaf["counts"][1] = count
-        with pytest.raises(TreeFormatError,
-                           match=re.escape(f"root.left.right: a class count {count} is not in "
-                                           "[0, 2**53]")):
+        with pytest.raises(InvalidArgument,
+                           match=re.escape("root.left.right: a class count must be an integer, "
+                                           f">= 0, <= 9007199254740992, got {count}")):
             deserialize_tree(json.dumps(doc))
 
     def test_node_n_bounded_by_2_pow_53(self):
@@ -743,8 +747,9 @@ class TestSerialization:
         leaf = doc["root"]["left"]["right"]
         leaf["counts"] = [2**52, 2**52, 1]
         leaf["n"] = 2**53 + 1
-        with pytest.raises(TreeFormatError,
-                           match=re.escape(f"root.left.right: n {2**53 + 1} is not in [0, 2**53]")):
+        with pytest.raises(InvalidArgument,
+                           match=re.escape("root.left.right: n must be an integer, >= 0, "
+                                           f"<= 9007199254740992, got {2**53 + 1}")):
             deserialize_tree(json.dumps(doc))
 
     def test_counts_at_2_pow_53_round_trip(self):
@@ -758,7 +763,7 @@ class TestSerialization:
 
     def test_nesting_past_the_recursion_limit_rejected(self):
         text = '{"version": "1", "root": ' + '{"left": ' * 5000 + "{}" + "}" * 5001
-        with pytest.raises(TreeFormatError, match="nests too deeply"):
+        with pytest.raises(InvalidArgument, match="nests too deeply"):
             deserialize_tree(text)
 
 
