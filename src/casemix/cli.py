@@ -392,6 +392,15 @@ _RESULT_FILES = ("preprocessed.csv", "final_labels.csv", "factor_labels.csv",
                  "split.csv", "model.json", "config.json")
 
 
+def _read_document(path: Path, read):
+    """``read`` of the result document at ``path``; its errors name the file."""
+    doc = read_json(path, "result")
+    try:
+        return read(doc)
+    except InvalidArgument as e:
+        raise InvalidArgument(f"result {path}: {e}") from None
+
+
 def _read_result_dir(result_dir: Path):
     """`_evaluate`'s arguments from ``ds`` on, read from the `train` output ``result_dir``."""
     if not result_dir.is_dir():
@@ -401,8 +410,8 @@ def _read_result_dir(result_dir: Path):
             raise InvalidArgument(f"result dir is missing {name}")
     try:
         ds = read_cohort_csv(result_dir / "preprocessed.csv")
-        config = PipelineConfig.from_dict(read_json(result_dir / "config.json", "result"))
-        tree = tree_from_dict(read_json(result_dir / "model.json", "result"))
+        config = _read_document(result_dir / "config.json", PipelineConfig.from_dict)
+        tree = _read_document(result_dir / "model.json", tree_from_dict)
         rank = _int_cell("a rank", 1, tree.k)
         (final_labels,) = _csv_columns(result_dir / "final_labels.csv", {"final_rank": rank})
         final_labels = np.array(final_labels, dtype=np.int64)

@@ -26,7 +26,8 @@ share an id. A bad cell, or an id an earlier row holds, raises
 InvalidArgument naming the row id and the column, a header naming a
 column twice one naming that column, a row of the wrong length one naming
 its id, and a row the csv module cannot read (a cell over its field size
-limit) one naming the line. The whole file is decoded before
+limit) one naming the line. A message quotes no more than the first 40
+characters of a cell, id or column name. The whole file is decoded before
 any of these is raised; a byte that is not UTF-8 raises InvalidArgument
 naming its line and its offset in the file.
 """
@@ -157,6 +158,19 @@ def _column(table: np.ndarray, codes: np.ndarray, bad: int | None, error: str = 
     return _Column(table[codes], bad_row, error, all_numbers)
 
 
+#: Characters of a cell that an error message quotes, so that a cell as long
+#: as the rest of the file (an unclosed quote) does not make the message as long.
+_QUOTED_CHARS = 40
+
+
+def _quoted(cell: str) -> str:
+    """``repr`` of ``cell``, a cell, id or column name of the file, cut to
+    its first ``_QUOTED_CHARS`` characters."""
+    if len(cell) <= _QUOTED_CHARS:
+        return repr(cell)
+    return f"{cell[:_QUOTED_CHARS]!r}... ({len(cell)} characters)"
+
+
 def _numeric_column(cells: list[str], codes: np.ndarray, lo: float, hi: float) -> _Column:
     """Parse a numeric column; every non-empty cell must be a number in
     [lo, hi], which also rejects nan and the infinities. Each distinct cell
@@ -167,9 +181,10 @@ def _numeric_column(cells: list[str], codes: np.ndarray, lo: float, hi: float) -
             value = float(cell) if cell else np.nan
         except ValueError:
             value, all_numbers = np.nan, False
-            message = f"{cell!r} is not a number"
+            message = f"{_quoted(cell)} is not a number"
         else:
-            message = f"{cell!r} is not in [{lo:g}, {hi:g}]" if cell and not lo <= value <= hi else ""
+            message = (f"{_quoted(cell)} is not in [{lo:g}, {hi:g}]"
+                       if cell and not lo <= value <= hi else "")
         values.append(value)
         if message and bad is None:
             bad, error = code, message
@@ -179,7 +194,8 @@ def _numeric_column(cells: list[str], codes: np.ndarray, lo: float, hi: float) -
 def _depth_column(cells: list[str], codes: np.ndarray) -> _Column:
     bad = next((code for code, cell in enumerate(cells) if cell not in _DEPTH_CODE), None)
     table = np.array([_DEPTH_CODE.get(cell, MISSING_DEPTH) for cell in cells], dtype=np.int8)
-    return _column(table, codes, bad, "" if bad is None else f"{cells[bad]!r} is not a depth level")
+    return _column(table, codes, bad,
+                   "" if bad is None else f"{_quoted(cells[bad])} is not a depth level")
 
 
 def _parse_lines(lines) -> Dataset:
@@ -199,7 +215,7 @@ def _parse_lines(lines) -> Dataset:
         repeated = next((name for name in header if counts[name] > 1), None)
         if repeated is not None:
             deque(reader, maxlen=0)
-            raise InvalidArgument(f"cohort CSV header names column {repeated!r} twice")
+            raise InvalidArgument(f"cohort CSV header names column {_quoted(repeated)} twice")
         tables = [_Codes() for _ in header]
         codes = [[np.empty(0, np.int32)] for _ in header]  # per column, one array per chunk
         # Rows are checked in file order: a row of the wrong length is
@@ -248,10 +264,11 @@ def _parse_lines(lines) -> Dataset:
                                  "repeats an earlier row's id")))
     column, bad = min(checks, key=lambda check: check[1].bad_row)
     if bad.bad_row < len(ids):
-        raise InvalidArgument(f"row id {ids[bad.bad_row]!r}, column {column!r}: {bad.error}")
+        raise InvalidArgument(
+            f"row id {_quoted(ids[bad.bad_row])}, column {_quoted(column)}: {bad.error}")
     if ragged is not None:
         raise InvalidArgument(
-            f"row for id {ragged[0] if ragged else ''!r} has {len(ragged)} cells, "
+            f"row for id {_quoted(ragged[0] if ragged else '')} has {len(ragged)} cells, "
             f"header has {len(header)}"
         )
 

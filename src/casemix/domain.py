@@ -1,4 +1,4 @@
-"""Core domain types: datasets, patient records, and misclassification cost matrices.
+"""Core domain types: datasets, config fields, and misclassification cost matrices.
 
 Ranked class labels are plain integers in ``[1, k]`` throughout the package,
 with rank 1 the least severe/costly group and rank ``k`` the most severe/costly.
@@ -21,9 +21,8 @@ are named ``SITE_AREA_FIELDS`` and ``SITE_DEPTH_FIELDS`` (``site_01_area``,
 Missing cells are nan in float columns, ``MISSING_DEPTH`` (-1) in depth
 codes and None in categorical columns, never a value a column can hold, so
 zero-imputation is an explicit, auditable transform. Datasets are built
-column by column (the CSV reader, the generator); ``Dataset.records`` gives
-the rows back as a tuple of ``PatientRecord``s (missing = None), built on
-first access only.
+column by column (the CSV reader, the generator) and read column by column;
+``Dataset.records`` gives each row's id alone.
 
 Each config section (cohort, missingness, pipeline, its seeds and tree
 params) is a frozen dataclass whose fields are ``declared``: annotation and
@@ -39,7 +38,6 @@ import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -206,38 +204,6 @@ DEPTH_LEVELS: tuple[Depth, ...] = tuple(sorted(Depth, key=lambda d: d.value))
 MISSING_DEPTH = -1
 
 
-@dataclass(frozen=True)
-class BurnSiteEntry:
-    """Burned area and depth at one of the 27 anatomical sites.
-
-    ``area_pct`` / ``depth`` are None when the cell is missing (not yet
-    imputed); ``Depth.NONE`` is the explicit "no burn here" value.
-    """
-
-    site_code: str
-    area_pct: float | None
-    depth: Depth | None
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One burn-care episode.
-
-    All numeric fields may be None (missing). ``extra_features`` holds any
-    additional columns keyed by feature name; numeric extras are floats,
-    categorical extras are strings.
-    """
-
-    id: str
-    age_years: float | None
-    los_days: float | None
-    total_cost: float | None
-    tbsa_pct: float | None
-    theatre_visits: int | None
-    burn_sites: tuple[BurnSiteEntry, ...]
-    extra_features: dict[str, float | str | None] = field(default_factory=dict)
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Ordered, immutable column store of burn-care episodes (layout in the
@@ -310,53 +276,16 @@ class Dataset:
             raise InvalidArgument(f"unknown factor {factor!r}")
         return self.numerics[CORE_NUMERIC_FIELDS.index(factor)]
 
-    @cached_property
-    def records(self) -> tuple[PatientRecord, ...]:
-        """The rows as ``PatientRecord``s (missing = None), built on first
-        access. Equal (area, depth) cells share one ``BurnSiteEntry``."""
-        core = [_none_for_nan(col) for col in self.numerics]
-        core[-1] = [None if v is None else int(v) for v in core[-1]]  # theatre_visits
-        site_columns = [
-            _site_entries(i, self.site_areas[i], self.site_depths[i]) for i in range(N_SITES)
-        ]
-        names = tuple(self.extras)
-        extra_columns = [
-            _none_for_nan(col) if col.dtype == np.float64 else col.tolist()
-            for col in self.extras.values()
-        ]
-        extra_rows = zip(*extra_columns) if names else ((),) * len(self)
-        return tuple(
-            PatientRecord(rid, age, los, cost, tbsa, theatre, sites, dict(zip(names, extra)))
-            for rid, age, los, cost, tbsa, theatre, sites, extra in zip(
-                self.ids.tolist(), *core, zip(*site_columns), extra_rows
-            )
-        )
+    @property
+    def records(self) -> tuple[_Row, ...]:
+        """The rows, each with only its ``.id``. Kept for ``bench/group_op.py``,
+        which reads nothing else of them; it goes when the benchmark reads
+        ``ids`` instead (ROADMAP item 1)."""
+        return tuple(map(_Row, self.ids.tolist()))
 
 
-def _object_array(values) -> np.ndarray:
-    values = list(values)
-    out = np.empty(len(values), dtype=object)
-    out[:] = values
-    return out
-
-
-def _none_for_nan(col: np.ndarray) -> list:
-    out = col.astype(object)
-    out[np.isnan(col)] = None
-    return out.tolist()
-
-
-def _site_entries(site: int, areas: np.ndarray, depths: np.ndarray) -> list[BurnSiteEntry]:
-    """One site's column of entries; cells with the same area bits and depth
-    code share an entry (-0.0 and 0.0 stay apart)."""
-    area_keys, area_idx = np.unique(areas.view(np.int64), return_inverse=True)
-    keys, idx = np.unique(area_idx * 5 + (depths.astype(np.int64) + 1), return_inverse=True)
-    area_values = _none_for_nan(area_keys.view(np.float64))
-    levels = (None, *DEPTH_LEVELS)
-    entries = _object_array(
-        BurnSiteEntry(SITE_CODES[site], area_values[k // 5], levels[k % 5]) for k in keys.tolist()
-    )
-    return entries[idx].tolist()
+class _Row(typing.NamedTuple):
+    id: str
 
 
 def same_values(a: np.ndarray, b: np.ndarray) -> bool:

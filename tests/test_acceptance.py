@@ -17,10 +17,8 @@ from casemix.cli import EXIT_OK, main
 from casemix.domain import (
     N_SITES,
     SITE_CODES,
-    BurnSiteEntry,
     CostMatrix,
     Depth,
-    PatientRecord,
     linear_cost_matrix,
 )
 from casemix.cluster import cluster_factor, kmeans
@@ -36,7 +34,7 @@ from casemix.tree import (
     FeatureTable,
 )
 from tests.helpers import zero_one_cost_matrix
-from tests.records import dataset_of
+from tests.records import BurnSiteEntry, PatientRecord, dataset_of
 
 FACTORS = ("los_days", "total_cost", "tbsa_pct")
 
@@ -319,7 +317,7 @@ def test_criterion_9_preprocessing_conformance(pinned_run):
         _fixture_record("no_burn", 1.0, 100.0, zero_sites=True),
     )
     out, rep = preprocess(ds)
-    kept = {r.id for r in out.records}
+    kept = set(out.ids.tolist())
     boundaries_ok = kept == {"los_boundary", "cost_boundary"}
     reconciles = rep.reconciles() and rep.outliers_removed == 2 and rep.unclassifiable_removed == 1
     pinned_reconciles = pinned_run.result.preprocess_report.reconciles()

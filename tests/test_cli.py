@@ -131,7 +131,7 @@ class TestGenerate:
         out = tmp_path / "cohort.csv"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         ds = read_cohort_csv(out)
-        assert len(ds.records) == 250
+        assert len(ds) == 250
         manifest = json.loads((tmp_path / "cohort.csv.manifest.json").read_text())
         assert manifest["command"] == "generate"
         assert manifest["seeds"]["cohort"] == 31
@@ -875,6 +875,29 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "root: threshold must be a finite number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,key,edit", [
+        ("model.json", "root", lambda doc: doc["root"].update(threshold="5")),
+        ("config.json", "final_tree_params", lambda doc: doc["final_tree_params"].update(cpp=0.5)),
+    ], ids=["model_threshold", "config_tree_params_key"])
+    def test_document_content_fault_names_file(self, trained, tmp_path, capsys, name, key, edit):
+        """A content error inside model.json or config.json names the file,
+        as a parse error in either does, with the part of it at fault."""
+        import shutil
+
+        _, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        broken = shutil.copytree(result, tmp_path / "result")
+        doc = json.loads((broken / name).read_text())
+        edit(doc)
+        (broken / name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(broken), "--hrg",
+                     str(tmp_path / "hrg" / "labels.csv"), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"result {broken / name}: " in err and key in err and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("name,content", [
         pytest.param("labels.csv", b"id,rank\nP000000,\xff1\n", id="labels_not_utf8"),

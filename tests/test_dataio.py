@@ -20,6 +20,7 @@ from tests.helpers import (
     traced_peak,
     write_cohort_csv,
 )
+from tests.records import records_of
 
 
 def test_round_trip_bit_exact(tmp_path, small_cohort):
@@ -27,7 +28,7 @@ def test_round_trip_bit_exact(tmp_path, small_cohort):
     write_cohort_csv(small_cohort, path)
     ds2 = read_cohort_csv(path)
     assert csv_text(ds2) == path.read_text(encoding="utf-8")
-    assert ds2.records == small_cohort.records
+    assert records_of(ds2) == records_of(small_cohort)
     assert ds2.extra_schema == small_cohort.extra_schema
 
 
@@ -37,7 +38,7 @@ def test_round_trip_with_missingness(tmp_path):
     path = tmp_path / "cohort.csv"
     write_cohort_csv(ds, path)
     ds2 = read_cohort_csv(path)
-    assert ds2.records == ds.records
+    assert records_of(ds2) == records_of(ds)
     # second write is byte-identical (serialization is canonical)
     assert csv_text(ds2) == path.read_text(encoding="utf-8")
 
@@ -79,7 +80,7 @@ def test_kind_inference(small_cohort):
 def test_header_only_gives_empty_dataset(small_cohort):
     header = csv_text(small_cohort).splitlines()[0]
     ds = parse_cohort_csv(header + "\n")
-    assert len(ds.records) == 0
+    assert len(ds) == 0
 
 
 def with_cell(ds, record_index, column, value) -> str:
@@ -113,14 +114,14 @@ def test_bad_numeric_cell_names_row_and_column(small_cohort, column, value):
     text = with_cell(small_cohort, 3, column, value)
     with pytest.raises(InvalidArgument) as err:
         parse_cohort_csv(text)
-    assert repr(small_cohort.records[3].id) in str(err.value)
+    assert repr(small_cohort.ids[3]) in str(err.value)
     assert repr(column) in str(err.value)
 
 
 @pytest.mark.parametrize("column,value", [("tbsa_pct", "100"), ("tbsa_pct", "0"), ("los_days", "0")])
 def test_domain_boundary_cells_accepted(small_cohort, column, value):
     ds = parse_cohort_csv(with_cell(small_cohort, 3, column, value))
-    assert getattr(ds.records[3], column) == float(value)
+    assert getattr(records_of(ds)[3], column) == float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +267,28 @@ def test_ragged_row_reported_after_earlier_bad_cell(small_cohort):
 def test_blank_line_is_a_ragged_row(small_cohort):
     with pytest.raises(InvalidArgument, match="has 0 cells"):
         parse_cohort_csv(csv_text(small_cohort) + "\n")
+
+
+@pytest.mark.parametrize("edit", ["open_quote", "repeated_id", "number", "depth"])
+def test_error_quotes_the_head_of_a_cell(edit):
+    """A message quotes no more than a cell's first characters, so its
+    length does not grow with the cell, nor with the file: a row that opens
+    a quote and never closes it holds the rest of the file in one cell."""
+    for n in (20, 200):
+        rows = list(csv.reader(io.StringIO(csv_text(random_dataset(n, seed=1)))))
+        long = "x" * 100 * n
+        if edit == "repeated_id":
+            rows[2][0] = rows[3][0] = long
+        elif edit != "open_quote":
+            rows[3][rows[0].index({"number": "los_days", "depth": "site_01_depth"}[edit])] = long
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        lines = buf.getvalue().splitlines(keepends=True)
+        if edit == "open_quote":
+            lines[4] = '"' + lines[4]
+        with pytest.raises(InvalidArgument) as err:
+            parse_cohort_csv("".join(lines))
+        assert "characters)" in str(err.value) and len(str(err.value)) <= 200
 
 
 # ---------------------------------------------------------------------------

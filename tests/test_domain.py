@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from casemix.domain import (
     SITE_CODES,
-    BurnSiteEntry,
     CostMatrix,
     Dataset,
     Depth,
@@ -12,7 +11,7 @@ from casemix.domain import (
 )
 from casemix.errors import InvalidArgument
 from tests.helpers import cost, csv_text, parse_cohort_csv, zero_one_cost_matrix
-from tests.records import dataset_of, make_record
+from tests.records import BurnSiteEntry, dataset_of, make_record, records_of
 
 
 def read_back(*records, schema=None) -> Dataset:
@@ -25,7 +24,7 @@ class TestValidateRecord:
 
     def test_valid_record_ok(self):
         rec = make_record(tbsa=12.0)
-        assert read_back(rec).records == (rec,)
+        assert records_of(read_back(rec)) == (rec,)
 
     def test_wrong_site_count(self):
         lines = csv_text(dataset_of(make_record())).splitlines()
@@ -44,7 +43,7 @@ class TestValidateRecord:
 
     def test_missing_fields_skip_range_checks(self):
         rec = make_record(los_days=None, tbsa_pct=None, theatre_visits=None)
-        assert read_back(rec).records == (rec,)
+        assert records_of(read_back(rec)) == (rec,)
 
     def test_extra_feature_schema(self):
         rec = make_record(extra_features={"sex": "F", "visits": 2.0})
@@ -58,7 +57,7 @@ class TestValidateRecord:
         """Site areas need not sum to tbsa_pct in a cohort file; only the
         generator guarantees it (test_cohort)."""
         rec = make_record(tbsa=12.0, tbsa_pct=30.0)
-        assert read_back(rec).records == (rec,)
+        assert records_of(read_back(rec)) == (rec,)
 
 
 class TestCostMatrix:
@@ -129,22 +128,17 @@ class TestDataset:
                         extra_features={"sex": None, "visits": None}),
         )
         ds = dataset_of(*records, schema={"sex": "categorical", "visits": "numeric"})
-        assert ds.records == records
-        assert dataset_of(*ds.records, schema=ds.extra_schema) == ds
-        assert repr(ds.records[1].burn_sites[5].area_pct) == "-0.0"
+        assert records_of(ds) == records
+        assert dataset_of(*records_of(ds), schema=ds.extra_schema) == ds
+        assert repr(records_of(ds)[1].burn_sites[5].area_pct) == "-0.0"
         assert ds.site_depths[5, 1] == -1 and np.isnan(ds.site_areas[4, 1])
-
-    def test_records_share_equal_site_entries(self):
-        ds = dataset_of(*(make_record(id=str(i)) for i in range(3)))
-        first, second = ds.records[0].burn_sites, ds.records[1].burn_sites
-        assert all(a is b for a, b in zip(first, second))
 
     def test_take(self):
         records = [make_record(id=str(i), los_days=float(i)) for i in range(5)]
         ds = dataset_of(*records)
         sub = ds.take([4, 0, 4])
         assert sub.ids.tolist() == ["4", "0", "4"]
-        assert sub.records == (records[4], records[0], records[4])
+        assert records_of(sub) == (records[4], records[0], records[4])
         assert len(ds.take([])) == 0
 
     def test_columns_read_only(self):

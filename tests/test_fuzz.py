@@ -1,18 +1,19 @@
 """Fuzzed documents through the CLI, in process: rulesets for `hrg`, cohort
 and missingness configs for `generate`, and a trained result's
 `config.json` and `model.json` for `evaluate`, then each CSV file that
-`evaluate` reads. Whatever a document holds, a command exits 0, 2, 3 or 4
-as the README's exit codes say, raises nothing and leaves no `.tmp` file
-behind.
+`evaluate` reads and the cohort CSV that `hrg` and `train` read. Whatever a
+document holds, a command exits 0, 2, 3 or 4 as the README's exit codes
+say, raises nothing and leaves no `.tmp` file behind.
 
 Each document starts valid and names every key its reader knows. One test
 sets each key, wherever it occurs, to each edge value of its JSON type in
 turn; another makes random edits with Hypothesis, derandomized so that a
 run tests the same documents every time. A third derives the edges of each
 config section from its declared fields, so that a key is fuzzed as soon as
-it is declared. A last one edits one record's row of each CSV file: the
-row duplicated, deleted, cut short or given an open quote, or one of its
-cells replaced by an edge value."""
+it is declared. The last two edit one record's row of each CSV file,
+those `evaluate` reads and the cohort that `hrg` and `train` read: the row
+duplicated, deleted, cut short or given an open quote, or one of its cells
+replaced by an edge value."""
 
 import copy
 import csv
@@ -336,21 +337,61 @@ def evaluate_csv_args(name: str):
     return args
 
 
-@pytest.mark.parametrize("name", list(CSV_COLUMNS))
-def test_csv_edits(run_dir, name):
-    """The row of one test-set record, which survived preprocessing, takes
-    every edit in each file; a row starts with the record's index or id.
-    An out-of-range rank, index or multiplicity exits 2."""
+def first_test_record(run_dir: Path) -> tuple[str, str]:
+    """The index and id of the run's first test-set record, which survived
+    preprocessing: the keys that start its row in each CSV file."""
     with open(run_dir / "result" / "split.csv", newline="") as fh:
         record = next(i for i, row in enumerate(csv.DictReader(fh)) if row["role"] == "test")
     with open(run_dir / "result" / "final_labels.csv", newline="") as fh:
-        keys = (str(record), list(csv.DictReader(fh))[record]["id"])
+        return str(record), list(csv.DictReader(fh))[record]["id"]
+
+
+def line_of(text: str, keys) -> int:
+    """The line of the CSV ``text`` whose row starts with one of ``keys``."""
+    return next(i for i, row in enumerate(text.splitlines()) if row.split(",")[0] in keys)
+
+
+@pytest.mark.parametrize("name", list(CSV_COLUMNS))
+def test_csv_edits(run_dir, name):
+    """The row of one test-set record takes every edit in each file. An
+    out-of-range rank, index or multiplicity exits 2."""
+    keys = first_test_record(run_dir)
     text = (run_dir / name).read_text(encoding="utf-8")
-    line = next(i for i, row in enumerate(text.splitlines()) if row.split(",")[0] in keys)
-    for column, value, edited in csv_edits(text, line, CSV_COLUMNS[name]):
+    for column, value, edited in csv_edits(text, line_of(text, keys), CSV_COLUMNS[name]):
         try:
             code = run(evaluate_csv_args(name), edited, run_dir)
             assert code == 2 or not (column in RANGED and value in OUT_OF_RANGE)
         except Exception as e:
             e.add_note(f"{name}: {column} = {value!r}")
+            raise
+
+
+#: The cohort CSV's columns whose cells are replaced: the id, a core and a
+#: site-area number, a depth, a categorical extra and a numeric one.
+COHORT_COLUMNS = ["id", "los_days", "site_01_area", "site_01_depth", "sex", "ventilation_days"]
+
+
+def cohort_csv_args(command: str):
+    def args(text: str, scratch: Path, run_dir: Path) -> list:
+        cohort = scratch / "cohort.csv"
+        cohort.write_text(text, encoding="utf-8")
+        if command == "hrg":
+            return ["hrg", "--cohort", cohort, "--out", scratch / "hrg"]
+        return ["train", "--cohort", cohort, "--config", run_dir.parent / "config.json",
+                "--out", scratch / "result"]
+    return args
+
+
+@pytest.mark.parametrize("command", ["hrg", "train"])
+def test_cohort_csv_edits(run_dir, capsys, command):
+    """The cohort row of the same record takes every edit, read by `hrg`
+    and by `train`; neither prints a traceback."""
+    text = (run_dir / "cohort.csv").read_text(encoding="utf-8")
+    for column, value, edited in csv_edits(text, line_of(text, first_test_record(run_dir)),
+                                           COHORT_COLUMNS):
+        try:
+            run(cohort_csv_args(command), edited, run_dir)
+            assert "Traceback" not in capsys.readouterr().err
+        except Exception as e:
+            e.add_note(f"cohort.csv: {column} = {value!r}")
             raise

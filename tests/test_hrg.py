@@ -15,7 +15,7 @@ from casemix.hrg import (
     validate_ruleset,
 )
 from casemix.preprocess import preprocess
-from tests.records import dataset_of, make_record
+from tests.records import dataset_of, make_record, records_of
 
 
 def band_ruleset(k=13):
@@ -185,8 +185,8 @@ class TestClassifyDataset:
     def test_histogram_conservation(self, small_cohort):
         pds, _ = preprocess(small_cohort)
         labels, hist = classify_dataset(pds, reference_ruleset())
-        assert sum(hist.values()) == len(pds.records)
-        assert len(labels) == len(pds.records)
+        assert sum(hist.values()) == len(pds)
+        assert len(labels) == len(pds)
 
     def test_unclassifiable_bucket(self):
         ds = dataset_of(zero_site_record(), make_record(id="B"))
@@ -304,5 +304,5 @@ class TestColumnRules:
         ds = inject_missingness(generate_cohort(CohortConfig(n=600, seed=4)), 0.3, seed=5)
         rs = reference_ruleset() if rs_name == "reference" else self.mixed_ruleset()
         labels, _ = classify_dataset(ds, rs)
-        assert labels == [reference_classify(rec, rs) for rec in ds.records]
+        assert labels == [reference_classify(rec, rs) for rec in records_of(ds)]
         assert [classify_dataset(ds.take([i]), rs)[0][0] for i in range(50)] == labels[:50]

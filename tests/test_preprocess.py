@@ -11,7 +11,7 @@ from casemix.preprocess import (
     log1p_factor,
     preprocess,
 )
-from tests.records import dataset_of, make_record
+from tests.records import dataset_of, make_record, records_of
 
 
 class TestImputeZeros:
@@ -22,8 +22,8 @@ class TestImputeZeros:
     def test_missing_numeric_becomes_zero(self):
         ds = dataset_of(make_record(los_days=None, theatre_visits=None))
         out = impute_zeros(ds)
-        assert out.records[0].los_days == 0.0
-        assert out.records[0].theatre_visits == 0
+        assert records_of(out)[0].los_days == 0.0
+        assert records_of(out)[0].theatre_visits == 0
 
     def test_missing_depth_becomes_none_level(self):
         rec = make_record()
@@ -31,8 +31,8 @@ class TestImputeZeros:
         sites[3] = sites[3].__class__(sites[3].site_code, None, None)
         ds = dataset_of(make_record(burn_sites=tuple(sites)))
         out = impute_zeros(ds)
-        assert out.records[0].burn_sites[3].area_pct == 0.0
-        assert out.records[0].burn_sites[3].depth is Depth.NONE
+        assert records_of(out)[0].burn_sites[3].area_pct == 0.0
+        assert records_of(out)[0].burn_sites[3].depth is Depth.NONE
 
     def test_missing_categorical_extra(self):
         ds = dataset_of(
@@ -40,7 +40,7 @@ class TestImputeZeros:
             schema={"sex": "categorical", "visits": "numeric"},
         )
         out = impute_zeros(ds)
-        assert out.records[0].extra_features == {"sex": "none", "visits": 0.0}
+        assert records_of(out)[0].extra_features == {"sex": "none", "visits": 0.0}
 
     def test_inverse_of_injection(self, small_cohort):
         blanked = inject_missingness(small_cohort, 1.0, seed=3)
