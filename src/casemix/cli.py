@@ -37,7 +37,7 @@ except ImportError:  # Windows has no resource module; manifests then omit peak_
 
 from . import __version__, parallel
 from .cohort import EXTRA_SCHEMA, CohortConfig, Missingness, generate_cohort, inject_missingness
-from .dataio import cohort_csv_text, read_cohort_csv
+from .dataio import cohort_csv_text, quoted, read_cohort_csv
 from .domain import FACTOR_FIELDS, Dataset, check_value, from_json, linear_cost_matrix, read_json
 from .errors import CasemixError, InvalidArgument, PipelineStageError, WorkerLostError
 from .evaluate import boxplot_stats, compare_groupings, confusion, merge_diagnostic
@@ -135,7 +135,10 @@ def _read_section(read: Callable[[dict], object], section, what: str, seed: str,
 
 
 class _Manifest:
-    def __init__(self, command: str):
+    """The manifest of a command that writes its outputs into ``root``."""
+
+    def __init__(self, command: str, root: Path):
+        self.root = root
         self.doc = {
             "command": command,
             "tool_version": __version__,
@@ -155,6 +158,27 @@ class _Manifest:
         digest = self.doc["inputs"][str(path)] = digest or _sha256_file(Path(path))
         return digest
 
+    def output(self, name: str, write: Callable[[TextIO], object]) -> str:
+        """Write ``root / name`` through ``write`` (as ``_atomic_write``),
+        record its hash under ``name`` and return it."""
+        path = self.root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        digest = self.doc["outputs"][name] = _atomic_write(path, write)
+        return digest
+
+    def text(self, name: str, text: str) -> None:
+        self.output(name, lambda fh: fh.write(text))
+
+    def csv(self, name: str, header, rows) -> None:
+        """Write ``header`` and ``rows`` to the CSV file ``name`` as
+        ``csv.writer`` formats them."""
+        def write(fh):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+        self.output(name, write)
+
     def write(self, path: Path) -> None:
         self.doc["wall_time_s"] = round(time.monotonic() - self._start, 3)
         if resource is not None:  # this process or a forked worker it waited for
@@ -162,28 +186,6 @@ class _Manifest:
                        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
             self.doc["peak_rss_mb"] = round(peak / _MAXRSS_PER_MB, 1)
         _atomic_write(path, lambda fh: fh.write(_json_dumps(self.doc)))
-
-
-def _write_output(manifest: _Manifest, root: Path, path: Path, text: str) -> None:
-    _stream_output(manifest, root, path, lambda fh: fh.write(text))
-
-
-def _stream_output(manifest: _Manifest, root: Path, path: Path,
-                   write: Callable[[TextIO], object]) -> None:
-    """Write ``path`` through ``write`` (as ``_atomic_write``) and record its hash."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    manifest.doc["outputs"][str(path.relative_to(root))] = _atomic_write(path, write)
-
-
-def _write_csv(manifest: _Manifest, root: Path, path: Path, header, rows) -> None:
-    """Write ``header`` and ``rows`` to the CSV file ``path`` as ``csv.writer``
-    formats them, and record its hash."""
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    _stream_output(manifest, root, path, write)
 
 
 def _int_cell(name: str, lo: int, hi: int) -> Callable[[str], int]:
@@ -250,26 +252,27 @@ def _manifest_path(cohort: Path) -> Path:
 
 
 def _write_cohort(manifest: _Manifest, ds: Dataset, out: Path) -> str:
-    """Write ``ds`` to ``out``, then the manifest beside it; returns the
-    sha256 of ``out``."""
-    _stream_output(manifest, out.parent, out, lambda fh: cohort_csv_text(ds, fh))
+    """Write ``ds`` to ``out`` in the manifest's directory, then the
+    manifest beside it; returns the sha256 of ``out``."""
+    digest = manifest.output(out.name, lambda fh: cohort_csv_text(ds, fh))
     manifest.write(_manifest_path(out))
-    return manifest.doc["outputs"][out.name]
+    return digest
 
 
 def cmd_generate(args) -> None:
-    manifest = _Manifest("generate")
+    out = Path(args.out)
+    manifest = _Manifest("generate", out.parent)
     doc = read_json(args.config, "config")
     ds = _generate(manifest, args.config, doc, args.ephemeral)
-    _write_cohort(manifest, ds, Path(args.out))
-    print(f"wrote {len(ds)} records to {Path(args.out)}")
+    _write_cohort(manifest, ds, out)
+    print(f"wrote {len(ds)} records to {out}")
 
 
 # ---------------------------------------------------------------------------
 # hrg
 # ---------------------------------------------------------------------------
 
-def _load_cohort(path: str) -> Dataset:
+def _load_cohort(path: str | Path) -> Dataset:
     p = Path(path)
     if not p.is_file():
         raise InvalidArgument(f"cohort file not found: {path}")
@@ -279,31 +282,27 @@ def _load_cohort(path: str) -> Dataset:
         raise InvalidArgument(f"cannot parse cohort {path}: {e}")
 
 
-def _hrg(manifest: _Manifest, ds: Dataset, rules: Ruleset, ruleset: str | None,
-         out: Path) -> dict[str, str]:
-    """Group ``ds`` by ``rules`` (from ``ruleset``) into ``out``; returns the
-    written labels as ``_read_hrg_labels`` would. The caller records the
-    cohort file as an input."""
+def _hrg(manifest: _Manifest, ds: Dataset, rules: Ruleset, ruleset: str | None) -> dict[str, str]:
+    """Group ``ds`` by ``rules`` (from ``ruleset``); returns the written
+    labels as ``_read_hrg_labels`` would. The caller records the cohort
+    file as an input."""
     if ruleset:
         manifest.add_input(ruleset)
     labels, histogram = classify_dataset(ds, rules)
     ids = ds.ids.tolist()
     ranks = [UNCLASSIFIABLE if label is None else label for label in labels]
-    _write_csv(manifest, out, out / "labels.csv", ["id", "rank"], zip(ids, ranks))
-    _write_output(
-        manifest, out, out / "histogram.json",
-        _json_dumps({str(k): v for k, v in histogram.items()}),
-    )
-    manifest.write(out / "manifest.json")
+    manifest.csv("labels.csv", ["id", "rank"], zip(ids, ranks))
+    manifest.text("histogram.json", _json_dumps({str(k): v for k, v in histogram.items()}))
+    manifest.write(manifest.root / "manifest.json")
     return {rid: str(rank) for rid, rank in zip(ids, ranks)}
 
 
 def cmd_hrg(args) -> None:
-    manifest = _Manifest("hrg")
+    manifest = _Manifest("hrg", Path(args.out))
     ds = _load_cohort(args.cohort)
     manifest.add_input(args.cohort)
-    _hrg(manifest, ds, load_ruleset(args.ruleset), args.ruleset, Path(args.out))
-    print(f"classified {len(ds)} records into {Path(args.out)}")
+    _hrg(manifest, ds, load_ruleset(args.ruleset), args.ruleset)
+    print(f"classified {len(ds)} records into {manifest.root}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,39 +315,35 @@ def _pipeline_config(doc: dict, ephemeral: bool) -> PipelineConfig:
                          lambda: {"split": secrets.randbits(63), "oversample": secrets.randbits(63)})
 
 
-def _write_train_outputs(manifest: _Manifest, out: Path, result, config: PipelineConfig) -> None:
-    _write_output(manifest, out, out / "config.json", _json_dumps(asdict(config)))
-    _write_output(manifest, out, out / "provenance.json", _json_dumps(result.provenance))
-    _stream_output(manifest, out, out / "preprocessed.csv",
-                   lambda fh: cohort_csv_text(result.preprocessed, fh))
-    _write_output(
-        manifest, out, out / "preprocess_report.json",
-        _json_dumps(result.preprocess_report.to_dict()),
-    )
+def _write_train_outputs(manifest: _Manifest, result, config: PipelineConfig) -> None:
+    manifest.text("config.json", _json_dumps(asdict(config)))
+    manifest.text("provenance.json", _json_dumps(result.provenance))
+    manifest.output("preprocessed.csv", lambda fh: cohort_csv_text(result.preprocessed, fh))
+    manifest.text("preprocess_report.json", _json_dumps(result.preprocess_report.to_dict()))
     n, ids = len(result.preprocessed), result.preprocessed.ids.tolist()
-    _write_csv(manifest, out, out / "factor_labels.csv",
-               ["index", "id", *(f"{f}_rank" for f in FACTOR_FIELDS), "mean_rank"],
-               zip(range(n), ids, *(result.factor_labels[f].tolist() for f in FACTOR_FIELDS),
-                   result.mean_ranks.tolist()))
-    _write_csv(manifest, out, out / "final_labels.csv", ["index", "id", "final_rank"],
-               zip(range(n), ids, result.final_labels.tolist()))
+    manifest.csv("factor_labels.csv",
+                 ["index", "id", *(f"{f}_rank" for f in FACTOR_FIELDS), "mean_rank"],
+                 zip(range(n), ids, *(result.factor_labels[f].tolist() for f in FACTOR_FIELDS),
+                     result.mean_ranks.tolist()))
+    manifest.csv("final_labels.csv", ["index", "id", "final_rank"],
+                 zip(range(n), ids, result.final_labels.tolist()))
     models = [*((f, result.factor_importances[f]) for f in FACTOR_FIELDS),
               ("final", variable_importance(result.final_tree))]
-    _write_csv(manifest, out, out / "importances.csv", ["model", "feature", "score"], (
+    manifest.csv("importances.csv", ["model", "feature", "score"], (
         [model, name, repr(float(score))] for model, scores in models for name, score in scores
     ))
-    _write_output(manifest, out, out / "model.json", serialize_tree(result.final_tree))
+    manifest.text("model.json", serialize_tree(result.final_tree))
     is_test = np.zeros(n, dtype=bool)
     is_test[result.test_idx] = True
     multiplicity = np.where(is_test, np.bincount(result.test_multiset, minlength=n),
                             np.bincount(result.train_multiset, minlength=n))
-    _write_csv(manifest, out, out / "split.csv", ["index", "role", "multiplicity"],
-               zip(range(n), np.where(is_test, "test", "train").tolist(), multiplicity.tolist()))
+    manifest.csv("split.csv", ["index", "role", "multiplicity"],
+                 zip(range(n), np.where(is_test, "test", "train").tolist(), multiplicity.tolist()))
 
 
 def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Dataset,
-           cohort_sha256: Callable[[], str], out: Path) -> PipelineResult:
-    """Train ``config`` (from ``config_path``) on ``ds`` into ``out``.
+           cohort_sha256: Callable[[], str]) -> PipelineResult:
+    """Train ``config`` (from ``config_path``) on ``ds``.
     ``cohort_sha256()`` gives the hash of the cohort file ``ds`` came from,
     which the caller records as an input; it is called once the model is
     built, before anything is written."""
@@ -366,21 +361,21 @@ def _train(manifest: _Manifest, config_path: str, config: PipelineConfig, ds: Da
         }
         for name, tree in {**result.factor_trees, "final": result.final_tree}.items()
     }
-    _write_train_outputs(manifest, out, result, config)
-    manifest.write(out / "manifest.json")
+    _write_train_outputs(manifest, result, config)
+    manifest.write(manifest.root / "manifest.json")
     print(
         f"trained on {len(result.train_idx)} cases "
-        f"({len(result.preprocessed)} after preprocessing) into {out}"
+        f"({len(result.preprocessed)} after preprocessing) into {manifest.root}"
     )
     return result
 
 
 def cmd_train(args) -> None:
-    manifest = _Manifest("train")
+    manifest = _Manifest("train", Path(args.out))
     config = _pipeline_config(read_json(args.config, "config"), args.ephemeral)
     ds = _load_cohort(args.cohort)
     cohort_sha256 = manifest.add_input(args.cohort)
-    _train(manifest, args.config, config, ds, lambda: cohort_sha256, Path(args.out))
+    _train(manifest, args.config, config, ds, lambda: cohort_sha256)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +403,8 @@ def _read_result_dir(result_dir: Path):
     for name in _RESULT_FILES:
         if not (result_dir / name).is_file():
             raise InvalidArgument(f"result dir is missing {name}")
+    ds = _load_cohort(result_dir / "preprocessed.csv")
     try:
-        ds = read_cohort_csv(result_dir / "preprocessed.csv")
         config = _read_document(result_dir / "config.json", PipelineConfig.from_dict)
         tree = _read_document(result_dir / "model.json", tree_from_dict)
         rank = _int_cell("a rank", 1, tree.k)
@@ -458,7 +453,7 @@ def _read_hrg_labels(path: Path) -> dict[str, str]:
     hrg_by_id = dict(zip(ids, ranks))
     if len(hrg_by_id) < len(ids):
         repeated = next(rid for rid, count in Counter(ids).items() if count > 1)
-        raise InvalidArgument(f"HRG labels {path} list id {repeated!r} more than once")
+        raise InvalidArgument(f"HRG labels {path} list id {quoted(repeated)} more than once")
     return hrg_by_id
 
 
@@ -475,7 +470,7 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
         try:
             rank = int(raw)
         except ValueError:
-            raise InvalidArgument(f"record {rid} has a non-integer HRG rank {raw!r}")
+            raise InvalidArgument(f"record {rid} has a non-integer HRG rank {quoted(raw)}")
         # Every ruleset rank is at least 1; the ruleset's k is not known here.
         if rank < 1:
             raise InvalidArgument(f"record {rid} has HRG rank {rank}, below 1")
@@ -485,10 +480,10 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
     return np.array(ranks, dtype=np.int64)
 
 
-def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], out: Path, svg: bool,
+def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], svg: bool,
               ds: Dataset, tree, final_labels: np.ndarray, factor_ranks: dict,
               train_idx: np.ndarray, test_idx: np.ndarray, test_ms: np.ndarray) -> None:
-    """Compare a trained model with the HRG labels ``hrg_by_id`` into ``out``:
+    """Compare a trained model with the HRG labels ``hrg_by_id``:
     ``ds`` is the preprocessed cohort, ``tree`` the final tree, whose k is the
     pipeline's, and ``test_ms`` the oversampled test multiset in any order.
     `evaluate` reads these from the files it records as inputs, `all` passes
@@ -526,69 +521,60 @@ def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], out: Path, svg: bo
         "merge_candidates": comp_test.merge_candidates,
     }
 
-    _write_output(manifest, out, out / "comparison.json", _json_dumps(comparison_doc))
-    _write_output(manifest, out, out / "confusion_test.json", _json_dumps(conf_test.to_dict()))
-    _write_output(
-        manifest, out, out / "confusion_test_oversampled.json",
-        _json_dumps(conf_test_os.to_dict()),
-    )
+    manifest.text("comparison.json", _json_dumps(comparison_doc))
+    manifest.text("confusion_test.json", _json_dumps(conf_test.to_dict()))
+    manifest.text("confusion_test_oversampled.json", _json_dumps(conf_test_os.to_dict()))
     sides = (("train", comp_train), ("test", comp_test))
     for side, comp in sides:
-        _write_csv(manifest, out, out / f"variances_{side}.csv",
-                   ["factor", "grouping", "rank", "n", "variance"], (
+        manifest.csv(f"variances_{side}.csv", ["factor", "grouping", "rank", "n", "variance"], (
             [factor, grouping, rank, gv.n, repr(gv.variance)]
             for factor, reports in comp.factors.items()
             for grouping, report in (("dt", reports.dt), ("hrg", reports.hrg))
             for rank, gv in sorted(report.per_group.items())
         ))
     for side, per_factor in box.items():
-        _write_csv(manifest, out, out / f"boxplots_{side}.csv",
-                   ["factor", "grouping", "rank", "min", "q1", "median", "q3", "max", "n"], (
+        manifest.csv(f"boxplots_{side}.csv",
+                     ["factor", "grouping", "rank", "min", "q1", "median", "q3", "max", "n"], (
             [factor, grouping, rank, *map(repr, (s.min, s.q1, s.median, s.q3, s.max)), s.n]
             for factor, groupings in per_factor.items()
             for grouping, stats in groupings.items()
             for rank, s in sorted(stats.items())
         ))
-    _write_output(
-        manifest, out, out / "rules.txt",
-        "".join(rule.render() + "\n" for rule in rules),
-    )
-    _write_csv(manifest, out, out / "rules.csv",
-               ["rule", "conditions", "class", "support", "expected_cost"], (
+    manifest.text("rules.txt", "".join(rule.render() + "\n" for rule in rules))
+    manifest.csv("rules.csv", ["rule", "conditions", "class", "support", "expected_cost"], (
         [i, rule.condition_text, rule.label, rule.support, repr(rule.expected_cost)]
         for i, rule in enumerate(rules)
     ))
-    _write_csv(manifest, out, out / "rank_spread.csv",
-               ["index", *(f"{f}_rank" for f in FACTOR_FIELDS), "final_rank"],
-               zip(range(len(final_labels)), *(factor_ranks[f].tolist() for f in FACTOR_FIELDS),
-                   final_labels.tolist()))
+    manifest.csv("rank_spread.csv", ["index", *(f"{f}_rank" for f in FACTOR_FIELDS), "final_rank"],
+                 zip(range(len(final_labels)), *(factor_ranks[f].tolist() for f in FACTOR_FIELDS),
+                     final_labels.tolist()))
     if svg:
         for factor in FACTOR_FIELDS:
             for side, comp in sides:
                 reports, title = comp.factors[factor], f"Intra-group variance: {factor} ({side})"
-                _stream_output(manifest, out, out / f"variance_{factor}_{side}.svg",
-                               lambda fh: variance_bars_svg(reports.dt, reports.hrg, title, fh))
+                manifest.output(f"variance_{factor}_{side}.svg",
+                                lambda fh: variance_bars_svg(reports.dt, reports.hrg, title, fh))
             stats = box["test"][factor]
-            _stream_output(manifest, out, out / f"boxplot_{factor}_test.svg",
-                           lambda fh: boxplots_svg(stats["dt"], stats["hrg"],
-                                                   f"{factor} by group (test)", fh))
-        _stream_output(manifest, out, out / "rank_spread.svg",
-                       lambda fh: rank_spread_svg(factor_ranks, final_labels, tree.k, fh))
-    manifest.write(out / "manifest.json")
+            manifest.output(f"boxplot_{factor}_test.svg",
+                            lambda fh: boxplots_svg(stats["dt"], stats["hrg"],
+                                                    f"{factor} by group (test)", fh))
+        manifest.output("rank_spread.svg",
+                        lambda fh: rank_spread_svg(factor_ranks, final_labels, tree.k, fh))
+    manifest.write(manifest.root / "manifest.json")
     ratios = {
         f: comparison_doc["test"]["factors"][f]["ratio"] for f in FACTOR_FIELDS
     }
-    print(f"evaluation written to {out}; HRG/DT variance ratios (test): {ratios}")
+    print(f"evaluation written to {manifest.root}; HRG/DT variance ratios (test): {ratios}")
 
 
 def cmd_evaluate(args) -> None:
-    manifest = _Manifest("evaluate")
+    manifest = _Manifest("evaluate", Path(args.out))
     result_dir = Path(args.result)
     trained = _read_result_dir(result_dir)
     hrg_by_id = _read_hrg_labels(Path(args.hrg))
     for path in [*(result_dir / name for name in _RESULT_FILES), args.hrg]:
         manifest.add_input(path)
-    _evaluate(manifest, hrg_by_id, Path(args.out), args.svg, *trained)
+    _evaluate(manifest, hrg_by_id, args.svg, *trained)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +582,8 @@ def cmd_evaluate(args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_all(args) -> None:
-    manifest = _Manifest("all")
+    out = Path(args.out)
+    manifest = _Manifest("all", out)
     doc = read_json(args.config, "config")
     # The pipeline section and the ruleset are checked before anything is
     # generated or written.
@@ -607,7 +594,6 @@ def cmd_all(args) -> None:
     rules = load_ruleset(ruleset)
     check_ruleset(rules, EXTRA_SCHEMA)  # against the generator's columns
     manifest.add_config(args.config)
-    out = Path(args.out)
 
     # Each stage takes what the one before it holds in memory, which is
     # bit-identical to a parse of the files it wrote, and the hashes of the
@@ -615,7 +601,7 @@ def cmd_all(args) -> None:
     # while this process trains; its outputs are joined before the cohort's
     # hash is recorded and before any error leaves.
     cohort, hrg_out = out / "cohort.csv", out / "hrg"
-    generate = _Manifest("generate")
+    generate = _Manifest("generate", out)
     ds = _generate(generate, args.config, doc, args.ephemeral)
 
     def write_and_group() -> tuple[str, tuple[str, dict[str, str]] | Exception]:
@@ -623,10 +609,10 @@ def cmd_all(args) -> None:
         the error of the HRG stage, which is raised once the cohort's line
         is printed."""
         cohort_sha256 = _write_cohort(generate, ds, cohort)
-        hrg = _Manifest("hrg")
+        hrg = _Manifest("hrg", hrg_out)
         hrg.add_input(cohort, cohort_sha256)
         try:
-            hrg_by_id = _hrg(hrg, ds, rules, ruleset, hrg_out)
+            hrg_by_id = _hrg(hrg, ds, rules, ruleset)
         except Exception as e:
             return cohort_sha256, e
         return cohort_sha256, (hrg.doc["outputs"]["labels.csv"], hrg_by_id)
@@ -648,10 +634,10 @@ def cmd_all(args) -> None:
             raise grouped
         return cohort_sha256, *grouped
 
-    train = _Manifest("train")
+    train = _Manifest("train", out / "result")
     try:
         result = _train(train, args.config, pipeline_config, ds,
-                        lambda: train.add_input(cohort, join_writer()[0]), out / "result")
+                        lambda: train.add_input(cohort, join_writer()[0]))
     except Exception:
         join_writer()  # a writer error comes first
         raise
@@ -664,11 +650,11 @@ def cmd_all(args) -> None:
                 with contextlib.suppress(OSError):
                     _tmp(path).unlink()
     cohort_sha256, labels_sha256, hrg_by_id = join_writer()
-    evaluate = _Manifest("evaluate")
+    evaluate = _Manifest("evaluate", out / "eval")
     for name in _RESULT_FILES:
-        evaluate.add_input(out / "result" / name, train.doc["outputs"][name])
+        evaluate.add_input(train.root / name, train.doc["outputs"][name])
     evaluate.add_input(hrg_out / "labels.csv", labels_sha256)
-    _evaluate(evaluate, hrg_by_id, out / "eval", args.svg, result.preprocessed,
+    _evaluate(evaluate, hrg_by_id, args.svg, result.preprocessed,
               result.final_tree, result.final_labels, result.factor_labels, result.train_idx,
               result.test_idx, result.test_multiset)
 

@@ -7,9 +7,12 @@ UTF-8; "." decimal separator. Floats are written with Python's shortest
 round-trip repr and theatre_visits as an integer, so a write/read/write
 cycle is byte-identical.
 
-Extra-column kinds are inferred on read: a column is numeric when every
-non-empty cell parses as a float, else categorical. Categorical values must
-therefore not all look like numbers (true for everything this package emits).
+An extra column the generator declares numeric (``cohort.EXTRA_SCHEMA``,
+e.g. ventilation_days) is numeric, so a cell in it that is not a number is a
+bad cell. The kind of any other extra column is inferred on read: it is
+numeric when every non-empty cell parses as a float, else categorical.
+Categorical values must therefore not all look like numbers (true for
+everything this package emits).
 
 Reading streams the file: rows are taken a fixed chunk at a time and each
 column is kept as int32 codes over its distinct cells, in order of first
@@ -45,11 +48,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .cohort import EXTRA_SCHEMA
 from .domain import (
     CORE_NUMERIC_FIELDS,
     DEPTH_LEVELS,
     MISSING_DEPTH,
     N_SITES,
+    NUMERIC,
     SITE_AREA_FIELDS,
     SITE_DEPTH_FIELDS,
     Dataset,
@@ -163,7 +168,7 @@ def _column(table: np.ndarray, codes: np.ndarray, bad: int | None, error: str = 
 _QUOTED_CHARS = 40
 
 
-def _quoted(cell: str) -> str:
+def quoted(cell: str) -> str:
     """``repr`` of ``cell``, a cell, id or column name of the file, cut to
     its first ``_QUOTED_CHARS`` characters."""
     if len(cell) <= _QUOTED_CHARS:
@@ -181,9 +186,9 @@ def _numeric_column(cells: list[str], codes: np.ndarray, lo: float, hi: float) -
             value = float(cell) if cell else np.nan
         except ValueError:
             value, all_numbers = np.nan, False
-            message = f"{_quoted(cell)} is not a number"
+            message = f"{quoted(cell)} is not a number"
         else:
-            message = (f"{_quoted(cell)} is not in [{lo:g}, {hi:g}]"
+            message = (f"{quoted(cell)} is not in [{lo:g}, {hi:g}]"
                        if cell and not lo <= value <= hi else "")
         values.append(value)
         if message and bad is None:
@@ -195,7 +200,7 @@ def _depth_column(cells: list[str], codes: np.ndarray) -> _Column:
     bad = next((code for code, cell in enumerate(cells) if cell not in _DEPTH_CODE), None)
     table = np.array([_DEPTH_CODE.get(cell, MISSING_DEPTH) for cell in cells], dtype=np.int8)
     return _column(table, codes, bad,
-                   "" if bad is None else f"{_quoted(cells[bad])} is not a depth level")
+                   "" if bad is None else f"{quoted(cells[bad])} is not a depth level")
 
 
 def _parse_lines(lines) -> Dataset:
@@ -215,7 +220,7 @@ def _parse_lines(lines) -> Dataset:
         repeated = next((name for name in header if counts[name] > 1), None)
         if repeated is not None:
             deque(reader, maxlen=0)
-            raise InvalidArgument(f"cohort CSV header names column {_quoted(repeated)} twice")
+            raise InvalidArgument(f"cohort CSV header names column {quoted(repeated)} twice")
         tables = [_Codes() for _ in header]
         codes = [[np.empty(0, np.int32)] for _ in header]  # per column, one array per chunk
         # Rows are checked in file order: a row of the wrong length is
@@ -249,10 +254,10 @@ def _parse_lines(lines) -> Dataset:
     extras = {}
     for j, name in enumerate(header[len(_HEADER):], start=len(_HEADER)):
         parsed = _numeric_column(cells[j], codes[j], -_MAX, _MAX)
-        if parsed.all_numbers:
+        if parsed.all_numbers or EXTRA_SCHEMA.get(name) == NUMERIC:
             checks.append((name, parsed))
             extras[name] = parsed.values
-        else:  # some cell is not a number: categorical
+        else:  # some cell is not a number, and no declared kind: categorical
             extras[name] = np.array([c if c else None for c in cells[j]], dtype=object)[codes[j]]
     checks += [(name, core[name]) for name in ("age_years", "los_days", "total_cost", "tbsa_pct")]
 
@@ -265,10 +270,10 @@ def _parse_lines(lines) -> Dataset:
     column, bad = min(checks, key=lambda check: check[1].bad_row)
     if bad.bad_row < len(ids):
         raise InvalidArgument(
-            f"row id {_quoted(ids[bad.bad_row])}, column {_quoted(column)}: {bad.error}")
+            f"row id {quoted(ids[bad.bad_row])}, column {quoted(column)}: {bad.error}")
     if ragged is not None:
         raise InvalidArgument(
-            f"row for id {_quoted(ragged[0] if ragged else '')} has {len(ragged)} cells, "
+            f"row for id {quoted(ragged[0] if ragged else '')} has {len(ragged)} cells, "
             f"header has {len(header)}"
         )
 

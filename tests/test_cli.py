@@ -926,6 +926,50 @@ class TestEvaluate:
         assert str(named) in err
         assert "Traceback" not in err
 
+    def test_unparsable_preprocessed_csv_names_file(self, trained, tmp_path, capsys):
+        """An open quote in the result's cohort file once gave a message
+        that named the row but not the file; `hrg` and `train` name theirs."""
+        import shutil
+
+        _, _, _, result = trained
+        result = shutil.copytree(result, tmp_path / "result")
+        lines = (result / "preprocessed.csv").read_text(encoding="utf-8").splitlines()
+        lines[3] = '"' + lines[3]
+        (result / "preprocessed.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,rank\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(result), "--hrg", str(labels),
+                     "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"cannot parse cohort {result / 'preprocessed.csv'}: " in err
+        assert "Traceback" not in err and not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("fault", ["long_rank", "long_repeated_id"])
+    def test_long_hrg_label_cell_quoted_short(self, trained, tmp_path, capsys, fault):
+        """A 50,001-character HRG rank cell once made the whole cell the
+        message; a cell is quoted to its first 40 characters, as the cohort
+        reader quotes one."""
+        _, _, _, result = trained
+        with open(result / "final_labels.csv", newline="") as fh:
+            ids = [row["id"] for row in csv.DictReader(fh)]
+        rows = [f"{i},1" for i in ids]
+        long = "9" * 50_001
+        if fault == "long_rank":
+            rows[0] = f"{ids[0]},{long}"
+        else:
+            rows += [f"{long},1", f"{long},2"]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,rank\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(result), "--hrg", str(labels),
+                     "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"{'9' * 40!r}... (50001 characters)" in err
+        assert len(err) < 200 + len(str(labels)) and "Traceback" not in err
+
     @pytest.mark.parametrize("fault", ["non_integer_rank", "short_row", "repeated_id",
                                        "zero_rank", "negative_rank", "huge_rank"])
     def test_bad_hrg_labels_exit_2(self, trained, tmp_path, capsys, fault):
@@ -1114,6 +1158,37 @@ class TestAll:
         assert manifests[0].keys() == manifests[1].keys()
         assert manifests[0]["inputs"] == manifests[1]["inputs"]
         assert len(manifests[0]["inputs"]) == 7
+
+    def test_stage_commands_write_what_all_writes(self, tmp_path):
+        """`generate`, `hrg`, `train` and `evaluate --svg` run one after
+        another write the bytes `all --svg` writes. In both runs each stage
+        manifest lists every file of its own directory with its sha256, and
+        nothing else; nested directories and manifests are not its own."""
+        cfg = write_config(tmp_path)
+        run, stages = tmp_path / "run", tmp_path / "stages"
+        assert main(["all", "--config", str(cfg), "--out", str(run), "--svg"]) == EXIT_OK
+        cohort = stages / "cohort.csv"
+        for args in (
+            ["generate", "--config", str(cfg), "--out", str(cohort)],
+            ["hrg", "--cohort", str(cohort), "--out", str(stages / "hrg")],
+            ["train", "--cohort", str(cohort), "--config", str(cfg), "--out", str(stages / "result")],
+            ["evaluate", "--result", str(stages / "result"), "--hrg", str(stages / "hrg" / "labels.csv"),
+             "--out", str(stages / "eval"), "--svg"],
+        ):
+            assert main(args) == EXIT_OK, args[0]
+        hashes = file_hashes(run)
+        assert file_hashes(stages) == hashes and len(hashes) == 32
+        for root in (run, stages):
+            for manifest, directory in (("cohort.csv.manifest.json", root),
+                                        *((f"{d}/manifest.json", root / d)
+                                          for d in ("hrg", "result", "eval"))):
+                outputs = json.loads((root / manifest).read_text())["outputs"]
+                files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in directory.iterdir()
+                         if p.is_file() and not p.name.endswith("manifest.json")}
+                assert outputs == files, manifest
+        outputs = json.loads((run / "manifest.json").read_text())["outputs"]
+        assert len(outputs) == 4 and outputs == {name: hashes[name] for name in outputs}
 
     def test_custom_ruleset_via_config(self, tmp_path):
         rules = {
@@ -1407,7 +1482,8 @@ class TestBadCohortCells:
     @pytest.mark.parametrize("command", ["hrg", "train"])
     @pytest.mark.parametrize(
         "column,value",
-        [("los_days", "nan"), ("los_days", "-3"), ("tbsa_pct", "250"), ("id", "P000000")],
+        [("los_days", "nan"), ("los_days", "-3"), ("tbsa_pct", "250"), ("id", "P000000"),
+         ("ventilation_days", "x")],
     )
     def test_exit_2_naming_row_and_column(self, generated, tmp_path, capsys, command, column, value):
         root, cfg, cohort = generated

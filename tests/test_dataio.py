@@ -108,6 +108,8 @@ def with_cell(ds, record_index, column, value) -> str:
         ("site_03_area", "inf"),
         ("los_days", "abc"),
         ("ventilation_days", "nan"),
+        ("ventilation_days", "x"),
+        ("admission_year", "abc"),
     ],
 )
 def test_bad_numeric_cell_names_row_and_column(small_cohort, column, value):
@@ -473,15 +475,16 @@ def test_chunk_size_does_not_change_result(case, data):
 
 def test_numeric_looking_extra_with_late_word_stays_categorical(small_cohort):
     """A column's kind is decided over every row, not over the first chunk:
-    "nan" in row 1 is a category, not a bad number."""
+    "nan" in row 1 of an extra the generator does not declare is a
+    category, not a bad number."""
     rows = list(csv.reader(io.StringIO(csv_text(small_cohort))))
-    column = rows[0].index("ventilation_days")
-    rows[1][column], rows[8][column] = "nan", "abc"
+    rows = [rows[0] + ["pain_score"]] + [row + [str(r % 10)] for r, row in enumerate(rows[1:])]
+    rows[1][-1], rows[8][-1] = "nan", "abc"
     outcomes = _parse_outcomes(_render(rows))
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
     ds = outcomes[0][0]
-    assert ds.extra_schema["ventilation_days"] == "categorical"
-    assert ds.extras["ventilation_days"][0] == "nan" and ds.extras["ventilation_days"][7] == "abc"
+    assert ds.extra_schema["pain_score"] == "categorical"
+    assert ds.extras["pain_score"][0] == "nan" and ds.extras["pain_score"][7] == "abc"
 
 
 def test_bad_cell_in_earlier_chunk_beats_later_ragged_row(small_cohort):
