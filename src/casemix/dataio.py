@@ -14,11 +14,14 @@ numeric when every non-empty cell parses as a float, else categorical.
 Categorical values must therefore not all look like numbers (true for
 everything this package emits).
 
-Reading streams the file: rows are taken a fixed chunk at a time and each
-column is kept as int32 codes over its distinct cells, in order of first
-appearance, so no more than one chunk of rows is held as cell strings. Once
-the last row is read, each distinct cell is parsed and checked once and a
-column's values are its parsed cells indexed by its codes. Writing streams
+Reading streams the file a fixed chunk of rows at a time, so no more than
+one chunk is held as cell strings. A column of known kind (not an extra
+whose kind is inferred) whose first chunk repeats no cell, such as the id,
+is parsed and checked a chunk at a time. Any other column is kept as codes
+over its distinct cells, in order of first appearance and in the narrowest
+unsigned type that holds them; once the last row is read, each distinct
+cell is parsed and checked once. Each column is then built into its row of
+the dataset's arrays, and its codes and cells are released. Writing streams
 too: rows are formatted a fixed block at a time, a column slice at a time, and
 written to the output before the next block, so no more than one block of
 rows is held as cell strings and the text is never held whole.
@@ -43,6 +46,7 @@ import re
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -61,10 +65,8 @@ from .domain import (
 )
 from .errors import InvalidArgument
 
-_CORE_COLUMNS = ("id", *CORE_NUMERIC_FIELDS)
-_HEADER = _CORE_COLUMNS + SITE_AREA_FIELDS + SITE_DEPTH_FIELDS
+_HEADER = ("id", *CORE_NUMERIC_FIELDS) + SITE_AREA_FIELDS + SITE_DEPTH_FIELDS
 _MAX = sys.float_info.max
-_BOUNDS = {"tbsa_pct": (0.0, 100.0)}  # other core numerics and site areas: [0, max]
 _DEPTH_CODE = {"": MISSING_DEPTH, **{d.value: i for i, d in enumerate(DEPTH_LEVELS)}}
 _DEPTH_CELLS = np.array([d.value for d in DEPTH_LEVELS] + [""], dtype=object)  # code -1 -> ""
 
@@ -145,22 +147,14 @@ class _Codes(dict):
 
 
 @dataclass
-class _Column:
-    """One parsed column: its values and the first row whose cell is bad
-    (``len(values)`` when none is), with the error for that cell."""
+class _Parsed:
+    """Cells parsed in order, and the index of the first bad one (``None``
+    when none is) with its error; for a whole column, that index is a row."""
 
     values: np.ndarray
-    bad_row: int
+    bad: int | None = None
     error: str = ""
     all_numbers: bool = True
-
-
-def _column(table: np.ndarray, codes: np.ndarray, bad: int | None, error: str = "",
-            all_numbers: bool = True) -> _Column:
-    """The column ``table[codes]``; ``bad`` is the first code whose cell is
-    bad, so its first row is the column's first bad row."""
-    bad_row = len(codes) if bad is None else int(np.argmax(codes == bad))
-    return _Column(table[codes], bad_row, error, all_numbers)
 
 
 #: Characters of a cell that an error message quotes, so that a cell as long
@@ -176,12 +170,11 @@ def quoted(cell: str) -> str:
     return f"{cell[:_QUOTED_CHARS]!r}... ({len(cell)} characters)"
 
 
-def _numeric_column(cells: list[str], codes: np.ndarray, lo: float, hi: float) -> _Column:
-    """Parse a numeric column; every non-empty cell must be a number in
-    [lo, hi], which also rejects nan and the infinities. Each distinct cell
-    is parsed and checked once."""
+def _numeric_cells(cells, lo: float, hi: float) -> _Parsed:
+    """Parse numeric cells; every non-empty cell must be a number in
+    [lo, hi], which also rejects nan and the infinities."""
     values, bad, error, all_numbers = [], None, "", True
-    for code, cell in enumerate(cells):
+    for i, cell in enumerate(cells):
         try:
             value = float(cell) if cell else np.nan
         except ValueError:
@@ -192,15 +185,69 @@ def _numeric_column(cells: list[str], codes: np.ndarray, lo: float, hi: float) -
                        if cell and not lo <= value <= hi else "")
         values.append(value)
         if message and bad is None:
-            bad, error = code, message
-    return _column(np.array(values, dtype=np.float64), codes, bad, error, all_numbers)
+            bad, error = i, message
+    return _Parsed(np.array(values, dtype=np.float64), bad, error, all_numbers)
 
 
-def _depth_column(cells: list[str], codes: np.ndarray) -> _Column:
-    bad = next((code for code, cell in enumerate(cells) if cell not in _DEPTH_CODE), None)
-    table = np.array([_DEPTH_CODE.get(cell, MISSING_DEPTH) for cell in cells], dtype=np.int8)
-    return _column(table, codes, bad,
-                   "" if bad is None else f"{quoted(cells[bad])} is not a depth level")
+def _depth_cells(cells) -> _Parsed:
+    bad = next((i for i, cell in enumerate(cells) if cell not in _DEPTH_CODE), None)
+    return _Parsed(np.array([_DEPTH_CODE.get(cell, MISSING_DEPTH) for cell in cells], np.int8),
+                   bad, "" if bad is None else f"{quoted(cells[bad])} is not a depth level")
+
+
+def _inferred_cells(cells) -> _Parsed:
+    """An extra column of no declared kind: numeric when every non-empty
+    cell is a number, else categorical."""
+    parsed = _numeric_cells(cells, -_MAX, _MAX)
+    if parsed.all_numbers:
+        return parsed
+    return _Parsed(np.array([cell if cell else None for cell in cells], dtype=object))
+
+
+#: The parse of each column of known kind. Numeric cells must lie in
+#: [0, max], tbsa_pct's in [0, 100] and a declared numeric extra's in [-max, max].
+_PARSE = {
+    "id": lambda cells: _Parsed(np.array(cells, dtype=object)),
+    **dict.fromkeys(SITE_DEPTH_FIELDS, _depth_cells),
+    **dict.fromkeys(CORE_NUMERIC_FIELDS + SITE_AREA_FIELDS, partial(_numeric_cells, lo=0.0, hi=_MAX)),
+    "tbsa_pct": partial(_numeric_cells, lo=0.0, hi=100.0),
+    **{name: partial(_numeric_cells, lo=-_MAX, hi=_MAX)
+       for name, kind in EXTRA_SCHEMA.items() if kind == NUMERIC},
+}
+
+
+class _ColumnReader:
+    """One column, read a chunk at a time: parsed as it is read if its kind
+    is known and its first chunk repeats no cell, else held as codes over its
+    distinct cells, each parsed once at the end."""
+
+    def __init__(self, name: str):
+        self.parse, self.direct = _PARSE.get(name, _inferred_cells), name in _PARSE
+        self.table, self.chunks, self.rows, self.bad, self.error = _Codes(), [], 0, None, ""
+
+    def add(self, cells: tuple[str, ...]) -> None:
+        if not self.rows:
+            self.direct = self.direct and len(set(cells)) == len(cells)
+        if self.direct:
+            parsed = self.parse(cells)
+            if parsed.bad is not None and self.bad is None:
+                self.bad, self.error = self.rows + parsed.bad, parsed.error
+            self.chunks.append(parsed.values)
+        else:
+            width = np.min_scalar_type(len(self.table) + len(cells))  # holds every code
+            self.chunks.append(np.fromiter(map(self.table.__getitem__, cells), width, len(cells)))
+        self.rows += len(cells)
+
+    def build(self, out: np.ndarray | None = None) -> _Parsed:
+        """The column, written into ``out`` when given; what it held is released."""
+        chunks, self.chunks = self.chunks, None
+        if self.direct and chunks:
+            return _Parsed(np.concatenate(chunks, out=out), self.bad, self.error)
+        codes = np.concatenate(chunks or [np.empty(0, np.uint8)])
+        del chunks
+        parsed, self.table = self.parse(list(self.table)), None
+        bad = None if parsed.bad is None else int(np.argmax(codes == parsed.bad))
+        return _Parsed(parsed.values.take(codes, out=out, mode="clip"), bad, parsed.error)
 
 
 def _parse_lines(lines) -> Dataset:
@@ -221,71 +268,49 @@ def _parse_lines(lines) -> Dataset:
         if repeated is not None:
             deque(reader, maxlen=0)
             raise InvalidArgument(f"cohort CSV header names column {quoted(repeated)} twice")
-        tables = [_Codes() for _ in header]
-        codes = [[np.empty(0, np.int32)] for _ in header]  # per column, one array per chunk
+        readers = {name: _ColumnReader(name) for name in header}
         # Rows are checked in file order: a row of the wrong length is
         # reported unless a bad cell comes before it, so only the rows above
-        # it are coded.
+        # it are read into the columns.
         ragged = None
         for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
             cut = next((r for r, row in enumerate(chunk) if len(row) != len(header)), len(chunk))
-            for table, column, cells in zip(tables, codes, zip(*chunk[:cut])):
-                column.append(np.fromiter(map(table.__getitem__, cells), np.int32, cut))
+            for column, cells in zip(readers.values(), zip(*chunk[:cut])):
+                column.add(cells)
             if cut < len(chunk):
                 ragged = chunk[cut]
                 deque(reader, maxlen=0)
     except csv.Error as e:
         raise InvalidArgument(f"cohort CSV line {reader.line_num}: {e}") from None
-    cells = [list(table) for table in tables]
-    del tables  # frees one int object per distinct cell before the columns are built
-    codes = [np.concatenate(column) for column in codes]
 
-    core = {name: _numeric_column(cells[j + 1], codes[j + 1], *_BOUNDS.get(name, (0.0, _MAX)))
-            for j, name in enumerate(CORE_NUMERIC_FIELDS)}
-    areas = [_numeric_column(cells[j], codes[j], 0.0, _MAX)
-             for j in range(len(_CORE_COLUMNS), len(_CORE_COLUMNS) + N_SITES)]
-    depths = [_depth_column(cells[j], codes[j])
-              for j in range(len(_CORE_COLUMNS) + N_SITES, len(_HEADER))]
+    n = readers["id"].rows  # each column is built into its row of the dataset's arrays
+    numerics = np.empty((len(CORE_NUMERIC_FIELDS), n))
+    site_areas, site_depths = np.empty((N_SITES, n)), np.empty((N_SITES, n), np.int8)
+    rows = dict(zip(_HEADER[1:], [*numerics, *site_areas, *site_depths]))
+    columns = {name: column.build(rows.get(name)) for name, column in readers.items()}
+    ids = columns["id"].values
+    seen = set()  # the first row whose id an earlier row holds, if any
+    repeat = next((row for row, cell in enumerate(ids.tolist()) if cell in seen or seen.add(cell)),
+                  None)
+    columns["id"] = _Parsed(ids, repeat, "repeats an earlier row's id")
     # Within a row, cells are checked site by site (area, then depth), then
     # theatre_visits, the numeric extras, age, LOS, cost, TBSA and the id.
-    checks = [pair for i in range(N_SITES) for pair in (
-        (SITE_AREA_FIELDS[i], areas[i]), (SITE_DEPTH_FIELDS[i], depths[i]))]
-    checks.append(("theatre_visits", core["theatre_visits"]))
-    extras = {}
-    for j, name in enumerate(header[len(_HEADER):], start=len(_HEADER)):
-        parsed = _numeric_column(cells[j], codes[j], -_MAX, _MAX)
-        if parsed.all_numbers or EXTRA_SCHEMA.get(name) == NUMERIC:
-            checks.append((name, parsed))
-            extras[name] = parsed.values
-        else:  # some cell is not a number, and no declared kind: categorical
-            extras[name] = np.array([c if c else None for c in cells[j]], dtype=object)[codes[j]]
-    checks += [(name, core[name]) for name in ("age_years", "los_days", "total_cost", "tbsa_pct")]
-
-    ids = np.array(cells[0], dtype=object)[codes[0]]
-    # Ids are coded in order of first appearance, so the first row whose
-    # code is not its row number is the first to repeat an earlier row's id.
-    repeats = codes[0] != np.arange(len(ids))
-    checks.append(("id", _Column(ids, int(repeats.argmax()) if repeats.any() else len(ids),
-                                 "repeats an earlier row's id")))
-    column, bad = min(checks, key=lambda check: check[1].bad_row)
-    if bad.bad_row < len(ids):
-        raise InvalidArgument(
-            f"row id {quoted(ids[bad.bad_row])}, column {quoted(column)}: {bad.error}")
+    order = [name for site in zip(SITE_AREA_FIELDS, SITE_DEPTH_FIELDS) for name in site]
+    order += ["theatre_visits", *header[len(_HEADER):], "age_years", "los_days", "total_cost",
+              "tbsa_pct", "id"]
+    first = min(order, key=lambda name: n if columns[name].bad is None else columns[name].bad)
+    if columns[first].bad is not None:
+        raise InvalidArgument(f"row id {quoted(ids[columns[first].bad])}, "
+                              f"column {quoted(first)}: {columns[first].error}")
     if ragged is not None:
         raise InvalidArgument(
             f"row for id {quoted(ragged[0] if ragged else '')} has {len(ragged)} cells, "
             f"header has {len(header)}"
         )
 
-    numerics = np.stack([core[name].values for name in CORE_NUMERIC_FIELDS])
-    numerics[-1] = np.trunc(numerics[-1])  # theatre_visits counts whole visits
-    return Dataset(
-        ids=ids,
-        numerics=numerics,
-        site_areas=np.stack([c.values for c in areas]),
-        site_depths=np.stack([c.values for c in depths]),
-        extras=extras,
-    )
+    np.trunc(numerics[-1], out=numerics[-1])  # theatre_visits counts whole visits
+    return Dataset(ids, numerics, site_areas, site_depths,
+                   {name: columns[name].values for name in header[len(_HEADER):]})
 
 
 class _Sha256Sink:

@@ -153,10 +153,11 @@ def _condition_mask(cond: Condition, col: np.ndarray) -> np.ndarray:
 
 
 def no_burn_recorded(ds: Dataset) -> np.ndarray:
-    """Records with no burn area and no burn depth at any of the 27 sites
-    (missing cells count as unrecorded): the unclassifiable ones."""
+    """The unclassifiable records, for HRG grouping and ``preprocess``: no burn
+    area and no burn depth at any of the 27 sites. A missing cell counts as
+    unrecorded, so imputing zeros changes nothing. Only boolean masks are built."""
     no_area = (ds.site_areas == 0.0) | np.isnan(ds.site_areas)
-    no_depth = np.isin(ds.site_depths, (DEPTH_LEVELS.index(Depth.NONE), MISSING_DEPTH))
+    no_depth = (ds.site_depths == DEPTH_LEVELS.index(Depth.NONE)) | (ds.site_depths == MISSING_DEPTH)
     return no_area.all(axis=0) & no_depth.all(axis=0)
 
 

@@ -4,11 +4,12 @@
 
 1. drop extra columns that are administrative or mostly missing (missingness
    must be assessed before imputation hides it),
-2. count the missing cells and impute zeros (missing numeric -> 0, missing
-   categorical -> "none"),
-3. remove unclassifiable records (no burn area or depth at any site) and,
-   among the rest, outliers (LOS > 360 or cost > 1,000,000, strict), with one
-   row selection,
+2. choose the unclassifiable records (no burn area or depth at any site)
+   and, among the rest, the outliers (LOS > 360 or cost > 1,000,000, strict)
+   on the values before imputation, which chooses the rows imputation would:
+   a missing cell is unrecorded, and no outlier, either way,
+3. count the missing cells and impute zeros (missing numeric -> 0, missing
+   categorical -> "none") into one copy of the other rows,
 4. drop extra columns that are constant or duplicates on the surviving rows,
 5. report the rows and columns removed and the cells imputed.
 
@@ -71,19 +72,23 @@ def count_missing_cells(ds: Dataset) -> int:
     )
 
 
-def impute_zeros(ds: Dataset) -> Dataset:
-    """Replace every missing numeric cell with 0 and every missing
-    categorical cell with the designated "none" level."""
-    extras = {}
-    for name, col in ds.extras.items():
-        fill = 0.0 if col.dtype == np.float64 else CATEGORICAL_FILL
-        extras[name] = np.where(_missing(col), fill, col).astype(col.dtype)
+def impute_zeros(ds: Dataset, rows: np.ndarray | None = None) -> Dataset:
+    """The records at ``rows`` (integer positions; every record when None),
+    with every missing numeric cell set to 0 and every missing categorical
+    cell to the designated "none" level. Each column is copied once, as it
+    is selected, and filled in that copy."""
+    def filled(col: np.ndarray, missing, fill) -> np.ndarray:
+        col = col.copy() if rows is None else col[..., rows]
+        col[missing(col)] = fill
+        return col
+
     return Dataset(
-        ids=ds.ids,
-        numerics=np.where(np.isnan(ds.numerics), 0.0, ds.numerics),
-        site_areas=np.where(np.isnan(ds.site_areas), 0.0, ds.site_areas),
-        site_depths=np.where(ds.site_depths == MISSING_DEPTH, NO_BURN, ds.site_depths).astype(np.int8),
-        extras=extras,
+        ids=ds.ids if rows is None else ds.ids[rows],
+        numerics=filled(ds.numerics, np.isnan, 0.0),
+        site_areas=filled(ds.site_areas, np.isnan, 0.0),
+        site_depths=filled(ds.site_depths, lambda col: col == MISSING_DEPTH, NO_BURN),
+        extras={name: filled(col, _missing, 0.0 if col.dtype == np.float64 else CATEGORICAL_FILL)
+                for name, col in ds.extras.items()},
     )
 
 
@@ -123,16 +128,15 @@ def preprocess(
         elif n and (frac := int(_missing(col).sum()) / n) > missing_threshold:
             dropped[name] = f"missing_fraction {frac:.3f} > {missing_threshold}"
     ds = _without(ds, dropped)
-    cells = count_missing_cells(ds)
-    ds = impute_zeros(ds)
 
     # Outliers are counted only among the classifiable rows.
     unclassifiable = no_burn_recorded(ds)
     los_out = ~unclassifiable & (ds.factor_values("los_days") > LOS_OUTLIER)
     cost_out = ~unclassifiable & (ds.factor_values("total_cost") > COST_OUTLIER)
     keep = ~(unclassifiable | los_out | cost_out)
-    if not keep.all():
-        ds = ds.take(np.flatnonzero(keep))
+    cells = count_missing_cells(ds)
+    if not keep.all() or cells:
+        ds = impute_zeros(ds, None if keep.all() else np.flatnonzero(keep))
 
     # Constants and duplicates are judged on the surviving, imputed rows.
     seen: list[str] = []

@@ -1,7 +1,8 @@
 """Test-only API: cohort CSV from and to text and to a path, cohort-shaped
 datasets of any size drawn with numpy, the zero-one cost matrix and single
 cost-matrix entries, a tracemalloc peak with a text sink that drops what
-it is given, and a check that no child process is left. The package itself
+it is given and the array bytes it is measured against, and a check that no
+child process is left. The package itself
 reads cohorts from files, streams them to files and trains under the linear
 matrix only."""
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from casemix import dataio
+from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
 from casemix.domain import (
     CATEGORICAL_FILL,
     CORE_NUMERIC_FIELDS,
@@ -84,6 +86,18 @@ class Discard:
 
     def write(self, text: str) -> None:
         pass
+
+
+def array_bytes(ds: Dataset) -> int:
+    """The bytes of a dataset's arrays, ids counted as the pointers they hold."""
+    return sum(arr.nbytes for arr in (ds.ids, ds.numerics, ds.site_areas, ds.site_depths,
+                                      *ds.extras.values()))
+
+
+def blanked_cohort(n: int) -> Dataset:
+    """A generated cohort of ``n`` records with a fifth of its zero cells
+    blanked, as the README's config draws it."""
+    return inject_missingness(generate_cohort(CohortConfig(n=n, seed=11)), 0.2, seed=7)
 
 
 def traced_peak(fn, *args) -> int:

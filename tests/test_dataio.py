@@ -14,6 +14,8 @@ from casemix.domain import DEPTH_LEVELS, MISSING_DEPTH, N_SITES, Dataset
 from casemix.errors import InvalidArgument
 from tests.helpers import (
     Discard,
+    array_bytes,
+    blanked_cohort,
     csv_text,
     parse_cohort_csv,
     random_dataset,
@@ -309,12 +311,14 @@ def test_crlf_file_reads_like_lf(tmp_path, small_cohort):
     assert csv_text(read_cohort_csv(crlf)) == text
 
 
-def test_read_peak_memory_bounded_by_file_size(tmp_path):
-    """Reading holds a bounded chunk of rows plus each column's distinct
-    cells, not every cell of the file at once."""
+def test_read_peak_memory_bounded_by_array_bytes(tmp_path):
+    """Reading holds one chunk of rows as cell strings and each column as
+    narrow codes or parsed values, and builds each column into its row of
+    the dataset's arrays, so the peak stays near those arrays' bytes."""
+    ds = blanked_cohort(5000)
     path = tmp_path / "cohort.csv"
-    write_cohort_csv(generate_cohort(CohortConfig(n=5000, seed=11)), path)
-    assert traced_peak(read_cohort_csv, path) < 10 * path.stat().st_size
+    write_cohort_csv(ds, path)
+    assert traced_peak(read_cohort_csv, path) < 2.75 * array_bytes(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +475,46 @@ def test_chunk_size_does_not_change_result(case, data):
             rows[r] = (rows[r] + ["x"])[:width]
     outcomes = _parse_outcomes(_render(rows))
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40) | st.integers(dataio._CHUNK_ROWS - 20, 2 * dataio._CHUNK_ROWS + 20),
+       st.integers(0, 2**32 - 1), st.data())
+def test_chunk_size_does_not_change_directly_read_columns(n, seed, data):
+    """``id`` and a ``total_cost`` of distinct cells are parsed a chunk at a
+    time. A repeated id, a bad total_cost cell, or both in one row, in any
+    chunk, give the same dataset or the same first message at every chunk
+    size."""
+    rows = list(csv.reader(io.StringIO(csv_text(random_dataset(n, seed)))))
+    cost = rows[0].index("total_cost")
+    for r, row in enumerate(rows[1:]):
+        row[cost] = repr(1000.0 + r / 8)
+    row = st.integers(1, n)
+    for _ in range(data.draw(st.integers(0, 3))):
+        r, edit = data.draw(row), data.draw(st.sampled_from(["id", "total_cost", "both"]))
+        if edit != "total_cost":
+            rows[r][0] = rows[data.draw(row)][0]
+        if edit != "id":
+            rows[r][cost] = data.draw(st.sampled_from(["nan", "-1", "abc", "inf", "1e400"]))
+    outcomes = _parse_outcomes(_render(rows))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+@pytest.mark.parametrize("name, cells, direct", [
+    ("id", ("a", "b"), True), ("total_cost", ("1.5", "2.5"), True),
+    ("site_01_depth", ("none", "full"), True), ("ventilation_days", ("1", "2"), True),
+    ("total_cost", ("1.5", "1.5"), False), ("id", ("a", "a"), False),
+    ("pain_score", ("1", "2"), False),
+])
+def test_column_parsed_as_read_when_first_chunk_repeats_no_cell(name, cells, direct):
+    """A column of known kind is parsed as it is read when its first chunk
+    repeats no cell, and is held as codes otherwise; an extra of no
+    declared kind is always held as codes."""
+    column = dataio._ColumnReader(name)
+    column.add(cells)
+    column.add(cells[:1])
+    assert column.direct == direct
+    assert column.build().values.tolist() == column.parse(cells + cells[:1]).values.tolist()
 
 
 def test_numeric_looking_extra_with_late_word_stays_categorical(small_cohort):

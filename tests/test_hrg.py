@@ -15,6 +15,7 @@ from casemix.hrg import (
     validate_ruleset,
 )
 from casemix.preprocess import preprocess
+from tests.helpers import array_bytes, blanked_cohort, traced_peak
 from tests.records import dataset_of, make_record, records_of
 
 
@@ -207,6 +208,12 @@ class TestClassifyDataset:
         ds = dataset_of(make_record(id="a"), make_record(id="b"), make_record(id="c"))
         labels, _ = classify_dataset(ds, band_ruleset())
         assert len(set(labels)) == 1
+
+    def test_peak_memory_well_below_array_bytes(self):
+        """Grouping builds boolean masks and a rank per record, and copies
+        none of the dataset's arrays."""
+        ds = blanked_cohort(5000)
+        assert traced_peak(classify_dataset, ds, reference_ruleset()) < 0.5 * array_bytes(ds)
 
 
 class TestSerialization:

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import casemix.preprocess as preprocess_module
 from casemix.cohort import CohortConfig, generate_cohort, inject_missingness
-from casemix.domain import Dataset, Depth
+from casemix.domain import DEPTH_LEVELS, MISSING_DEPTH, N_SITES, Dataset, Depth
 from casemix.errors import InvalidArgument
+from casemix.hrg import no_burn_recorded
 from casemix.preprocess import (
+    COST_OUTLIER,
+    LOS_OUTLIER,
+    PreprocessReport,
     count_missing_cells,
     impute_zeros,
     log1p_factor,
     preprocess,
 )
+from tests.helpers import array_bytes, blanked_cohort, traced_peak
 from tests.records import dataset_of, make_record, records_of
 
 
@@ -81,15 +87,19 @@ class TestRemoveOutliers:
         assert report.outliers_by_reason == {"los_gt_360": 0, "cost_gt_1m": 0}
 
     def test_one_row_selection(self, monkeypatch):
+        """The kept rows are selected once, in the copy that imputation
+        fills; a clean dataset is neither selected nor copied."""
         calls = []
-        take = Dataset.take
+        take, impute = Dataset.take, preprocess_module.impute_zeros
         monkeypatch.setattr(Dataset, "take", lambda self, idx: calls.append(idx) or take(self, idx))
+        monkeypatch.setattr(preprocess_module, "impute_zeros",
+                            lambda ds, rows=None: calls.append(rows) or impute(ds, rows))
         ds = dataset_of(
             make_record(id="keep"), _no_burn(id="none"), make_record(id="los", los_days=400.0)
         )
         out, _ = preprocess(ds)
         assert out.ids.tolist() == ["keep"]
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0].tolist() == [0]
         preprocess(out)
         assert len(calls) == 1
 
@@ -238,3 +248,76 @@ class TestFullPipeline:
         out, report = preprocess(ds)
         assert "gap" in report.variables_dropped
         assert "ok" in out.extra_schema
+
+
+def test_peak_memory_one_copy_of_kept_rows():
+    """The kept rows are copied once and imputed in that copy."""
+    ds = blanked_cohort(5000)
+    assert traced_peak(preprocess, ds) < 1.25 * array_bytes(ds)
+
+
+def _impute_then_select(ds: Dataset) -> tuple[Dataset, PreprocessReport]:
+    """``preprocess`` at its default settings, the other way round: every
+    row is imputed, and rows are chosen on the imputed values."""
+    n, dropped = len(ds), {}
+    for name, col in ds.extras.items():
+        missing = int((np.isnan(col) if col.dtype == np.float64 else np.equal(col, None)).sum())
+        if n and missing / n > 0.6:
+            dropped[name] = f"missing_fraction {missing / n:.3f} > 0.6"
+    ds = Dataset(ds.ids, ds.numerics, ds.site_areas, ds.site_depths,
+                 {name: col for name, col in ds.extras.items() if name not in dropped})
+    cells = count_missing_cells(ds)
+    ds = impute_zeros(ds)
+    unclassifiable = no_burn_recorded(ds)
+    los_out = ~unclassifiable & (ds.factor_values("los_days") > LOS_OUTLIER)
+    cost_out = ~unclassifiable & (ds.factor_values("total_cost") > COST_OUTLIER)
+    ds = ds.take(np.flatnonzero(~(unclassifiable | los_out | cost_out)))
+    seen = []
+    for name, col in ds.extras.items():
+        first = next((s for s in seen if ds.extras[s].tolist() == col.tolist()), None)
+        if len(ds) and (col == col[0]).all():
+            dropped[name] = "constant"
+        elif first is not None:
+            dropped[name] = f"duplicate_of:{first}"
+        else:
+            seen.append(name)
+    ds = Dataset(ds.ids, ds.numerics, ds.site_areas, ds.site_depths,
+                 {name: col for name, col in ds.extras.items() if name not in dropped})
+    return ds, PreprocessReport(
+        rows_in=n, rows_out=len(ds), outliers_removed=int((los_out | cost_out).sum()),
+        outliers_by_reason={"los_gt_360": int(los_out.sum()), "cost_gt_1m": int(cost_out.sum())},
+        unclassifiable_removed=int(unclassifiable.sum()), variables_dropped=dropped,
+        cells_imputed=cells,
+    )
+
+
+@st.composite
+def gappy_datasets(draw):
+    """Up to 12 records whose LOS and cost may be missing or beyond the
+    outlier thresholds, and whose sites are blank (area 0, depth none) or
+    missing, except at the burned records' burned sites; with a numeric and
+    a categorical extra, each with missing cells."""
+    n = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    numerics = rng.choice([np.nan, 0.0, 7.5, LOS_OUTLIER, 361.0, COST_OUTLIER, 2e6], (5, n))
+    numerics[-1] = rng.choice([np.nan, 0.0, 2.0], n)
+    burn = (rng.random(n) < draw(st.floats(0, 1))) & (rng.random((N_SITES, n)) < 0.3)
+    unburned = rng.choice([DEPTH_LEVELS.index(Depth.NONE), MISSING_DEPTH], (N_SITES, n))
+    return Dataset(
+        np.array([f"R{i}" for i in range(n)], dtype=object), numerics,
+        np.where(burn, 4.5, rng.choice([0.0, np.nan], (N_SITES, n))),
+        np.where(burn, DEPTH_LEVELS.index(Depth.PARTIAL), unburned).astype(np.int8),
+        {"visits": rng.choice([np.nan, 1.0, 2.0], n),
+         "sex": np.array(["F", "M", None], dtype=object)[rng.integers(0, 3, n)]},
+    )
+
+
+@settings(deadline=None)
+@given(gappy_datasets())
+def test_selecting_before_imputing_changes_nothing(ds):
+    """Rows chosen on the values before imputation are the rows chosen on
+    the imputed values: the datasets and reports are equal."""
+    out, report = preprocess(ds)
+    expected, expected_report = _impute_then_select(ds)
+    assert out == expected
+    assert report == expected_report
