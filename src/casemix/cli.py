@@ -261,6 +261,8 @@ def _write_cohort(manifest: _Manifest, ds: Dataset, out: Path) -> str:
 
 def cmd_generate(args) -> None:
     out = Path(args.out)
+    if out.name in ("", "..") or out.is_dir():
+        raise InvalidArgument(f"--out {args.out!r} names a directory, not a file")
     manifest = _Manifest("generate", out.parent)
     doc = read_json(args.config, "config")
     ds = _generate(manifest, args.config, doc, args.ephemeral)
@@ -487,7 +489,10 @@ def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], svg: bool,
     ``ds`` is the preprocessed cohort, ``tree`` the final tree, whose k is the
     pipeline's, and ``test_ms`` the oversampled test multiset in any order.
     `evaluate` reads these from the files it records as inputs, `all` passes
-    what it wrote there."""
+    what it wrote there. Each side, the training rows under their engineered
+    labels and the test rows under the tree's predictions, is compared with
+    the HRG groups in one pass: it takes the side's rows, writes the side's
+    variances, box plots and figures, and drops the rows before the next."""
     hrg_labels = _join_hrg(ds, hrg_by_id)
 
     loss = linear_cost_matrix(tree.k)
@@ -496,50 +501,45 @@ def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], svg: bool,
     conf_test = confusion(final_labels[test_idx], predictions[test_idx], loss)
     conf_test_os = confusion(final_labels[test_ms], predictions[test_ms], loss)
 
-    train_ds, test_ds = ds.take(train_idx), ds.take(test_idx)
-    comp_train = compare_groupings(train_ds, final_labels[train_idx], hrg_labels[train_idx])
-    comp_test = compare_groupings(test_ds, predictions[test_idx], hrg_labels[test_idx])
-    comp_test.merge_candidates = merge_diagnostic(conf_test)
-
-    box = {"train": {}, "test": {}}
-    for factor in FACTOR_FIELDS:
-        train_vals = train_ds.factor_values(factor)
-        test_vals = test_ds.factor_values(factor)
-        box["train"][factor] = {
-            "dt": boxplot_stats(train_vals, final_labels[train_idx]),
-            "hrg": boxplot_stats(train_vals, hrg_labels[train_idx]),
-        }
-        box["test"][factor] = {
-            "dt": boxplot_stats(test_vals, predictions[test_idx]),
-            "hrg": boxplot_stats(test_vals, hrg_labels[test_idx]),
-        }
-
-    rules = extract_rules(tree)
-    comparison_doc = {
-        "train": comp_train.to_dict(),
-        "test": comp_test.to_dict(),
-        "merge_candidates": comp_test.merge_candidates,
-    }
-
-    manifest.text("comparison.json", _json_dumps(comparison_doc))
-    manifest.text("confusion_test.json", _json_dumps(conf_test.to_dict()))
-    manifest.text("confusion_test_oversampled.json", _json_dumps(conf_test_os.to_dict()))
-    sides = (("train", comp_train), ("test", comp_test))
-    for side, comp in sides:
+    comparison_doc = {}
+    for side, idx, labels in (("train", train_idx, final_labels), ("test", test_idx, predictions)):
+        rows, dt, hrg = ds.take(idx), labels[idx], hrg_labels[idx]
+        comp = compare_groupings(rows, dt, hrg)
+        box = {f: {name: boxplot_stats(rows.factor_values(f), groups)
+                   for name, groups in (("dt", dt), ("hrg", hrg))} for f in FACTOR_FIELDS}
+        del rows
+        comparison_doc[side] = comp.to_dict()
         manifest.csv(f"variances_{side}.csv", ["factor", "grouping", "rank", "n", "variance"], (
             [factor, grouping, rank, gv.n, repr(gv.variance)]
             for factor, reports in comp.factors.items()
             for grouping, report in (("dt", reports.dt), ("hrg", reports.hrg))
             for rank, gv in sorted(report.per_group.items())
         ))
-    for side, per_factor in box.items():
         manifest.csv(f"boxplots_{side}.csv",
                      ["factor", "grouping", "rank", "min", "q1", "median", "q3", "max", "n"], (
             [factor, grouping, rank, *map(repr, (s.min, s.q1, s.median, s.q3, s.max)), s.n]
-            for factor, groupings in per_factor.items()
+            for factor, groupings in box.items()
             for grouping, stats in groupings.items()
             for rank, s in sorted(stats.items())
         ))
+        if not svg:
+            continue
+        for factor in FACTOR_FIELDS:
+            reports, title = comp.factors[factor], f"Intra-group variance: {factor} ({side})"
+            manifest.output(f"variance_{factor}_{side}.svg",
+                            lambda fh: variance_bars_svg(reports.dt, reports.hrg, title, fh))
+            if side == "test":
+                stats = box[factor]
+                manifest.output(f"boxplot_{factor}_test.svg",
+                                lambda fh: boxplots_svg(stats["dt"], stats["hrg"],
+                                                        f"{factor} by group (test)", fh))
+    comparison_doc["merge_candidates"] = comparison_doc["test"]["merge_candidates"] = (
+        merge_diagnostic(conf_test))
+
+    rules = extract_rules(tree)
+    manifest.text("comparison.json", _json_dumps(comparison_doc))
+    manifest.text("confusion_test.json", _json_dumps(conf_test.to_dict()))
+    manifest.text("confusion_test_oversampled.json", _json_dumps(conf_test_os.to_dict()))
     manifest.text("rules.txt", "".join(rule.render() + "\n" for rule in rules))
     manifest.csv("rules.csv", ["rule", "conditions", "class", "support", "expected_cost"], (
         [i, rule.condition_text, rule.label, rule.support, repr(rule.expected_cost)]
@@ -549,15 +549,6 @@ def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], svg: bool,
                  zip(range(len(final_labels)), *(factor_ranks[f].tolist() for f in FACTOR_FIELDS),
                      final_labels.tolist()))
     if svg:
-        for factor in FACTOR_FIELDS:
-            for side, comp in sides:
-                reports, title = comp.factors[factor], f"Intra-group variance: {factor} ({side})"
-                manifest.output(f"variance_{factor}_{side}.svg",
-                                lambda fh: variance_bars_svg(reports.dt, reports.hrg, title, fh))
-            stats = box["test"][factor]
-            manifest.output(f"boxplot_{factor}_test.svg",
-                            lambda fh: boxplots_svg(stats["dt"], stats["hrg"],
-                                                    f"{factor} by group (test)", fh))
         manifest.output("rank_spread.svg",
                         lambda fh: rank_spread_svg(factor_ranks, final_labels, tree.k, fh))
     manifest.write(manifest.root / "manifest.json")

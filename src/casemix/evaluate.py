@@ -10,6 +10,7 @@ mean reported alongside for transparency.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,27 +37,30 @@ class VarianceReport:
         return dict(vars(self), per_group={str(g): asdict(gv) for g, gv in self.per_group.items()})
 
 
-def intra_group_variance(values, groups) -> VarianceReport:
-    """Per-group sample variance (n-1 denominator) of log1p(values)."""
+def _members(values, groups) -> Iterator[tuple[int, np.ndarray]]:
+    """Each label of ``groups`` in ascending order, as an int, with the
+    float64 ``values`` it labels, in their order. The two must align; that
+    is checked when the first label is asked for, before the caller has
+    seen any value."""
     vals = np.asarray(values, dtype=np.float64)
     labels = np.asarray(groups)
     if vals.shape != labels.shape:
         raise InvalidArgument("values and groups must align")
-    logs = log1p_factor(vals)
+    for g in np.unique(labels):
+        yield int(g), vals[labels == g]
+
+
+def intra_group_variance(values, groups) -> VarianceReport:
+    """Per-group sample variance (n-1 denominator) of log1p(values)."""
     per_group: dict[int, GroupVariance] = {}
     small = []
-    for g in np.unique(labels):
-        member = logs[labels == g]
-        key = int(g)
+    for key, member in _members(values, groups):
+        member = log1p_factor(member)
         if member.size <= 1:
-            per_group[key] = GroupVariance(n=int(member.size), variance=0.0)
             small.append(key)
-        elif np.all(member == member[0]):
-            per_group[key] = GroupVariance(n=int(member.size), variance=0.0)
-        else:
-            per_group[key] = GroupVariance(
-                n=int(member.size), variance=float(member.var(ddof=1))
-            )
+        flat = member.size <= 1 or np.all(member == member[0])
+        per_group[key] = GroupVariance(n=member.size,
+                                       variance=0.0 if flat else float(member.var(ddof=1)))
     eligible = [gv for gv in per_group.values() if gv.n >= 2]
     if eligible:
         mean = float(np.mean([gv.variance for gv in eligible]))
@@ -123,15 +127,10 @@ class BoxStats:
 def boxplot_stats(values, groups) -> dict[int, BoxStats]:
     """Five-number summary per group; quartiles use linear interpolation
     between order statistics. Empty groups are simply absent."""
-    vals = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(groups)
-    if vals.shape != labels.shape:
-        raise InvalidArgument("values and groups must align")
     out: dict[int, BoxStats] = {}
-    for g in np.unique(labels):
-        member = vals[labels == g]
+    for g, member in _members(values, groups):
         q1, med, q3 = np.percentile(member, [25, 50, 75], method="linear")
-        out[int(g)] = BoxStats(
+        out[g] = BoxStats(
             min=float(member.min()), q1=float(q1), median=float(med), q3=float(q3),
             max=float(member.max()), n=int(member.size),
         )
@@ -162,13 +161,6 @@ class GroupingComparison:
 
     def to_dict(self) -> dict:
         return dict(vars(self), factors={f: c.to_dict() for f, c in self.factors.items()})
-
-
-def _rank_means(values: np.ndarray, labels: np.ndarray) -> tuple[list[float], bool]:
-    ranks = sorted(int(g) for g in np.unique(labels))
-    means = [float(values[labels == g].mean()) for g in ranks]
-    monotone = all(b >= a for a, b in zip(means, means[1:]))
-    return means, monotone
 
 
 #: Confusion rate above which ``merge_diagnostic`` flags an adjacent pair.
@@ -221,9 +213,9 @@ def compare_groupings(ds: Dataset, dt_labels, hrg_labels) -> GroupingComparison:
             dt_lower=dt_report.mean_variance < hrg_report.mean_variance,
         )
         for name, labels in (("dt", dt), ("hrg", hrg)):
-            means, mono = _rank_means(values, labels)
+            means = [float(member.mean()) for _, member in _members(values, labels)]
             rank_means[name][factor] = means
-            rank_monotone[name][factor] = mono
+            rank_monotone[name][factor] = all(b >= a for a, b in zip(means, means[1:]))
     return GroupingComparison(
         factors=factors,
         dt_wins_all=all(c.dt_lower for c in factors.values()),

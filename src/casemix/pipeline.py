@@ -166,8 +166,8 @@ def engineer_final_targets(
     mean_ranks = stacked.mean(axis=0)
     result = kmeans(mean_ranks, config.k)
     ranks = rank_clusters(result, mean_ranks)
-    final = np.array([ranks[int(c)] for c in result.assignments], dtype=np.int64)
-    return final, mean_ranks
+    rank_of = np.array([ranks[c] for c in range(result.k)], dtype=np.int64)
+    return rank_of[result.assignments], mean_ranks
 
 
 def stratified_split(labels, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,10 @@
 """Dependency-free SVG rendering of the report figures.
 
 Only what the reports need: grouped bar charts of per-group variance,
-side-by-side boxplots, and the rank-spread scatter. Output is well-formed
+side-by-side boxplots, and the rank-spread scatter. The two grouped charts
+share one frame, ``_grouped_chart``: the rank slots and their labels, both
+axes, the title and the DT/HRG legend; each chart draws only its marks for
+one grouping at one rank. Output is well-formed
 standalone SVG 1.1, written element by element to a text sink (an open file
 or an ``io.StringIO``), so no figure's text is held whole.
 """
@@ -75,72 +78,69 @@ def _y_scale(max_value: float, height: int):
     return scale
 
 
-def variance_bars_svg(dt_report, hrg_report, title: str, out) -> None:
-    """Grouped bars to ``out``: per-rank variance for the tree groups vs the
-    HRG groups, with the headline means in the legend."""
-    ranks = sorted(set(dt_report.per_group) | set(hrg_report.per_group))
-    width, height = max(560, 40 * len(ranks) + 2 * _MARGIN), 320
+def _grouped_chart(out, title: str, rank_width: int, height: int, top: float, draw,
+                   groupings) -> None:
+    """The grouped-chart frame, to ``out``: a slot per rank of either
+    grouping (at least ``rank_width`` wide) labelled below, both axes,
+    ``title`` and a legend swatch per grouping. ``groupings`` holds, for the
+    tree groups then the HRG groups, (items by rank, the fraction of a slot
+    at which ``draw(canvas, scale, x, slot, item, color)`` draws each, the
+    legend entry's x offset, its label). The y scale runs from 0 to ``top``,
+    or to 1.0 if ``top`` is not above 0."""
+    ranks = sorted(set().union(*(items for items, *_ in groupings)))
+    width = max(560, rank_width * len(ranks) + 2 * _MARGIN)
     canvas = SvgCanvas(out, width, height)
-
-    def var_of(report, rank):
-        gv = report.per_group.get(rank)
-        return gv.variance if gv else 0.0
-
-    values = [max(var_of(dt_report, r), var_of(hrg_report, r)) for r in ranks]
-    scale = _y_scale(max(values) if values else 1.0, height)
+    scale = _y_scale(top, height)
     slot = (width - 2 * _MARGIN) / max(len(ranks), 1)
-    bar = slot * 0.35
+    colored = tuple(zip(groupings, (DT_COLOR, HRG_COLOR)))
     for i, r in enumerate(ranks):
         x0 = _MARGIN + i * slot
-        for offset, report, color in ((0.1, dt_report, DT_COLOR), (0.5, hrg_report, HRG_COLOR)):
-            gv = report.per_group.get(r)
-            if gv is None:
-                continue
-            y = scale(gv.variance)
-            canvas.rect(x0 + offset * slot, y, bar, height - _MARGIN - y, color)
+        for (items, offset, _, _), color in colored:
+            if r in items:
+                draw(canvas, scale, x0 + offset * slot, slot, items[r], color)
         canvas.text(x0 + slot / 2, height - _MARGIN + 16, r, anchor="middle")
     canvas.line(_MARGIN, height - _MARGIN, width - _MARGIN, height - _MARGIN)
     canvas.line(_MARGIN, _MARGIN, _MARGIN, height - _MARGIN)
     canvas.text(_MARGIN, _MARGIN - 24, title, size=14)
-    canvas.rect(_MARGIN, _MARGIN - 16, 10, 10, DT_COLOR)
-    canvas.text(_MARGIN + 14, _MARGIN - 7, f"DT (mean {dt_report.mean_variance:.2f})")
-    canvas.rect(_MARGIN + 180, _MARGIN - 16, 10, 10, HRG_COLOR)
-    canvas.text(_MARGIN + 194, _MARGIN - 7, f"HRG (mean {hrg_report.mean_variance:.2f})")
+    for (_, _, x, label), color in colored:
+        canvas.rect(_MARGIN + x, _MARGIN - 16, 10, 10, color)
+        canvas.text(_MARGIN + x + 14, _MARGIN - 7, label)
     canvas.close()
+
+
+def variance_bars_svg(dt_report, hrg_report, title: str, out) -> None:
+    """Grouped bars to ``out``: per-rank variance for the tree groups vs the
+    HRG groups, with the headline means in the legend."""
+    height = 320
+    top = max((gv.variance for report in (dt_report, hrg_report)
+               for gv in report.per_group.values()), default=1.0)
+
+    def draw_bar(canvas, scale, x, slot, gv, color):
+        y = scale(gv.variance)
+        canvas.rect(x, y, slot * 0.35, height - _MARGIN - y, color)
+
+    _grouped_chart(out, title, 40, height, top, draw_bar, (
+        (dt_report.per_group, 0.1, 0, f"DT (mean {dt_report.mean_variance:.2f})"),
+        (hrg_report.per_group, 0.5, 180, f"HRG (mean {hrg_report.mean_variance:.2f})"),
+    ))
 
 
 def boxplots_svg(dt_stats, hrg_stats, title: str, out) -> None:
     """Side-by-side box-and-whisker per rank for the two groupings, to ``out``."""
-    ranks = sorted(set(dt_stats) | set(hrg_stats))
-    width, height = max(560, 44 * len(ranks) + 2 * _MARGIN), 360
-    canvas = SvgCanvas(out, width, height)
-    top = max((s.max for s in list(dt_stats.values()) + list(hrg_stats.values())), default=1.0)
-    scale = _y_scale(top, height)
-    slot = (width - 2 * _MARGIN) / max(len(ranks), 1)
-    box_w = slot * 0.3
+    top = max((s.max for stats in (dt_stats, hrg_stats) for s in stats.values()), default=1.0)
 
-    def draw_box(stats, x, color):
+    def draw_box(canvas, scale, x, slot, stats, color):
+        box_w = slot * 0.3
         mid = x + box_w / 2
         canvas.line(mid, scale(stats.min), mid, scale(stats.q1), stroke=color)
         canvas.line(mid, scale(stats.q3), mid, scale(stats.max), stroke=color)
         canvas.rect(x, scale(stats.q3), box_w, scale(stats.q1) - scale(stats.q3), color, 0.45)
         canvas.line(x, scale(stats.median), x + box_w, scale(stats.median), stroke=color, width=2)
 
-    for i, r in enumerate(ranks):
-        x0 = _MARGIN + i * slot
-        if r in dt_stats:
-            draw_box(dt_stats[r], x0 + slot * 0.12, DT_COLOR)
-        if r in hrg_stats:
-            draw_box(hrg_stats[r], x0 + slot * 0.55, HRG_COLOR)
-        canvas.text(x0 + slot / 2, height - _MARGIN + 16, r, anchor="middle")
-    canvas.line(_MARGIN, height - _MARGIN, width - _MARGIN, height - _MARGIN)
-    canvas.line(_MARGIN, _MARGIN, _MARGIN, height - _MARGIN)
-    canvas.text(_MARGIN, _MARGIN - 24, title, size=14)
-    canvas.rect(_MARGIN, _MARGIN - 16, 10, 10, DT_COLOR)
-    canvas.text(_MARGIN + 14, _MARGIN - 7, "DT groups")
-    canvas.rect(_MARGIN + 120, _MARGIN - 16, 10, 10, HRG_COLOR)
-    canvas.text(_MARGIN + 134, _MARGIN - 7, "HRG groups")
-    canvas.close()
+    _grouped_chart(out, title, 44, 360, top, draw_box, (
+        (dt_stats, 0.12, 0, "DT groups"),
+        (hrg_stats, 0.55, 120, "HRG groups"),
+    ))
 
 
 def rank_spread_svg(factor_ranks: dict[str, np.ndarray], final_ranks: np.ndarray, k: int,

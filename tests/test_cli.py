@@ -138,11 +138,23 @@ class TestGenerate:
         assert "wall_time_s" in manifest
         assert manifest["peak_rss_mb"] > 0
 
-    def test_output_onto_directory_exit_3_leaves_no_tmp(self, tmp_path):
-        out = tmp_path / "taken"
-        (out / "inside").mkdir(parents=True)
-        assert main(["generate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == EXIT_IO
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+    @pytest.mark.parametrize("out", ["", ".", "..", "/", "inside", "inside/..", "missing/.."])
+    def test_out_naming_no_file_exit_2_writes_nothing(self, tmp_path, monkeypatch, capsys, out):
+        """An --out with no file name, or naming an existing directory, is
+        refused naming it, before the cohort is drawn."""
+        import casemix.cli as cli
+
+        def not_drawn(config):
+            raise AssertionError("the cohort was drawn")
+
+        monkeypatch.setattr(cli, "generate_cohort", not_drawn)
+        cfg = write_config(tmp_path)
+        (tmp_path / "taken" / "inside").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "taken")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["generate", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
+        assert f"--out {out!r}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_writer_failing_after_one_block_leaves_nothing(self, tmp_path, monkeypatch):
         """The cohort is streamed to its .tmp file; a failure part-way

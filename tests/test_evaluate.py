@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from casemix.domain import linear_cost_matrix
+from casemix.domain import (
+    CORE_NUMERIC_FIELDS,
+    FACTOR_FIELDS,
+    N_SITES,
+    Dataset,
+    linear_cost_matrix,
+)
 from casemix.errors import InvalidArgument
 from casemix.evaluate import (
+    BoxStats,
+    GroupVariance,
+    VarianceReport,
     boxplot_stats,
     compare_groupings,
     confusion,
@@ -53,6 +63,10 @@ class TestIntraGroupVariance:
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgument):
             intra_group_variance([1.0], [1, 2])
+
+    def test_length_mismatch_reported_before_negative_value(self):
+        with pytest.raises(InvalidArgument, match="align"):
+            intra_group_variance([-1.0], [1, 2])
 
 
 class TestConfusion:
@@ -224,3 +238,76 @@ class TestRefinementProperty:
         split = intra_group_variance(values, fine)
         assert split.per_group[1].variance <= whole
         assert split.per_group[2].variance <= whole
+
+
+def masked_groups(values, groups) -> list[tuple[int, np.ndarray]]:
+    """Each distinct label, ascending, with the values its mask selects."""
+    values, groups = np.asarray(values, dtype=np.float64), np.asarray(groups)
+    return [(g, values[groups == g]) for g in sorted(set(groups.tolist()))]
+
+
+def reference_variance(values, groups) -> VarianceReport:
+    """``intra_group_variance`` with a mask per label over the logs of every value."""
+    per_group, small = {}, []
+    for g, member in masked_groups(np.log1p(np.asarray(values, dtype=np.float64)), groups):
+        if member.size <= 1:
+            small.append(g)
+        flat = member.size <= 1 or np.all(member == member[0])
+        per_group[g] = GroupVariance(n=member.size, variance=0.0 if flat else float(member.var(ddof=1)))
+    eligible = [gv for gv in per_group.values() if gv.n >= 2]
+    mean = float(np.mean([gv.variance for gv in eligible])) if eligible else 0.0
+    weighted = (float(sum(gv.variance * gv.n for gv in eligible) / sum(gv.n for gv in eligible))
+                if eligible else 0.0)
+    return VarianceReport(per_group, mean, weighted, tuple(small))
+
+
+def reference_boxes(values, groups) -> dict[int, BoxStats]:
+    out = {}
+    for g, member in masked_groups(values, groups):
+        q1, median, q3 = np.percentile(member, [25, 50, 75], method="linear")
+        out[g] = BoxStats(float(member.min()), float(q1), float(median), float(q3),
+                          float(member.max()), member.size)
+    return out
+
+
+def factor_dataset(columns: dict[str, list[float]]) -> Dataset:
+    """A dataset holding ``columns`` as its core numerics, the rest zero."""
+    n = len(next(iter(columns.values())))
+    numerics = np.zeros((len(CORE_NUMERIC_FIELDS), n))
+    for name, column in columns.items():
+        numerics[CORE_NUMERIC_FIELDS.index(name)] = column
+    return Dataset(ids=np.array([str(i) for i in range(n)], dtype=object), numerics=numerics,
+                   site_areas=np.zeros((N_SITES, n)),
+                   site_depths=np.zeros((N_SITES, n), dtype=np.int8))
+
+
+@st.composite
+def labelled_values(draw):
+    """Non-negative values with two labelings drawn from a few unsorted,
+    negative or int64-extreme labels; one label, or no values, included."""
+    label = st.sampled_from([-2**63, -7, -1, 0, 1, 5, 13, 2**62, 2**63 - 1])
+    pools = [draw(st.lists(label, min_size=1, max_size=4, unique=True)) for _ in range(2)]
+    n = draw(st.integers(0, 30))
+    value = st.floats(0.0, 1e12, allow_subnormal=True) | st.sampled_from([0.0, 1.0, 2.5])
+    columns = {f: draw(st.lists(value, min_size=n, max_size=n)) for f in FACTOR_FIELDS}
+    dt, hrg = (draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for pool in pools)
+    return columns, dt, hrg
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_values())
+def test_group_by_matches_a_mask_per_label(case):
+    """The variance reports, box statistics and rank means are, bit for bit,
+    those computed from one boolean mask per label (``repr`` tells every
+    double apart)."""
+    columns, dt, hrg = case
+    comparison = compare_groupings(factor_dataset(columns), np.array(dt), np.array(hrg))
+    for factor, values in columns.items():
+        for name, labels in (("dt", dt), ("hrg", hrg)):
+            assert repr(intra_group_variance(values, labels)) == repr(
+                reference_variance(values, labels))
+            assert repr(getattr(comparison.factors[factor], name)) == repr(
+                reference_variance(values, labels))
+            assert repr(boxplot_stats(values, labels)) == repr(reference_boxes(values, labels))
+            means = [float(member.mean()) for _, member in masked_groups(values, labels)]
+            assert repr(comparison.rank_means[name][factor]) == repr(means)

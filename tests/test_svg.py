@@ -63,6 +63,30 @@ def test_rank_spread_well_formed():
     assert sum(1 for c in root if c.tag.endswith("circle")) > 100
 
 
+@pytest.mark.parametrize("figure, report", [(variance_bars_svg, intra_group_variance),
+                                            (boxplots_svg, boxplot_stats)])
+def test_grouped_charts_with_no_ranks(figure, report):
+    """An empty test split gives reports with no ranks: the chart is its
+    frame alone, at the least width, with the two legend swatches."""
+    root = well_formed(svg_text(figure, report([], []), report([], []), "empty split"))
+    assert root.get("width") == "560"
+    assert [child.tag.rpartition("}")[2] for child in root] == [
+        "line", "line", "text", "rect", "text", "rect", "text"]
+
+
+@pytest.mark.parametrize("figure, report", [(variance_bars_svg, intra_group_variance),
+                                            (boxplots_svg, boxplot_stats)])
+def test_grouped_charts_of_zeros_sit_on_the_axis(figure, report):
+    """Reports whose every value is 0 fall back to a y scale up to 1.0, so
+    every mark lies on the x axis."""
+    zeros = report([0.0] * 4, [1, 1, 2, 2])
+    root = well_formed(svg_text(figure, zeros, zeros, "all zero"))
+    axis = f"{int(root.get('height')) - svgplot._MARGIN:.2f}"
+    marks = [c for c in root if c.tag.endswith("rect")][:-2]  # the last two are the legend's
+    assert len(marks) == 4
+    assert all(c.get("y") == axis and c.get("height") == "0.00" for c in marks)
+
+
 def test_deterministic_output():
     values, dt, hrg = sample_reports()
     reports = (intra_group_variance(values, dt), intra_group_variance(values, hrg), "t")
