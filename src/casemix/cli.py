@@ -406,6 +406,10 @@ def _read_result_dir(result_dir: Path):
         if not (result_dir / name).is_file():
             raise InvalidArgument(f"result dir is missing {name}")
     ds = _load_cohort(result_dir / "preprocessed.csv")
+    table = dataset_to_table(ds)
+    for name, col in zip(table.names, table.columns):  # `train` writes every cell imputed
+        if (np.isnan(col) if col.dtype == np.float64 else col < 0).any():
+            raise InvalidArgument(f"result {result_dir / 'preprocessed.csv'}: blank {name!r} cell")
     try:
         config = _read_document(result_dir / "config.json", PipelineConfig.from_dict)
         tree = _read_document(result_dir / "model.json", tree_from_dict)
@@ -441,7 +445,11 @@ def _read_result_dir(result_dir: Path):
         raise InvalidArgument(f"split.csv test multiplicities sum to {multiplicity.sum()}, "
                               f"above k {tree.k} times its {len(test_idx)} test rows")
     test_ms = np.repeat(test_idx, multiplicity)
-    return ds, tree, final_labels, factor_ranks, train_idx, test_idx, test_ms
+    try:
+        predictions = predict(tree, table)
+    except InvalidArgument as e:  # the model's schema is not the table's
+        raise InvalidArgument(f"result {result_dir / 'model.json'}: {e}") from None
+    return ds, tree, predictions, final_labels, factor_ranks, train_idx, test_idx, test_ms
 
 
 def _read_hrg_labels(path: Path) -> dict[str, str]:
@@ -483,11 +491,13 @@ def _join_hrg(ds: Dataset, hrg_by_id: dict[str, str]) -> np.ndarray:
 
 
 def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], svg: bool,
-              ds: Dataset, tree, final_labels: np.ndarray, factor_ranks: dict,
-              train_idx: np.ndarray, test_idx: np.ndarray, test_ms: np.ndarray) -> None:
+              ds: Dataset, tree, predictions: np.ndarray, final_labels: np.ndarray,
+              factor_ranks: dict, train_idx: np.ndarray, test_idx: np.ndarray,
+              test_ms: np.ndarray) -> None:
     """Compare a trained model with the HRG labels ``hrg_by_id``:
     ``ds`` is the preprocessed cohort, ``tree`` the final tree, whose k is the
-    pipeline's, and ``test_ms`` the oversampled test multiset in any order.
+    pipeline's, ``predictions`` its groups for ``ds``, and ``test_ms`` the
+    oversampled test multiset in any order.
     `evaluate` reads these from the files it records as inputs, `all` passes
     what it wrote there. Each side, the training rows under their engineered
     labels and the test rows under the tree's predictions, is compared with
@@ -496,8 +506,6 @@ def _evaluate(manifest: _Manifest, hrg_by_id: dict[str, str], svg: bool,
     hrg_labels = _join_hrg(ds, hrg_by_id)
 
     loss = linear_cost_matrix(tree.k)
-    predictions = predict(tree, dataset_to_table(ds))
-
     conf_test = confusion(final_labels[test_idx], predictions[test_idx], loss)
     conf_test_os = confusion(final_labels[test_ms], predictions[test_ms], loss)
 
@@ -645,8 +653,9 @@ def cmd_all(args) -> None:
     for name in _RESULT_FILES:
         evaluate.add_input(train.root / name, train.doc["outputs"][name])
     evaluate.add_input(hrg_out / "labels.csv", labels_sha256)
-    _evaluate(evaluate, hrg_by_id, args.svg, result.preprocessed,
-              result.final_tree, result.final_labels, result.factor_labels, result.train_idx,
+    _evaluate(evaluate, hrg_by_id, args.svg, result.preprocessed, result.final_tree,
+              predict(result.final_tree, dataset_to_table(result.preprocessed)),
+              result.final_labels, result.factor_labels, result.train_idx,
               result.test_idx, result.test_multiset)
 
     manifest.doc["outputs"].update({

@@ -37,11 +37,12 @@ stops at this tree too, the largest minimizer of risk + alpha * leaves;
 under an integer loss matrix every risk is exact, so the two agree bit for
 bit.
 
-Layout: a fitted ``DecisionTree`` is a set of parallel per-node arrays in
-preorder, the layout of rpart's ``frame`` table and scikit-learn's ``Tree``.
-The left child of internal node i is node i + 1 and its right child is
-``right[i]``, so every subtree is a contiguous index range and every walk
-is a loop over indices or an explicit stack; nothing here recurses.
+Layout: a fitted ``DecisionTree`` is a list of ``Node`` records in
+preorder, the node order of rpart's ``frame`` table and scikit-learn's
+``Tree``; split search returns the record that growth keeps. The left child
+of internal node i is node i + 1 and its right child is ``nodes[i].right``,
+so every subtree is a contiguous index range and every walk is a loop over
+indices or an explicit stack; nothing here recurses.
 
 Encoding: a ``FeatureTable`` holds each categorical column as int32 codes
 into its sorted levels, made once by ``FeatureTable.from_items`` (site
@@ -212,9 +213,13 @@ class FeatureTable:
         return cls(tuple(names), tuple(kinds), tuple(cols), levels)
 
 
-class _Node(NamedTuple):
-    """One node's fields while a tree is grown or read. A leaf keeps the
-    split fields' defaults, an internal node those of label and cost."""
+class Node(NamedTuple):
+    """One tree node; every field but the float64 class ``counts`` is a
+    Python int or float. An internal node splits on schema feature
+    ``feature`` (-1 marks a leaf): a value goes left when it is below
+    ``threshold``, or when its level's bit is set in ``left_set``, a bitmask
+    over that feature's ``feature_levels``. Fields a node does not use keep
+    their defaults."""
 
     n: int
     counts: np.ndarray
@@ -228,33 +233,13 @@ class _Node(NamedTuple):
     expected_cost: float = math.nan
 
 
-def _node_arrays(nodes: list[_Node]) -> dict[str, np.ndarray]:
-    """Nodes in preorder as the DecisionTree node arrays, one per field.
-    ``left_set`` holds Python ints, wide enough for any number of levels."""
-    columns = zip(_Node._fields, zip(*nodes))
-    return {name: np.array(c, dtype=object if name == "left_set" else None) for name, c in columns}
-
-
 @dataclass
 class DecisionTree:
-    """A fitted tree as parallel arrays over its nodes in preorder. Node 0
-    is the root; internal node i splits on schema feature ``feature[i]``
-    (-1 marks a leaf) and has its left child at i + 1, its right child at
-    ``right[i]``. A numeric split sends a value left when it is below
-    ``threshold[i]``, a categorical one when the value's bit is set in
-    ``left_set[i]``, a bitmask over that feature's ``feature_levels``.
-    Fields a node does not use hold their ``_Node`` default."""
+    """A fitted tree: its ``nodes`` in preorder, node 0 the root. Internal
+    node i has its left child at i + 1 and its right child at
+    ``nodes[i].right``; a node's ``feature`` indexes ``feature_names``."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left_set: np.ndarray
-    right: np.ndarray
-    n: np.ndarray
-    counts: np.ndarray
-    impurity: np.ndarray
-    decrease: np.ndarray
-    label: np.ndarray
-    expected_cost: np.ndarray
+    nodes: list[Node]
     params: TreeParams
     k: int
     feature_names: tuple[str, ...]
@@ -301,16 +286,6 @@ def leaf_label(class_counts, loss: CostMatrix) -> tuple[int, float]:
 # Split search
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Split:
-    feature: str
-    threshold: float  # nan for a categorical split
-    categories: tuple[str, ...] | None
-    decrease: float
-    left_mask: np.ndarray
-    left_set: int = 0  # categorical: bitmask of ``categories`` over the levels
-
-
 def _impurity_terms(counts_left: np.ndarray, totals: np.ndarray, L: np.ndarray):
     """Weighted child impurities n_L*I(L) + n_R*I(R) = Q_L/n_L + Q_R/n_R
     for a batch of candidate left-count matrices, where Q = c^T L c of a
@@ -346,7 +321,6 @@ class EncodedTable:
             raise InvalidArgument(f"labels must lie in [1, {k}]")
         self.k = k
         self.y0 = y - 1
-        self.names = table.names
         self.n = table.n_rows
         self.codes = np.empty((len(table.names), self.n), dtype=np.int32)
         self.values, self.levels = [], []
@@ -400,13 +374,13 @@ class _NumericScan:
         earlier = self.feature[lo:hi, None] * self.counts
         return self.cum[self.run[lo:hi]] - earlier
 
-    def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
+    def split(self, i: int, rows: np.ndarray) -> tuple[dict, np.ndarray]:
         f, p = self.feature[i], self.pos[i]
-        j = self.cols[f]
+        j = int(self.cols[f])
         values = self.enc.values[j]
         threshold = float((values[self.codes[f, p]] + values[self.codes[f, p + 1]]) / 2.0)
         left_mask = self.enc.codes[j, rows] < np.searchsorted(values, threshold)
-        return Split(self.enc.names[j], threshold, None, decrease, left_mask)
+        return {"feature": j, "threshold": threshold}, left_mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -483,27 +457,26 @@ class _CategoricalScan:
     def counts_left(self, lo: int, hi: int) -> np.ndarray:
         return self.left[lo:hi]
 
-    def split(self, i: int, rows: np.ndarray, decrease: float) -> Split:
+    def split(self, i: int, rows: np.ndarray) -> tuple[dict, np.ndarray]:
         f, key = self.feature[i], int(self.keys[i])
-        j, slots = self.cols[f], self.slots[self.column == f]
+        j, slots = int(self.cols[f]), self.slots[self.column == f]
         chosen = slots[:key] if len(slots) > MAX_EXHAUSTIVE_LEVELS else slots[_bits_of(key)]
         member = np.zeros(len(self.enc.levels[j]), dtype=bool)
         member[chosen] = True
         left_set = sum(1 << int(c) for c in chosen)
-        return Split(self.enc.names[j], math.nan, _level_names(self.enc.levels[j], left_set),
-                     decrease, member[self.enc.codes[j, rows]], left_set)
+        return {"feature": j, "left_set": left_set}, member[self.enc.codes[j, rows]]
 
 
 def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q: float,
-               loss: CostMatrix, params: TreeParams) -> Split | None:
+               loss: CostMatrix, params: TreeParams) -> tuple[Node, np.ndarray] | None:
     """Exhaustive scan over features and candidate splits of the node whose
     row ids are ``rows``, with float64 class ``counts`` and ``parent_q`` =
     counts^T L counts; returns the split maximizing
     n*I(parent) - n_L*I(left) - n_R*I(right) = Q_P/n - Q_L/n_L - Q_R/n_R,
-    or None when the node is below min_split or no candidate has a strictly
-    positive decrease. Of equal maxima it returns the one on the lowest
-    schema index, and within one column the first candidate. The split's
-    left_mask is aligned with ``rows``."""
+    as the node it makes (no impurity or right child yet) and its left mask
+    over ``rows``, or None when the node is below min_split or no candidate
+    has a strictly positive decrease. Of equal maxima it returns the one on
+    the lowest schema index, and within one column the first candidate."""
     n = len(rows)
     if n < params.min_split:
         return None
@@ -532,14 +505,15 @@ def best_split(enc: EncodedTable, rows: np.ndarray, counts: np.ndarray, parent_q
     if best is None:
         return None
     scan, i = best
-    return scan.split(i, rows, best_decrease)
+    fields, left_mask = scan.split(i, rows)
+    return Node(n, counts, decrease=best_decrease, **fields), left_mask
 
 
 # ---------------------------------------------------------------------------
 # Growing and pruning
 # ---------------------------------------------------------------------------
 
-def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[list[_Node], int, int]:
+def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[list[Node], int, int]:
     """Recursive partitioning as a post-order over two stacks. ``stack``
     holds the nodes to grow, left child first, so nodes arrive in preorder;
     each is its own ascending array of row ids with its class counts. A left
@@ -551,7 +525,7 @@ def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[list
     entries off it, and p collapses to a leaf when g < alpha, truncating
     ``nodes`` after p, since in preorder p's subtree is their tail. Returns
     the nodes, the number grown and the number of collapses."""
-    nodes: list[_Node] = []
+    nodes: list[Node] = []
     counts = np.bincount(enc.y0, minlength=enc.k).astype(np.float64)
     root_risk = float((counts @ loss.entries).min())
     alpha = params.cp * root_risk
@@ -570,7 +544,7 @@ def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[list
             if max((own - risk) / (leaves - 1), 0.0) < alpha:
                 collapses += 1
                 label, cost = leaf_label(nodes[p].counts, loss)
-                nodes[p] = _Node(nodes[p].n, nodes[p].counts, label=label, expected_cost=cost)
+                nodes[p] = Node(nodes[p].n, nodes[p].counts, label=label, expected_cost=cost)
                 del nodes[p + 1:]
                 risk, leaves = own, 1
             done.append((score, risk, leaves))
@@ -591,13 +565,11 @@ def _grow(enc: EncodedTable, loss: CostMatrix, params: TreeParams) -> tuple[list
             split = best_split(enc, rows, counts, float(costs @ counts), loss, params)
         if split is None:
             label, cost = leaf_label(counts, loss)
-            nodes.append(_Node(len(rows), counts, label=label, expected_cost=cost))
+            nodes.append(Node(len(rows), counts, label=label, expected_cost=cost))
             done.append((own + alpha, own, 1))
             continue
-        nodes.append(_Node(len(rows), counts, feature=enc.names.index(split.feature),
-                           threshold=split.threshold, left_set=split.left_set,
-                           impurity=impurity, decrease=split.decrease))
-        left = split.left_mask
+        node, left = split
+        nodes.append(node._replace(impurity=impurity))
         counts_left = np.bincount(enc.y0[rows[left]], minlength=enc.k).astype(np.float64)
         counts_right = counts - counts_left
         right_score = min(float((counts_right @ loss.entries).min()) + alpha, 2.0 * alpha)
@@ -613,23 +585,23 @@ def build_tree(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams
     enc = EncodedTable(table, labels, loss.k)
     nodes, grown, collapses = _grow(enc, loss, params)
     tree = DecisionTree(
-        **_node_arrays(nodes), params=params, k=loss.k, feature_names=table.names,
-        feature_kinds=table.kinds,
-        feature_levels={enc.names[j]: enc.levels[j] for j in enc.categorical},
+        nodes, params=params, k=loss.k, feature_names=table.names, feature_kinds=table.kinds,
+        feature_levels={table.names[j]: enc.levels[j] for j in enc.categorical},
         n_rows=table.n_rows, nodes_grown=grown, candidates_scanned=enc.candidates_scanned,
         prune_steps=collapses,
     )
-    tree.depth, tree.leaf_count = _depth_and_leaves(tree)
+    tree.depth, tree.leaf_count = _depth_and_leaves(nodes)
     tree.build_s = time.perf_counter() - start
     return tree
 
 
-def _depth_and_leaves(tree: DecisionTree) -> tuple[int, int]:
-    """The tree's depth in split levels and its number of leaves."""
-    depth = np.zeros(len(tree.n), dtype=np.int64)  # split levels above each node
-    for i in np.flatnonzero(tree.feature >= 0):
-        depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
-    return int(depth.max()), int(np.count_nonzero(tree.feature < 0))
+def _depth_and_leaves(nodes: list[Node]) -> tuple[int, int]:
+    """The depth in split levels and the number of leaves of the tree of ``nodes``."""
+    depth = [0] * len(nodes)  # split levels above each node
+    for i, node in enumerate(nodes):
+        if node.feature >= 0:
+            depth[i + 1] = depth[node.right] = depth[i] + 1
+    return max(depth), sum(node.feature < 0 for node in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +609,14 @@ def _depth_and_leaves(tree: DecisionTree) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def _level_names(levels, left_set) -> tuple[str, ...]:
-    return tuple(levels[b] for b in _bits_of(int(left_set)))
+    return tuple(levels[b] for b in _bits_of(left_set))
 
 
 def predict(tree: DecisionTree, table: FeatureTable) -> np.ndarray:
     """Vectorized prediction, node by node with an explicit stack: each
     internal node splits all the rows that reach it at once. A missing value
     goes to the child that saw more training rows, an unseen level right."""
-    used = set(tree.feature[tree.feature >= 0].tolist())
+    used = {node.feature for node in tree.nodes}
     columns = {}  # what splits read: numeric values, or level codes (-1 = missing)
     for j, (name, kind) in enumerate(zip(tree.feature_names, tree.feature_kinds)):
         if name not in table.names:
@@ -663,20 +635,21 @@ def predict(tree: DecisionTree, table: FeatureTable) -> np.ndarray:
     stack = [(0, np.arange(table.n_rows))]
     while stack:
         i, rows = stack.pop()
-        j = int(tree.feature[i])
+        node = tree.nodes[i]
+        j = node.feature
         if j < 0:
-            out[rows] = tree.label[i]
+            out[rows] = node.label
             continue
         value = columns[j][rows]
         if tree.feature_kinds[j] == NUMERIC:
-            missing, go_left = np.isnan(value), value < tree.threshold[i]
+            missing, go_left = np.isnan(value), value < node.threshold
         else:
             # Codes past the left set's bits (unseen levels, and -1) stay False.
             member = np.zeros(len(tree.feature_levels[tree.feature_names[j]]) + 1, dtype=bool)
-            member[_bits_of(int(tree.left_set[i]))] = True
+            member[_bits_of(node.left_set)] = True
             missing, go_left = value < 0, member[value]
-        go_left |= missing & (tree.n[i + 1] >= tree.n[tree.right[i]])
-        stack += [(int(tree.right[i]), rows[~go_left]), (i + 1, rows[go_left])]
+        go_left |= missing & (tree.nodes[i + 1].n >= tree.nodes[node.right].n)
+        stack += [(node.right, rows[~go_left]), (i + 1, rows[go_left])]
     return out
 
 
@@ -686,11 +659,13 @@ def predict(tree: DecisionTree, table: FeatureTable) -> np.ndarray:
 
 def variable_importance(tree: DecisionTree) -> list[tuple[str, float]]:
     """Total impurity decrease credited to each feature, descending; unused
-    features are omitted."""
-    inner = tree.feature >= 0  # bincount adds the decreases in preorder
-    scores = np.bincount(tree.feature[inner], tree.decrease[inner], len(tree.feature_names))
-    used = sorted(set(tree.feature[inner].tolist()), key=lambda j: (-scores[j], j))
-    return [(tree.feature_names[j], float(scores[j])) for j in used]
+    features are omitted. Each feature's decreases are added in preorder."""
+    scores: dict[int, float] = {}
+    for node in tree.nodes:
+        if node.feature >= 0:
+            scores[node.feature] = scores.get(node.feature, 0.0) + node.decrease
+    used = sorted(scores, key=lambda j: (-scores[j], j))
+    return [(tree.feature_names[j], scores[j]) for j in used]
 
 
 @dataclass(frozen=True)
@@ -739,18 +714,17 @@ def extract_rules(tree: DecisionTree) -> list[LeafRule]:
     stack: list[tuple[int, dict, dict]] = [(0, {}, {})]
     while stack:
         i, bounds, cats = stack.pop()
-        j = int(tree.feature[i])
+        node = tree.nodes[i]
+        j = node.feature
         if j >= 0:
             if tree.feature_kinds[j] == NUMERIC:
-                t = float(tree.threshold[i])
                 lo, hi = bounds.get(j, (-math.inf, math.inf))
-                stack.append((int(tree.right[i]), {**bounds, j: (max(lo, t), hi)}, cats))
-                stack.append((i + 1, {**bounds, j: (lo, min(hi, t))}, cats))
+                stack.append((node.right, {**bounds, j: (max(lo, node.threshold), hi)}, cats))
+                stack.append((i + 1, {**bounds, j: (lo, min(hi, node.threshold))}, cats))
             else:
                 allowed = cats.get(j, (1 << len(tree.feature_levels[tree.feature_names[j]])) - 1)
-                chosen = int(tree.left_set[i])
-                stack.append((int(tree.right[i]), bounds, {**cats, j: allowed & ~chosen}))
-                stack.append((i + 1, bounds, {**cats, j: allowed & chosen}))
+                stack.append((node.right, bounds, {**cats, j: allowed & ~node.left_set}))
+                stack.append((i + 1, bounds, {**cats, j: allowed & node.left_set}))
             continue
         conditions = []
         for f in sorted(bounds.keys() | cats.keys()):
@@ -760,8 +734,7 @@ def extract_rules(tree: DecisionTree) -> list[LeafRule]:
             else:
                 categories = _level_names(tree.feature_levels[name], cats[f])
                 conditions.append(RuleCondition(name, CATEGORICAL, categories=categories))
-        rules.append(LeafRule(tuple(conditions), int(tree.label[i]), int(tree.n[i]),
-                              float(tree.expected_cost[i])))
+        rules.append(LeafRule(tuple(conditions), node.label, node.n, node.expected_cost))
     return rules
 
 
@@ -798,23 +771,23 @@ def _root_to_dict(tree: DecisionTree) -> dict:
     """The nested node dicts of a model document, built bottom-up in
     reverse preorder so that both children exist before their parent."""
     done: dict[int, dict] = {}
-    for i in range(len(tree.n) - 1, -1, -1):
-        j = int(tree.feature[i])
-        n, counts = int(tree.n[i]), [int(c) for c in tree.counts[i]]
-        if j < 0:
-            done[i] = {"type": "leaf", "label": int(tree.label[i]), "n": n, "counts": counts,
-                       "expected_cost": float(tree.expected_cost[i])}
+    for i in range(len(tree.nodes) - 1, -1, -1):
+        node = tree.nodes[i]
+        counts = [int(c) for c in node.counts]
+        if node.feature < 0:
+            done[i] = {"type": "leaf", "label": node.label, "n": node.n, "counts": counts,
+                       "expected_cost": node.expected_cost}
             continue
-        name, kind = tree.feature_names[j], tree.feature_kinds[j]
+        name, kind = tree.feature_names[node.feature], tree.feature_kinds[node.feature]
         d = done[i] = {
-            "type": "internal", "feature": name, "kind": kind, "n": n, "counts": counts,
-            "impurity": float(tree.impurity[i]), "decrease": float(tree.decrease[i]),
-            "left": done.pop(i + 1), "right": done.pop(int(tree.right[i])),
+            "type": "internal", "feature": name, "kind": kind, "n": node.n, "counts": counts,
+            "impurity": node.impurity, "decrease": node.decrease,
+            "left": done.pop(i + 1), "right": done.pop(node.right),
         }
         if kind == NUMERIC:
-            d["threshold"] = float(tree.threshold[i])
+            d["threshold"] = node.threshold
         else:
-            d["categories"] = list(_level_names(tree.feature_levels[name], tree.left_set[i]))
+            d["categories"] = list(_level_names(tree.feature_levels[name], node.left_set))
     return done[0]
 
 
@@ -833,14 +806,14 @@ def serialize_tree(tree: DecisionTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
+def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[Node]:
     """A model document's nested node dicts as nodes in preorder, walked
     with an explicit stack; every node is checked against the document's
     schema and levels. ``n``, ``counts`` and ``label`` are integers, counts
     and ``n`` in [0, 2**53] (float64 holds them exactly), ``n`` the sum of
     the counts and a label a rank in [1, k]; a threshold, impurity, decrease
     and expected cost are finite numbers. An error names the node's path."""
-    nodes: list[_Node] = []
+    nodes: list[Node] = []
     stack = [(root, "root", 0, -1)]  # (node dict, path, depth, parent of a right child)
     while stack:
         d, path, depth, parent = stack.pop()
@@ -880,7 +853,7 @@ def _nodes_from_dict(root, k: int, names, kinds, levels) -> list[_Node]:
             raise InvalidArgument(f"{path}: missing field {e}") from None
         except (TypeError, ValueError, InvalidArgument) as e:
             raise InvalidArgument(f"{path}: {e}") from None
-        nodes.append(_Node(**node))
+        nodes.append(Node(**node))
     return nodes
 
 
@@ -896,7 +869,7 @@ def tree_from_dict(doc: dict) -> DecisionTree:
             f"unsupported tree format version {version!r}, expected {TREE_FORMAT_VERSION!r}"
         )
     try:
-        k = check_value("k", int, doc["k"])
+        k = check_value("k", int, doc["k"], ge=2)
         names = tuple(str(c["name"]) for c in doc["schema"])
         kinds = tuple(str(c["kind"]) for c in doc["schema"])
         levels, root, summary = doc["levels"], doc["root"], doc["summary"]
@@ -920,11 +893,11 @@ def tree_from_dict(doc: dict) -> DecisionTree:
                 and lv == sorted(set(lv))):
             raise InvalidArgument(f"levels of {name!r} must be distinct strings in sorted order")
     nodes = _nodes_from_dict(root, k, names, kinds, levels)
-    tree = DecisionTree(**_node_arrays(nodes), k=k, feature_names=names, feature_kinds=kinds,
+    tree = DecisionTree(nodes, k=k, feature_names=names, feature_kinds=kinds,
                         feature_levels={name: tuple(lv) for name, lv in levels.items()},
                         params=params, n_rows=n_rows, depth=depth, leaf_count=leaf_count)
     # The summary is written back as read, so it must describe the nodes.
-    actual = (int(tree.n[0]), *_depth_and_leaves(tree))
+    actual = (nodes[0].n, *_depth_and_leaves(nodes))
     if (n_rows, depth, leaf_count) != actual:
         raise InvalidArgument(
             "summary must match the nodes: n {}, depth {}, leaf_count {}".format(*actual)

@@ -10,7 +10,7 @@ from casemix.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main
 from casemix.dataio import read_cohort_csv
 from casemix.errors import InvalidArgument
 from tests.helpers import assert_no_children
-from tests.test_tree import structure_sha256
+from tests.test_tree import preorder, structure_sha256
 
 COHORT_CONFIG = {
     "cohort": {"n": 250, "seed": 31},
@@ -659,6 +659,16 @@ class TestTrain:
         assert provenance["input_sha256"] == hashlib.sha256(cohort.read_bytes()).hexdigest()
 
 
+def flip_an_unused_feature(model: dict) -> None:
+    """Give the first numeric feature that no node of ``model`` splits on
+    the categorical kind, with no levels: the model still reads, but its
+    schema is not that of the data."""
+    used = {nd["feature"] for nd in preorder(model["root"]) if nd["type"] == "internal"}
+    column = next(c for c in model["schema"] if c["kind"] == "numeric" and c["name"] not in used)
+    column["kind"] = "categorical"
+    model["levels"][column["name"]] = []
+
+
 class TestEvaluate:
     def test_full_flow_with_svg(self, trained):
         root, _, cohort, result = trained
@@ -891,10 +901,17 @@ class TestEvaluate:
     @pytest.mark.parametrize("name,key,edit", [
         ("model.json", "root", lambda doc: doc["root"].update(threshold="5")),
         ("config.json", "final_tree_params", lambda doc: doc["final_tree_params"].update(cpp=0.5)),
-    ], ids=["model_threshold", "config_tree_params_key"])
+        ("model.json", "feature 'nope' missing from prediction data",
+         lambda doc: doc["schema"].append({"name": "nope", "kind": "numeric"})),
+        ("model.json", "kind mismatch", flip_an_unused_feature),
+        ("model.json", "k must be an integer, >= 2, got -1", lambda doc: doc.update(k=-1)),
+    ], ids=["model_threshold", "config_tree_params_key", "model_feature_not_in_data",
+            "model_feature_kind_not_the_datas", "model_k_below_2"])
     def test_document_content_fault_names_file(self, trained, tmp_path, capsys, name, key, edit):
         """A content error inside model.json or config.json names the file,
-        as a parse error in either does, with the part of it at fault."""
+        as a parse error in either does, with the part of it at fault. So
+        does a model schema that is not the data's, found once the model is
+        read."""
         import shutil
 
         _, _, cohort, result = trained
@@ -909,6 +926,32 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert f"result {broken / name}: " in err and key in err and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("column,rows", [("los_days", slice(None)), ("site_01_depth", slice(1))],
+                             ids=["every_los_days_cell", "one_depth_cell"])
+    def test_blank_preprocessed_cell_exit_2_naming_file(self, trained, tmp_path, capsys,
+                                                        column, rows):
+        """`train` writes preprocessed.csv imputed, so a blank cell in it is
+        refused, naming the file and the column. With every LOS cell blank,
+        evaluate once exited 0 and wrote NaN tokens into comparison.json."""
+        import shutil
+
+        _, _, cohort, result = trained
+        assert main(["hrg", "--cohort", str(cohort), "--out", str(tmp_path / "hrg")]) == EXIT_OK
+        broken = shutil.copytree(result, tmp_path / "result")
+        with open(broken / "preprocessed.csv", newline="") as fh:
+            header, *body = csv.reader(fh)
+        for row in body[rows]:
+            row[header.index(column)] = ""
+        with open(broken / "preprocessed.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *body])
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(broken), "--hrg",
+                     str(tmp_path / "hrg" / "labels.csv"), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"result {broken / 'preprocessed.csv'}: blank {column!r} cell" in err
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("name,content", [

@@ -22,6 +22,7 @@ from casemix.tree import (
     EncodedTable,
     FeatureTable,
     MAX_DEPTH,
+    Node,
     TreeParams,
     best_split,
     build_tree,
@@ -32,6 +33,7 @@ from casemix.tree import (
     leaf_label,
     predict,
     serialize_tree,
+    tree_from_dict,
     variable_importance,
 )
 from tests.helpers import zero_one_cost_matrix
@@ -40,7 +42,8 @@ UNRESTRICTED = TreeParams(min_split=2, min_leaf=1, max_depth=30, cp=0.0)
 
 
 def search(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams):
-    """best_split at the root node of a freshly encoded table."""
+    """best_split at the root node of a freshly encoded table: the split
+    node and its left mask, or None."""
     enc = EncodedTable(table, labels, loss.k)
     counts = np.bincount(enc.y0, minlength=loss.k).astype(np.float64)
     parent_q = float(counts @ loss.entries @ counts)
@@ -49,6 +52,13 @@ def search(table: FeatureTable, labels, loss: CostMatrix, params: TreeParams):
 
 def numeric_table(**columns) -> FeatureTable:
     return FeatureTable.from_items([(n, "numeric", v) for n, v in columns.items()])
+
+
+def left_levels(table: FeatureTable, node: Node) -> set[str]:
+    """The levels in a categorical split's left set, named from ``table``,
+    whose levels all occur in the rows searched."""
+    levels = table.levels[table.names[node.feature]]
+    return {levels[b] for b in range(node.left_set.bit_length()) if node.left_set >> b & 1}
 
 
 def brute_force_leaf_label(counts, loss: CostMatrix):
@@ -179,51 +189,51 @@ class TestBestSplit:
 
     def test_hand_enumerated_threshold(self):
         table = numeric_table(x=[1.0, 2.0, 3.0, 4.0])
-        split = search(table, [1, 1, 2, 2], zero_one_cost_matrix(2), UNRESTRICTED)
-        assert split.feature == "x"
-        assert split.threshold == pytest.approx(2.5)
+        node, _ = search(table, [1, 1, 2, 2], zero_one_cost_matrix(2), UNRESTRICTED)
+        assert table.names[node.feature] == "x"
+        assert node.threshold == pytest.approx(2.5)
         # decrease equals the full parent impurity term: 4 * 0.5
-        assert split.decrease == pytest.approx(2.0)
+        assert node.decrease == pytest.approx(2.0)
 
     def test_informative_feature_wins_under_linear_loss(self):
         # feature a splits {1,3 | 1,3} (useless), feature b splits {1,1 | 3,3}
         table = numeric_table(a=[0.0, 0.0, 1.0, 1.0], b=[0.0, 1.0, 0.0, 1.0])
         labels = [1, 3, 1, 3]
         loss = linear_cost_matrix(3)
-        split = search(table, labels, loss, UNRESTRICTED)
-        assert split.feature == "b"
+        node, _ = search(table, labels, loss, UNRESTRICTED)
+        assert table.names[node.feature] == "b"
         # brute force the two decreases
         parent = 4 * gini_loss_impurity([2, 0, 2], loss)
         decrease_b = parent - 0.0
-        assert split.decrease == pytest.approx(decrease_b)
+        assert node.decrease == pytest.approx(decrease_b)
 
     def test_min_leaf_respected(self):
         table = numeric_table(x=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         labels = [1, 1, 1, 1, 1, 2]
         loss = zero_one_cost_matrix(2)
         # unrestricted, the best split isolates the lone 2 at 5.5
-        free = search(table, labels, loss, TreeParams(min_split=2, min_leaf=1, max_depth=5, cp=0.0))
+        free, _ = search(table, labels, loss, TreeParams(min_split=2, min_leaf=1, max_depth=5, cp=0.0))
         assert free.threshold == pytest.approx(5.5)
         # min_leaf=3 forbids that; only the 3|3 split at 3.5 remains legal
-        constrained = search(
+        constrained, left_mask = search(
             table, labels, loss, TreeParams(min_split=6, min_leaf=3, max_depth=5, cp=0.0)
         )
         assert constrained.threshold == pytest.approx(3.5)
-        assert constrained.left_mask.sum() == 3
+        assert left_mask.sum() == 3
 
     def test_tie_breaks_first_feature(self):
         table = numeric_table(b=[0.0, 0.0, 1.0, 1.0], a=[0.0, 0.0, 1.0, 1.0])
-        split = search(table, [1, 1, 2, 2], zero_one_cost_matrix(2), UNRESTRICTED)
-        assert split.feature == "b"  # schema order, not alphabetical
+        node, _ = search(table, [1, 1, 2, 2], zero_one_cost_matrix(2), UNRESTRICTED)
+        assert table.names[node.feature] == "b"  # schema order, not alphabetical
 
     def test_categorical_subset_scan(self):
         table = FeatureTable.from_items(
             [("color", "categorical", ["red", "red", "blue", "green", "green", "blue"])]
         )
         labels = [1, 1, 2, 2, 2, 2]
-        split = search(table, labels, zero_one_cost_matrix(2), UNRESTRICTED)
-        assert split.categories == ("red",) or set(split.categories) == {"blue", "green"}
-        assert split.decrease == pytest.approx(6 * gini_loss_impurity([2, 4], zero_one_cost_matrix(2)))
+        node, _ = search(table, labels, zero_one_cost_matrix(2), UNRESTRICTED)
+        assert left_levels(table, node) in ({"red"}, {"blue", "green"})
+        assert node.decrease == pytest.approx(6 * gini_loss_impurity([2, 4], zero_one_cost_matrix(2)))
 
     def test_below_min_split_returns_none(self):
         table = numeric_table(x=[1.0, 2.0])
@@ -348,12 +358,12 @@ class TestBuildTree:
         loss = linear_cost_matrix(3)
         split = search(table, labels, loss, UNRESTRICTED)
         assert split is not None
-        assert set(split.categories) == {f"lvl{i:02d}" for i in range(8)} or set(
-            split.categories
-        ) == {f"lvl{i:02d}" for i in range(8, 15)}
+        node, _ = split
+        assert left_levels(table, node) in ({f"lvl{i:02d}" for i in range(8)},
+                                            {f"lvl{i:02d}" for i in range(8, 15)})
         # the split is pure, so the decrease equals the parent impurity term
         counts = np.bincount(labels - 1, minlength=3)
-        assert split.decrease == pytest.approx(600 * gini_loss_impurity(counts, loss))
+        assert node.decrease == pytest.approx(600 * gini_loss_impurity(counts, loss))
 
     def test_pruned_leaves_are_collapses_of_full_tree_nodes(self):
         rng = np.random.default_rng(71)
@@ -669,7 +679,7 @@ class TestSerialization:
             deserialize_tree(json.dumps(doc))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("k", "3", "k must be an integer, got '3'"),
+        ("k", "3", "k must be an integer, >= 2, got '3'"),
         ("label", 1.5, "label must be an integer, >= 1, <= 3, got 1.5"),
         ("label", "2", "label must be an integer, >= 1, <= 3, got '2'"),
         ("label", True, "label must be an integer, >= 1, <= 3, got True"),
@@ -681,10 +691,12 @@ class TestSerialization:
         ("n", 3, "n 3 is not the sum of its counts"),
         ("counts", ["0", "2", "0"],
          "a class count must be an integer, >= 0, <= 9007199254740992, got '0'"),
+        ("k", -1, "k must be an integer, >= 2, got -1"),
     ])
     def test_node_integers_read_exactly(self, field, value, message):
-        """Counts, n, labels and k are JSON integers, n is the sum of the
-        counts and a label is a rank: nothing is truncated or coerced."""
+        """Counts, n, labels and k are JSON integers, k is at least 2, n is
+        the sum of the counts and a label is a rank: nothing is truncated or
+        coerced."""
         doc = json.loads(serialize_tree(hand_built_tree()))
         leaf = doc["root"]["left"]["right"]
         assert (leaf["label"], leaf["n"], leaf["counts"]) == (2, 2, [0, 2, 0])
@@ -758,7 +770,7 @@ class TestSerialization:
                        "expected_cost": 0.5}
         doc["summary"] = {"n": 2**53, "depth": 0, "leaf_count": 1}
         tree = deserialize_tree(json.dumps(doc))
-        assert tree.n.dtype == np.int64
+        assert type(tree.nodes[0].n) is int and tree.nodes[0].n == 2**53
         assert json.loads(serialize_tree(tree)) == doc
 
     def test_nesting_past_the_recursion_limit_rejected(self):
@@ -841,10 +853,10 @@ def assert_predict_reproduces_node_counts(tree: DecisionTree, table: FeatureTabl
     for i, leaf in enumerate(leaves):
         leaf["label"] = i + 1
     # An id past k is no rank, which a model document refuses; so the ids go
-    # into a copy of the node arrays, whose leaves are in the same preorder.
-    ids = np.zeros_like(tree.label)
-    ids[tree.feature < 0] = np.arange(1, len(leaves) + 1)
-    reached = predict(dataclasses.replace(tree, label=ids), table)
+    # into a copy of the nodes, whose leaves are in the same preorder.
+    ids = iter(range(1, len(leaves) + 1))
+    relabeled = [nd._replace(label=next(ids)) if nd.feature < 0 else nd for nd in tree.nodes]
+    reached = predict(dataclasses.replace(tree, nodes=relabeled), table)
     y0 = np.asarray(labels) - 1
 
     def leaf_ids(nd):
@@ -930,20 +942,21 @@ class TestSplitChoice:
     def test_first_maximum_over_one_column_searches(self, case):
         table, labels, k, params = case
         loss = linear_cost_matrix(k)
-        expected = None
-        for name in table.names:
+        expected = None  # (schema index, node, left mask) of the first best one-column split
+        for j, name in enumerate(table.names):
             split = search(table.select([name]), labels, loss, params)
-            if split is not None and (expected is None or split.decrease > expected.decrease):
-                expected = split
+            if split is not None and (expected is None or split[0].decrease > expected[1].decrease):
+                expected = (j, *split)
         split = search(table, labels, loss, params)
         if expected is None:
             assert split is None
             return
-        assert split.feature == expected.feature
-        assert np.float64(split.decrease).tobytes() == np.float64(expected.decrease).tobytes()
-        assert np.float64(split.threshold).tobytes() == np.float64(expected.threshold).tobytes()
-        assert (split.categories, split.left_set) == (expected.categories, expected.left_set)
-        assert np.array_equal(split.left_mask, expected.left_mask)
+        (j, one, one_mask), (node, left_mask) = expected, split
+        assert (node.feature, one.feature) == (j, 0)
+        assert np.float64(node.decrease).tobytes() == np.float64(one.decrease).tobytes()
+        assert np.float64(node.threshold).tobytes() == np.float64(one.threshold).tobytes()
+        assert node.left_set == one.left_set
+        assert np.array_equal(left_mask, one_mask)
 
     @settings(deadline=None, max_examples=60)
     @given(mixed_training_sets(), st.data())
@@ -984,8 +997,9 @@ class TestSplitChoice:
         if split is None:
             assert max(exact_all, default=0) <= tolerance
             return
-        chosen = exact(np.bincount(y0[split.left_mask], minlength=k))
-        assert abs(Fraction(split.decrease) - chosen) <= tolerance
+        node, left_mask = split
+        chosen = exact(np.bincount(y0[left_mask], minlength=k))
+        assert abs(Fraction(node.decrease) - chosen) <= tolerance
         assert max(exact_all) - chosen <= tolerance
 
     @pytest.mark.parametrize("block_cells, chunk", [(1, 1), (7, 3), (301, 13), (5, 1024)])
@@ -1110,10 +1124,11 @@ class TestCategoricalCandidates:
             assert split is None
             return
         schema, left_set, _ = candidates[decreases.index(best)]  # the first exact maximum
-        assert (split.feature, split.left_set) == (table.names[schema], left_set)
-        assert np.float64(split.decrease).tobytes() == np.float64(best).tobytes()
-        assert np.array_equal(split.left_mask, np.isin(
-            table.column(split.feature)[rows], [b for b in range(left_set.bit_length()) if left_set >> b & 1]))
+        node, left_mask = split
+        assert (node.feature, node.left_set) == (schema, left_set)
+        assert np.float64(node.decrease).tobytes() == np.float64(best).tobytes()
+        assert np.array_equal(left_mask, np.isin(
+            table.column(table.names[schema])[rows], [b for b in range(left_set.bit_length()) if left_set >> b & 1]))
 
 
 #: sha256 of serialize_tree for the pinned small run below, on the exact
@@ -1170,6 +1185,53 @@ def test_golden_trees_small_run():
         for name, tree in trees.items()
     }
     assert counters == GOLDEN_TREE_COUNTERS
+
+
+def test_grown_trees_survive_the_model_round_trip(pinned_run):
+    """Reading a model document back gives the nodes growth made, field by
+    field and bit for bit, each field but the counts a Python int or float
+    as the JSON writer needs it."""
+    result = pinned_run.result
+    for tree in (*result.factor_trees.values(), result.final_tree):
+        clone = tree_from_dict(json.loads(serialize_tree(tree)))
+        assert len(clone.nodes) == len(tree.nodes)
+        for grown, read in zip(tree.nodes, clone.nodes):
+            assert np.array_equal(grown.counts, read.counts)
+            for name, a, b in zip(Node._fields, grown, read):
+                if name == "counts":
+                    continue
+                assert type(a) is type(b) and type(a) in (int, float), name
+                assert np.float64(a).tobytes() == np.float64(b).tobytes(), name
+
+
+_THRESHOLD_FAULT = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: a (a+b)/2 threshold between adjacent doubles of "
+    "tbsa_pct routes rows other than those the split was scored on"))
+
+
+@pytest.mark.parametrize("name", [pytest.param("los_days", marks=_THRESHOLD_FAULT),
+                                  "total_cost", "tbsa_pct",
+                                  pytest.param("final", marks=_THRESHOLD_FAULT)])
+def test_recorded_decrease_is_that_of_the_routed_rows(pinned_run, name):
+    """Each internal node's recorded decrease is Q_P/n - Q_L/n_L - Q_R/n_R
+    of the class counts its two children hold, bit for bit, and both
+    children hold rows. Every Q is an exact integer, so the order in which
+    it is summed does not matter."""
+    result = pinned_run.result
+    tree = {**result.factor_trees, "final": result.final_tree}[name]
+    L = linear_cost_matrix(tree.k).entries
+
+    def term(nd):
+        return float(nd.counts @ L @ nd.counts) / nd.n
+
+    differ = []
+    for i, nd in enumerate(tree.nodes):
+        if nd.feature >= 0:
+            left, right = tree.nodes[i + 1], tree.nodes[nd.right]
+            assert left.n > 0 and right.n > 0
+            if term(nd) - (term(left) + term(right)) != nd.decrease:
+                differ.append(i)
+    assert differ == []
 
 
 def reference_prune(root: dict, loss: CostMatrix, cp: float) -> tuple[dict, int]:
@@ -1256,12 +1318,12 @@ def boundary_cps(tree: DecisionTree, loss: CostMatrix) -> list[float]:
     """The cp values that put the pruning threshold cp * root risk on a
     node's own leaf risk, or on an internal node's weakest-link g, in an
     unpruned tree: the ties where keeping or collapsing turns."""
-    own = (tree.counts @ loss.entries).min(axis=1)
+    own = (np.array([nd.counts for nd in tree.nodes]) @ loss.entries).min(axis=1)
     risk, leaves = own.copy(), np.ones(len(own))
-    for i in np.flatnonzero(tree.feature >= 0)[::-1]:
-        risk[i] = risk[i + 1] + risk[tree.right[i]]
-        leaves[i] = leaves[i + 1] + leaves[tree.right[i]]
-    inner = tree.feature >= 0
+    inner = np.array([nd.feature >= 0 for nd in tree.nodes])
+    for i in np.flatnonzero(inner)[::-1]:
+        risk[i] = risk[i + 1] + risk[tree.nodes[i].right]
+        leaves[i] = leaves[i + 1] + leaves[tree.nodes[i].right]
     g = (own[inner] - risk[inner]) / (leaves[inner] - 1)
     return (np.concatenate([own, g]) / own[0]).tolist() if own[0] > 0 else []
 
